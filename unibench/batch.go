@@ -105,7 +105,7 @@ func runBatch(cfg config, spec batchSpec) (*result, error) {
 		return nil, err
 	}
 	vars := f.SamplingVars()
-	opts := unigen.Options{Epsilon: epsilon, Workers: 1, Seed: cfg.seed}
+	opts := unigen.Options{Epsilon: epsilon, Workers: 1, Seed: batchSeed}
 	if spec.fullSupport {
 		vars = allVars(f)
 		opts.SamplingSet = vars
@@ -151,7 +151,7 @@ func runBatch(cfg config, spec batchSpec) (*result, error) {
 
 	// Traced run: identical work twice, untraced then traced, on two
 	// samplers prepared alike, so the difference is the tracing alone.
-	sa, prepS, err := prepare()
+	sa, _, err := prepare()
 	if err != nil {
 		return nil, err
 	}
@@ -175,32 +175,28 @@ func runBatch(cfg config, spec batchSpec) (*result, error) {
 	reqs := []tracedRequest{{root: b.root, consumed: b.delta.Rounds}}
 	rs := collectRounds(reqs)
 
-	// The setup fingerprints F over its hashing set (core.PrepSeed).
+	// The setup fingerprints F over its hashing set (core.PrepSeed). The
+	// timed call parses, fingerprints and builds nothing: the sampler
+	// did all that in setup.
 	g := *f
 	g.SamplingSet = vars
-	t := target{f: &g, s: vars, prepSeed: core.PrepSeed(f, opts.SamplingSet), solver: sat.Config{Seed: cfg.seed}, text: cnf.DIMACSString(f)}
-	amc, err := approxMC(t)
+	t := target{f: &g, s: vars, prepSeed: core.PrepSeed(f, opts.SamplingSet), solver: sat.Config{Seed: batchSeed}}
+	prep, err := probePrepare(t)
 	if err != nil {
 		return nil, err
 	}
-	path, err := probePath(t, qOf(rs, 0), cfg.seed)
+	path, err := probePath(t, qOf(rs, 0))
 	if err != nil {
 		return nil, err
 	}
 	d := b.delta
 	layerMetrics(res, layerInput{
-		reqs: reqs, rounds: rs, callers: 1, wall: b.wall,
+		reqs: reqs, rounds: rs, wall: b.wall,
 		witnesses: d.Samples, roundsN: d.Rounds, failures: d.Failures, bsatCalls: d.BSATCalls,
 		conflicts: d.Conflicts, propagations: d.Propagations, xorLenAvg: d.AvgXORLen, arenaBytes: d.ArenaBytes,
 		untracedWPS: float64(len(a.bits)) / a.wall.Seconds(), tracedWPS: float64(len(b.bits)) / b.wall.Seconds(),
 		mem: a.mem, untracedWitnesses: int64(len(a.bits)),
-		prepareS: prepS,
-		amc:      []amcProbe{amc}, path: []pathProbe{path},
+		prep: []prepProbe{prep}, path: []pathProbe{path},
 	})
-	if cfg.spans != "" {
-		if err := writeSpans(cfg.spans, reqs); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return res, writeSpans(res, cfg.workload, reqs)
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/big"
 	"os"
+	"path/filepath"
 	"time"
 
+	"unigen/internal/bsat"
 	"unigen/internal/cnf"
 	"unigen/internal/core"
 	"unigen/internal/counter"
@@ -129,41 +131,48 @@ func collectRounds(reqs []tracedRequest) roundStats {
 }
 
 // selfTimes sums self time per layer over every traced request and
-// prints the table, as shares of the callers' time (callers × wall);
-// what the spans do not cover of it is the unattributed remainder.
-func selfTimes(res *result, reqs []tracedRequest, callers int, wall time.Duration) {
+// prints the table as shares of the traced phase's wall time; what the
+// spans do not cover of it is the unattributed remainder.
+func selfTimes(res *result, reqs []tracedRequest, wall time.Duration) {
 	self := map[string]float64{}
 	covered := 0.0
 	for _, r := range reqs {
 		covered += r.root.US
 		r.root.walk(func(s *span) { self[layerOf[s.Name]] += s.self() })
 	}
-	clientUS := float64(callers) * micros(wall)
-	res.note("layers     self time over %d traced requests from %d caller(s), share of callers x wall", len(reqs), callers)
+	wallUS := micros(wall)
+	res.note("layers     self time over %d traced requests, share of wall time", len(reqs))
 	for _, l := range layerOrder {
 		if us, ok := self[l]; ok {
-			res.note("layer      %-18s %12.1f ms %6.2f%%", l, us/1e3, 100*ratio(us, clientUS))
+			res.note("layer      %-18s %12.1f ms %6.2f%%", l, us/1e3, 100*ratio(us, wallUS))
 		}
 	}
-	rest := clientUS - covered
-	res.note("layer      %-18s %12.1f ms %6.2f%%", "remainder", rest/1e3, 100*ratio(rest, clientUS))
+	rest := wallUS - covered
+	res.note("layer      %-18s %12.1f ms %6.2f%%", "remainder", rest/1e3, 100*ratio(rest, wallUS))
 }
 
 // target is one formula a workload prepares or samples, with the
 // sampling set it hashes over and the seed its setup RNG starts from.
+// The last three fields say what a timed request does with the formula
+// besides sampling it; probePath prices only those, so a layer the
+// timed path does not cross reports 0.
 type target struct {
 	f        *cnf.Formula
 	s        []cnf.Var
 	prepSeed uint64
 	solver   sat.Config
-	text     string // DIMACS the workload parses for it ("" when none)
+
+	text          string // DIMACS each request carries and the service parses ("" when none)
+	fingerprinted bool   // the service fingerprints it per request
+	buildsEngine  bool   // the service builds a fresh engine for each request
 }
 
-// amcProbe is one benchmark-timed counter.ApproxMC call.
-type amcProbe struct {
-	seconds      float64
-	rounds, rows int
-	count        *big.Int
+// prepProbe is one preparation's two phases, each benchmark-timed on
+// its own: the easy-case enumeration and counter.ApproxMC.
+type prepProbe struct {
+	easyS, approxmcS float64
+	rounds, rows     int
+	count            *big.Int
 }
 
 // pathProbe times, on one formula and outside any request, the public
@@ -186,23 +195,36 @@ func timeMedian(fn func()) float64 {
 	return median(us)
 }
 
-// approxMC times counter.ApproxMC with the setup's own RNG and
-// parameters (Algorithm 1 line 9: ε′ = 0.8, δ′ = 0.2). core.Stats and
-// the service's prepare totals do not attribute this work, so the
-// benchmark prices the counter layer directly.
-func approxMC(t target) (amcProbe, error) {
+// probePrepare prices the two phases of a preparation of t (Algorithm
+// 1 lines 4–9) the way core.NewSetup runs them: the easy-case
+// enumeration of up to hiThresh+1 witnesses on a fresh BSAT session,
+// then counter.ApproxMC with the setup's own RNG and parameters
+// (ε′ = 0.8, δ′ = 0.2). core.Stats and the service's prepare totals do
+// not attribute the ApproxMC work, so the benchmark prices the counter
+// layer directly.
+func probePrepare(t target) (prepProbe, error) {
+	kp, err := core.ComputeKappaPivot(epsilon)
+	if err != nil {
+		return prepProbe{}, err
+	}
 	t0 := time.Now()
+	sess := bsat.NewSession(t.f, bsat.Options{SamplingSet: t.s, Solver: t.solver})
+	if n := len(sess.Enumerate(kp.HiThresh+1, nil).Witnesses); n <= kp.HiThresh {
+		return prepProbe{}, fmt.Errorf("%d witnesses: the easy case, which runs no ApproxMC", n)
+	}
+	easy := time.Since(t0).Seconds()
+	t0 = time.Now()
 	r, err := counter.ApproxMC(t.f, randx.New(t.prepSeed), counter.ApproxMCOptions{
 		Epsilon: 0.8, Delta: 0.2, SamplingSet: t.s, Solver: t.solver,
 	})
 	if err != nil {
-		return amcProbe{}, err
+		return prepProbe{}, err
 	}
-	return amcProbe{seconds: time.Since(t0).Seconds(), rounds: r.Rounds, rows: r.TotalXORRows, count: r.Count}, nil
+	return prepProbe{easyS: easy, approxmcS: time.Since(t0).Seconds(), rounds: r.Rounds, rows: r.TotalXORRows, count: r.Count}, nil
 }
 
 // probePath fills a pathProbe for formula t hashed at width q.
-func probePath(t target, q int, seed uint64) (pathProbe, error) {
+func probePath(t target, q int) (pathProbe, error) {
 	var p pathProbe
 	if t.text != "" {
 		if _, err := cnf.ParseDIMACSString(t.text); err != nil {
@@ -210,20 +232,24 @@ func probePath(t target, q int, seed uint64) (pathProbe, error) {
 		}
 		p.parseUS = timeMedian(func() { _, _ = cnf.ParseDIMACSString(t.text) })
 	}
-	p.fingerprintUS = timeMedian(func() { cnf.Fingerprint(t.f) })
-	// Session builds do not depend on the estimate, so a one-round
-	// ApproxMC setup is enough to build engines from.
-	su, err := core.NewSetup(t.f, randx.New(t.prepSeed), core.Options{
-		Epsilon: epsilon, SamplingSet: t.s, Solver: t.solver, ApproxMCRounds: 1,
-	})
-	if err != nil {
-		return p, err
+	if t.fingerprinted {
+		p.fingerprintUS = timeMedian(func() { cnf.Fingerprint(t.f) })
 	}
-	p.engineBuildUS = timeMedian(func() { parallel.NewEngineFromSetup(su, parallel.Options{Workers: 1}) })
+	if t.buildsEngine {
+		// Session builds do not depend on the estimate, so a one-round
+		// ApproxMC setup is enough to build engines from.
+		su, err := core.NewSetup(t.f, randx.New(t.prepSeed), core.Options{
+			Epsilon: epsilon, SamplingSet: t.s, Solver: t.solver, ApproxMCRounds: 1,
+		})
+		if err != nil {
+			return p, err
+		}
+		p.engineBuildUS = timeMedian(func() { parallel.NewEngineFromSetup(su, parallel.Options{Workers: 1}) })
+	}
 	if q < 1 {
 		q = 1
 	}
-	rng := randx.New(seed)
+	rng := randx.New(1)
 	const batch = 64
 	per := make([]float64, 32)
 	for b := range per {
@@ -242,10 +268,9 @@ func probePath(t target, q int, seed uint64) (pathProbe, error) {
 // layerInput is everything a traced run hands to layerMetrics. Fields a
 // workload's path does not have stay zero.
 type layerInput struct {
-	reqs    []tracedRequest // traced timed phase
-	rounds  roundStats      // collectRounds(reqs)
-	callers int             // concurrent callers issuing reqs
-	wall    time.Duration   // the traced phase's wall time
+	reqs   []tracedRequest // traced timed phase
+	rounds roundStats      // collectRounds(reqs)
+	wall   time.Duration   // the traced phase's wall time
 
 	// Program counts over the traced timed phase.
 	witnesses, roundsN, failures, bsatCalls int64
@@ -258,12 +283,11 @@ type layerInput struct {
 	mem                    memCounters
 	untracedWitnesses      int64
 
-	prepareS        float64 // preparation wall time in setup
 	servicePrepareS float64 // cold prepare/delta flight spans in setup
 	cacheHitRatio   float64
 	poolHitRatio    float64
 
-	amc  []amcProbe  // one per prepared formula
+	prep []prepProbe // one per prepared formula
 	path []pathProbe // one per timed formula, weighted evenly
 }
 
@@ -292,10 +316,11 @@ func layerMetrics(res *result, in layerInput) {
 			deltaUS = append(deltaUS, d.US)
 		}
 	}
-	var amcS float64
+	var easyS, amcS float64
 	var amcRounds, amcRows int
-	for _, p := range in.amc {
-		amcS += p.seconds
+	for _, p := range in.prep {
+		easyS += p.easyS
+		amcS += p.approxmcS
 		amcRounds += p.rounds
 		amcRows += p.rows
 	}
@@ -333,7 +358,7 @@ func layerMetrics(res *result, in layerInput) {
 	res.add("core.rounds_per_witness", "ratio", ratio(float64(in.roundsN), float64(in.witnesses)))
 	res.add("core.bot_ratio", "ratio", ratio(float64(in.failures), float64(in.roundsN)))
 	res.add("core.cells_per_round", "ratio", ratio(float64(in.bsatCalls), float64(in.roundsN)))
-	res.add("core.easy_probe_s", "s", in.prepareS-amcS)
+	res.add("core.easy_probe_s", "s", easyS)
 	res.add("counter.approxmc_s", "s", amcS)
 	res.add("counter.rounds", "count", float64(amcRounds))
 	res.add("counter.xor_rows", "count", float64(amcRows))
@@ -355,15 +380,17 @@ func layerMetrics(res *result, in layerInput) {
 	if int64(len(rs.roundUS)) != in.roundsN {
 		res.problem("consumed round spans %d != rounds %d", len(rs.roundUS), in.roundsN)
 	}
-	selfTimes(res, in.reqs, in.callers, in.wall)
+	selfTimes(res, in.reqs, in.wall)
 }
 
 // qOf is the hash width a formula's rounds start from: the first cell
 // of every round hashes with q−3 rows.
 func qOf(rs roundStats, formula int) int { return int(rs.minI[formula]) + 3 }
 
-// writeSpans dumps the traced requests' span trees as JSON.
-func writeSpans(path string, reqs []tracedRequest) error {
+// writeSpans writes the traced requests' span trees as JSON to
+// spans-<workload>.json beside the benchmark binary: .bench_build/ under
+// run.sh.
+func writeSpans(res *result, workload string, reqs []tracedRequest) error {
 	roots := make([]*span, len(reqs))
 	for i, r := range reqs {
 		roots[i] = r.root
@@ -372,8 +399,14 @@ func writeSpans(path string, reqs []tracedRequest) error {
 	if err != nil {
 		return err
 	}
+	exe, err := os.Executable()
+	if err != nil {
+		return fmt.Errorf("writing spans: %w", err)
+	}
+	path := filepath.Join(filepath.Dir(exe), "spans-"+workload+".json")
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		return fmt.Errorf("writing spans: %w", err)
 	}
+	res.note("spans      %s", path)
 	return nil
 }

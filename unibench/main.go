@@ -28,20 +28,19 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // config is one invocation's settings.
 type config struct {
-	seed    uint64 // roots every request seed; instances are fixed
-	seconds int    // sizes the fixed amount of timed work
-	traced  bool   // per-layer run: untraced and traced timed phases
-	spans   string // traced run: file the raw span trees are written to
+	workload string
+	seed     uint64 // draws the order of the serve requests
+	seconds  int    // sizes the fixed amount of timed work
+	traced   bool   // per-layer run: untraced and traced timed phases
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("unibench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	name := fs.String("workload", "", "workload to run: "+strings.Join(workloadNames(), ", "))
-	seed := fs.Uint64("seed", 1, "workload seed; the same seed repeats the same requests")
+	seed := fs.Uint64("seed", 1, "workload seed: the order of the serve requests; the work is the same for every seed")
 	seconds := fs.Int("seconds", 8, "timed work, sized to take about this many seconds on a 2-vCPU VM")
 	trace := fs.Int("trace", 0, "0 reports end-to-end metrics, 1 per-layer metrics from a traced run")
-	spans := fs.String("spans", "", "with --trace 1, also write the span trees to this JSON file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -50,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "usage: unibench --workload {%s} --seed N --seconds S --trace {0|1}\n", strings.Join(workloadNames(), "|"))
 		return 2
 	}
-	cfg := config{seed: *seed, seconds: *seconds, traced: *trace == 1, spans: *spans}
+	cfg := config{workload: w.name, seed: *seed, seconds: *seconds, traced: *trace == 1}
 	res, err := w.run(cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "unibench: %s: %v\n", w.name, err)

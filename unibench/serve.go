@@ -10,12 +10,11 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"unigen/internal/cnf"
 	"unigen/internal/core"
+	"unigen/internal/randx"
 	"unigen/internal/sat"
 	"unigen/internal/service"
 )
@@ -28,7 +27,7 @@ type serveSpec struct {
 	// 8 s, the fewest that leave ten requests beyond the p99. One client
 	// serves them in 16–20 s.
 	perSecond int
-	plan      func(seed uint64, n int) (*servePlan, error)
+	plan      func() (*servePlan, error)
 	// warmSessions marks workloads served from pooled sessions, whose
 	// solver history makes conflicts and propagations vary run to run.
 	warmSessions bool
@@ -45,6 +44,7 @@ type request struct {
 	fields  []byte // JSON members naming the formula: "formula":… or "base":…,"assumptions":[…]
 	seed    uint64
 	formula int // index into servePlan.formulas
+	id      int // timed requests: index in the fixed request set
 }
 
 // body renders the request's JSON body into dst.
@@ -74,7 +74,23 @@ type servePlan struct {
 	setup    []request // cold prepares, in order; setup_s times them
 	counts   []request // /count per prepared formula, after setup
 	timed    []request // the closed-loop request sequence
-	mix      []int     // formulas the timed requests name
+	mix      []int     // formulas the timed requests name, evenly
+}
+
+// setupSeed is the sample seed of every setup request.
+const setupSeed = 1 << 32
+
+// order fills p.timed with n requests in an order drawn from the
+// workload seed. The set of requests is the same for every seed: request
+// i names formula mix[i mod len(mix)] and samples with seed i. A
+// request's rounds depend only on its formula and seed, so every run
+// does identical sampling work and the same requests form the latency
+// tail; the seed only permutes them.
+func (p *servePlan) order(seed uint64, n int) {
+	for _, i := range randx.New(seed).Perm(n) {
+		k := p.mix[i%len(p.mix)]
+		p.timed = append(p.timed, request{path: "/sample", fields: p.setup[k].fields, seed: uint64(i), formula: k, id: i})
+	}
 }
 
 func formulaFields(text string) []byte {
@@ -101,29 +117,27 @@ func newFormula(name string, f *cnf.Formula, text string) *formula {
 	vars := f.SamplingVars()
 	return &formula{
 		name:   name,
-		target: target{f: f, s: vars, prepSeed: core.PrepSeed(f, nil), text: text},
+		target: target{f: f, s: vars, prepSeed: core.PrepSeed(f, nil), text: text, fingerprinted: true},
 		chk:    newChecker(f, vars),
 	}
 }
 
-// hotPlan: three formulas rotating evenly, every timed request a cache
-// hit carrying full DIMACS.
-func hotPlan(seed uint64, n int) (*servePlan, error) {
+// hotPlan: three formulas weighted evenly, every timed request a cache
+// hit carrying full DIMACS, which the service parses and fingerprints
+// before building a fresh engine on the cached setup.
+func hotPlan() (*servePlan, error) {
 	p := &servePlan{}
 	for i, name := range []string{"Karatsuba", "LLReverse", "TreeMax"} {
 		fm, err := loadFormula(name)
 		if err != nil {
 			return nil, err
 		}
+		fm.buildsEngine = true
 		p.formulas = append(p.formulas, fm)
 		fields := formulaFields(fm.text)
-		p.setup = append(p.setup, request{path: "/sample", fields: fields, seed: seed, formula: i})
+		p.setup = append(p.setup, request{path: "/sample", fields: fields, seed: setupSeed, formula: i})
 		p.counts = append(p.counts, request{path: "/count", fields: fields, formula: i})
 		p.mix = append(p.mix, i)
-	}
-	for i := range n {
-		k := i % len(p.formulas)
-		p.timed = append(p.timed, request{path: "/sample", fields: p.setup[k].fields, seed: requestSeed(seed, i), formula: k})
 	}
 	return p, nil
 }
@@ -134,15 +148,18 @@ func hotPlan(seed uint64, n int) (*servePlan, error) {
 var deltaSets = [][2]int{{1, -2}, {-3, 4}, {5, 6}, {-7, -8}}
 
 // deltaPlan: Karatsuba posted once, conditioned on four assumption sets;
-// timed requests name base + assumptions and rotate over the sets.
-func deltaPlan(seed uint64, n int) (*servePlan, error) {
+// timed requests name base + assumptions, weighted evenly over the sets.
+// They carry no DIMACS and run on pooled sessions, so the service
+// parses nothing and builds no engine for them; it conjoins and
+// fingerprints base ∧ A.
+func deltaPlan() (*servePlan, error) {
 	base, err := loadFormula("Karatsuba")
 	if err != nil {
 		return nil, err
 	}
 	p := &servePlan{formulas: []*formula{base}}
 	fp := cnf.FingerprintString(base.f)
-	p.setup = append(p.setup, request{path: "/sample", fields: formulaFields(base.text), seed: seed})
+	p.setup = append(p.setup, request{path: "/sample", fields: formulaFields(base.text), seed: setupSeed})
 	p.counts = append(p.counts, request{path: "/count", fields: p.setup[0].fields})
 	for j, set := range deltaSets {
 		var lits []int
@@ -160,13 +177,9 @@ func deltaPlan(seed uint64, n int) (*servePlan, error) {
 		p.formulas = append(p.formulas, fm)
 		as, _ := json.Marshal(lits)
 		fields := fmt.Appendf(nil, `"base":%q,"assumptions":%s`, fp, as)
-		p.setup = append(p.setup, request{path: "/sample", fields: fields, seed: seed, formula: j + 1})
+		p.setup = append(p.setup, request{path: "/sample", fields: fields, seed: setupSeed, formula: j + 1})
 		p.counts = append(p.counts, request{path: "/count", fields: fields, formula: j + 1})
 		p.mix = append(p.mix, j+1)
-	}
-	for i := range n {
-		k := p.mix[i%len(p.mix)]
-		p.timed = append(p.timed, request{path: "/sample", fields: p.setup[k].fields, seed: requestSeed(seed, i), formula: k})
 	}
 	return p, nil
 }
@@ -225,29 +238,24 @@ func serveHTTP(h http.Handler, method, path string, body []byte) reply {
 	return reply{status: rec.Code, body: rec.Body.Bytes(), us: us}
 }
 
-// closedLoop runs reqs over the closed-loop clients: each sends its next
-// request only after the previous one returned.
+// closedLoop sends reqs from one closed-loop client: each request goes
+// out only after the previous one returned.
+//
+// One client, not one per vCPU: with two concurrent requests on two
+// vCPUs, each request's engine worker starts a speculative round right
+// after sending the last round it needs, and the request goroutine
+// waiting for that result runs only when the Go scheduler preempts the
+// worker (10 ms time slices). Latencies then bunch at 10 ms steps and
+// the median jumps between steps from run to run. With one client the
+// waiting goroutine takes the idle vCPU at once.
 func closedLoop(h http.Handler, reqs []request, traced bool) ([]reply, time.Duration) {
 	out := make([]reply, len(reqs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var buf []byte
 	t0 := time.Now()
-	for range clients {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf []byte
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(reqs) {
-					return
-				}
-				buf = reqs[i].body(buf, traced)
-				out[i] = serveHTTP(h, http.MethodPost, reqs[i].path, buf)
-			}
-		}()
+	for i, r := range reqs {
+		buf = r.body(buf, traced)
+		out[i] = serveHTTP(h, http.MethodPost, r.path, buf)
 	}
-	wg.Wait()
 	return out, time.Since(t0)
 }
 
@@ -310,7 +318,7 @@ type servePhase struct {
 	mem     memCounters
 	before  service.StatsHTTPResponse
 	after   service.StatsHTTPResponse
-	bits    []string
+	bits    []string // witness per request, by request id ("" when failed)
 	failed  int
 	totals  service.HTTPStatsBlock
 }
@@ -329,19 +337,20 @@ func (p *servePlan) phase(h http.Handler, traced bool) (servePhase, error) {
 	if ph.after, err = readStats(h); err != nil {
 		return ph, err
 	}
+	ph.bits = make([]string, len(p.timed))
 	for i, rep := range replies {
-		s := p.checkSample(p.timed[i], rep)
+		r := p.timed[i]
+		s := p.checkSample(r, rep)
 		if s.err == nil && !s.resp.CacheHit {
-			s.err = fmt.Errorf("request %d missed the cache", i)
+			s.err = fmt.Errorf("request %d missed the cache", r.id)
 		}
 		ph.replies = append(ph.replies, s)
 		ph.lat = append(ph.lat, rep.us)
 		if s.err != nil {
 			ph.failed++
-			ph.bits = append(ph.bits, "")
 			continue
 		}
-		ph.bits = append(ph.bits, s.resp.Witnesses...)
+		ph.bits[r.id] = s.resp.Witnesses[0]
 		st := s.resp.Stats
 		ph.totals.Rounds += st.Rounds
 		ph.totals.Samples += st.Samples
@@ -443,12 +452,13 @@ func (p *servePlan) checkCounts(res *result, h http.Handler) []*big.Int {
 }
 
 func runServe(cfg config, spec serveSpec) (*result, error) {
-	p, err := spec.plan(cfg.seed, spec.perSecond*cfg.seconds)
+	p, err := spec.plan()
 	if err != nil {
 		return nil, err
 	}
+	p.order(cfg.seed, spec.perSecond*cfg.seconds)
 	res := &result{}
-	res.note("requests   %d timed over %d clients, %d setup, %d count checks", len(p.timed), clients, len(p.setup), len(p.counts))
+	res.note("requests   %d timed from one client, %d setup, %d count checks", len(p.timed), len(p.setup), len(p.counts))
 	reps := setupReps
 	if cfg.traced {
 		reps = 1
@@ -478,7 +488,7 @@ func runServe(cfg config, spec serveSpec) (*result, error) {
 	res.digest, res.exact = digest(a.bits), a.exact(spec.warmSessions)
 	for i, s := range a.replies {
 		if s.err != nil {
-			res.problem("request %d: %v", i, s.err)
+			res.problem("request %d: %v", p.timed[i].id, s.err)
 			break
 		}
 	}
@@ -513,27 +523,21 @@ func runServe(cfg config, spec serveSpec) (*result, error) {
 	}
 	rs := collectRounds(reqs)
 
-	var amc []amcProbe
+	var preps []prepProbe
 	var path []pathProbe
 	for i, r := range p.counts {
 		fm := p.formulas[r.formula]
-		ap, err := approxMC(fm.target)
+		pp, err := probePrepare(fm.target)
 		if err != nil {
 			return nil, err
 		}
-		if counts[i] != nil && ap.count.Cmp(counts[i]) != 0 {
-			res.problem("%s: ApproxMC with the setup's RNG counts %s, the service %s", fm.name, ap.count, counts[i])
+		if counts[i] != nil && pp.count.Cmp(counts[i]) != 0 {
+			res.problem("%s: ApproxMC with the setup's RNG counts %s, the service %s", fm.name, pp.count, counts[i])
 		}
-		amc = append(amc, ap)
+		preps = append(preps, pp)
 	}
 	for _, k := range p.mix {
-		t := p.formulas[k].target
-		if t.text == "" {
-			// Delta requests carry no DIMACS: the parse they skip is the
-			// base's, paid once in setup.
-			t.text = p.formulas[0].text
-		}
-		pp, err := probePath(t, qOf(rs, k), cfg.seed)
+		pp, err := probePath(p.formulas[k].target, qOf(rs, k))
 		if err != nil {
 			return nil, err
 		}
@@ -544,20 +548,15 @@ func runServe(cfg config, spec serveSpec) (*result, error) {
 	poolHits := a.after.Delta.PoolHits - a.before.Delta.PoolHits
 	checkouts := poolHits + a.after.Delta.PoolMisses - a.before.Delta.PoolMisses
 	layerMetrics(res, layerInput{
-		reqs: reqs, rounds: rs, callers: clients, wall: b.wall,
+		reqs: reqs, rounds: rs, wall: b.wall,
 		witnesses: b.totals.Samples, roundsN: b.totals.Rounds, failures: b.totals.Failures, bsatCalls: b.totals.BSATCalls,
 		conflicts: b.totals.Conflicts, propagations: b.totals.Propagations, arenaBytes: b.after.Solver.ArenaBytes,
 		untracedWPS: wps, tracedWPS: float64(b.totals.Samples) / b.wall.Seconds(),
 		mem: a.mem, untracedWitnesses: a.totals.Samples,
-		prepareS: pr.flights, servicePrepareS: pr.flights,
-		cacheHitRatio: ratio(float64(hits), float64(lookups)),
-		poolHitRatio:  ratio(float64(poolHits), float64(checkouts)),
-		amc:           amc, path: path,
+		servicePrepareS: pr.flights,
+		cacheHitRatio:   ratio(float64(hits), float64(lookups)),
+		poolHitRatio:    ratio(float64(poolHits), float64(checkouts)),
+		prep:            preps, path: path,
 	})
-	if cfg.spans != "" {
-		if err := writeSpans(cfg.spans, reqs); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return res, writeSpans(res, cfg.workload, reqs)
 }

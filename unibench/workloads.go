@@ -13,20 +13,19 @@ const epsilon = 6
 // same preparation; the workload seed varies the request sequence.
 const instanceSeed = 0xbe7c
 
+// batchSeed is the sampler seed of the batch workloads, fixed like the
+// instances. The seed also steers the solver: on EnqueueSeqSK, calls
+// under different seeds took up to 40% longer for at most 7% more BSAT
+// calls, while repeats of one seed varied by 6%. With it fixed every
+// batch run does identical work whatever --seed says; a batch run is
+// one call, so there is no request order for --seed to draw.
+const batchSeed = 1
+
 // setupReps is how many times an untraced run prepares its workload on
 // fresh state; setup_s is the median. Preparation costs 2.5–8.5 s per
 // workload; a third repetition would stretch a full set of about 90
 // runs past an hour.
 const setupReps = 2
-
-// clients is the closed-loop client count of the serve workloads. With
-// two clients on two vCPUs, each request's engine worker starts a
-// speculative round as soon as the last needed one is sent, and the
-// request goroutine waiting for it runs only when the Go scheduler
-// preempts that worker (10 ms time slices): latencies bunch at 10 ms
-// steps and the median jumps between steps from run to run. With one
-// client the waiting goroutine takes the idle vCPU at once.
-const clients = 1
 
 // workload is one named benchmark input set.
 type workload struct {
@@ -66,9 +65,6 @@ func generate(name string) (*cnf.Formula, error) {
 	}
 	return inst.F, nil
 }
-
-// requestSeed is the sample seed of request i under a workload seed.
-func requestSeed(seed uint64, i int) uint64 { return seed<<32 | uint64(i) }
 
 // bitstring renders a projection as "01…" text, the encoding the
 // service uses for witnesses.

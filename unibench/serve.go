@@ -24,8 +24,8 @@ import (
 // defaults (ε 6, one worker per request, cache 64, no gate, no store).
 type serveSpec struct {
 	// perSecond requests per second of --seconds: 1000 at the declared
-	// 8 s, the fewest that leave ten requests beyond the p99. One client
-	// serves them in 16–20 s.
+	// 8 s, the fewest that leave ten requests beyond the reported p99.
+	// One client serves them in 13–35 s, depending on the VM's load.
 	perSecond int
 	plan      func() (*servePlan, error)
 	// warmSessions marks workloads served from pooled sessions, whose
@@ -494,12 +494,16 @@ func runServe(cfg config, spec serveSpec) (*result, error) {
 	}
 	wps := float64(a.totals.Samples) / a.wall.Seconds()
 	if !cfg.traced {
+		// The tail is reported but not a metric: above the median, a
+		// quantile reads the machine's per-request noise, whose tail
+		// grows with a neighbour's load (README: "Tail latency").
+		p90, _ := percentile(a.lat, 0.90)
 		p99, beyond := percentile(a.lat, 0.99)
-		res.note("latency    %d requests, %d beyond p99 (p99 counts: %t)", len(a.lat), beyond, beyond >= 10)
+		res.note("latency    %d requests; p90 %.3f ms, p99 %.3f ms with %d beyond it (reported, not bounded)",
+			len(a.lat), p90/1e3, p99/1e3, beyond)
 		res.add("setup_s", "s", median(setups))
 		res.add("witnesses_per_s", "1/s", wps)
 		res.add("lat_p50_ms", "ms", median(a.lat)/1e3)
-		res.add("lat_p99_ms", "ms", p99/1e3)
 		res.add("peak_rss_mb", "MiB", peakRSSMiB())
 		return res, nil
 	}

@@ -32,7 +32,7 @@ func main() {
 	rephase := flag.Int("rephase", 0, "rotate decision-phase source every N restarts (0 = off)")
 	chronoBT := flag.Int("chrono-bt", 0, "chronological backtracking threshold in levels (0 = off)")
 	xorWindow := flag.Bool("xor-window", false, "skip fully-assigned level-0 prefixes in packed XOR propagation")
-	stats := flag.Bool("stats", false, "print merged run statistics (rounds, BSAT calls, XOR rows, propagations) to stderr")
+	stats := flag.Bool("stats", false, "print merged run statistics (hash set, rounds, BSAT calls, XOR rows, propagations) to stderr")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: unigen [flags] formula.cnf")
@@ -89,6 +89,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "c success=%.3f avg-xor-len=%.1f easy=%v\n",
 		st.SuccProb, st.AvgXORLen, st.EasyCase)
 	if *stats {
+		fmt.Fprintf(os.Stderr, "c hash vars %d of %d\n", len(s.HashSet()), len(vars))
 		fmt.Fprintf(os.Stderr, "c rounds=%d samples=%d failures=%d bsat-calls=%d\n",
 			st.Rounds, st.Samples, st.Failures, st.BSATCalls)
 		fmt.Fprintf(os.Stderr, "c xor-rows=%d conflicts=%d propagations=%d\n",

@@ -189,6 +189,10 @@ func (se *Session) retire() bool {
 	return false
 }
 
+// Interrupt returns the cooperative-interrupt flag the session's solver
+// polls (nil when none is set).
+func (se *Session) Interrupt() *atomic.Bool { return se.cfg.Interrupt }
+
 // interruptRaised reports whether the session's solver interrupt flag
 // is set — the predicate injected stalls poll so that chaos-test
 // "hung solver" faults still honor deadlines, cancellation, and drain.

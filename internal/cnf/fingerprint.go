@@ -17,7 +17,7 @@ import (
 // preparation RNG (see core.PrepSeed), so it must be stable across
 // processes and releases — it hashes DIMACS text, not Go memory.
 func Fingerprint(f *Formula) [32]byte {
-	g := canonical(f)
+	g := Canonical(f)
 	h := sha256.New()
 	// A non-nil empty sampling set ("project onto nothing") serializes
 	// identically to an unspecified one ("project onto all variables");
@@ -42,12 +42,14 @@ func FingerprintString(f *Formula) string {
 	return hex.EncodeToString(fp[:])
 }
 
-// canonical builds the normal form Fingerprint hashes: per-clause
+// Canonical builds the normal form Fingerprint hashes: per-clause
 // normalization (sorted literals, duplicates and tautologies dropped),
 // clause list sorted and deduplicated, XOR clauses normalized and
 // sorted, sampling set sorted and deduplicated. The input is not
-// modified.
-func canonical(f *Formula) *Formula {
+// modified. Any computation that must be a function of the fingerprint
+// alone — not of the clause order a caller happened to post — runs on
+// this form (see core.NewSetup's hash-set pass).
+func Canonical(f *Formula) *Formula {
 	g := &Formula{NumVars: f.NumVars}
 
 	seen := map[string]bool{}

@@ -14,7 +14,7 @@ import (
 // Setup codec: the versioned, checksummed binary encoding behind the
 // persistent prepared-formula store (DESIGN §12). Encode serializes
 // everything lines 1–11 of Algorithm 1 derive — the simplified formula,
-// sampling set, κ/pivot, the easy-case witness list, the ApproxMC
+// sampling set, hash set, κ/pivot, the easy-case witness list, the ApproxMC
 // estimate C, the candidate endpoint q, and the setup-phase stats — so
 // a later process can rehydrate the Setup and serve bit-identical
 // samples without re-running the setup. The spare session is the one
@@ -24,7 +24,7 @@ import (
 // Frame layout (all integers little-endian):
 //
 //	[0:4]   magic "UGSU"
-//	[4:6]   u16 version (currently 1)
+//	[4:6]   u16 version (currently 2; version 1 had no hash set)
 //	[6:10]  u32 payload length
 //	[10:N]  payload (see below)
 //	[N:N+4] u32 CRC-32C (Castagnoli) over bytes [0:N]
@@ -39,6 +39,7 @@ import (
 //	f64      epsilon (IEEE-754 bits; preserved exactly, NaN included)
 //	formula  (cnf.AppendBinary)
 //	u32 count + u32 per variable   sampling set s
+//	u32 count + u32 per variable   hash set h (an ordered subset of s)
 //	f64 kappa, u32 pivot, u32 hiThresh, f64 loThresh
 //	u8 easySet (0|1)
 //	u32 easyCount + easyCount × ⌈NumVars/8⌉ bytes   bit-packed witnesses
@@ -54,12 +55,14 @@ import (
 // checks reject blobs no Encode could have produced: the embedded
 // fingerprint must match the decoded formula, κ/pivot must equal
 // ComputeKappaPivot(epsilon) exactly (both sides run the same
-// deterministic bisection), easy-case and estimate presence must agree,
-// and q must lie in its clamped range.
+// deterministic bisection), the hash set must be an ordered subset of
+// the sampling set, easy-case and estimate presence must agree, and q
+// must lie in its clamped range. Decode never recomputes the hash set:
+// the persisted one is what the setup sampled with.
 
 const (
 	setupMagic   = "UGSU"
-	setupVersion = 1
+	setupVersion = 2
 	setupHdrLen  = 4 + 2 + 4 // magic + version + payload length
 )
 
@@ -100,6 +103,13 @@ func (su *Setup) Encode() ([]byte, error) {
 		if v < 1 || int(v) > su.f.NumVars {
 			return nil, fmt.Errorf("%w: sampling variable %d outside 1..%d", ErrCodec, v, su.f.NumVars)
 		}
+		payload = le.AppendUint32(payload, uint32(v))
+	}
+	if !orderedSubset(su.h, su.s) {
+		return nil, fmt.Errorf("%w: hash set is not an ordered subset of the sampling set", ErrCodec)
+	}
+	payload = le.AppendUint32(payload, uint32(len(su.h)))
+	for _, v := range su.h {
 		payload = le.AppendUint32(payload, uint32(v))
 	}
 
@@ -149,6 +159,17 @@ func (su *Setup) Encode() ([]byte, error) {
 	out = append(out, payload...)
 	out = le.AppendUint32(out, crc32.Checksum(out, crcTable))
 	return out, nil
+}
+
+// orderedSubset reports whether h is a subsequence of s.
+func orderedSubset(h, s []cnf.Var) bool {
+	i := 0
+	for _, v := range s {
+		if i < len(h) && h[i] == v {
+			i++
+		}
+	}
+	return i == len(h)
 }
 
 func appendBool(dst []byte, b bool) []byte {
@@ -264,6 +285,29 @@ func (r *setupReader) bool() (bool, error) {
 	return b == 1, nil
 }
 
+// vars reads a u32 count and that many variables in 1..numVars.
+func (r *setupReader) vars(what string, numVars int) ([]cnf.Var, error) {
+	n, err := r.u32()
+	if err != nil {
+		return nil, err
+	}
+	if int64(n)*4 > int64(r.remaining()) {
+		return nil, fmt.Errorf("%w: %s-set count %d exceeds payload", ErrCodec, what, n)
+	}
+	out := make([]cnf.Var, n)
+	for i := range out {
+		v, err := r.u32()
+		if err != nil {
+			return nil, err
+		}
+		if v < 1 || int(v) > numVars {
+			return nil, fmt.Errorf("%w: %s variable %d outside 1..%d", ErrCodec, what, v, numVars)
+		}
+		out[i] = cnf.Var(v)
+	}
+	return out, nil
+}
+
 func (r *setupReader) take(n int) ([]byte, error) {
 	if n < 0 || r.remaining() < n {
 		return nil, fmt.Errorf("%w: truncated payload at byte %d", ErrCodec, r.off)
@@ -316,23 +360,16 @@ func DecodeSetup(data []byte, opts Options) (*Setup, error) {
 		return nil, fmt.Errorf("%w: fingerprint does not match encoded formula", ErrCodec)
 	}
 
-	ns, err := r.u32()
+	s, err := r.vars("sampling", f.NumVars)
 	if err != nil {
 		return nil, err
 	}
-	if int64(ns)*4 > int64(r.remaining()) {
-		return nil, fmt.Errorf("%w: sampling-set count %d exceeds payload", ErrCodec, ns)
+	h, err := r.vars("hash", f.NumVars)
+	if err != nil {
+		return nil, err
 	}
-	s := make([]cnf.Var, ns)
-	for i := range s {
-		v, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if v < 1 || int(v) > f.NumVars {
-			return nil, fmt.Errorf("%w: sampling variable %d outside 1..%d", ErrCodec, v, f.NumVars)
-		}
-		s[i] = cnf.Var(v)
+	if !orderedSubset(h, s) {
+		return nil, fmt.Errorf("%w: hash set is not an ordered subset of the sampling set", ErrCodec)
 	}
 
 	var kp KappaPivot
@@ -418,8 +455,8 @@ func DecodeSetup(data []byte, opts Options) (*Setup, error) {
 			return nil, fmt.Errorf("%w: non-canonical estimate bytes", ErrCodec)
 		}
 		est = new(big.Int).SetBytes(eb)
-		if q < 1 || q > len(s) {
-			return nil, fmt.Errorf("%w: q=%d outside 1..%d", ErrCodec, q, len(s))
+		if q < 1 || q > len(h) {
+			return nil, fmt.Errorf("%w: q=%d outside 1..%d", ErrCodec, q, len(h))
 		}
 	} else if q != 0 {
 		return nil, fmt.Errorf("%w: easy-case setup with q=%d", ErrCodec, q)
@@ -456,6 +493,7 @@ func DecodeSetup(data []byte, opts Options) (*Setup, error) {
 	return &Setup{
 		f:       f,
 		s:       s,
+		h:       h,
 		kp:      kp,
 		opts:    opts,
 		easy:    easy,

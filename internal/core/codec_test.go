@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"unigen/internal/cnf"
@@ -240,4 +241,82 @@ func boolsToBytes(a cnf.Assignment) []byte {
 func patchCRC(data []byte, body int) {
 	crc := crc32.Checksum(data[:body], crcTable)
 	binary.LittleEndian.PutUint32(data[body:], crc)
+}
+
+// hashSetOffset returns the frame offset of the hash-set count: after
+// the fingerprint, epsilon, formula and sampling set.
+func hashSetOffset(t *testing.T, su *Setup) int {
+	t.Helper()
+	fb, err := cnf.AppendBinary(nil, su.f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return setupHdrLen + 32 + 8 + len(fb) + 4 + 4*len(su.s)
+}
+
+// TestSetupCodecRoundTripHashSet: a version-2 frame carries the hash set,
+// so a rehydrated setup hashes over exactly what the cold one did.
+func TestSetupCodecRoundTripHashSet(t *testing.T) {
+	su := buildSetup(t, prunedFormula())
+	if len(su.h) >= len(su.s) {
+		t.Fatalf("fixture should prune: hash set %v, sampling set %v", su.h, su.s)
+	}
+	blob := encode(t, su)
+	if v := binary.LittleEndian.Uint16(blob[4:]); v != 2 {
+		t.Fatalf("frame version %d, want 2", v)
+	}
+	got, err := DecodeSetup(blob, Options{Epsilon: 6})
+	if err != nil {
+		t.Fatalf("DecodeSetup: %v", err)
+	}
+	if !slices.Equal(got.h, su.h) || !slices.Equal(got.s, su.s) {
+		t.Fatalf("decoded hash set %v / sampling set %v, want %v / %v", got.h, got.s, su.h, su.s)
+	}
+	if !bytes.Equal(encode(t, got), blob) {
+		t.Fatal("re-encoded blob differs from original")
+	}
+	if want, have := sampleStream(t, su, 2014, 6), sampleStream(t, got, 2014, 6); !slices.Equal(want, have) {
+		t.Fatalf("decoded setup sampled %q, want %q", have, want)
+	}
+}
+
+// TestSetupCodecRejectsBadHashSet: decode accepts only a hash set that
+// is an ordered subset of the sampling set, even under a valid CRC.
+func TestSetupCodecRejectsBadHashSet(t *testing.T) {
+	su := buildSetup(t, hashingFormula()) // s = h = 1..10, NumVars 12
+	blob := encode(t, su)
+	off := hashSetOffset(t, su)
+	if n := binary.LittleEndian.Uint32(blob[off:]); int(n) != len(su.h) {
+		t.Fatalf("hash-set count %d at offset %d, want %d", n, off, len(su.h))
+	}
+	for name, patch := range map[string]func(b []byte){
+		"reordered": func(b []byte) { // h[0], h[1] = h[1], h[0]
+			binary.LittleEndian.PutUint32(b[off+4:], uint32(su.h[1]))
+			binary.LittleEndian.PutUint32(b[off+8:], uint32(su.h[0]))
+		},
+		"outside sampling set": func(b []byte) { // h[0] = 11
+			binary.LittleEndian.PutUint32(b[off+4:], 11)
+		},
+	} {
+		mut := bytes.Clone(blob)
+		patch(mut)
+		patchCRC(mut, len(mut)-4)
+		if _, err := DecodeSetup(mut, Options{}); !errors.Is(err, ErrCodec) {
+			t.Fatalf("%s hash set: %v, want ErrCodec", name, err)
+		}
+	}
+}
+
+// TestSetupCodecRejectsVersion1: a frame from before the hash set was
+// persisted is a version-skew ErrCodec, never decoded as version 2.
+func TestSetupCodecRejectsVersion1(t *testing.T) {
+	v1 := bytes.Clone(encode(t, buildSetup(t, hashingFormula())))
+	binary.LittleEndian.PutUint16(v1[4:], 1)
+	patchCRC(v1, len(v1)-4)
+	if err := VerifySetupFrame(v1); !errors.Is(err, ErrCodec) {
+		t.Fatalf("VerifySetupFrame(v1): %v, want ErrCodec", err)
+	}
+	if _, err := DecodeSetup(v1, Options{}); !errors.Is(err, ErrCodec) {
+		t.Fatalf("DecodeSetup(v1): %v, want ErrCodec", err)
+	}
 }

@@ -98,7 +98,15 @@ func (su *Setup) SetupWith(sess *bsat.Session, conj *cnf.Formula, rng *randx.RNG
 	// flag; sessions built later over the conditioned setup must not
 	// share it.
 	opts.Solver.Interrupt = nil
-	cond := &Setup{f: conj, s: su.s, kp: su.kp, opts: opts}
+	// The same hash-set pass a cold prepare of conj runs, from the
+	// declared set, so both paths hash over the same set. The pooled
+	// session keeps blocking over the base's hash set; within F ∧ A
+	// both sets determine the declared set, so cell sizes agree.
+	h, err := hashSet(conj, su.s, sess.Interrupt())
+	if err != nil {
+		return nil, err
+	}
+	cond := &Setup{f: conj, s: su.s, h: h, kp: su.kp, opts: opts}
 
 	// Lines 4–7 under assumptions: if F ∧ A has at most hiThresh
 	// witnesses, enumerate them once and sample by index forever after.
@@ -114,7 +122,7 @@ func (su *Setup) SetupWith(sess *bsat.Session, conj *cnf.Formula, rng *randx.RNG
 	cond.base.addSolverStats(res.Stats)
 	if len(res.Witnesses) <= su.kp.HiThresh {
 		cond.easy = res.Witnesses
-		sortWitnesses(cond.easy, cond.s)
+		sortWitnesses(cond.easy, cond.h)
 		cond.easySet = true
 		cond.base.EasyCase = true
 		return cond, nil
@@ -126,7 +134,7 @@ func (su *Setup) SetupWith(sess *bsat.Session, conj *cnf.Formula, rng *randx.RNG
 	amc, err := counter.ApproxMCSession(sess, rng, counter.ApproxMCOptions{
 		Epsilon:       0.8,
 		Delta:         0.2,
-		SamplingSet:   su.s,
+		SamplingSet:   cond.h,
 		Solver:        opts.Solver,
 		MaxHashRounds: opts.ApproxMCRounds,
 	})
@@ -142,8 +150,8 @@ func (su *Setup) SetupWith(sess *bsat.Session, conj *cnf.Formula, rng *randx.RNG
 	if q < 1 {
 		q = 1
 	}
-	if q > len(cond.s) {
-		q = len(cond.s)
+	if q > len(cond.h) {
+		q = len(cond.h)
 	}
 	cond.q = q
 	cond.base.Q = q

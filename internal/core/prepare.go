@@ -2,12 +2,36 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/big"
+	"sync/atomic"
 
 	"unigen/internal/bsat"
 	"unigen/internal/cnf"
+	"unigen/internal/indsupport"
 	"unigen/internal/sat"
 )
+
+// hashSet computes the hash set of f over the declared set s (DESIGN
+// §14): s minus every variable the rest of s defines within f. The
+// pass runs on the canonical form cnf.Fingerprint hashes, visits s in
+// order, and uses a fixed solver configuration and budget, so the
+// result is a function of the fingerprint and s's order alone — never
+// of the clause order a caller posted, its seed or its budgets. An
+// interrupt fails it: a half-pruned set must never be cached or stored.
+func hashSet(f *cnf.Formula, s []cnf.Var, intr *atomic.Bool) ([]cnf.Var, error) {
+	h, err := indsupport.HashSet(cnf.Canonical(f), s, intr)
+	if err != nil {
+		return nil, fmt.Errorf("%w (hash-set pass)", ErrBudget)
+	}
+	if len(h) == 0 {
+		// Every declared variable is a constant of f (or f is UNSAT), so
+		// there is at most one projection and setup takes the easy case.
+		// Keep s: to a BSAT session an empty set means all variables.
+		return s, nil
+	}
+	return h, nil
+}
 
 // PrepSeed returns the canonical preparation seed for f: the leading 64
 // bits of the formula's fingerprint, computed with samplingSet
@@ -58,14 +82,14 @@ func (su *Setup) SolverConfig() sat.Config { return su.opts.Solver }
 func (su *Setup) ReleaseSpare() { su.spare = nil }
 
 // NewSessionWith builds a fresh BSAT session over the setup's formula
-// and sampling set with the given solver configuration — typically
+// and hash set with the given solver configuration — typically
 // SolverConfig() with a per-request Interrupt flag and budget
 // overrides. Unlike NewSession it never adopts the setup-phase spare
 // session, so it is safe to call concurrently from request handlers
 // sharing one cached Setup (the Setup itself is immutable; only
 // sessions carry mutable solver state).
 func (su *Setup) NewSessionWith(cfg sat.Config) *bsat.Session {
-	return bsat.NewSession(su.f, bsat.Options{SamplingSet: su.s, Solver: cfg})
+	return bsat.NewSession(su.f, bsat.Options{SamplingSet: su.h, Solver: cfg})
 }
 
 // WitnessCount returns the prepared count of witnesses projected onto

@@ -38,7 +38,12 @@ type Options struct {
 	Epsilon float64
 	// SamplingSet is the set S of sampling variables, intended to be an
 	// independent support of the formula. Empty falls back to the
-	// formula's own sampling set, then to all variables.
+	// formula's own sampling set, then to all variables. Witnesses are
+	// projected on S, but hashing runs over the hash set: S minus every
+	// variable the rest of S defines (DESIGN §14). A superset of an
+	// independent support therefore hashes about as cheaply as a
+	// minimal one; Theorem 1 still holds only when S itself is an
+	// independent support.
 	SamplingSet []cnf.Var
 	// Solver configures every BSAT call (conflict budgets stand in for
 	// the paper's 2500 s per-call timeout).
@@ -185,7 +190,8 @@ func (st Stats) SuccessProb() float64 {
 // randx.RNG (solver sessions are not thread-safe; the Setup is).
 type Setup struct {
 	f    *cnf.Formula
-	s    []cnf.Var
+	s    []cnf.Var // declared sampling set: what witnesses are projected on
+	h    []cnf.Var // hash set: the ordered subset of s that hashing, blocking and sorting use
 	kp   KappaPivot
 	opts Options
 
@@ -203,9 +209,10 @@ type Setup struct {
 }
 
 // NewSetup runs the once-per-formula phase of UniGen: compute κ and
-// pivot (line 1), thresholds (lines 2–3), the easy-case enumeration
-// (lines 4–7), and otherwise the ApproxMC estimate and the candidate
-// range endpoint q (lines 9–10).
+// pivot (line 1), thresholds (lines 2–3), the hash set (DESIGN §14),
+// the easy-case enumeration (lines 4–7), and otherwise the ApproxMC
+// estimate and the candidate range endpoint q (lines 9–10). An
+// interrupt raised during the hash-set pass fails the setup.
 func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 	kp, err := ComputeKappaPivot(opts.Epsilon)
 	if err != nil {
@@ -218,8 +225,12 @@ func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 	if len(s) == 0 {
 		s = f.SamplingVars()
 	}
-	su := &Setup{f: f, s: s, kp: kp, opts: opts}
-	su.spare = bsat.NewSession(f, bsat.Options{SamplingSet: s, Solver: opts.Solver})
+	h, err := hashSet(f, s, opts.Solver.Interrupt)
+	if err != nil {
+		return nil, err
+	}
+	su := &Setup{f: f, s: s, h: h, kp: kp, opts: opts}
+	su.spare = bsat.NewSession(f, bsat.Options{SamplingSet: h, Solver: opts.Solver})
 
 	// Lines 4–7: if F has at most hiThresh witnesses, enumerate them
 	// once and sample by index forever after.
@@ -231,7 +242,7 @@ func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 	su.base.addSolverStats(res.Stats)
 	if len(res.Witnesses) <= kp.HiThresh {
 		su.easy = res.Witnesses
-		sortWitnesses(su.easy, su.s)
+		sortWitnesses(su.easy, su.h)
 		su.easySet = true
 		su.base.EasyCase = true
 		return su, nil
@@ -241,7 +252,7 @@ func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 	amc, err := counter.ApproxMC(f, rng, counter.ApproxMCOptions{
 		Epsilon:       0.8,
 		Delta:         0.2,
-		SamplingSet:   s,
+		SamplingSet:   h,
 		Solver:        opts.Solver,
 		MaxHashRounds: opts.ApproxMCRounds,
 	})
@@ -257,8 +268,8 @@ func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 	if q < 1 {
 		q = 1
 	}
-	if q > len(s) {
-		q = len(s)
+	if q > len(h) {
+		q = len(h)
 	}
 	su.q = q
 	su.base.Q = q
@@ -297,9 +308,17 @@ func (su *Setup) EstimatedCount() *big.Int {
 	return new(big.Int).Set(su.est)
 }
 
-// SamplingSet returns the sampling variables in use.
+// SamplingSet returns the declared sampling variables, the set
+// witnesses are projected on.
 func (su *Setup) SamplingSet() []cnf.Var {
 	return append([]cnf.Var(nil), su.s...)
+}
+
+// HashSet returns the hash set: the ordered subset of the sampling set
+// that hash rows, blocking clauses and the canonical witness order
+// range over (DESIGN §14).
+func (su *Setup) HashSet() []cnf.Var {
+	return append([]cnf.Var(nil), su.h...)
 }
 
 // NewSession returns a BSAT session over the setup's formula, suitable
@@ -312,7 +331,7 @@ func (su *Setup) NewSession() *bsat.Session {
 		su.spare = nil
 		return se
 	}
-	return bsat.NewSession(su.f, bsat.Options{SamplingSet: su.s, Solver: su.opts.Solver})
+	return bsat.NewSession(su.f, bsat.Options{SamplingSet: su.h, Solver: su.opts.Solver})
 }
 
 // NewSampler pairs the shared setup with a private session, yielding an
@@ -322,14 +341,15 @@ func (su *Setup) NewSampler() *Sampler {
 }
 
 // sortWitnesses orders witnesses canonically by their projection onto
-// the sampling set. Enumeration order is an artifact of solver history
+// s, the setup's hash set. Enumeration order is an artifact of solver history
 // (learned clauses, VSIDS activity), so a cell's witness list comes
 // back in different orders on different sessions; sorting before the
 // uniform index pick makes the chosen witness a function of the cell
 // contents and the round's RNG alone. That is the invariant that lets
 // a parallel engine run round i on any worker and still return the
 // same sample. Projections are unique within a list (blocking clauses
-// enforce distinctness on the sampling set), so the order is total.
+// enforce distinctness on a set that determines the hash set), so the
+// order is total.
 func sortWitnesses(ws []cnf.Assignment, s []cnf.Var) {
 	sort.Slice(ws, func(i, j int) bool {
 		a, b := ws[i], ws[j]
@@ -346,9 +366,9 @@ func sortWitnesses(ws []cnf.Assignment, s []cnf.Var) {
 // SampleRound executes lines 12–22 of Algorithm 1 once against the
 // caller's session and RNG, accumulating observable behaviour into st:
 // walk i over {q−3..q}, partition R_F with a fresh hash from
-// H_xor(|S|, i, 3), and return a uniformly chosen witness of the first
-// cell whose size lands within [loThresh, hiThresh]. It returns
-// ErrFailed for the ⊥ outcome.
+// H_xor(|H|, i, 3) over the hash set H, and return a uniformly chosen
+// witness of the first cell whose size lands within [loThresh,
+// hiThresh]. It returns ErrFailed for the ⊥ outcome.
 //
 // Given the same RNG state, the outcome is independent of the session's
 // history as long as no conflict-budget exhaustion occurs: accepted
@@ -387,7 +407,7 @@ func (su *Setup) SampleRoundSpan(sess *bsat.Session, rng *randx.RNG, st *Stats, 
 		for retry := 0; retry < su.opts.MaxRetries; retry++ {
 			// Lines 14–15: random h and α (α is folded into the XOR
 			// right-hand sides by hashfam).
-			h := hashfam.Draw(rng, su.s, m)
+			h := hashfam.Draw(rng, su.h, m)
 			st.XORRows += int64(h.M())
 			st.XORLenSum += int64(h.TotalLen())
 			// Line 16, on the caller's incremental session.
@@ -413,7 +433,7 @@ func (su *Setup) SampleRoundSpan(sess *bsat.Session, rng *randx.RNG, st *Stats, 
 		n := len(res.Witnesses)
 		if float64(n) >= kp.LoThresh && n <= kp.HiThresh {
 			// Lines 21–22, on the canonical order (see sortWitnesses).
-			sortWitnesses(res.Witnesses, su.s)
+			sortWitnesses(res.Witnesses, su.h)
 			st.Samples++
 			return res.Witnesses[rng.Intn(n)], nil
 		}
@@ -449,7 +469,7 @@ func (su *Setup) SampleBatchRound(sess *bsat.Session, rng *randx.RNG, st *Stats,
 		if m < 1 {
 			m = 1
 		}
-		h := hashfam.Draw(rng, su.s, m)
+		h := hashfam.Draw(rng, su.h, m)
 		st.XORRows += int64(h.M())
 		st.XORLenSum += int64(h.TotalLen())
 		res := sess.Enumerate(kp.HiThresh+1, h)
@@ -460,7 +480,7 @@ func (su *Setup) SampleBatchRound(sess *bsat.Session, rng *randx.RNG, st *Stats,
 		}
 		n := len(res.Witnesses)
 		if float64(n) >= kp.LoThresh && n <= kp.HiThresh {
-			sortWitnesses(res.Witnesses, su.s)
+			sortWitnesses(res.Witnesses, su.h)
 			out := make([]cnf.Assignment, 0, k)
 			for _, idx := range rng.Perm(n) {
 				if len(out) == k {

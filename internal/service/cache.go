@@ -237,6 +237,12 @@ type FormulaStats struct {
 	// diverged deltas promoted to first-class entries).
 	Delta bool   `json:"delta,omitempty"`
 	Base  string `json:"base,omitempty"`
+	// SamplingVars is the size of the declared sampling set, HashVars
+	// the size of the hash set hashing runs over (DESIGN §14), and Q the
+	// hash width q of line 10 (0 in the easy case).
+	SamplingVars int `json:"sampling_vars"`
+	HashVars     int `json:"hash_vars"`
+	Q            int `json:"q"`
 }
 
 // counts returns just the scalar counters — the cheap accessor the
@@ -269,6 +275,10 @@ func (c *prepCache) stats() CacheStats {
 			Samples:     e.prep.samples.Load(),
 			Counts:      e.prep.counts.Load(),
 			Delta:       e.prep.delta,
+
+			SamplingVars: len(e.prep.setup.SamplingSet()),
+			HashVars:     len(e.prep.setup.HashSet()),
+			Q:            e.prep.setup.Q(),
 		}
 		if e.prep.base != nil {
 			fs.Base = e.prep.baseFP

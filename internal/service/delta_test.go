@@ -24,6 +24,32 @@ func conjoined(f *cnf.Formula, assumps ...int) *cnf.Formula {
 	return g
 }
 
+// prunedFormula declares all 12 variables, but x11 = x1 ⊕ x2 and
+// x12 = x3 ∧ x4: the hash set is x2..x11 (1024 witnesses).
+func prunedFormula() *cnf.Formula {
+	f := cnf.New(12)
+	f.AddClause(-11, 1, 2)
+	f.AddClause(-11, -1, -2)
+	f.AddClause(11, -1, 2)
+	f.AddClause(11, 1, -2)
+	f.AddClause(-12, 3)
+	f.AddClause(-12, 4)
+	f.AddClause(12, -3, -4)
+	return f
+}
+
+// formulaStats returns svc's /stats entry for fingerprint fp.
+func formulaStats(t *testing.T, svc *service.Service, fp string) service.FormulaStats {
+	t.Helper()
+	for _, fs := range svc.Stats().Formulas {
+		if fs.Fingerprint == fp {
+			return fs
+		}
+	}
+	t.Fatalf("no /stats entry for %s", fp)
+	return service.FormulaStats{}
+}
+
 // prepareBase warms svc's cache with f and returns its fingerprint.
 func prepareBase(t *testing.T, svc *service.Service, f *cnf.Formula) string {
 	t.Helper()
@@ -39,20 +65,27 @@ func prepareBase(t *testing.T, svc *service.Service, f *cnf.Formula) string {
 // warm sessions over the base must return witnesses bit-identical to a
 // cold prepare of the conjoined formula on a fresh service — in both
 // conditioned regimes (hashing: the conditioned space is still above
-// hiThresh; easy: the assumptions shrink it below).
+// hiThresh; easy: the assumptions shrink it below) — and on a base
+// whose hash set is smaller than its sampling set, where both paths
+// must also derive the same conditioned hash set.
 func TestDeltaBitIdenticalToColdConjoined(t *testing.T) {
 	cases := []struct {
 		name    string
+		base    func() *cnf.Formula
 		assumps []int
 	}{
 		// 1024-witness base over 10 sampling vars; hiThresh(ε=6) = 64.
-		{"hashing", []int{1, -2}},        // 2^8 = 256 conditioned witnesses
-		{"easy", []int{1, -2, 3, -4, 5}}, // 2^5 = 32 conditioned witnesses
+		{"hashing", hardFormula, []int{1, -2}},        // 2^8 = 256 conditioned witnesses
+		{"easy", hardFormula, []int{1, -2, 3, -4, 5}}, // 2^5 = 32 conditioned witnesses
+		// The unit on x1 keeps it in the conditioned hash set, which
+		// drops x2 instead: rows run over a set the pooled base
+		// sessions do not block on. 2^8 conditioned witnesses.
+		{"pruned", prunedFormula, []int{1, -5}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			warm := newService(t, service.Config{ApproxMCRounds: 15})
-			base := hardFormula()
+			base := tc.base()
 			baseFP := prepareBase(t, warm, base)
 
 			const seed, n = 1234, 6
@@ -78,6 +111,13 @@ func TestDeltaBitIdenticalToColdConjoined(t *testing.T) {
 			}
 			if got, want := projectAll(t, delta), projectAll(t, conj); !reflect.DeepEqual(got, want) {
 				t.Fatalf("delta witnesses diverged from cold conjoined prepare:\n got %v\nwant %v", got, want)
+			}
+			ds, cs := formulaStats(t, warm, delta.Fingerprint), formulaStats(t, cold, conj.Fingerprint)
+			if ds.HashVars != cs.HashVars || ds.Q != cs.Q || ds.SamplingVars != cs.SamplingVars {
+				t.Fatalf("delta entry %+v, cold conjoined %+v", ds, cs)
+			}
+			if bs := formulaStats(t, warm, baseFP); tc.name == "pruned" && bs.HashVars >= bs.SamplingVars {
+				t.Fatalf("base hashes over %d of %d vars, want fewer", bs.HashVars, bs.SamplingVars)
 			}
 			// Every witness must satisfy the assumptions (they are all on
 			// sampling vars here, so the projection shows them directly).

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"unigen/internal/cnf"
 	"unigen/internal/service"
 )
 
@@ -110,6 +111,38 @@ func TestHTTPCountAndStats(t *testing.T) {
 	}
 	if got := stats.Formulas[0]; got.Counts != 1 || !got.EasyCase {
 		t.Fatalf("per-formula stats %+v", got)
+	}
+}
+
+// TestHTTPStatsHashSet pins the per-formula hash-set keys of /stats on
+// a formula whose declared set prunes: all 12 variables declared,
+// x11 = x1 ⊕ x2 and x12 = x3 ∧ x4, so hashing runs over 10 of them.
+func TestHTTPStatsHashSet(t *testing.T) {
+	ts, _ := newHTTPServer(t)
+	var sb strings.Builder
+	if err := cnf.WriteDIMACS(&sb, prunedFormula()); err != nil {
+		t.Fatal(err)
+	}
+	if resp := postJSON(t, ts.URL+"/count", service.CountHTTPRequest{Formula: sb.String()}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("count status %d", resp.StatusCode)
+	}
+	sresp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	stats := decode[struct {
+		Formulas []map[string]any `json:"formulas"`
+	}](t, sresp)
+	if len(stats.Formulas) != 1 {
+		t.Fatalf("%d formulas in /stats", len(stats.Formulas))
+	}
+	fs := stats.Formulas[0]
+	if fs["sampling_vars"] != 12.0 || fs["hash_vars"] != 10.0 {
+		t.Fatalf("formula entry %v: want sampling_vars 12, hash_vars 10", fs)
+	}
+	if q, ok := fs["q"].(float64); !ok || q < 1 || q > 10 {
+		t.Fatalf("formula entry %v: want 1 ≤ q ≤ 10", fs)
 	}
 }
 

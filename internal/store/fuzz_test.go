@@ -2,6 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"unigen/internal/cnf"
@@ -44,15 +49,30 @@ func FuzzDecodeSetup(f *testing.F) {
 		return g
 	})
 
-	// ≥6 seeds: two valid blobs, a truncated valid blob, a bit-flipped
+	// All 12 variables declared, x11 = x1 ⊕ x2 and x12 = x3 ∧ x4: the
+	// hash set (x2..x11) is smaller than the sampling set.
+	pruned := valid(func() *cnf.Formula {
+		g := cnf.New(12)
+		g.AddClause(-11, 1, 2)
+		g.AddClause(-11, -1, -2)
+		g.AddClause(11, -1, 2)
+		g.AddClause(11, 1, -2)
+		g.AddClause(-12, 3)
+		g.AddClause(-12, 4)
+		g.AddClause(12, -3, -4)
+		return g
+	})
+
+	// ≥7 seeds: three valid blobs, a truncated valid blob, a bit-flipped
 	// valid blob, a bare magic with garbage, and empty input.
 	f.Add(easy)
 	f.Add(hashing)
+	f.Add(pruned)
 	f.Add(easy[:len(easy)/2])
 	flipped := bytes.Clone(hashing)
 	flipped[len(flipped)/2] ^= 0x20
 	f.Add(flipped)
-	f.Add([]byte("UGSU\x01\x00\xff\xff\xff\xffgarbage"))
+	f.Add([]byte("UGSU\x02\x00\xff\xff\xff\xffgarbage"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -69,4 +89,45 @@ func FuzzDecodeSetup(f *testing.F) {
 			t.Fatalf("Encode∘Decode not a fixpoint:\n in  %x\n out %x", data, re)
 		}
 	})
+}
+
+// TestStoreQuarantinesVersion1Setup: an entry written by a release that
+// predates the persisted hash set (setup codec version 1) fails frame
+// verification, so the store reports a miss — the service then
+// prepares cold — and quarantines the file instead of retrying it.
+func TestStoreQuarantinesVersion1Setup(t *testing.T) {
+	g := cnf.New(12)
+	g.AddClause(11, 12)
+	su, err := core.NewSetup(g, randx.New(core.PrepSeed(g, nil)), core.Options{Epsilon: 6, ApproxMCRounds: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := su.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(blob[4:], 1)
+	body := len(blob) - 4
+	binary.LittleEndian.PutUint32(blob[body:], crc32.Checksum(blob[:body], crc32.MakeTable(crc32.Castagnoli)))
+	if err := core.VerifySetupFrame(blob); !errors.Is(err, core.ErrCodec) {
+		t.Fatalf("version-1 frame: %v, want ErrCodec", err)
+	}
+
+	dir := t.TempDir()
+	st, err := Open(Options{Dir: dir, Verify: core.VerifySetupFrame})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	st.Put("k1", blob)
+	st.Flush()
+	if _, ok := st.Get("k1"); ok {
+		t.Fatal("version-1 entry served as a hit")
+	}
+	if s := st.Stats(); s.CorruptEntries != 1 || s.Misses != 1 || s.Entries != 0 {
+		t.Fatalf("stats %+v", s)
+	}
+	if _, err := os.Stat(filepath.Join(dir, entryName("k1")) + corruptSuffix); err != nil {
+		t.Fatalf("quarantine file missing: %v", err)
+	}
 }

@@ -2,7 +2,6 @@ package unigen
 
 import (
 	"unigen/internal/indsupport"
-	"unigen/internal/sat"
 	"unigen/internal/simplify"
 )
 
@@ -53,26 +52,18 @@ func Simplify(f *Formula, opts SimplifyOptions) (*Formula, SimplifyStats, error)
 // variable in all witnesses. Theorem 1's guarantee is conditional on
 // the sampling set having this property.
 func IsIndependentSupport(f *Formula, s []Var, opts Options) (bool, error) {
-	return indsupport.IsIndependent(f, s, solverConfig(opts))
+	return indsupport.IsIndependent(f, s, opts.solverConfig())
 }
 
 // MinimizeIndependentSupport greedily shrinks a known independent
 // support to a minimal one (no single variable can be removed).
 func MinimizeIndependentSupport(f *Formula, start []Var, opts Options) ([]Var, error) {
-	return indsupport.Minimize(f, start, solverConfig(opts))
+	return indsupport.Minimize(f, start, opts.solverConfig())
 }
 
 // FindIndependentSupport computes a minimal independent support
 // starting from all variables — the "algorithmic solution" the paper
 // leaves out of scope (§4) and that later work supplies.
 func FindIndependentSupport(f *Formula, opts Options) ([]Var, error) {
-	return indsupport.Find(f, solverConfig(opts))
-}
-
-func solverConfig(opts Options) sat.Config {
-	return sat.Config{
-		MaxConflicts: opts.MaxConflicts,
-		GaussJordan:  opts.GaussJordan,
-		Seed:         opts.Seed,
-	}
+	return indsupport.Find(f, opts.solverConfig())
 }

@@ -1,6 +1,12 @@
 package unigen
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	"unigen/internal/benchgen"
+	"unigen/internal/indsupport"
+)
 
 func TestSimplifyPublicAPI(t *testing.T) {
 	f := NewFormula(3)
@@ -87,5 +93,31 @@ x1 2 6 0
 		if !w.Satisfies(g) {
 			t.Fatal("invalid witness")
 		}
+	}
+}
+
+// TestIndependentSupportHonoursBudgets: the support entry points run
+// under every solver budget Options carries. MaxPropagations used to
+// be dropped on the way down, so a one-propagation budget still
+// answered.
+func TestIndependentSupportHonoursBudgets(t *testing.T) {
+	inst, err := benchgen.Generate("TreeMax", benchgen.ScaleSmall, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := inst.F
+	for _, opts := range []Options{{MaxConflicts: 1}, {MaxPropagations: 1}} {
+		if _, err := IsIndependentSupport(f, f.SamplingSet, opts); !errors.Is(err, indsupport.ErrBudget) {
+			t.Errorf("IsIndependentSupport %+v: %v, want the budget error", opts, err)
+		}
+		if _, err := MinimizeIndependentSupport(f, f.SamplingSet, opts); !errors.Is(err, indsupport.ErrBudget) {
+			t.Errorf("MinimizeIndependentSupport %+v: %v, want the budget error", opts, err)
+		}
+		if _, err := FindIndependentSupport(f, opts); !errors.Is(err, indsupport.ErrBudget) {
+			t.Errorf("FindIndependentSupport %+v: %v, want the budget error", opts, err)
+		}
+	}
+	if ok, err := IsIndependentSupport(f, f.SamplingSet, Options{}); err != nil || !ok {
+		t.Fatalf("unbudgeted check: %v, %v; want an independent support", ok, err)
 	}
 }

@@ -259,6 +259,13 @@ type ServiceFormulaStats struct {
 	// is the base's fingerprint (empty for promoted diverged deltas).
 	Delta bool
 	Base  string
+	// SamplingVars is the size of the declared sampling set, HashVars
+	// the size of the hash set sampling hashes over (the sampling
+	// variables the others do not define), and Q the hash width (0 in
+	// the easy case).
+	SamplingVars int
+	HashVars     int
+	Q            int
 }
 
 // Stats snapshots the cache and per-formula counters.
@@ -287,6 +294,10 @@ func (s *Service) Stats() ServiceStats {
 			Counts:      f.Counts,
 			Delta:       f.Delta,
 			Base:        f.Base,
+
+			SamplingVars: f.SamplingVars,
+			HashVars:     f.HashVars,
+			Q:            f.Q,
 		})
 	}
 	return out

@@ -17,6 +17,15 @@ import (
 // 10-variable sampling set) used for the cross-transport contract.
 const transportFixture = "c ind 1 2 3 4 5 6 7 8 9 10 0\np cnf 12 1\n11 12 0\n"
 
+// prunedFixture declares all 12 variables, but x11 = x1 ⊕ x2 and
+// x12 = x3 ∧ x4, so setup hashes over x2..x11 only (1024 witnesses).
+// prunedShuffled is the same formula with its clauses and literals
+// reordered: the same fingerprint, so it must get the same hash set.
+const (
+	prunedFixture  = "p cnf 12 7\n-11 1 2 0\n-11 -1 -2 0\n11 -1 2 0\n11 1 -2 0\n-12 3 0\n-12 4 0\n12 -3 -4 0\n"
+	prunedShuffled = "p cnf 12 7\n-4 -3 12 0\n4 -12 0\n2 1 -11 0\n-2 1 11 0\n3 -12 0\n2 -1 11 0\n-2 -1 -11 0\n"
+)
+
 func bitstrings(ws []unigen.Witness, vars []unigen.Var) []string {
 	out := make([]string, len(ws))
 	for i, w := range ws {
@@ -37,14 +46,30 @@ func bitstrings(ws []unigen.Witness, vars []unigen.Var) []string {
 // test: for a fixed (formula, seed, n), Sampler.SampleN, the embedded
 // Service (cold AND cache-hit, with a different warming seed), and the
 // HTTP daemon transport must return bit-identical witness sequences.
+// The pruned case hashes over fewer variables than it declares, and
+// the services receive it with its clauses shuffled.
 func TestSamplesBitIdenticalAcrossTransports(t *testing.T) {
+	t.Run("declared", func(t *testing.T) { checkTransports(t, transportFixture, transportFixture) })
+	t.Run("pruned", func(t *testing.T) { checkTransports(t, prunedFixture, prunedShuffled) })
+}
+
+// checkTransports samples fixture on the Sampler and posted (the same
+// formula, possibly presented differently) on every service transport.
+func checkTransports(t *testing.T, fixture, posted string) {
 	const (
 		seed = uint64(2014)
 		n    = 8
 	)
-	f, err := unigen.ParseDIMACSString(transportFixture)
+	f, err := unigen.ParseDIMACSString(fixture)
 	if err != nil {
 		t.Fatal(err)
+	}
+	g, err := unigen.ParseDIMACSString(posted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unigen.FormulaFingerprint(g) != unigen.FormulaFingerprint(f) {
+		t.Fatal("posted presentation fingerprints differently")
 	}
 	vars := f.SamplingVars()
 
@@ -58,6 +83,9 @@ func TestSamplesBitIdenticalAcrossTransports(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := bitstrings(ws, vars)
+	if fixture == prunedFixture && len(s.HashSet()) >= len(vars) {
+		t.Fatalf("hash set %v does not prune sampling set %v", s.HashSet(), vars)
+	}
 
 	// Transport 2: the embedded Service — warmed under a DIFFERENT seed
 	// first, so the cache-hit path must serve seed 2014 from a setup it
@@ -66,10 +94,10 @@ func TestSamplesBitIdenticalAcrossTransports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Sample(context.Background(), f, 77, 2); err != nil {
+	if _, err := svc.Sample(context.Background(), g, 77, 2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := svc.Sample(context.Background(), f, seed, n)
+	got, err := svc.Sample(context.Background(), g, seed, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +110,7 @@ func TestSamplesBitIdenticalAcrossTransports(t *testing.T) {
 	ts := httptest.NewServer(mustService(t).Handler())
 	defer ts.Close()
 	for i := 0; i < 2; i++ {
-		body, _ := json.Marshal(map[string]any{"formula": transportFixture, "n": n, "seed": seed})
+		body, _ := json.Marshal(map[string]any{"formula": posted, "n": n, "seed": seed})
 		resp, err := http.Post(ts.URL+"/sample", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -117,7 +145,7 @@ func TestSamplesBitIdenticalAcrossTransports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := warm.Sample(context.Background(), f, 77, 2); err != nil {
+	if _, err := warm.Sample(context.Background(), g, 77, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := warm.Close(context.Background()); err != nil {
@@ -127,7 +155,7 @@ func TestSamplesBitIdenticalAcrossTransports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rws, err := restarted.Sample(context.Background(), f, seed, n)
+	rws, err := restarted.Sample(context.Background(), g, seed, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,5 +229,8 @@ func TestServiceFacade(t *testing.T) {
 	}
 	if fs.Requests != 2 || fs.Samples != 10 || fs.Counts != 1 {
 		t.Fatalf("counters %+v", fs)
+	}
+	if fs.SamplingVars != 2 || fs.HashVars != 2 || fs.Q != 0 {
+		t.Fatalf("sampling vars %d, hash vars %d, q %d; want 2, 2, 0", fs.SamplingVars, fs.HashVars, fs.Q)
 	}
 }

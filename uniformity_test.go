@@ -2,10 +2,12 @@ package unigen_test
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"unigen"
+	"unigen/internal/circuit"
 	"unigen/internal/cnf"
 )
 
@@ -21,11 +23,14 @@ import (
 // fixed, so the observed statistics are reproducible run to run —
 // CI-stable by construction.
 //
-// The three fixtures exercise the three sampling regimes:
+// The fixtures exercise the three sampling regimes, and hashing over
+// a hash set smaller than the declared sampling set:
 //   - easy: |R_F| ≤ hiThresh, sampling is an exact-uniform index pick;
 //   - cnf: a clause-constrained space above hiThresh → hashing path;
 //   - xor: a parity-structured space (native XOR clauses) → hashing
-//     path over the XOR-aware solver.
+//     path over the XOR-aware solver;
+//   - fullsup: a Tseitin circuit declaring every variable, gate outputs
+//     included → hashing over the inputs alone.
 func TestUniformityBattery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical battery skipped in -short mode (CI runs it explicitly under -race)")
@@ -39,6 +44,7 @@ func TestUniformityBattery(t *testing.T) {
 		maxTV   float64
 		wantMin int // sanity floor on |R_F↓S| so fixtures stay in their regime
 		wantMax int
+		hashSet []unigen.Var // when set, the hash set the setup must derive
 	}{
 		{
 			// (x1 ∨ x2) over 6 vars: 48 witnesses ≤ hiThresh(ε=6) = 64,
@@ -63,12 +69,29 @@ func TestUniformityBattery(t *testing.T) {
 		{
 			// Three independent parity constraints over 10 vars: 2^7 =
 			// 128 witnesses, hashing path through the XOR-aware solver.
+			// All 10 vars are declared, but the parities define x1, x2
+			// and x4 from the rest, so rows run over the other 7.
 			name:   "xor",
 			dimacs: "p cnf 10 0\nx1 2 3 0\nx4 -5 6 0\nx1 4 7 8 0\n",
 			n:      2200,
 			seed:   3,
 			maxChi: 1.6, maxTV: 0.14,
 			wantMin: 128, wantMax: 128,
+			hashSet: []unigen.Var{3, 5, 6, 7, 8, 9, 10},
+		},
+		{
+			// Seven free inputs x1..x7 and five AND/OR gates x8..x12,
+			// with no "c ind" line: the declared set is all 12 vars,
+			// 2^7 = 128 witnesses. Every gate is a function of the
+			// inputs and no input of the others (each is masked by a
+			// sibling input), so the hash set is exactly the inputs.
+			name:   "fullsup",
+			dimacs: fullSupportCircuit(),
+			n:      2200,
+			seed:   4,
+			maxChi: 1.6, maxTV: 0.14,
+			wantMin: 128, wantMax: 128,
+			hashSet: []unigen.Var{1, 2, 3, 4, 5, 6, 7},
 		},
 	}
 	for _, tc := range cases {
@@ -90,6 +113,11 @@ func TestUniformityBattery(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.hashSet != nil {
+				if got := s.HashSet(); !reflect.DeepEqual(got, tc.hashSet) || len(got) >= len(vars) {
+					t.Fatalf("hash set %v of sampling set %v, want %v", got, vars, tc.hashSet)
+				}
 			}
 			ws, err := s.SampleN(tc.n)
 			if err != nil {
@@ -145,6 +173,26 @@ func TestUniformityBattery(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fullSupportCircuit renders the fullsup fixture: (x1∧x2 ∨ x3∨x4) ∧ x7
+// and x5∧x6 over seven inputs, Tseitin-encoded with the sampling set
+// left undeclared.
+func fullSupportCircuit() string {
+	b := circuit.NewBuilder()
+	x := b.InputWord(7)
+	b.Output(b.And(b.Or(b.And(x[0], x[1]), b.Or(x[2], x[3])), x[6]))
+	b.Output(b.And(x[4], x[5]))
+	enc, err := circuit.Encode(b.Build(), circuit.EncodeOptions{})
+	if err != nil {
+		panic(err)
+	}
+	enc.Formula.SamplingSet = nil
+	var sb strings.Builder
+	if err := cnf.WriteDIMACS(&sb, enc.Formula); err != nil {
+		panic(err)
+	}
+	return sb.String()
 }
 
 // enumerateProjections brute-forces the exact projected solution space

@@ -115,7 +115,11 @@ type Options struct {
 	Epsilon float64
 	// SamplingSet overrides the formula's sampling set. It should be an
 	// independent support of the formula; the guarantee of Theorem 1 is
-	// conditional on that.
+	// conditional on that. It need not be a minimal one: setup drops
+	// every sampling variable the others define before hashing (see
+	// Sampler.HashSet), so a superset of an independent support hashes
+	// about as cheaply as a minimal one. Witnesses are still projected
+	// on the whole set.
 	SamplingSet []Var
 	// Seed makes the sampler deterministic.
 	Seed uint64
@@ -277,6 +281,18 @@ func (s *Sampler) SampleNContext(ctx context.Context, n int) ([]Witness, error) 
 		out[i] = Witness{a: w}
 	}
 	return out, err
+}
+
+// HashSet returns the variables sampling hashes over: the sampling set
+// minus every variable the remaining ones define within the formula,
+// in sampling-set order. The two sets' projections of the witnesses
+// are in bijection, so hashing over the smaller one changes the cost
+// of each round, not the distribution.
+func (s *Sampler) HashSet() []Var {
+	if s.eng != nil {
+		return s.eng.Setup().HashSet()
+	}
+	return s.inner.Setup().HashSet()
 }
 
 // Stats reports observable sampler behaviour.

@@ -25,7 +25,10 @@ import (
 // The two assumption sets land the conditioned formula in the two
 // sampling regimes: "hashed" stays above hiThresh(ε=6) = 64 and runs
 // the hash-partition path on the pooled session; "easy" collapses
-// below it and is served by the exact-uniform index pick.
+// below it and is served by the exact-uniform index pick. "pruned"
+// conditions a base whose declared set is larger than a minimal
+// support, so the conditioned hash set is smaller than the declared
+// set (and differs from the base's).
 func TestDeltaUniformityBattery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical battery skipped in -short mode (CI runs it explicitly under -race)")
@@ -35,6 +38,7 @@ func TestDeltaUniformityBattery(t *testing.T) {
 	const baseDIMACS = "p cnf 10 2\n1 2 3 0\n-2 4 -5 0\n"
 	cases := []struct {
 		name        string
+		base        string // base DIMACS; empty means baseDIMACS
 		assumptions []int
 		n           int
 		seed        uint64
@@ -64,12 +68,28 @@ func TestDeltaUniformityBattery(t *testing.T) {
 			wantK: 32,
 			easy:  true,
 		},
+		{
+			// prunedFixture declares all 12 vars but hashes over x2..x11;
+			// under {1, -5} the conditioned hash set keeps the fixed x1
+			// and drops x2 and x12. 2^8 = 256 conditioned witnesses.
+			name:        "pruned",
+			base:        prunedFixture,
+			assumptions: []int{1, -5},
+			n:           2600,
+			seed:        43,
+			maxChi:      1.6, maxTV: 0.18,
+			wantK: 256,
+		},
 	}
 	ctx := context.Background()
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			f, err := unigen.ParseDIMACSString(baseDIMACS)
+			text := tc.base
+			if text == "" {
+				text = baseDIMACS
+			}
+			f, err := unigen.ParseDIMACSString(text)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,6 +224,13 @@ func TestDeltaUniformityBattery(t *testing.T) {
 			st := svc.Stats()
 			if st.Delta.Served < 2 || st.Delta.UnknownBase != 0 {
 				t.Fatalf("delta stats %+v: battery was not served through the delta path", st.Delta)
+			}
+			if tc.base != "" {
+				for _, fs := range st.Formulas {
+					if fs.HashVars >= fs.SamplingVars {
+						t.Fatalf("formula %s hashes over %d of %d vars: the fixture does not prune", fs.Fingerprint, fs.HashVars, fs.SamplingVars)
+					}
+				}
 			}
 		})
 	}

@@ -28,10 +28,6 @@ func main() {
 	gauss := flag.Bool("gauss", false, "enable Gauss-Jordan XOR preprocessing")
 	rounds := flag.Int("amc-rounds", 0, "cap ApproxMC setup rounds (0 = paper default)")
 	jobs := flag.Int("j", 1, "parallel sampling workers (0 = all CPUs)")
-	inprocess := flag.Int("inprocess", 0, "run solver inprocessing every N session calls (0 = off)")
-	rephase := flag.Int("rephase", 0, "rotate decision-phase source every N restarts (0 = off)")
-	chronoBT := flag.Int("chrono-bt", 0, "chronological backtracking threshold in levels (0 = off)")
-	xorWindow := flag.Bool("xor-window", false, "skip fully-assigned level-0 prefixes in packed XOR propagation")
 	stats := flag.Bool("stats", false, "print merged run statistics (hash set, rounds, BSAT calls, XOR rows, propagations) to stderr")
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -55,16 +51,12 @@ func main() {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	s, err := unigen.NewSampler(f, unigen.Options{
-		Epsilon:         *epsilon,
-		Seed:            *seed,
-		MaxConflicts:    *budget,
-		GaussJordan:     *gauss,
-		ApproxMCRounds:  *rounds,
-		Workers:         workers,
-		InprocessEvery:  *inprocess,
-		RephaseEvery:    *rephase,
-		ChronoBacktrack: *chronoBT,
-		DirtyWindow:     *xorWindow,
+		Epsilon:        *epsilon,
+		Seed:           *seed,
+		MaxConflicts:   *budget,
+		GaussJordan:    *gauss,
+		ApproxMCRounds: *rounds,
+		Workers:        workers,
 	})
 	if err != nil {
 		fatal(err)
@@ -96,10 +88,6 @@ func main() {
 			st.XORRows, st.Conflicts, st.Propagations)
 		fmt.Fprintf(os.Stderr, "c learned=%d removed=%d gc-compactions=%d arena-bytes=%d\n",
 			st.Learned, st.Removed, st.Compactions, st.ArenaBytes)
-		fmt.Fprintf(os.Stderr, "c vivified-lits=%d subsumed-learnts=%d probed-lits=%d failed-lits=%d\n",
-			st.VivifiedLits, st.SubsumedLearnts, st.ProbedLits, st.FailedLits)
-		fmt.Fprintf(os.Stderr, "c rephases=%d chrono-backtracks=%d\n",
-			st.Rephases, st.ChronoBacktracks)
 	}
 }
 

@@ -86,7 +86,6 @@ type Session struct {
 	base     []cnf.Lit       // standing assumption literals (delta requests)
 	blockBuf cnf.Clause      // scratch: blocking clause, reused across witnesses
 	selCount int             // selectors allocated since the last (re)build
-	calls    int             // Enumerate calls served (inprocessing cadence)
 }
 
 // NewSession builds the solver for f once. opts.Hash is ignored; pass
@@ -221,17 +220,8 @@ func (se *Session) Enumerate(n int, h *hashfam.Hash) Result {
 		return Result{Exhausted: true}
 	}
 	before := se.s.Stats()
-	rebuilt := se.retire()
-	if rebuilt {
+	if se.retire() {
 		before = se.s.Stats() // rebuilt solver: stats restarted from zero
-	}
-	se.calls++
-	if every := se.cfg.InprocessEvery; every > 0 && !rebuilt && se.calls%every == 0 {
-		// Session boundary: the previous cell's hash rows and blocking
-		// clauses are released, so no removable XOR is live — the one
-		// state Inprocess accepts. Its work lands in this call's stats
-		// delta (vivified/probed counters flow up with the cell).
-		se.s.Inprocess()
 	}
 	sels := se.retired[:0]
 	acts := se.assumps[:0]
@@ -339,13 +329,6 @@ func statsDelta(after, before sat.Stats) sat.Stats {
 		GaussUnits:   after.GaussUnits - before.GaussUnits,
 		Compactions:  after.Compactions - before.Compactions,
 		ArenaBytes:   after.ArenaBytes, // gauge: report the current footprint, not a delta
-
-		VivifiedLits:     after.VivifiedLits - before.VivifiedLits,
-		SubsumedLearnts:  after.SubsumedLearnts - before.SubsumedLearnts,
-		ProbedLits:       after.ProbedLits - before.ProbedLits,
-		FailedLits:       after.FailedLits - before.FailedLits,
-		Rephases:         after.Rephases - before.Rephases,
-		ChronoBacktracks: after.ChronoBacktracks - before.ChronoBacktracks,
 	}
 }
 

@@ -30,11 +30,11 @@ func TestFingerprintDistinguishes(t *testing.T) {
 	base := "p cnf 3 2\n1 2 0\n-1 3 0\n"
 	a, _ := cnf.ParseDIMACSString(base)
 	variants := map[string]string{
-		"extra clause":     base + "2 3 0\n",
+		"extra clause":      base + "2 3 0\n",
 		"different var cap": "p cnf 4 2\n1 2 0\n-1 3 0\n",
-		"added xor":        base + "x1 2 0\n",
-		"flipped xor rhs":  base + "x-1 2 0\n",
-		"sampling set":     "c ind 1 2 0\n" + base,
+		"added xor":         base + "x1 2 0\n",
+		"flipped xor rhs":   base + "x-1 2 0\n",
+		"sampling set":      "c ind 1 2 0\n" + base,
 	}
 	seen := map[[32]byte]string{cnf.Fingerprint(a): "base"}
 	for name, text := range variants {

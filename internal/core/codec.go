@@ -24,7 +24,8 @@ import (
 // Frame layout (all integers little-endian):
 //
 //	[0:4]   magic "UGSU"
-//	[4:6]   u16 version (currently 2; version 1 had no hash set)
+//	[4:6]   u16 version (currently 3; version 1 had no hash set, and
+//	        version 2 persisted 17 base-stats counters)
 //	[6:10]  u32 payload length
 //	[10:N]  payload (see below)
 //	[N:N+4] u32 CRC-32C (Castagnoli) over bytes [0:N]
@@ -47,7 +48,7 @@ import (
 //	    sortWitnesses order, which SampleRound's index pick depends on)
 //	u32 q
 //	u8 estTag (0|1) + if 1: u32 len + big-endian magnitude (big.Int.Bytes)
-//	base stats: 17 × u64 (two's-complement int64, declaration order),
+//	base stats: 11 × u64 (two's-complement int64, declaration order),
 //	    u32 SetupRounds, u8 EasyCase, u32 Q
 //
 // Decode validates structure, never panics on arbitrary input, and
@@ -62,7 +63,7 @@ import (
 
 const (
 	setupMagic   = "UGSU"
-	setupVersion = 2
+	setupVersion = 3
 	setupHdrLen  = 4 + 2 + 4 // magic + version + payload length
 )
 
@@ -187,8 +188,7 @@ func statsCounters(st *Stats) []*int64 {
 	return []*int64{
 		&st.Samples, &st.Failures, &st.BSATCalls, &st.XORRows, &st.XORLenSum,
 		&st.Conflicts, &st.Propagations, &st.Learned, &st.Removed, &st.Compactions,
-		&st.ArenaBytes, &st.VivifiedLits, &st.SubsumedLearnts, &st.ProbedLits,
-		&st.FailedLits, &st.Rephases, &st.ChronoBacktracks,
+		&st.ArenaBytes,
 	}
 }
 

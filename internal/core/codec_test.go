@@ -254,7 +254,7 @@ func hashSetOffset(t *testing.T, su *Setup) int {
 	return setupHdrLen + 32 + 8 + len(fb) + 4 + 4*len(su.s)
 }
 
-// TestSetupCodecRoundTripHashSet: a version-2 frame carries the hash set,
+// TestSetupCodecRoundTripHashSet: a version-3 frame carries the hash set,
 // so a rehydrated setup hashes over exactly what the cold one did.
 func TestSetupCodecRoundTripHashSet(t *testing.T) {
 	su := buildSetup(t, prunedFormula())
@@ -262,8 +262,8 @@ func TestSetupCodecRoundTripHashSet(t *testing.T) {
 		t.Fatalf("fixture should prune: hash set %v, sampling set %v", su.h, su.s)
 	}
 	blob := encode(t, su)
-	if v := binary.LittleEndian.Uint16(blob[4:]); v != 2 {
-		t.Fatalf("frame version %d, want 2", v)
+	if v := binary.LittleEndian.Uint16(blob[4:]); v != 3 {
+		t.Fatalf("frame version %d, want 3", v)
 	}
 	got, err := DecodeSetup(blob, Options{Epsilon: 6})
 	if err != nil {
@@ -307,16 +307,21 @@ func TestSetupCodecRejectsBadHashSet(t *testing.T) {
 	}
 }
 
-// TestSetupCodecRejectsVersion1: a frame from before the hash set was
-// persisted is a version-skew ErrCodec, never decoded as version 2.
-func TestSetupCodecRejectsVersion1(t *testing.T) {
-	v1 := bytes.Clone(encode(t, buildSetup(t, hashingFormula())))
-	binary.LittleEndian.PutUint16(v1[4:], 1)
-	patchCRC(v1, len(v1)-4)
-	if err := VerifySetupFrame(v1); !errors.Is(err, ErrCodec) {
-		t.Fatalf("VerifySetupFrame(v1): %v, want ErrCodec", err)
-	}
-	if _, err := DecodeSetup(v1, Options{}); !errors.Is(err, ErrCodec) {
-		t.Fatalf("DecodeSetup(v1): %v, want ErrCodec", err)
+// TestSetupCodecRejectsOlderVersions: frames from before the hash set
+// was persisted (version 1) or from before the base-stats block shrank
+// to 11 counters (version 2) are a version-skew ErrCodec, never decoded
+// as the current version.
+func TestSetupCodecRejectsOlderVersions(t *testing.T) {
+	blob := encode(t, buildSetup(t, hashingFormula()))
+	for _, v := range []uint16{1, 2} {
+		old := bytes.Clone(blob)
+		binary.LittleEndian.PutUint16(old[4:], v)
+		patchCRC(old, len(old)-4)
+		if err := VerifySetupFrame(old); !errors.Is(err, ErrCodec) {
+			t.Fatalf("VerifySetupFrame(v%d): %v, want ErrCodec", v, err)
+		}
+		if _, err := DecodeSetup(old, Options{}); !errors.Is(err, ErrCodec) {
+			t.Fatalf("DecodeSetup(v%d): %v, want ErrCodec", v, err)
+		}
 	}
 }

@@ -93,21 +93,9 @@ type Stats struct {
 	Removed     int64
 	Compactions int64
 	ArenaBytes  int64
-	// Inprocessing / modern-CDCL diagnostics (same session-state caveat
-	// as Propagations): literals shed by vivification and self-subsuming
-	// strengthening, learnts deleted by subsumption, level-0 probes and
-	// the failed ones among them, polarity-source rotations, and
-	// backjumps converted to chronological backtracks. All zero unless
-	// the corresponding sat.Config knobs are enabled.
-	VivifiedLits     int64
-	SubsumedLearnts  int64
-	ProbedLits       int64
-	FailedLits       int64
-	Rephases         int64
-	ChronoBacktracks int64
-	SetupRounds      int  // ApproxMC rounds during setup
-	EasyCase         bool // |R_F| ≤ hiThresh: sampling needs no hashing
-	Q                int  // the q of line 10
+	SetupRounds int  // ApproxMC rounds during setup
+	EasyCase    bool // |R_F| ≤ hiThresh: sampling needs no hashing
+	Q           int  // the q of line 10
 }
 
 // Merge combines two stats values: counters add, EasyCase ors, and the
@@ -128,12 +116,6 @@ func (st Stats) Merge(o Stats) Stats {
 	st.Removed += o.Removed
 	st.Compactions += o.Compactions
 	st.ArenaBytes = max(st.ArenaBytes, o.ArenaBytes)
-	st.VivifiedLits += o.VivifiedLits
-	st.SubsumedLearnts += o.SubsumedLearnts
-	st.ProbedLits += o.ProbedLits
-	st.FailedLits += o.FailedLits
-	st.Rephases += o.Rephases
-	st.ChronoBacktracks += o.ChronoBacktracks
 	st.SetupRounds += o.SetupRounds
 	st.EasyCase = st.EasyCase || o.EasyCase
 	if o.Q > st.Q {
@@ -150,12 +132,6 @@ func (st *Stats) addSolverStats(d sat.Stats) {
 	st.Removed += d.RemovedDB
 	st.Compactions += d.Compactions
 	st.ArenaBytes = max(st.ArenaBytes, d.ArenaBytes)
-	st.VivifiedLits += d.VivifiedLits
-	st.SubsumedLearnts += d.SubsumedLearnts
-	st.ProbedLits += d.ProbedLits
-	st.FailedLits += d.FailedLits
-	st.Rephases += d.Rephases
-	st.ChronoBacktracks += d.ChronoBacktracks
 }
 
 // AvgXORLen returns the mean XOR-clause length, the "Avg XOR len"

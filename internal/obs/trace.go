@@ -165,8 +165,8 @@ func TraceFrom(ctx context.Context) *Trace {
 // microseconds, start offset relative to the trace root.
 type SpanView struct {
 	Name     string           `json:"name"`
-	StartUS  int64            `json:"start_us"`          // offset from the root span's start
-	DurUS    int64            `json:"dur_us"`            // 0 while the span is still open
+	StartUS  int64            `json:"start_us"` // offset from the root span's start
+	DurUS    int64            `json:"dur_us"`   // 0 while the span is still open
 	Counters map[string]int64 `json:"counters,omitempty"`
 	Children []*SpanView      `json:"children,omitempty"`
 }

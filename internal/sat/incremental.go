@@ -252,25 +252,6 @@ func (s *Solver) deleteClause(cr CRef) {
 	s.ca.del(cr)
 }
 
-// detachClause eagerly removes a clause's two watchers — the eager
-// counterpart of deleteClause's lazy dirtyWatch path. Vivification uses
-// it to take a clause offline before re-deriving it, so the clause can
-// never propagate against itself during the probe.
-func (s *Solver) detachClause(cr CRef) {
-	b := s.ca.litBase(cr)
-	for k := 0; k < 2; k++ {
-		li := cnf.Lit(s.ca.store[b+k]).Not()
-		ws := s.watches[li]
-		for i := range ws {
-			if ws[i].cr == cr {
-				ws[i] = ws[len(ws)-1]
-				s.watches[li] = ws[:len(ws)-1]
-				break
-			}
-		}
-	}
-}
-
 // newSelectorVar allocates a fresh variable of the given selector kind,
 // excluded from the branching heaps (growTo consults allocSelKind so
 // the variable is marked before any heap insertion could happen).
@@ -391,7 +372,6 @@ func (s *Solver) AddXORRemovable(vars []cnf.Var, rhs bool) *Selector {
 	x := xorClause{vars: out, rhs: nrhs, w: [2]int{0, 1}, sel: v}
 	idx := s.pushXorClause(x, out[0], out[1])
 	sel.xors = append(sel.xors, idx)
-	s.liveXorSels++
 	return sel
 }
 
@@ -454,9 +434,6 @@ func (s *Solver) Release(sel *Selector) {
 		s.deleteClause(cr)
 	}
 	sel.cls = nil
-	if len(sel.xors) > 0 {
-		s.liveXorSels--
-	}
 	if sel.regIdx >= 0 {
 		// Unregister from the compaction roots (swap-delete).
 		last := len(s.sels) - 1

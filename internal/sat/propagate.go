@@ -163,29 +163,9 @@ func (s *Solver) propagateXORsPacked(v cnf.Var) conflict {
 			bw := x.bits
 			n := len(bw)
 			assigned := s.xAssigned[off : off+n]
-			bo := 0
-			if s.cfg.DirtyWindow {
-				// Advance the level-0 dirty window: a prefix word whose set
-				// columns are all level-0-assigned never changes again for
-				// this solver's lifetime (level 0 is permanent, and freed
-				// selector columns never occur in other live rows), so cache
-				// its parity contribution and skip it in every later scan.
-				l0 := s.xAssignedL0[off : off+n]
-				for int(x.skip) < n {
-					w := int(x.skip)
-					if bw[w]&^l0[w] != 0 {
-						break
-					}
-					if bits.OnesCount64(bw[w]&s.xTrue[off+w])&1 == 1 {
-						x.skipPar = !x.skipPar
-					}
-					x.skip++
-				}
-				bo = int(x.skip)
-			}
 			moved := false
 			otherW := otherCol>>6 - off
-			w := bo
+			w := 0
 			// 4-wide block skip: on a long mostly-assigned row nearly every
 			// word has no unassigned candidate, so reject four per iteration
 			// (the other watch's bit can only make this break early, never
@@ -223,8 +203,7 @@ func (s *Solver) propagateXORsPacked(v cnf.Var) conflict {
 			// parity(popcnt(a)+popcnt(b)) == parity(popcnt(a^b)).
 			trueMask := s.xTrue[off : off+n]
 			var acc uint64
-			w = bo
-			for ; w+4 <= n; w += 4 {
+			for w = 0; w+4 <= n; w += 4 {
 				acc ^= bw[w]&trueMask[w] ^ bw[w+1]&trueMask[w+1] ^
 					bw[w+2]&trueMask[w+2] ^ bw[w+3]&trueMask[w+3]
 			}
@@ -232,9 +211,6 @@ func (s *Solver) propagateXORsPacked(v cnf.Var) conflict {
 				acc ^= bw[w] & trueMask[w]
 			}
 			par = bits.OnesCount64(acc)&1 == 1
-			if x.skipPar {
-				par = !par
-			}
 		}
 		occ[j] = xi
 		j++

@@ -40,7 +40,7 @@ type Solver struct {
 	xfreeCols   []int32   // recycled selector columns
 	xAssigned   []uint64  // per column bit: variable currently assigned
 	xTrue       []uint64  // per column bit: variable assigned true
-	xAssignedL0 []uint64  // per column bit: assigned at level 0 (feeds the dirty window)
+	xAssignedL0 []uint64  // per column bit: assigned at level 0 (masked out of XOR reasons in analyze)
 
 	assigns  []lbool   // per var
 	level    []int     // per var
@@ -48,23 +48,6 @@ type Solver struct {
 	phase    []bool    // saved polarity per var
 	activity []float64 // VSIDS activity per var
 	seen     []byte    // scratch for analyze
-
-	// Rephasing state (Config.RephaseEvery): pickBranchLit's polarity
-	// source rotates through saved/target/inverted/original on a restart
-	// cadence; targetPhase snapshots the deepest trail (and each full
-	// model) seen so far.
-	targetPhase []bool
-	bestTrail   int
-	phaseMode   uint8
-	rephaseIdx  int
-
-	// Inprocessing state (Config.InprocessEvery, see inprocess.go):
-	// rolling cursors let budgeted passes cover the whole database across
-	// session boundaries; liveXorSels counts unreleased XOR-guard
-	// selectors, which gate level-0 unit derivation.
-	vivCursor   int
-	probeCursor int
-	liveXorSels int
 
 	trail    []cnf.Lit
 	trailLim []int
@@ -95,12 +78,6 @@ type Solver struct {
 	conflBuf    []cnf.Lit
 	reasonBuf   []cnf.Lit
 	sortScratch []CRef // reduceDB's sort buffer, reused across reductions
-
-	// Inprocessing scratch (inprocess.go), reused across passes.
-	vivAll  []cnf.Lit  // vivifyOne: literal snapshot of the clause
-	vivKeep []cnf.Lit  // vivifyOne: surviving prefix
-	subOcc  [][]int32  // subsumeLearnts: per-var occurrence lists
-	subEnts []subEntry // subsumeLearnts: clause snapshot
 
 	// Incremental-session state (see incremental.go).
 	isSelector   []byte      // per var: selNone/selClause/selXORGuard
@@ -243,9 +220,6 @@ func (s *Solver) growTo(n int) {
 	}
 	for len(s.phase) <= n {
 		s.phase = append(s.phase, false)
-	}
-	for len(s.targetPhase) <= n {
-		s.targetPhase = append(s.targetPhase, false)
 	}
 	for len(s.activity) <= n {
 		s.activity = append(s.activity, 0)
@@ -610,7 +584,6 @@ func (s *Solver) installPackedXOR(bits []uint64, rhs bool, selp *Selector, selCo
 		x := xorClause{bits: win, off: off, rhs: rhs, w: [2]int{selCol, c1}, sel: selp.act.Var()}
 		idx := s.pushXorClause(x, selp.act.Var(), s.xvarOf[c1])
 		selp.xors = append(selp.xors, idx)
-		s.liveXorSels++
 		return true
 	}
 	switch unassigned {
@@ -675,7 +648,7 @@ func (s *Solver) uncheckedEnqueue(l cnf.Lit, from reason) {
 	if c := s.xcolOf[v]; c >= 0 {
 		// Mirror the assignment into the packed XOR masks. Level-0
 		// assignments are permanent for the solver's lifetime, so they
-		// additionally feed the dirty-window prefix mask.
+		// additionally enter the level-0 mask analyze filters reasons by.
 		s.xAssigned[c>>6] |= 1 << uint(c&63)
 		if !l.Neg() {
 			s.xTrue[c>>6] |= 1 << uint(c&63)
@@ -760,13 +733,6 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 				for v := 1; v <= nv; v++ {
 					s.model[v] = s.assigns[v] == lTrue
 				}
-				if s.cfg.RephaseEvery > 0 {
-					// A full model is the best target phase there is.
-					for v := 1; v <= s.numVars; v++ {
-						s.targetPhase[v] = s.assigns[v] == lTrue
-					}
-					s.bestTrail = len(s.trail)
-				}
 			}
 			s.cancelUntil(0)
 			return st
@@ -778,9 +744,6 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 			return Unknown
 		}
 		s.stats.Restarts++
-		if re := s.cfg.RephaseEvery; re > 0 && s.stats.Restarts%int64(re) == 0 {
-			s.rephase()
-		}
 		s.cancelUntil(0)
 		// Restart-time housekeeping: when reduceDB tombstones have
 		// accumulated past the waste threshold, compact the arena now —
@@ -817,17 +780,6 @@ func (s *Solver) search(nConflicts, confLimit, propLimit int64, assumptions []cn
 				return Unsat
 			}
 			learnt, btLevel, lbd := s.analyze(confl)
-			if t := s.cfg.ChronoBacktrack; t > 0 && len(learnt) > 1 &&
-				s.decisionLevel()-btLevel > t {
-				// Chronological backtracking: a long backjump discards a
-				// trail prefix that is usually re-derived verbatim. Undo one
-				// level instead and assert the learnt literal there — a
-				// sound level over-approximation (analysis treats recorded
-				// levels as upper bounds). Unit learnts still go to level 0:
-				// they have no clause to re-propagate them after a restart.
-				btLevel = s.decisionLevel() - 1
-				s.stats.ChronoBacktracks++
-			}
 			s.cancelUntil(btLevel)
 			s.recordLearnt(learnt, lbd)
 			s.decayActivities()
@@ -837,22 +789,8 @@ func (s *Solver) search(nConflicts, confLimit, propLimit int64, assumptions []cn
 			}
 			continue
 		}
-		if s.cfg.RephaseEvery > 0 && len(s.trail) > s.bestTrail {
-			// Deepest conflict-free trail so far: snapshot its polarities as
-			// the target phase — the closest-to-a-model assignment yet seen.
-			s.bestTrail = len(s.trail)
-			for _, l := range s.trail {
-				s.targetPhase[l.Var()] = !l.Neg()
-			}
-		}
 		if float64(len(s.learnts)) > s.maxLearnts {
 			s.reduceDB()
-			if !s.ok {
-				// The level-0 subsumption pass inside reduceDB proved the
-				// formula UNSAT (safe: it only derives units when no
-				// removable XOR rows are live).
-				return Unsat
-			}
 		}
 		next := cnf.Lit(0)
 		for s.decisionLevel() < len(assumptions) {
@@ -894,14 +832,6 @@ func (s *Solver) pickBranchLit() cnf.Lit {
 				continue
 			}
 			pol := s.phase[v]
-			switch s.phaseMode {
-			case phaseUseTarget:
-				pol = s.targetPhase[v]
-			case phaseUseInverted:
-				pol = !s.phase[v]
-			case phaseUseOriginal:
-				pol = false
-			}
 			if s.cfg.RandomPolarityFreq > 0 && s.rng.Float64() < s.cfg.RandomPolarityFreq {
 				pol = s.rng.Bool()
 			}
@@ -939,31 +869,6 @@ func (s *Solver) recordLearnt(learnt []cnf.Lit, lbd int) {
 	s.uncheckedEnqueue(learnt[0], reason{tag: reasonClause, ref: cr})
 }
 
-// Polarity sources for pickBranchLit; rephase rotates phaseMode through
-// rephaseSeq. The zero value (saved phase) is the classic behavior and
-// the permanent mode when RephaseEvery is 0.
-const (
-	phaseUseSaved uint8 = iota
-	phaseUseTarget
-	phaseUseInverted
-	phaseUseOriginal
-)
-
-var rephaseSeq = [...]uint8{
-	phaseUseTarget, phaseUseSaved, phaseUseInverted,
-	phaseUseSaved, phaseUseOriginal, phaseUseSaved,
-}
-
-// rephase rotates the decision polarity source (CaDiCaL-style). The
-// best-trail watermark resets so the target snapshot re-learns under the
-// new source instead of being pinned by a stale deep trail.
-func (s *Solver) rephase() {
-	s.phaseMode = rephaseSeq[s.rephaseIdx%len(rephaseSeq)]
-	s.rephaseIdx++
-	s.bestTrail = 0
-	s.stats.Rephases++
-}
-
 func (s *Solver) decayActivities() {
 	s.varInc *= 1 / 0.95
 	s.claInc *= 1 / 0.999
@@ -999,15 +904,6 @@ func (s *Solver) bumpClause(cr CRef) {
 // trail via the arena's scratch bit instead of building a per-call
 // set, so the whole pass is allocation-free in the steady state.
 func (s *Solver) reduceDB() {
-	if s.cfg.InprocessEvery > 0 && !s.cfg.RecordProof && s.decisionLevel() == 0 {
-		// On-the-fly learnt subsumption: reduceDB fires at level 0 right
-		// after restarts, the one mid-search point where strengthening is
-		// safe (see inprocess.go for the selector-safety rules).
-		s.subsumeLearnts(subsumeBudgetDefault)
-		if !s.ok {
-			return
-		}
-	}
 	if len(s.learnts) == 0 {
 		return
 	}

@@ -62,8 +62,9 @@ type Config struct {
 	// implementation for the packed/legacy differential tests and the
 	// E10 benchmark; there is no reason to enable it in production.
 	ScalarXOR bool
-	// Seed randomizes branching tie-breaks; runs are deterministic for a
-	// fixed seed.
+	// Seed seeds the solver's RNG. Its only draws pick random decision
+	// polarities for RandomPolarityFreq, so with that frequency at 0
+	// search does not depend on Seed at all.
 	Seed uint64
 	// RandomPolarityFreq in [0,1] is the fraction of decisions whose
 	// polarity is randomized rather than taken from the saved phase.
@@ -88,41 +89,6 @@ type Config struct {
 	// with GaussJordan (which is silently disabled when both are set):
 	// Gauss-derived units are not RUP steps.
 	RecordProof bool
-
-	// InprocessEvery > 0 arms the inprocessing pass (failed-literal
-	// probing, clause vivification, learnt subsumption / self-subsuming
-	// strengthening). bsat sessions invoke Inprocess every N cells at
-	// session boundaries — after all removable constraints are released —
-	// and the solver additionally runs the subsumption pass inside
-	// reduceDB when it fires at decision level 0. 0 disables all of it;
-	// search is then bit-identical to a build without the feature.
-	// Inprocessing is skipped while RecordProof is set.
-	InprocessEvery int
-	// VivifyBudget bounds propagations spent per vivification pass
-	// (0 = a built-in default). The pass keeps a rolling cursor over the
-	// problem clauses, so successive boundary passes cover the whole
-	// database even under a small budget.
-	VivifyBudget int64
-	// ProbeBudget bounds propagations spent per failed-literal probing
-	// pass (0 = a built-in default). Probing also keeps a rolling cursor.
-	ProbeBudget int64
-	// RephaseEvery > 0 rotates the decision polarity source every N
-	// restarts through target (best-trail/best-model snapshot), saved,
-	// inverted, saved, original, saved — CaDiCaL-style rephasing. 0 keeps
-	// plain phase saving and bit-identical search.
-	RephaseEvery int
-	// ChronoBacktrack > 0 enables chronological backtracking: when
-	// first-UIP analysis would jump back more than this many levels, the
-	// solver backtracks one level instead and asserts the learnt literal
-	// there, preserving the trail prefix. 0 keeps classic non-chronological
-	// backjumping.
-	ChronoBacktrack int
-	// DirtyWindow lets the packed XOR engine cache, per row, the prefix of
-	// coefficient words whose columns are all assigned at level 0 (with the
-	// prefix's parity contribution), skipping them in every later scan.
-	// Results are bit-identical either way; this is purely a memory-
-	// bandwidth knob for long rows over mostly-fixed column spaces.
-	DirtyWindow bool
 }
 
 // Stats reports cumulative search statistics for a Solver.
@@ -137,13 +103,6 @@ type Stats struct {
 	GaussUnits   int64 // units derived by Gauss–Jordan preprocessing
 	Compactions  int64 // arena GC compactions (clause relocation passes)
 	ArenaBytes   int64 // current clause-arena footprint in bytes (gauge, not a counter)
-
-	VivifiedLits     int64 // literals removed by vivification + self-subsuming strengthening
-	SubsumedLearnts  int64 // learnt clauses deleted by subsumption
-	ProbedLits       int64 // literals probed at level 0
-	FailedLits       int64 // probes that failed (each yields a level-0 unit)
-	Rephases         int64 // polarity-source rotations
-	ChronoBacktracks int64 // backjumps converted to chronological backtracks
 }
 
 type lbool int8
@@ -226,14 +185,6 @@ type xorClause struct {
 	rhs  bool
 	w    [2]int // watched positions: columns (packed) or vars indices (scalar)
 	sel  cnf.Var
-
-	// Dirty window (packed engine, Config.DirtyWindow): the first skip
-	// words of bits cover only columns assigned at level 0, and skipPar is
-	// that prefix's parity contribution. Level-0 assignments are permanent
-	// for the solver's lifetime, so scans resume at word skip. Both fields
-	// stay zero when the knob is off.
-	skip    int32
-	skipPar bool
 }
 
 // Selector kinds recorded in Solver.isSelector.

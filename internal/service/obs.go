@@ -38,14 +38,6 @@ type SolverTotals struct {
 	Removed      int64 `json:"removed"`
 	Compactions  int64 `json:"compactions"`
 	ArenaBytes   int64 `json:"arena_bytes"`
-	// Inprocessing / CDCL-heuristic counters; zero unless the
-	// corresponding solver knobs are enabled.
-	VivifiedLits     int64 `json:"vivified_lits"`
-	SubsumedLearnts  int64 `json:"subsumed_learnts"`
-	ProbedLits       int64 `json:"probed_lits"`
-	FailedLits       int64 `json:"failed_lits"`
-	Rephases         int64 `json:"rephases"`
-	ChronoBacktracks int64 `json:"chrono_backtracks"`
 }
 
 // workTotals is the atomic backing of SolverTotals. add folds one
@@ -53,24 +45,18 @@ type SolverTotals struct {
 // so a torn read across fields only skews a scrape by an in-flight
 // request — acceptable for monitoring, race-free by construction.
 type workTotals struct {
-	requests         atomic.Int64
-	rounds           atomic.Int64
-	samples          atomic.Int64
-	failures         atomic.Int64
-	bsatCalls        atomic.Int64
-	conflicts        atomic.Int64
-	propagations     atomic.Int64
-	xorRows          atomic.Int64
-	learned          atomic.Int64
-	removed          atomic.Int64
-	compactions      atomic.Int64
-	arenaBytes       atomic.Int64 // max, not sum
-	vivifiedLits     atomic.Int64
-	subsumedLearnts  atomic.Int64
-	probedLits       atomic.Int64
-	failedLits       atomic.Int64
-	rephases         atomic.Int64
-	chronoBacktracks atomic.Int64
+	requests     atomic.Int64
+	rounds       atomic.Int64
+	samples      atomic.Int64
+	failures     atomic.Int64
+	bsatCalls    atomic.Int64
+	conflicts    atomic.Int64
+	propagations atomic.Int64
+	xorRows      atomic.Int64
+	learned      atomic.Int64
+	removed      atomic.Int64
+	compactions  atomic.Int64
+	arenaBytes   atomic.Int64 // max, not sum
 }
 
 func (w *workTotals) add(st core.Stats) {
@@ -85,12 +71,6 @@ func (w *workTotals) add(st core.Stats) {
 	w.learned.Add(st.Learned)
 	w.removed.Add(st.Removed)
 	w.compactions.Add(st.Compactions)
-	w.vivifiedLits.Add(st.VivifiedLits)
-	w.subsumedLearnts.Add(st.SubsumedLearnts)
-	w.probedLits.Add(st.ProbedLits)
-	w.failedLits.Add(st.FailedLits)
-	w.rephases.Add(st.Rephases)
-	w.chronoBacktracks.Add(st.ChronoBacktracks)
 	for {
 		cur := w.arenaBytes.Load()
 		if st.ArenaBytes <= cur || w.arenaBytes.CompareAndSwap(cur, st.ArenaBytes) {
@@ -101,24 +81,18 @@ func (w *workTotals) add(st core.Stats) {
 
 func (w *workTotals) snapshot() SolverTotals {
 	return SolverTotals{
-		Requests:         w.requests.Load(),
-		Rounds:           w.rounds.Load(),
-		Samples:          w.samples.Load(),
-		Failures:         w.failures.Load(),
-		BSATCalls:        w.bsatCalls.Load(),
-		Conflicts:        w.conflicts.Load(),
-		Propagations:     w.propagations.Load(),
-		XORRows:          w.xorRows.Load(),
-		Learned:          w.learned.Load(),
-		Removed:          w.removed.Load(),
-		Compactions:      w.compactions.Load(),
-		ArenaBytes:       w.arenaBytes.Load(),
-		VivifiedLits:     w.vivifiedLits.Load(),
-		SubsumedLearnts:  w.subsumedLearnts.Load(),
-		ProbedLits:       w.probedLits.Load(),
-		FailedLits:       w.failedLits.Load(),
-		Rephases:         w.rephases.Load(),
-		ChronoBacktracks: w.chronoBacktracks.Load(),
+		Requests:     w.requests.Load(),
+		Rounds:       w.rounds.Load(),
+		Samples:      w.samples.Load(),
+		Failures:     w.failures.Load(),
+		BSATCalls:    w.bsatCalls.Load(),
+		Conflicts:    w.conflicts.Load(),
+		Propagations: w.propagations.Load(),
+		XORRows:      w.xorRows.Load(),
+		Learned:      w.learned.Load(),
+		Removed:      w.removed.Load(),
+		Compactions:  w.compactions.Load(),
+		ArenaBytes:   w.arenaBytes.Load(),
 	}
 }
 
@@ -235,12 +209,6 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 		{"unigen_solver_learned_total", "Clauses learned.", func(t SolverTotals) int64 { return t.Learned }},
 		{"unigen_solver_removed_total", "Learned clauses reclaimed (reduceDB + session GC).", func(t SolverTotals) int64 { return t.Removed }},
 		{"unigen_solver_compactions_total", "Clause-arena GC compactions.", func(t SolverTotals) int64 { return t.Compactions }},
-		{"unigen_solver_vivified_literals_total", "Literals removed by vivification and learnt strengthening.", func(t SolverTotals) int64 { return t.VivifiedLits }},
-		{"unigen_solver_subsumed_learnts_total", "Learnt clauses deleted as subsumed.", func(t SolverTotals) int64 { return t.SubsumedLearnts }},
-		{"unigen_solver_probed_literals_total", "Level-0 failed-literal probes attempted.", func(t SolverTotals) int64 { return t.ProbedLits }},
-		{"unigen_solver_failed_literals_total", "Failed-literal probes that yielded level-0 units.", func(t SolverTotals) int64 { return t.FailedLits }},
-		{"unigen_solver_rephases_total", "Decision-polarity source rotations.", func(t SolverTotals) int64 { return t.Rephases }},
-		{"unigen_solver_chrono_backtracks_total", "Backjumps converted to chronological backtracks.", func(t SolverTotals) int64 { return t.ChronoBacktracks }},
 		{"unigen_sampling_rounds_total", "Sampling rounds consumed (successes + bot outcomes).", func(t SolverTotals) int64 { return t.Rounds }},
 	} {
 		pick := p.pick

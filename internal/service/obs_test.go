@@ -130,6 +130,39 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := mustValue(t, fams, "unigen_solver_xor_rows_total", "unigen_solver_xor_rows_total", "phase", "sample"); got <= 0 {
 		t.Fatalf("sample-phase xor rows = %v, want > 0", got)
 	}
+	// The solver-work family set is exact: every kept family is present
+	// for both phases, and the retired inprocessing/CDCL-heuristic
+	// families (always zero while their knobs existed) stay gone.
+	for _, fam := range []struct {
+		name    string
+		present bool
+	}{
+		{"unigen_solver_bsat_calls_total", true},
+		{"unigen_solver_conflicts_total", true},
+		{"unigen_solver_propagations_total", true},
+		{"unigen_solver_xor_rows_total", true},
+		{"unigen_solver_learned_total", true},
+		{"unigen_solver_removed_total", true},
+		{"unigen_solver_compactions_total", true},
+		{"unigen_solver_arena_bytes", true},
+		{"unigen_sampling_rounds_total", true},
+		{"unigen_solver_vivified_literals_total", false},
+		{"unigen_solver_subsumed_learnts_total", false},
+		{"unigen_solver_probed_literals_total", false},
+		{"unigen_solver_failed_literals_total", false},
+		{"unigen_solver_rephases_total", false},
+		{"unigen_solver_chrono_backtracks_total", false},
+	} {
+		if !fam.present {
+			if obs.Find(fams, fam.name) != nil {
+				t.Errorf("retired family %s still exported", fam.name)
+			}
+			continue
+		}
+		for _, phase := range []string{"sample", "prepare"} {
+			mustValue(t, fams, fam.name, fam.name, "phase", phase)
+		}
+	}
 
 	// Admission (gate off in this config: all zeros, but present).
 	mustValue(t, fams, "unigen_admission_shed_total", "unigen_admission_shed_total", "reason", "queue_full")

@@ -72,7 +72,7 @@ func FuzzDecodeSetup(f *testing.F) {
 	flipped := bytes.Clone(hashing)
 	flipped[len(flipped)/2] ^= 0x20
 	f.Add(flipped)
-	f.Add([]byte("UGSU\x02\x00\xff\xff\xff\xffgarbage"))
+	f.Add([]byte("UGSU\x03\x00\xff\xff\xff\xffgarbage"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -91,11 +91,12 @@ func FuzzDecodeSetup(f *testing.F) {
 	})
 }
 
-// TestStoreQuarantinesVersion1Setup: an entry written by a release that
-// predates the persisted hash set (setup codec version 1) fails frame
-// verification, so the store reports a miss — the service then
-// prepares cold — and quarantines the file instead of retrying it.
-func TestStoreQuarantinesVersion1Setup(t *testing.T) {
+// TestStoreQuarantinesOlderVersions: an entry written by a release
+// with an older setup codec — version 1 predates the persisted hash
+// set, version 2 persisted 17 base-stats counters — fails frame
+// verification, so the store reports a miss (the service then prepares
+// cold) and quarantines the file instead of retrying it.
+func TestStoreQuarantinesOlderVersions(t *testing.T) {
 	g := cnf.New(12)
 	g.AddClause(11, 12)
 	su, err := core.NewSetup(g, randx.New(core.PrepSeed(g, nil)), core.Options{Epsilon: 6, ApproxMCRounds: 5})
@@ -106,28 +107,31 @@ func TestStoreQuarantinesVersion1Setup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint16(blob[4:], 1)
-	body := len(blob) - 4
-	binary.LittleEndian.PutUint32(blob[body:], crc32.Checksum(blob[:body], crc32.MakeTable(crc32.Castagnoli)))
-	if err := core.VerifySetupFrame(blob); !errors.Is(err, core.ErrCodec) {
-		t.Fatalf("version-1 frame: %v, want ErrCodec", err)
-	}
+	for _, v := range []uint16{1, 2} {
+		old := bytes.Clone(blob)
+		binary.LittleEndian.PutUint16(old[4:], v)
+		body := len(old) - 4
+		binary.LittleEndian.PutUint32(old[body:], crc32.Checksum(old[:body], crc32.MakeTable(crc32.Castagnoli)))
+		if err := core.VerifySetupFrame(old); !errors.Is(err, core.ErrCodec) {
+			t.Fatalf("version-%d frame: %v, want ErrCodec", v, err)
+		}
 
-	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, Verify: core.VerifySetupFrame})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(st.Close)
-	st.Put("k1", blob)
-	st.Flush()
-	if _, ok := st.Get("k1"); ok {
-		t.Fatal("version-1 entry served as a hit")
-	}
-	if s := st.Stats(); s.CorruptEntries != 1 || s.Misses != 1 || s.Entries != 0 {
-		t.Fatalf("stats %+v", s)
-	}
-	if _, err := os.Stat(filepath.Join(dir, entryName("k1")) + corruptSuffix); err != nil {
-		t.Fatalf("quarantine file missing: %v", err)
+		dir := t.TempDir()
+		st, err := Open(Options{Dir: dir, Verify: core.VerifySetupFrame})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(st.Close)
+		st.Put("k1", old)
+		st.Flush()
+		if _, ok := st.Get("k1"); ok {
+			t.Fatalf("version-%d entry served as a hit", v)
+		}
+		if s := st.Stats(); s.CorruptEntries != 1 || s.Misses != 1 || s.Entries != 0 {
+			t.Fatalf("version %d: stats %+v", v, s)
+		}
+		if _, err := os.Stat(filepath.Join(dir, entryName("k1")) + corruptSuffix); err != nil {
+			t.Fatalf("version %d: quarantine file missing: %v", v, err)
+		}
 	}
 }

@@ -95,9 +95,9 @@ type Store struct {
 	verify   func([]byte) error
 	logger   *slog.Logger
 
-	mu    sync.Mutex       // guards index, bytes, and counters
-	index map[string]int64 // live entry filename → size
-	bytes int64
+	mu                                                    sync.Mutex       // guards index, bytes, and counters
+	index                                                 map[string]int64 // live entry filename → size
+	bytes                                                 int64
 	hits, misses, writes, writeErrors, evictions, corrupt int64
 
 	qmu    sync.RWMutex // Put/Flush hold R, Close holds W to close the queue

@@ -141,23 +141,6 @@ type Options struct {
 	// 0 keeps the legacy single-threaded engine with one continuous
 	// RNG stream.
 	Workers int
-	// InprocessEvery > 0 runs an inprocessing pass (failed-literal
-	// probing, clause vivification, learnt subsumption) every that many
-	// solver-session calls, at cell boundaries where no removable XOR
-	// constraints are live. 0 disables inprocessing; the sample stream
-	// is then bit-identical to earlier releases.
-	InprocessEvery int
-	// RephaseEvery > 0 rotates the decision-polarity source
-	// (target/saved/inverted/original phases) every that many restarts.
-	// 0 keeps pure phase saving.
-	RephaseEvery int
-	// ChronoBacktrack > 0 backtracks chronologically (one level) instead
-	// of jumping when the computed backjump would skip more than that
-	// many levels. 0 always backjumps.
-	ChronoBacktrack int
-	// DirtyWindow makes packed XOR propagation skip the fully-assigned
-	// level-0 prefix of long rows. Results are bit-identical either way.
-	DirtyWindow bool
 }
 
 // solverConfig maps the option knobs onto the internal solver config.
@@ -167,10 +150,6 @@ func (o Options) solverConfig() sat.Config {
 		MaxPropagations: o.MaxPropagations,
 		GaussJordan:     o.GaussJordan,
 		Seed:            o.Seed,
-		InprocessEvery:  o.InprocessEvery,
-		RephaseEvery:    o.RephaseEvery,
-		ChronoBacktrack: o.ChronoBacktrack,
-		DirtyWindow:     o.DirtyWindow,
 	}
 }
 
@@ -297,28 +276,20 @@ func (s *Sampler) HashSet() []Var {
 
 // Stats reports observable sampler behaviour.
 type Stats struct {
-	Samples      int64 // successful samples
-	Failures     int64 // ⊥ rounds
-	Rounds       int64 // sampling rounds attempted (Samples + Failures)
-	BSATCalls    int64 // bounded-enumeration solver calls issued
-	XORRows      int64 // hash XOR rows issued
-	Conflicts    int64 // solver conflicts across the sampling BSAT calls
-	Propagations int64 // solver propagations across the sampling BSAT calls
-	Learned      int64 // clauses learned across the sampling BSAT calls
-	Removed      int64 // learned clauses reclaimed (reduceDB + session GC)
-	Compactions  int64 // clause-arena GC compactions across the run's sessions
-	ArenaBytes   int64 // largest clause-arena footprint any session reported
-	// Inprocessing / CDCL-heuristic counters; all zero unless the
-	// corresponding Options knobs are enabled.
-	VivifiedLits     int64   // literals removed by vivification + strengthening
-	SubsumedLearnts  int64   // learnt clauses deleted as subsumed
-	ProbedLits       int64   // level-0 literals probed
-	FailedLits       int64   // probes that failed (units learned)
-	Rephases         int64   // decision-polarity rotations
-	ChronoBacktracks int64   // backjumps converted to chronological backtracks
-	SuccProb         float64 // Samples / (Samples+Failures)
-	AvgXORLen        float64 // mean XOR-clause length issued for hashing
-	EasyCase         bool    // formula had few enough witnesses to enumerate
+	Samples      int64   // successful samples
+	Failures     int64   // ⊥ rounds
+	Rounds       int64   // sampling rounds attempted (Samples + Failures)
+	BSATCalls    int64   // bounded-enumeration solver calls issued
+	XORRows      int64   // hash XOR rows issued
+	Conflicts    int64   // solver conflicts across the sampling BSAT calls
+	Propagations int64   // solver propagations across the sampling BSAT calls
+	Learned      int64   // clauses learned across the sampling BSAT calls
+	Removed      int64   // learned clauses reclaimed (reduceDB + session GC)
+	Compactions  int64   // clause-arena GC compactions across the run's sessions
+	ArenaBytes   int64   // largest clause-arena footprint any session reported
+	SuccProb     float64 // Samples / (Samples+Failures)
+	AvgXORLen    float64 // mean XOR-clause length issued for hashing
+	EasyCase     bool    // formula had few enough witnesses to enumerate
 }
 
 // Stats returns a snapshot. With Workers > 1 it is the merged view
@@ -331,26 +302,20 @@ func (s *Sampler) Stats() Stats {
 		st = s.inner.Stats()
 	}
 	return Stats{
-		Samples:          st.Samples,
-		Failures:         st.Failures,
-		Rounds:           st.Rounds(),
-		BSATCalls:        st.BSATCalls,
-		XORRows:          st.XORRows,
-		Conflicts:        st.Conflicts,
-		Propagations:     st.Propagations,
-		Learned:          st.Learned,
-		Removed:          st.Removed,
-		Compactions:      st.Compactions,
-		ArenaBytes:       st.ArenaBytes,
-		VivifiedLits:     st.VivifiedLits,
-		SubsumedLearnts:  st.SubsumedLearnts,
-		ProbedLits:       st.ProbedLits,
-		FailedLits:       st.FailedLits,
-		Rephases:         st.Rephases,
-		ChronoBacktracks: st.ChronoBacktracks,
-		SuccProb:         st.SuccessProb(),
-		AvgXORLen:        st.AvgXORLen(),
-		EasyCase:         st.EasyCase,
+		Samples:      st.Samples,
+		Failures:     st.Failures,
+		Rounds:       st.Rounds(),
+		BSATCalls:    st.BSATCalls,
+		XORRows:      st.XORRows,
+		Conflicts:    st.Conflicts,
+		Propagations: st.Propagations,
+		Learned:      st.Learned,
+		Removed:      st.Removed,
+		Compactions:  st.Compactions,
+		ArenaBytes:   st.ArenaBytes,
+		SuccProb:     st.SuccessProb(),
+		AvgXORLen:    st.AvgXORLen(),
+		EasyCase:     st.EasyCase,
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"unigen/internal/hashfam"
 	"unigen/internal/randx"
 	"unigen/internal/sat"
+	"unigen/internal/tally"
 )
 
 func BenchmarkClauseArena(b *testing.B) {
@@ -93,6 +94,6 @@ func BenchmarkClauseArena(b *testing.B) {
 		}
 		b.StopTimer()
 		st := s.Stats()
-		b.ReportMetric(float64(st.Learned)/float64(b.N), "learnts/op")
+		b.ReportMetric(float64(st[tally.Learned])/float64(b.N), "learnts/op")
 	})
 }

@@ -53,7 +53,7 @@ func BenchmarkParallelSampling(b *testing.B) {
 			b.StopTimer()
 			st := eng.Stats()
 			b.ReportMetric(st.SuccessProb(), "succ-prob")
-			b.ReportMetric(float64(st.BSATCalls)/float64(b.N), "bsat-calls/sample")
+			b.ReportMetric(float64(st.BSATCalls())/float64(b.N), "bsat-calls/sample")
 		})
 	}
 }

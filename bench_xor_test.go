@@ -27,6 +27,7 @@ import (
 	"unigen/internal/cnf"
 	"unigen/internal/hashfam"
 	"unigen/internal/randx"
+	"unigen/internal/tally"
 )
 
 func BenchmarkXORPacked(b *testing.B) {
@@ -81,7 +82,7 @@ func BenchmarkXORPacked(b *testing.B) {
 					if res.BudgetExceeded {
 						b.Fatal("budget exceeded")
 					}
-					props += res.Stats.Propagations
+					props += res.Stats[tally.Propagations]
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(props)/float64(b.N), "props/call")

@@ -70,7 +70,7 @@ func TestUniWitHashingPathProducesValidWitnesses(t *testing.T) {
 		t.Fatal("no successful samples")
 	}
 	st := u.Stats()
-	if st.XORRows == 0 {
+	if st.XORRows() == 0 {
 		t.Fatal("hashing path issued no XOR rows")
 	}
 	// Full-support XORs: average length ≈ |X|/2 = 3.5.

@@ -11,9 +11,11 @@ import (
 
 	"unigen/internal/bsat"
 	"unigen/internal/cnf"
+	"unigen/internal/core"
 	"unigen/internal/hashfam"
 	"unigen/internal/randx"
 	"unigen/internal/sat"
+	"unigen/internal/tally"
 )
 
 // ErrFailed is returned when a baseline generator reports failure (⊥)
@@ -28,32 +30,6 @@ type UniWitOptions struct {
 	Pivot int
 	// Solver configures BSAT calls.
 	Solver sat.Config
-}
-
-// UniWitStats mirrors core.Stats for the baseline columns of Tables 1–2.
-type UniWitStats struct {
-	Samples   int64
-	Failures  int64
-	BSATCalls int64
-	XORRows   int64
-	XORLenSum int64 // total variables across xor rows (exact popcount total)
-}
-
-// AvgXORLen returns the mean XOR-clause length issued by UniWit.
-func (st UniWitStats) AvgXORLen() float64 {
-	if st.XORRows == 0 {
-		return 0
-	}
-	return float64(st.XORLenSum) / float64(st.XORRows)
-}
-
-// SuccessProb returns the observed success probability.
-func (st UniWitStats) SuccessProb() float64 {
-	tot := st.Samples + st.Failures
-	if tot == 0 {
-		return 0
-	}
-	return float64(st.Samples) / float64(tot)
 }
 
 // UniWit is a reimplementation of the CAV 2013 near-uniform generator,
@@ -75,7 +51,7 @@ func (st UniWitStats) SuccessProb() float64 {
 type UniWit struct {
 	f     *cnf.Formula
 	opts  UniWitOptions
-	stats UniWitStats
+	stats core.Stats
 }
 
 // NewUniWit builds the baseline sampler. Unlike UniGen there is no
@@ -87,8 +63,9 @@ func NewUniWit(f *cnf.Formula, opts UniWitOptions) *UniWit {
 	return &UniWit{f: f, opts: opts}
 }
 
-// Stats returns a snapshot of the counters.
-func (u *UniWit) Stats() UniWitStats { return u.stats }
+// Stats returns a snapshot of the counters: the Samples, Failures,
+// BSATCalls, XORRows and XORLenSum rows of the UniGen columns.
+func (u *UniWit) Stats() core.Stats { return u.stats }
 
 // Sample draws one witness or fails with ErrFailed.
 func (u *UniWit) Sample(rng *randx.RNG) (cnf.Assignment, error) {
@@ -99,7 +76,7 @@ func (u *UniWit) Sample(rng *randx.RNG) (cnf.Assignment, error) {
 	}
 	// Base case: few enough witnesses to enumerate outright.
 	res := bsat.Enumerate(u.f, pivot+1, bsat.Options{SamplingSet: fullSupport, Solver: u.opts.Solver})
-	u.stats.BSATCalls++
+	u.stats[tally.BSATCalls]++
 	if res.BudgetExceeded {
 		return nil, fmt.Errorf("uniwit: %w", errBudget)
 	}
@@ -107,21 +84,21 @@ func (u *UniWit) Sample(rng *randx.RNG) (cnf.Assignment, error) {
 		if len(res.Witnesses) == 0 {
 			return nil, errors.New("uniwit: formula is unsatisfiable")
 		}
-		u.stats.Samples++
+		u.stats[tally.Samples]++
 		return res.Witnesses[rng.Intn(len(res.Witnesses))], nil
 	}
 	// Sequential search over the number of XOR constraints, afresh for
 	// every sample.
 	for i := 1; i < len(fullSupport); i++ {
 		h := hashfam.Draw(rng, fullSupport, i)
-		u.stats.XORRows += int64(h.M())
-		u.stats.XORLenSum += int64(h.TotalLen())
+		u.stats[tally.XORRows] += int64(h.M())
+		u.stats[tally.XORLenSum] += int64(h.TotalLen())
 		res := bsat.Enumerate(u.f, pivot+1, bsat.Options{
 			SamplingSet: fullSupport,
 			Hash:        h,
 			Solver:      u.opts.Solver,
 		})
-		u.stats.BSATCalls++
+		u.stats[tally.BSATCalls]++
 		if res.BudgetExceeded {
 			return nil, fmt.Errorf("uniwit: %w", errBudget)
 		}
@@ -130,18 +107,18 @@ func (u *UniWit) Sample(rng *randx.RNG) (cnf.Assignment, error) {
 			// Accept with probability |Y|/pivot: the rejection step that
 			// buys the near-uniform lower bound.
 			if rng.Float64() < float64(n)/float64(pivot) {
-				u.stats.Samples++
+				u.stats[tally.Samples]++
 				return res.Witnesses[rng.Intn(n)], nil
 			}
-			u.stats.Failures++
+			u.stats[tally.Failures]++
 			return nil, ErrFailed
 		}
 		if n == 0 {
-			u.stats.Failures++
+			u.stats[tally.Failures]++
 			return nil, ErrFailed
 		}
 	}
-	u.stats.Failures++
+	u.stats[tally.Failures]++
 	return nil, ErrFailed
 }
 

@@ -8,6 +8,7 @@ import (
 	"unigen/internal/hashfam"
 	"unigen/internal/randx"
 	"unigen/internal/sat"
+	"unigen/internal/tally"
 )
 
 // TestSessionWitnessesStableAcrossCompaction is the session-level
@@ -71,10 +72,10 @@ func TestSessionArenaStatsExposed(t *testing.T) {
 			h = hashfam.Draw(rng, sess.SamplingSet(), 1+rng.Intn(2))
 		}
 		res := sess.Enumerate(8, h)
-		if res.Stats.ArenaBytes > 0 {
+		if res.Stats[tally.ArenaBytes] > 0 {
 			sawArena = true
 		}
-		if res.Stats.ArenaBytes < 0 || res.Stats.Compactions < 0 {
+		if res.Stats[tally.ArenaBytes] < 0 || res.Stats[tally.Compactions] < 0 {
 			t.Fatalf("negative gauge/counter in per-call delta: %+v", res.Stats)
 		}
 	}
@@ -98,7 +99,7 @@ func TestSessionStatsIncludeRetireGC(t *testing.T) {
 	// The second call releases 8 six-literal blocking clauses — nearly
 	// the whole arena — so its boundary GC must compact.
 	res = sess.Enumerate(8, nil)
-	if res.Stats.Compactions == 0 {
+	if res.Stats[tally.Compactions] == 0 {
 		t.Fatalf("second call's delta shows no compaction despite releasing the previous cell: %+v", res.Stats)
 	}
 }

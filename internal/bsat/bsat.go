@@ -28,6 +28,7 @@ import (
 	"unigen/internal/faultpoint"
 	"unigen/internal/hashfam"
 	"unigen/internal/sat"
+	"unigen/internal/tally"
 )
 
 // Result is the outcome of a bounded enumeration call.
@@ -45,7 +46,7 @@ type Result struct {
 	BudgetExceeded bool
 	// Stats aggregates solver statistics for the call. For Session
 	// enumerations this is the per-call delta, not the cumulative total.
-	Stats sat.Stats
+	Stats tally.Vec
 }
 
 // Options configures enumeration.
@@ -274,7 +275,7 @@ func (se *Session) Enumerate(n int, h *hashfam.Hash) Result {
 		se.selCount += len(sels)
 		se.retired = sels
 		se.assumps = acts
-		res.Stats = statsDelta(se.s.Stats(), before)
+		res.Stats = se.s.Stats().Sub(before)
 		return res
 	}
 	var blockSel *sat.Selector // one selector guards every blocking clause of this cell
@@ -307,7 +308,7 @@ loop:
 	se.selCount += len(sels)
 	se.retired = sels
 	se.assumps = acts
-	res.Stats = statsDelta(se.s.Stats(), before)
+	res.Stats = se.s.Stats().Sub(before)
 	return res
 }
 
@@ -315,21 +316,6 @@ loop:
 func (se *Session) Count(n int, h *hashfam.Hash) (int, Result) {
 	res := se.Enumerate(n, h)
 	return len(res.Witnesses), res
-}
-
-func statsDelta(after, before sat.Stats) sat.Stats {
-	return sat.Stats{
-		Decisions:    after.Decisions - before.Decisions,
-		Propagations: after.Propagations - before.Propagations,
-		Conflicts:    after.Conflicts - before.Conflicts,
-		Restarts:     after.Restarts - before.Restarts,
-		Learned:      after.Learned - before.Learned,
-		RemovedDB:    after.RemovedDB - before.RemovedDB,
-		XORProps:     after.XORProps - before.XORProps,
-		GaussUnits:   after.GaussUnits - before.GaussUnits,
-		Compactions:  after.Compactions - before.Compactions,
-		ArenaBytes:   after.ArenaBytes, // gauge: report the current footprint, not a delta
-	}
 }
 
 // Enumerate returns up to n witnesses of f (conjoined with opts.Hash if

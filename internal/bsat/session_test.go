@@ -8,6 +8,7 @@ import (
 	"unigen/internal/hashfam"
 	"unigen/internal/randx"
 	"unigen/internal/sat"
+	"unigen/internal/tally"
 )
 
 // randomFormula builds a random 3-CNF (optionally with an XOR clause or
@@ -225,10 +226,10 @@ func TestSessionStatsDelta(t *testing.T) {
 	sess := NewSession(f, Options{})
 	r1 := sess.Enumerate(1<<7, nil)
 	r2 := sess.Enumerate(1<<7, nil)
-	if r1.Stats.Decisions == 0 {
+	if r1.Stats[tally.Decisions] == 0 {
 		t.Fatal("first call reported zero decisions")
 	}
-	if r2.Stats.Decisions < 0 || r2.Stats.Propagations < 0 {
+	if r2.Stats[tally.Decisions] < 0 || r2.Stats[tally.Propagations] < 0 {
 		t.Fatal("negative per-call stats delta")
 	}
 }

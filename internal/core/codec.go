@@ -9,6 +9,7 @@ import (
 	"math/big"
 
 	"unigen/internal/cnf"
+	"unigen/internal/tally"
 )
 
 // Setup codec: the versioned, checksummed binary encoding behind the
@@ -48,8 +49,8 @@ import (
 //	    sortWitnesses order, which SampleRound's index pick depends on)
 //	u32 q
 //	u8 estTag (0|1) + if 1: u32 len + big-endian magnitude (big.Int.Bytes)
-//	base stats: 11 × u64 (two's-complement int64, declaration order),
-//	    u32 SetupRounds, u8 EasyCase, u32 Q
+//	base stats: the statsBlock counters in order — 11 × u64
+//	    (two's-complement int64), u32 SetupRounds, u8 EasyCase, u32 Q
 //
 // Decode validates structure, never panics on arbitrary input, and
 // bounds every allocation by the bytes actually present. Semantic
@@ -57,8 +58,9 @@ import (
 // fingerprint must match the decoded formula, κ/pivot must equal
 // ComputeKappaPivot(epsilon) exactly (both sides run the same
 // deterministic bisection), the hash set must be an ordered subset of
-// the sampling set, easy-case and estimate presence must agree, and q
-// must lie in its clamped range. Decode never recomputes the hash set:
+// the sampling set, easy-case and estimate presence must agree, q
+// must lie in its clamped range, and the stats' EasyCase and Q must
+// equal the setup's. Decode never recomputes the hash set:
 // the persisted one is what the setup sampled with.
 
 const (
@@ -146,12 +148,11 @@ func (su *Setup) Encode() ([]byte, error) {
 		payload = append(payload, eb...)
 	}
 
-	for _, c := range statsCounters(&su.base) {
-		payload = le.AppendUint64(payload, uint64(*c))
+	for _, c := range statsBlock {
+		// Little-endian: a field's width bytes are the value's low bytes.
+		n := len(payload) + c.width
+		payload = le.AppendUint64(payload, uint64(su.base[c.id]))[:n]
 	}
-	payload = le.AppendUint32(payload, uint32(su.base.SetupRounds))
-	payload = appendBool(payload, su.base.EasyCase)
-	payload = le.AppendUint32(payload, uint32(su.base.Q))
 
 	out := make([]byte, 0, setupHdrLen+len(payload)+4)
 	out = append(out, setupMagic...)
@@ -180,16 +181,19 @@ func appendBool(dst []byte, b bool) []byte {
 	return append(dst, 0)
 }
 
-// statsCounters lists the int64 counters of Stats in their fixed codec
-// order. Encode and decode both go through it, so the two cannot skew;
-// adding a Stats field means extending this list and bumping
-// setupVersion.
-func statsCounters(st *Stats) []*int64 {
-	return []*int64{
-		&st.Samples, &st.Failures, &st.BSATCalls, &st.XORRows, &st.XORLenSum,
-		&st.Conflicts, &st.Propagations, &st.Learned, &st.Removed, &st.Compactions,
-		&st.ArenaBytes,
-	}
+// statsBlock is the frame's base-stats block: the persisted counters in
+// codec order, each with its little-endian width in bytes (8: int64,
+// 4: u32, 1: a 0|1 flag). Encode and decode both walk it, so the two
+// cannot skew; changing it means bumping setupVersion. Counters outside
+// it (Decisions) are not persisted and decode as zero.
+var statsBlock = [...]struct {
+	id    tally.ID
+	width int
+}{
+	{tally.Samples, 8}, {tally.Failures, 8}, {tally.BSATCalls, 8}, {tally.XORRows, 8},
+	{tally.XORLenSum, 8}, {tally.Conflicts, 8}, {tally.Propagations, 8}, {tally.Learned, 8},
+	{tally.Removed, 8}, {tally.Compactions, 8}, {tally.ArenaBytes, 8},
+	{tally.SetupRounds, 4}, {tally.EasyCase, 1}, {tally.Q, 4},
 }
 
 // VerifySetupFrame checks the frame envelope — magic, version, exact
@@ -463,28 +467,20 @@ func DecodeSetup(data []byte, opts Options) (*Setup, error) {
 	}
 
 	var base Stats
-	for _, c := range statsCounters(&base) {
-		v, err := r.u64()
+	for _, c := range statsBlock {
+		b, err := r.take(c.width)
 		if err != nil {
 			return nil, err
 		}
-		*c = int64(v)
+		var v [8]byte
+		copy(v[:], b)
+		base[c.id] = int64(binary.LittleEndian.Uint64(v[:]))
 	}
-	sr, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	base.SetupRounds = int(sr)
-	if base.EasyCase, err = r.bool(); err != nil {
-		return nil, err
-	}
-	bq, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	base.Q = int(bq)
-	if base.EasyCase != easySet {
+	if base[tally.EasyCase] > 1 || base.EasyCase() != easySet {
 		return nil, fmt.Errorf("%w: stats easy-case flag disagrees with setup", ErrCodec)
+	}
+	if base.Q() != q {
+		return nil, fmt.Errorf("%w: stats q=%d disagrees with setup q=%d", ErrCodec, base.Q(), q)
 	}
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCodec, r.remaining())

@@ -94,8 +94,13 @@ func TestSetupCodecRoundTripHashing(t *testing.T) {
 	if su.est == nil || got.est == nil || su.est.Cmp(got.est) != 0 {
 		t.Fatalf("estimate %v → %v", su.est, got.est)
 	}
-	if got.base != su.base {
-		t.Fatalf("base stats %+v → %+v", su.base, got.base)
+	// Every persisted counter survives; the rest (Decisions) decode as 0.
+	var persisted Stats
+	for _, c := range statsBlock {
+		persisted[c.id] = su.base[c.id]
+	}
+	if got.base != persisted {
+		t.Fatalf("base stats %+v → %+v, want %+v", su.base, got.base, persisted)
 	}
 	if got.kp != su.kp {
 		t.Fatalf("kappa/pivot %+v → %+v", su.kp, got.kp)
@@ -303,6 +308,31 @@ func TestSetupCodecRejectsBadHashSet(t *testing.T) {
 		patchCRC(mut, len(mut)-4)
 		if _, err := DecodeSetup(mut, Options{}); !errors.Is(err, ErrCodec) {
 			t.Fatalf("%s hash set: %v, want ErrCodec", name, err)
+		}
+	}
+}
+
+// TestSetupCodecRejectsStatsMismatch: the base-stats block repeats the
+// setup's easy-case flag and q, which NewSetup and SetupWith write from
+// one value; decode rejects a frame whose two copies disagree, even
+// under a valid CRC.
+func TestSetupCodecRejectsStatsMismatch(t *testing.T) {
+	su := buildSetup(t, hashingFormula())
+	blob := encode(t, su)
+	qOff := len(blob) - 4 - 4 // stats Q: the payload's last u32
+	easyOff := qOff - 1       // stats EasyCase flag, just before it
+	if got := binary.LittleEndian.Uint32(blob[qOff:]); int(got) != su.q || blob[easyOff] != 0 {
+		t.Fatalf("stats tail q=%d easy=%d, want q=%d easy=0", got, blob[easyOff], su.q)
+	}
+	for name, patch := range map[string]func(b []byte){
+		"q":         func(b []byte) { binary.LittleEndian.PutUint32(b[qOff:], uint32(su.q-1)) },
+		"easy case": func(b []byte) { b[easyOff] = 1 },
+	} {
+		mut := bytes.Clone(blob)
+		patch(mut)
+		patchCRC(mut, len(mut)-4)
+		if _, err := DecodeSetup(mut, Options{}); !errors.Is(err, ErrCodec) {
+			t.Fatalf("stats %s disagreeing with the setup: %v, want ErrCodec", name, err)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"unigen/internal/cnf"
 	"unigen/internal/counter"
 	"unigen/internal/randx"
+	"unigen/internal/tally"
 )
 
 // This file implements the conditioned-counting story behind delta
@@ -118,13 +119,13 @@ func (su *Setup) SetupWith(sess *bsat.Session, conj *cnf.Formula, rng *randx.RNG
 	if res.BudgetExceeded {
 		return nil, fmt.Errorf("%w (conditioned easy-case enumeration)", ErrBudget)
 	}
-	cond.base.BSATCalls++
-	cond.base.addSolverStats(res.Stats)
+	cond.base[tally.BSATCalls]++
+	cond.base = cond.base.Merge(Stats(res.Stats))
 	if len(res.Witnesses) <= su.kp.HiThresh {
 		cond.easy = res.Witnesses
 		sortWitnesses(cond.easy, cond.h)
 		cond.easySet = true
-		cond.base.EasyCase = true
+		cond.base[tally.EasyCase] = 1
 		return cond, nil
 	}
 
@@ -142,7 +143,7 @@ func (su *Setup) SetupWith(sess *bsat.Session, conj *cnf.Formula, rng *randx.RNG
 		return nil, fmt.Errorf("unigen: conditioned ApproxMC: %w", err)
 	}
 	cond.est = amc.Count
-	cond.base.SetupRounds = amc.Rounds
+	cond.base[tally.SetupRounds] = int64(amc.Rounds)
 
 	// Line 10, conditioned: q′ ← ⌈log₂ C′ + log₂ 1.8 − log₂ pivot⌉.
 	logC := bigLog2(amc.Count)
@@ -154,7 +155,7 @@ func (su *Setup) SetupWith(sess *bsat.Session, conj *cnf.Formula, rng *randx.RNG
 		q = len(cond.h)
 	}
 	cond.q = q
-	cond.base.Q = q
+	cond.base[tally.Q] = int64(q)
 	return cond, nil
 }
 

@@ -56,8 +56,8 @@ func TestHashSetDropsDefinedVariables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st.XORRows == 0 || st.XORLenSum > 10*st.XORRows {
-		t.Fatalf("%d rows with %d variables: rows are not over the 10-variable hash set", st.XORRows, st.XORLenSum)
+	if st.XORRows() == 0 || st.XORLenSum() > 10*st.XORRows() {
+		t.Fatalf("%d rows with %d variables: rows are not over the 10-variable hash set", st.XORRows(), st.XORLenSum())
 	}
 }
 

@@ -5,23 +5,26 @@ import (
 	"testing"
 
 	"unigen/internal/randx"
+	"unigen/internal/tally"
 )
 
 func TestStatsMerge(t *testing.T) {
-	setup := Stats{BSATCalls: 1, SetupRounds: 15, Q: 7}
-	w1 := Stats{Samples: 3, Failures: 1, BSATCalls: 14, XORRows: 80, XORLenSum: 400, Propagations: 1000,
-		Learned: 50, Removed: 10, Compactions: 2, ArenaBytes: 4096}
-	w2 := Stats{Samples: 2, Failures: 2, BSATCalls: 12, XORRows: 64, XORLenSum: 320, Propagations: 500,
-		Learned: 30, Removed: 5, Compactions: 1, ArenaBytes: 8192}
+	setup := Stats{tally.BSATCalls: 1, tally.SetupRounds: 15, tally.Q: 7}
+	w1 := Stats{tally.Samples: 3, tally.Failures: 1, tally.BSATCalls: 14, tally.XORRows: 80,
+		tally.XORLenSum: 400, tally.Propagations: 1000,
+		tally.Learned: 50, tally.Removed: 10, tally.Compactions: 2, tally.ArenaBytes: 4096}
+	w2 := Stats{tally.Samples: 2, tally.Failures: 2, tally.BSATCalls: 12, tally.XORRows: 64,
+		tally.XORLenSum: 320, tally.Propagations: 500,
+		tally.Learned: 30, tally.Removed: 5, tally.Compactions: 1, tally.ArenaBytes: 8192}
 
 	got := setup.Merge(w1).Merge(w2)
 	want := Stats{
-		Samples: 5, Failures: 3, BSATCalls: 27,
-		XORRows: 144, XORLenSum: 720, Propagations: 1500,
+		tally.Samples: 5, tally.Failures: 3, tally.BSATCalls: 27,
+		tally.XORRows: 144, tally.XORLenSum: 720, tally.Propagations: 1500,
 		// Counters add; the ArenaBytes gauge takes the max across
 		// contributing sessions.
-		Learned: 80, Removed: 15, Compactions: 3, ArenaBytes: 8192,
-		SetupRounds: 15, Q: 7,
+		tally.Learned: 80, tally.Removed: 15, tally.Compactions: 3, tally.ArenaBytes: 8192,
+		tally.SetupRounds: 15, tally.Q: 7,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("merged = %+v, want %+v", got, want)
@@ -30,7 +33,7 @@ func TestStatsMerge(t *testing.T) {
 		t.Fatalf("derived columns: avg=%v succ=%v rounds=%v", got.AvgXORLen(), got.SuccessProb(), got.Rounds())
 	}
 	// Merge must not mutate its operands (value semantics).
-	if setup.Samples != 0 || w1.Samples != 3 {
+	if setup.Samples() != 0 || w1.Samples() != 3 {
 		t.Fatal("Merge mutated an operand")
 	}
 	// Every counter is an integer, so Merge is order-insensitive — the
@@ -42,12 +45,12 @@ func TestStatsMerge(t *testing.T) {
 }
 
 func TestStatsMergeEasyCaseAndQ(t *testing.T) {
-	a := Stats{EasyCase: true, Q: 3}
-	b := Stats{Q: 9}
-	if m := a.Merge(b); !m.EasyCase || m.Q != 9 {
+	a := Stats{tally.EasyCase: 1, tally.Q: 3}
+	b := Stats{tally.Q: 9}
+	if m := a.Merge(b); !m.EasyCase() || m.Q() != 9 {
 		t.Fatalf("merged = %+v", m)
 	}
-	if m := b.Merge(a); !m.EasyCase || m.Q != 9 {
+	if m := b.Merge(a); !m.EasyCase() || m.Q() != 9 {
 		t.Fatalf("merge not symmetric on EasyCase/Q: %+v", b.Merge(a))
 	}
 }
@@ -62,10 +65,10 @@ func TestSamplerStatsIncludeSetup(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := smp.Stats()
-	if st.SetupRounds == 0 || st.Q == 0 {
+	if st.SetupRounds() == 0 || st.Q() == 0 {
 		t.Fatalf("setup stats missing from sampler view: %+v", st)
 	}
-	if st.Q != smp.Setup().SetupStats().Q {
-		t.Fatalf("Q mismatch: %d vs %d", st.Q, smp.Setup().SetupStats().Q)
+	if st.Q() != smp.Setup().SetupStats().Q() {
+		t.Fatalf("Q mismatch: %d vs %d", st.Q(), smp.Setup().SetupStats().Q())
 	}
 }

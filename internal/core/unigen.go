@@ -15,6 +15,7 @@ import (
 	"unigen/internal/obs"
 	"unigen/internal/randx"
 	"unigen/internal/sat"
+	"unigen/internal/tally"
 )
 
 // ErrFailed is returned by Sample when UniGen reports ⊥: no cell in the
@@ -60,101 +61,51 @@ type Options struct {
 }
 
 // Stats accumulates observable behaviour of a Sampler, feeding the
-// Table 1/Table 2 columns. Stats values are plain data: each worker of
-// a parallel run accumulates its own and the results are combined with
-// Merge, so the hot path carries no shared mutable counters.
-type Stats struct {
-	Samples   int64 // successful samples
-	Failures  int64 // ⊥ outcomes
-	BSATCalls int64
-	XORRows   int64 // total xor clauses issued
-	XORLenSum int64 // total variables across xor clauses (exact popcount total)
-	// Conflicts counts solver conflicts across this run's BSAT calls —
-	// the per-request solver-work attribution the service's /stats and
-	// /metrics totals aggregate (DESIGN §10). Like Propagations below
-	// it describes the executing sessions, not round properties, so it
-	// is excluded from the parallel stats-determinism contract.
-	Conflicts int64
-	// Propagations counts solver propagations across this run's BSAT
-	// calls. Unlike every other counter it is a machine diagnostic, not
-	// a round property: it depends on the executing session's
-	// accumulated solver state (learned clauses, phase saving), so it is
-	// excluded from the parallel engine's stats-determinism contract —
-	// it may differ across worker counts while all other fields match.
-	Propagations int64
-	// Clause-database diagnostics, same caveat as Propagations: they
-	// describe the executing sessions' solvers, not round properties.
-	// Learned/Removed count clauses learned and reclaimed (reduceDB +
-	// session GC); Compactions counts arena GC relocation passes;
-	// ArenaBytes is a gauge — the largest clause-arena footprint any
-	// contributing session reported (Merge takes the max, which keeps
-	// it order-insensitive).
-	Learned     int64
-	Removed     int64
-	Compactions int64
-	ArenaBytes  int64
-	SetupRounds int  // ApproxMC rounds during setup
-	EasyCase    bool // |R_F| ≤ hiThresh: sampling needs no hashing
-	Q           int  // the q of line 10
-}
+// Table 1/Table 2 columns: one value per row of the tally counter
+// table. Stats values are plain data: each worker of a parallel run
+// accumulates its own and the results are combined with Merge, so the
+// hot path carries no shared mutable counters.
+type Stats tally.Vec
 
-// Merge combines two stats values: counters add, EasyCase ors, and the
-// setup-derived Q and the ArenaBytes gauge take the maximum (Q is zero
-// in per-round deltas; ArenaBytes is a footprint, not a flow). Merge
-// is commutative and associative — every field is an integer combined
-// by + or max (XORLenSum is an exact popcount total, not a float), so
-// a merged value is independent of merge order.
-func (st Stats) Merge(o Stats) Stats {
-	st.Samples += o.Samples
-	st.Failures += o.Failures
-	st.BSATCalls += o.BSATCalls
-	st.XORRows += o.XORRows
-	st.XORLenSum += o.XORLenSum
-	st.Conflicts += o.Conflicts
-	st.Propagations += o.Propagations
-	st.Learned += o.Learned
-	st.Removed += o.Removed
-	st.Compactions += o.Compactions
-	st.ArenaBytes = max(st.ArenaBytes, o.ArenaBytes)
-	st.SetupRounds += o.SetupRounds
-	st.EasyCase = st.EasyCase || o.EasyCase
-	if o.Q > st.Q {
-		st.Q = o.Q
-	}
-	return st
-}
+// Merge combines two stats values with each row's merge op: counters
+// and SetupRounds add; EasyCase, Q and the ArenaBytes gauge take the
+// maximum. Every row is an integer (XORLenSum is an exact popcount
+// total, not a float), so a merged value is independent of merge order.
+func (st Stats) Merge(o Stats) Stats { return Stats(tally.Vec(st).Merge(tally.Vec(o))) }
 
-// addSolverStats folds one BSAT call's solver-stats delta into st.
-func (st *Stats) addSolverStats(d sat.Stats) {
-	st.Conflicts += d.Conflicts
-	st.Propagations += d.Propagations
-	st.Learned += d.Learned
-	st.Removed += d.RemovedDB
-	st.Compactions += d.Compactions
-	st.ArenaBytes = max(st.ArenaBytes, d.ArenaBytes)
-}
+// Named accessors for the rows Algorithm 1 and the Table 1/2 columns
+// read: successful samples, ⊥ outcomes, BSAT calls, hash XOR rows and
+// their total length, the setup's ApproxMC rounds, whether |R_F| ≤
+// hiThresh (sampling needs no hashing), and the q of line 10.
+func (st Stats) Samples() int64   { return st[tally.Samples] }
+func (st Stats) Failures() int64  { return st[tally.Failures] }
+func (st Stats) BSATCalls() int64 { return st[tally.BSATCalls] }
+func (st Stats) XORRows() int64   { return st[tally.XORRows] }
+func (st Stats) XORLenSum() int64 { return st[tally.XORLenSum] }
+func (st Stats) SetupRounds() int { return int(st[tally.SetupRounds]) }
+func (st Stats) EasyCase() bool   { return st[tally.EasyCase] != 0 }
+func (st Stats) Q() int           { return int(st[tally.Q]) }
 
 // AvgXORLen returns the mean XOR-clause length, the "Avg XOR len"
 // column of Tables 1 and 2.
 func (st Stats) AvgXORLen() float64 {
-	if st.XORRows == 0 {
+	if st.XORRows() == 0 {
 		return 0
 	}
-	return float64(st.XORLenSum) / float64(st.XORRows)
+	return float64(st.XORLenSum()) / float64(st.XORRows())
 }
 
 // Rounds returns the number of sampling rounds attempted (successes
 // plus ⊥ outcomes).
-func (st Stats) Rounds() int64 { return st.Samples + st.Failures }
+func (st Stats) Rounds() int64 { return st.Samples() + st.Failures() }
 
 // SuccessProb returns the observed success probability, the "Succ Prob"
 // column of Tables 1 and 2.
 func (st Stats) SuccessProb() float64 {
-	tot := st.Samples + st.Failures
-	if tot == 0 {
+	if st.Rounds() == 0 {
 		return 0
 	}
-	return float64(st.Samples) / float64(tot)
+	return float64(st.Samples()) / float64(st.Rounds())
 }
 
 // Setup is the outcome of lines 1–11 of Algorithm 1, the once-per-
@@ -214,13 +165,13 @@ func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 	if res.BudgetExceeded {
 		return nil, fmt.Errorf("%w (easy-case enumeration)", ErrBudget)
 	}
-	su.base.BSATCalls++
-	su.base.addSolverStats(res.Stats)
+	su.base[tally.BSATCalls]++
+	su.base = su.base.Merge(Stats(res.Stats))
 	if len(res.Witnesses) <= kp.HiThresh {
 		su.easy = res.Witnesses
 		sortWitnesses(su.easy, su.h)
 		su.easySet = true
-		su.base.EasyCase = true
+		su.base[tally.EasyCase] = 1
 		return su, nil
 	}
 
@@ -236,7 +187,7 @@ func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 		return nil, fmt.Errorf("unigen: setup ApproxMC: %w", err)
 	}
 	su.est = amc.Count
-	su.base.SetupRounds = amc.Rounds
+	su.base[tally.SetupRounds] = int64(amc.Rounds)
 
 	// Line 10: q ← ⌈log₂ C + log₂ 1.8 − log₂ pivot⌉.
 	logC := bigLog2(amc.Count)
@@ -248,7 +199,7 @@ func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 		q = len(h)
 	}
 	su.q = q
-	su.base.Q = q
+	su.base[tally.Q] = int64(q)
 	return su, nil
 }
 
@@ -369,7 +320,7 @@ func (su *Setup) SampleRoundSpan(sess *bsat.Session, rng *randx.RNG, st *Stats, 
 		if len(su.easy) == 0 {
 			return nil, ErrUnsat
 		}
-		st.Samples++
+		st[tally.Samples]++
 		return su.easy[rng.Intn(len(su.easy))], nil
 	}
 	kp := su.kp
@@ -384,19 +335,19 @@ func (su *Setup) SampleRoundSpan(sess *bsat.Session, rng *randx.RNG, st *Stats, 
 			// Lines 14–15: random h and α (α is folded into the XOR
 			// right-hand sides by hashfam).
 			h := hashfam.Draw(rng, su.h, m)
-			st.XORRows += int64(h.M())
-			st.XORLenSum += int64(h.TotalLen())
+			st[tally.XORRows] += int64(h.M())
+			st[tally.XORLenSum] += int64(h.TotalLen())
 			// Line 16, on the caller's incremental session.
 			cell := sp.StartSpan("cell")
 			res = sess.Enumerate(kp.HiThresh+1, h)
 			cell.SetInt("i", int64(i))
 			cell.SetInt("xor_rows", int64(h.M()))
 			cell.SetInt("witnesses", int64(len(res.Witnesses)))
-			cell.SetInt("conflicts", res.Stats.Conflicts)
-			cell.SetInt("propagations", res.Stats.Propagations)
+			cell.SetInt("conflicts", res.Stats[tally.Conflicts])
+			cell.SetInt("propagations", res.Stats[tally.Propagations])
 			cell.End()
-			st.BSATCalls++
-			st.addSolverStats(res.Stats)
+			st[tally.BSATCalls]++
+			*st = st.Merge(Stats(res.Stats))
 			if !res.BudgetExceeded {
 				ok = true
 				break
@@ -410,65 +361,12 @@ func (su *Setup) SampleRoundSpan(sess *bsat.Session, rng *randx.RNG, st *Stats, 
 		if float64(n) >= kp.LoThresh && n <= kp.HiThresh {
 			// Lines 21–22, on the canonical order (see sortWitnesses).
 			sortWitnesses(res.Witnesses, su.h)
-			st.Samples++
+			st[tally.Samples]++
 			return res.Witnesses[rng.Intn(n)], nil
 		}
 	}
 	// Lines 18–19.
-	st.Failures++
-	return nil, ErrFailed
-}
-
-// SampleBatchRound is SampleRound's without-replacement batch variant:
-// one hashing round, up to k distinct witnesses from the accepted cell.
-func (su *Setup) SampleBatchRound(sess *bsat.Session, rng *randx.RNG, st *Stats, k int) ([]cnf.Assignment, error) {
-	if k <= 0 {
-		return nil, errors.New("unigen: batch size must be positive")
-	}
-	if su.easySet {
-		if len(su.easy) == 0 {
-			return nil, ErrUnsat
-		}
-		out := make([]cnf.Assignment, 0, k)
-		for _, idx := range rng.Perm(len(su.easy)) {
-			if len(out) == k {
-				break
-			}
-			out = append(out, su.easy[idx])
-		}
-		st.Samples += int64(len(out))
-		return out, nil
-	}
-	kp := su.kp
-	for i := su.q - 3; i <= su.q; i++ {
-		m := i
-		if m < 1 {
-			m = 1
-		}
-		h := hashfam.Draw(rng, su.h, m)
-		st.XORRows += int64(h.M())
-		st.XORLenSum += int64(h.TotalLen())
-		res := sess.Enumerate(kp.HiThresh+1, h)
-		st.BSATCalls++
-		st.addSolverStats(res.Stats)
-		if res.BudgetExceeded {
-			return nil, ErrBudget
-		}
-		n := len(res.Witnesses)
-		if float64(n) >= kp.LoThresh && n <= kp.HiThresh {
-			sortWitnesses(res.Witnesses, su.h)
-			out := make([]cnf.Assignment, 0, k)
-			for _, idx := range rng.Perm(n) {
-				if len(out) == k {
-					break
-				}
-				out = append(out, res.Witnesses[idx])
-			}
-			st.Samples += int64(len(out))
-			return out, nil
-		}
-	}
-	st.Failures++
+	st[tally.Failures]++
 	return nil, ErrFailed
 }
 
@@ -516,16 +414,6 @@ func (smp *Sampler) SamplingSet() []cnf.Var { return smp.setup.SamplingSet() }
 // It returns ErrFailed for the ⊥ outcome.
 func (smp *Sampler) Sample(rng *randx.RNG) (cnf.Assignment, error) {
 	return smp.setup.SampleRound(smp.sess, rng, &smp.stats)
-}
-
-// SampleBatch draws up to k witnesses from a single accepted cell,
-// without replacement — the optimization introduced by UniGen's
-// successor (UniGen2): one hashing round then amortizes over k
-// returned samples. Witnesses within a batch are NOT independent (they
-// are distinct by construction); use Sample for the DAC'14 guarantee.
-// It returns ErrFailed for a ⊥ round, like Sample.
-func (smp *Sampler) SampleBatch(rng *randx.RNG, k int) ([]cnf.Assignment, error) {
-	return smp.setup.SampleBatchRound(smp.sess, rng, &smp.stats, k)
 }
 
 // SampleMany draws n witnesses, skipping ⊥ rounds, and reports how many

@@ -87,7 +87,7 @@ func TestSamplerEasyCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !smp.Stats().EasyCase {
+	if !smp.Stats().EasyCase() {
 		t.Fatal("expected easy case")
 	}
 	counts := map[string]int{}
@@ -143,7 +143,7 @@ func TestSamplerHashingPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if smp.Stats().EasyCase {
+	if smp.Stats().EasyCase() {
 		t.Fatal("expected hashing path")
 	}
 	if smp.setup.q < 1 {

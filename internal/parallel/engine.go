@@ -38,6 +38,7 @@ import (
 	"unigen/internal/core"
 	"unigen/internal/obs"
 	"unigen/internal/randx"
+	"unigen/internal/tally"
 )
 
 // ErrRoundPanic wraps a panic recovered at a sampling-round boundary.
@@ -73,10 +74,10 @@ func traceRound(parent *obs.Span, absIdx uint64) (*obs.Span, func(st *core.Stats
 	}
 	return sp, func(st *core.Stats, err error) {
 		sp.SetInt("idx", int64(absIdx))
-		sp.SetInt("bsat_calls", st.BSATCalls)
-		sp.SetInt("conflicts", st.Conflicts)
-		sp.SetInt("propagations", st.Propagations)
-		sp.SetInt("xor_rows", st.XORRows)
+		sp.SetInt("bsat_calls", st[tally.BSATCalls])
+		sp.SetInt("conflicts", st[tally.Conflicts])
+		sp.SetInt("propagations", st[tally.Propagations])
+		sp.SetInt("xor_rows", st[tally.XORRows])
 		if err != nil {
 			sp.SetInt("failed", 1)
 		}

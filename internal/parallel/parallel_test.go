@@ -11,6 +11,7 @@ import (
 	"unigen/internal/cnf"
 	"unigen/internal/core"
 	"unigen/internal/randx"
+	"unigen/internal/tally"
 )
 
 // hardFormula has 1024 witnesses over its 10-variable sampling set,
@@ -59,17 +60,16 @@ func sampleWith(t *testing.T, workers, n int) ([]string, core.Stats) {
 	return projections(t, f, ws), eng.Stats()
 }
 
-// canonStats zeroes the fields exempt from the determinism contract:
-// the machine diagnostics (Conflicts, Propagations, and the
-// clause-database counters/gauge) depend on each session's accumulated
-// solver state, so they legitimately vary with pool shape.
+// canonStats zeroes the counters outside the determinism contract
+// (tally.Row.Deterministic): the solver diagnostics depend on each
+// session's accumulated solver state, so they legitimately vary with
+// pool shape.
 func canonStats(st core.Stats) core.Stats {
-	st.Conflicts = 0
-	st.Propagations = 0
-	st.Learned = 0
-	st.Removed = 0
-	st.Compactions = 0
-	st.ArenaBytes = 0
+	for id, row := range tally.Table {
+		if !row.Deterministic {
+			st[id] = 0
+		}
+	}
 	return st
 }
 
@@ -93,7 +93,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 			t.Fatalf("workers=%d: merged stats %+v != single-worker stats %+v", workers, st, refStats)
 		}
 	}
-	if refStats.Samples != n || refStats.Q == 0 || refStats.EasyCase {
+	if refStats.Samples() != n || refStats.Q() == 0 || refStats.EasyCase() {
 		t.Fatalf("implausible stats: %+v", refStats)
 	}
 	if len(refSorted) != n {
@@ -184,7 +184,7 @@ func TestEasyCasePool(t *testing.T) {
 		t.Fatalf("got %d witnesses", len(ws))
 	}
 	st := eng.Stats()
-	if !st.EasyCase || st.Samples != 50 {
+	if !st.EasyCase() || st.Samples() != 50 {
 		t.Fatalf("stats %+v", st)
 	}
 	distinct := map[string]bool{}

@@ -5,6 +5,7 @@ import (
 
 	"unigen/internal/cnf"
 	"unigen/internal/randx"
+	"unigen/internal/tally"
 )
 
 // enumerateModels collects every model of the solver by blocking-clause
@@ -193,7 +194,7 @@ func TestGlueClauseSurvivesReduceDB(t *testing.T) {
 		}
 	}
 	s.reduceDB()
-	if got := s.Stats().RemovedDB; got != 10 {
+	if got := s.Stats()[tally.Removed]; got != 10 {
 		t.Fatalf("reduceDB removed %d clauses, want the 10 high-LBD ones", got)
 	}
 	for _, cr := range glue {
@@ -270,7 +271,7 @@ func TestArenaWasteReclaimed(t *testing.T) {
 		s.Release(sel)
 	}
 	s.CollectGarbage() // waste is ~100% of the arena: must compact
-	if s.stats.Compactions == 0 {
+	if s.stats[tally.Compactions] == 0 {
 		t.Fatal("CollectGarbage did not compact despite overwhelming waste")
 	}
 	if s.ca.wasted != 0 {

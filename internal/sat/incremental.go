@@ -5,6 +5,7 @@ import (
 
 	"unigen/internal/cnf"
 	"unigen/internal/gf2"
+	"unigen/internal/tally"
 )
 
 // Incremental solving with retractable constraints.
@@ -103,7 +104,7 @@ func (s *Solver) CollectGarbage() {
 	for _, cr := range s.learnts {
 		if !s.ca.marked(cr) && s.satisfiedAtLevel0(cr) {
 			s.deleteClause(cr)
-			s.stats.RemovedDB++
+			s.stats[tally.Removed]++
 			continue
 		}
 		s.learnts[w] = cr
@@ -236,7 +237,7 @@ func (s *Solver) compactArena() {
 	s.ca.store = to
 	s.ca.wasted = wasted
 	s.dirtyWatch = s.dirtyWatch[:0]
-	s.stats.Compactions++
+	s.stats[tally.Compactions]++
 }
 
 // deleteClause tombstones an arena clause and records its two watch

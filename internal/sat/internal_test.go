@@ -5,6 +5,7 @@ import (
 
 	"unigen/internal/cnf"
 	"unigen/internal/randx"
+	"unigen/internal/tally"
 )
 
 // TestWatchInvariant verifies the two-watched-literal invariant after a
@@ -113,11 +114,11 @@ func TestPhaseSavingRestoresModel(t *testing.T) {
 	if s.Solve() != Sat {
 		t.Skip("instance unsat")
 	}
-	before := s.Stats().Decisions
+	before := s.Stats()[tally.Decisions]
 	if s.Solve() != Sat {
 		t.Fatal("second solve failed")
 	}
-	delta := s.Stats().Decisions - before
+	delta := s.Stats()[tally.Decisions] - before
 	if delta > 70 {
 		t.Fatalf("second solve took %d decisions; phase saving broken?", delta)
 	}

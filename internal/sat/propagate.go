@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"unigen/internal/cnf"
+	"unigen/internal/tally"
 )
 
 // propagate performs unit propagation (CNF watches, then XOR watches)
@@ -15,7 +16,7 @@ func (s *Solver) propagate() conflict {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
-		s.stats.Propagations++
+		s.stats[tally.Propagations]++
 		if confl := s.propagateClauses(p); !confl.none() {
 			return confl
 		}
@@ -217,7 +218,6 @@ func (s *Solver) propagateXORsPacked(v cnf.Var) conflict {
 		i++
 		other := s.xvarOf[otherCol]
 		if s.valueVar(other) == lUndef {
-			s.stats.XORProps++
 			need := x.rhs != par
 			if x.sel != 0 {
 				if s.decisionLevel() == 0 {
@@ -295,7 +295,6 @@ func (s *Solver) propagateXORsScalar(v cnf.Var) conflict {
 		i++
 		switch s.valueVar(other) {
 		case lUndef:
-			s.stats.XORProps++
 			if x.sel != 0 {
 				if s.decisionLevel() == 0 {
 					// A removable XOR is writing to the permanent trail;

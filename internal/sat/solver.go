@@ -8,6 +8,7 @@ import (
 	"unigen/internal/cnf"
 	"unigen/internal/gf2"
 	"unigen/internal/randx"
+	"unigen/internal/tally"
 )
 
 // Solver is a CDCL SAT solver over CNF + XOR clauses. It is not safe for
@@ -61,7 +62,7 @@ type Solver struct {
 
 	maxLearnts float64
 	rng        *randx.RNG
-	stats      Stats
+	stats      tally.Vec
 
 	model cnf.Assignment
 
@@ -130,7 +131,6 @@ func New(f *cnf.Formula, cfg Config) *Solver {
 			return s
 		}
 		for _, u := range units {
-			s.stats.GaussUnits++
 			if !s.addUnit(u) {
 				return s
 			}
@@ -186,7 +186,6 @@ func (s *Solver) gaussInstallPacked(xs []cnf.XORClause) {
 	// any propagation-assigned variables via the masks.
 	for i := range rows {
 		if rows[i].Len() == 1 {
-			s.stats.GaussUnits++
 			v := s.xvarOf[rows[i].FirstSet()]
 			if !s.addUnit(cnf.MkLit(v, !rows[i].RHS)) {
 				return
@@ -274,9 +273,9 @@ func (s *Solver) NumVars() int { return s.numVars }
 
 // Stats returns cumulative statistics. ArenaBytes is a gauge sampled
 // at call time, not an accumulating counter.
-func (s *Solver) Stats() Stats {
+func (s *Solver) Stats() tally.Vec {
 	st := s.stats
-	st.ArenaBytes = int64(len(s.ca.store)) * 4
+	st[tally.ArenaBytes] = int64(len(s.ca.store)) * 4
 	return st
 }
 
@@ -709,11 +708,11 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 	}
 	confLimit := int64(-1)
 	if s.cfg.MaxConflicts > 0 {
-		confLimit = s.stats.Conflicts + s.cfg.MaxConflicts
+		confLimit = s.stats[tally.Conflicts] + s.cfg.MaxConflicts
 	}
 	propLimit := int64(-1)
 	if s.cfg.MaxPropagations > 0 {
-		propLimit = s.stats.Propagations + s.cfg.MaxPropagations
+		propLimit = s.stats[tally.Propagations] + s.cfg.MaxPropagations
 	}
 	restartN := 0
 	for {
@@ -737,13 +736,12 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 			s.cancelUntil(0)
 			return st
 		}
-		if (confLimit >= 0 && s.stats.Conflicts >= confLimit) ||
-			(propLimit >= 0 && s.stats.Propagations >= propLimit) ||
+		if (confLimit >= 0 && s.stats[tally.Conflicts] >= confLimit) ||
+			(propLimit >= 0 && s.stats[tally.Propagations] >= propLimit) ||
 			s.interrupted() {
 			s.cancelUntil(0)
 			return Unknown
 		}
-		s.stats.Restarts++
 		s.cancelUntil(0)
 		// Restart-time housekeeping: when reduceDB tombstones have
 		// accumulated past the waste threshold, compact the arena now —
@@ -759,11 +757,11 @@ func (s *Solver) search(nConflicts, confLimit, propLimit int64, assumptions []cn
 	var localConf int64
 	for {
 		confl := s.propagate()
-		if propLimit >= 0 && s.stats.Propagations >= propLimit {
+		if propLimit >= 0 && s.stats[tally.Propagations] >= propLimit {
 			return Unknown
 		}
 		if !confl.none() {
-			s.stats.Conflicts++
+			s.stats[tally.Conflicts]++
 			localConf++
 			if s.decisionLevel() == 0 {
 				if s.taintL0 {
@@ -783,7 +781,7 @@ func (s *Solver) search(nConflicts, confLimit, propLimit int64, assumptions []cn
 			s.cancelUntil(btLevel)
 			s.recordLearnt(learnt, lbd)
 			s.decayActivities()
-			if (confLimit >= 0 && s.stats.Conflicts >= confLimit) || localConf >= nConflicts ||
+			if (confLimit >= 0 && s.stats[tally.Conflicts] >= confLimit) || localConf >= nConflicts ||
 				s.interrupted() {
 				return Unknown
 			}
@@ -812,11 +810,11 @@ func (s *Solver) search(nConflicts, confLimit, propLimit int64, assumptions []cn
 				return Sat // all variables assigned
 			}
 		}
-		s.stats.Decisions++
+		s.stats[tally.Decisions]++
 		// BSAT enumeration under priority branching is nearly
 		// conflict-free, so the budget checks above may never fire; poll
 		// the interrupt flag on a decision cadence too.
-		if s.stats.Decisions&1023 == 0 && s.interrupted() {
+		if s.stats[tally.Decisions]&1023 == 0 && s.interrupted() {
 			return Unknown
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
@@ -842,7 +840,7 @@ func (s *Solver) pickBranchLit() cnf.Lit {
 }
 
 func (s *Solver) recordLearnt(learnt []cnf.Lit, lbd int) {
-	s.stats.Learned++
+	s.stats[tally.Learned]++
 	s.logLemma(learnt)
 	switch len(learnt) {
 	case 1:
@@ -929,7 +927,7 @@ func (s *Solver) reduceDB() {
 	for i, cr := range ls {
 		if !s.ca.marked(cr) && (s.satisfiedAtLevel0(cr) || (i < remove && s.ca.lbd(cr) > 2)) {
 			s.deleteClause(cr)
-			s.stats.RemovedDB++
+			s.stats[tally.Removed]++
 			continue
 		}
 		kept = append(kept, cr)

@@ -6,6 +6,7 @@ import (
 
 	"unigen/internal/cnf"
 	"unigen/internal/randx"
+	"unigen/internal/tally"
 )
 
 func mustParse(t *testing.T, s string) *cnf.Formula {
@@ -199,8 +200,8 @@ func TestConflictBudget(t *testing.T) {
 	f := randomCNF(rng, 60, 256, 3)
 	s := New(f, Config{MaxConflicts: 1})
 	_ = s.Solve()
-	if s.Stats().Conflicts > 2 {
-		t.Fatalf("budget 1 exceeded: %d conflicts", s.Stats().Conflicts)
+	if s.Stats()[tally.Conflicts] > 2 {
+		t.Fatalf("budget 1 exceeded: %d conflicts", s.Stats()[tally.Conflicts])
 	}
 }
 

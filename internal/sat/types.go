@@ -91,20 +91,6 @@ type Config struct {
 	RecordProof bool
 }
 
-// Stats reports cumulative search statistics for a Solver.
-type Stats struct {
-	Decisions    int64
-	Propagations int64
-	Conflicts    int64
-	Restarts     int64
-	Learned      int64
-	RemovedDB    int64
-	XORProps     int64
-	GaussUnits   int64 // units derived by Gauss–Jordan preprocessing
-	Compactions  int64 // arena GC compactions (clause relocation passes)
-	ArenaBytes   int64 // current clause-arena footprint in bytes (gauge, not a counter)
-}
-
 type lbool int8
 
 const (

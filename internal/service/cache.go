@@ -270,7 +270,7 @@ func (c *prepCache) stats() CacheStats {
 		}
 		fs := FormulaStats{
 			Fingerprint: e.prep.fingerprint,
-			EasyCase:    e.prep.prepStats.EasyCase,
+			EasyCase:    e.prep.prepStats.EasyCase(),
 			Requests:    e.prep.requests.Load(),
 			Samples:     e.prep.samples.Load(),
 			Counts:      e.prep.counts.Load(),

@@ -14,6 +14,7 @@ import (
 	"unigen/internal/core"
 	"unigen/internal/obs"
 	"unigen/internal/parallel"
+	"unigen/internal/tally"
 )
 
 // defaultMaxBodyBytes bounds request bodies when Config.MaxBodyBytes is
@@ -195,12 +196,12 @@ func NewHandler(s *Service) http.Handler {
 			TraceID:     tr.ID(),
 			Stats: HTTPStatsBlock{
 				Rounds:       res.Stats.Rounds(),
-				Samples:      res.Stats.Samples,
-				Failures:     res.Stats.Failures,
-				BSATCalls:    res.Stats.BSATCalls,
-				Conflicts:    res.Stats.Conflicts,
-				Propagations: res.Stats.Propagations,
-				XORRows:      res.Stats.XORRows,
+				Samples:      res.Stats[tally.Samples],
+				Failures:     res.Stats[tally.Failures],
+				BSATCalls:    res.Stats[tally.BSATCalls],
+				Conflicts:    res.Stats[tally.Conflicts],
+				Propagations: res.Stats[tally.Propagations],
+				XORRows:      res.Stats[tally.XORRows],
 			},
 		}
 		if req.Trace {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -86,6 +88,45 @@ func TestHTTPSampleRoundTrip(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("cache stats %+v", st)
+	}
+}
+
+// TestHTTPStatsJSONKeys pins the JSON surface of the solver counters:
+// the exact key sets of the /stats "solver" and "prepare" blocks and of
+// the /sample "stats" block.
+func TestHTTPStatsJSONKeys(t *testing.T) {
+	ts, _ := newHTTPServer(t)
+	resp := postJSON(t, ts.URL+"/sample", service.SampleHTTPRequest{Formula: hardDIMACS, N: 2, Seed: 3})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sample status %d", resp.StatusCode)
+	}
+	sample := decode[map[string]any](t, resp)
+	statsResp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer statsResp.Body.Close()
+	stats := decode[map[string]any](t, statsResp)
+
+	totals := []string{"requests", "rounds", "samples", "failures", "bsat_calls", "conflicts",
+		"propagations", "xor_rows", "learned", "removed", "compactions", "arena_bytes"}
+	for _, c := range []struct {
+		name  string
+		block any
+		want  []string
+	}{
+		{"/stats solver", stats["solver"], totals},
+		{"/stats prepare", stats["prepare"], totals},
+		{"/sample stats", sample["stats"], []string{"rounds", "samples", "failures", "bsat_calls",
+			"conflicts", "propagations", "xor_rows"}},
+	} {
+		obj, ok := c.block.(map[string]any)
+		if !ok {
+			t.Fatalf("%s: not a JSON object: %v", c.name, c.block)
+		}
+		if got, want := slices.Sorted(maps.Keys(obj)), slices.Sorted(slices.Values(c.want)); !slices.Equal(got, want) {
+			t.Fatalf("%s keys %v, want %v", c.name, got, want)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"unigen/internal/core"
 	"unigen/internal/obs"
 	"unigen/internal/store"
+	"unigen/internal/tally"
 )
 
 // Observability wiring (DESIGN §10): every counter the service and the
@@ -40,59 +41,34 @@ type SolverTotals struct {
 	ArenaBytes   int64 `json:"arena_bytes"`
 }
 
-// workTotals is the atomic backing of SolverTotals. add folds one
-// request's (or flight's) core.Stats in; every field is independent,
-// so a torn read across fields only skews a scrape by an in-flight
-// request — acceptable for monitoring, race-free by construction.
+// workTotals is the atomic backing of SolverTotals: a count of
+// contributing requests (or flights) plus their core.Stats folded row
+// by row with each counter's merge op.
 type workTotals struct {
-	requests     atomic.Int64
-	rounds       atomic.Int64
-	samples      atomic.Int64
-	failures     atomic.Int64
-	bsatCalls    atomic.Int64
-	conflicts    atomic.Int64
-	propagations atomic.Int64
-	xorRows      atomic.Int64
-	learned      atomic.Int64
-	removed      atomic.Int64
-	compactions  atomic.Int64
-	arenaBytes   atomic.Int64 // max, not sum
+	requests atomic.Int64
+	c        tally.Totals
 }
 
 func (w *workTotals) add(st core.Stats) {
 	w.requests.Add(1)
-	w.rounds.Add(st.Rounds())
-	w.samples.Add(st.Samples)
-	w.failures.Add(st.Failures)
-	w.bsatCalls.Add(st.BSATCalls)
-	w.conflicts.Add(st.Conflicts)
-	w.propagations.Add(st.Propagations)
-	w.xorRows.Add(st.XORRows)
-	w.learned.Add(st.Learned)
-	w.removed.Add(st.Removed)
-	w.compactions.Add(st.Compactions)
-	for {
-		cur := w.arenaBytes.Load()
-		if st.ArenaBytes <= cur || w.arenaBytes.CompareAndSwap(cur, st.ArenaBytes) {
-			break
-		}
-	}
+	w.c.Fold(tally.Vec(st))
 }
 
 func (w *workTotals) snapshot() SolverTotals {
+	v := w.c.Load()
 	return SolverTotals{
 		Requests:     w.requests.Load(),
-		Rounds:       w.rounds.Load(),
-		Samples:      w.samples.Load(),
-		Failures:     w.failures.Load(),
-		BSATCalls:    w.bsatCalls.Load(),
-		Conflicts:    w.conflicts.Load(),
-		Propagations: w.propagations.Load(),
-		XORRows:      w.xorRows.Load(),
-		Learned:      w.learned.Load(),
-		Removed:      w.removed.Load(),
-		Compactions:  w.compactions.Load(),
-		ArenaBytes:   w.arenaBytes.Load(),
+		Rounds:       core.Stats(v).Rounds(),
+		Samples:      v[tally.Samples],
+		Failures:     v[tally.Failures],
+		BSATCalls:    v[tally.BSATCalls],
+		Conflicts:    v[tally.Conflicts],
+		Propagations: v[tally.Propagations],
+		XORRows:      v[tally.XORRows],
+		Learned:      v[tally.Learned],
+		Removed:      v[tally.Removed],
+		Compactions:  v[tally.Compactions],
+		ArenaBytes:   v[tally.ArenaBytes],
 	}
 }
 
@@ -107,12 +83,12 @@ type serviceMetrics struct {
 	prepares     *obs.CounterVec   // unigen_prepare_flights_total{result}
 }
 
-// solverSamples renders the two solver-work phases of a SolverTotals
-// pair as one labeled family.
-func solverSamples(pick func(SolverTotals) int64, sample, prepare SolverTotals) []obs.Sample {
+// phaseSamples renders a per-phase value as the two samples of a
+// phase-labeled family: sampling work, then preparation flights.
+func (s *Service) phaseSamples(pick func(tally.Vec) int64) []obs.Sample {
 	return []obs.Sample{
-		{LabelValues: []string{"sample"}, Value: float64(pick(sample))},
-		{LabelValues: []string{"prepare"}, Value: float64(pick(prepare))},
+		{LabelValues: []string{"sample"}, Value: float64(pick(s.work.c.Load()))},
+		{LabelValues: []string{"prepare"}, Value: float64(pick(s.prep.c.Load()))},
 	}
 }
 
@@ -196,28 +172,22 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 
 	// Solver-work totals, the cumulative view of core.Stats across
 	// finished requests (phase="sample") and preparation flights
-	// (phase="prepare").
-	type picker struct {
-		name, help string
-		pick       func(SolverTotals) int64
-	}
-	for _, p := range []picker{
-		{"unigen_solver_bsat_calls_total", "Bounded-enumeration solver calls.", func(t SolverTotals) int64 { return t.BSATCalls }},
-		{"unigen_solver_conflicts_total", "CDCL conflicts.", func(t SolverTotals) int64 { return t.Conflicts }},
-		{"unigen_solver_propagations_total", "Unit propagations.", func(t SolverTotals) int64 { return t.Propagations }},
-		{"unigen_solver_xor_rows_total", "Hash XOR rows issued.", func(t SolverTotals) int64 { return t.XORRows }},
-		{"unigen_solver_learned_total", "Clauses learned.", func(t SolverTotals) int64 { return t.Learned }},
-		{"unigen_solver_removed_total", "Learned clauses reclaimed (reduceDB + session GC).", func(t SolverTotals) int64 { return t.Removed }},
-		{"unigen_solver_compactions_total", "Clause-arena GC compactions.", func(t SolverTotals) int64 { return t.Compactions }},
-		{"unigen_sampling_rounds_total", "Sampling rounds consumed (successes + bot outcomes).", func(t SolverTotals) int64 { return t.Rounds }},
-	} {
-		pick := p.pick
-		r.CollectCounters(p.name, p.help, []string{"phase"}, func() []obs.Sample {
-			return solverSamples(pick, s.work.snapshot(), s.prep.snapshot())
+	// (phase="prepare"): one unigen_solver_* family per counter-table
+	// row with HELP text, plus the rounds consumed.
+	for id, row := range tally.Table {
+		if row.Help == "" {
+			continue
+		}
+		name, collect := "unigen_solver_"+row.Name+"_total", r.CollectCounters
+		if row.Kind == tally.Gauge {
+			name, collect = "unigen_solver_"+row.Name, r.CollectGauges
+		}
+		collect(name, row.Help, []string{"phase"}, func() []obs.Sample {
+			return s.phaseSamples(func(v tally.Vec) int64 { return v[id] })
 		})
 	}
-	r.CollectGauges("unigen_solver_arena_bytes", "Largest clause-arena footprint any session reported.", []string{"phase"}, func() []obs.Sample {
-		return solverSamples(func(t SolverTotals) int64 { return t.ArenaBytes }, s.work.snapshot(), s.prep.snapshot())
+	r.CollectCounters("unigen_sampling_rounds_total", "Sampling rounds consumed (successes + bot outcomes).", []string{"phase"}, func() []obs.Sample {
+		return s.phaseSamples(func(v tally.Vec) int64 { return core.Stats(v).Rounds() })
 	})
 
 	// Delta sessions (DESIGN §13): request outcomes plus the session-pool

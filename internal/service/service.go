@@ -65,6 +65,7 @@ import (
 	"unigen/internal/randx"
 	"unigen/internal/sat"
 	"unigen/internal/store"
+	"unigen/internal/tally"
 )
 
 // Config fixes the service-wide preparation parameters. Fields that
@@ -692,9 +693,9 @@ func (s *Service) Sample(ctx context.Context, req SampleRequest) (res *SampleRes
 	}
 	s.work.add(st)
 	rsp.SetInt("rounds", st.Rounds())
-	rsp.SetInt("bsat_calls", st.BSATCalls)
-	rsp.SetInt("conflicts", st.Conflicts)
-	rsp.SetInt("propagations", st.Propagations)
+	rsp.SetInt("bsat_calls", st[tally.BSATCalls])
+	rsp.SetInt("conflicts", st[tally.Conflicts])
+	rsp.SetInt("propagations", st[tally.Propagations])
 	rsp.End()
 	s.met.phaseSeconds.With("rounds").ObserveDuration(time.Since(roundsStart))
 	if err != nil {

@@ -88,8 +88,8 @@ func TestSingleFlightConcurrentRequests(t *testing.T) {
 		}
 		// Hit-path requests must show zero setup work: per-request stats
 		// cover sampling rounds only.
-		if res.Stats.SetupRounds != 0 {
-			t.Fatalf("client %d: request stats report %d setup rounds", i, res.Stats.SetupRounds)
+		if res.Stats.SetupRounds() != 0 {
+			t.Fatalf("client %d: request stats report %d setup rounds", i, res.Stats.SetupRounds())
 		}
 	}
 	st := svc.Stats()
@@ -129,8 +129,8 @@ func TestCacheHitSkipsPreparation(t *testing.T) {
 	if !warm.CacheHit {
 		t.Fatal("second request missed the cache")
 	}
-	if warm.Stats.SetupRounds != 0 {
-		t.Fatalf("hit path ran %d ApproxMC rounds", warm.Stats.SetupRounds)
+	if warm.Stats.SetupRounds() != 0 {
+		t.Fatalf("hit path ran %d ApproxMC rounds", warm.Stats.SetupRounds())
 	}
 	if st := svc.Stats(); st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("stats %+v, want 1 miss / 1 hit", st)

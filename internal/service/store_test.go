@@ -135,8 +135,8 @@ func TestStoreEasyCaseWarmHit(t *testing.T) {
 	if got, want := projectAll(t, res2), projectAll(t, res1); !reflect.DeepEqual(got, want) {
 		t.Fatalf("easy-case warm samples diverged:\n warm: %v\n cold: %v", got, want)
 	}
-	if res2.Stats.BSATCalls != 0 {
-		t.Fatalf("warm easy-case request ran %d BSAT calls, want 0", res2.Stats.BSATCalls)
+	if res2.Stats.BSATCalls() != 0 {
+		t.Fatalf("warm easy-case request ran %d BSAT calls, want 0", res2.Stats.BSATCalls())
 	}
 	st2 := svc2.Stats()
 	if st2.Store.Hits != 1 {

@@ -62,6 +62,7 @@ import (
 	"unigen/internal/parallel"
 	"unigen/internal/randx"
 	"unigen/internal/sat"
+	"unigen/internal/tally"
 )
 
 // Var is a propositional variable (1-based, DIMACS convention).
@@ -274,16 +275,19 @@ func (s *Sampler) HashSet() []Var {
 	return s.inner.Setup().HashSet()
 }
 
-// Stats reports observable sampler behaviour.
+// Stats reports observable sampler behaviour. BSATCalls and the solver
+// counters (Conflicts through ArenaBytes) cover the setup's easy-case
+// enumeration as well as the sampling rounds; none counts the setup's
+// ApproxMC calls or its hash-set pass.
 type Stats struct {
 	Samples      int64   // successful samples
 	Failures     int64   // ⊥ rounds
 	Rounds       int64   // sampling rounds attempted (Samples + Failures)
 	BSATCalls    int64   // bounded-enumeration solver calls issued
 	XORRows      int64   // hash XOR rows issued
-	Conflicts    int64   // solver conflicts across the sampling BSAT calls
-	Propagations int64   // solver propagations across the sampling BSAT calls
-	Learned      int64   // clauses learned across the sampling BSAT calls
+	Conflicts    int64   // solver conflicts
+	Propagations int64   // solver propagations
+	Learned      int64   // clauses learned
 	Removed      int64   // learned clauses reclaimed (reduceDB + session GC)
 	Compactions  int64   // clause-arena GC compactions across the run's sessions
 	ArenaBytes   int64   // largest clause-arena footprint any session reported
@@ -302,20 +306,20 @@ func (s *Sampler) Stats() Stats {
 		st = s.inner.Stats()
 	}
 	return Stats{
-		Samples:      st.Samples,
-		Failures:     st.Failures,
+		Samples:      st[tally.Samples],
+		Failures:     st[tally.Failures],
 		Rounds:       st.Rounds(),
-		BSATCalls:    st.BSATCalls,
-		XORRows:      st.XORRows,
-		Conflicts:    st.Conflicts,
-		Propagations: st.Propagations,
-		Learned:      st.Learned,
-		Removed:      st.Removed,
-		Compactions:  st.Compactions,
-		ArenaBytes:   st.ArenaBytes,
+		BSATCalls:    st[tally.BSATCalls],
+		XORRows:      st[tally.XORRows],
+		Conflicts:    st[tally.Conflicts],
+		Propagations: st[tally.Propagations],
+		Learned:      st[tally.Learned],
+		Removed:      st[tally.Removed],
+		Compactions:  st[tally.Compactions],
+		ArenaBytes:   st[tally.ArenaBytes],
 		SuccProb:     st.SuccessProb(),
 		AvgXORLen:    st.AvgXORLen(),
-		EasyCase:     st.EasyCase,
+		EasyCase:     st.EasyCase(),
 	}
 }
 

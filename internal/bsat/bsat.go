@@ -206,6 +206,21 @@ func (se *Session) interruptRaised() bool {
 // released first, so consecutive calls reuse all accumulated solver
 // state. h may be nil (enumeration of f itself).
 func (se *Session) Enumerate(n int, h *hashfam.Hash) Result {
+	_, res := se.enumerate(n, h, true)
+	return res
+}
+
+// Count returns min(|R_{F∧h}↓S|, n) via the session, plus the call's
+// result without its witnesses: the search is Enumerate's, but no
+// model is copied, since only the count is wanted.
+func (se *Session) Count(n int, h *hashfam.Hash) (int, Result) {
+	return se.enumerate(n, h, false)
+}
+
+// enumerate is Enumerate and Count: it finds up to n witnesses, keeps
+// them in the result only when keep is set, and returns how many it
+// found.
+func (se *Session) enumerate(n int, h *hashfam.Hash, keep bool) (int, Result) {
 	// Chaos injection points (inert unless a test arms them). A stalled
 	// call that the interrupt cuts short reports budget exhaustion — the
 	// same verdict an interrupted real search produces — and a spurious
@@ -214,11 +229,11 @@ func (se *Session) Enumerate(n int, h *hashfam.Hash) Result {
 	// never happened.
 	if err := faultpoint.FireWait(faultpoint.SolverStall, se.interruptRaised); err != nil {
 		if errors.Is(err, faultpoint.ErrInterrupted) {
-			return Result{BudgetExceeded: true}
+			return 0, Result{BudgetExceeded: true}
 		}
 	}
 	if faultpoint.Fire(faultpoint.SolverUnsat) != nil {
-		return Result{Exhausted: true}
+		return 0, Result{Exhausted: true}
 	}
 	before := se.s.Stats()
 	if se.retire() {
@@ -276,20 +291,23 @@ func (se *Session) Enumerate(n int, h *hashfam.Hash) Result {
 		se.retired = sels
 		se.assumps = acts
 		res.Stats = se.s.Stats().Sub(before)
-		return res
+		return 0, res
 	}
 	var blockSel *sat.Selector // one selector guards every blocking clause of this cell
+	found := 0
 loop:
-	for len(res.Witnesses) < n {
+	for found < n {
 		switch se.s.Solve(acts...) {
 		case sat.Sat:
-			// Model length is capped at nv+1 by SetModelBound, so
-			// selector variables never leak into witnesses.
-			m := se.s.Model()
-			res.Witnesses = append(res.Witnesses, m)
+			found++
+			if keep {
+				// Model length is capped at nv+1 by SetModelBound, so
+				// selector variables never leak into witnesses.
+				res.Witnesses = append(res.Witnesses, se.s.Model())
+			}
 			se.blockBuf = se.blockBuf[:0]
 			for _, v := range se.vars {
-				se.blockBuf = append(se.blockBuf, cnf.MkLit(v, m.Get(v)))
+				se.blockBuf = append(se.blockBuf, cnf.MkLit(v, se.s.ModelValue(v)))
 			}
 			if blockSel == nil {
 				blockSel = se.s.NewClauseSelector()
@@ -309,13 +327,7 @@ loop:
 	se.retired = sels
 	se.assumps = acts
 	res.Stats = se.s.Stats().Sub(before)
-	return res
-}
-
-// Count returns min(|R_{F∧h}↓S|, n) via the session, plus the full result.
-func (se *Session) Count(n int, h *hashfam.Hash) (int, Result) {
-	res := se.Enumerate(n, h)
-	return len(res.Witnesses), res
+	return found, res
 }
 
 // Enumerate returns up to n witnesses of f (conjoined with opts.Hash if

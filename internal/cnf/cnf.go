@@ -6,6 +6,7 @@ package cnf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -132,18 +133,28 @@ func (f *Formula) AddXOR(vars []Var, rhs bool) {
 	f.XORs = append(f.XORs, XORClause{Vars: norm, RHS: nrhs})
 }
 
-// NormalizeClause sorts, deduplicates, and detects tautologies.
+// NormalizeClause sorts, deduplicates, and detects tautologies. The
+// result is a fresh slice.
 func NormalizeClause(c Clause) (Clause, bool) {
-	out := make(Clause, len(c))
-	copy(out, c)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out, taut := NormalizeClauseInto(make(Clause, 0, len(c)), c)
+	if taut {
+		return nil, true
+	}
+	return out, false
+}
+
+// NormalizeClauseInto is NormalizeClause writing into buf's storage,
+// from index 0, so one buffer can serve clause after clause.
+func NormalizeClauseInto(buf, c Clause) (Clause, bool) {
+	out := append(buf[:0], c...)
+	slices.Sort(out)
 	w := 0
 	for i, l := range out {
 		if i > 0 && l == out[i-1] {
 			continue
 		}
 		if i > 0 && l == out[i-1].Not() {
-			return nil, true
+			return out[:0], true
 		}
 		out[w] = l
 		w++

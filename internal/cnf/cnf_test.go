@@ -1,6 +1,7 @@
 package cnf
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -58,6 +59,13 @@ func TestNormalizeClause(t *testing.T) {
 	_, taut = NormalizeClause(Clause{FromDIMACS(1), FromDIMACS(-1)})
 	if !taut {
 		t.Fatal("tautology not detected")
+	}
+	// The buffer-reusing form gives the same clause in the buffer's
+	// storage, whatever the buffer held before.
+	buf := make(Clause, 1, 8)
+	into, taut := NormalizeClauseInto(buf, c)
+	if taut || !slices.Equal(into, norm) || &into[0] != &buf[0] {
+		t.Fatalf("NormalizeClauseInto = %v, %v; want %v in the buffer", into, taut, norm)
 	}
 }
 

@@ -2,6 +2,7 @@ package sat
 
 import (
 	mbits "math/bits"
+	"slices"
 
 	"unigen/internal/cnf"
 	"unigen/internal/gf2"
@@ -298,14 +299,15 @@ func (s *Solver) AddClauseToSelector(sel *Selector, c cnf.Clause) {
 	if !s.ok {
 		return
 	}
-	norm, taut := cnf.NormalizeClause(c)
+	s.selClauseBuf = slices.Grow(s.selClauseBuf[:0], len(c)+1) // +1: the guard literal
+	norm, taut := cnf.NormalizeClauseInto(s.selClauseBuf, c)
 	if taut {
 		return
 	}
 	for _, l := range norm {
 		s.growTo(int(l.Var()))
 	}
-	out := make(cnf.Clause, 0, len(norm)+1)
+	out := norm[:0] // filtered in place: out never overtakes norm
 	for _, l := range norm {
 		switch s.value(l) {
 		case lTrue:

@@ -124,6 +124,39 @@ func TestPhaseSavingRestoresModel(t *testing.T) {
 	}
 }
 
+// TestSatisfyingDescentKeepsHeap pins pickBranchLit's early exit. On a
+// Tseitin-style formula whose gate inputs are PriorityVars, a
+// satisfying descent decides the inputs and propagation assigns every
+// gate; the descent must then stop without popping the gates, so they
+// are all still in the order heap when search returns Sat. The first
+// Solve warms the heaps up: it moves the inputs into priOrder.
+func TestSatisfyingDescentKeepsHeap(t *testing.T) {
+	// g_i ↔ x_i ∧ x_{i+1} over inputs x1..x4; the gates are 5..7.
+	f := cnf.New(7)
+	for i := 1; i <= 3; i++ {
+		g := i + 4
+		f.AddClause(-g, i)
+		f.AddClause(-g, i+1)
+		f.AddClause(g, -i, -(i + 1))
+	}
+	s := New(f, Config{PriorityVars: []cnf.Var{1, 2, 3, 4}})
+	if s.Solve() != Sat {
+		t.Fatal("warm-up Solve: want SAT")
+	}
+	if st := s.search(1<<20, -1, -1, nil); st != Sat {
+		t.Fatalf("search = %v, want SAT", st)
+	}
+	for g := cnf.Var(5); g <= 7; g++ {
+		if s.assigns[g] == lUndef || s.reasons[g].isNone() {
+			t.Fatalf("gate %d was not assigned by propagation", g)
+		}
+		if !s.order.contains(g) {
+			t.Fatalf("propagated gate %d was popped from the order heap", g)
+		}
+	}
+	s.cancelUntil(0)
+}
+
 func TestGrowToIdempotent(t *testing.T) {
 	f := cnf.New(3)
 	s := New(f, Config{})

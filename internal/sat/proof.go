@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"errors"
 	"fmt"
 
 	"unigen/internal/cnf"
@@ -58,12 +59,13 @@ func (s *Solver) logAxiom(lits []cnf.Lit) {
 	s.proof = append(s.proof, ProofStep{Kind: StepAxiom, Lits: append([]cnf.Lit(nil), lits...)})
 }
 
-// CheckRUPProof verifies a proof trace against formula f: every lemma
-// must be derivable by reverse unit propagation (RUP) from the original
-// clauses, the CNF expansions of the XOR clauses, the axioms added so
-// far, and the previously verified lemmas. It returns an error at the
-// first failing step. For an UNSAT certificate the trace must contain
-// the empty lemma.
+// CheckRUPProof verifies a proof trace as a refutation of formula f:
+// every lemma must be derivable by reverse unit propagation (RUP) from
+// the original clauses, the CNF expansions of the XOR clauses, the
+// axioms added so far, and the previously verified lemmas, and one of
+// them must be the empty clause. It returns an error at the first
+// failing step, or when no step derives the empty clause — a trace of
+// sound lemmas alone proves nothing about satisfiability.
 func CheckRUPProof(f *cnf.Formula, steps []ProofStep) error {
 	db := make([][]cnf.Lit, 0, len(f.Clauses)+len(steps))
 	for _, c := range f.Clauses {
@@ -89,9 +91,12 @@ func CheckRUPProof(f *cnf.Formula, steps []ProofStep) error {
 		if !rupDerivable(db, n, st.Lits) {
 			return fmt.Errorf("sat: proof step %d (lemma %v) is not RUP", i, st.Lits)
 		}
+		if len(st.Lits) == 0 {
+			return nil // refuted: the empty clause makes any later lemma RUP
+		}
 		db = append(db, st.Lits)
 	}
-	return nil
+	return errors.New("sat: proof never derives the empty clause")
 }
 
 // rupDerivable checks that asserting the negation of lemma and unit

@@ -111,6 +111,24 @@ func TestProofCheckerRejectsBogusLemma(t *testing.T) {
 	}
 }
 
+// TestProofCheckerRequiresRefutation: a trace of sound lemmas that
+// never derives the empty clause proves nothing, so it must not pass
+// as an UNSAT certificate, not even the empty trace.
+func TestProofCheckerRequiresRefutation(t *testing.T) {
+	f := cnf.New(2)
+	f.AddClause(1, 2)
+	f.AddClause(-1, 2)
+	traces := map[string][]ProofStep{
+		"empty":      nil,
+		"lemma-only": {{Kind: StepLemma, Lits: []cnf.Lit{cnf.MkLit(2, false)}}}, // (x2) is RUP
+	}
+	for name, steps := range traces {
+		if err := CheckRUPProof(f, steps); err == nil {
+			t.Fatalf("%s trace accepted as a refutation of a satisfiable formula", name)
+		}
+	}
+}
+
 func TestProofEmptyWhenDisabled(t *testing.T) {
 	f := cnf.New(2)
 	f.AddClause(1)

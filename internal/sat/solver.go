@@ -60,6 +60,12 @@ type Solver struct {
 	varInc   float64
 	claInc   float64
 
+	// nFree counts the unassigned non-selector variables. Every such
+	// variable is in a decision heap, so nFree == 0 means the heaps
+	// hold only assigned variables and pickBranchLit can report "all
+	// assigned" without popping them (see DESIGN §3, Invariants).
+	nFree int
+
 	maxLearnts float64
 	rng        *randx.RNG
 	stats      tally.Vec
@@ -76,9 +82,10 @@ type Solver struct {
 	// clauses, one for reason lookups during analysis. Each is reused
 	// across calls; the previous content is always dead by the time the
 	// next materialization overwrites it (see reasonLitsFor).
-	conflBuf    []cnf.Lit
-	reasonBuf   []cnf.Lit
-	sortScratch []CRef // reduceDB's sort buffer, reused across reductions
+	conflBuf     []cnf.Lit
+	reasonBuf    []cnf.Lit
+	sortScratch  []CRef     // reduceDB's sort buffer, reused across reductions
+	selClauseBuf cnf.Clause // AddClauseToSelector's normalize/filter buffer
 
 	// Incremental-session state (see incremental.go).
 	isSelector   []byte      // per var: selNone/selClause/selXORGuard
@@ -250,17 +257,15 @@ func (s *Solver) growTo(n int) {
 			s.isSelector[v] = s.allocSelKind
 			continue
 		}
+		s.nFree++
 		s.insertOrder(cnf.Var(v))
 	}
 }
 
 // insertOrder re-inserts an unassigned variable into its decision heap.
-// Selector variables are never branched on: they are set by assumptions
-// or by propagation only.
+// Callers skip selector variables, which are never branched on: they
+// are set by assumptions or by propagation only.
 func (s *Solver) insertOrder(v cnf.Var) {
-	if s.isSelector[v] != selNone {
-		return
-	}
 	if s.priority[v] {
 		s.priOrder.insert(v)
 	} else {
@@ -410,6 +415,7 @@ func (s *Solver) AddXOR(vars []cnf.Var, rhs bool) bool {
 	case 0:
 		if nrhs {
 			s.ok = false
+			s.logLemma(nil)
 			return false
 		}
 		return true
@@ -589,6 +595,7 @@ func (s *Solver) installPackedXOR(bits []uint64, rhs bool, selp *Selector, selCo
 	case 0:
 		if par != rhs {
 			s.ok = false
+			s.logLemma(nil)
 			return false
 		}
 		return true
@@ -644,6 +651,9 @@ func (s *Solver) uncheckedEnqueue(l cnf.Lit, from reason) {
 	s.assigns[v] = boolToLbool(!l.Neg())
 	s.level[v] = s.decisionLevel()
 	s.reasons[v] = from
+	if s.isSelector[v] == selNone {
+		s.nFree--
+	}
 	if c := s.xcolOf[v]; c >= 0 {
 		// Mirror the assignment into the packed XOR masks. Level-0
 		// assignments are permanent for the solver's lifetime, so they
@@ -673,7 +683,10 @@ func (s *Solver) cancelUntil(lvl int) {
 			s.xAssigned[c>>6] &^= 1 << uint(c&63)
 			s.xTrue[c>>6] &^= 1 << uint(c&63)
 		}
-		s.insertOrder(v)
+		if s.isSelector[v] == selNone {
+			s.nFree++
+			s.insertOrder(v)
+		}
 	}
 	s.qhead = s.trailLim[lvl]
 	s.trail = s.trail[:s.trailLim[lvl]]
@@ -687,6 +700,10 @@ func (s *Solver) Model() cnf.Assignment {
 	copy(out, s.model)
 	return out
 }
+
+// ModelValue reports v's value in the last successful Solve's model
+// without copying the model; v must be within the model's bound.
+func (s *Solver) ModelValue(v cnf.Var) bool { return s.model[v] }
 
 // interrupted reports whether an external Interrupt flag asks the
 // current Solve call to stop.
@@ -728,7 +745,7 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 					// O(|formula|), not O(lifetime selectors).
 					nv = s.modelBound
 				}
-				s.model = make(cnf.Assignment, nv+1)
+				s.model = slices.Grow(s.model[:0], nv+1)[:nv+1] // Model copies it out
 				for v := 1; v <= nv; v++ {
 					s.model[v] = s.assigns[v] == lTrue
 				}
@@ -822,7 +839,14 @@ func (s *Solver) search(nConflicts, confLimit, propLimit int64, assumptions []cn
 	}
 }
 
+// pickBranchLit returns the next decision literal, or 0 when every
+// non-selector variable is assigned. The early exit leaves assigned
+// variables in the heaps: after a satisfying descent they are all
+// still there, and cancelUntil's re-insert is a no-op for them.
 func (s *Solver) pickBranchLit() cnf.Lit {
+	if s.nFree == 0 {
+		return 0
+	}
 	for _, h := range [2]*varHeap{s.priOrder, s.order} {
 		for !h.empty() {
 			v := h.removeMax()
@@ -842,6 +866,16 @@ func (s *Solver) pickBranchLit() cnf.Lit {
 func (s *Solver) recordLearnt(learnt []cnf.Lit, lbd int) {
 	s.stats[tally.Learned]++
 	s.logLemma(learnt)
+	for _, l := range learnt {
+		if l.Neg() && s.isSelector[l.Var()] == selXORGuard {
+			// The clause resolved through a row whose guard was true
+			// (its deactivating polarity, set by a learned clause or by
+			// the row itself). Release fixes the guard true, which would
+			// shorten this clause into one the base formula need not
+			// imply; the solver must be rebuilt instead.
+			s.taintL0 = true
+		}
+	}
 	switch len(learnt) {
 	case 1:
 		if s.isSelector[learnt[0].Var()] == selXORGuard {

@@ -2,7 +2,6 @@
 // in bench_test.go (experiment E7 of DESIGN.md):
 //
 //	BenchmarkAblationPriorityBranching – sampling-set-first decisions
-//	BenchmarkAblationLeapFrog          – ApproxMC leap-frogging heuristic
 //	BenchmarkBaselineBDD               – §3's BDD sampler: fast per
 //	                                     sample, but compile time/size
 //	                                     blows up with circuit depth
@@ -19,7 +18,6 @@ import (
 	"unigen/internal/bdd"
 	"unigen/internal/benchgen"
 	"unigen/internal/bsat"
-	"unigen/internal/counter"
 	"unigen/internal/randx"
 	"unigen/internal/sat"
 	"unigen/internal/simplify"
@@ -51,30 +49,6 @@ func BenchmarkAblationPriorityBranching(b *testing.B) {
 					b.Fatalf("got %d witnesses", len(res.Witnesses))
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkAblationLeapFrog measures the ApproxMC heuristic the paper
-// disables (total XOR rows reported as the machine-independent work
-// metric).
-func BenchmarkAblationLeapFrog(b *testing.B) {
-	f := NewFormula(16)
-	f.SamplingSet = []Var{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}
-	for _, lf := range []bool{false, true} {
-		b.Run(fmt.Sprintf("leapfrog=%v", lf), func(b *testing.B) {
-			totalRows := 0
-			for i := 0; i < b.N; i++ {
-				rng := randx.New(uint64(i))
-				res, err := counter.ApproxMC(f, rng, counter.ApproxMCOptions{
-					Epsilon: 0.8, Delta: 0.2, MaxHashRounds: 8, LeapFrog: lf,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				totalRows += res.TotalXORRows
-			}
-			b.ReportMetric(float64(totalRows)/float64(b.N), "xorrows")
 		})
 	}
 }

@@ -1,6 +1,7 @@
 // Command approxmc approximately counts the witnesses of a DIMACS CNF
 // formula projected onto its sampling set, within a (1+ε) factor with
-// confidence 1−δ (the ApproxMC algorithm of CP 2013).
+// confidence 1−δ (ApproxMC2 of IJCAI 2016: nested XOR hashes and a
+// logarithmic search over the hash count).
 //
 // Usage:
 //

@@ -25,8 +25,10 @@ import (
 // Frame layout (all integers little-endian):
 //
 //	[0:4]   magic "UGSU"
-//	[4:6]   u16 version (currently 3; version 1 had no hash set, and
-//	        version 2 persisted 17 base-stats counters)
+//	[4:6]   u16 version (currently 4; version 1 had no hash set,
+//	        version 2 persisted 17 base-stats counters, and version 3
+//	        had this layout but held an estimate from CP'13's ApproxMC,
+//	        which draws a different estimate from the same RNG)
 //	[6:10]  u32 payload length
 //	[10:N]  payload (see below)
 //	[N:N+4] u32 CRC-32C (Castagnoli) over bytes [0:N]
@@ -65,7 +67,7 @@ import (
 
 const (
 	setupMagic   = "UGSU"
-	setupVersion = 3
+	setupVersion = 4
 	setupHdrLen  = 4 + 2 + 4 // magic + version + payload length
 )
 

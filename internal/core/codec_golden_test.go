@@ -51,9 +51,9 @@ func goldenSetup(t *testing.T) *Setup {
 	}
 }
 
-// goldenFrame is goldenSetup's version-3 encoding.
+// goldenFrame is goldenSetup's version-4 encoding.
 const goldenFrame = `
-	554753550300fa0000002e8cae92acc6b5dc3c36fe2f97a6c41f685325e12984
+	554753550400fa0000002e8cae92acc6b5dc3c36fe2f97a6c41f685325e12984
 	647a8c5e6a2f83ec6c0b00000000000018400400000002000000020000000200
 	0000040000000200000007000000080000000000000000040000000100000002
 	000000030000000400000003000000010000000300000004000000822523897b
@@ -61,10 +61,10 @@ const goldenFrame = `
 	00012c0101010101010101020202020202020203030303030303030404040404
 	0404040505050505050505060606060606060607070707070707070808080808
 	08080809090909090909090a0a0a0a0a0a0a0a0b0b0b0b0b0b0b0b0c0c0c0c00
-	02000000b41ff8c6
+	020000002a9736da
 `
 
-// TestSetupCodecGoldenFrame pins the version-3 frame byte for byte:
+// TestSetupCodecGoldenFrame pins the version-4 frame byte for byte:
 // any change to the layout, the counter order or a counter's width
 // fails here, and the golden frame decodes back to the same stats.
 func TestSetupCodecGoldenFrame(t *testing.T) {

@@ -259,7 +259,7 @@ func hashSetOffset(t *testing.T, su *Setup) int {
 	return setupHdrLen + 32 + 8 + len(fb) + 4 + 4*len(su.s)
 }
 
-// TestSetupCodecRoundTripHashSet: a version-3 frame carries the hash set,
+// TestSetupCodecRoundTripHashSet: a version-4 frame carries the hash set,
 // so a rehydrated setup hashes over exactly what the cold one did.
 func TestSetupCodecRoundTripHashSet(t *testing.T) {
 	su := buildSetup(t, prunedFormula())
@@ -267,8 +267,8 @@ func TestSetupCodecRoundTripHashSet(t *testing.T) {
 		t.Fatalf("fixture should prune: hash set %v, sampling set %v", su.h, su.s)
 	}
 	blob := encode(t, su)
-	if v := binary.LittleEndian.Uint16(blob[4:]); v != 3 {
-		t.Fatalf("frame version %d, want 3", v)
+	if v := binary.LittleEndian.Uint16(blob[4:]); v != 4 {
+		t.Fatalf("frame version %d, want 4", v)
 	}
 	got, err := DecodeSetup(blob, Options{Epsilon: 6})
 	if err != nil {
@@ -338,12 +338,12 @@ func TestSetupCodecRejectsStatsMismatch(t *testing.T) {
 }
 
 // TestSetupCodecRejectsOlderVersions: frames from before the hash set
-// was persisted (version 1) or from before the base-stats block shrank
-// to 11 counters (version 2) are a version-skew ErrCodec, never decoded
-// as the current version.
+// was persisted (version 1), from before the base-stats block shrank
+// to 11 counters (version 2) or from before ApproxMC2 (version 3) are a
+// version-skew ErrCodec, never decoded as the current version.
 func TestSetupCodecRejectsOlderVersions(t *testing.T) {
 	blob := encode(t, buildSetup(t, hashingFormula()))
-	for _, v := range []uint16{1, 2} {
+	for _, v := range []uint16{1, 2, 3} {
 		old := bytes.Clone(blob)
 		binary.LittleEndian.PutUint16(old[4:], v)
 		patchCRC(old, len(old)-4)

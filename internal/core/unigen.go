@@ -54,7 +54,7 @@ type Options struct {
 	// protocol ("we repeated the execution of lines 14–16 without
 	// incrementing i"). Default 10.
 	MaxRetries int
-	// ApproxMCRounds overrides the δ-derived iteration count of the
+	// ApproxMCRounds caps the δ-derived round count t = 67 of the
 	// setup-time ApproxMC call when > 0 (benchmark knob; 0 keeps the
 	// paper's parameters ε'=0.8, δ'=0.2).
 	ApproxMCRounds int

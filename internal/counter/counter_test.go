@@ -1,6 +1,7 @@
 package counter
 
 import (
+	"math"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -182,18 +183,18 @@ func TestExactProjectedLimit(t *testing.T) {
 }
 
 func TestPivotAndIterFormulas(t *testing.T) {
-	// Spot-check the CP'13 constants at UniGen's operating point
+	// Spot-check the ApproxMC2 constants at UniGen's operating point
 	// ε=0.8, δ=0.2.
-	if p := pivotAMC(0.8); p != 52 {
-		t.Errorf("pivot(0.8) = %d, want 52", p)
+	if th := threshAMC(0.8); th != 73 {
+		t.Errorf("thresh(0.8) = %d, want 73", th)
 	}
-	if it := iterAMC(0.2); it != 137 {
-		t.Errorf("iter(0.2) = %d, want 137", it)
+	if it := iterAMC(0.2); it != 67 {
+		t.Errorf("iter(0.2) = %d, want 67", it)
 	}
-	// Monotonicity properties.
+	// Monotonicity: a looser tolerance never needs a bigger cell.
 	check := func(e1 float64) bool {
-		e := 0.1 + float64(int(e1*100)%300)/100.0
-		return pivotAMC(e) >= pivotAMC(e+0.5)
+		e := 0.1 + math.Mod(math.Abs(e1), 3)
+		return threshAMC(e) >= threshAMC(e+0.5)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

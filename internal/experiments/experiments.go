@@ -38,8 +38,8 @@ type Config struct {
 	// propagation work that conflicts alone do not capture. UniWit rows
 	// exceeding it show as "-" like the paper's timed-out entries.
 	MaxPropagations int64
-	// ApproxMCRounds caps UniGen's setup counter iterations (0 keeps the
-	// paper's δ-derived 137; the harness default of 12 trades a little
+	// ApproxMCRounds caps the rounds of UniGen's setup counter (0 keeps
+	// ApproxMC2's δ-derived 67; the harness default of 12 trades a little
 	// confidence for wall-clock time and is recorded in EXPERIMENTS.md).
 	ApproxMCRounds int
 	// UniWitSampleCap bounds how many UniWit samples are attempted per

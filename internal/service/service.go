@@ -83,8 +83,9 @@ type Config struct {
 	MaxPropagations int64
 	// GaussJordan enables Gauss–Jordan XOR preprocessing in the solver.
 	GaussJordan bool
-	// ApproxMCRounds caps setup-time approximate-counter iterations
-	// (0 keeps the paper's confidence parameters).
+	// ApproxMCRounds caps the rounds t of the setup-time approximate
+	// counter (ApproxMC2) when > 0; 0 keeps t = 67, the round count
+	// for the paper's confidence parameters.
 	ApproxMCRounds int
 	// Workers is the default per-request worker-pool size (default 1).
 	Workers int

@@ -30,8 +30,9 @@ type ServiceOptions struct {
 	MaxPropagations int64
 	// GaussJordan enables Gauss–Jordan XOR preprocessing.
 	GaussJordan bool
-	// ApproxMCRounds caps setup-time counter iterations (benchmark
-	// knob; 0 keeps the paper's parameters).
+	// ApproxMCRounds caps the rounds t of the setup-time approximate
+	// counter (ApproxMC2) when > 0; 0 keeps t = 67, the round count
+	// for the paper's confidence parameters.
 	ApproxMCRounds int
 	// Workers is the per-request worker-pool size (default 1).
 	Workers int

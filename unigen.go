@@ -132,8 +132,9 @@ type Options struct {
 	MaxPropagations int64
 	// GaussJordan enables Gauss–Jordan XOR preprocessing in the solver.
 	GaussJordan bool
-	// ApproxMCRounds caps the setup-time approximate-counter iterations
-	// (0 keeps the paper's confidence parameters).
+	// ApproxMCRounds caps the rounds t of the setup-time approximate
+	// counter (ApproxMC2) when > 0; 0 keeps t = 67, the round count
+	// for the paper's confidence parameters ε = 0.8, δ = 0.2.
 	ApproxMCRounds int
 	// Workers ≥ 1 backs sampling with a pool of that many solver
 	// sessions and per-round seed streams (see the package comment on
@@ -339,7 +340,9 @@ func Solve(f *Formula, opts Options) (Witness, bool, error) {
 
 // ApproxCount estimates the number of witnesses of f projected onto its
 // sampling set, within a (1+epsilon) factor with confidence 1-delta
-// (the ApproxMC algorithm, CP 2013).
+// (ApproxMC2: Chakraborty, Meel and Vardi, IJCAI 2016). Fewer than
+// ⌈1 + 9.84·(1 + ε/(1+ε))·(1 + 1/ε)²⌉ witnesses (73 at ε = 0.8) are
+// counted exactly.
 func ApproxCount(f *Formula, epsilon, delta float64, opts Options) (*big.Int, error) {
 	rng := randx.New(opts.Seed ^ 0xa99c0c13)
 	res, err := counter.ApproxMC(f, rng, counter.ApproxMCOptions{

@@ -1,8 +1,8 @@
 // BenchmarkClauseArena (experiment E11 of DESIGN.md §4) gauges the CNF
 // clause layer on the patterns UniGen's Sample loop stresses it with.
-// Unlike E10 (which isolates the XOR engine), the regimes here are
-// CNF-propagation-heavy: blocking-clause enumeration inside accepted
-// cells, and a conflict-driven learn loop on a hard random 3-CNF.
+// The regimes here are CNF-propagation-heavy, not XOR-heavy:
+// blocking-clause enumeration inside accepted cells, and a
+// conflict-driven learn loop on a hard random 3-CNF.
 //
 //	enumerate/    – per-cell bounded enumeration on an incremental
 //	                session (EnqueueSeqSK, m=8 hash band): every witness

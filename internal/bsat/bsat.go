@@ -116,10 +116,6 @@ func NewSession(f *cnf.Formula, opts Options) *Session {
 // word copy (colMap == nil) unless base-formula XOR clauses claimed
 // early columns first. Called after every (re)build.
 func (se *Session) registerColumns() {
-	if se.cfg.ScalarXOR {
-		se.colMap = nil
-		return
-	}
 	se.colMap = se.s.XORColumns(se.vars)
 }
 
@@ -243,16 +239,13 @@ func (se *Session) enumerate(n int, h *hashfam.Hash, keep bool) (int, Result) {
 	acts := se.assumps[:0]
 	emptyCell := false
 	if h != nil {
-		var cols []int32
-		if !se.cfg.ScalarXOR {
-			cols = se.colMap
-			if !slices.Equal(h.Vars, se.vars) {
-				// Hash drawn over a different variable space than the
-				// registered sampling set (e.g. a full-support hash):
-				// build this call's column mapping instead of assuming
-				// the cached one.
-				cols = se.s.XORColumns(h.Vars)
-			}
+		cols := se.colMap
+		if !slices.Equal(h.Vars, se.vars) {
+			// Hash drawn over a different variable space than the
+			// registered sampling set (e.g. a full-support hash): build
+			// this call's column mapping instead of assuming the cached
+			// one.
+			cols = se.s.XORColumns(h.Vars)
 		}
 		for i := range h.Rows {
 			r := &h.Rows[i]
@@ -267,14 +260,9 @@ func (se *Session) enumerate(n int, h *hashfam.Hash, keep bool) (int, Result) {
 				}
 				continue
 			}
-			var sel *sat.Selector
-			if se.cfg.ScalarXOR {
-				sel = se.s.AddXORRemovable(h.RowVars(i), r.RHS)
-			} else {
-				// Packed install: the drawn bits flow into the solver
-				// through the column map, no []cnf.Var ever materialized.
-				sel = se.s.AddPackedXORRemovable(r.Bits, r.RHS, cols)
-			}
+			// The drawn bits flow into the solver through the column
+			// map; no []cnf.Var is ever materialized.
+			sel := se.s.AddPackedXORRemovable(r.Bits, r.RHS, cols)
 			sels = append(sels, sel)
 			acts = append(acts, sel.Lit())
 		}

@@ -60,9 +60,9 @@ func (h *Hash) AverageLen() float64 {
 }
 
 // RowVars materializes row i as a variable slice, for consumers that
-// speak sparse XOR clauses (the stateless enumeration path, Apply, and
-// the solver's legacy scalar engine). The hot incremental path installs
-// the packed bits directly and never calls this.
+// speak sparse XOR clauses (the stateless enumeration path and Apply).
+// The hot incremental path installs the packed bits directly and never
+// calls this.
 func (h *Hash) RowVars(i int) []cnf.Var {
 	r := h.Rows[i]
 	out := make([]cnf.Var, 0, r.Len())

@@ -10,13 +10,10 @@ import (
 // clause (asserting literal first), the backtrack level, and the LBD
 // (number of distinct decision levels in the learned clause).
 //
-// Reasons that are packed XOR rows are walked bit-by-bit in place
-// instead of being materialized through xorFalseClause: on hash-heavy
-// workloads a reason row covers half the support, and rendering ~|X|/2
-// literals per resolution step (then reading them back once) dominated
-// analysis time. The in-place walk visits the same variables in the
-// same order, so activities, the learned clause, and the search
-// trajectory are bit-identical to the materialized path.
+// XOR reasons are walked bit-by-bit in place, never materialized as
+// clauses: on hash-heavy workloads a reason row covers half the
+// support, and rendering ~|X|/2 literals per resolution step (then
+// reading them back once) dominated analysis time.
 func (s *Solver) analyze(confl conflict) (learnt []cnf.Lit, btLevel, lbd int) {
 	learnt = s.analyzeLearnt[:0] // scratch reused across conflicts
 	learnt = append(learnt, 0)   // placeholder for the asserting literal
@@ -38,9 +35,8 @@ func (s *Solver) analyze(confl conflict) (learnt []cnf.Lit, btLevel, lbd int) {
 	dl := s.decisionLevel()
 	for {
 		if xorReason >= 0 {
-			// In-place packed-row walk; p's own variable is skipped, the
-			// rest visit in ascending column order — exactly the order
-			// xorFalseClause(buf, xi, p.Var()) would render them.
+			// In-place row walk: p's own variable is skipped, the rest
+			// visit in ascending column order.
 			x := &s.xors[xorReason]
 			off := int(x.off)
 			pv := p.Var()
@@ -97,7 +93,7 @@ func (s *Solver) analyze(confl conflict) (learnt []cnf.Lit, btLevel, lbd int) {
 			break
 		}
 		r := s.reasons[p.Var()]
-		if r.tag == reasonXOR && s.xors[r.ref].bits != nil {
+		if r.tag == reasonXOR {
 			xorReason = int32(r.ref)
 			continue
 		}
@@ -159,31 +155,29 @@ func (s *Solver) analyze(confl conflict) (learnt []cnf.Lit, btLevel, lbd int) {
 
 // litRedundant reports whether literal l is implied by the other
 // (seen-marked) literals of the learned clause: every literal of its
-// reason is either assigned at level 0 or already marked seen. Packed
-// XOR reasons are scanned in place with early exit — same verdict as
-// materializing the row, without rendering ~row-length literals per
-// candidate.
+// reason is either assigned at level 0 or already marked seen. XOR
+// reasons are scanned in place with early exit, without rendering
+// ~row-length literals per candidate.
 func (s *Solver) litRedundant(l cnf.Lit) bool {
 	lv := l.Var()
 	if r := s.reasons[lv]; r.tag == reasonXOR {
-		if x := &s.xors[r.ref]; x.bits != nil {
-			off := int(x.off)
-			for w, b := range x.bits {
-				b &^= s.xAssignedL0[off+w] // level-0 literals are skipped anyway
-				for b != 0 {
-					c := (off+w)<<6 | bits.TrailingZeros64(b)
-					b &= b - 1
-					xv := s.xvarOf[c]
-					if xv == lv {
-						continue
-					}
-					if s.seen[xv] == 0 {
-						return false
-					}
+		x := &s.xors[r.ref]
+		off := int(x.off)
+		for w, b := range x.bits {
+			b &^= s.xAssignedL0[off+w] // level-0 literals are skipped anyway
+			for b != 0 {
+				c := (off+w)<<6 | bits.TrailingZeros64(b)
+				b &= b - 1
+				xv := s.xvarOf[c]
+				if xv == lv {
+					continue
+				}
+				if s.seen[xv] == 0 {
+					return false
 				}
 			}
-			return true
 		}
+		return true
 	}
 	rl := s.reasonLitsFor(lv)
 	for _, q := range rl[1:] {

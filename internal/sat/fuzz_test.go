@@ -8,17 +8,16 @@ import (
 	"unigen/internal/cnf"
 )
 
-// FuzzSolver is the solver's differential fuzz oracle. The input bytes
+// FuzzSolver is the solver's brute-force fuzz oracle. The input bytes
 // decode into a CNF+XOR formula over at most 10 variables (see
-// fuzzFormula). Every engine configuration — packed or ScalarXOR rows,
-// GaussJordan on or off — enumerates the full model set with blocking
-// clauses, and both the first verdict and the model set must match
-// BruteForceModels. The Gauss-off runs also record a proof: the
-// enumeration ends in UNSAT (of the formula when it has no models, else
-// of the formula plus its blocking clauses, which the trace carries as
-// axioms), and CheckRUPProof must accept the trace as a refutation: it
-// derives the empty clause. RecordProof only logs; it does not change
-// the search.
+// fuzzFormula). With GaussJordan off and on, the solver enumerates the
+// full model set with blocking clauses, and both the first verdict and
+// the model set must match BruteForceModels. The Gauss-off run also
+// records a proof: the enumeration ends in UNSAT (of the formula when it
+// has no models, else of the formula plus its blocking clauses, which
+// the trace carries as axioms), and CheckRUPProof must accept the trace
+// as a refutation: it derives the empty clause. RecordProof only logs;
+// it does not change the search.
 func FuzzSolver(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fm := fuzzFormula(data)
@@ -30,41 +29,39 @@ func FuzzSolver(f *testing.F) {
 		for _, m := range BruteForceModels(fm) {
 			want[m.Project(all)] = true
 		}
-		for _, scalar := range []bool{false, true} {
-			for _, gauss := range []bool{false, true} {
-				name := fmt.Sprintf("scalar=%v gauss=%v", scalar, gauss)
-				s := New(fm, Config{ScalarXOR: scalar, GaussJordan: gauss, RecordProof: !gauss})
-				got := map[string]bool{}
-				for {
-					st := s.Solve()
-					if st == Unknown {
-						t.Fatalf("%s: Solve returned %v without a budget", name, st)
-					}
-					if len(got) == 0 && (st == Sat) != (len(want) > 0) {
-						t.Fatalf("%s: verdict %v, brute force finds %d models\n%s", name, st, len(want), cnf.DIMACSString(fm))
-					}
-					if st == Unsat {
-						break
-					}
-					m := s.Model()
-					key := m.Project(all)
-					if !want[key] || got[key] {
-						t.Fatalf("%s: model %v is a non-model or a repeat\n%s", name, m, cnf.DIMACSString(fm))
-					}
-					got[key] = true
-					block := make(cnf.Clause, len(all))
-					for i, v := range all {
-						block[i] = cnf.MkLit(v, m.Get(v))
-					}
-					s.AddClause(block)
+		for _, gauss := range []bool{false, true} {
+			name := fmt.Sprintf("gauss=%v", gauss)
+			s := New(fm, Config{GaussJordan: gauss, RecordProof: !gauss})
+			got := map[string]bool{}
+			for {
+				st := s.Solve()
+				if st == Unknown {
+					t.Fatalf("%s: Solve returned %v without a budget", name, st)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("%s: enumerated %d models, brute force %d\n%s", name, len(got), len(want), cnf.DIMACSString(fm))
+				if len(got) == 0 && (st == Sat) != (len(want) > 0) {
+					t.Fatalf("%s: verdict %v, brute force finds %d models\n%s", name, st, len(want), cnf.DIMACSString(fm))
 				}
-				if !gauss {
-					if err := CheckRUPProof(fm, s.Proof()); err != nil {
-						t.Fatalf("%s: %v\n%s", name, err, cnf.DIMACSString(fm))
-					}
+				if st == Unsat {
+					break
+				}
+				m := s.Model()
+				key := m.Project(all)
+				if !want[key] || got[key] {
+					t.Fatalf("%s: model %v is a non-model or a repeat\n%s", name, m, cnf.DIMACSString(fm))
+				}
+				got[key] = true
+				block := make(cnf.Clause, len(all))
+				for i, v := range all {
+					block[i] = cnf.MkLit(v, m.Get(v))
+				}
+				s.AddClause(block)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: enumerated %d models, brute force %d\n%s", name, len(got), len(want), cnf.DIMACSString(fm))
+			}
+			if !gauss {
+				if err := CheckRUPProof(fm, s.Proof()); err != nil {
+					t.Fatalf("%s: %v\n%s", name, err, cnf.DIMACSString(fm))
 				}
 			}
 		}

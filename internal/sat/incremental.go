@@ -333,51 +333,6 @@ func (s *Solver) AddClauseToSelector(sel *Selector, c cnf.Clause) {
 	s.attach(cr)
 }
 
-// AddXORRemovable adds the parity constraint ⊕vars = rhs guarded by a
-// fresh selector. Must be called at decision level 0.
-func (s *Solver) AddXORRemovable(vars []cnf.Var, rhs bool) *Selector {
-	if s.decisionLevel() != 0 {
-		panic("sat: AddXORRemovable above level 0")
-	}
-	if !s.cfg.ScalarXOR {
-		// Pack onto the solver's column space and take the packed
-		// removable path (identity column mapping).
-		norm, nrhs := cnf.NormalizeXOR(vars, rhs)
-		return s.AddPackedXORRemovable(s.packXORRow(norm), nrhs, nil)
-	}
-	v := s.newSelectorVar(selXORGuard)
-	sel := &Selector{act: cnf.MkLit(v, true), regIdx: -1} // active when a = false
-	if !s.ok {
-		return sel
-	}
-	norm, nrhs := cnf.NormalizeXOR(vars, rhs)
-	for _, xv := range norm {
-		s.growTo(int(xv))
-	}
-	out := make([]cnf.Var, 0, len(norm)+1)
-	for _, xv := range norm {
-		switch s.valueVar(xv) {
-		case lTrue:
-			nrhs = !nrhs
-		case lUndef:
-			out = append(out, xv)
-		}
-	}
-	if len(out) == 0 {
-		if nrhs {
-			// 0 = 1 under the top-level assignment: activating must give
-			// Unsat. Fix a = true so the assumption ¬a is contradicted.
-			s.addUnit(sel.act.Not())
-		}
-		return sel
-	}
-	out = append(out, v)
-	x := xorClause{vars: out, rhs: nrhs, w: [2]int{0, 1}, sel: v}
-	idx := s.pushXorClause(x, out[0], out[1])
-	sel.xors = append(sel.xors, idx)
-	return sel
-}
-
 // AddPackedXORRemovable installs a drawn GF(2) row as a removable
 // constraint without materializing a variable slice: bit c of bits
 // refers to solver XOR column cols[c], or — when cols is nil — to
@@ -386,13 +341,10 @@ func (s *Solver) AddXORRemovable(vars []cnf.Var, rhs bool) *Selector {
 // XORColumns before any selector exists, hash rows are packed over the
 // sampling set in the same order, and installation is a word copy plus
 // one selector bit. bits is not retained. Must be called at decision
-// level 0; packed engine only.
+// level 0.
 func (s *Solver) AddPackedXORRemovable(bits []uint64, rhs bool, cols []int32) *Selector {
 	if s.decisionLevel() != 0 {
 		panic("sat: AddPackedXORRemovable above level 0")
-	}
-	if s.cfg.ScalarXOR {
-		panic("sat: AddPackedXORRemovable requires the packed XOR engine")
 	}
 	v := s.newSelectorVar(selXORGuard)
 	sel := &Selector{act: cnf.MkLit(v, true), regIdx: -1} // active when a = false
@@ -448,14 +400,9 @@ func (s *Solver) Release(sel *Selector) {
 	}
 	for _, xi := range sel.xors {
 		x := &s.xors[xi]
-		if x.bits != nil {
-			s.detachXORWatch(s.xvarOf[x.w[0]], xi)
-			s.detachXORWatch(s.xvarOf[x.w[1]], xi)
-			s.freeXorColumn(x.sel)
-		} else {
-			s.detachXORWatch(x.vars[x.w[0]], xi)
-			s.detachXORWatch(x.vars[x.w[1]], xi)
-		}
+		s.detachXORWatch(s.xvarOf[x.w[0]], xi)
+		s.detachXORWatch(s.xvarOf[x.w[1]], xi)
+		s.freeXorColumn(x.sel)
 		s.xors[xi] = xorClause{}
 		s.freeXors = append(s.freeXors, xi)
 	}

@@ -7,6 +7,18 @@ import (
 	"unigen/internal/randx"
 )
 
+// AddXORRemovable adds the parity constraint ⊕vars = rhs guarded by a
+// fresh selector: it packs the row onto the solver's own column space
+// and installs it through AddPackedXORRemovable with the identity
+// column mapping. Must be called at decision level 0.
+func (s *Solver) AddXORRemovable(vars []cnf.Var, rhs bool) *Selector {
+	if s.decisionLevel() != 0 {
+		panic("sat: AddXORRemovable above level 0")
+	}
+	norm, nrhs := cnf.NormalizeXOR(vars, rhs)
+	return s.AddPackedXORRemovable(s.packXORRow(norm), nrhs, nil)
+}
+
 // TestRemovableClauseActivation: a guarded clause constrains the search
 // only when its activation literal is assumed.
 func TestRemovableClauseActivation(t *testing.T) {

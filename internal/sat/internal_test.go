@@ -59,29 +59,75 @@ func TestWatchInvariant(t *testing.T) {
 	}
 }
 
-// TestXOROccInvariant verifies that each XOR clause is present in
-// exactly the occurrence lists of its two watched variables, under both
-// XOR engines.
+// TestXOROccInvariant verifies the XOR watch invariants (see
+// checkXORWatches) on a small random CNF+XOR formula after a full Solve,
+// and on wide-row formulas, with Gauss–Jordan off and on, after each
+// conflict-free propagate of a run of random core decisions. The wide
+// rows span several words and some windows start past word 0.
 func TestXOROccInvariant(t *testing.T) {
-	for _, scalar := range []bool{false, true} {
-		rng := randx.New(72)
-		f := randomXORCNF(rng, 12, 10, 3, 6)
-		s := New(f, Config{ScalarXOR: scalar})
-		s.Solve()
-		occ := map[int32]int{}
-		for v := 1; v <= s.numVars; v++ {
-			for _, xi := range s.occXor[v] {
-				x := &s.xors[xi]
-				if s.xorWatchVar(x, 0) != cnf.Var(v) && s.xorWatchVar(x, 1) != cnf.Var(v) {
-					t.Fatalf("scalar=%v: xor %d in occ list of %d but watches %d/%d",
-						scalar, xi, v, s.xorWatchVar(x, 0), s.xorWatchVar(x, 1))
+	rng := randx.New(72)
+	f := randomXORCNF(rng, 12, 10, 3, 6)
+	s := New(f, Config{})
+	s.Solve()
+	checkXORWatches(t, s)
+
+	rng = randx.New(0x0cc)
+	for iter := 0; iter < 120; iter++ {
+		f, core, _ := wideRowFormula(rng, wideRowShares[iter%len(wideRowShares)])
+		for _, gauss := range []bool{false, true} {
+			s := New(f, Config{GaussJordan: gauss})
+			checkXORWatches(t, s)
+			for _, i := range rng.Perm(len(core)) {
+				if s.assigns[core[i]] != lUndef {
+					continue
 				}
-				occ[xi]++
+				s.trailLim = append(s.trailLim, len(s.trail))
+				s.uncheckedEnqueue(cnf.MkLit(core[i], rng.Bool()), reason{})
+				if !s.propagate().none() {
+					break
+				}
+				checkXORWatches(t, s)
+			}
+			s.cancelUntil(0)
+		}
+	}
+}
+
+// checkXORWatches checks, at a propagation fixpoint, that every XOR row
+// watches two distinct columns of its own and is in exactly the
+// occurrence lists of their two variables, and that a row with an
+// assigned watch has every column assigned.
+func checkXORWatches(t *testing.T, s *Solver) {
+	t.Helper()
+	occ := map[int32]int{}
+	for v := 1; v <= s.numVars; v++ {
+		for _, xi := range s.occXor[v] {
+			w := s.xors[xi].w
+			if s.xvarOf[w[0]] != cnf.Var(v) && s.xvarOf[w[1]] != cnf.Var(v) {
+				t.Fatalf("xor %d in occ list of %d but watches %d/%d", xi, v, s.xvarOf[w[0]], s.xvarOf[w[1]])
+			}
+			occ[xi]++
+		}
+	}
+	for xi := range s.xors {
+		x := &s.xors[xi]
+		if x.w[0] == x.w[1] {
+			t.Fatalf("xor %d watches column %d twice", xi, x.w[0])
+		}
+		for _, c := range x.w {
+			if w := c>>6 - int(x.off); w < 0 || w >= len(x.bits) || x.bits[w]&(1<<uint(c&63)) == 0 {
+				t.Fatalf("xor %d watches column %d, which is not in the row", xi, c)
 			}
 		}
-		for xi := range s.xors {
-			if got := occ[int32(xi)]; got != 2 {
-				t.Fatalf("scalar=%v: xor %d has %d occurrence entries, want 2", scalar, xi, got)
+		if got := occ[int32(xi)]; got != 2 {
+			t.Fatalf("xor %d has %d occurrence entries, want 2", xi, got)
+		}
+		if s.assigns[s.xvarOf[x.w[0]]] == lUndef && s.assigns[s.xvarOf[x.w[1]]] == lUndef {
+			continue
+		}
+		for w, b := range x.bits {
+			if b&^s.xAssigned[int(x.off)+w] != 0 {
+				t.Fatalf("xor %d has an assigned watch but unassigned columns", xi)
 			}
 		}
 	}

@@ -1,51 +1,35 @@
 package sat
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"unigen/internal/cnf"
 	"unigen/internal/randx"
 )
 
-// This file is the packed/legacy differential gate for the bit-packed
-// XOR engine: the packed solver (default) and the scalar reference
-// (Config.ScalarXOR) must agree on randomized CNF+XOR systems —
-// identical SAT/UNSAT verdicts, identical level-0 implied units
-// (the trail modulo order), and identical full model sets under
-// blocking-clause enumeration.
+// This file is the brute-force gate for the bit-packed XOR engine:
+// randomized CNF+XOR systems, removable install/solve/release schedules
+// and wide-row formulas whose rows span several 64-column words must
+// give the model sets, verdicts and level-0 units brute force allows.
 
-// levelZeroLits returns the set of literals on the level-0 trail.
-func levelZeroLits(s *Solver) map[cnf.Lit]bool {
-	out := map[cnf.Lit]bool{}
-	end := len(s.trail)
-	if len(s.trailLim) > 0 {
-		end = s.trailLim[0]
-	}
-	for _, l := range s.trail[:end] {
-		out[l] = true
-	}
-	return out
-}
-
-// enumerateAll collects every model of the solver over vars 1..n,
-// projected to a canonical key, using blocking clauses.
-func enumerateAll(t *testing.T, s *Solver, n int) map[string]bool {
+// enumerateAll collects the projections onto vars of every model of the
+// solver, using blocking clauses over vars; every model must satisfy f
+// and no projection may repeat.
+func enumerateAll(t *testing.T, s *Solver, f *cnf.Formula, vars []cnf.Var) map[string]bool {
 	t.Helper()
-	vars := make([]cnf.Var, n)
-	for i := range vars {
-		vars[i] = cnf.Var(i + 1)
-	}
 	out := map[string]bool{}
-	for len(out) < 1<<uint(n) {
+	for len(out) < 1<<uint(len(vars)) {
 		switch s.Solve() {
 		case Sat:
 			m := s.Model()
 			key := m.Project(vars)
-			if out[key] {
-				t.Fatal("enumeration repeated a model")
+			if !m.Satisfies(f) || out[key] {
+				t.Fatal("enumeration found a non-model or a repeat")
 			}
 			out[key] = true
-			block := make(cnf.Clause, 0, n)
+			block := make(cnf.Clause, 0, len(vars))
 			for _, v := range vars {
 				block = append(block, cnf.MkLit(v, m.Get(v)))
 			}
@@ -55,7 +39,7 @@ func enumerateAll(t *testing.T, s *Solver, n int) map[string]bool {
 		case Unsat:
 			return out
 		default:
-			t.Fatal("budget exhausted in differential enumeration")
+			t.Fatal("budget exhausted in enumeration")
 		}
 	}
 	return out
@@ -88,9 +72,12 @@ func buildRandomXORCNF(rng *randx.RNG, n int) *cnf.Formula {
 	return f
 }
 
-// TestPackedScalarDifferential compares the two engines on randomized
-// XOR-heavy systems, with and without Gauss–Jordan preprocessing.
-func TestPackedScalarDifferential(t *testing.T) {
+// TestPackedAgainstBruteForce checks the solver on randomized XOR-heavy
+// systems, with and without Gauss–Jordan preprocessing: construction
+// may fail only on an unsatisfiable formula, every level-0 literal must
+// hold in every model, and blocking-clause enumeration must find
+// exactly the brute-force model set.
+func TestPackedAgainstBruteForce(t *testing.T) {
 	rng := randx.New(0x9acced)
 	iters := 150
 	if testing.Short() {
@@ -99,43 +86,39 @@ func TestPackedScalarDifferential(t *testing.T) {
 	for iter := 0; iter < iters; iter++ {
 		n := 4 + rng.Intn(7)
 		f := buildRandomXORCNF(rng, n)
+		all := varsUpTo(n)
+		models := BruteForceModels(f)
+		want := map[string]bool{}
+		for _, m := range models {
+			want[m.Project(all)] = true
+		}
 		for _, gauss := range []bool{false, true} {
-			packed := New(f, Config{Seed: uint64(iter), GaussJordan: gauss})
-			scalar := New(f, Config{Seed: uint64(iter), GaussJordan: gauss, ScalarXOR: true})
-			if packed.Okay() != scalar.Okay() {
-				t.Fatalf("iter %d gauss=%v: construction Okay %v vs %v",
-					iter, gauss, packed.Okay(), scalar.Okay())
+			s := New(f, Config{Seed: uint64(iter), GaussJordan: gauss})
+			if !s.Okay() && len(models) > 0 {
+				t.Fatalf("iter %d gauss=%v: construction failed on a formula with %d models",
+					iter, gauss, len(models))
 			}
-			pl0, sl0 := levelZeroLits(packed), levelZeroLits(scalar)
-			for l := range pl0 {
-				if int(l.Var()) <= n && !sl0[l] {
-					t.Fatalf("iter %d gauss=%v: packed implies %v at level 0, scalar does not", iter, gauss, l)
+			for _, l := range s.trail { // New returns at level 0
+				for _, m := range models {
+					if m.Get(l.Var()) == l.Neg() {
+						t.Fatalf("iter %d gauss=%v: level-0 literal %v fails model %v", iter, gauss, l, m)
+					}
 				}
 			}
-			for l := range sl0 {
-				if int(l.Var()) <= n && !pl0[l] {
-					t.Fatalf("iter %d gauss=%v: scalar implies %v at level 0, packed does not", iter, gauss, l)
-				}
-			}
-			pm := enumerateAll(t, packed, n)
-			sm := enumerateAll(t, scalar, n)
-			if len(pm) != len(sm) {
-				t.Fatalf("iter %d gauss=%v: model counts %d vs %d", iter, gauss, len(pm), len(sm))
-			}
-			for k := range pm {
-				if !sm[k] {
-					t.Fatalf("iter %d gauss=%v: packed found a model scalar did not", iter, gauss)
-				}
+			if got := enumerateAll(t, s, f, all); !maps.Equal(got, want) {
+				t.Fatalf("iter %d gauss=%v: enumerated %d models, brute force %d",
+					iter, gauss, len(got), len(want))
 			}
 		}
 	}
 }
 
-// TestPackedScalarRemovableDifferential drives the removable-XOR
+// TestPackedRemovableAgainstBruteForce drives the removable-XOR
 // machinery (the session substrate) through randomized install/solve/
-// release schedules on both engines and demands identical status
-// sequences and mutually valid models.
-func TestPackedScalarRemovableDifferential(t *testing.T) {
+// release schedules: every Solve verdict must match brute force on the
+// base formula ∧ the active rows, and every model must satisfy that
+// conjunction.
+func TestPackedRemovableAgainstBruteForce(t *testing.T) {
 	rng := randx.New(0x5e55)
 	iters := 60
 	if testing.Short() {
@@ -144,85 +127,159 @@ func TestPackedScalarRemovableDifferential(t *testing.T) {
 	for iter := 0; iter < iters; iter++ {
 		n := 5 + rng.Intn(6)
 		f := buildRandomXORCNF(rng, n)
-		packed := New(f, Config{Seed: uint64(iter)})
-		scalar := New(f, Config{Seed: uint64(iter), ScalarXOR: true})
-		if packed.Okay() != scalar.Okay() {
-			t.Fatalf("iter %d: construction disagrees", iter)
-		}
-		if !packed.Okay() {
+		s := New(f, Config{Seed: uint64(iter)})
+		if !s.Okay() {
+			if BruteForceCount(f) > 0 {
+				t.Fatalf("iter %d: construction failed on a satisfiable formula", iter)
+			}
 			continue
 		}
-		// Draw one shared schedule of removable rows and replay it on
-		// both solvers.
-		type drawnRow struct {
-			vars []cnf.Var
-			rhs  bool
-		}
 		for round := 0; round < 6; round++ {
+			conj := f.Clone()
 			nrows := 1 + rng.Intn(3)
-			rows := make([]drawnRow, nrows)
-			for i := range rows {
+			sels := make([]*Selector, 0, nrows)
+			acts := make([]cnf.Lit, 0, nrows)
+			for i := 0; i < nrows; i++ {
 				width := rng.Intn(n + 1)
 				vars := make([]cnf.Var, 0, width)
 				for k := 0; k < width; k++ {
 					vars = append(vars, cnf.Var(1+rng.Intn(n)))
 				}
-				rows[i] = drawnRow{vars: vars, rhs: rng.Bool()}
+				rhs := rng.Bool()
+				conj.AddXOR(vars, rhs)
+				sel := s.AddXORRemovable(vars, rhs)
+				sels = append(sels, sel)
+				acts = append(acts, sel.Lit())
 			}
-			install := func(s *Solver) ([]*Selector, []cnf.Lit) {
-				sels := make([]*Selector, 0, nrows)
-				acts := make([]cnf.Lit, 0, nrows)
-				for _, r := range rows {
-					sel := s.AddXORRemovable(r.vars, r.rhs)
-					sels = append(sels, sel)
-					acts = append(acts, sel.Lit())
-				}
-				return sels, acts
+			st := s.Solve(acts...)
+			if want := BruteForceCount(conj) > 0; st == Unknown || (st == Sat) != want {
+				t.Fatalf("iter %d round %d: status %v, brute force sat=%v", iter, round, st, want)
 			}
-			psels, pacts := install(packed)
-			ssels, sacts := install(scalar)
-			pst := packed.Solve(pacts...)
-			sst := scalar.Solve(sacts...)
-			if pst != sst {
-				t.Fatalf("iter %d round %d: status %v vs %v", iter, round, pst, sst)
+			if st == Sat && !s.Model().Satisfies(conj) {
+				t.Fatalf("iter %d round %d: model violates the base formula or an active row", iter, round)
 			}
-			if pst == Sat {
-				// Each engine's model must satisfy the base formula and
-				// every active row — checked against the other engine's
-				// semantics via plain evaluation.
-				check := func(m cnf.Assignment, tag string) {
-					if !m.Satisfies(f) {
-						t.Fatalf("iter %d round %d: %s model violates base formula", iter, round, tag)
-					}
-					for _, r := range rows {
-						norm, nrhs := cnf.NormalizeXOR(r.vars, r.rhs)
-						par := false
-						for _, v := range norm {
-							par = par != m.Get(v)
-						}
-						if len(norm) == 0 {
-							if nrhs {
-								t.Fatalf("iter %d round %d: SAT despite empty 0=1 row", iter, round)
-							}
-							continue
-						}
-						if par != nrhs {
-							t.Fatalf("iter %d round %d: %s model violates an active row", iter, round, tag)
-						}
-					}
-				}
-				check(packed.Model(), "packed")
-				check(scalar.Model(), "scalar")
+			for _, sel := range sels {
+				s.Release(sel)
 			}
-			for i := range psels {
-				packed.Release(psels[i])
-				scalar.Release(ssels[i])
+			if s.Tainted() {
+				break // a session would rebuild; stop the replay
 			}
-			if packed.Tainted() || scalar.Tainted() {
-				break // both would be rebuilt by a session; stop the replay
+			s.CollectGarbage()
+		}
+	}
+}
+
+// wideRowShares are the shares of padding variables that wideRowFormula
+// makes equal to a core variable; the rest are pinned.
+var wideRowShares = []float64{0.05, 0.2, 0.5}
+
+// wideRowFormula embeds a random CNF+XOR formula over k = 3–8 core
+// variables, at random indices, in 300–600 variables, so that its XOR
+// rows span several 64-column words. Each padding variable is pinned by
+// a unit clause or, with probability eqShare, made equal to a random
+// core variable by two binary clauses. The formula's XORs take a random
+// subset of the core plus random padding from the first half of the
+// padding (by index); 1–3 more rows draw only from the second half, so
+// their windows start past word 0. A random core assignment, with its
+// padding filled in, fixes each XOR's right-hand side and satisfies
+// each clause's first literal, so the formula is satisfiable. It
+// returns the formula, the core and the projections onto the core of
+// its models, found by filling in the padding for each of the 2^k core
+// assignments.
+func wideRowFormula(rng *randx.RNG, eqShare float64) (*cnf.Formula, []cnf.Var, map[string]bool) {
+	n, k := 300+rng.Intn(301), 3+rng.Intn(6)
+	core := make([]cnf.Var, k)
+	for i, p := range rng.Perm(n)[:k] {
+		core[i] = cnf.Var(p + 1)
+	}
+	eq := make([]cnf.Var, n+1)  // padding variable → the core variable it equals
+	pin := cnf.NewAssignment(n) // padding variable → its pinned value
+	f := cnf.New(n)
+	var pad []cnf.Var
+	for v := cnf.Var(1); int(v) <= n; v++ {
+		if slices.Contains(core, v) {
+			continue
+		}
+		pad = append(pad, v)
+		if rng.Float64() < eqShare {
+			eq[v] = core[rng.Intn(k)]
+			f.AddClause(-int(v), int(eq[v]))
+			f.AddClause(int(v), -int(eq[v]))
+		} else {
+			pin[v] = rng.Bool()
+			f.AddClauseLits(cnf.Clause{cnf.MkLit(v, !pin[v])})
+		}
+	}
+	fill := func(mask int) cnf.Assignment {
+		a := cnf.NewAssignment(n)
+		for i, c := range core {
+			a[c] = mask&(1<<i) != 0
+		}
+		for _, v := range pad {
+			if eq[v] != 0 {
+				a[v] = a[eq[v]]
+			} else {
+				a[v] = pin[v]
 			}
-			packed.CollectGarbage()
-			scalar.CollectGarbage()
+		}
+		return a
+	}
+	planted := fill(rng.Intn(1 << k))
+	pick := func(vs []cnf.Var) []cnf.Var {
+		var out []cnf.Var
+		for _, v := range vs {
+			if rng.Bool() {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	addRow := func(vars []cnf.Var) {
+		par := false
+		for _, v := range vars {
+			par = par != planted[v]
+		}
+		f.AddXOR(vars, par)
+	}
+	for i := rng.Intn(k); i > 0; i-- {
+		v := core[rng.Intn(k)]
+		c := cnf.Clause{cnf.MkLit(v, !planted[v])} // true under planted
+		for w := rng.Intn(3); w > 0; w-- {
+			c = append(c, cnf.MkLit(core[rng.Intn(k)], rng.Bool()))
+		}
+		f.AddClauseLits(c)
+	}
+	lo, hi := pad[:len(pad)/2], pad[len(pad)/2:]
+	for i := 1 + rng.Intn(3); i > 0; i-- {
+		addRow(append(pick(core), pick(lo)...))
+	}
+	for i := 1 + rng.Intn(3); i > 0; i-- {
+		addRow(pick(hi))
+	}
+	want := map[string]bool{}
+	for mask := 0; mask < 1<<k; mask++ {
+		if a := fill(mask); a.Satisfies(f) {
+			want[a.Project(core)] = true
+		}
+	}
+	return f, core, want
+}
+
+// TestWideRowsAgainstBruteForce enumerates wide-row formulas over their
+// core variables, with Gauss–Jordan off and on, and compares the result
+// with the expected model set. Their rows take the multi-word branch of
+// propagateXORs (block skip, parity fold tail, windows past word 0),
+// which the small formulas above never reach.
+func TestWideRowsAgainstBruteForce(t *testing.T) {
+	rng := randx.New(0x31de)
+	for iter := 0; iter < 120; iter++ {
+		f, core, want := wideRowFormula(rng, wideRowShares[iter%len(wideRowShares)])
+		for _, gauss := range []bool{false, true} {
+			s := New(f, Config{Seed: uint64(iter), GaussJordan: gauss})
+			if got := enumerateAll(t, s, f, core); !maps.Equal(got, want) {
+				t.Fatalf("iter %d gauss=%v: enumerated %d core assignments, expected %d",
+					iter, gauss, len(got), len(want))
+			}
 		}
 	}
 }

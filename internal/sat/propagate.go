@@ -116,19 +116,12 @@ func (s *Solver) propagateClauses(p cnf.Lit) conflict {
 }
 
 // propagateXORs visits every XOR clause watching variable v after v was
-// assigned (either polarity: parity constraints react to both).
+// assigned (either polarity: parity constraints react to both). Watch
+// replacement is a TrailingZeros64 scan over the row's coefficient words
+// masked by the unassigned columns, and the parity of the assigned
+// variables is one popcount fold against the assigned-true mask — no
+// per-variable loop.
 func (s *Solver) propagateXORs(v cnf.Var) conflict {
-	if !s.cfg.ScalarXOR {
-		return s.propagateXORsPacked(v)
-	}
-	return s.propagateXORsScalar(v)
-}
-
-// propagateXORsPacked is the word-parallel engine: watch replacement is
-// a TrailingZeros64 scan over the row's coefficient words masked by the
-// unassigned columns, and the parity of the assigned variables is one
-// popcount fold against the assigned-true mask — no per-variable loop.
-func (s *Solver) propagateXORsPacked(v cnf.Var) conflict {
 	occ := s.occXor[v]
 	vcol := int(s.xcolOf[v])
 	i, j := 0, 0
@@ -227,82 +220,6 @@ func (s *Solver) propagateXORsPacked(v cnf.Var) conflict {
 					s.taintL0 = true
 				} else if other == x.sel && need {
 					// The row is absorbing its own guard (guard = true,
-					// the deactivating polarity); see the scalar engine.
-					s.taintL0 = true
-				}
-			}
-			s.uncheckedEnqueue(cnf.MkLit(other, !need), reason{tag: reasonXOR, ref: uint32(xi)})
-		} else if par != x.rhs {
-			// `other` is assigned too, so par covers the whole row.
-			return s.xorConflict(occ, j, i, v, xi)
-		}
-	}
-	s.occXor[v] = occ[:j]
-	return noConflict()
-}
-
-// propagateXORsScalar is the legacy sparse engine (Config.ScalarXOR):
-// per-variable scans over []cnf.Var rows. Kept as the reference
-// implementation the packed engine is differentially tested against.
-func (s *Solver) propagateXORsScalar(v cnf.Var) conflict {
-	occ := s.occXor[v]
-	i, j := 0, 0
-	for i < len(occ) {
-		xi := occ[i]
-		x := &s.xors[xi]
-		wi := 0
-		if x.vars[x.w[1]] == v {
-			wi = 1
-		}
-		vIdx := x.w[wi]
-		otherIdx := x.w[1-wi]
-		other := x.vars[otherIdx]
-		// Single pass: look for an unassigned variable to move this watch
-		// to, folding the parity of assigned variables into `need` along
-		// the way. If no watch move is found, every variable except
-		// possibly `other` is assigned and `need` is already complete —
-		// no second sweep over x.vars.
-		need := x.rhs
-		moved := false
-		for k, xv := range x.vars {
-			if k == otherIdx {
-				continue
-			}
-			if k == vIdx {
-				if s.valueVar(xv) == lTrue {
-					need = !need
-				}
-				continue
-			}
-			switch s.valueVar(xv) {
-			case lUndef:
-				x.w[wi] = k
-				s.occXor[xv] = append(s.occXor[xv], xi)
-				moved = true
-			case lTrue:
-				need = !need
-			}
-			if moved {
-				break
-			}
-		}
-		if moved {
-			i++ // drop xi from v's occurrence list
-			continue
-		}
-		occ[j] = xi
-		j++
-		i++
-		switch s.valueVar(other) {
-		case lUndef:
-			if x.sel != 0 {
-				if s.decisionLevel() == 0 {
-					// A removable XOR is writing to the permanent trail;
-					// the level-0 state no longer follows from the base
-					// formula alone. Sound until the row is released.
-					s.taintL0 = true
-				} else if other == x.sel && need {
-					// The row is absorbing its own guard (guard = true,
 					// the deactivating polarity). Learned clauses that
 					// later resolve through this row while the guard
 					// holds that value contain the guard's NEGATED
@@ -313,14 +230,9 @@ func (s *Solver) propagateXORsScalar(v cnf.Var) conflict {
 				}
 			}
 			s.uncheckedEnqueue(cnf.MkLit(other, !need), reason{tag: reasonXOR, ref: uint32(xi)})
-		case lTrue:
-			if !need {
-				return s.xorConflict(occ, j, i, v, xi)
-			}
-		case lFalse:
-			if need {
-				return s.xorConflict(occ, j, i, v, xi)
-			}
+		} else if par != x.rhs {
+			// `other` is assigned too, so par covers the whole row.
+			return s.xorConflict(occ, j, i, v, xi)
 		}
 	}
 	s.occXor[v] = occ[:j]
@@ -337,62 +249,38 @@ func (s *Solver) xorConflict(occ []int32, j, i int, v cnf.Var, xi int32) conflic
 	}
 	s.occXor[v] = occ[:j]
 	s.qhead = len(s.trail)
-	s.conflBuf = s.xorFalseClause(s.conflBuf[:0], xi, 0)
+	s.conflBuf = s.xorFalseClause(s.conflBuf[:0], xi)
 	return conflict{cr: crefUndef, lits: s.conflBuf}
 }
 
-// xorFalseClause renders XOR clause xi under the current assignment as a
-// CNF clause in which every literal is false, except that variable
-// `skip` (if nonzero) is rendered as its *currently implied* literal and
-// placed first. With skip=0 it is a conflict clause; with skip=v it is
-// the reason clause for v's implication. The result is appended to buf
-// (a solver-owned scratch buffer on the hot path: one XOR conflict or
-// reason lookup happens per conflict-analysis resolution step, and the
-// previous result is always dead by the time the next one is built).
-func (s *Solver) xorFalseClause(buf []cnf.Lit, xi int32, skip cnf.Var) []cnf.Lit {
+// xorFalseClause renders XOR clause xi, which has just conflicted, as
+// a CNF clause of false literals appended to buf (the conflict scratch
+// buffer). Variables fixed at level 0 may appear (rows keep them); they
+// render as false literals that conflict analysis skips by level. Every
+// row variable is assigned, so polarities come straight from the xTrue
+// mask word instead of a random-access value lookup per literal.
+func (s *Solver) xorFalseClause(buf []cnf.Lit, xi int32) []cnf.Lit {
 	x := &s.xors[xi]
-	if skip != 0 {
-		buf = append(buf, cnf.MkLit(skip, s.valueVar(skip) == lFalse))
-	}
-	if x.bits != nil {
-		// Packed row: iterate set columns. Variables fixed at level 0 may
-		// appear (packed rows keep them); they render as false literals
-		// that conflict analysis skips by level. Every row variable
-		// except `skip` is assigned here (the row just conflicted or
-		// implied), so polarities come straight from the xTrue mask word
-		// instead of a random-access value lookup per literal.
-		off := int(x.off)
-		for w, b := range x.bits {
-			tw := s.xTrue[off+w]
-			for b != 0 {
-				k := b & (-b)
-				c := (off+w)<<6 | bits.TrailingZeros64(b)
-				b &^= k
-				xv := s.xvarOf[c]
-				if xv == skip {
-					continue
-				}
-				buf = append(buf, cnf.MkLit(xv, tw&k != 0))
-			}
+	off := int(x.off)
+	for w, b := range x.bits {
+		tw := s.xTrue[off+w]
+		for b != 0 {
+			k := b & (-b)
+			c := (off+w)<<6 | bits.TrailingZeros64(b)
+			b &^= k
+			buf = append(buf, cnf.MkLit(s.xvarOf[c], tw&k != 0))
 		}
-		return buf
-	}
-	for _, xv := range x.vars {
-		if xv == skip {
-			continue
-		}
-		// Literal that is false now: the negation of the current value.
-		buf = append(buf, cnf.MkLit(xv, s.valueVar(xv) == lTrue))
 	}
 	return buf
 }
 
 // reasonLitsFor returns the clause that implied variable v, with the
-// implied literal first. It must only be called for implied
-// (non-decision) variables. Every reason kind — arena clause, inlined
-// binary, XOR row — is materialized into one scratch buffer that is
-// overwritten by the next call; conflict analysis consumes each reason
-// before requesting the next, so one buffer suffices.
+// implied literal first. It must only be called for variables implied
+// by an arena clause or an inlined binary; XOR reasons never come here,
+// because analyze and litRedundant walk the row in place. Both reason
+// kinds are materialized into one scratch buffer that is overwritten by
+// the next call; conflict analysis consumes each reason before
+// requesting the next, so one buffer suffices.
 func (s *Solver) reasonLitsFor(v cnf.Var) []cnf.Lit {
 	r := s.reasons[v]
 	switch r.tag {
@@ -403,10 +291,7 @@ func (s *Solver) reasonLitsFor(v cnf.Var) []cnf.Lit {
 		s.reasonBuf = append(s.reasonBuf[:0],
 			cnf.MkLit(v, s.valueVar(v) == lFalse), cnf.Lit(r.ref))
 		return s.reasonBuf
-	case reasonXOR:
-		s.reasonBuf = s.xorFalseClause(s.reasonBuf[:0], int32(r.ref), v)
-		return s.reasonBuf
 	default:
-		panic("sat: reasonLitsFor on a decision variable")
+		panic("sat: reasonLitsFor on a decision variable or an XOR reason")
 	}
 }

@@ -123,28 +123,14 @@ func New(f *cnf.Formula, cfg Config) *Solver {
 			return s
 		}
 	}
-	xs := f.XORs
-	if cfg.GaussJordan && len(xs) > 0 {
-		if !cfg.ScalarXOR {
-			// Packed engine: eliminate and install directly on rows over
-			// the solver's own column space — no intermediate []cnf.Var
-			// materialization, cheap enough to re-run at session rebuilds.
-			s.gaussInstallPacked(xs)
-			return s
-		}
-		reduced, units, conflict := gaussReduce(xs)
-		if conflict {
-			s.ok = false
-			return s
-		}
-		for _, u := range units {
-			if !s.addUnit(u) {
-				return s
-			}
-		}
-		xs = reduced
+	if cfg.GaussJordan && len(f.XORs) > 0 {
+		// Eliminate and install directly on rows over the solver's own
+		// column space: no intermediate []cnf.Var materialization, cheap
+		// enough to re-run at session rebuilds.
+		s.gaussInstallPacked(f.XORs)
+		return s
 	}
-	for _, x := range xs {
+	for _, x := range f.XORs {
 		if !s.AddXOR(x.Vars, x.RHS) {
 			return s
 		}
@@ -156,9 +142,9 @@ func New(f *cnf.Formula, cfg Config) *Solver {
 // space, runs word-parallel Gauss–Jordan elimination in place, and
 // installs the reduced rows without leaving the packed representation.
 func (s *Solver) gaussInstallPacked(xs []cnf.XORClause) {
-	// Assign columns in sorted variable order, matching gaussReduce, so
-	// the two engines eliminate identical matrices and derive identical
-	// units (the differential tests compare them literally).
+	// Assign columns in sorted variable order, so the eliminated matrix,
+	// and with it the reduced rows and derived units, does not depend on
+	// the order in which variables appear in the XORs.
 	var vars []cnf.Var
 	for _, x := range xs {
 		for _, v := range x.Vars {
@@ -396,35 +382,7 @@ func (s *Solver) AddXOR(vars []cnf.Var, rhs bool) bool {
 			s.logAxiom(c)
 		}
 	}
-	for _, v := range norm {
-		s.growTo(int(v))
-	}
-	if !s.cfg.ScalarXOR {
-		return s.installPackedXOR(s.packXORRow(norm), nrhs, nil, 0)
-	}
-	out := make([]cnf.Var, 0, len(norm))
-	for _, v := range norm {
-		switch s.valueVar(v) {
-		case lTrue:
-			nrhs = !nrhs
-		case lUndef:
-			out = append(out, v)
-		}
-	}
-	switch len(out) {
-	case 0:
-		if nrhs {
-			s.ok = false
-			s.logLemma(nil)
-			return false
-		}
-		return true
-	case 1:
-		return s.addUnit(cnf.MkLit(out[0], !nrhs))
-	}
-	x := xorClause{vars: out, rhs: nrhs, w: [2]int{0, 1}}
-	s.pushXorClause(x, out[0], out[1])
-	return true
+	return s.installPackedXOR(s.packXORRow(norm), nrhs, nil, 0)
 }
 
 // pushXorClause appends (or slot-reuses) an XOR clause and registers it
@@ -444,9 +402,8 @@ func (s *Solver) pushXorClause(x xorClause, w0, w1 cnf.Var) int32 {
 	return idx
 }
 
-// packXORRow assigns packed-engine columns to the (normalized) variable
-// list and packs it into a full-width row over the current column
-// space. Shared by AddXOR and AddXORRemovable.
+// packXORRow assigns XOR columns to the (normalized) variable list and
+// packs it into a full-width row over the current column space.
 func (s *Solver) packXORRow(norm []cnf.Var) []uint64 {
 	for _, v := range norm {
 		s.growTo(int(v))
@@ -458,15 +415,6 @@ func (s *Solver) packXORRow(norm []cnf.Var) []uint64 {
 		bits[c>>6] |= 1 << uint(c&63)
 	}
 	return bits
-}
-
-// xorWatchVar returns the variable at watch position k of x, under
-// either row representation.
-func (s *Solver) xorWatchVar(x *xorClause, k int) cnf.Var {
-	if x.bits != nil {
-		return s.xvarOf[x.w[k]]
-	}
-	return x.vars[x.w[k]]
 }
 
 // xorColumn returns variable v's column in the packed GF(2) space,
@@ -521,16 +469,12 @@ func (s *Solver) freeXorColumn(v cnf.Var) {
 	s.xfreeCols = append(s.xfreeCols, c)
 }
 
-// XORColumns assigns (or looks up) packed-engine columns for vars in
-// order and returns the mapping vars-index → solver column. A nil
-// return means the mapping is the identity — the common case when the
-// sampling set is registered before any selector, which lets callers
-// install drawn hash rows by word copy (see AddPackedXORRemovable).
-// Packed engine only.
+// XORColumns assigns (or looks up) XOR columns for vars in order and
+// returns the mapping vars-index → solver column. A nil return means
+// the mapping is the identity — the common case when the sampling set
+// is registered before any selector, which lets callers install drawn
+// hash rows by word copy (see AddPackedXORRemovable).
 func (s *Solver) XORColumns(vars []cnf.Var) []int32 {
-	if s.cfg.ScalarXOR {
-		panic("sat: XORColumns requires the packed XOR engine")
-	}
 	out := make([]int32, len(vars))
 	ident := true
 	for i, v := range vars {

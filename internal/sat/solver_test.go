@@ -325,8 +325,11 @@ func TestEnumerationMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestGaussJordanProperties: Gauss–Jordan preprocessing preserves the
+// solution set of an XOR system. The solver eliminates at construction
+// (gaussInstallPacked), so the property enumerates New with GaussJordan
+// and compares with brute force.
 func TestGaussJordanProperties(t *testing.T) {
-	// Property: Gauss-Jordan preserves the solution set of the XOR system.
 	check := func(seed uint64) bool {
 		rng := randx.New(seed)
 		n := 2 + rng.Intn(8)
@@ -344,19 +347,8 @@ func TestGaussJordanProperties(t *testing.T) {
 			}
 			f.AddXOR(vs, rng.Bool())
 		}
-		reduced, units, conflict := gaussReduce(f.XORs)
-		g := cnf.New(n)
-		if conflict {
-			g.Clauses = append(g.Clauses, cnf.Clause{})
-		} else {
-			for _, u := range units {
-				g.AddClause(u.DIMACS())
-			}
-			for _, x := range reduced {
-				g.AddXOR(x.Vars, x.RHS)
-			}
-		}
-		return BruteForceCount(f) == BruteForceCount(g)
+		s := New(f, Config{GaussJordan: true})
+		return len(enumerateAll(t, s, f, varsUpTo(n))) == BruteForceCount(f)
 	}
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(check, cfg); err != nil {

@@ -56,12 +56,6 @@ type Config struct {
 	// feature is one reason the paper's BSAT is fast on parity-heavy
 	// instances.
 	GaussJordan bool
-	// ScalarXOR selects the legacy sparse []cnf.Var XOR engine instead
-	// of the default bit-packed one: rows stored as variable slices and
-	// propagated with a per-variable scan. Kept as the reference
-	// implementation for the packed/legacy differential tests and the
-	// E10 benchmark; there is no reason to enable it in production.
-	ScalarXOR bool
 	// Seed seeds the solver's RNG. Its only draws pick random decision
 	// polarities for RandomPolarityFreq, so with that frequency at 0
 	// search does not depend on Seed at all.
@@ -149,27 +143,20 @@ func noConflict() conflict { return conflict{cr: crefUndef} }
 
 func (c conflict) none() bool { return c.cr == crefUndef && c.lits == nil }
 
-// xorClause is a parity constraint with two watched positions. sel is
-// nonzero for removable XOR rows: the selector variable folded into the
-// parity by AddXORRemovable.
-//
-// Two representations exist, selected once per solver by
-// Config.ScalarXOR. The packed engine (default) stores the row as dense
-// GF(2) coefficient words over the solver's XOR column space and w holds
-// the two watched columns; variables assigned at level 0 before install
-// stay in the row (the assignment masks fold them into the parity).
-// bits covers only the row's span: word k of bits is global mask word
-// off+k, so a short row over a wide column space (a base-formula parity
-// among thousands of hash-irrelevant columns) costs its own width, not
-// the matrix width. The legacy scalar engine stores a sparse variable
-// slice and w holds indices into it. Exactly one of bits/vars is
-// populated.
+// xorClause is a parity constraint stored as dense GF(2) coefficient
+// words over the solver's XOR column space; w holds the two watched
+// columns. sel is nonzero for removable XOR rows: the selector variable
+// folded into the parity by AddPackedXORRemovable. Variables assigned at
+// level 0 before install stay in the row (the assignment masks fold
+// them into the parity). bits covers only the row's span: word k of
+// bits is global mask word off+k, so a short row over a wide column
+// space (a base-formula parity among thousands of hash-irrelevant
+// columns) costs its own width, not the matrix width.
 type xorClause struct {
-	bits []uint64  // packed engine: coefficient words, window [off, off+len)
-	off  int32     // packed engine: global word offset of bits[0]
-	vars []cnf.Var // scalar engine: sparse variable list
+	bits []uint64 // coefficient words, window [off, off+len)
+	off  int32    // global word offset of bits[0]
 	rhs  bool
-	w    [2]int // watched positions: columns (packed) or vars indices (scalar)
+	w    [2]int // watched columns
 	sel  cnf.Var
 }
 

@@ -16,6 +16,7 @@
 package unigen
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -24,6 +25,7 @@ import (
 	"unigen/internal/benchgen"
 	"unigen/internal/core"
 	"unigen/internal/counter"
+	"unigen/internal/parallel"
 	"unigen/internal/randx"
 	"unigen/internal/sat"
 )
@@ -37,24 +39,40 @@ func benchSolverCfg() sat.Config {
 	return sat.Config{MaxConflicts: 200000, MaxPropagations: 5_000_000, Seed: benchSeed}
 }
 
-// benchUniGen measures one UniGen sample (setup amortized outside the
-// timed loop, as in the paper's per-witness averages).
-func benchUniGen(b *testing.B, inst *benchgen.Instance) {
-	rng := randx.New(benchSeed)
-	smp, err := core.NewSampler(inst.F, rng, core.Options{
-		Epsilon: 6, Solver: benchSolverCfg(), ApproxMCRounds: 8,
+// benchEngine runs UniGen's setup on f at tolerance eps, hashing over
+// set (nil: f's own sampling set), and returns a one-worker engine whose
+// rounds draw from benchSeed.
+func benchEngine(b *testing.B, f *Formula, eps float64, set []Var) *parallel.Engine {
+	eng, err := parallel.NewEngine(f, parallel.Options{
+		Workers:    1,
+		MasterSeed: benchSeed,
+		Core:       core.Options{Epsilon: eps, SamplingSet: set, Solver: benchSolverCfg(), ApproxMCRounds: 8},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	return eng
+}
+
+// benchSamples times b.N witnesses from eng, one per op with ⊥ rounds
+// retried: the paper's per-witness cost.
+func benchSamples(b *testing.B, eng *parallel.Engine) {
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := smp.Sample(rng); err != nil && !errors.Is(err, core.ErrFailed) {
+		if _, err := eng.Sample(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	st := smp.Stats()
+}
+
+// benchUniGen measures one UniGen sample (setup amortized outside the
+// timed loop, as in the paper's per-witness averages).
+func benchUniGen(b *testing.B, inst *benchgen.Instance) {
+	eng := benchEngine(b, inst.F, 6, nil)
+	benchSamples(b, eng)
+	st := eng.Stats()
 	b.ReportMetric(st.AvgXORLen(), "xorlen")
 	b.ReportMetric(st.SuccessProb(), "succ")
 }
@@ -151,24 +169,13 @@ func BenchmarkEpsilonSweep(b *testing.B) {
 	}
 	for _, eps := range []float64{3, 6, 12} {
 		b.Run(fmt.Sprintf("eps%.0f", eps), func(b *testing.B) {
-			rng := randx.New(benchSeed)
 			kp, err := core.ComputeKappaPivot(eps)
 			if err != nil {
 				b.Fatal(err)
 			}
-			smp, err := core.NewSampler(inst.F, rng, core.Options{
-				Epsilon: eps, Solver: benchSolverCfg(), ApproxMCRounds: 8,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			eng := benchEngine(b, inst.F, eps, nil)
 			b.ReportMetric(float64(kp.HiThresh), "hiThresh")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := smp.Sample(rng); err != nil && !errors.Is(err, core.ErrFailed) {
-					b.Fatal(err)
-				}
-			}
+			benchSamples(b, eng)
 		})
 	}
 }
@@ -194,22 +201,9 @@ func BenchmarkAblationSamplingSet(b *testing.B) {
 		{"FullX", full},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			rng := randx.New(benchSeed)
-			smp, err := core.NewSampler(inst.F, rng, core.Options{
-				Epsilon: 6, SamplingSet: tc.set,
-				Solver: benchSolverCfg(), ApproxMCRounds: 8,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := smp.Sample(rng); err != nil && !errors.Is(err, core.ErrFailed) {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(smp.Stats().AvgXORLen(), "xorlen")
+			eng := benchEngine(b, inst.F, 6, tc.set)
+			benchSamples(b, eng)
+			b.ReportMetric(eng.Stats().AvgXORLen(), "xorlen")
 		})
 	}
 }
@@ -224,15 +218,8 @@ func BenchmarkAblationAmortization(b *testing.B) {
 	}
 	b.Run("Amortized", func(b *testing.B) { benchUniGen(b, inst) })
 	b.Run("SetupPerSample", func(b *testing.B) {
-		rng := randx.New(benchSeed)
 		for i := 0; i < b.N; i++ {
-			smp, err := core.NewSampler(inst.F, rng, core.Options{
-				Epsilon: 6, Solver: benchSolverCfg(), ApproxMCRounds: 8,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := smp.Sample(rng); err != nil && !errors.Is(err, core.ErrFailed) {
+			if _, err := benchEngine(b, inst.F, 6, nil).Sample(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -100,9 +100,6 @@ func main() {
 	const n = 2000
 	for i := 0; i < n; i++ {
 		w, err := s.Sample()
-		if err == unigen.ErrFailed {
-			continue
-		}
 		if err != nil {
 			log.Fatalf("sample: %v", err)
 		}

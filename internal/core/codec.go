@@ -325,9 +325,9 @@ func (r *setupReader) take(n int) ([]byte, error) {
 
 // DecodeSetup rehydrates a Setup from an Encode frame. opts supplies
 // the runtime configuration the encoding deliberately omits — solver
-// budgets, Gauss–Jordan, MaxRetries — exactly as NewSetup would have
-// received it; opts.Epsilon must match the encoded epsilon (zero adopts
-// it). The returned Setup has no spare session: the first NewSession or
+// budgets and Gauss–Jordan — exactly as NewSetup would have received
+// it; opts.Epsilon must match the encoded epsilon (zero adopts it). The
+// returned Setup has no spare session: the first NewSession or
 // NewSessionWith call builds a solver lazily, so rehydration itself
 // performs no solver work at all.
 func DecodeSetup(data []byte, opts Options) (*Setup, error) {
@@ -352,9 +352,6 @@ func DecodeSetup(data []byte, opts Options) (*Setup, error) {
 		opts.Epsilon = eps
 	} else if math.Float64bits(opts.Epsilon) != math.Float64bits(eps) {
 		return nil, fmt.Errorf("%w: encoded for epsilon %v, requested %v", ErrCodec, eps, opts.Epsilon)
-	}
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = 10
 	}
 
 	f, n, err := cnf.DecodeBinary(r.data[r.off:])

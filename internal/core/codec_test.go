@@ -61,7 +61,7 @@ func sampleStream(t *testing.T, su *Setup, seed uint64, n int) []string {
 		if i > 100*n {
 			t.Fatalf("no %d samples in %d rounds", n, i)
 		}
-		w, err := su.SampleRound(sess, randx.Stream(seed, uint64(i)), &st)
+		w, err := su.SampleRound(sess, randx.Stream(seed, uint64(i)), &st, nil)
 		if errors.Is(err, ErrFailed) {
 			out = append(out, "⊥")
 			continue
@@ -168,7 +168,7 @@ func TestSetupCodecUnsat(t *testing.T) {
 		t.Fatalf("DecodeSetup: %v", err)
 	}
 	var st Stats
-	if _, err := got.SampleRound(got.NewSession(), randx.New(1), &st); !errors.Is(err, ErrUnsat) {
+	if _, err := got.SampleRound(got.NewSession(), randx.New(1), &st, nil); !errors.Is(err, ErrUnsat) {
 		t.Fatalf("sampling decoded UNSAT setup: %v, want ErrUnsat", err)
 	}
 }

@@ -2,14 +2,11 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"unigen/internal/bsat"
 	"unigen/internal/cnf"
-	"unigen/internal/counter"
 	"unigen/internal/randx"
-	"unigen/internal/tally"
 )
 
 // This file implements the conditioned-counting story behind delta
@@ -91,8 +88,8 @@ func (su *Setup) Q() int { return su.q }
 // The base setup contributes κ/pivot (functions of ε only) and its
 // options; the enumeration and, when the conditioned space is still
 // above hiThresh, the ApproxMC estimate are recomputed under the
-// assumptions. A base in the easy case always yields an easy
-// conditioned setup (R_{F∧A} ⊆ R_F).
+// assumptions by the body a cold NewSetup runs. A base in the easy
+// case always yields an easy conditioned setup (R_{F∧A} ⊆ R_F).
 func (su *Setup) SetupWith(sess *bsat.Session, conj *cnf.Formula, rng *randx.RNG) (*Setup, error) {
 	opts := su.opts
 	// The base options may carry the base prepare-flight's interrupt
@@ -108,54 +105,16 @@ func (su *Setup) SetupWith(sess *bsat.Session, conj *cnf.Formula, rng *randx.RNG
 		return nil, err
 	}
 	cond := &Setup{f: conj, s: su.s, h: h, kp: su.kp, opts: opts}
-
-	// Lines 4–7 under assumptions: if F ∧ A has at most hiThresh
-	// witnesses, enumerate them once and sample by index forever after.
+	// Lines 4–10 under assumptions, both counts on the pooled session.
 	// The stored base easy list cannot be filtered instead: its
 	// representatives are arbitrary on non-sampling variables, so a
 	// representative violating A does not mean the projected witness
-	// does.
-	res := sess.Enumerate(su.kp.HiThresh+1, nil)
-	if res.BudgetExceeded {
-		return nil, fmt.Errorf("%w (conditioned easy-case enumeration)", ErrBudget)
+	// does. ApproxMC runs with the same parameters and RNG consumption
+	// as a cold run, and its cell probes are exact, so the estimate is
+	// the cold path's.
+	if err := cond.measure(sess, sess, rng); err != nil {
+		return nil, err
 	}
-	cond.base[tally.BSATCalls]++
-	cond.base = cond.base.Merge(Stats(res.Stats))
-	if len(res.Witnesses) <= su.kp.HiThresh {
-		cond.easy = res.Witnesses
-		sortWitnesses(cond.easy, cond.h)
-		cond.easySet = true
-		cond.base[tally.EasyCase] = 1
-		return cond, nil
-	}
-
-	// Line 9 under assumptions: C ← ApproxMC(F ∧ A, 0.8, 0.8-confidence)
-	// on the pooled session — same parameters, same RNG consumption, and
-	// exact cell probes, hence the same estimate as a cold run.
-	amc, err := counter.ApproxMCSession(sess, rng, counter.ApproxMCOptions{
-		Epsilon:       0.8,
-		Delta:         0.2,
-		SamplingSet:   cond.h,
-		Solver:        opts.Solver,
-		MaxHashRounds: opts.ApproxMCRounds,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("unigen: conditioned ApproxMC: %w", err)
-	}
-	cond.est = amc.Count
-	cond.base[tally.SetupRounds] = int64(amc.Rounds)
-
-	// Line 10, conditioned: q′ ← ⌈log₂ C′ + log₂ 1.8 − log₂ pivot⌉.
-	logC := bigLog2(amc.Count)
-	q := int(math.Ceil(logC + math.Log2(1.8) - math.Log2(float64(su.kp.Pivot))))
-	if q < 1 {
-		q = 1
-	}
-	if q > len(cond.h) {
-		q = len(cond.h)
-	}
-	cond.q = q
-	cond.base[tally.Q] = int64(q)
 	return cond, nil
 }
 

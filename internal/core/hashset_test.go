@@ -52,7 +52,7 @@ func TestHashSetDropsDefinedVariables(t *testing.T) {
 	sess := su.NewSession()
 	var st Stats
 	for i := range 8 {
-		if _, err := su.SampleRound(sess, randx.Stream(3, uint64(i)), &st); err != nil && !errors.Is(err, ErrFailed) {
+		if _, err := su.SampleRound(sess, randx.Stream(3, uint64(i)), &st, nil); err != nil && !errors.Is(err, ErrFailed) {
 			t.Fatal(err)
 		}
 	}
@@ -156,8 +156,8 @@ func TestHashSetDeltaMatchesCold(t *testing.T) {
 		vs := cold.SamplingSet()
 		var st Stats
 		for i := range 6 {
-			dw, derr := cond.SampleRound(sess, randx.Stream(5, uint64(i)), &st)
-			cw, cerr := cold.SampleRound(coldSess, randx.Stream(5, uint64(i)), &st)
+			dw, derr := cond.SampleRound(sess, randx.Stream(5, uint64(i)), &st, nil)
+			cw, cerr := cold.SampleRound(coldSess, randx.Stream(5, uint64(i)), &st, nil)
 			if !errors.Is(derr, cerr) || (derr == nil && dw.Project(vs) != cw.Project(vs)) {
 				t.Fatalf("%v round %d: delta (%v, %v), cold (%v, %v)", tc.lits, i, dw, derr, cw, cerr)
 			}

@@ -55,12 +55,12 @@ func TestStatsMergeEasyCaseAndQ(t *testing.T) {
 	}
 }
 
-// TestSamplerStatsIncludeSetup guards the single-threaded contract:
-// Sampler.Stats folds the shared setup stats into the per-sampler view,
-// so facade callers see the same columns as before the Setup split.
+// TestSamplerStatsIncludeSetup guards the setup half of what a sampler
+// reports: SetupStats carries the setup's ApproxMC rounds and q, and a
+// view merged from it keeps them.
 func TestSamplerStatsIncludeSetup(t *testing.T) {
 	f := hardFormula()
-	smp, err := NewSampler(f, randx.New(21), Options{Epsilon: 6, ApproxMCRounds: 15})
+	smp, err := newSampler(f, randx.New(21), Options{Epsilon: 6, ApproxMCRounds: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSamplerStatsIncludeSetup(t *testing.T) {
 	if st.SetupRounds() == 0 || st.Q() == 0 {
 		t.Fatalf("setup stats missing from sampler view: %+v", st)
 	}
-	if st.Q() != smp.Setup().SetupStats().Q() {
-		t.Fatalf("Q mismatch: %d vs %d", st.Q(), smp.Setup().SetupStats().Q())
+	if st.Q() != smp.setup.SetupStats().Q() {
+		t.Fatalf("Q mismatch: %d vs %d", st.Q(), smp.setup.SetupStats().Q())
 	}
 }

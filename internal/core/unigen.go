@@ -32,7 +32,12 @@ var ErrBudget = errors.New("unigen: BSAT conflict budget exhausted")
 // first Sample call, not during setup).
 var ErrUnsat = errors.New("unigen: formula is unsatisfiable")
 
-// Options configures a Sampler.
+// maxRetries bounds how many times lines 14–16 are re-executed for the
+// same i after a BSAT budget exhaustion, mirroring the §5 protocol ("we
+// repeated the execution of lines 14–16 without incrementing i").
+const maxRetries = 10
+
+// Options configures a Setup.
 type Options struct {
 	// Epsilon is the uniformity tolerance; must exceed 1.71. The
 	// DAC'14 experiments use ε = 6.
@@ -49,18 +54,13 @@ type Options struct {
 	// Solver configures every BSAT call (conflict budgets stand in for
 	// the paper's 2500 s per-call timeout).
 	Solver sat.Config
-	// MaxRetries bounds how many times lines 14–16 are re-executed for
-	// the same i after a BSAT budget exhaustion, mirroring the §5
-	// protocol ("we repeated the execution of lines 14–16 without
-	// incrementing i"). Default 10.
-	MaxRetries int
 	// ApproxMCRounds caps the δ-derived round count t = 67 of the
 	// setup-time ApproxMC call when > 0 (benchmark knob; 0 keeps the
 	// paper's parameters ε'=0.8, δ'=0.2).
 	ApproxMCRounds int
 }
 
-// Stats accumulates observable behaviour of a Sampler, feeding the
+// Stats accumulates observable behaviour of sampling, feeding the
 // Table 1/Table 2 columns: one value per row of the tally counter
 // table. Stats values are plain data: each worker of a parallel run
 // accumulates its own and the results are combined with Merge, so the
@@ -145,9 +145,6 @@ func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = 10
-	}
 	s := opts.SamplingSet
 	if len(s) == 0 {
 		s = f.SamplingVars()
@@ -157,13 +154,26 @@ func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 		return nil, err
 	}
 	su := &Setup{f: f, s: s, h: h, kp: kp, opts: opts}
-	su.spare = bsat.NewSession(f, bsat.Options{SamplingSet: h, Solver: opts.Solver})
+	su.spare = su.NewSessionWith(opts.Solver)
+	if err := su.measure(su.spare, nil, rng); err != nil {
+		return nil, err
+	}
+	return su, nil
+}
 
+// measure runs lines 4–10 of Algorithm 1 on su, whose formula, hash
+// set, κ/pivot and options are already set: enumerate up to hiThresh+1
+// witnesses on enum and, when there are more than hiThresh, estimate
+// the count with ApproxMC2 on count and derive q. A nil count counts on
+// a session of its own, built only when the easy case fails, so enum
+// carries nothing but the enumeration's solver state.
+func (su *Setup) measure(enum, count *bsat.Session, rng *randx.RNG) error {
+	kp := su.kp
 	// Lines 4–7: if F has at most hiThresh witnesses, enumerate them
 	// once and sample by index forever after.
-	res := su.spare.Enumerate(kp.HiThresh+1, nil)
+	res := enum.Enumerate(kp.HiThresh+1, nil)
 	if res.BudgetExceeded {
-		return nil, fmt.Errorf("%w (easy-case enumeration)", ErrBudget)
+		return fmt.Errorf("%w (easy-case enumeration)", ErrBudget)
 	}
 	su.base[tally.BSATCalls]++
 	su.base = su.base.Merge(Stats(res.Stats))
@@ -172,19 +182,21 @@ func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 		sortWitnesses(su.easy, su.h)
 		su.easySet = true
 		su.base[tally.EasyCase] = 1
-		return su, nil
+		return nil
 	}
 
 	// Line 9: C ← ApproxMC(F, 0.8, 0.8-confidence).
-	amc, err := counter.ApproxMC(f, rng, counter.ApproxMCOptions{
+	if count == nil {
+		count = su.NewSessionWith(su.opts.Solver)
+	}
+	amc, err := counter.ApproxMCSession(count, rng, counter.ApproxMCOptions{
 		Epsilon:       0.8,
 		Delta:         0.2,
-		SamplingSet:   h,
-		Solver:        opts.Solver,
-		MaxHashRounds: opts.ApproxMCRounds,
+		SamplingSet:   su.h,
+		MaxHashRounds: su.opts.ApproxMCRounds,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("unigen: setup ApproxMC: %w", err)
+		return fmt.Errorf("unigen: setup ApproxMC: %w", err)
 	}
 	su.est = amc.Count
 	su.base[tally.SetupRounds] = int64(amc.Rounds)
@@ -195,12 +207,12 @@ func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 	if q < 1 {
 		q = 1
 	}
-	if q > len(h) {
-		q = len(h)
+	if q > len(su.h) {
+		q = len(su.h)
 	}
 	su.q = q
 	su.base[tally.Q] = int64(q)
-	return su, nil
+	return nil
 }
 
 // bigLog2 approximates log₂(x) for a positive big integer.
@@ -217,9 +229,8 @@ func bigLog2(x *big.Int) float64 {
 	return math.Log2(float64(mant.Int64())) + float64(bits-53)
 }
 
-// SetupStats returns the stats of the setup phase alone. A parallel run
-// reports SetupStats().Merge(round deltas…); a single-threaded Sampler
-// folds them into Stats for callers automatically.
+// SetupStats returns the stats of the setup phase alone. An engine
+// reports SetupStats().Merge(round deltas…).
 func (su *Setup) SetupStats() Stats { return su.base }
 
 // KappaPivot exposes the derived parameters (used by benchmarks and the
@@ -258,13 +269,7 @@ func (su *Setup) NewSession() *bsat.Session {
 		su.spare = nil
 		return se
 	}
-	return bsat.NewSession(su.f, bsat.Options{SamplingSet: su.h, Solver: su.opts.Solver})
-}
-
-// NewSampler pairs the shared setup with a private session, yielding an
-// independent sampling worker.
-func (su *Setup) NewSampler() *Sampler {
-	return &Sampler{setup: su, sess: su.NewSession()}
+	return su.NewSessionWith(su.opts.Solver)
 }
 
 // sortWitnesses orders witnesses canonically by their projection onto
@@ -303,17 +308,12 @@ func sortWitnesses(ws []cnf.Assignment, s []cnf.Var) {
 // canonically ordered before the index pick, and budget retries redraw
 // only from this round's RNG. This is the determinism contract the
 // parallel engine builds on.
-func (su *Setup) SampleRound(sess *bsat.Session, rng *randx.RNG, st *Stats) (cnf.Assignment, error) {
-	return su.SampleRoundSpan(sess, rng, st, nil)
-}
-
-// SampleRoundSpan is SampleRound with per-phase tracing: each
-// cell-search attempt (one Enumerate against a drawn hash at cell
+//
+// Each cell-search attempt (one Enumerate against a drawn hash at cell
 // count 2^i) is recorded as a child span of sp, carrying the solver-
-// work delta of that enumeration. A nil sp disarms the tracing — every
-// span call degrades to a nil check — so SampleRound simply delegates
-// here.
-func (su *Setup) SampleRoundSpan(sess *bsat.Session, rng *randx.RNG, st *Stats, sp *obs.Span) (cnf.Assignment, error) {
+// work delta of that enumeration. A nil sp disarms the tracing: every
+// span call degrades to a nil check.
+func (su *Setup) SampleRound(sess *bsat.Session, rng *randx.RNG, st *Stats, sp *obs.Span) (cnf.Assignment, error) {
 	_ = faultpoint.Fire(faultpoint.RoundPanic) // chaos: panics when armed
 	if su.easySet {
 		// Lines 5–7: uniform choice among all witnesses.
@@ -331,7 +331,7 @@ func (su *Setup) SampleRoundSpan(sess *bsat.Session, rng *randx.RNG, st *Stats, 
 		}
 		var res bsat.Result
 		ok := false
-		for retry := 0; retry < su.opts.MaxRetries; retry++ {
+		for retry := 0; retry < maxRetries; retry++ {
 			// Lines 14–15: random h and α (α is folded into the XOR
 			// right-hand sides by hashfam).
 			h := hashfam.Draw(rng, su.h, m)
@@ -368,69 +368,4 @@ func (su *Setup) SampleRoundSpan(sess *bsat.Session, rng *randx.RNG, st *Stats, 
 	// Lines 18–19.
 	st[tally.Failures]++
 	return nil, ErrFailed
-}
-
-// Sampler is the amortized UniGen state for one formula plus one BSAT
-// session: a shared Setup (lines 1–11 of Algorithm 1) paired with a
-// private incremental solver. Each Sample call executes lines 12–22.
-// Not safe for concurrent use; for a pool of workers over one formula,
-// share the Setup and give each worker its own Sampler (see
-// Setup.NewSampler and internal/parallel).
-type Sampler struct {
-	setup *Setup
-	sess  *bsat.Session
-	stats Stats // this sampler's round stats; setup stats live in setup
-}
-
-// NewSampler runs the once-per-formula setup and attaches a session —
-// the single-threaded construction path.
-func NewSampler(f *cnf.Formula, rng *randx.RNG, opts Options) (*Sampler, error) {
-	su, err := NewSetup(f, rng, opts)
-	if err != nil {
-		return nil, err
-	}
-	return su.NewSampler(), nil
-}
-
-// Stats returns a snapshot of the sampler's counters, setup phase
-// included.
-func (smp *Sampler) Stats() Stats { return smp.setup.base.Merge(smp.stats) }
-
-// Setup returns the shared once-per-formula state.
-func (smp *Sampler) Setup() *Setup { return smp.setup }
-
-// KappaPivot exposes the derived parameters (used by benchmarks and the
-// experiment harness).
-func (smp *Sampler) KappaPivot() KappaPivot { return smp.setup.kp }
-
-// EstimatedCount returns the setup-time ApproxMC estimate (nil in the
-// easy case, where the exact witness list is held instead).
-func (smp *Sampler) EstimatedCount() *big.Int { return smp.setup.EstimatedCount() }
-
-// SamplingSet returns the sampling variables in use.
-func (smp *Sampler) SamplingSet() []cnf.Var { return smp.setup.SamplingSet() }
-
-// Sample executes lines 12–22 of Algorithm 1 on this sampler's session.
-// It returns ErrFailed for the ⊥ outcome.
-func (smp *Sampler) Sample(rng *randx.RNG) (cnf.Assignment, error) {
-	return smp.setup.SampleRound(smp.sess, rng, &smp.stats)
-}
-
-// SampleMany draws n witnesses, skipping ⊥ rounds, and reports how many
-// rounds were attempted in total. It stops early only on hard errors.
-func (smp *Sampler) SampleMany(rng *randx.RNG, n int) (witnesses []cnf.Assignment, attempts int, err error) {
-	for len(witnesses) < n {
-		attempts++
-		w, serr := smp.Sample(rng)
-		switch {
-		case serr == nil:
-			witnesses = append(witnesses, w)
-		case errors.Is(serr, ErrFailed):
-			// ⊥: retry with fresh randomness (the CRV use case simply
-			// asks again).
-		default:
-			return witnesses, attempts, serr
-		}
-	}
-	return witnesses, attempts, nil
 }

@@ -5,10 +5,56 @@ import (
 	"math"
 	"testing"
 
+	"unigen/internal/bsat"
 	"unigen/internal/cnf"
 	"unigen/internal/randx"
 	"unigen/internal/sat"
 )
+
+// sampler is the single-threaded loop the tests below drive: a Setup,
+// the session its setup phase built, and one RNG that runs on from
+// setup through every round, so each test's random stream is a
+// function of its seed alone.
+type sampler struct {
+	setup *Setup
+	sess  *bsat.Session
+	stats Stats // round stats; setup stats live in setup
+}
+
+// newSampler runs NewSetup on rng and attaches a session.
+func newSampler(f *cnf.Formula, rng *randx.RNG, opts Options) (*sampler, error) {
+	su, err := NewSetup(f, rng, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &sampler{setup: su, sess: su.NewSession()}, nil
+}
+
+// Stats returns the counters of the setup phase and every round.
+func (smp *sampler) Stats() Stats { return smp.setup.base.Merge(smp.stats) }
+
+// Sample runs one round (lines 12–22) on rng; ErrFailed is ⊥.
+func (smp *sampler) Sample(rng *randx.RNG) (cnf.Assignment, error) {
+	return smp.setup.SampleRound(smp.sess, rng, &smp.stats, nil)
+}
+
+// SampleMany draws n witnesses, skipping ⊥ rounds, and reports how many
+// rounds were attempted in total. It stops early only on hard errors.
+func (smp *sampler) SampleMany(rng *randx.RNG, n int) (witnesses []cnf.Assignment, attempts int, err error) {
+	for len(witnesses) < n {
+		attempts++
+		w, serr := smp.Sample(rng)
+		switch {
+		case serr == nil:
+			witnesses = append(witnesses, w)
+		case errors.Is(serr, ErrFailed):
+			// ⊥: retry with fresh randomness.
+		default:
+			return witnesses, attempts, serr
+		}
+	}
+	return witnesses, attempts, nil
+}
 
 func TestComputeKappaPivotRejectsSmallEpsilon(t *testing.T) {
 	for _, eps := range []float64{0, 1, 1.70, 1.71, -3} {
@@ -73,7 +119,7 @@ func TestHiThreshGrowsAsEpsilonShrinks(t *testing.T) {
 
 func TestSamplerRejectsBadEpsilon(t *testing.T) {
 	f := cnf.New(2)
-	if _, err := NewSampler(f, randx.New(1), Options{Epsilon: 1.0}); err == nil {
+	if _, err := newSampler(f, randx.New(1), Options{Epsilon: 1.0}); err == nil {
 		t.Fatal("epsilon 1.0 accepted")
 	}
 }
@@ -83,7 +129,7 @@ func TestSamplerEasyCase(t *testing.T) {
 	f := cnf.New(2)
 	f.AddClause(1, 2)
 	rng := randx.New(2)
-	smp, err := NewSampler(f, rng, Options{Epsilon: 6})
+	smp, err := newSampler(f, rng, Options{Epsilon: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +164,7 @@ func TestSamplerUnsat(t *testing.T) {
 	f.AddClause(1)
 	f.AddClause(-1)
 	rng := randx.New(3)
-	smp, err := NewSampler(f, rng, Options{Epsilon: 6})
+	smp, err := newSampler(f, rng, Options{Epsilon: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +185,7 @@ func hardFormula() *cnf.Formula {
 func TestSamplerHashingPath(t *testing.T) {
 	f := hardFormula()
 	rng := randx.New(4)
-	smp, err := NewSampler(f, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
+	smp, err := newSampler(f, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +228,7 @@ func TestTheorem1Bounds(t *testing.T) {
 	}
 	f := hardFormula() // |R_F↓S| = 1024
 	rng := randx.New(5)
-	smp, err := NewSampler(f, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
+	smp, err := newSampler(f, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +274,7 @@ func TestUniformityTVD(t *testing.T) {
 	f.AddClause(7, 8)
 	f.SamplingSet = []cnf.Var{1, 2, 3, 4, 5, 6}
 	rng := randx.New(6)
-	smp, err := NewSampler(f, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
+	smp, err := newSampler(f, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +324,7 @@ func TestLemma2SamplingSetEquivalence(t *testing.T) {
 		rng := randx.New(seed)
 		g := f.Clone()
 		g.SamplingSet = sset
-		smp, err := NewSampler(g, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
+		smp, err := newSampler(g, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +356,7 @@ func TestLemma2SamplingSetEquivalence(t *testing.T) {
 func TestSampleManyCountsAttempts(t *testing.T) {
 	f := hardFormula()
 	rng := randx.New(9)
-	smp, err := NewSampler(f, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
+	smp, err := newSampler(f, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +373,7 @@ func TestXORLengthUsesSamplingSetOnly(t *testing.T) {
 	// §4/E6: average XOR length must be ≈|S|/2, not |X|/2.
 	f := hardFormula() // |S|=10, |X|=12
 	rng := randx.New(10)
-	smp, err := NewSampler(f, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
+	smp, err := newSampler(f, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +387,7 @@ func TestXORLengthUsesSamplingSetOnly(t *testing.T) {
 	// Every XOR row must only mention sampling vars — verified
 	// indirectly: a row mentioning vars 11/12 would make avg larger and,
 	// more importantly, hashfam.Draw only sees smp.s.
-	for _, v := range smp.SamplingSet() {
+	for _, v := range smp.setup.SamplingSet() {
 		if v > 10 {
 			t.Fatalf("sampling set contains dependent var %d", v)
 		}
@@ -362,7 +408,7 @@ func TestBudgetPropagation(t *testing.T) {
 		}
 		f.AddClauseLits(c)
 	}
-	_, err := NewSampler(f, rng, Options{Epsilon: 6, Solver: sat.Config{MaxConflicts: 1}, ApproxMCRounds: 2})
+	_, err := newSampler(f, rng, Options{Epsilon: 6, Solver: sat.Config{MaxConflicts: 1}, ApproxMCRounds: 2})
 	// Either the formula is easy enough to finish within budget (fine)
 	// or we get a budget error; both acceptable, crashes are not.
 	if err != nil && !errors.Is(err, ErrBudget) {

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"unigen/internal/benchgen"
 	"unigen/internal/cnf"
 	"unigen/internal/core"
+	"unigen/internal/parallel"
 	"unigen/internal/randx"
 	"unigen/internal/sat"
 	"unigen/internal/stats"
@@ -118,12 +120,11 @@ func RunTableRow(sp benchgen.Spec, cfg Config, seed uint64) TableRow {
 
 	// --- UniGen: setup once, then sample (the amortization the paper
 	// contrasts against UniWit in §5).
-	rng := randx.New(seed ^ 0xdac2014)
 	setupStart := time.Now()
-	smp, err := core.NewSampler(inst.F, rng, core.Options{
-		Epsilon:        cfg.Epsilon,
-		Solver:         solverCfg,
-		ApproxMCRounds: cfg.ApproxMCRounds,
+	eng, err := parallel.NewEngine(inst.F, parallel.Options{
+		Workers:    1,
+		MasterSeed: seed ^ 0xdac2014,
+		Core:       core.Options{Epsilon: cfg.Epsilon, Solver: solverCfg, ApproxMCRounds: cfg.ApproxMCRounds},
 	})
 	row.UniGenSetupTime = time.Since(setupStart)
 	if err != nil {
@@ -131,31 +132,24 @@ func RunTableRow(sp benchgen.Spec, cfg Config, seed uint64) TableRow {
 		return row
 	}
 	sampleStart := time.Now()
-	got := 0
-	for attempt := 0; got < cfg.Samples && attempt < 4*cfg.Samples; attempt++ {
-		w, err := smp.Sample(rng)
-		if errors.Is(err, core.ErrFailed) {
-			continue
-		}
-		if err != nil {
-			row.Err = fmt.Errorf("unigen sample: %w", err)
-			return row
-		}
+	ws, err := eng.SampleN(context.Background(), cfg.Samples)
+	if err != nil {
+		row.Err = fmt.Errorf("unigen sample: %w", err)
+		return row
+	}
+	elapsed := time.Since(sampleStart)
+	for _, w := range ws {
 		if !w.Satisfies(inst.F) {
 			row.Err = fmt.Errorf("unigen returned an invalid witness")
 			return row
 		}
-		got++
 	}
-	elapsed := time.Since(sampleStart)
-	st := smp.Stats()
+	st := eng.Stats()
 	row.UniGenSuccProb = st.SuccessProb()
 	row.UniGenAvgXORLen = st.AvgXORLen()
-	if got > 0 {
-		// Amortize setup across samples, as the paper's per-witness
-		// averages do over "a large number of runs".
-		row.UniGenAvgTime = (elapsed + row.UniGenSetupTime) / time.Duration(got)
-	}
+	// Amortize setup across samples, as the paper's per-witness
+	// averages do over "a large number of runs".
+	row.UniGenAvgTime = (elapsed + row.UniGenSetupTime) / time.Duration(len(ws))
 
 	// --- UniWit: no amortizable state; every sample searches m afresh.
 	uw := baseline.NewUniWit(inst.F, baseline.UniWitOptions{Solver: solverCfg})
@@ -252,28 +246,21 @@ func RunFigure1(samples int, cfg Config) (*Figure1Result, error) {
 		usCounts[us.Sample(rngUS).Project(vars)]++
 	}
 
-	rngUG := randx.New(cfg.Seed ^ 0xa5a5)
-	smp, err := core.NewSampler(inst.F, rngUG, core.Options{
-		Epsilon:        cfg.Epsilon,
-		Solver:         solverCfg,
-		ApproxMCRounds: cfg.ApproxMCRounds,
+	eng, err := parallel.NewEngine(inst.F, parallel.Options{
+		Workers:    1,
+		MasterSeed: cfg.Seed ^ 0xa5a5,
+		Core:       core.Options{Epsilon: cfg.Epsilon, Solver: solverCfg, ApproxMCRounds: cfg.ApproxMCRounds},
 	})
 	if err != nil {
 		return nil, err
 	}
+	ws, err := eng.SampleN(context.Background(), samples)
+	if err != nil {
+		return nil, err
+	}
 	ugCounts := map[string]int{}
-	fails := 0
-	for got := 0; got < samples; {
-		w, err := smp.Sample(rngUG)
-		if errors.Is(err, core.ErrFailed) {
-			fails++
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
+	for _, w := range ws {
 		ugCounts[w.Project(vars)]++
-		got++
 	}
 
 	return &Figure1Result{
@@ -282,7 +269,7 @@ func RunFigure1(samples int, cfg Config) (*Figure1Result, error) {
 		UniGen:      stats.OccurrenceHistogram(ugCounts),
 		US:          stats.OccurrenceHistogram(usCounts),
 		TVD:         stats.TVDBetween(ugCounts, usCounts, samples, samples),
-		UniGenFails: fails,
+		UniGenFails: int(eng.Stats().Failures()),
 	}, nil
 }
 
@@ -321,30 +308,29 @@ func RunEpsilonSweep(bench string, epsilons []float64, samples int, cfg Config) 
 	solverCfg := sat.Config{MaxConflicts: cfg.MaxConflicts, MaxPropagations: cfg.MaxPropagations, GaussJordan: cfg.GaussJordan, Seed: cfg.Seed}
 	var out []EpsilonSweepPoint
 	for _, eps := range epsilons {
-		rng := randx.New(cfg.Seed ^ uint64(eps*1000))
 		kp, err := core.ComputeKappaPivot(eps)
 		if err != nil {
 			return nil, err
 		}
-		smp, err := core.NewSampler(inst.F, rng, core.Options{
-			Epsilon:        eps,
-			Solver:         solverCfg,
-			ApproxMCRounds: cfg.ApproxMCRounds,
+		eng, err := parallel.NewEngine(inst.F, parallel.Options{
+			Workers:    1,
+			MasterSeed: cfg.Seed ^ uint64(eps*1000),
+			Core:       core.Options{Epsilon: eps, Solver: solverCfg, ApproxMCRounds: cfg.ApproxMCRounds},
 		})
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		_, attempts, err := smp.SampleMany(rng, samples)
-		if err != nil {
+		if _, err := eng.SampleN(context.Background(), samples); err != nil {
 			return nil, err
 		}
 		elapsed := time.Since(start)
+		st := eng.Stats()
 		out = append(out, EpsilonSweepPoint{
 			Epsilon:   eps,
 			HiThresh:  kp.HiThresh,
-			AvgSample: elapsed / time.Duration(attempts),
-			SuccProb:  smp.Stats().SuccessProb(),
+			AvgSample: elapsed / time.Duration(st.Rounds()),
+			SuccProb:  st.SuccessProb(),
 		})
 	}
 	return out, nil

@@ -141,7 +141,7 @@ func TestConcurrentSpans(t *testing.T) {
 }
 
 // BenchmarkObsDisarmedSpan measures the disarmed tracing path — the
-// exact call chain SampleRoundSpan and the engine run per round when
+// exact call chain SampleRound and the engine run per round when
 // no trace was requested: a context lookup plus nil-receiver method
 // calls. This must stay in the nanoseconds for the span API to be
 // free on untraced requests (E14's overhead budget).

@@ -60,7 +60,7 @@ func runRound(su *core.Setup, sess *bsat.Session, rng *randx.RNG, st *core.Stats
 			err = fmt.Errorf("%w: %v", ErrRoundPanic, r)
 		}
 	}()
-	return su.SampleRoundSpan(sess, rng, st, sp)
+	return su.SampleRound(sess, rng, st, sp)
 }
 
 // traceRound opens a "round" span under the context-carried span and
@@ -118,7 +118,7 @@ type roundResult struct {
 // Engine runs UniGen sampling rounds over a pool of per-worker solver
 // sessions sharing one Setup. Construct with NewEngine; an Engine is
 // meant to be used from one goroutine at a time (the pool parallelism
-// is internal), like core.Sampler.
+// is internal).
 type Engine struct {
 	setup    *core.Setup
 	sessions []*bsat.Session // one per worker, owned exclusively during SampleN

@@ -34,7 +34,7 @@
 //
 // For a fixed (formula, seed, n), the witnesses returned through
 // Service.Sample (and the HTTP handler over it) are bit-identical to
-// Sampler.SampleN on a fresh facade sampler with Workers ≥ 1. Two
+// Sampler.SampleN on a fresh facade sampler at any Workers value. Two
 // mechanisms compose to give this: preparation runs under an RNG seeded
 // from the formula fingerprint (core.PrepSeed) in every path, so a
 // cached Setup is exactly the Setup a cold run would build; and each

@@ -2,10 +2,8 @@ package unigen
 
 import (
 	"context"
-	"log/slog"
 	"math/big"
 	"net/http"
-	"time"
 
 	"unigen/internal/cnf"
 	"unigen/internal/service"
@@ -18,87 +16,11 @@ import (
 // identity under which Service caches prepared formulas.
 func FormulaFingerprint(f *Formula) string { return cnf.FingerprintString(f) }
 
-// ServiceOptions configures an embedded sampling service. The zero
+// ServiceOptions configures an embedded sampling service: epsilon,
+// budgets, worker and cache sizes, the persistent store, delta
+// sessions, admission control, deadlines and observability. The zero
 // value is usable: ε = 6, one worker per request, 64 cached formulas.
-type ServiceOptions struct {
-	// Epsilon is the uniformity tolerance for every prepared formula
-	// (> 1.71; default 6).
-	Epsilon float64
-	// MaxConflicts / MaxPropagations bound each solver call during
-	// preparation and (by default) sampling (0 = unlimited).
-	MaxConflicts    int64
-	MaxPropagations int64
-	// GaussJordan enables Gauss–Jordan XOR preprocessing.
-	GaussJordan bool
-	// ApproxMCRounds caps the rounds t of the setup-time approximate
-	// counter (ApproxMC2) when > 0; 0 keeps t = 67, the round count
-	// for the paper's confidence parameters.
-	ApproxMCRounds int
-	// Workers is the per-request worker-pool size (default 1).
-	Workers int
-	// CacheSize bounds the prepared-formula LRU cache (default 64).
-	CacheSize int
-	// StoreDir enables the persistent prepared-formula store: a disk
-	// tier under the RAM cache that survives restarts ("" disables it).
-	// Prepared formulas are rehydrated from disk instead of re-running
-	// the setup, and new preparations are persisted in the background.
-	StoreDir string
-	// StoreMaxBytes caps the persistent store's size; least-recently-
-	// accessed entries are evicted beyond it (0 = unlimited).
-	StoreMaxBytes int64
-
-	// Delta sessions (SampleDelta / CountDelta).
-
-	// SessionPool caps idle pooled solver sessions kept per base formula
-	// for delta requests (default 8).
-	SessionPool int
-	// DeltaQWindow is the hash-width divergence window beyond which a
-	// conditioned delta entry is promoted to a first-class formula with
-	// its own sessions (default 3; negative promotes every non-easy
-	// delta).
-	DeltaQWindow int
-
-	// Overload safety (zero values keep the permissive behavior: no
-	// gate, no queue, no quotas, no deadlines).
-
-	// MaxInFlight caps concurrently admitted requests (0 = unlimited).
-	MaxInFlight int
-	// MaxQueue bounds how many requests may wait for a free slot once
-	// MaxInFlight are busy; everything beyond is shed immediately.
-	MaxQueue int
-	// QueueWait caps how long a queued request waits before being shed
-	// (default 2s when MaxInFlight > 0).
-	QueueWait time.Duration
-	// TenantQuota caps in-flight requests per tenant (0 = unlimited).
-	TenantQuota int
-	// DefaultTimeout is the server-side deadline applied to every
-	// request (0 = none); at the deadline in-flight SAT search is
-	// interrupted and the request fails.
-	DefaultTimeout time.Duration
-	// PrepareTimeout caps the wall clock of one formula preparation
-	// (0 = none).
-	PrepareTimeout time.Duration
-	// RetryAfter is the Retry-After hint the HTTP transport attaches to
-	// shed and draining responses (default 1s).
-	RetryAfter time.Duration
-	// MaxBodyBytes caps HTTP request bodies (default 64 MiB).
-	MaxBodyBytes int64
-
-	// Observability (zero values keep sane defaults: discarded logs, 1s
-	// slow-request threshold, 128 retained debug records).
-
-	// Logger receives one structured record per finished request (nil
-	// discards them). Slow or failed requests log at Warn with their
-	// full span breakdown attached.
-	Logger *slog.Logger
-	// SlowRequest is the duration past which a request is logged at Warn
-	// with its span tree and retained at /debug/requests (0 = 1s,
-	// negative = disabled).
-	SlowRequest time.Duration
-	// DebugRequests bounds the in-memory ring of recent slow/failed
-	// requests served at /debug/requests (0 = 128).
-	DebugRequests int
-}
+type ServiceOptions = service.Config
 
 // Service is the embeddable sampling-as-a-service engine: a
 // prepared-formula cache (fingerprint-keyed, single-flight, LRU) in
@@ -109,39 +31,16 @@ type ServiceOptions struct {
 // however many requests race for it.
 //
 // Determinism: for a fixed (formula, seed, n), Sample returns witnesses
-// bit-identical to Sampler.SampleN with Workers ≥ 1 and to the HTTP
-// transport — whether the formula was cached or cold, and whatever
-// worker count executes the rounds.
+// bit-identical to Sampler.SampleN and to the HTTP transport — whether
+// the formula was cached or cold, and whatever worker count executes
+// the rounds.
 type Service struct {
 	inner *service.Service
 }
 
 // NewService validates options and returns an empty service.
 func NewService(opts ServiceOptions) (*Service, error) {
-	inner, err := service.New(service.Config{
-		Epsilon:         opts.Epsilon,
-		MaxConflicts:    opts.MaxConflicts,
-		MaxPropagations: opts.MaxPropagations,
-		GaussJordan:     opts.GaussJordan,
-		ApproxMCRounds:  opts.ApproxMCRounds,
-		Workers:         opts.Workers,
-		CacheSize:       opts.CacheSize,
-		StoreDir:        opts.StoreDir,
-		StoreMaxBytes:   opts.StoreMaxBytes,
-		SessionPool:     opts.SessionPool,
-		DeltaQWindow:    opts.DeltaQWindow,
-		MaxInFlight:     opts.MaxInFlight,
-		MaxQueue:        opts.MaxQueue,
-		QueueWait:       opts.QueueWait,
-		TenantQuota:     opts.TenantQuota,
-		DefaultTimeout:  opts.DefaultTimeout,
-		PrepareTimeout:  opts.PrepareTimeout,
-		RetryAfter:      opts.RetryAfter,
-		MaxBodyBytes:    opts.MaxBodyBytes,
-		Logger:          opts.Logger,
-		SlowRequest:     opts.SlowRequest,
-		DebugRequests:   opts.DebugRequests,
-	})
+	inner, err := service.New(opts)
 	if err != nil {
 		return nil, err
 	}

@@ -28,12 +28,12 @@
 // # Parallel sampling and seed splitting
 //
 // After the one-time setup, every sampling round is independent — the
-// loop is embarrassingly parallel. Setting Options.Workers ≥ 1 makes
-// SampleN fan rounds out over that many solver sessions. Reproducibility
-// is preserved by splitting the seed per round rather than per worker:
-// round i always runs on the RNG stream randx.Stream(Seed, i) (the i-th
-// output of a SplitMix64 generator seeded with Seed, finalized into a
-// fresh generator state), and rounds are consumed in index order. The
+// loop is embarrassingly parallel. Options.Workers sets how many solver
+// sessions SampleN fans rounds out over. Reproducibility is preserved
+// by splitting the seed per round rather than per worker: round i
+// always runs on the RNG stream randx.Stream(Seed, i) (the i-th output
+// of a SplitMix64 generator seeded with Seed, finalized into a fresh
+// generator state), and rounds are consumed in index order. The
 // multiset of samples for a given Seed is therefore identical for any
 // worker count; only wall-clock time changes.
 //
@@ -54,7 +54,6 @@ import (
 	"errors"
 	"io"
 	"math/big"
-	"sync/atomic"
 
 	"unigen/internal/cnf"
 	"unigen/internal/core"
@@ -102,10 +101,6 @@ func (w Witness) Bits(vars []Var) []bool { return w.a.ProjectBits(vars) }
 // Satisfies reports whether the witness satisfies f.
 func (w Witness) Satisfies(f *Formula) bool { return w.a.Satisfies(f) }
 
-// ErrFailed is returned by Sample for the ⊥ outcome of Algorithm 1
-// (probability at most 0.38 per round; simply retry).
-var ErrFailed = core.ErrFailed
-
 // ErrUnsat is returned by Sample when the formula has no witnesses.
 var ErrUnsat = core.ErrUnsat
 
@@ -136,12 +131,11 @@ type Options struct {
 	// counter (ApproxMC2) when > 0; 0 keeps t = 67, the round count
 	// for the paper's confidence parameters ε = 0.8, δ = 0.2.
 	ApproxMCRounds int
-	// Workers ≥ 1 backs sampling with a pool of that many solver
-	// sessions and per-round seed streams (see the package comment on
-	// determinism: the sample multiset then depends only on Seed, not
-	// on Workers — Workers: 1 and Workers: 8 return the same samples).
-	// 0 keeps the legacy single-threaded engine with one continuous
-	// RNG stream.
+	// Workers is the number of solver sessions sampling rounds are
+	// fanned out over (0 means 1). Rounds draw from per-round seed
+	// streams (see the package comment on determinism), so the sample
+	// multiset depends only on Seed, not on Workers: Workers: 1 and
+	// Workers: 8 return the same samples.
 	Workers int
 }
 
@@ -160,58 +154,31 @@ func (o Options) solverConfig() sat.Config {
 // Sample call is cheap — the amortization that distinguishes UniGen
 // from its predecessors.
 type Sampler struct {
-	inner *core.Sampler    // legacy single-threaded engine (Workers == 0)
-	eng   *parallel.Engine // worker-pool engine (Workers ≥ 1)
-	intr  *atomic.Bool     // interrupt flag of the single-threaded engine
-	rng   *randx.RNG
-	f     *Formula
+	eng *parallel.Engine
 }
 
 // NewSampler validates options and runs UniGen's setup phase.
 func NewSampler(f *Formula, opts Options) (*Sampler, error) {
-	coreOpts := core.Options{
-		Epsilon:        opts.Epsilon,
-		SamplingSet:    opts.SamplingSet,
-		Solver:         opts.solverConfig(),
-		ApproxMCRounds: opts.ApproxMCRounds,
-	}
-	if opts.Workers >= 1 {
-		eng, err := parallel.NewEngine(f, parallel.Options{
-			Workers:    opts.Workers,
-			MasterSeed: opts.Seed,
-			Core:       coreOpts,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Sampler{eng: eng, f: f}, nil
-	}
-	intr := new(atomic.Bool)
-	coreOpts.Solver.Interrupt = intr
-	// Setup runs under the fingerprint-derived RNG — the same
-	// preparation every other path (worker-pool engine, service cache,
-	// daemon) performs, so all transports agree on the prepared state.
-	// Sampling rounds then consume their own seed-rooted stream.
-	inner, err := core.NewSampler(f, randx.New(core.PrepSeed(f, opts.SamplingSet)), coreOpts)
+	eng, err := parallel.NewEngine(f, parallel.Options{
+		Workers:    max(opts.Workers, 1),
+		MasterSeed: opts.Seed,
+		Core: core.Options{
+			Epsilon:        opts.Epsilon,
+			SamplingSet:    opts.SamplingSet,
+			Solver:         opts.solverConfig(),
+			ApproxMCRounds: opts.ApproxMCRounds,
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	rng := randx.New(opts.Seed ^ 0x0dac2014)
-	return &Sampler{inner: inner, intr: intr, rng: rng, f: f}, nil
+	return &Sampler{eng: eng}, nil
 }
 
-// Sample returns one almost-uniform witness, or ErrFailed for a ⊥
-// round (retry), or another error for unsatisfiable formulas / budget
-// exhaustion.
+// Sample returns one almost-uniform witness, retrying ⊥ rounds, or an
+// error for unsatisfiable formulas (ErrUnsat) and budget exhaustion.
 func (s *Sampler) Sample() (Witness, error) {
-	if s.eng != nil {
-		w, err := s.eng.Sample(context.Background())
-		if err != nil {
-			return Witness{}, err
-		}
-		return Witness{a: w}, nil
-	}
-	w, err := s.inner.Sample(s.rng)
+	w, err := s.eng.Sample(context.Background())
 	if err != nil {
 		return Witness{}, err
 	}
@@ -230,33 +197,7 @@ func (s *Sampler) SampleN(n int) ([]Witness, error) {
 // other hard error) are returned alongside the error — check the error
 // before assuming the slice holds n entries.
 func (s *Sampler) SampleNContext(ctx context.Context, n int) ([]Witness, error) {
-	var ws []cnf.Assignment
-	var err error
-	if s.eng != nil {
-		ws, err = s.eng.SampleN(ctx, n)
-	} else {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s.intr.Store(false)
-		watchDone := make(chan struct{})
-		watcherGone := make(chan struct{})
-		go func() {
-			defer close(watcherGone)
-			select {
-			case <-ctx.Done():
-				s.intr.Store(true)
-			case <-watchDone:
-			}
-		}()
-		ws, _, err = s.inner.SampleMany(s.rng, n)
-		close(watchDone)
-		<-watcherGone
-		s.intr.Store(false)
-		if err != nil && ctx.Err() != nil {
-			err = ctx.Err()
-		}
-	}
+	ws, err := s.eng.SampleN(ctx, n)
 	out := make([]Witness, len(ws))
 	for i, w := range ws {
 		out[i] = Witness{a: w}
@@ -269,12 +210,7 @@ func (s *Sampler) SampleNContext(ctx context.Context, n int) ([]Witness, error) 
 // in sampling-set order. The two sets' projections of the witnesses
 // are in bijection, so hashing over the smaller one changes the cost
 // of each round, not the distribution.
-func (s *Sampler) HashSet() []Var {
-	if s.eng != nil {
-		return s.eng.Setup().HashSet()
-	}
-	return s.inner.Setup().HashSet()
-}
+func (s *Sampler) HashSet() []Var { return s.eng.Setup().HashSet() }
 
 // Stats reports observable sampler behaviour. BSATCalls and the solver
 // counters (Conflicts through ArenaBytes) cover the setup's easy-case
@@ -297,15 +233,10 @@ type Stats struct {
 	EasyCase     bool    // formula had few enough witnesses to enumerate
 }
 
-// Stats returns a snapshot. With Workers > 1 it is the merged view
-// over the setup phase and every worker's consumed rounds.
+// Stats returns a snapshot: the merged view over the setup phase and
+// every consumed round.
 func (s *Sampler) Stats() Stats {
-	var st core.Stats
-	if s.eng != nil {
-		st = s.eng.Stats()
-	} else {
-		st = s.inner.Stats()
-	}
+	st := s.eng.Stats()
 	return Stats{
 		Samples:      st[tally.Samples],
 		Failures:     st[tally.Failures],

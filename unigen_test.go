@@ -166,8 +166,8 @@ func TestUnsatSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Sample(); err == nil || errors.Is(err, ErrFailed) {
-		t.Fatalf("unsat sampling: err = %v", err)
+	if _, err := s.Sample(); !errors.Is(err, ErrUnsat) {
+		t.Fatalf("unsat sampling: err = %v, want ErrUnsat", err)
 	}
 }
 
@@ -222,8 +222,8 @@ p cnf 12 1
 `
 
 func TestWorkersDeterminism(t *testing.T) {
-	// The facade invariant for Workers ≥ 1: the sample stream is a
-	// function of Seed alone, whatever the pool size.
+	// The facade invariant: the sample stream is a function of Seed
+	// alone, whatever the pool size (Workers 0 means one worker).
 	f, err := ParseDIMACSString(hardDIMACS)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestWorkersDeterminism(t *testing.T) {
 		return sb.String()
 	}
 	ref := run(1)
-	for _, workers := range []int{2, 4} {
+	for _, workers := range []int{0, 2, 4} {
 		if got := run(workers); got != ref {
 			t.Fatalf("Workers=%d produced a different sample stream", workers)
 		}
@@ -263,7 +263,7 @@ func TestSampleNContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 2} { // legacy path and pool path
+	for _, workers := range []int{0, 2} {
 		s, err := NewSampler(f, Options{Epsilon: 6, Seed: 5, ApproxMCRounds: 15, Workers: workers})
 		if err != nil {
 			t.Fatal(err)

@@ -352,6 +352,11 @@ func (su *Setup) SampleRound(sess *bsat.Session, rng *randx.RNG, st *Stats, sp *
 				ok = true
 				break
 			}
+			if intr := sess.Interrupt(); intr != nil && intr.Load() {
+				// Cancelled, not out of budget: every retry would stop at
+				// Solve entry.
+				break
+			}
 			// §5 protocol: on timeout, redo lines 14–16 with the same i.
 		}
 		if !ok {

@@ -3,12 +3,14 @@ package core
 import (
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"unigen/internal/bsat"
 	"unigen/internal/cnf"
 	"unigen/internal/randx"
 	"unigen/internal/sat"
+	"unigen/internal/tally"
 )
 
 // sampler is the single-threaded loop the tests below drive: a Setup,
@@ -415,5 +417,30 @@ func TestBudgetPropagation(t *testing.T) {
 		// ApproxMC wraps its own budget error; accept any error that
 		// mentions budget exhaustion.
 		t.Logf("setup error (accepted): %v", err)
+	}
+}
+
+// TestInterruptedRoundDoesNotRetry: the §5 retry protocol answers an
+// exhausted conflict budget. A raised session interrupt is a
+// cancellation, which every retry would hit again at Solve entry, so
+// the round gives up after its first BSAT call with ErrBudget.
+func TestInterruptedRoundDoesNotRetry(t *testing.T) {
+	su, err := NewSetup(hardFormula(), randx.New(4), Options{Epsilon: 6, ApproxMCRounds: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if su.Easy() {
+		t.Fatal("expected hashing path")
+	}
+	var intr atomic.Bool
+	intr.Store(true)
+	cfg := su.SolverConfig()
+	cfg.Interrupt = &intr
+	var st Stats
+	if _, err := su.SampleRound(su.NewSessionWith(cfg), randx.New(5), &st, nil); !errors.Is(err, ErrBudget) {
+		t.Fatalf("interrupted round: err = %v, want ErrBudget", err)
+	}
+	if got := st[tally.BSATCalls]; got != 1 {
+		t.Fatalf("interrupted round made %d BSAT calls, want 1", got)
 	}
 }

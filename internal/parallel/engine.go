@@ -288,14 +288,17 @@ func (e *Engine) Setup() *core.Setup { return e.setup }
 // consumed by SampleN calls so far. core.Stats.Merge is order-
 // insensitive (all counters are integers), and the consumed round
 // prefix depends only on the master seed, so the value is reproducible
-// for a fixed seed at any worker count. Speculative rounds that
-// completed beyond the last consumed index are not included.
+// for a fixed seed at any worker count. A call that succeeds starts no
+// round it does not consume, so every round it ran is included; only a
+// call aborted by an error leaves the rounds after the failing one out.
 func (e *Engine) Stats() core.Stats { return e.stats }
 
 // SampleN draws n almost-uniform witnesses using the worker pool,
-// transparently skipping ⊥ rounds. In-flight work is bounded by the
-// pool size: each worker executes one round at a time, pulling the next
-// free round index from a shared dispenser. Results are consumed in
+// transparently skipping ⊥ rounds. Each worker executes one round at a
+// time and takes the next round index from a gate that admits round idx
+// only while idx < n + (⊥ rounds consumed so far): no round starts past
+// the one that could hold the n-th witness, so a call that succeeds
+// runs exactly the rounds it consumes. Results are consumed in
 // round-index order, so the returned multiset is deterministic for a
 // fixed master seed (see the package comment).
 //
@@ -329,18 +332,41 @@ func (e *Engine) SampleN(ctx context.Context, n int) ([]cnf.Assignment, error) {
 	}()
 
 	var (
-		dispenser atomic.Uint64 // next round index (relative) to hand out
-		stop      atomic.Bool   // set by the collector; workers drain out
-		results   = make(chan roundResult, 2*len(e.sessions))
-		wg        sync.WaitGroup
+		results = make(chan roundResult, 2*len(e.sessions))
+		wg      sync.WaitGroup
+
+		// The gate: rounds [0, limit) may start. The collector raises
+		// limit by one per consumed ⊥ and sets stopped when it is done.
+		mu      sync.Mutex
+		gate    = sync.NewCond(&mu)
+		limit   = uint64(n)
+		started uint64 // next round index (relative) to hand out
+		stopped bool
 	)
+	// take blocks until the next round may start and returns its index,
+	// or false once the collector has stopped the pool.
+	take := func() (uint64, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		for started >= limit && !stopped {
+			gate.Wait()
+		}
+		if stopped {
+			return 0, false
+		}
+		started++
+		return started - 1, true
+	}
 	parentSpan := obs.SpanFrom(ctx)
 	for wi, sess := range e.sessions {
 		wg.Add(1)
 		go func(wi int, sess *bsat.Session) {
 			defer wg.Done()
-			for !stop.Load() {
-				idx := dispenser.Add(1) - 1
+			for {
+				idx, ok := take()
+				if !ok {
+					return
+				}
 				rng := randx.Stream(e.seed, e.next+idx)
 				var st core.Stats
 				sp, endRound := traceRound(parentSpan, e.next+idx)
@@ -366,8 +392,9 @@ func (e *Engine) SampleN(ctx context.Context, n int) ([]cnf.Assignment, error) {
 	// Collector: consume rounds strictly in index order — that is what
 	// pins which rounds constitute the run, making the witness multiset
 	// (and the stats merged over exactly those rounds) independent of
-	// pool shape. Rounds completed beyond the consumed prefix are
-	// speculative and discarded entirely, witnesses and stats.
+	// pool shape. The gate keeps every started round inside the prefix
+	// a successful call consumes; after a hard error the rounds beyond
+	// it are discarded entirely, witnesses and stats.
 	var (
 		out      []cnf.Assignment
 		firstErr error
@@ -393,17 +420,27 @@ collect:
 		case res.err == nil:
 			out = append(out, res.w)
 		case errors.Is(res.err, core.ErrFailed):
-			// ⊥ round: counted in stats, try further rounds.
+			// ⊥ round: counted in stats; admit one more round.
+			mu.Lock()
+			limit++
+			mu.Unlock()
+			gate.Signal()
 		default:
 			firstErr = res.err
 			break collect
 		}
 	}
 
-	// Shut the pool down without stranding a worker on a full results
-	// channel: drain until every worker has exited.
-	stop.Store(true)
-	e.raiseIntr() // hasten rounds already in flight; discarded anyway
+	// Shut the pool down without stranding a worker at the gate or on a
+	// full results channel: wake the gate, then drain until every worker
+	// has exited.
+	mu.Lock()
+	stopped = true
+	mu.Unlock()
+	gate.Broadcast()
+	if firstErr != nil {
+		e.raiseIntr() // hasten rounds past the failed one; discarded anyway
+	}
 	go func() {
 		for range results {
 		}

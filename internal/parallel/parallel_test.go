@@ -10,6 +10,8 @@ import (
 
 	"unigen/internal/cnf"
 	"unigen/internal/core"
+	"unigen/internal/faultpoint"
+	"unigen/internal/obs"
 	"unigen/internal/randx"
 	"unigen/internal/tally"
 )
@@ -284,5 +286,85 @@ func TestStreamIndependentOfConsumption(t *testing.T) {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("Stream(99, 4) not reproducible")
 		}
+	}
+}
+
+// hardSetup prepares hardFormula once for tests that build several
+// engines over one Setup.
+func hardSetup(t *testing.T) *core.Setup {
+	t.Helper()
+	eng, err := NewEngine(hardFormula(), Options{Workers: 1, MasterSeed: 1, Core: core.Options{Epsilon: 6, ApproxMCRounds: 15}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.Setup()
+}
+
+// roundSpans counts the round spans started under tr's root.
+func roundSpans(tr *obs.Trace) int64 {
+	var n int64
+	for _, c := range tr.Snapshot().Children {
+		if c.Name == "round" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSampleNGateStartsOnlyConsumedRounds: the gate admits round idx
+// only while idx < n + (⊥ rounds consumed so far), so a successful call
+// starts exactly the rounds it consumes, at every pool size. Seed 15's
+// round 0 is ⊥ and seed 6 has a ⊥ among its first six rounds, so both
+// n legs pass through the gate's ⊥ path.
+func TestSampleNGateStartsOnlyConsumedRounds(t *testing.T) {
+	su := hardSetup(t)
+	for _, workers := range []int{1, 2} {
+		for _, n := range []int{1, 5} {
+			var bots int64
+			for _, seed := range []uint64{6, 15} {
+				eng := NewEngineFromSetup(su, Options{Workers: workers, MasterSeed: seed})
+				tr := obs.NewTrace()
+				ws, err := eng.SampleN(obs.WithTrace(context.Background(), tr), n)
+				if err != nil || len(ws) != n {
+					t.Fatalf("workers=%d n=%d seed=%d: %d witnesses, err=%v", workers, n, seed, len(ws), err)
+				}
+				st := eng.Stats()
+				if got := roundSpans(tr); got != st.Rounds() {
+					t.Fatalf("workers=%d n=%d seed=%d: %d round spans started, %d rounds consumed", workers, n, seed, got, st.Rounds())
+				}
+				bots += st.Failures()
+			}
+			if bots == 0 {
+				t.Fatalf("workers=%d n=%d: no ⊥ round; the fixture no longer reaches the gate's ⊥ path", workers, n)
+			}
+		}
+	}
+}
+
+// TestSampleNCancelAtGate: with n = 1 the gate admits one round, so one
+// worker runs round 0, here stalled until interrupted, while the other
+// waits at the gate. Cancelling ctx must end the stalled round and wake
+// the waiting worker promptly, without it starting a round.
+func TestSampleNCancelAtGate(t *testing.T) {
+	eng := NewEngineFromSetup(hardSetup(t), Options{Workers: 2, MasterSeed: 3})
+	faultpoint.Arm(faultpoint.SolverStall, faultpoint.Fault{Delay: time.Minute})
+	defer faultpoint.Reset()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		cancel()
+	}()
+	tr := obs.NewTrace()
+	start := time.Now()
+	ws, err := eng.SampleN(obs.WithTrace(ctx, tr), 1)
+	if !errors.Is(err, context.Canceled) || len(ws) != 0 {
+		t.Fatalf("got %d witnesses, err = %v; want none and context.Canceled", len(ws), err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("SampleN took %v after cancellation", elapsed)
+	}
+	if got := roundSpans(tr); got != 1 {
+		t.Fatalf("%d rounds started, want 1: the waiting worker left the gate", got)
 	}
 }

@@ -132,11 +132,14 @@ func (s *Service) resolveBase(ctx context.Context, fp [32]byte) (*prepared, bool
 // prepareDelta resolves a delta request to a prepared entry: the base
 // by fingerprint, then the conditioned setup for base ∧ assumptions
 // through the same single-flight cache, keyed by the conjoined
-// formula's fingerprint. The conditioned flight runs on a pooled base
-// session (warm solver, no build) and follows the exact cold-setup
-// algorithm, so the resulting entry is interchangeable with one
-// prepared from the conjoined DIMACS text. dsp (nil-safe) is the
-// request's delta span.
+// formula's fingerprint. The fingerprint memo maps (base, assumptions)
+// to that fingerprint, so a repeated delta skips Conjoin and the
+// fingerprint; the base lookup still runs, keeping the base's hit
+// count and LRU position what they were. The conditioned flight runs
+// on a pooled base session (warm solver, no build) and follows the
+// exact cold-setup algorithm, so the resulting entry is
+// interchangeable with one prepared from the conjoined DIMACS text.
+// dsp (nil-safe) is the request's delta span.
 func (s *Service) prepareDelta(ctx context.Context, baseHex string, assumpInts []int, dsp *obs.Span) (*prepared, bool, error) {
 	s.delta.requests.Add(1)
 	fpBytes, err := hex.DecodeString(baseHex)
@@ -164,15 +167,29 @@ func (s *Service) prepareDelta(ctx context.Context, baseHex string, assumpInts [
 		return base, baseHit, nil
 	}
 
-	conj, err := base.setup.Conjoin(assumps)
-	if err != nil {
-		return nil, false, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+	mk := deltaKey(fp, assumps)
+	cfp, known := s.memo.get(mk)
+	var conj *cnf.Formula
+	if !known {
+		if conj, err = base.setup.Conjoin(assumps); err != nil {
+			return nil, false, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+		}
+		cfp = cnf.Fingerprint(conj)
+		s.memo.put(mk, cfp)
 	}
-	cfp := cnf.Fingerprint(conj)
 	ckey := s.cacheKey(cfp)
 	prep, hit, err := s.cache.get(ctx, ckey, func(intr *atomic.Bool) func() (*prepared, error) {
 		pool := s.poolFor(base)
 		return func() (*prepared, error) {
+			g := conj
+			if g == nil {
+				// A memo hit whose entry is gone: conjoin again, which
+				// succeeded on this base and these assumptions before.
+				var err error
+				if g, err = base.setup.Conjoin(assumps); err != nil {
+					return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+				}
+			}
 			// Same wall-clock budget contract as a cold flight: the timer
 			// raises the flight interrupt (which the pooled session is
 			// pointed at below), so a runaway conditioned estimate stops
@@ -199,7 +216,7 @@ func (s *Service) prepareDelta(ctx context.Context, baseHex string, assumpInts [
 			}()
 			ps.sess.SetAssumptions(assumps)
 			ps.sess.SetInterrupt(intr)
-			cond, serr := base.setup.SetupWith(ps.sess, conj, randx.New(core.PrepSeedFromFingerprint(cfp)))
+			cond, serr := base.setup.SetupWith(ps.sess, g, randx.New(core.PrepSeedFromFingerprint(cfp)))
 			done = true
 			if serr != nil {
 				if timedOut.Load() {

@@ -166,14 +166,13 @@ func NewHandler(s *Service) http.Handler {
 		if !s.decodeJSONPost(w, r, &req) {
 			return
 		}
-		f, ok := parseRequestFormula(w, req.Formula, req.Base)
+		src, ok := s.requestFormula(w, req.Formula, req.Base)
 		if !ok {
 			return
 		}
 		tr := obs.NewTrace()
 		w.Header().Set(TraceHeader, tr.ID())
-		res, err := s.Sample(obs.WithTrace(r.Context(), tr), SampleRequest{
-			Formula:      f,
+		res, err := s.sample(obs.WithTrace(r.Context(), tr), SampleRequest{
 			N:            req.N,
 			Seed:         req.Seed,
 			Base:         req.Base,
@@ -182,7 +181,7 @@ func NewHandler(s *Service) http.Handler {
 			MaxConflicts: req.MaxConflicts,
 			Tenant:       tenantOf(r, req.Tenant),
 			Timeout:      time.Duration(req.TimeoutMS) * time.Millisecond,
-		})
+		}, src)
 		if err != nil {
 			s.writeServiceError(w, err, req.MaxConflicts > 0)
 			return
@@ -220,19 +219,18 @@ func NewHandler(s *Service) http.Handler {
 		if !s.decodeJSONPost(w, r, &req) {
 			return
 		}
-		f, ok := parseRequestFormula(w, req.Formula, req.Base)
+		src, ok := s.requestFormula(w, req.Formula, req.Base)
 		if !ok {
 			return
 		}
 		tr := obs.NewTrace()
 		w.Header().Set(TraceHeader, tr.ID())
-		res, err := s.Count(obs.WithTrace(r.Context(), tr), CountRequest{
-			Formula:     f,
+		res, err := s.count(obs.WithTrace(r.Context(), tr), CountRequest{
 			Base:        req.Base,
 			Assumptions: req.Assumptions,
 			Tenant:      tenantOf(r, req.Tenant),
 			Timeout:     time.Duration(req.TimeoutMS) * time.Millisecond,
-		})
+		}, src)
 		if err != nil {
 			s.writeServiceError(w, err, false)
 			return
@@ -372,25 +370,28 @@ func (s *Service) decodeJSONPost(w http.ResponseWriter, r *http.Request, dst any
 	return true
 }
 
-func parseFormula(w http.ResponseWriter, text string) (*cnf.Formula, bool) {
+// requestFormula handles the formula/base duality of /sample and
+// /count bodies: a delta request (base set, formula empty) carries no
+// DIMACS text and parses nothing. Text the fingerprint memo holds is
+// not parsed again: the service finds its cache entry by the memo's
+// fingerprint. Any other formula text must parse (400 if not), even
+// alongside base — the service then rejects the ambiguous combination
+// as invalid.
+func (s *Service) requestFormula(w http.ResponseWriter, text, base string) (formulaSrc, bool) {
+	if text == "" && base != "" {
+		return formulaSrc{}, true
+	}
+	src := formulaSrc{text: text, key: textKey(text)}
+	if src.fp, src.hit = s.memo.get(src.key); src.hit {
+		return src, true
+	}
 	f, err := cnf.ParseDIMACSString(text)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorHTTPResponse{Error: "bad formula: " + err.Error()})
-		return nil, false
+		return src, false
 	}
-	return f, true
-}
-
-// parseRequestFormula handles the formula/base duality of /sample and
-// /count bodies: a delta request (base set, formula empty) carries no
-// DIMACS text and parses nothing; any non-empty formula text must
-// parse, even alongside base — the service then rejects the ambiguous
-// combination as invalid.
-func parseRequestFormula(w http.ResponseWriter, text, base string) (*cnf.Formula, bool) {
-	if text == "" && base != "" {
-		return nil, true
-	}
-	return parseFormula(w, text)
+	src.f = f
+	return src, true
 }
 
 // setRetryAfter attaches the configured Retry-After hint (whole

@@ -66,11 +66,17 @@ func TestHTTPOverloadShed429(t *testing.T) {
 		stalled <- err
 	}()
 	waitInFlight(t, svc, 1)
+	hits := svc.Stats().Hits
 
+	// A memo hit: shedding it must still count no cache hit.
+	mustMemoHold(t, svc, hardDIMACS)
 	resp := postJSON(t, ts.URL+"/sample", map[string]any{"formula": hardDIMACS, "n": 1, "seed": 3})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow request: status %d, want 429", resp.StatusCode)
+	}
+	if got := svc.Stats().Hits; got != hits {
+		t.Fatalf("the shed request moved cache hits from %d to %d", hits, got)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("429 response missing Retry-After")

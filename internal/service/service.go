@@ -177,6 +177,7 @@ type Config struct {
 type Service struct {
 	cfg   Config
 	cache *prepCache
+	memo  *memo        // request text and delta keys → fingerprint
 	store *store.Store // disk tier; nil when Config.StoreDir is empty
 	adm   *admission
 	out   outcomes
@@ -231,6 +232,7 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:    cfg,
 		cache:  newPrepCache(cfg.CacheSize),
+		memo:   newMemo(memoPerEntry * cfg.CacheSize),
 		adm:    newAdmission(cfg),
 		active: map[uint64]context.CancelCauseFunc{},
 		reg:    obs.NewRegistry(),
@@ -445,24 +447,50 @@ func requestErr(ctx context.Context, err error) error {
 	return err
 }
 
+// formulaSrc is the formula a request names: a parsed formula (Go API
+// callers, and HTTP requests whose text the memo does not hold), or
+// DIMACS text the memo already maps to its fingerprint.
+type formulaSrc struct {
+	f    *cnf.Formula // nil on a memo hit
+	text string       // the request's DIMACS text ("" for Go API callers)
+	key  memoKey      // textKey(text), when text is set
+	fp   [32]byte     // the memo's fingerprint, on a memo hit
+	hit  bool         // memo hit: f is nil and fp is known
+}
+
+// present reports whether the request named a formula at all.
+func (src formulaSrc) present() bool { return src.f != nil || src.hit }
+
 // prepare fetches the prepared formula through the two-tier lookup
 // (DESIGN §12): RAM LRU hit → disk hit + rehydrate → cold prepare,
 // with single-flight preserved across both lower tiers — concurrent
 // misses for one key share a single flight, and that flight probes the
 // disk exactly once before paying for a cold NewSetup. psp (nil-safe)
 // is the request's prepare span; the flight hangs its store phase
-// under it.
-func (s *Service) prepare(ctx context.Context, f *cnf.Formula, psp *obs.Span) (*prepared, bool, error) {
-	if f == nil {
+// under it. A memo hit brings its fingerprint along, so a cache hit
+// neither parses nor fingerprints.
+func (s *Service) prepare(ctx context.Context, src formulaSrc, psp *obs.Span) (*prepared, bool, error) {
+	if !src.present() {
 		return nil, false, fmt.Errorf("%w: nil formula", ErrInvalidRequest)
 	}
-	fp := cnf.Fingerprint(f)
+	fp := src.fp
+	if !src.hit {
+		fp = cnf.Fingerprint(src.f)
+		if src.text != "" {
+			s.memo.put(src.key, fp)
+		}
+	}
 	key := s.cacheKey(fp)
 	return s.cache.get(ctx, key, func(intr *atomic.Bool) func() (*prepared, error) {
 		// Synchronous part, on the missing requester: clone the formula
 		// so the flight (which may outlive this request) never shares
-		// memory the caller could mutate. Hits never reach this.
-		g := f.Clone()
+		// memory the caller could mutate. Hits never reach this; a memo
+		// hit has no formula, and the flight parses its text only if
+		// the disk tier misses too.
+		var g *cnf.Formula
+		if src.f != nil {
+			g = src.f.Clone()
+		}
 		return func() (*prepared, error) {
 			// Preparation wall-clock budget: the timer raises the same
 			// interrupt flag abandonment uses, so a runaway ApproxMC
@@ -500,6 +528,14 @@ func (s *Service) prepare(ctx context.Context, f *cnf.Formula, psp *obs.Span) (*
 				ssp.End()
 			}
 
+			if g == nil {
+				// The same bytes parsed before the memo entry was
+				// written, so this parse succeeds.
+				var err error
+				if g, err = cnf.ParseDIMACSString(src.text); err != nil {
+					return nil, fmt.Errorf("%w: bad formula: %v", ErrInvalidRequest, err)
+				}
+			}
 			su, err := core.NewSetup(g, randx.New(core.PrepSeedFromFingerprint(fp)), core.Options{
 				Epsilon: s.cfg.Epsilon,
 				Solver: sat.Config{
@@ -583,9 +619,9 @@ func (s *Service) rehydrate(key string, fp [32]byte) (*prepared, bool) {
 // resolve routes a request to the formula path (prepare) or the delta
 // path (prepareDelta) by its shape, enforcing mutual exclusion between
 // the two. The third return reports the delta path.
-func (s *Service) resolve(ctx context.Context, ro *reqObs, f *cnf.Formula, base string, assumps []int) (*prepared, bool, bool, error) {
+func (s *Service) resolve(ctx context.Context, ro *reqObs, src formulaSrc, base string, assumps []int) (*prepared, bool, bool, error) {
 	if base != "" {
-		if f != nil {
+		if src.present() {
 			return nil, false, true, fmt.Errorf("%w: formula and base fingerprint are mutually exclusive", ErrInvalidRequest)
 		}
 		dsp := ro.tr.Root().StartSpan("delta")
@@ -598,7 +634,7 @@ func (s *Service) resolve(ctx context.Context, ro *reqObs, f *cnf.Formula, base 
 		return nil, false, false, fmt.Errorf("%w: assumptions require a base fingerprint", ErrInvalidRequest)
 	}
 	psp := ro.tr.Root().StartSpan("prepare")
-	prep, hit, err := s.prepare(ctx, f, psp)
+	prep, hit, err := s.prepare(ctx, src, psp)
 	psp.SetInt("cache_hit", boolInt(hit))
 	psp.End()
 	return prep, hit, false, err
@@ -610,7 +646,14 @@ func (s *Service) resolve(ctx context.Context, ro *reqObs, f *cnf.Formula, base 
 // with ctx.Err(). Under load the request may be queued briefly or shed
 // with ErrOverloaded; a panic anywhere below returns ErrPanic instead
 // of unwinding into the caller.
-func (s *Service) Sample(ctx context.Context, req SampleRequest) (res *SampleResult, err error) {
+func (s *Service) Sample(ctx context.Context, req SampleRequest) (*SampleResult, error) {
+	return s.sample(ctx, req, formulaSrc{f: req.Formula})
+}
+
+// sample is Sample with the formula named by src instead of
+// req.Formula: the HTTP transport passes what the memo knows of the
+// request's text.
+func (s *Service) sample(ctx context.Context, req SampleRequest, src formulaSrc) (res *SampleResult, err error) {
 	ctx, ro := s.startRequest(ctx, "sample", req.Tenant)
 	ro.n = req.N
 	defer func() {
@@ -634,7 +677,7 @@ func (s *Service) Sample(ctx context.Context, req SampleRequest) (res *SampleRes
 	defer finish()
 	_ = faultpoint.Fire(faultpoint.RequestPanic) // chaos: request-boundary recover
 
-	prep, hit, isDelta, err := s.resolve(ctx, ro, req.Formula, req.Base, req.Assumptions)
+	prep, hit, isDelta, err := s.resolve(ctx, ro, src, req.Base, req.Assumptions)
 	if err != nil {
 		return nil, requestErr(ctx, err)
 	}
@@ -731,7 +774,12 @@ func boolInt(b bool) int64 {
 // cache lookup — no solver call at all. Admission, deadlines, and
 // panic isolation apply exactly as for Sample (a miss triggers a
 // preparation, which is the expensive path worth guarding).
-func (s *Service) Count(ctx context.Context, req CountRequest) (res *CountResult, err error) {
+func (s *Service) Count(ctx context.Context, req CountRequest) (*CountResult, error) {
+	return s.count(ctx, req, formulaSrc{f: req.Formula})
+}
+
+// count is Count with the formula named by src (see sample).
+func (s *Service) count(ctx context.Context, req CountRequest, src formulaSrc) (res *CountResult, err error) {
 	ctx, ro := s.startRequest(ctx, "count", req.Tenant)
 	defer func() {
 		if r := recover(); r != nil {
@@ -748,7 +796,7 @@ func (s *Service) Count(ctx context.Context, req CountRequest) (res *CountResult
 	defer finish()
 	_ = faultpoint.Fire(faultpoint.RequestPanic) // chaos: request-boundary recover
 
-	prep, hit, isDelta, err := s.resolve(ctx, ro, req.Formula, req.Base, req.Assumptions)
+	prep, hit, isDelta, err := s.resolve(ctx, ro, src, req.Base, req.Assumptions)
 	if err != nil {
 		return nil, requestErr(ctx, err)
 	}

@@ -9,26 +9,29 @@ import (
 	"math/big"
 
 	"unigen/internal/cnf"
+	"unigen/internal/counter"
 	"unigen/internal/tally"
 )
 
 // Setup codec: the versioned, checksummed binary encoding behind the
 // persistent prepared-formula store (DESIGN §12). Encode serializes
 // everything lines 1–11 of Algorithm 1 derive — the simplified formula,
-// sampling set, hash set, κ/pivot, the easy-case witness list, the ApproxMC
-// estimate C, the candidate endpoint q, and the setup-phase stats — so
-// a later process can rehydrate the Setup and serve bit-identical
-// samples without re-running the setup. The spare session is the one
-// field that cannot be persisted: a decoded Setup carries spare=nil, so
-// NewSession and NewSessionWith build solvers lazily on first use.
+// sampling set, hash set, κ/pivot, the easy-case witness list, the
+// ApproxMC estimate C or the state of the run that will finish it, the
+// candidate endpoint q, and the setup-phase stats — so a later process
+// can rehydrate the Setup and serve bit-identical samples and counts
+// without re-running the setup. The spare session is the one field that
+// cannot be persisted: a decoded Setup carries spare=nil, so NewSession
+// and NewSessionWith build solvers lazily on first use.
 //
 // Frame layout (all integers little-endian):
 //
 //	[0:4]   magic "UGSU"
-//	[4:6]   u16 version (currently 4; version 1 had no hash set,
-//	        version 2 persisted 17 base-stats counters, and version 3
-//	        had this layout but held an estimate from CP'13's ApproxMC,
-//	        which draws a different estimate from the same RNG)
+//	[4:6]   u16 version (currently 5; version 1 had no hash set,
+//	        version 2 persisted 17 base-stats counters, version 3
+//	        held an estimate from CP'13's ApproxMC, which draws a
+//	        different estimate from the same RNG, and version 4 always
+//	        held a finished estimate)
 //	[6:10]  u32 payload length
 //	[10:N]  payload (see below)
 //	[N:N+4] u32 CRC-32C (Castagnoli) over bytes [0:N]
@@ -50,7 +53,12 @@ import (
 //	    (bit v−1 of a row is variable v; row order is the canonical
 //	    sortWitnesses order, which SampleRound's index pick depends on)
 //	u32 q
-//	u8 estTag (0|1) + if 1: u32 len + big-endian magnitude (big.Int.Bytes)
+//	u8 countTag, then by tag:
+//	    0 (easy case): nothing
+//	    1 (finished estimate C): estimate
+//	    2 (settled run, DESIGN §15): u64 RNG state, u32 search start,
+//	      u32 rounds left, u32 m, m × estimate in ascending order
+//	  where an estimate is u32 len + big-endian magnitude (big.Int.Bytes)
 //	base stats: the statsBlock counters in order — 11 × u64
 //	    (two's-complement int64), u32 SetupRounds, u8 EasyCase, u32 Q
 //
@@ -60,14 +68,17 @@ import (
 // fingerprint must match the decoded formula, κ/pivot must equal
 // ComputeKappaPivot(epsilon) exactly (both sides run the same
 // deterministic bisection), the hash set must be an ordered subset of
-// the sampling set, easy-case and estimate presence must agree, q
-// must lie in its clamped range, and the stats' EasyCase and Q must
-// equal the setup's. Decode never recomputes the hash set:
-// the persisted one is what the setup sampled with.
+// the sampling set, the count tag must be 0 exactly in the easy case,
+// q must be line 10's q for the estimate — for a settled run, for both
+// extremes of the median its rounds left can produce — and the stats'
+// EasyCase and Q must equal the setup's. A settled run must have a
+// round left, an estimate, a search start within the hash rows and
+// ascending estimates. Decode never recomputes the hash set: the
+// persisted one is what the setup sampled with.
 
 const (
 	setupMagic   = "UGSU"
-	setupVersion = 4
+	setupVersion = 5
 	setupHdrLen  = 4 + 2 + 4 // magic + version + payload length
 )
 
@@ -138,16 +149,28 @@ func (su *Setup) Encode() ([]byte, error) {
 	}
 
 	payload = le.AppendUint32(payload, uint32(su.q))
-	if su.est == nil {
-		payload = append(payload, 0)
-	} else {
-		if su.est.Sign() <= 0 {
-			return nil, fmt.Errorf("%w: non-positive estimate", ErrCodec)
+	su.countMu.Lock()
+	est, amc := su.est, su.amc
+	su.countMu.Unlock()
+	switch {
+	case su.easySet:
+		payload = append(payload, countNone)
+	case est != nil:
+		payload = append(payload, countFinished)
+		if payload, err = appendEstimate(payload, est); err != nil {
+			return nil, err
 		}
-		eb := su.est.Bytes()
-		payload = append(payload, 1)
-		payload = le.AppendUint32(payload, uint32(len(eb)))
-		payload = append(payload, eb...)
+	default:
+		payload = append(payload, countSettled)
+		payload = le.AppendUint64(payload, amc.RNG)
+		payload = le.AppendUint32(payload, uint32(amc.Start))
+		payload = le.AppendUint32(payload, uint32(amc.Left))
+		payload = le.AppendUint32(payload, uint32(len(amc.Estimates)))
+		for _, e := range amc.Estimates {
+			if payload, err = appendEstimate(payload, e); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	for _, c := range statsBlock {
@@ -163,6 +186,24 @@ func (su *Setup) Encode() ([]byte, error) {
 	out = append(out, payload...)
 	out = le.AppendUint32(out, crc32.Checksum(out, crcTable))
 	return out, nil
+}
+
+// Count tags: what the frame holds of line 9's estimate.
+const (
+	countNone     = 0 // easy case: the witness list is the count
+	countFinished = 1 // the estimate C of every ApproxMC round
+	countSettled  = 2 // the state of a run stopped once q was settled
+)
+
+// appendEstimate appends a positive estimate as u32 len + big-endian
+// magnitude.
+func appendEstimate(dst []byte, e *big.Int) ([]byte, error) {
+	if e.Sign() <= 0 {
+		return nil, fmt.Errorf("%w: non-positive estimate", ErrCodec)
+	}
+	eb := e.Bytes()
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(eb)))
+	return append(dst, eb...), nil
 }
 
 // orderedSubset reports whether h is a subsequence of s.
@@ -314,6 +355,24 @@ func (r *setupReader) vars(what string, numVars int) ([]cnf.Var, error) {
 	return out, nil
 }
 
+// estimate reads an appendEstimate field.
+func (r *setupReader) estimate() (*big.Int, error) {
+	n, err := r.u32()
+	if err != nil {
+		return nil, err
+	}
+	eb, err := r.take(int(n))
+	if err != nil {
+		return nil, err
+	}
+	// big.Int.Bytes() is canonical: non-empty, no leading zero.
+	// Anything else would re-encode shorter and break the fixpoint.
+	if len(eb) == 0 || eb[0] == 0 {
+		return nil, fmt.Errorf("%w: non-canonical estimate bytes", ErrCodec)
+	}
+	return new(big.Int).SetBytes(eb), nil
+}
+
 func (r *setupReader) take(n int) ([]byte, error) {
 	if n < 0 || r.remaining() < n {
 		return nil, fmt.Errorf("%w: truncated payload at byte %d", ErrCodec, r.off)
@@ -434,35 +493,9 @@ func DecodeSetup(data []byte, opts Options) (*Setup, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := int(qv)
-	estTag, err := r.bool()
-	if err != nil {
+	su := &Setup{f: f, s: s, h: h, kp: kp, opts: opts, easy: easy, easySet: easySet, q: int(qv)}
+	if err := r.count(su); err != nil {
 		return nil, err
-	}
-	if estTag == easySet {
-		return nil, fmt.Errorf("%w: estimate presence %v with easy-case flag %v", ErrCodec, estTag, easySet)
-	}
-	var est *big.Int
-	if estTag {
-		el, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		eb, err := r.take(int(el))
-		if err != nil {
-			return nil, err
-		}
-		// big.Int.Bytes() is canonical: non-empty, no leading zero.
-		// Anything else would re-encode shorter and break the fixpoint.
-		if len(eb) == 0 || eb[0] == 0 {
-			return nil, fmt.Errorf("%w: non-canonical estimate bytes", ErrCodec)
-		}
-		est = new(big.Int).SetBytes(eb)
-		if q < 1 || q > len(h) {
-			return nil, fmt.Errorf("%w: q=%d outside 1..%d", ErrCodec, q, len(h))
-		}
-	} else if q != 0 {
-		return nil, fmt.Errorf("%w: easy-case setup with q=%d", ErrCodec, q)
 	}
 
 	var base Stats
@@ -478,23 +511,81 @@ func DecodeSetup(data []byte, opts Options) (*Setup, error) {
 	if base[tally.EasyCase] > 1 || base.EasyCase() != easySet {
 		return nil, fmt.Errorf("%w: stats easy-case flag disagrees with setup", ErrCodec)
 	}
-	if base.Q() != q {
-		return nil, fmt.Errorf("%w: stats q=%d disagrees with setup q=%d", ErrCodec, base.Q(), q)
+	if base.Q() != su.q {
+		return nil, fmt.Errorf("%w: stats q=%d disagrees with setup q=%d", ErrCodec, base.Q(), su.q)
 	}
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCodec, r.remaining())
 	}
+	su.base = base
+	return su, nil
+}
 
-	return &Setup{
-		f:       f,
-		s:       s,
-		h:       h,
-		kp:      kp,
-		opts:    opts,
-		easy:    easy,
-		easySet: easySet,
-		q:       q,
-		est:     est,
-		base:    base,
-	}, nil
+// count reads the count tag and what follows it into su, whose hash
+// set, κ/pivot, easy-case flag and q are already decoded, and checks
+// that q is line 10's q for it.
+func (r *setupReader) count(su *Setup) error {
+	tag, err := r.u8()
+	if err != nil {
+		return err
+	}
+	if (tag == countNone) != su.easySet {
+		return fmt.Errorf("%w: count tag %d with easy-case flag %v", ErrCodec, tag, su.easySet)
+	}
+	switch tag {
+	case countNone:
+		if su.q != 0 {
+			return fmt.Errorf("%w: easy-case setup with q=%d", ErrCodec, su.q)
+		}
+		return nil
+	case countFinished:
+		if su.est, err = r.estimate(); err != nil {
+			return err
+		}
+		if q := su.lineTen(su.est); q != su.q {
+			return fmt.Errorf("%w: q=%d, line 10 gives %d for estimate %v", ErrCodec, su.q, q, su.est)
+		}
+		return nil
+	case countSettled:
+		return r.settledRun(su)
+	}
+	return fmt.Errorf("%w: count tag %d", ErrCodec, tag)
+}
+
+// settledRun reads a countSettled run state into su.amc.
+func (r *setupReader) settledRun(su *Setup) error {
+	rng, err := r.u64()
+	if err != nil {
+		return err
+	}
+	var fields [3]uint32 // search start, rounds left, estimate count
+	for i := range fields {
+		if fields[i], err = r.u32(); err != nil {
+			return err
+		}
+	}
+	start, left, m := fields[0], fields[1], fields[2]
+	if start < 1 || int64(start) >= int64(len(su.h)) {
+		return fmt.Errorf("%w: search start %d outside 1..%d", ErrCodec, start, len(su.h)-1)
+	}
+	if left < 1 || m < 1 {
+		return fmt.Errorf("%w: settled run with %d rounds left and %d estimates", ErrCodec, left, m)
+	}
+	if int64(m)*5 > int64(r.remaining()) { // an estimate takes at least 5 bytes
+		return fmt.Errorf("%w: estimate count %d exceeds payload", ErrCodec, m)
+	}
+	ests := make([]*big.Int, m)
+	for i := range ests {
+		if ests[i], err = r.estimate(); err != nil {
+			return err
+		}
+		if i > 0 && ests[i].Cmp(ests[i-1]) < 0 {
+			return fmt.Errorf("%w: estimates out of order", ErrCodec)
+		}
+	}
+	su.amc = counter.ApproxMCState{RNG: rng, Start: int(start), Left: int(left), Estimates: ests}
+	if q, ok := su.settled(counter.ResumeApproxMC(su.amc, su.amcOptions())); !ok || q != su.q {
+		return fmt.Errorf("%w: run state does not settle q=%d", ErrCodec, su.q)
+	}
+	return nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"unigen/internal/cnf"
 	"unigen/internal/randx"
+	"unigen/internal/sat"
 )
 
 // hashingFormula has 2^10 witnesses projected on its sampling set —
@@ -91,9 +92,6 @@ func TestSetupCodecRoundTripHashing(t *testing.T) {
 	if got.easySet != su.easySet || got.q != su.q {
 		t.Fatalf("decoded easySet=%v q=%d, want %v %d", got.easySet, got.q, su.easySet, su.q)
 	}
-	if su.est == nil || got.est == nil || su.est.Cmp(got.est) != 0 {
-		t.Fatalf("estimate %v → %v", su.est, got.est)
-	}
 	// Every persisted counter survives; the rest (Decisions) decode as 0.
 	var persisted Stats
 	for _, c := range statsBlock {
@@ -110,6 +108,14 @@ func TestSetupCodecRoundTripHashing(t *testing.T) {
 	blob2 := encode(t, got)
 	if !bytes.Equal(blob, blob2) {
 		t.Fatal("re-encoded blob differs from original")
+	}
+
+	// Both finish to the same count: the decoded run state resumes
+	// where the original stopped.
+	wc, _, werr := su.WitnessCount(sat.Config{}, nil)
+	gc, _, gerr := got.WitnessCount(sat.Config{}, nil)
+	if werr != nil || gerr != nil || wc.Cmp(gc) != 0 {
+		t.Fatalf("count %v (%v) → %v (%v)", wc, werr, gc, gerr)
 	}
 
 	// The rehydrated setup serves the same witness stream: sessions are
@@ -143,8 +149,8 @@ func TestSetupCodecRoundTripEasy(t *testing.T) {
 			t.Fatalf("easy witness %d differs", i)
 		}
 	}
-	if c, exact := got.WitnessCount(); !exact || c.Int64() != int64(len(su.easy)) {
-		t.Fatalf("WitnessCount = %v exact=%v, want %d exact", c, exact, len(su.easy))
+	if c, exact, err := got.WitnessCount(sat.Config{}, nil); err != nil || !exact || c.Int64() != int64(len(su.easy)) {
+		t.Fatalf("WitnessCount = %v exact=%v (%v), want %d exact", c, exact, err, len(su.easy))
 	}
 	want := sampleStream(t, su, 7, 5)
 	have := sampleStream(t, got, 7, 5)
@@ -259,7 +265,7 @@ func hashSetOffset(t *testing.T, su *Setup) int {
 	return setupHdrLen + 32 + 8 + len(fb) + 4 + 4*len(su.s)
 }
 
-// TestSetupCodecRoundTripHashSet: a version-4 frame carries the hash set,
+// TestSetupCodecRoundTripHashSet: a version-5 frame carries the hash set,
 // so a rehydrated setup hashes over exactly what the cold one did.
 func TestSetupCodecRoundTripHashSet(t *testing.T) {
 	su := buildSetup(t, prunedFormula())
@@ -267,8 +273,8 @@ func TestSetupCodecRoundTripHashSet(t *testing.T) {
 		t.Fatalf("fixture should prune: hash set %v, sampling set %v", su.h, su.s)
 	}
 	blob := encode(t, su)
-	if v := binary.LittleEndian.Uint16(blob[4:]); v != 4 {
-		t.Fatalf("frame version %d, want 4", v)
+	if v := binary.LittleEndian.Uint16(blob[4:]); v != 5 {
+		t.Fatalf("frame version %d, want 5", v)
 	}
 	got, err := DecodeSetup(blob, Options{Epsilon: 6})
 	if err != nil {
@@ -339,11 +345,12 @@ func TestSetupCodecRejectsStatsMismatch(t *testing.T) {
 
 // TestSetupCodecRejectsOlderVersions: frames from before the hash set
 // was persisted (version 1), from before the base-stats block shrank
-// to 11 counters (version 2) or from before ApproxMC2 (version 3) are a
-// version-skew ErrCodec, never decoded as the current version.
+// to 11 counters (version 2), from before ApproxMC2 (version 3) or
+// from before setup stopped ApproxMC once q was settled (version 4)
+// are a version-skew ErrCodec, never decoded as the current version.
 func TestSetupCodecRejectsOlderVersions(t *testing.T) {
 	blob := encode(t, buildSetup(t, hashingFormula()))
-	for _, v := range []uint16{1, 2, 3} {
+	for _, v := range []uint16{1, 2, 3, 4} {
 		old := bytes.Clone(blob)
 		binary.LittleEndian.PutUint16(old[4:], v)
 		patchCRC(old, len(old)-4)

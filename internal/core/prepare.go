@@ -8,7 +8,9 @@ import (
 
 	"unigen/internal/bsat"
 	"unigen/internal/cnf"
+	"unigen/internal/counter"
 	"unigen/internal/indsupport"
+	"unigen/internal/obs"
 	"unigen/internal/sat"
 )
 
@@ -95,13 +97,35 @@ func (su *Setup) NewSessionWith(cfg sat.Config) *bsat.Session {
 // WitnessCount returns the prepared count of witnesses projected onto
 // the sampling set: the exact count when the setup took the easy-case
 // path (lines 5–7 enumerated R_F completely; exact=true, and 0 for an
-// unsatisfiable formula), otherwise the setup-time ApproxMC estimate —
-// within a factor 1.8 of |R_F↓S| with confidence 0.8, the parameters of
-// Algorithm 1 line 9. A cache-hit Count request is answered from this
-// without any solver work.
-func (su *Setup) WitnessCount() (c *big.Int, exact bool) {
+// unsatisfiable formula), otherwise line 9's ApproxMC estimate over all
+// its rounds — within a factor 1.8 of |R_F↓S| with confidence 0.8.
+//
+// The setup stopped ApproxMC once q was settled, so the first call in
+// the hashing case runs the rounds left, on a session of its own built
+// with cfg: the caller's interrupt and budgets. It records them as an
+// "approxmc" child span of sp (nil-safe) with rounds and bsat_calls
+// counters. Every probe is exact and the run resumes from the state the
+// setup stopped at, so the estimate is the one an uninterrupted run
+// returns. Only a successful run is kept: later calls return its
+// estimate with no solver work, and after a failure the next call runs
+// the rounds again. Concurrent calls run them once; the others wait.
+func (su *Setup) WitnessCount(cfg sat.Config, sp *obs.Span) (c *big.Int, exact bool, err error) {
 	if su.easySet {
-		return big.NewInt(int64(len(su.easy))), true
+		return big.NewInt(int64(len(su.easy))), true, nil
 	}
-	return new(big.Int).Set(su.est), false
+	su.countMu.Lock()
+	defer su.countMu.Unlock()
+	if su.est == nil {
+		csp := sp.StartSpan("approxmc")
+		run := counter.ResumeApproxMC(su.amc, su.amcOptions())
+		res, err := run.Finish(su.NewSessionWith(cfg))
+		csp.SetInt("rounds", int64(su.amc.Left-run.Left()))
+		csp.SetInt("bsat_calls", int64(res.BSATCalls))
+		csp.End()
+		if err != nil {
+			return nil, false, amcErr(err)
+		}
+		su.est = res.Count
+	}
+	return new(big.Int).Set(su.est), false, nil
 }

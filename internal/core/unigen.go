@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/big"
 	"sort"
+	"sync"
 
 	"unigen/internal/bsat"
 	"unigen/internal/cnf"
@@ -75,8 +76,9 @@ func (st Stats) Merge(o Stats) Stats { return Stats(tally.Vec(st).Merge(tally.Ve
 
 // Named accessors for the rows Algorithm 1 and the Table 1/2 columns
 // read: successful samples, ⊥ outcomes, BSAT calls, hash XOR rows and
-// their total length, the setup's ApproxMC rounds, whether |R_F| ≤
-// hiThresh (sampling needs no hashing), and the q of line 10.
+// their total length, the ApproxMC rounds the setup ran before q was
+// settled, whether |R_F| ≤ hiThresh (sampling needs no hashing), and
+// the q of line 10.
 func (st Stats) Samples() int64   { return st[tally.Samples] }
 func (st Stats) Failures() int64  { return st[tally.Failures] }
 func (st Stats) BSATCalls() int64 { return st[tally.BSATCalls] }
@@ -111,10 +113,12 @@ func (st Stats) SuccessProb() float64 {
 // Setup is the outcome of lines 1–11 of Algorithm 1, the once-per-
 // formula state of UniGen: κ and pivot, thresholds, the easy-case
 // witness list, and otherwise the ApproxMC estimate and the candidate
-// range endpoint q. A Setup is immutable after construction and safe to
-// share: a parallel engine runs NewSetup once and hands the same Setup
-// to every worker, each of which pairs it with its own bsat.Session and
-// randx.RNG (solver sessions are not thread-safe; the Setup is).
+// range endpoint q. A Setup is safe to share: a parallel engine runs
+// NewSetup once and hands the same Setup to every worker, each of which
+// pairs it with its own bsat.Session and randx.RNG (solver sessions are
+// not thread-safe; the Setup is). Everything sampling reads is
+// immutable after construction; the one field that changes later, the
+// estimate WitnessCount finishes, sits behind a lock.
 type Setup struct {
 	f    *cnf.Formula
 	s    []cnf.Var // declared sampling set: what witnesses are projected on
@@ -125,7 +129,14 @@ type Setup struct {
 	easy    []cnf.Assignment // all witnesses when |R_F| ≤ hiThresh (lines 5–7)
 	easySet bool             // true when `easy` is authoritative (incl. UNSAT)
 	q       int              // line 10
-	est     *big.Int         // ApproxMC estimate C
+
+	// The ApproxMC estimate C of line 9. Setup stops the run once q is
+	// settled (DESIGN §15): est is C once every round has run, and until
+	// then nil, with amc holding the run's state for WitnessCount to
+	// finish. countMu guards both.
+	countMu sync.Mutex
+	est     *big.Int
+	amc     counter.ApproxMCState
 
 	base Stats // setup-phase stats (SetupRounds, EasyCase, Q, setup BSAT call)
 
@@ -138,8 +149,10 @@ type Setup struct {
 // NewSetup runs the once-per-formula phase of UniGen: compute κ and
 // pivot (line 1), thresholds (lines 2–3), the hash set (DESIGN §14),
 // the easy-case enumeration (lines 4–7), and otherwise the ApproxMC
-// estimate and the candidate range endpoint q (lines 9–10). An
-// interrupt raised during the hash-set pass fails the setup.
+// estimate and the candidate range endpoint q (lines 9–10). ApproxMC
+// runs only until q is settled; WitnessCount runs the rest. rng seeds
+// ApproxMC and is not advanced. An interrupt raised during the
+// hash-set pass fails the setup.
 func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 	kp, err := ComputeKappaPivot(opts.Epsilon)
 	if err != nil {
@@ -185,34 +198,78 @@ func (su *Setup) measure(enum, count *bsat.Session, rng *randx.RNG) error {
 		return nil
 	}
 
-	// Line 9: C ← ApproxMC(F, 0.8, 0.8-confidence).
+	// Line 9: C ← ApproxMC(F, 0.8, 0.8-confidence), run only until line
+	// 10's q is settled; WitnessCount runs the rest. The run draws from
+	// a generator of its own, whose state it persists.
 	if count == nil {
 		count = su.NewSessionWith(su.opts.Solver)
 	}
-	amc, err := counter.ApproxMCSession(count, rng, counter.ApproxMCOptions{
-		Epsilon:       0.8,
-		Delta:         0.2,
-		SamplingSet:   su.h,
-		MaxHashRounds: su.opts.ApproxMCRounds,
-	})
+	run, err := counter.StartApproxMC(count, randx.New(rng.State()), su.amcOptions())
 	if err != nil {
-		return fmt.Errorf("unigen: setup ApproxMC: %w", err)
+		return amcErr(err)
 	}
-	su.est = amc.Count
-	su.base[tally.SetupRounds] = int64(amc.Rounds)
-
-	// Line 10: q ← ⌈log₂ C + log₂ 1.8 − log₂ pivot⌉.
-	logC := bigLog2(amc.Count)
-	q := int(math.Ceil(logC + math.Log2(1.8) - math.Log2(float64(kp.Pivot))))
-	if q < 1 {
-		q = 1
+	q, settled := su.settled(run)
+	for !settled && run.Left() > 0 {
+		if err := run.Round(count); err != nil {
+			return amcErr(err)
+		}
+		su.base[tally.SetupRounds]++
+		q, settled = su.settled(run)
 	}
-	if q > len(su.h) {
-		q = len(su.h)
+	if run.Left() > 0 {
+		su.amc = run.State()
+	} else {
+		res, err := run.Finish(count) // no round left: the median
+		if err != nil {
+			return amcErr(err)
+		}
+		su.est = res.Count
 	}
 	su.q = q
 	su.base[tally.Q] = int64(q)
 	return nil
+}
+
+// amcOptions are line 9's ApproxMC parameters: ε′ = 0.8 and δ′ = 0.2
+// (confidence 0.8), over the hash set.
+func (su *Setup) amcOptions() counter.ApproxMCOptions {
+	return counter.ApproxMCOptions{
+		Epsilon:       0.8,
+		Delta:         0.2,
+		SamplingSet:   su.h,
+		MaxHashRounds: su.opts.ApproxMCRounds,
+	}
+}
+
+// amcErr wraps a failed ApproxMC run. A BSAT call that exhausted its
+// budget or was interrupted is an ErrBudget, as everywhere else in
+// Algorithm 1.
+func amcErr(err error) error {
+	if errors.Is(err, counter.ErrBudget) {
+		return fmt.Errorf("%w (setup ApproxMC): %v", ErrBudget, err)
+	}
+	return fmt.Errorf("unigen: setup ApproxMC: %w", err)
+}
+
+// lineTen is line 10 of Algorithm 1, q ← ⌈log₂ C + log₂ 1.8 − log₂
+// pivot⌉, clamped to [1, |H|]. It is monotone in C.
+func (su *Setup) lineTen(c *big.Int) int {
+	q := int(math.Ceil(bigLog2(c) + math.Log2(1.8) - math.Log2(float64(su.kp.Pivot))))
+	return min(max(q, 1), len(su.h))
+}
+
+// settled returns line 10's q for run's median and whether q is
+// settled: whether line 10 gives it for both the lowest and the highest
+// median the rounds left can produce. Line 10 is monotone, so every
+// median between them gives the same q, and a run stopped there yields
+// the full run's q.
+func (su *Setup) settled(run *counter.ApproxMCRun) (int, bool) {
+	lo, hi, ok := run.MedianRange()
+	if !ok {
+		return 0, false
+	}
+	q := su.lineTen(lo)
+	return q, q == su.lineTen(hi)
 }
 
 // bigLog2 approximates log₂(x) for a positive big integer.
@@ -236,15 +293,6 @@ func (su *Setup) SetupStats() Stats { return su.base }
 // KappaPivot exposes the derived parameters (used by benchmarks and the
 // experiment harness).
 func (su *Setup) KappaPivot() KappaPivot { return su.kp }
-
-// EstimatedCount returns the setup-time ApproxMC estimate (nil in the
-// easy case, where the exact witness list is held instead).
-func (su *Setup) EstimatedCount() *big.Int {
-	if su.est == nil {
-		return nil
-	}
-	return new(big.Int).Set(su.est)
-}
 
 // SamplingSet returns the declared sampling variables, the set
 // witnesses are projected on.

@@ -1,10 +1,11 @@
 package counter
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
-	"sort"
+	"slices"
 
 	"unigen/internal/bsat"
 	"unigen/internal/cnf"
@@ -12,6 +13,10 @@ import (
 	"unigen/internal/randx"
 	"unigen/internal/sat"
 )
+
+// ErrBudget tags a count that stopped because a BSAT call exhausted its
+// conflict budget or was interrupted.
+var ErrBudget = errors.New("counter: BSAT budget exhausted")
 
 // ApproxMCOptions configures the approximate counter.
 type ApproxMCOptions struct {
@@ -102,55 +107,167 @@ func ApproxMC(f *cnf.Formula, rng *randx.RNG, opts ApproxMCOptions) (ApproxMCRes
 // no i < |S| qualifies or that cell is empty. The cells are nested and
 // every probe is exact, so the search finds the cell a linear scan
 // over i = 1, 2, … would, wherever it starts: it starts from the
-// previous successful round's i.
+// previous successful round's i. It is StartApproxMC followed by
+// Finish: the run is the loop, and its state between two rounds is
+// all a later round depends on.
 func ApproxMCSession(sess *bsat.Session, rng *randx.RNG, opts ApproxMCOptions) (ApproxMCResult, error) {
+	run, err := StartApproxMC(sess, rng, opts)
+	if err != nil {
+		return ApproxMCResult{}, err
+	}
+	return run.Finish(sess)
+}
+
+// ApproxMCState is an ApproxMC2 run between two rounds: everything the
+// rounds still to come depend on besides the options. Each round draws
+// its hash from the RNG alone and its search start is the last
+// successful round's i, so a run stopped after any round and resumed
+// from its state, on any session over the same formula, returns the
+// estimate the uninterrupted run returns.
+type ApproxMCState struct {
+	// RNG is the generator state the next round draws its hash from;
+	// randx.New(RNG) continues the stream.
+	RNG uint64
+	// Start is where the next round's search starts: the last
+	// successful round's i, 1 before any.
+	Start int
+	// Left is the number of rounds still to run.
+	Left int
+	// Estimates holds the successful rounds' estimates, ascending.
+	Estimates []*big.Int
+}
+
+// ApproxMCRun is one ApproxMC2 run that its caller drives round by
+// round: ApproxMCSession runs every round, core's setup stops as soon
+// as no remaining round can change what it needs from the estimate.
+// After an error the run is spent. Not safe for concurrent use.
+type ApproxMCRun struct {
+	rng         *randx.RNG
+	vars        []cnf.Var
+	thresh      int
+	start, left int
+	ests        []*big.Int // ascending
+	exact       bool
+	calls, rows int // BSAT calls and XOR rows this run made
+}
+
+// StartApproxMC validates opts and makes ApproxMC2's base call on
+// sess, returning the run before its first round. A base count below
+// thresh is exact and leaves no round to run. The run draws its hashes
+// from rng, which it advances.
+func StartApproxMC(sess *bsat.Session, rng *randx.RNG, opts ApproxMCOptions) (*ApproxMCRun, error) {
 	if opts.Epsilon <= 0 {
-		return ApproxMCResult{}, fmt.Errorf("counter: epsilon must be positive, got %v", opts.Epsilon)
+		return nil, fmt.Errorf("counter: epsilon must be positive, got %v", opts.Epsilon)
 	}
 	if opts.Delta <= 0 || opts.Delta >= 1 {
-		return ApproxMCResult{}, fmt.Errorf("counter: delta must be in (0,1), got %v", opts.Delta)
+		return nil, fmt.Errorf("counter: delta must be in (0,1), got %v", opts.Delta)
 	}
-	vars := opts.SamplingSet
-	if len(vars) == 0 {
-		vars = sess.SamplingSet()
+	if len(opts.SamplingSet) == 0 {
+		opts.SamplingSet = sess.SamplingSet()
 	}
-	thresh := threshAMC(opts.Epsilon)
 	t := iterAMC(opts.Delta)
 	if opts.MaxHashRounds > 0 && opts.MaxHashRounds < t {
 		t = opts.MaxHashRounds
 	}
-
+	r := &ApproxMCRun{rng: rng, vars: opts.SamplingSet, thresh: threshAMC(opts.Epsilon), start: 1, left: t, calls: 1}
 	// Quick exit: if |R_F↓S| < thresh the count is exact.
-	n, res := sess.Count(thresh, nil)
+	n, res := sess.Count(r.thresh, nil)
 	if res.BudgetExceeded {
-		return ApproxMCResult{}, fmt.Errorf("counter: BSAT budget exhausted in ApproxMC base call")
+		return nil, fmt.Errorf("%w in ApproxMC base call", ErrBudget)
 	}
-	if n < thresh {
-		return ApproxMCResult{Count: big.NewInt(int64(n)), Exact: true, Rounds: 1, BSATCalls: 1}, nil
+	if n < r.thresh {
+		r.ests, r.left, r.exact = []*big.Int{big.NewInt(int64(n))}, 0, true
 	}
+	return r, nil
+}
 
-	var estimates []*big.Int
-	out := ApproxMCResult{BSATCalls: 1}
-	prev := 1 // ApproxMC2's first round starts from 2 cells
-	for round := 0; round < t; round++ {
-		c := &cells{sess: sess, h: hashfam.Draw(rng, vars, max(len(vars)-1, 0)), thresh: thresh}
-		i, cnt, err := c.search(prev)
-		out.BSATCalls += c.calls
-		out.TotalXORRows += c.rows
+// ResumeApproxMC continues a run from its state. opts must be the
+// options the run started with, its SamplingSet included. The resumed
+// run's BSATCalls and TotalXORRows count only the calls it makes.
+func ResumeApproxMC(st ApproxMCState, opts ApproxMCOptions) *ApproxMCRun {
+	return &ApproxMCRun{
+		rng:    randx.New(st.RNG),
+		vars:   opts.SamplingSet,
+		thresh: threshAMC(opts.Epsilon),
+		start:  st.Start,
+		left:   st.Left,
+		ests:   slices.Clone(st.Estimates),
+	}
+}
+
+// State returns the run's state; the estimates are shared, not copied,
+// and must not be modified.
+func (r *ApproxMCRun) State() ApproxMCState {
+	return ApproxMCState{RNG: r.rng.State(), Start: r.start, Left: r.left, Estimates: r.ests}
+}
+
+// Left returns the number of rounds still to run.
+func (r *ApproxMCRun) Left() int { return r.left }
+
+// Round runs the next round on sess. It must not be called once Left
+// is 0.
+func (r *ApproxMCRun) Round(sess *bsat.Session) error {
+	c := &cells{sess: sess, h: hashfam.Draw(r.rng, r.vars, max(len(r.vars)-1, 0)), thresh: r.thresh}
+	i, cnt, err := c.search(r.start)
+	r.calls += c.calls
+	r.rows += c.rows
+	if err != nil {
+		return err
+	}
+	r.left--
+	if i > 0 && cnt > 0 {
+		e := new(big.Int).Lsh(big.NewInt(int64(cnt)), uint(i))
+		k, _ := slices.BinarySearchFunc(r.ests, e, (*big.Int).Cmp)
+		r.ests = slices.Insert(r.ests, k, e)
+		r.start = i
+	}
+	return nil
+}
+
+// MedianRange returns the lowest and the highest median the rounds
+// left can still produce, whichever of them fail and whatever the
+// others return. A round returns at least 2 (one witness in cell 1)
+// and at most (thresh−1)·2^(|S|−1); so with m estimates e[0..m−1] and
+// r rounds left the extremes are e[⌊(m+r)/2⌋−r] and e[⌊(m+r)/2⌋], an
+// index below 0 standing for 2 and one at or past m for the largest
+// estimate. With no round left both are the median. ok is false while
+// no round has returned an estimate: the run can still fail outright.
+func (r *ApproxMCRun) MedianRange() (lo, hi *big.Int, ok bool) {
+	if len(r.ests) == 0 {
+		return nil, nil, false
+	}
+	mid := (len(r.ests) + r.left) / 2
+	return r.estimate(mid - r.left), r.estimate(mid), true
+}
+
+// estimate returns e[k] of MedianRange, with its bounds past the ends.
+func (r *ApproxMCRun) estimate(k int) *big.Int {
+	switch {
+	case k < 0:
+		return big.NewInt(2)
+	case k >= len(r.ests):
+		return new(big.Int).Lsh(big.NewInt(int64(r.thresh-1)), uint(max(len(r.vars)-1, 0)))
+	}
+	return r.ests[k]
+}
+
+// Finish runs the rounds left on sess and returns the median estimate.
+// On an error the result holds no count, only the BSAT calls and XOR
+// rows spent before it.
+func (r *ApproxMCRun) Finish(sess *bsat.Session) (ApproxMCResult, error) {
+	out := ApproxMCResult{Exact: r.exact, TotalXORRows: r.rows, BSATCalls: r.calls}
+	for r.left > 0 {
+		err := r.Round(sess)
+		out.TotalXORRows, out.BSATCalls = r.rows, r.calls
 		if err != nil {
-			return ApproxMCResult{}, err
-		}
-		if i > 0 && cnt > 0 {
-			estimates = append(estimates, new(big.Int).Lsh(big.NewInt(int64(cnt)), uint(i)))
-			prev = i
+			return out, err
 		}
 	}
-	if len(estimates) == 0 {
-		return ApproxMCResult{}, fmt.Errorf("counter: every ApproxMC round failed")
+	if len(r.ests) == 0 {
+		return out, fmt.Errorf("counter: every ApproxMC round failed")
 	}
-	sort.Slice(estimates, func(i, j int) bool { return estimates[i].Cmp(estimates[j]) < 0 })
-	out.Count = estimates[len(estimates)/2]
-	out.Rounds = len(estimates)
+	out.Count = r.ests[len(r.ests)/2]
+	out.Rounds = len(r.ests)
 	return out, nil
 }
 
@@ -171,7 +288,7 @@ func (c *cells) count(i int) (int, error) {
 	c.calls++
 	c.rows += i
 	if res.BudgetExceeded {
-		return 0, fmt.Errorf("counter: BSAT budget exhausted at %d hash bits", i)
+		return 0, fmt.Errorf("%w at %d hash bits", ErrBudget, i)
 	}
 	return n, nil
 }

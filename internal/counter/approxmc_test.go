@@ -236,3 +236,94 @@ func epsilonDeltaFixtures(t *testing.T) []fixture {
 	}
 	return []fixture{{"3-CNF", cnf3}, {"CNF+XOR", xor}, {"projected", proj}}
 }
+
+// drawRounds advances a generator seeded with seed past t rounds'
+// hashes over nv variables: the RNG a run of t rounds leaves behind,
+// whatever its searches did.
+func drawRounds(seed uint64, nv, t int) uint64 {
+	rng := randx.New(seed)
+	for range t {
+		hashfam.Draw(rng, make([]cnf.Var, nv), nv-1)
+	}
+	return rng.State()
+}
+
+// TestApproxMCRunsEveryRound: ApproxMC keeps ApproxMC2's full t = 67
+// rounds (or the MaxHashRounds cap): each round draws one hash, so the
+// caller's generator ends exactly t draws on, and the estimate is the
+// median of t rounds run by hand.
+func TestApproxMCRunsEveryRound(t *testing.T) {
+	f := cnf.New(12)
+	f.AddClause(11, 12)
+	f.SamplingSet = []cnf.Var{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for _, tc := range []struct{ cap, rounds int }{{0, 67}, {20, 20}} {
+		rng := randx.New(7)
+		res, err := ApproxMC(f, rng, ApproxMCOptions{Epsilon: 0.8, Delta: 0.2, MaxHashRounds: tc.cap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := drawRounds(7, 10, tc.rounds); rng.State() != want {
+			t.Fatalf("cap %d: generator is not %d hash draws on", tc.cap, tc.rounds)
+		}
+		sess := bsat.NewSession(f, bsat.Options{SamplingSet: f.SamplingSet})
+		run, err := StartApproxMC(sess, randx.New(7), ApproxMCOptions{Epsilon: 0.8, Delta: 0.2, MaxHashRounds: tc.cap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < tc.rounds; k++ {
+			if run.Left() != tc.rounds-k {
+				t.Fatalf("cap %d: %d rounds left after %d, want %d", tc.cap, run.Left(), k, tc.rounds-k)
+			}
+			if err := run.Round(sess); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ests := run.State().Estimates
+		if res.Rounds != len(ests) || res.Count.Cmp(ests[len(ests)/2]) != 0 {
+			t.Fatalf("cap %d: ApproxMC %v over %d rounds, by hand %v over %d", tc.cap, res.Count, res.Rounds, ests[len(ests)/2], len(ests))
+		}
+	}
+}
+
+// TestApproxMCResumeMatchesFullRun: a run stopped after any round and
+// resumed from its state on a fresh session — another solver history —
+// finishes to the uninterrupted run's estimate, and MedianRange always
+// brackets it.
+func TestApproxMCResumeMatchesFullRun(t *testing.T) {
+	rng := randx.New(67)
+	opts := ApproxMCOptions{Epsilon: 0.8, Delta: 0.2, MaxHashRounds: 20}
+	for iter := 0; iter < 3; iter++ {
+		f := randomCNFXOR(rng, 8+rng.Intn(5))
+		opts.SamplingSet = f.SamplingSet
+		seed := rng.Uint64()
+		full, err := ApproxMC(f, randx.New(seed), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := bsat.NewSession(f, bsat.Options{})
+		run, err := StartApproxMC(sess, randx.New(seed), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; ; k++ {
+			if lo, hi, ok := run.MedianRange(); ok && (lo.Cmp(full.Count) > 0 || hi.Cmp(full.Count) < 0) {
+				t.Fatalf("iter %d round %d: median range [%v, %v] misses the full run's %v", iter, k, lo, hi, full.Count)
+			}
+			st := run.State()
+			res, err := ResumeApproxMC(st, opts).Finish(bsat.NewSession(f, bsat.Options{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Count.Cmp(full.Count) != 0 || res.Rounds != full.Rounds {
+				t.Fatalf("iter %d: resumed after %d rounds to %v over %d rounds, full run %v over %d",
+					iter, k, res.Count, res.Rounds, full.Count, full.Rounds)
+			}
+			if run.Left() == 0 {
+				break
+			}
+			if err := run.Round(sess); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -21,6 +21,11 @@ func New(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
+// State returns the generator's whole state: New(r.State()) continues
+// r's stream exactly where r stands, so a paused computation can
+// persist its RNG as one integer.
+func (r *RNG) State() uint64 { return r.state }
+
 // Uint64 returns the next 64 pseudo-random bits (SplitMix64 step).
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

@@ -163,3 +163,18 @@ func TestZeroValueUsable(t *testing.T) {
 	var r RNG
 	_ = r.Uint64() // must not panic
 }
+
+// TestStateResumesStream: a generator rebuilt from State continues the
+// stream exactly where the original stands.
+func TestStateResumesStream(t *testing.T) {
+	r := New(42)
+	for range 5 {
+		r.Uint64()
+	}
+	c := New(r.State())
+	for i := range 10 {
+		if a, b := r.Uint64(), c.Uint64(); a != b {
+			t.Fatalf("draw %d: %x from the original, %x from the copy", i, a, b)
+		}
+	}
+}

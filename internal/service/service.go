@@ -770,10 +770,13 @@ func boolInt(b bool) int64 {
 	return 0
 }
 
-// Count returns the prepared witness count. On a hit this is a pure
-// cache lookup — no solver call at all. Admission, deadlines, and
-// panic isolation apply exactly as for Sample (a miss triggers a
-// preparation, which is the expensive path worth guarding).
+// Count returns the prepared witness count. Preparation stops
+// ApproxMC once q is settled (DESIGN §15), so the first count of a
+// hashing-case formula runs the rounds left, once per entry, on a
+// session of its own under the service-wide budgets and this request's
+// deadline; every later count is a cache lookup with no solver call.
+// Admission, deadlines, and panic isolation apply exactly as for
+// Sample.
 func (s *Service) Count(ctx context.Context, req CountRequest) (*CountResult, error) {
 	return s.count(ctx, req, formulaSrc{f: req.Formula})
 }
@@ -802,12 +805,31 @@ func (s *Service) count(ctx context.Context, req CountRequest, src formulaSrc) (
 	}
 	ro.fingerprint, ro.cacheHit = prep.fingerprint, hit
 	prep.requests.Add(1)
+	c, exact, err := witnessCount(ctx, ro.tr.Root(), prep.setup)
+	if err != nil {
+		return nil, requestErr(ctx, err)
+	}
 	prep.counts.Add(1)
 	if isDelta {
 		s.delta.served.Add(1)
 	}
-	c, exact := prep.setup.WitnessCount()
 	return &CountResult{Count: c, Exact: exact, CacheHit: hit, Fingerprint: prep.fingerprint, TraceID: ro.tr.ID(), Delta: isDelta}, nil
+}
+
+// witnessCount is su.WitnessCount with the setup's budgets and an
+// interrupt that ctx's end raises. A call the interrupt cut short
+// reports ctx's error, not the budget error it surfaces as.
+func witnessCount(ctx context.Context, sp *obs.Span, su *core.Setup) (*big.Int, bool, error) {
+	cfg := su.SolverConfig()
+	intr := new(atomic.Bool)
+	cfg.Interrupt = intr
+	stop := context.AfterFunc(ctx, func() { intr.Store(true) })
+	defer stop()
+	c, exact, err := su.WitnessCount(cfg, sp)
+	if err != nil && ctx.Err() != nil {
+		err = ctx.Err()
+	}
+	return c, exact, err
 }
 
 // HealthState is the coarse health signal /healthz reports.

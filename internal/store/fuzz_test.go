@@ -94,7 +94,8 @@ func FuzzDecodeSetup(f *testing.F) {
 // TestStoreQuarantinesOlderVersions: an entry written by a release
 // with an older setup codec — version 1 predates the persisted hash
 // set, version 2 persisted 17 base-stats counters, version 3 held a
-// CP'13 ApproxMC estimate — fails frame
+// CP'13 ApproxMC estimate, version 4 always held a finished estimate —
+// fails frame
 // verification, so the store reports a miss (the service then prepares
 // cold) and quarantines the file instead of retrying it.
 func TestStoreQuarantinesOlderVersions(t *testing.T) {
@@ -108,7 +109,7 @@ func TestStoreQuarantinesOlderVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint16{1, 2, 3} {
+	for _, v := range []uint16{1, 2, 3, 4} {
 		old := bytes.Clone(blob)
 		binary.LittleEndian.PutUint16(old[4:], v)
 		body := len(old) - 4

@@ -27,7 +27,7 @@ const (
 	Removed                // learned clauses reclaimed (reduceDB + session GC)
 	Compactions            // clause-arena GC relocation passes
 	ArenaBytes             // clause-arena footprint in bytes
-	SetupRounds            // ApproxMC rounds of the setup phase
+	SetupRounds            // ApproxMC rounds the setup phase ran: until q was settled, not the t a full count runs
 	EasyCase               // 1 when the setup enumerated every witness (|R_F| ≤ hiThresh)
 	Q                      // the candidate-range endpoint q of Algorithm 1, line 10
 	NumCounters

@@ -98,8 +98,9 @@ func (s *Service) CountDelta(ctx context.Context, base string, assumptions []int
 // Count returns the prepared witness count of f projected onto its
 // sampling set: exact (second return true) when the solution space was
 // small enough to enumerate at preparation time, otherwise the ApproxMC
-// estimate of Algorithm 1 line 9. A cache hit answers without any
-// solver work.
+// estimate of Algorithm 1 line 9. Preparation runs ApproxMC only until
+// q is settled, so the first count of a prepared formula runs its
+// remaining rounds; later counts answer without any solver work.
 func (s *Service) Count(ctx context.Context, f *Formula) (*big.Int, bool, error) {
 	res, err := s.inner.Count(ctx, service.CountRequest{Formula: f})
 	if err != nil {

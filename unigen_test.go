@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"unigen/internal/counter"
+	"unigen/internal/randx"
 )
 
 const demoDIMACS = `c demo: (x1 ∨ x2) with x3 free
@@ -139,6 +142,31 @@ func TestApproxCount(t *testing.T) {
 	lo, hi := big.NewFloat(512/1.8), big.NewFloat(512*1.8)
 	if v.Cmp(lo) < 0 || v.Cmp(hi) > 0 {
 		t.Fatalf("ApproxCount = %v, want within [%v,%v]", got, lo, hi)
+	}
+}
+
+// TestApproxCountRunsEveryRound: ApproxCount is counter.ApproxMC at
+// ApproxMC2's full t, not a setup's run stopped once q is settled: it
+// returns the estimate and round count of the full run on the
+// generator it seeds.
+func TestApproxCountRunsEveryRound(t *testing.T) {
+	f := NewFormula(14)
+	f.AddClause(13, 14)
+	f.SamplingSet = []Var{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	got, err := ApproxCount(f, 0.8, 0.2, Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := randx.New(5 ^ 0xa99c0c13)
+	full, err := counter.ApproxMC(f, rng, counter.ApproxMCOptions{Epsilon: 0.8, Delta: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cmp(full.Count) != 0 {
+		t.Fatalf("ApproxCount = %v, full ApproxMC run %v", got, full.Count)
+	}
+	if full.Rounds < 60 {
+		t.Fatalf("full run kept %d estimates, want about 67", full.Rounds)
 	}
 }
 

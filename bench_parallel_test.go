@@ -37,7 +37,7 @@ func BenchmarkParallelSampling(b *testing.B) {
 			eng, err := parallel.NewEngine(inst.F, parallel.Options{
 				Workers:    workers,
 				MasterSeed: benchSeed,
-				Core:       core.Options{Epsilon: 6, Solver: benchSolverCfg(), ApproxMCRounds: 8},
+				Core:       core.Options{Epsilon: 6, Solver: benchSolverCfg()},
 			})
 			if err != nil {
 				b.Fatal(err)

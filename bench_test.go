@@ -46,7 +46,7 @@ func benchEngine(b *testing.B, f *Formula, eps float64, set []Var) *parallel.Eng
 	eng, err := parallel.NewEngine(f, parallel.Options{
 		Workers:    1,
 		MasterSeed: benchSeed,
-		Core:       core.Options{Epsilon: eps, SamplingSet: set, Solver: benchSolverCfg(), ApproxMCRounds: 8},
+		Core:       core.Options{Epsilon: eps, SamplingSet: set, Solver: benchSolverCfg()},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -278,9 +278,7 @@ func BenchmarkSubstrateApproxMC(b *testing.B) {
 	f.SamplingSet = []Var{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	for i := 0; i < b.N; i++ {
 		rng := randx.New(uint64(i))
-		if _, err := counter.ApproxMC(f, rng, counter.ApproxMCOptions{
-			Epsilon: 0.8, Delta: 0.2, MaxHashRounds: 10,
-		}); err != nil {
+		if _, err := counter.ApproxMC(f, rng, counter.ApproxMCOptions{Epsilon: 0.8, Delta: 0.2}); err != nil {
 			b.Fatal(err)
 		}
 	}

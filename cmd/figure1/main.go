@@ -22,14 +22,12 @@ func main() {
 	n := flag.Int("n", 20000, "samples per sampler (paper: 4000000)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	epsilon := flag.Float64("epsilon", 6, "UniGen tolerance")
-	rounds := flag.Int("amc-rounds", 12, "ApproxMC setup rounds")
 	flag.Parse()
 
 	cfg := experiments.DefaultConfig()
 	cfg.Scale = benchgen.ScaleSmall
 	cfg.Seed = *seed
 	cfg.Epsilon = *epsilon
-	cfg.ApproxMCRounds = *rounds
 
 	res, err := experiments.RunFigure1(*n, cfg)
 	if err != nil {

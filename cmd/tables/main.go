@@ -26,7 +26,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	budget := flag.Int64("budget", 200000, "conflict budget per SAT call")
 	propBudget := flag.Int64("prop-budget", 30_000_000, "propagation budget per SAT call")
-	rounds := flag.Int("amc-rounds", 12, "ApproxMC setup rounds (0 = paper's 67)")
 	gauss := flag.Bool("gauss", false, "enable Gauss-Jordan XOR preprocessing")
 	flag.Parse()
 
@@ -42,7 +41,6 @@ func main() {
 		Seed:            *seed,
 		MaxConflicts:    *budget,
 		MaxPropagations: *propBudget,
-		ApproxMCRounds:  *rounds,
 		UniWitSampleCap: *uwCap,
 		GaussJordan:     *gauss,
 	}

@@ -26,7 +26,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	budget := flag.Int64("budget", 0, "conflict budget per SAT call (0 = unlimited)")
 	gauss := flag.Bool("gauss", false, "enable Gauss-Jordan XOR preprocessing")
-	rounds := flag.Int("amc-rounds", 0, "cap ApproxMC setup rounds (0 = paper default)")
 	jobs := flag.Int("j", 1, "parallel sampling workers (0 = all CPUs)")
 	stats := flag.Bool("stats", false, "print merged run statistics (hash set, rounds, BSAT calls, XOR rows, propagations) to stderr")
 	flag.Parse()
@@ -51,12 +50,11 @@ func main() {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	s, err := unigen.NewSampler(f, unigen.Options{
-		Epsilon:        *epsilon,
-		Seed:           *seed,
-		MaxConflicts:   *budget,
-		GaussJordan:    *gauss,
-		ApproxMCRounds: *rounds,
-		Workers:        workers,
+		Epsilon:      *epsilon,
+		Seed:         *seed,
+		MaxConflicts: *budget,
+		GaussJordan:  *gauss,
+		Workers:      workers,
 	})
 	if err != nil {
 		fatal(err)

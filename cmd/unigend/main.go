@@ -90,7 +90,6 @@ func main() {
 	jobs := flag.Int("j", 0, "default per-request sampling workers (0 = all CPUs)")
 	budget := flag.Int64("budget", 0, "conflict budget per SAT call (0 = unlimited)")
 	gauss := flag.Bool("gauss", false, "enable Gauss-Jordan XOR preprocessing")
-	rounds := flag.Int("amc-rounds", 0, "cap ApproxMC setup rounds (0 = paper default)")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently admitted requests (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "max requests waiting for admission before shedding")
 	queueWait := flag.Duration("queue-wait", 0, "max time a queued request waits for a slot (0 = 2s when gated)")
@@ -132,7 +131,6 @@ func main() {
 		Epsilon:        *epsilon,
 		MaxConflicts:   *budget,
 		GaussJordan:    *gauss,
-		ApproxMCRounds: *rounds,
 		Workers:        workers,
 		CacheSize:      *cache,
 		StoreDir:       *storeDir,

@@ -38,11 +38,10 @@ func TestSIGTERMDrain(t *testing.T) {
 
 	const drainDeadline = 2 * time.Second
 	opts := unigen.ServiceOptions{
-		Workers:        1,
-		CacheSize:      4,
-		MaxInFlight:    2,
-		MaxQueue:       2,
-		ApproxMCRounds: 15,
+		Workers:     1,
+		CacheSize:   4,
+		MaxInFlight: 2,
+		MaxQueue:    2,
 	}
 	runDone := make(chan error, 1)
 	go func() { runDone <- run(ctx, opts, ln, 0, drainDeadline) }()
@@ -111,7 +110,7 @@ func TestStoreWarmRestartDaemon(t *testing.T) {
 		base := "http://" + ln.Addr().String()
 		ctx, cancel := context.WithCancel(context.Background())
 		runDone := make(chan error, 1)
-		opts := unigen.ServiceOptions{Workers: 1, ApproxMCRounds: 15, StoreDir: dir}
+		opts := unigen.ServiceOptions{Workers: 1, StoreDir: dir}
 		go func() { runDone <- run(ctx, opts, ln, 0, 10*time.Second) }()
 
 		body, _ := json.Marshal(map[string]any{"formula": fixture, "n": 4, "seed": 2014})

@@ -116,7 +116,7 @@ func TestDeltaUniformityBattery(t *testing.T) {
 				t.Fatalf("BDD counts %v conditioned models, brute force found %d", bc, K)
 			}
 
-			opts := unigen.ServiceOptions{Epsilon: 6, ApproxMCRounds: 15, Workers: 2}
+			opts := unigen.ServiceOptions{Epsilon: 6, Workers: 2}
 			svc, err := unigen.NewService(opts)
 			if err != nil {
 				t.Fatal(err)

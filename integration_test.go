@@ -68,7 +68,7 @@ func TestSamplersAgree(t *testing.T) {
 	vars := f.SamplingVars()
 
 	// UniGen.
-	s, err := NewSampler(f, Options{Epsilon: 6, Seed: 77, ApproxMCRounds: 10})
+	s, err := NewSampler(f, Options{Epsilon: 6, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestParserNeverPanics(t *testing.T) {
 	}
 }
 
-// TestApproxVsExactProperty: ApproxMC with MaxHashRounds still lands
+// TestApproxVsExactProperty: ApproxMC at the paper's (ε, δ) lands
 // within tolerance on random small formulas with high probability; we
 // allow 1 miss in the batch.
 func TestApproxVsExactProperty(t *testing.T) {

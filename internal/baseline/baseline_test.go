@@ -98,62 +98,6 @@ func TestUniWitFullSupportXORs(t *testing.T) {
 	}
 }
 
-func TestXORSampleValidity(t *testing.T) {
-	f := cnf.New(6)
-	f.AddClause(1, 2, 3)
-	x, err := NewXORSample(f, XORSampleOptions{S: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := randx.New(35)
-	got := 0
-	for i := 0; i < 50; i++ {
-		w, err := x.Sample(rng)
-		if errors.Is(err, ErrFailed) {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !w.Satisfies(f) {
-			t.Fatal("invalid witness")
-		}
-		got++
-	}
-	if got == 0 {
-		t.Fatal("no successes")
-	}
-	if p := x.SuccessProb(); p <= 0 || p > 1 {
-		t.Fatalf("success prob %v", p)
-	}
-}
-
-func TestXORSampleBadS(t *testing.T) {
-	f := cnf.New(2)
-	if _, err := NewXORSample(f, XORSampleOptions{S: -1}); err == nil {
-		t.Fatal("negative S accepted")
-	}
-}
-
-func TestXORSampleOvershootFails(t *testing.T) {
-	// S much larger than log2|R_F| empties almost every cell.
-	f := cnf.New(4) // 16 models
-	x, err := NewXORSample(f, XORSampleOptions{S: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := randx.New(36)
-	fails := 0
-	for i := 0; i < 30; i++ {
-		if _, err := x.Sample(rng); errors.Is(err, ErrFailed) {
-			fails++
-		}
-	}
-	if fails < 20 {
-		t.Fatalf("only %d/30 failures with absurd S; expected most to fail", fails)
-	}
-}
-
 func TestUSUniform(t *testing.T) {
 	f := cnf.New(3)
 	f.AddClause(1, 2, 3) // 7 witnesses

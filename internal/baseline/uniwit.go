@@ -1,8 +1,7 @@
 // Package baseline implements the comparison generators of the DAC'14
-// evaluation: UniWit (Chakraborty, Meel, Vardi; CAV 2013), XORSample′
-// (Gomes, Sabharwal, Selman; NIPS 2007), and US, the idealized uniform
-// sampler built from an exact model counter that Figure 1 uses as its
-// reference.
+// evaluation: UniWit (Chakraborty, Meel, Vardi; CAV 2013) and US, the
+// idealized uniform sampler built from an exact model counter that
+// Figure 1 uses as its reference.
 package baseline
 
 import (

@@ -78,9 +78,6 @@ type Circuit struct {
 	Latches []Latch
 }
 
-// NumGates returns the total signal count.
-func (c *Circuit) NumGates() int { return len(c.Gates) }
-
 // Builder constructs circuits gate by gate.
 type Builder struct {
 	c Circuit
@@ -142,9 +139,6 @@ func (b *Builder) Xor(a, c Sig) Sig { return b.add(Gate{Kind: KindXor, In: [2]Si
 
 // Nand returns ¬(a∧b).
 func (b *Builder) Nand(a, c Sig) Sig { return b.Not(b.And(a, c)) }
-
-// Nor returns ¬(a∨b).
-func (b *Builder) Nor(a, c Sig) Sig { return b.Not(b.Or(a, c)) }
 
 // Xnor returns ¬(a⊕b).
 func (b *Builder) Xnor(a, c Sig) Sig { return b.Not(b.Xor(a, c)) }

@@ -114,13 +114,3 @@ func (e *Encoded) AssertParity(sigs []Sig, rhs bool) {
 	}
 	e.Formula.AddXOR(vars, rhs)
 }
-
-// InputAssignment converts a witness of the encoded formula into
-// circuit input values.
-func (e *Encoded) InputAssignment(w cnf.Assignment) []bool {
-	out := make([]bool, len(e.InputVars))
-	for i, v := range e.InputVars {
-		out[i] = w.Get(v)
-	}
-	return out
-}

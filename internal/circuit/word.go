@@ -186,21 +186,6 @@ func (b *Builder) KaratsubaMul(a, c Word, width, threshold int) Word {
 	return res[:width]
 }
 
-// EqualsConst returns a signal that is true iff word a equals the
-// constant v.
-func (b *Builder) EqualsConst(a Word, v uint64) Sig {
-	acc := b.Const(true)
-	for i, s := range a {
-		bitSet := v&(1<<uint(i)) != 0
-		if bitSet {
-			acc = b.And(acc, s)
-		} else {
-			acc = b.And(acc, b.Not(s))
-		}
-	}
-	return acc
-}
-
 // LessThan returns a signal true iff a < c (unsigned, equal widths).
 func (b *Builder) LessThan(a, c Word) Sig {
 	lt := b.Const(false)

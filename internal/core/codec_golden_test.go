@@ -131,8 +131,8 @@ func TestSetupCodecGoldenFrame(t *testing.T) {
 			!slices.EqualFunc(ga.Estimates, wa.Estimates, func(a, b *big.Int) bool { return a.Cmp(b) == 0 }) {
 			t.Fatalf("%s: golden frame decoded to run state %+v, want %+v", tc.name, ga, wa)
 		}
-		wc, _, werr := tc.su.WitnessCount(sat.Config{}, nil)
-		gc, _, gerr := got.WitnessCount(sat.Config{}, nil)
+		wc, _, _, werr := tc.su.WitnessCount(sat.Config{}, nil)
+		gc, _, _, gerr := got.WitnessCount(sat.Config{}, nil)
 		if werr != nil || gerr != nil || wc.Cmp(gc) != 0 {
 			t.Fatalf("%s: count %v (%v), decoded %v (%v)", tc.name, wc, werr, gc, gerr)
 		}

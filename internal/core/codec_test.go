@@ -31,10 +31,7 @@ func easyFormula() *cnf.Formula {
 
 func buildSetup(t *testing.T, f *cnf.Formula) *Setup {
 	t.Helper()
-	su, err := NewSetup(f, randx.New(PrepSeed(f, nil)), Options{
-		Epsilon:        6,
-		ApproxMCRounds: 15,
-	})
+	su, err := NewSetup(f, randx.New(PrepSeed(f, nil)), Options{Epsilon: 6})
 	if err != nil {
 		t.Fatalf("NewSetup: %v", err)
 	}
@@ -112,8 +109,8 @@ func TestSetupCodecRoundTripHashing(t *testing.T) {
 
 	// Both finish to the same count: the decoded run state resumes
 	// where the original stopped.
-	wc, _, werr := su.WitnessCount(sat.Config{}, nil)
-	gc, _, gerr := got.WitnessCount(sat.Config{}, nil)
+	wc, _, _, werr := su.WitnessCount(sat.Config{}, nil)
+	gc, _, _, gerr := got.WitnessCount(sat.Config{}, nil)
 	if werr != nil || gerr != nil || wc.Cmp(gc) != 0 {
 		t.Fatalf("count %v (%v) → %v (%v)", wc, werr, gc, gerr)
 	}
@@ -149,7 +146,7 @@ func TestSetupCodecRoundTripEasy(t *testing.T) {
 			t.Fatalf("easy witness %d differs", i)
 		}
 	}
-	if c, exact, err := got.WitnessCount(sat.Config{}, nil); err != nil || !exact || c.Int64() != int64(len(su.easy)) {
+	if c, exact, _, err := got.WitnessCount(sat.Config{}, nil); err != nil || !exact || c.Int64() != int64(len(su.easy)) {
 		t.Fatalf("WitnessCount = %v exact=%v (%v), want %d exact", c, exact, err, len(su.easy))
 	}
 	want := sampleStream(t, su, 7, 5)

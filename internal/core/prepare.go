@@ -109,9 +109,11 @@ func (su *Setup) NewSessionWith(cfg sat.Config) *bsat.Session {
 // returns. Only a successful run is kept: later calls return its
 // estimate with no solver work, and after a failure the next call runs
 // the rounds again. Concurrent calls run them once; the others wait.
-func (su *Setup) WitnessCount(cfg sat.Config, sp *obs.Span) (c *big.Int, exact bool, err error) {
+// ran reports whether this call ran them, and so changed what Encode
+// writes.
+func (su *Setup) WitnessCount(cfg sat.Config, sp *obs.Span) (c *big.Int, exact, ran bool, err error) {
 	if su.easySet {
-		return big.NewInt(int64(len(su.easy))), true, nil
+		return big.NewInt(int64(len(su.easy))), true, false, nil
 	}
 	su.countMu.Lock()
 	defer su.countMu.Unlock()
@@ -123,9 +125,10 @@ func (su *Setup) WitnessCount(cfg sat.Config, sp *obs.Span) (c *big.Int, exact b
 		csp.SetInt("bsat_calls", int64(res.BSATCalls))
 		csp.End()
 		if err != nil {
-			return nil, false, amcErr(err)
+			return nil, false, false, amcErr(err)
 		}
 		su.est = res.Count
+		ran = true
 	}
-	return new(big.Int).Set(su.est), false, nil
+	return new(big.Int).Set(su.est), false, ran, nil
 }

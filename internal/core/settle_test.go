@@ -176,9 +176,12 @@ func TestSettledStopMatchesFullRun(t *testing.T) {
 				t.Fatalf("%s seed %d: pending=%v with %d rounds left", family, seed, su.est == nil, run.Left())
 			}
 
-			c, exact, err := su.WitnessCount(sat.Config{}, nil)
+			c, exact, ran, err := su.WitnessCount(sat.Config{}, nil)
 			if err != nil || exact || c.Cmp(full.Count) != 0 {
 				t.Fatalf("%s seed %d: WitnessCount %v exact=%v (%v), full run %v", family, seed, c, exact, err, full.Count)
+			}
+			if _, _, again, _ := su.WitnessCount(sat.Config{}, nil); ran != (run.Left() > 0) || again {
+				t.Fatalf("%s seed %d: WitnessCount ran=%v then %v with %d rounds left", family, seed, ran, again, run.Left())
 			}
 			if run.Left() > 0 {
 				stopped++

@@ -60,7 +60,7 @@ func TestStatsMergeEasyCaseAndQ(t *testing.T) {
 // view merged from it keeps them.
 func TestSamplerStatsIncludeSetup(t *testing.T) {
 	f := hardFormula()
-	smp, err := newSampler(f, randx.New(21), Options{Epsilon: 6, ApproxMCRounds: 15})
+	smp, err := newSampler(f, randx.New(21), Options{Epsilon: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

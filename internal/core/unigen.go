@@ -56,8 +56,12 @@ type Options struct {
 	// the paper's 2500 s per-call timeout).
 	Solver sat.Config
 	// ApproxMCRounds caps the δ-derived round count t = 67 of the
-	// setup-time ApproxMC call when > 0 (benchmark knob; 0 keeps the
-	// paper's parameters ε'=0.8, δ'=0.2).
+	// setup-time ApproxMC call when > 0. A cap voids line 9's
+	// confidence 0.8, the premise of Theorem 1, so no public surface
+	// sets it. It stays only because the benchmark module
+	// (unibench/layers.go) sets 1 to build engines cheaply; delete it,
+	// with counter.ApproxMCOptions.MaxHashRounds, once that module
+	// drops the setting.
 	ApproxMCRounds int
 }
 

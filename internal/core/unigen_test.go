@@ -187,7 +187,7 @@ func hardFormula() *cnf.Formula {
 func TestSamplerHashingPath(t *testing.T) {
 	f := hardFormula()
 	rng := randx.New(4)
-	smp, err := newSampler(f, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
+	smp, err := newSampler(f, rng, Options{Epsilon: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestTheorem1Bounds(t *testing.T) {
 	}
 	f := hardFormula() // |R_F↓S| = 1024
 	rng := randx.New(5)
-	smp, err := newSampler(f, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
+	smp, err := newSampler(f, rng, Options{Epsilon: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestUniformityTVD(t *testing.T) {
 	f.AddClause(7, 8)
 	f.SamplingSet = []cnf.Var{1, 2, 3, 4, 5, 6}
 	rng := randx.New(6)
-	smp, err := newSampler(f, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
+	smp, err := newSampler(f, rng, Options{Epsilon: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestLemma2SamplingSetEquivalence(t *testing.T) {
 		rng := randx.New(seed)
 		g := f.Clone()
 		g.SamplingSet = sset
-		smp, err := newSampler(g, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
+		smp, err := newSampler(g, rng, Options{Epsilon: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +358,7 @@ func TestLemma2SamplingSetEquivalence(t *testing.T) {
 func TestSampleManyCountsAttempts(t *testing.T) {
 	f := hardFormula()
 	rng := randx.New(9)
-	smp, err := newSampler(f, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
+	smp, err := newSampler(f, rng, Options{Epsilon: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestXORLengthUsesSamplingSetOnly(t *testing.T) {
 	// §4/E6: average XOR length must be ≈|S|/2, not |X|/2.
 	f := hardFormula() // |S|=10, |X|=12
 	rng := randx.New(10)
-	smp, err := newSampler(f, rng, Options{Epsilon: 6, ApproxMCRounds: 15})
+	smp, err := newSampler(f, rng, Options{Epsilon: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestBudgetPropagation(t *testing.T) {
 		}
 		f.AddClauseLits(c)
 	}
-	_, err := newSampler(f, rng, Options{Epsilon: 6, Solver: sat.Config{MaxConflicts: 1}, ApproxMCRounds: 2})
+	_, err := newSampler(f, rng, Options{Epsilon: 6, Solver: sat.Config{MaxConflicts: 1}})
 	// Either the formula is easy enough to finish within budget (fine)
 	// or we get a budget error; both acceptable, crashes are not.
 	if err != nil && !errors.Is(err, ErrBudget) {
@@ -425,7 +425,7 @@ func TestBudgetPropagation(t *testing.T) {
 // cancellation, which every retry would hit again at Solve entry, so
 // the round gives up after its first BSAT call with ErrBudget.
 func TestInterruptedRoundDoesNotRetry(t *testing.T) {
-	su, err := NewSetup(hardFormula(), randx.New(4), Options{Epsilon: 6, ApproxMCRounds: 15})
+	su, err := NewSetup(hardFormula(), randx.New(4), Options{Epsilon: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

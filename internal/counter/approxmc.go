@@ -33,8 +33,9 @@ type ApproxMCOptions struct {
 	// Solver configures the underlying BSAT calls.
 	Solver sat.Config
 	// MaxHashRounds caps the number of rounds t (67 at δ = 0.2) when
-	// > 0. Provided for benchmarks and tests; leaving it 0 keeps the
-	// (ε, δ) guarantee.
+	// > 0, voiding the (ε, δ) guarantee. Only core.Options.ApproxMCRounds
+	// (kept for the benchmark module's engine-build probe) and this
+	// package's tests set it; leaving it 0 keeps the guarantee.
 	MaxHashRounds int
 }
 

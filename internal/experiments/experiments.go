@@ -15,7 +15,6 @@ import (
 
 	"unigen/internal/baseline"
 	"unigen/internal/benchgen"
-	"unigen/internal/cnf"
 	"unigen/internal/core"
 	"unigen/internal/parallel"
 	"unigen/internal/randx"
@@ -40,10 +39,6 @@ type Config struct {
 	// propagation work that conflicts alone do not capture. UniWit rows
 	// exceeding it show as "-" like the paper's timed-out entries.
 	MaxPropagations int64
-	// ApproxMCRounds caps the rounds of UniGen's setup counter (0 keeps
-	// ApproxMC2's δ-derived 67; the harness default of 12 trades a little
-	// confidence for wall-clock time and is recorded in EXPERIMENTS.md).
-	ApproxMCRounds int
 	// UniWitSampleCap bounds how many UniWit samples are attempted per
 	// benchmark (UniWit can be orders of magnitude slower; the paper ran
 	// it for 20 h, we bound work instead).
@@ -61,7 +56,6 @@ func DefaultConfig() Config {
 		Seed:            1,
 		MaxConflicts:    200000,
 		MaxPropagations: 30_000_000,
-		ApproxMCRounds:  12,
 		UniWitSampleCap: 10,
 	}
 }
@@ -124,7 +118,7 @@ func RunTableRow(sp benchgen.Spec, cfg Config, seed uint64) TableRow {
 	eng, err := parallel.NewEngine(inst.F, parallel.Options{
 		Workers:    1,
 		MasterSeed: seed ^ 0xdac2014,
-		Core:       core.Options{Epsilon: cfg.Epsilon, Solver: solverCfg, ApproxMCRounds: cfg.ApproxMCRounds},
+		Core:       core.Options{Epsilon: cfg.Epsilon, Solver: solverCfg},
 	})
 	row.UniGenSetupTime = time.Since(setupStart)
 	if err != nil {
@@ -249,7 +243,7 @@ func RunFigure1(samples int, cfg Config) (*Figure1Result, error) {
 	eng, err := parallel.NewEngine(inst.F, parallel.Options{
 		Workers:    1,
 		MasterSeed: cfg.Seed ^ 0xa5a5,
-		Core:       core.Options{Epsilon: cfg.Epsilon, Solver: solverCfg, ApproxMCRounds: cfg.ApproxMCRounds},
+		Core:       core.Options{Epsilon: cfg.Epsilon, Solver: solverCfg},
 	})
 	if err != nil {
 		return nil, err
@@ -315,7 +309,7 @@ func RunEpsilonSweep(bench string, epsilons []float64, samples int, cfg Config) 
 		eng, err := parallel.NewEngine(inst.F, parallel.Options{
 			Workers:    1,
 			MasterSeed: cfg.Seed ^ uint64(eps*1000),
-			Core:       core.Options{Epsilon: eps, Solver: solverCfg, ApproxMCRounds: cfg.ApproxMCRounds},
+			Core:       core.Options{Epsilon: eps, Solver: solverCfg},
 		})
 		if err != nil {
 			return nil, err
@@ -334,13 +328,4 @@ func RunEpsilonSweep(bench string, epsilons []float64, samples int, cfg Config) 
 		})
 	}
 	return out, nil
-}
-
-// CheckWitness verifies that w satisfies f; shared sanity helper for
-// the CLI tools.
-func CheckWitness(f *cnf.Formula, w cnf.Assignment) error {
-	if !w.Satisfies(f) {
-		return errors.New("experiments: generated assignment does not satisfy the formula")
-	}
-	return nil
 }

@@ -12,7 +12,6 @@ func fastCfg() Config {
 	cfg := DefaultConfig()
 	cfg.Samples = 5
 	cfg.UniWitSampleCap = 3
-	cfg.ApproxMCRounds = 8
 	// Tight per-call propagation budget: slow UniWit rows "time out"
 	// quickly (showing as "-"), exactly like the paper's protocol.
 	cfg.MaxPropagations = 2_000_000

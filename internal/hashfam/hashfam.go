@@ -92,27 +92,6 @@ func Draw(rng *randx.RNG, vars []cnf.Var, m int) *Hash {
 	return h
 }
 
-// DrawSparse samples from the density-q variant of the family, in which
-// each variable joins a row with probability q < 0.5 (Gomes et al.,
-// SAT 2007 "Short XORs"). This trades away the 3-independence guarantee
-// for shorter rows; it is provided for the ablation discussed in §4 of
-// the DAC'14 paper (the variant "mitigates the performance bottleneck
-// significantly, but theoretical guarantees are lost").
-func DrawSparse(rng *randx.RNG, vars []cnf.Var, m int, q float64) *Hash {
-	h := &Hash{Vars: vars, Rows: make([]gf2.Row, m)}
-	for i := 0; i < m; i++ {
-		r := gf2.NewRow(len(vars))
-		for c := range vars {
-			if rng.Float64() < q {
-				r.Set(c)
-			}
-		}
-		r.RHS = rng.Bool()
-		h.Rows[i] = r
-	}
-	return h
-}
-
 // Apply conjoins the hash constraint to a copy of f and returns it; f is
 // not modified.
 func (h *Hash) Apply(f *cnf.Formula) *cnf.Formula {

@@ -107,16 +107,6 @@ func TestAverageLenHalfDensity(t *testing.T) {
 	}
 }
 
-func TestDrawSparseDensity(t *testing.T) {
-	rng := randx.New(3)
-	n, q := 300, 0.1
-	h := DrawSparse(rng, allVars(n), 300, q)
-	avg := h.AverageLen()
-	if math.Abs(avg-q*float64(n)) > 8 {
-		t.Fatalf("avg sparse xor len = %.1f, want ≈ %.0f", avg, q*float64(n))
-	}
-}
-
 // TestPairwiseIndependence verifies the statistical property UniGen's
 // analysis rests on: for distinct y1, y2 and a random h from the family,
 // Pr[h(y1)=α1 ∧ h(y2)=α2] = 2^{-2m}.

@@ -244,19 +244,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(values, func() any { return &Counter{} }).(*Counter)
 }
 
-// GaugeVec is a gauge family partitioned by label values.
-type GaugeVec struct{ f *family }
-
-// NewGaugeVec registers a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(&family{name: name, help: help, kind: KindGauge, labels: labels})}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.child(values, func() any { return &Gauge{} }).(*Gauge)
-}
-
 // HistogramVec is a histogram family partitioned by label values.
 type HistogramVec struct{ f *family }
 

@@ -44,7 +44,7 @@ func sampleWith(t *testing.T, workers, n int) ([]string, core.Stats) {
 	eng, err := NewEngine(f, Options{
 		Workers:    workers,
 		MasterSeed: 7,
-		Core:       core.Options{Epsilon: 6, ApproxMCRounds: 15},
+		Core:       core.Options{Epsilon: 6},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 func TestSampleNContinuesRoundStream(t *testing.T) {
 	f := hardFormula()
 	mk := func() *Engine {
-		eng, err := NewEngine(f, Options{Workers: 3, MasterSeed: 11, Core: core.Options{Epsilon: 6, ApproxMCRounds: 15}})
+		eng, err := NewEngine(f, Options{Workers: 3, MasterSeed: 11, Core: core.Options{Epsilon: 6}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestSampleNContinuesRoundStream(t *testing.T) {
 // same round stream as a batch SampleN, witnesses and stats alike.
 func TestSampleMatchesSampleN(t *testing.T) {
 	f := hardFormula()
-	opts := Options{Workers: 2, MasterSeed: 13, Core: core.Options{Epsilon: 6, ApproxMCRounds: 15}}
+	opts := Options{Workers: 2, MasterSeed: 13, Core: core.Options{Epsilon: 6}}
 	batch, err := NewEngine(f, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestSampleNCancellation(t *testing.T) {
 	eng, err := NewEngine(hardFormula(), Options{
 		Workers:    2,
 		MasterSeed: 5,
-		Core:       core.Options{Epsilon: 6, ApproxMCRounds: 15},
+		Core:       core.Options{Epsilon: 6},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestPreCancelledContext(t *testing.T) {
 	eng, err := NewEngine(hardFormula(), Options{
 		Workers:    2,
 		MasterSeed: 5,
-		Core:       core.Options{Epsilon: 6, ApproxMCRounds: 15},
+		Core:       core.Options{Epsilon: 6},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestPreCancelledContext(t *testing.T) {
 }
 
 func TestSampleNRejectsNonPositive(t *testing.T) {
-	eng, err := NewEngine(hardFormula(), Options{Workers: 1, MasterSeed: 2, Core: core.Options{Epsilon: 6, ApproxMCRounds: 15}})
+	eng, err := NewEngine(hardFormula(), Options{Workers: 1, MasterSeed: 2, Core: core.Options{Epsilon: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestStreamIndependentOfConsumption(t *testing.T) {
 // engines over one Setup.
 func hardSetup(t *testing.T) *core.Setup {
 	t.Helper()
-	eng, err := NewEngine(hardFormula(), Options{Workers: 1, MasterSeed: 1, Core: core.Options{Epsilon: 6, ApproxMCRounds: 15}})
+	eng, err := NewEngine(hardFormula(), Options{Workers: 1, MasterSeed: 1, Core: core.Options{Epsilon: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func BenchmarkDeltaColdPrepare(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		svc, err := service.New(service.Config{ApproxMCRounds: 15})
+		svc, err := service.New(service.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func BenchmarkDeltaColdPrepare(b *testing.B) {
 // request than BenchmarkDeltaColdPrepare.
 func BenchmarkDeltaReuse(b *testing.B) {
 	ctx := context.Background()
-	svc, err := service.New(service.Config{ApproxMCRounds: 15})
+	svc, err := service.New(service.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

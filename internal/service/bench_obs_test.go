@@ -29,7 +29,7 @@ import (
 func BenchmarkObsWarmSample(b *testing.B) {
 	ctx := context.Background()
 	f := benchFormula()
-	svc, err := service.New(service.Config{ApproxMCRounds: 15})
+	svc, err := service.New(service.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func BenchmarkObsWarmSample(b *testing.B) {
 // on every response, with and without the "trace": true span echo.
 func BenchmarkObsWarmSampleHTTP(b *testing.B) {
 	run := func(b *testing.B, trace bool) {
-		svc, err := service.New(service.Config{ApproxMCRounds: 15})
+		svc, err := service.New(service.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func BenchmarkObsWarmSampleHTTP(b *testing.B) {
 func BenchmarkObsMetricsScrape(b *testing.B) {
 	ctx := context.Background()
 	f := benchFormula()
-	svc, err := service.New(service.Config{ApproxMCRounds: 15})
+	svc, err := service.New(service.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

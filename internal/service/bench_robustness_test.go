@@ -33,7 +33,7 @@ func BenchmarkRobustness(b *testing.B) {
 	ctx := context.Background()
 
 	b.Run("gate-off", func(b *testing.B) {
-		svc := warmBenchService(b, service.Config{ApproxMCRounds: 15})
+		svc := warmBenchService(b, service.Config{})
 		f := benchFormula()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -48,7 +48,6 @@ func BenchmarkRobustness(b *testing.B) {
 	// robustness tax.
 	b.Run("gate-on", func(b *testing.B) {
 		svc := warmBenchService(b, service.Config{
-			ApproxMCRounds: 15,
 			MaxInFlight:    8,
 			MaxQueue:       16,
 			TenantQuota:    8,
@@ -69,10 +68,9 @@ func BenchmarkRobustness(b *testing.B) {
 	// rejections — the interesting metrics are the custom ones.
 	b.Run("overload", func(b *testing.B) {
 		svc := warmBenchService(b, service.Config{
-			ApproxMCRounds: 15,
-			MaxInFlight:    1,
-			MaxQueue:       1,
-			QueueWait:      10 * time.Millisecond,
+			MaxInFlight: 1,
+			MaxQueue:    1,
+			QueueWait:   10 * time.Millisecond,
 		})
 		f := benchFormula()
 		var served, shed, servedNS atomic.Int64

@@ -25,7 +25,7 @@ func BenchmarkStoreColdPrepare(b *testing.B) {
 		b.StopTimer()
 		dir := b.TempDir() // empty store: every iteration misses disk
 		b.StartTimer()
-		svc, err := service.New(service.Config{ApproxMCRounds: 15, StoreDir: dir})
+		svc, err := service.New(service.Config{StoreDir: dir})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func BenchmarkStoreDiskHit(b *testing.B) {
 	ctx := context.Background()
 	f := benchFormula()
 	dir := b.TempDir()
-	seed, err := service.New(service.Config{ApproxMCRounds: 15, StoreDir: dir})
+	seed, err := service.New(service.Config{StoreDir: dir})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func BenchmarkStoreDiskHit(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		svc, err := service.New(service.Config{ApproxMCRounds: 15, StoreDir: dir})
+		svc, err := service.New(service.Config{StoreDir: dir})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func BenchmarkStoreRAMHit(b *testing.B) {
 	ctx := context.Background()
 	f := benchFormula()
 	dir := b.TempDir()
-	svc, err := service.New(service.Config{ApproxMCRounds: 15, StoreDir: dir})
+	svc, err := service.New(service.Config{StoreDir: dir})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func BenchmarkServicePrepared(b *testing.B) {
 	b.Run("cold-prepare", func(b *testing.B) {
 		f := benchFormula()
 		for i := 0; i < b.N; i++ {
-			svc, err := service.New(service.Config{ApproxMCRounds: 15})
+			svc, err := service.New(service.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -40,7 +40,7 @@ func BenchmarkServicePrepared(b *testing.B) {
 	})
 	b.Run("cache-hit", func(b *testing.B) {
 		f := benchFormula()
-		svc, err := service.New(service.Config{ApproxMCRounds: 15})
+		svc, err := service.New(service.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func BenchmarkServicePrepared(b *testing.B) {
 	// a warm daemon.
 	b.Run("cache-hit-count", func(b *testing.B) {
 		f := benchFormula()
-		svc, err := service.New(service.Config{ApproxMCRounds: 15})
+		svc, err := service.New(service.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

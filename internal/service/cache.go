@@ -19,6 +19,7 @@ import (
 type prepared struct {
 	setup       *core.Setup
 	prepStats   core.Stats
+	key         string // cache and store key (Service.cacheKey)
 	fingerprint string // lowercase hex
 	fromDisk    bool   // rehydrated from the persistent store (DESIGN §12)
 

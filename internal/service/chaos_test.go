@@ -71,7 +71,7 @@ func TestChaosOverload(t *testing.T) {
 
 	// Unloaded reference, one per client seed, on a pristine service.
 	const clients = 16
-	refSvc := newService(t, service.Config{ApproxMCRounds: 15})
+	refSvc := newService(t, service.Config{})
 	refs := make([][]string, clients)
 	for i := range refs {
 		res, err := refSvc.Sample(context.Background(), service.SampleRequest{Formula: hardFormula(), N: 2, Seed: uint64(i)})
@@ -82,10 +82,9 @@ func TestChaosOverload(t *testing.T) {
 	}
 
 	svc := newService(t, service.Config{
-		ApproxMCRounds: 15,
-		MaxInFlight:    2,
-		MaxQueue:       2,
-		QueueWait:      250 * time.Millisecond,
+		MaxInFlight: 2,
+		MaxQueue:    2,
+		QueueWait:   250 * time.Millisecond,
 	})
 	// Slow the cold path (one single-flight preparation all survivors
 	// share) and every solver call; neither fault changes results, only
@@ -159,7 +158,7 @@ func TestChaosServerDeadline(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	// Generous enough for the (unstalled) warm-up preparation even under
 	// the race detector; the minute-long stall below still dwarfs it.
-	svc := newService(t, service.Config{ApproxMCRounds: 15, DefaultTimeout: 2 * time.Second})
+	svc := newService(t, service.Config{DefaultTimeout: 2 * time.Second})
 	if _, err := svc.Sample(context.Background(), service.SampleRequest{Formula: hardFormula(), N: 1, Seed: 1}); err != nil {
 		t.Fatal(err) // warm: the deadline must land mid-sampling, not mid-prepare
 	}
@@ -186,7 +185,7 @@ func TestChaosServerDeadline(t *testing.T) {
 // out, a 422, not a 503.
 func TestChaosClientTimeout(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	svc := newService(t, service.Config{ApproxMCRounds: 15})
+	svc := newService(t, service.Config{})
 	if _, err := svc.Sample(context.Background(), service.SampleRequest{Formula: hardFormula(), N: 1, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +206,7 @@ func TestChaosClientTimeout(t *testing.T) {
 // with ErrDeadline, and nothing is cached.
 func TestChaosPrepareTimeout(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	svc := newService(t, service.Config{ApproxMCRounds: 15, PrepareTimeout: 100 * time.Millisecond})
+	svc := newService(t, service.Config{PrepareTimeout: 100 * time.Millisecond})
 	faultpoint.Arm(faultpoint.PrepareSlow, faultpoint.Fault{Delay: time.Minute})
 	start := time.Now()
 	_, err := svc.Sample(context.Background(), service.SampleRequest{Formula: hardFormula(), N: 1, Seed: 1})
@@ -236,7 +235,7 @@ func TestChaosPrepareTimeout(t *testing.T) {
 func TestChaosPreparePanicIsolated(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	leak := checkGoroutines(t)
-	svc := newService(t, service.Config{ApproxMCRounds: 15})
+	svc := newService(t, service.Config{})
 	faultpoint.Arm(faultpoint.PreparePanic, faultpoint.Fault{Panic: "injected prepare crash"})
 
 	const clients = 4
@@ -276,7 +275,7 @@ func TestChaosPreparePanicIsolated(t *testing.T) {
 // setup.
 func TestChaosRoundPanic(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	svc := newService(t, service.Config{ApproxMCRounds: 15, Workers: 2})
+	svc := newService(t, service.Config{Workers: 2})
 	if _, err := svc.Sample(context.Background(), service.SampleRequest{Formula: hardFormula(), N: 1, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +300,7 @@ func TestChaosRoundPanic(t *testing.T) {
 // rounds and still succeeds.
 func TestChaosSpuriousUnsat(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	svc := newService(t, service.Config{ApproxMCRounds: 15})
+	svc := newService(t, service.Config{})
 	if _, err := svc.Sample(context.Background(), service.SampleRequest{Formula: hardFormula(), N: 1, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +319,7 @@ func TestChaosSpuriousUnsat(t *testing.T) {
 // touching the cache.
 func TestChaosRequestPanic(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	svc := newService(t, service.Config{ApproxMCRounds: 15})
+	svc := newService(t, service.Config{})
 	faultpoint.Arm(faultpoint.RequestPanic, faultpoint.Fault{Panic: "injected request crash", Count: 1})
 	if _, err := svc.Sample(context.Background(), service.SampleRequest{Formula: easyFormula(0), N: 1, Seed: 1}); !errors.Is(err, service.ErrPanic) {
 		t.Fatalf("err = %v, want ErrPanic", err)
@@ -335,7 +334,7 @@ func TestChaosRequestPanic(t *testing.T) {
 func TestChaosTenantQuota(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	leak := checkGoroutines(t)
-	svc := newService(t, service.Config{ApproxMCRounds: 15, MaxInFlight: 4, TenantQuota: 1})
+	svc := newService(t, service.Config{MaxInFlight: 4, TenantQuota: 1})
 	if _, err := svc.Sample(context.Background(), service.SampleRequest{Formula: hardFormula(), N: 1, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -371,10 +370,9 @@ func TestChaosHealthOverloaded(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	leak := checkGoroutines(t)
 	svc := newService(t, service.Config{
-		ApproxMCRounds: 15,
-		MaxInFlight:    1,
-		MaxQueue:       2,
-		QueueWait:      time.Minute,
+		MaxInFlight: 1,
+		MaxQueue:    2,
+		QueueWait:   time.Minute,
 	})
 	if _, err := svc.Sample(context.Background(), service.SampleRequest{Formula: hardFormula(), N: 1, Seed: 1}); err != nil {
 		t.Fatal(err)
@@ -422,7 +420,7 @@ func TestChaosHealthOverloaded(t *testing.T) {
 func TestChaosDrain(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	leak := checkGoroutines(t)
-	svc := newService(t, service.Config{ApproxMCRounds: 15, MaxInFlight: 4})
+	svc := newService(t, service.Config{MaxInFlight: 4})
 	if _, err := svc.Sample(context.Background(), service.SampleRequest{Formula: hardFormula(), N: 1, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +486,7 @@ func TestChaosCleanDrain(t *testing.T) {
 // a real interrupted search would.
 func TestChaosStallInterruptExactness(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	svc := newService(t, service.Config{ApproxMCRounds: 15})
+	svc := newService(t, service.Config{})
 	if _, err := svc.Sample(context.Background(), service.SampleRequest{Formula: hardFormula(), N: 1, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +514,7 @@ func TestChaosStallInterruptExactness(t *testing.T) {
 // numbers operators will alert on.
 func TestChaosOutcomeAccounting(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	svc := newService(t, service.Config{ApproxMCRounds: 15, MaxInFlight: 1, MaxQueue: 0, TenantQuota: 1})
+	svc := newService(t, service.Config{MaxInFlight: 1, MaxQueue: 0, TenantQuota: 1})
 	ctx := context.Background()
 
 	if _, err := svc.Sample(ctx, service.SampleRequest{Formula: hardFormula(), N: 1, Seed: 1}); err != nil {

@@ -27,11 +27,9 @@ import (
 // fullCount is counter.ApproxMC over f's sampling set (its hash set,
 // for the fixtures here) with f's preparation seed: the estimate a
 // setup that ran every round holds.
-func fullCount(t *testing.T, f *cnf.Formula, rounds int) *big.Int {
+func fullCount(t *testing.T, f *cnf.Formula) *big.Int {
 	t.Helper()
-	res, err := counter.ApproxMC(f, randx.New(core.PrepSeed(f, nil)), counter.ApproxMCOptions{
-		Epsilon: 0.8, Delta: 0.2, MaxHashRounds: rounds,
-	})
+	res, err := counter.ApproxMC(f, randx.New(core.PrepSeed(f, nil)), counter.ApproxMCOptions{Epsilon: 0.8, Delta: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +83,7 @@ func TestCountFinishesDeferredRounds(t *testing.T) {
 	t.Run("cold", func(t *testing.T) {
 		svc := newService(t, service.Config{})
 		prepareBase(t, svc, hardFormula())
-		check("cold", svc, service.CountRequest{Formula: hardFormula()}, fullCount(t, hardFormula(), 0))
+		check("cold", svc, service.CountRequest{Formula: hardFormula()}, fullCount(t, hardFormula()))
 	})
 
 	t.Run("delta", func(t *testing.T) {
@@ -99,7 +97,7 @@ func TestCountFinishesDeferredRounds(t *testing.T) {
 			t.Fatalf("conditioned setup ran on no pooled session: %+v", st)
 		}
 		check("delta", svc, service.CountRequest{Base: baseFP, Assumptions: []int{1, -2}},
-			fullCount(t, conjoined(hardFormula(), 1, -2), 0))
+			fullCount(t, conjoined(hardFormula(), 1, -2)))
 	})
 
 	t.Run("warm restart", func(t *testing.T) {
@@ -109,7 +107,7 @@ func TestCountFinishesDeferredRounds(t *testing.T) {
 		closeSvc(t, svc1) // persists the frame; no count has run
 		svc2 := newService(t, service.Config{StoreDir: dir})
 		t.Cleanup(func() { closeSvc(t, svc2) })
-		check("warm restart", svc2, service.CountRequest{Formula: hardFormula()}, fullCount(t, hardFormula(), 0))
+		check("warm restart", svc2, service.CountRequest{Formula: hardFormula()}, fullCount(t, hardFormula()))
 		if st := svc2.Stats().Store; st.Hits != 1 {
 			t.Fatalf("restarted service store stats %+v, want one disk hit", st)
 		}
@@ -119,7 +117,7 @@ func TestCountFinishesDeferredRounds(t *testing.T) {
 // TestCountConcurrentFirst: eight concurrent first counts of one entry
 // return one value, and exactly one of them runs the deferred rounds.
 func TestCountConcurrentFirst(t *testing.T) {
-	svc := newService(t, service.Config{ApproxMCRounds: 15})
+	svc := newService(t, service.Config{})
 	prepareBase(t, svc, hardFormula())
 	const n = 8
 	counts := make([]*big.Int, n)
@@ -153,7 +151,7 @@ func TestCountConcurrentFirst(t *testing.T) {
 	if ran != 1 {
 		t.Fatalf("%d of %d counts ran the deferred rounds, want 1", ran, n)
 	}
-	if want := fullCount(t, hardFormula(), 15); counts[0].Cmp(want) != 0 {
+	if want := fullCount(t, hardFormula()); counts[0].Cmp(want) != 0 {
 		t.Fatalf("count %v, full run %v", counts[0], want)
 	}
 }
@@ -166,15 +164,15 @@ func TestCountConcurrentFirst(t *testing.T) {
 func TestCountCancelledFirst(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	text := cnf.DIMACSString(hardFormula())
-	want := fullCount(t, hardFormula(), 15)
+	want := fullCount(t, hardFormula())
 	for _, tc := range []struct {
 		name   string
 		cfg    service.Config
 		req    service.CountHTTPRequest
 		status int
 	}{
-		{"server deadline", service.Config{ApproxMCRounds: 15, DefaultTimeout: time.Second}, service.CountHTTPRequest{Formula: text}, http.StatusServiceUnavailable},
-		{"client timeout", service.Config{ApproxMCRounds: 15}, service.CountHTTPRequest{Formula: text, TimeoutMS: 100}, http.StatusUnprocessableEntity},
+		{"server deadline", service.Config{DefaultTimeout: time.Second}, service.CountHTTPRequest{Formula: text}, http.StatusServiceUnavailable},
+		{"client timeout", service.Config{}, service.CountHTTPRequest{Formula: text, TimeoutMS: 100}, http.StatusUnprocessableEntity},
 	} {
 		faultpoint.Reset()
 		h, svc := memoHandler(t, tc.cfg)

@@ -90,8 +90,8 @@ func (s *Service) deltaQWindow() int {
 // service's preparation parameters (shared by the formula and delta
 // paths so the two can never alias differently-parameterized state).
 func (s *Service) cacheKey(fp [32]byte) string {
-	return fmt.Sprintf("%x|eps=%g|gj=%t|mc=%d|mp=%d|amc=%d",
-		fp, s.cfg.Epsilon, s.cfg.GaussJordan, s.cfg.MaxConflicts, s.cfg.MaxPropagations, s.cfg.ApproxMCRounds)
+	return fmt.Sprintf("%x|eps=%g|gj=%t|mc=%d|mp=%d",
+		fp, s.cfg.Epsilon, s.cfg.GaussJordan, s.cfg.MaxConflicts, s.cfg.MaxPropagations)
 }
 
 // parseAssumptions validates and converts signed DIMACS literals,
@@ -227,6 +227,7 @@ func (s *Service) prepareDelta(ctx context.Context, baseHex string, assumpInts [
 			p := &prepared{
 				setup:       cond,
 				prepStats:   cond.SetupStats(),
+				key:         ckey,
 				fingerprint: hex.EncodeToString(cfp[:]),
 				delta:       true,
 				baseFP:      base.fingerprint,
@@ -245,13 +246,7 @@ func (s *Service) prepareDelta(ctx context.Context, baseHex string, assumpInts [
 			// Write-behind like any prepared formula: after a restart the
 			// conjoined entry rehydrates as a plain formula entry and
 			// still serves both delta and full-formula requests for it.
-			if s.store != nil {
-				if blob, eerr := cond.Encode(); eerr == nil {
-					s.store.Put(ckey, blob)
-				} else if s.logger != nil {
-					s.logger.Warn("store encode failed", "fingerprint", p.fingerprint, "err", eerr)
-				}
-			}
+			s.persist(p)
 			return p, nil
 		}
 	})

@@ -84,7 +84,7 @@ func TestDeltaBitIdenticalToColdConjoined(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			warm := newService(t, service.Config{ApproxMCRounds: 15})
+			warm := newService(t, service.Config{})
 			base := tc.base()
 			baseFP := prepareBase(t, warm, base)
 
@@ -99,7 +99,7 @@ func TestDeltaBitIdenticalToColdConjoined(t *testing.T) {
 				t.Fatal("delta request not flagged Delta in the result")
 			}
 
-			cold := newService(t, service.Config{ApproxMCRounds: 15})
+			cold := newService(t, service.Config{})
 			conj, err := cold.Sample(context.Background(), service.SampleRequest{
 				Formula: conjoined(base, tc.assumps...), N: n, Seed: seed,
 			})
@@ -155,7 +155,7 @@ func TestDeltaBitIdenticalToColdConjoined(t *testing.T) {
 // TestDeltaCount pins the /count side: a delta count equals the count
 // of the conjoined formula, exact in the easy conditioned regime.
 func TestDeltaCount(t *testing.T) {
-	svc := newService(t, service.Config{ApproxMCRounds: 15})
+	svc := newService(t, service.Config{})
 	base := hardFormula()
 	baseFP := prepareBase(t, svc, base)
 
@@ -173,7 +173,7 @@ func TestDeltaCount(t *testing.T) {
 // TestDeltaEmptyAssumptions: a fingerprint-only request serves the base
 // entry itself — sample-by-fingerprint, no formula re-post.
 func TestDeltaEmptyAssumptions(t *testing.T) {
-	svc := newService(t, service.Config{ApproxMCRounds: 15})
+	svc := newService(t, service.Config{})
 	base := hardFormula()
 	baseFP := prepareBase(t, svc, base)
 
@@ -196,7 +196,7 @@ func TestDeltaEmptyAssumptions(t *testing.T) {
 // TestDeltaUnknownBase: naming a fingerprint this service never
 // prepared fails with ErrUnknownBase and is counted as such.
 func TestDeltaUnknownBase(t *testing.T) {
-	svc := newService(t, service.Config{ApproxMCRounds: 15})
+	svc := newService(t, service.Config{})
 	bogus := strings.Repeat("ab", 32)
 	_, err := svc.Sample(context.Background(), service.SampleRequest{Base: bogus, Assumptions: []int{1}, N: 1, Seed: 1})
 	if !errors.Is(err, service.ErrUnknownBase) {
@@ -209,7 +209,7 @@ func TestDeltaUnknownBase(t *testing.T) {
 
 // TestDeltaValidation covers the request-shape rejections.
 func TestDeltaValidation(t *testing.T) {
-	svc := newService(t, service.Config{ApproxMCRounds: 15})
+	svc := newService(t, service.Config{})
 	base := hardFormula()
 	baseFP := prepareBase(t, svc, base)
 
@@ -238,7 +238,7 @@ func TestDeltaValidation(t *testing.T) {
 // solver per request, and the cache must list the delta entry with its
 // base attribution.
 func TestDeltaPoolReuse(t *testing.T) {
-	svc := newService(t, service.Config{ApproxMCRounds: 15})
+	svc := newService(t, service.Config{})
 	base := hardFormula()
 	baseFP := prepareBase(t, svc, base)
 
@@ -284,7 +284,7 @@ func TestDeltaPoolReuse(t *testing.T) {
 // conditioned setup is promoted to a first-class entry — no base pool
 // affinity, no base attribution — and stays bit-identical regardless.
 func TestDeltaDivergedPromotion(t *testing.T) {
-	svc := newService(t, service.Config{ApproxMCRounds: 15, DeltaQWindow: -1})
+	svc := newService(t, service.Config{DeltaQWindow: -1})
 	base := hardFormula()
 	baseFP := prepareBase(t, svc, base)
 
@@ -304,7 +304,7 @@ func TestDeltaDivergedPromotion(t *testing.T) {
 			t.Fatalf("promoted delta entry still attributed to base: %+v", fs)
 		}
 	}
-	cold := newService(t, service.Config{ApproxMCRounds: 15})
+	cold := newService(t, service.Config{})
 	conj, err := cold.Sample(context.Background(), service.SampleRequest{
 		Formula: conjoined(base, 1, -2), N: n, Seed: seed,
 	})
@@ -325,7 +325,7 @@ func TestDeltaDivergedPromotion(t *testing.T) {
 // resets the budgets — and stay bit-identical to a cold prepare.
 func TestChaosDeltaPooledSessionHygiene(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	svc := newService(t, service.Config{ApproxMCRounds: 15})
+	svc := newService(t, service.Config{})
 	base := hardFormula()
 	baseFP := prepareBase(t, svc, base)
 
@@ -350,7 +350,7 @@ func TestChaosDeltaPooledSessionHygiene(t *testing.T) {
 	if st.Delta.PoolHits < 1 {
 		t.Fatalf("pool hits %d: the interrupted session was not reused", st.Delta.PoolHits)
 	}
-	cold := newService(t, service.Config{ApproxMCRounds: 15})
+	cold := newService(t, service.Config{})
 	conj, err := cold.Sample(context.Background(), service.SampleRequest{
 		Formula: conjoined(base, 1, -2), N: n, Seed: seed,
 	})
@@ -368,7 +368,7 @@ func TestChaosDeltaPooledSessionHygiene(t *testing.T) {
 // request serves normally on a fresh one.
 func TestChaosDeltaRoundPanicRetiresSession(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	svc := newService(t, service.Config{ApproxMCRounds: 15})
+	svc := newService(t, service.Config{})
 	base := hardFormula()
 	baseFP := prepareBase(t, svc, base)
 

@@ -21,7 +21,7 @@ const hardDIMACS = "c ind 1 2 3 4 5 6 7 8 9 10 0\np cnf 12 1\n11 12 0\n"
 
 func newHTTPServer(t *testing.T) (*httptest.Server, *service.Service) {
 	t.Helper()
-	svc, err := service.New(service.Config{ApproxMCRounds: 15})
+	svc, err := service.New(service.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestHTTPHealthz(t *testing.T) {
 // immediately" — exactly wrong for backpressure). The header is whole
 // seconds, clamped to at least 1.
 func TestHTTPRetryAfterSubSecondClamp(t *testing.T) {
-	svc, err := service.New(service.Config{ApproxMCRounds: 15, RetryAfter: 200 * time.Millisecond})
+	svc, err := service.New(service.Config{RetryAfter: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

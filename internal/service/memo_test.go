@@ -22,9 +22,6 @@ import (
 // straight to ServeHTTP, so goroutines can share it.
 func memoHandler(t *testing.T, cfg service.Config) (http.Handler, *service.Service) {
 	t.Helper()
-	if cfg.ApproxMCRounds == 0 {
-		cfg.ApproxMCRounds = 15
-	}
 	svc, err := service.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -272,7 +272,7 @@ func TestTraceDeterminism(t *testing.T) {
 // return records (newest first) carrying outcome, fingerprint, and
 // the span tree; the slow-request counter must match.
 func TestDebugRequestsRing(t *testing.T) {
-	svc, err := service.New(service.Config{ApproxMCRounds: 15, SlowRequest: time.Nanosecond, DebugRequests: 8})
+	svc, err := service.New(service.Config{SlowRequest: time.Nanosecond, DebugRequests: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestDebugRequestsRing(t *testing.T) {
 // invalid requests never enter the ring, so client noise cannot flush
 // the interesting records.
 func TestRingExcludesShedAndInvalid(t *testing.T) {
-	svc, err := service.New(service.Config{ApproxMCRounds: 15})
+	svc, err := service.New(service.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,9 +389,8 @@ func TestSlowRequestLog(t *testing.T) {
 	var mu sync.Mutex
 	lock := &lockedWriter{w: &buf, mu: &mu}
 	svc, err := service.New(service.Config{
-		ApproxMCRounds: 15,
-		SlowRequest:    time.Nanosecond,
-		Logger:         slog.New(slog.NewJSONHandler(lock, nil)),
+		SlowRequest: time.Nanosecond,
+		Logger:      slog.New(slog.NewJSONHandler(lock, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -428,9 +427,8 @@ func TestSlowRequestLog(t *testing.T) {
 	// A fast request (threshold disabled) logs at Info without trace.
 	buf.Reset()
 	svc2, err := service.New(service.Config{
-		ApproxMCRounds: 15,
-		SlowRequest:    -1,
-		Logger:         slog.New(slog.NewJSONHandler(lock, nil)),
+		SlowRequest: -1,
+		Logger:      slog.New(slog.NewJSONHandler(lock, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -469,7 +467,7 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 // every scrape must stay grammatically valid mid-flight. Run under
 // -race, this is the data-race proof for the whole obs spine.
 func TestConcurrentRequestsAndScrapes(t *testing.T) {
-	svc, err := service.New(service.Config{ApproxMCRounds: 15, SlowRequest: time.Nanosecond, Workers: 2})
+	svc, err := service.New(service.Config{SlowRequest: time.Nanosecond, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func warmHTTP(t *testing.T, ts *httptest.Server) {
 
 func TestHTTPOverloadShed429(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	ts, svc := newRobustServer(t, service.Config{ApproxMCRounds: 15, MaxInFlight: 1, MaxQueue: 0})
+	ts, svc := newRobustServer(t, service.Config{MaxInFlight: 1, MaxQueue: 0})
 	warmHTTP(t, ts)
 	faultpoint.Arm(faultpoint.SolverStall, faultpoint.Fault{Delay: time.Minute})
 
@@ -99,7 +99,7 @@ func TestHTTPOverloadShed429(t *testing.T) {
 
 func TestHTTPTenantQuota429(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	ts, svc := newRobustServer(t, service.Config{ApproxMCRounds: 15, MaxInFlight: 4, TenantQuota: 1})
+	ts, svc := newRobustServer(t, service.Config{MaxInFlight: 4, TenantQuota: 1})
 	warmHTTP(t, ts)
 	faultpoint.Arm(faultpoint.SolverStall, faultpoint.Fault{Delay: time.Minute})
 
@@ -138,7 +138,7 @@ func TestHTTPTenantQuota429(t *testing.T) {
 
 func TestHTTPServerDeadline503(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	ts, _ := newRobustServer(t, service.Config{ApproxMCRounds: 15, DefaultTimeout: 2 * time.Second})
+	ts, _ := newRobustServer(t, service.Config{DefaultTimeout: 2 * time.Second})
 	warmHTTP(t, ts)
 	faultpoint.Arm(faultpoint.SolverStall, faultpoint.Fault{Delay: time.Minute})
 	resp := postJSON(t, ts.URL+"/sample", map[string]any{"formula": hardDIMACS, "n": 5, "seed": 2})
@@ -150,7 +150,7 @@ func TestHTTPServerDeadline503(t *testing.T) {
 
 func TestHTTPClientTimeout422(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	ts, _ := newRobustServer(t, service.Config{ApproxMCRounds: 15})
+	ts, _ := newRobustServer(t, service.Config{})
 	warmHTTP(t, ts)
 	faultpoint.Arm(faultpoint.SolverStall, faultpoint.Fault{Delay: time.Minute})
 	resp := postJSON(t, ts.URL+"/sample", map[string]any{"formula": hardDIMACS, "n": 5, "seed": 2, "timeout_ms": 150})

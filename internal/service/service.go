@@ -83,10 +83,6 @@ type Config struct {
 	MaxPropagations int64
 	// GaussJordan enables Gauss–Jordan XOR preprocessing in the solver.
 	GaussJordan bool
-	// ApproxMCRounds caps the rounds t of the setup-time approximate
-	// counter (ApproxMC2) when > 0; 0 keeps t = 67, the round count
-	// for the paper's confidence parameters.
-	ApproxMCRounds int
 	// Workers is the default per-request worker-pool size (default 1).
 	Workers int
 	// CacheSize bounds the number of prepared formulas kept (LRU;
@@ -548,7 +544,6 @@ func (s *Service) prepare(ctx context.Context, src formulaSrc, psp *obs.Span) (*
 					// PrepareTimeout timer above raises the same flag.
 					Interrupt: intr,
 				},
-				ApproxMCRounds: s.cfg.ApproxMCRounds,
 			})
 			if err != nil {
 				if timedOut.Load() {
@@ -560,23 +555,33 @@ func (s *Service) prepare(ctx context.Context, src formulaSrc, psp *obs.Span) (*
 			// NewSessionWith; drop the setup-phase spare solver instead
 			// of pinning one dead solver per cached formula.
 			su.ReleaseSpare()
-			// Write-behind: the encoded setup is queued for the disk
-			// tier without blocking this flight on any I/O. An encode
-			// failure only costs durability, never the request.
-			if s.store != nil {
-				if blob, eerr := su.Encode(); eerr == nil {
-					s.store.Put(key, blob)
-				} else if s.logger != nil {
-					s.logger.Warn("store encode failed", "fingerprint", hex.EncodeToString(fp[:]), "err", eerr)
-				}
-			}
-			return &prepared{
+			p := &prepared{
 				setup:       su,
 				prepStats:   su.SetupStats(),
+				key:         key,
 				fingerprint: hex.EncodeToString(fp[:]),
-			}, nil
+			}
+			s.persist(p)
+			return p, nil
 		}
 	})
+}
+
+// persist queues p's encoded setup for the disk tier under its key
+// (write-behind: no caller waits on I/O). An encode failure only costs
+// durability, never the request. No-op without a store.
+func (s *Service) persist(p *prepared) {
+	if s.store == nil {
+		return
+	}
+	blob, err := p.setup.Encode()
+	if err != nil {
+		if s.logger != nil {
+			s.logger.Warn("store encode failed", "fingerprint", p.fingerprint, "err", err)
+		}
+		return
+	}
+	s.store.Put(p.key, blob)
 }
 
 // rehydrate attempts the disk tier: read + frame-verify (inside the
@@ -601,7 +606,6 @@ func (s *Service) rehydrate(key string, fp [32]byte) (*prepared, bool) {
 				MaxPropagations: s.cfg.MaxPropagations,
 				GaussJordan:     s.cfg.GaussJordan,
 			},
-			ApproxMCRounds: s.cfg.ApproxMCRounds,
 		})
 	}
 	if err != nil {
@@ -611,6 +615,7 @@ func (s *Service) rehydrate(key string, fp [32]byte) (*prepared, bool) {
 	return &prepared{
 		setup:       su,
 		prepStats:   su.SetupStats(),
+		key:         key,
 		fingerprint: hex.EncodeToString(fp[:]),
 		fromDisk:    true,
 	}, true
@@ -775,8 +780,9 @@ func boolInt(b bool) int64 {
 // hashing-case formula runs the rounds left, once per entry, on a
 // session of its own under the service-wide budgets and this request's
 // deadline; every later count is a cache lookup with no solver call.
-// Admission, deadlines, and panic isolation apply exactly as for
-// Sample.
+// With a store, that first count re-persists the entry, so the rounds
+// do not run again after a restart. Admission, deadlines, and panic
+// isolation apply exactly as for Sample.
 func (s *Service) Count(ctx context.Context, req CountRequest) (*CountResult, error) {
 	return s.count(ctx, req, formulaSrc{f: req.Formula})
 }
@@ -805,9 +811,15 @@ func (s *Service) count(ctx context.Context, req CountRequest, src formulaSrc) (
 	}
 	ro.fingerprint, ro.cacheHit = prep.fingerprint, hit
 	prep.requests.Add(1)
-	c, exact, err := witnessCount(ctx, ro.tr.Root(), prep.setup)
+	c, exact, ran, err := witnessCount(ctx, ro.tr.Root(), prep.setup)
 	if err != nil {
 		return nil, requestErr(ctx, err)
+	}
+	if ran {
+		// The stored frame still holds the settled run (DESIGN §12):
+		// replace it with the finished count, so a warm restart does
+		// not run the deferred rounds again.
+		s.persist(prep)
 	}
 	prep.counts.Add(1)
 	if isDelta {
@@ -819,17 +831,17 @@ func (s *Service) count(ctx context.Context, req CountRequest, src formulaSrc) (
 // witnessCount is su.WitnessCount with the setup's budgets and an
 // interrupt that ctx's end raises. A call the interrupt cut short
 // reports ctx's error, not the budget error it surfaces as.
-func witnessCount(ctx context.Context, sp *obs.Span, su *core.Setup) (*big.Int, bool, error) {
+func witnessCount(ctx context.Context, sp *obs.Span, su *core.Setup) (*big.Int, bool, bool, error) {
 	cfg := su.SolverConfig()
 	intr := new(atomic.Bool)
 	cfg.Interrupt = intr
 	stop := context.AfterFunc(ctx, func() { intr.Store(true) })
 	defer stop()
-	c, exact, err := su.WitnessCount(cfg, sp)
+	c, exact, ran, err := su.WitnessCount(cfg, sp)
 	if err != nil && ctx.Err() != nil {
 		err = ctx.Err()
 	}
-	return c, exact, err
+	return c, exact, ran, err
 }
 
 // HealthState is the coarse health signal /healthz reports.

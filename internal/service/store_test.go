@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"math/big"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -18,7 +19,7 @@ import (
 // their cache keys (and hence store entries) line up across restarts.
 func newStoreService(t *testing.T, dir string) *service.Service {
 	t.Helper()
-	return newService(t, service.Config{ApproxMCRounds: 15, StoreDir: dir})
+	return newService(t, service.Config{StoreDir: dir})
 }
 
 // closeSvc drains a service, which flushes the store's write-behind
@@ -98,7 +99,7 @@ func TestStoreRestartRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldSvc := newService(t, service.Config{ApproxMCRounds: 15})
+	coldSvc := newService(t, service.Config{})
 	coldRes, err := coldSvc.Sample(context.Background(), service.SampleRequest{Formula: hardFormula(), N: 5, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
@@ -146,6 +147,55 @@ func TestStoreEasyCaseWarmHit(t *testing.T) {
 		t.Fatalf("warm easy-case lifetime ran solver work: prepare=%+v solver=%+v", st2.Prepare, st2.Solver)
 	}
 	closeSvc(t, svc2)
+}
+
+// TestStoreFinishedCountSurvivesRestart: the /count that finishes a
+// settled setup's deferred ApproxMC rounds re-persists the entry, for
+// a formula entry and a conditioned delta entry alike, so a restarted
+// service answers its first /count with the same value and runs no
+// rounds (no approxmc span). A count that runs no rounds (a finished
+// count, an easy case) writes nothing.
+func TestStoreFinishedCountSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	svc1 := newStoreService(t, dir)
+	baseFP := prepareBase(t, svc1, hardFormula())
+	first := []service.CountRequest{
+		{Formula: hardFormula()},
+		{Base: baseFP, Assumptions: []int{1, -2}},
+	}
+	want := make([]*big.Int, len(first))
+	for i, req := range first {
+		res, rounds := countTraced(t, svc1, req)
+		if rounds <= 0 {
+			t.Fatalf("count %d ran %d deferred rounds, want some", i, rounds)
+		}
+		want[i] = res.Count
+	}
+	countTraced(t, svc1, first[0])
+	countTraced(t, svc1, service.CountRequest{Formula: easyFormula(0)})
+	closeSvc(t, svc1)
+	// Three preparations (base, delta, easy) and two finished counts.
+	if st := svc1.Stats().Store; st.Writes != 5 || st.WriteErrors != 0 {
+		t.Fatalf("store stats %+v, want 5 writes", st)
+	}
+
+	// After the restart the conditioned entry rehydrates as the plain
+	// conjoined formula (DESIGN §12, §13).
+	svc2 := newStoreService(t, dir)
+	t.Cleanup(func() { closeSvc(t, svc2) })
+	again := []service.CountRequest{
+		{Formula: hardFormula()},
+		{Formula: conjoined(hardFormula(), 1, -2)},
+	}
+	for i, req := range again {
+		res, rounds := countTraced(t, svc2, req)
+		if res.Count.Cmp(want[i]) != 0 || rounds != -1 {
+			t.Fatalf("count %d after restart: %v with approxmc rounds %d, want %v with no span", i, res.Count, rounds, want[i])
+		}
+	}
+	if st := svc2.Stats().Store; st.Hits != 2 || st.Misses != 0 {
+		t.Fatalf("restarted store stats %+v, want 2 hits", st)
+	}
 }
 
 // TestStoreCorruptEntryDegradesToCold flips one byte of the on-disk

@@ -22,10 +22,7 @@ import (
 func FuzzDecodeSetup(f *testing.F) {
 	valid := func(build func() *cnf.Formula) []byte {
 		g := build()
-		su, err := core.NewSetup(g, randx.New(core.PrepSeed(g, nil)), core.Options{
-			Epsilon:        6,
-			ApproxMCRounds: 5,
-		})
+		su, err := core.NewSetup(g, randx.New(core.PrepSeed(g, nil)), core.Options{Epsilon: 6})
 		if err != nil {
 			f.Fatalf("NewSetup: %v", err)
 		}
@@ -101,7 +98,7 @@ func FuzzDecodeSetup(f *testing.F) {
 func TestStoreQuarantinesOlderVersions(t *testing.T) {
 	g := cnf.New(12)
 	g.AddClause(11, 12)
-	su, err := core.NewSetup(g, randx.New(core.PrepSeed(g, nil)), core.Options{Epsilon: 6, ApproxMCRounds: 5})
+	su, err := core.NewSetup(g, randx.New(core.PrepSeed(g, nil)), core.Options{Epsilon: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func checkTransports(t *testing.T, fixture, posted string) {
 	vars := f.SamplingVars()
 
 	// Transport 1: the direct Sampler (worker-pool path).
-	s, err := unigen.NewSampler(f, unigen.Options{Epsilon: 6, Seed: seed, ApproxMCRounds: 15, Workers: 2})
+	s, err := unigen.NewSampler(f, unigen.Options{Epsilon: 6, Seed: seed, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func checkTransports(t *testing.T, fixture, posted string) {
 	// Transport 2: the embedded Service — warmed under a DIFFERENT seed
 	// first, so the cache-hit path must serve seed 2014 from a setup it
 	// prepared for seed 77's request.
-	svc, err := unigen.NewService(unigen.ServiceOptions{Epsilon: 6, ApproxMCRounds: 15, Workers: 2})
+	svc, err := unigen.NewService(unigen.ServiceOptions{Epsilon: 6, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func checkTransports(t *testing.T, fixture, posted string) {
 	// rehydrate from disk (no RAM hit, one store hit) and still serve
 	// seed 2014 bit-identically.
 	dir := t.TempDir()
-	warm, err := unigen.NewService(unigen.ServiceOptions{Epsilon: 6, ApproxMCRounds: 15, Workers: 2, StoreDir: dir})
+	warm, err := unigen.NewService(unigen.ServiceOptions{Epsilon: 6, Workers: 2, StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func checkTransports(t *testing.T, fixture, posted string) {
 	if err := warm.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	restarted, err := unigen.NewService(unigen.ServiceOptions{Epsilon: 6, ApproxMCRounds: 15, Workers: 2, StoreDir: dir})
+	restarted, err := unigen.NewService(unigen.ServiceOptions{Epsilon: 6, Workers: 2, StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func checkTransports(t *testing.T, fixture, posted string) {
 	}
 
 	// The multiset must also be worker-count independent end to end.
-	s4, err := unigen.NewSampler(f, unigen.Options{Epsilon: 6, Seed: seed, ApproxMCRounds: 15, Workers: 4})
+	s4, err := unigen.NewSampler(f, unigen.Options{Epsilon: 6, Seed: seed, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func checkTransports(t *testing.T, fixture, posted string) {
 
 func mustService(t *testing.T) *unigen.Service {
 	t.Helper()
-	svc, err := unigen.NewService(unigen.ServiceOptions{Epsilon: 6, ApproxMCRounds: 15, Workers: 2})
+	svc, err := unigen.NewService(unigen.ServiceOptions{Epsilon: 6, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func TestUniformityBattery(t *testing.T) {
 			}
 
 			s, err := unigen.NewSampler(f, unigen.Options{
-				Epsilon: 6, Seed: tc.seed, ApproxMCRounds: 15, Workers: 2,
+				Epsilon: 6, Seed: tc.seed, Workers: 2,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -4,9 +4,8 @@
 // DAC 2014), together with every substrate the paper builds on: a CDCL
 // SAT solver with native XOR-clause propagation, the H_xor(n,m,3) hash
 // family, bounded model enumeration (BSAT), exact and approximate model
-// counting (sharpSAT-style #SAT and ApproxMC), the UniWit and XORSample′
-// baselines, and circuit/benchmark generators reproducing the paper's
-// evaluation.
+// counting (sharpSAT-style #SAT and ApproxMC), the UniWit baseline, and
+// circuit/benchmark generators reproducing the paper's evaluation.
 //
 // # Quick start
 //
@@ -16,7 +15,7 @@
 //	fmt.Println(w.Bits(f.SamplingVars()))
 //
 // (Options fields beyond Epsilon and Seed — SamplingSet, MaxConflicts,
-// MaxPropagations, GaussJordan, ApproxMCRounds, Workers — are optional;
+// MaxPropagations, GaussJordan, Workers — are optional;
 // f.SamplingVars() returns the declared sampling set, sorted, falling
 // back to all variables.)
 //
@@ -127,10 +126,6 @@ type Options struct {
 	MaxPropagations int64
 	// GaussJordan enables Gauss–Jordan XOR preprocessing in the solver.
 	GaussJordan bool
-	// ApproxMCRounds caps the rounds t of the setup-time approximate
-	// counter (ApproxMC2) when > 0; 0 keeps t = 67, the round count
-	// for the paper's confidence parameters ε = 0.8, δ = 0.2.
-	ApproxMCRounds int
 	// Workers is the number of solver sessions sampling rounds are
 	// fanned out over (0 means 1). Rounds draw from per-round seed
 	// streams (see the package comment on determinism), so the sample
@@ -163,10 +158,9 @@ func NewSampler(f *Formula, opts Options) (*Sampler, error) {
 		Workers:    max(opts.Workers, 1),
 		MasterSeed: opts.Seed,
 		Core: core.Options{
-			Epsilon:        opts.Epsilon,
-			SamplingSet:    opts.SamplingSet,
-			Solver:         opts.solverConfig(),
-			ApproxMCRounds: opts.ApproxMCRounds,
+			Epsilon:     opts.Epsilon,
+			SamplingSet: opts.SamplingSet,
+			Solver:      opts.solverConfig(),
 		},
 	})
 	if err != nil {

@@ -82,7 +82,7 @@ func TestSamplerEndToEnd(t *testing.T) {
 func TestSampleN(t *testing.T) {
 	f := NewFormula(10)
 	f.AddClause(1, 2, 3)
-	s, err := NewSampler(f, Options{Epsilon: 6, Seed: 2, ApproxMCRounds: 10})
+	s, err := NewSampler(f, Options{Epsilon: 6, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	f := NewFormula(8)
 	f.AddClause(1, 2, 3)
 	run := func() string {
-		s, err := NewSampler(f, Options{Epsilon: 6, Seed: 99, ApproxMCRounds: 5})
+		s, err := NewSampler(f, Options{Epsilon: 6, Seed: 99})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestWorkersDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) string {
-		s, err := NewSampler(f, Options{Epsilon: 6, Seed: 31, ApproxMCRounds: 15, Workers: workers})
+		s, err := NewSampler(f, Options{Epsilon: 6, Seed: 31, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestSampleNContextCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2} {
-		s, err := NewSampler(f, Options{Epsilon: 6, Seed: 5, ApproxMCRounds: 15, Workers: workers})
+		s, err := NewSampler(f, Options{Epsilon: 6, Seed: 5, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

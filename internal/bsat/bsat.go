@@ -26,6 +26,7 @@ import (
 
 	"unigen/internal/cnf"
 	"unigen/internal/faultpoint"
+	"unigen/internal/gf2"
 	"unigen/internal/hashfam"
 	"unigen/internal/sat"
 	"unigen/internal/tally"
@@ -202,21 +203,55 @@ func (se *Session) interruptRaised() bool {
 // released first, so consecutive calls reuse all accumulated solver
 // state. h may be nil (enumeration of f itself).
 func (se *Session) Enumerate(n int, h *hashfam.Hash) Result {
-	_, res := se.enumerate(n, h, true)
+	_, res := se.enumerate(n, h, true, nil)
 	return res
+}
+
+// Members is a list of witnesses of one cell, each projected onto Vars
+// and packed as gf2 row bits (bit c stands for Vars[c]) in
+// gf2.Words(len(Vars)) words, back to back in List. Vars must
+// determine the session's sampling set within its formula and standing
+// assumptions, so that two witnesses agree on Vars exactly when they
+// agree on the sampling set.
+type Members struct {
+	Vars []cnf.Var
+	List []uint64
+}
+
+// Len returns the number of members in the list.
+func (m *Members) Len() int {
+	if w := gf2.Words(len(m.Vars)); w > 0 {
+		return len(m.List) / w
+	}
+	return 0
 }
 
 // Count returns min(|R_{F∧h}↓S|, n) via the session, plus the call's
 // result without its witnesses: the search is Enumerate's, but no
 // model is copied, since only the count is wanted.
-func (se *Session) Count(n int, h *hashfam.Hash) (int, Result) {
-	return se.enumerate(n, h, false)
+//
+// When m is non-nil its list holds known distinct members of the cell.
+// Count counts them and blocks each under the cell's blocking selector
+// before its first Solve, so it enumerates only the rest, and appends
+// the projection of every witness it finds to the list. With n or more
+// known members it returns n without touching the solver. With none,
+// its search is the one Count makes with m nil.
+func (se *Session) Count(n int, h *hashfam.Hash, m *Members) (int, Result) {
+	return se.enumerate(n, h, false, m)
 }
 
 // enumerate is Enumerate and Count: it finds up to n witnesses, keeps
-// them in the result only when keep is set, and returns how many it
-// found.
-func (se *Session) enumerate(n int, h *hashfam.Hash, keep bool) (int, Result) {
+// them in the result only when keep is set, records them in m when m
+// is non-nil, and returns how many it found, m's known members
+// included.
+func (se *Session) enumerate(n int, h *hashfam.Hash, keep bool, m *Members) (int, Result) {
+	known, w := 0, 0 // m's members and words per member
+	if m != nil {
+		known, w = m.Len(), gf2.Words(len(m.Vars))
+	}
+	if known > 0 && known >= n {
+		return n, Result{}
+	}
 	// Chaos injection points (inert unless a test arms them). A stalled
 	// call that the interrupt cuts short reports budget exhaustion — the
 	// same verdict an interrupted real search produces — and a spurious
@@ -282,7 +317,23 @@ func (se *Session) enumerate(n int, h *hashfam.Hash, keep bool) (int, Result) {
 		return 0, res
 	}
 	var blockSel *sat.Selector // one selector guards every blocking clause of this cell
-	found := 0
+	if known > 0 {
+		// Known members are blocked over m.Vars, which determines the
+		// sampling set, so each clause excludes exactly the witnesses
+		// a blocking clause over the sampling set would.
+		blockSel = se.s.NewClauseSelector()
+		sels = append(sels, blockSel)
+		acts = append(acts, blockSel.Lit())
+		for k := 0; k < known*w; k += w {
+			x := m.List[k : k+w]
+			se.blockBuf = se.blockBuf[:0]
+			for c, v := range m.Vars {
+				se.blockBuf = append(se.blockBuf, cnf.MkLit(v, x[c>>6]>>uint(c&63)&1 == 1))
+			}
+			se.s.AddClauseToSelector(blockSel, se.blockBuf)
+		}
+	}
+	found := known
 loop:
 	for found < n {
 		switch se.s.Solve(acts...) {
@@ -292,6 +343,16 @@ loop:
 				// Model length is capped at nv+1 by SetModelBound, so
 				// selector variables never leak into witnesses.
 				res.Witnesses = append(res.Witnesses, se.s.Model())
+			}
+			if m != nil {
+				k := len(m.List)
+				m.List = append(m.List, make([]uint64, w)...)
+				x := m.List[k:]
+				for c, v := range m.Vars {
+					if se.s.ModelValue(v) {
+						x[c>>6] |= 1 << uint(c&63)
+					}
+				}
 			}
 			se.blockBuf = se.blockBuf[:0]
 			for _, v := range se.vars {

@@ -1,10 +1,13 @@
 package bsat
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
 	"unigen/internal/cnf"
+	"unigen/internal/gf2"
 	"unigen/internal/hashfam"
 	"unigen/internal/randx"
 	"unigen/internal/sat"
@@ -231,5 +234,104 @@ func TestSessionStatsDelta(t *testing.T) {
 	}
 	if r2.Stats[tally.Decisions] < 0 || r2.Stats[tally.Propagations] < 0 {
 		t.Fatal("negative per-call stats delta")
+	}
+}
+
+// memberKeys returns m's members as sorted strings, failing on a
+// duplicate.
+func memberKeys(t *testing.T, m *Members) []string {
+	t.Helper()
+	w := gf2.Words(len(m.Vars))
+	keys := make([]string, 0, m.Len())
+	seen := map[string]bool{}
+	for k := 0; k < len(m.List); k += w {
+		key := fmt.Sprint(m.List[k : k+w])
+		if seen[key] {
+			t.Fatal("duplicate member in one list")
+		}
+		seen[key] = true
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestCountKnownMembers: Count started from some known members of a
+// cell returns the capped count that Count from nothing returns and,
+// when the cell is exhausted, the same member set; with n or more
+// known members it returns n and the solver's stats do not move.
+// Members are packed over a permutation of the sampling set, so the
+// clauses blocking them must range over the members' own variables.
+func TestCountKnownMembers(t *testing.T) {
+	rng := randx.New(0xc0de)
+	capped := 0
+	for iter := 0; iter < 60; iter++ {
+		f := randomFormula(rng, 4+rng.Intn(6))
+		perm := rng.Perm(len(f.SamplingVars()))
+		vars := make([]cnf.Var, len(perm))
+		for c, j := range perm {
+			vars[c] = f.SamplingVars()[j]
+		}
+		w := gf2.Words(len(vars))
+		all := 1<<len(vars) + 1 // enough to exhaust any cell
+		sess := NewSession(f, Options{Solver: sat.Config{Seed: uint64(iter)}})
+		for call := 0; call < 4; call++ {
+			var h *hashfam.Hash
+			if rng.Intn(3) != 0 {
+				h = hashfam.Draw(rng, f.SamplingVars(), 1+rng.Intn(2))
+			}
+			ref := Members{Vars: vars}
+			want, _ := sess.Count(all, h, &ref)
+			if ref.Len() != want {
+				t.Fatalf("iter %d call %d: %d members recorded for a count of %d", iter, call, ref.Len(), want)
+			}
+			var known []uint64
+			for k := 0; k < len(ref.List); k += w {
+				if rng.Bool() {
+					known = append(known, ref.List[k:k+w]...)
+				}
+			}
+			got := Members{Vars: vars, List: slices.Clone(known)}
+			n, res := sess.Count(all, h, &got)
+			if n != want || !res.Exhausted || !equalKeys(memberKeys(t, &got), memberKeys(t, &ref)) {
+				t.Fatalf("iter %d call %d: from %d known members counted %d (exhausted %v), from none %d; same set %v",
+					iter, call, len(known)/w, n, res.Exhausted, want, equalKeys(memberKeys(t, &got), memberKeys(t, &ref)))
+			}
+			if k := len(known) / w; want > k+1 {
+				bound := k + 1 + rng.Intn(want-k-1)
+				cold, _ := sess.Count(bound, h, nil)
+				part := Members{Vars: vars, List: slices.Clone(known)}
+				n, _ := sess.Count(bound, h, &part)
+				if n != cold || n != bound || part.Len() != bound {
+					t.Fatalf("iter %d call %d: capped at %d from %d known: %d (%d members), from none %d",
+						iter, call, bound, k, n, part.Len(), cold)
+				}
+				inRef := map[string]bool{}
+				for _, key := range memberKeys(t, &ref) {
+					inRef[key] = true
+				}
+				for _, key := range memberKeys(t, &part) {
+					if !inRef[key] {
+						t.Fatalf("iter %d call %d: capped count recorded %s, not a member of the cell", iter, call, key)
+					}
+				}
+				capped++
+			}
+			if k := len(known) / w; k > 0 {
+				bound := 1 + rng.Intn(k) // at most k: enough members are known
+				before := sess.s.Stats()
+				full := Members{Vars: vars, List: slices.Clone(known)}
+				n, res := sess.Count(bound, h, &full)
+				if n != bound {
+					t.Fatalf("iter %d call %d: capped at %d with %d known members: %d", iter, call, bound, k, n)
+				}
+				if sess.s.Stats() != before || res.Stats != (tally.Vec{}) || !slices.Equal(full.List, known) {
+					t.Fatalf("iter %d call %d: a count with enough known members moved the solver or the list", iter, call)
+				}
+			}
+		}
+	}
+	if capped == 0 {
+		t.Fatal("no capped count started from known members")
 	}
 }

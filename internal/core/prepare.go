@@ -104,13 +104,14 @@ func (su *Setup) NewSessionWith(cfg sat.Config) *bsat.Session {
 // the hashing case runs the rounds left, on a session of its own built
 // with cfg: the caller's interrupt and budgets. It records them as an
 // "approxmc" child span of sp (nil-safe) with rounds and bsat_calls
-// counters. Every probe is exact and the run resumes from the state the
-// setup stopped at, so the estimate is the one an uninterrupted run
-// returns. Only a successful run is kept: later calls return its
-// estimate with no solver work, and after a failure the next call runs
-// the rounds again. Concurrent calls run them once; the others wait.
-// ran reports whether this call ran them, and so changed what Encode
-// writes.
+// counters; bsat_calls counts only the probes that called the solver
+// (counter.ApproxMCResult.BSATCalls). Every probe is exact and the run
+// resumes from the state the setup stopped at, so the estimate is the
+// one an uninterrupted run returns. Only a successful run is kept:
+// later calls return its estimate with no solver work, and after a
+// failure the next call runs the rounds again. Concurrent calls run
+// them once; the others wait. ran reports whether this call ran them,
+// and so changed what Encode writes.
 func (su *Setup) WitnessCount(cfg sat.Config, sp *obs.Span) (c *big.Int, exact, ran bool, err error) {
 	if su.easySet {
 		return big.NewInt(int64(len(su.easy))), true, false, nil

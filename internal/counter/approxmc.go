@@ -9,6 +9,7 @@ import (
 
 	"unigen/internal/bsat"
 	"unigen/internal/cnf"
+	"unigen/internal/gf2"
 	"unigen/internal/hashfam"
 	"unigen/internal/randx"
 	"unigen/internal/sat"
@@ -49,12 +50,13 @@ type ApproxMCResult struct {
 	// Rounds is the number of ApproxMC2Core rounds that returned an
 	// estimate.
 	Rounds int
-	// TotalXORRows is the number of XOR rows installed across every
-	// cell probe (a probe of cell i installs i rows): a
-	// machine-independent work measure.
+	// TotalXORRows is the number of XOR rows installed across the cell
+	// probes that called the solver (such a probe of cell i installs i
+	// rows): a machine-independent work measure.
 	TotalXORRows int
-	// BSATCalls is the number of bounded-enumeration calls made, the
-	// base call included.
+	// BSATCalls is the number of bounded-enumeration calls made: the
+	// base call and every probe that called the solver. A probe whose
+	// cell the round's earlier probes already showed big makes none.
 	BSATCalls int
 }
 
@@ -108,7 +110,9 @@ func ApproxMC(f *cnf.Formula, rng *randx.RNG, opts ApproxMCOptions) (ApproxMCRes
 // no i < |S| qualifies or that cell is empty. The cells are nested and
 // every probe is exact, so the search finds the cell a linear scan
 // over i = 1, 2, … would, wherever it starts: it starts from the
-// previous successful round's i. It is StartApproxMC followed by
+// previous successful round's i. Each probe starts from the members
+// of its cell that the round's earlier probes, and the base call,
+// already found (see cells.probe). It is StartApproxMC followed by
 // Finish: the run is the loop, and its state between two rounds is
 // all a later round depends on.
 func ApproxMCSession(sess *bsat.Session, rng *randx.RNG, opts ApproxMCOptions) (ApproxMCResult, error) {
@@ -149,7 +153,9 @@ type ApproxMCRun struct {
 	start, left int
 	ests        []*big.Int // ascending
 	exact       bool
-	calls, rows int // BSAT calls and XOR rows this run made
+	calls, rows int      // BSAT calls and XOR rows this run made
+	base        []uint64 // the base call's members, packed over vars; none on a resumed run
+	c           cells    // the round's probes; its member buffers outlive the round
 }
 
 // StartApproxMC validates opts and makes ApproxMC2's base call on
@@ -171,20 +177,25 @@ func StartApproxMC(sess *bsat.Session, rng *randx.RNG, opts ApproxMCOptions) (*A
 		t = opts.MaxHashRounds
 	}
 	r := &ApproxMCRun{rng: rng, vars: opts.SamplingSet, thresh: threshAMC(opts.Epsilon), start: 1, left: t, calls: 1}
-	// Quick exit: if |R_F↓S| < thresh the count is exact.
-	n, res := sess.Count(r.thresh, nil)
+	// Quick exit: if |R_F↓S| < thresh the count is exact. Otherwise the
+	// members found are known members of every round's cell 0.
+	base := bsat.Members{Vars: r.vars}
+	n, res := sess.Count(r.thresh, nil, &base)
 	if res.BudgetExceeded {
 		return nil, fmt.Errorf("%w in ApproxMC base call", ErrBudget)
 	}
 	if n < r.thresh {
 		r.ests, r.left, r.exact = []*big.Int{big.NewInt(int64(n))}, 0, true
 	}
+	r.base = base.List
 	return r, nil
 }
 
 // ResumeApproxMC continues a run from its state. opts must be the
 // options the run started with, its SamplingSet included. The resumed
-// run's BSATCalls and TotalXORRows count only the calls it makes.
+// run's BSATCalls and TotalXORRows count only the calls it makes. It
+// holds none of the base call's members, so its probes start from
+// what their own round found.
 func ResumeApproxMC(st ApproxMCState, opts ApproxMCOptions) *ApproxMCRun {
 	return &ApproxMCRun{
 		rng:    randx.New(st.RNG),
@@ -208,10 +219,10 @@ func (r *ApproxMCRun) Left() int { return r.left }
 // Round runs the next round on sess. It must not be called once Left
 // is 0.
 func (r *ApproxMCRun) Round(sess *bsat.Session) error {
-	c := &cells{sess: sess, h: hashfam.Draw(r.rng, r.vars, max(len(r.vars)-1, 0)), thresh: r.thresh}
-	i, cnt, err := c.search(r.start)
-	r.calls += c.calls
-	r.rows += c.rows
+	r.c.reset(sess, hashfam.Draw(r.rng, r.vars, max(len(r.vars)-1, 0)), r.thresh, r.base)
+	i, cnt, err := r.c.search(r.start)
+	r.calls += r.c.calls
+	r.rows += r.c.rows
 	if err != nil {
 		return err
 	}
@@ -273,23 +284,78 @@ func (r *ApproxMCRun) Finish(sess *bsat.Session) (ApproxMCResult, error) {
 }
 
 // cells probes the nested cells of one round's hash h on the session:
-// cell i conjoins h's first i rows. It tallies the BSAT calls made and
+// cell i conjoins h's first i rows. It carries the members its probes
+// found from one probe to the next, each projected onto h.Vars and
+// packed in w words (bsat.Members), and tallies the BSAT calls made and
 // the XOR rows installed.
 type cells struct {
 	sess   *bsat.Session
 	h      *hashfam.Hash
 	thresh int
+	w      int
+
+	// lo holds known members of the closest big cell search has seen
+	// (for cell 0 the base call's, none on a resumed run); hi holds
+	// every member of the closest small cell (none while no small cell
+	// is known); next is the buffer the next probe fills. A probe's
+	// list replaces lo's or hi's, and the list it replaces becomes next,
+	// so no buffer is allocated once each has grown to size.
+	lo, hi, next []uint64
 
 	calls, rows int
 }
 
-// count returns the size of cell i, capped at thresh.
-func (c *cells) count(i int) (int, error) {
-	n, res := c.sess.Count(c.thresh, &hashfam.Hash{Vars: c.h.Vars, Rows: c.h.Rows[:i]})
-	c.calls++
-	c.rows += i
-	if res.BudgetExceeded {
-		return 0, fmt.Errorf("%w at %d hash bits", ErrBudget, i)
+// reset readies c for a round of hash h on sess whose cell 0 holds the
+// packed members base, and zeroes its tallies. base is copied.
+func (c *cells) reset(sess *bsat.Session, h *hashfam.Hash, thresh int, base []uint64) {
+	c.sess, c.h, c.thresh, c.w = sess, h, thresh, gf2.Words(len(h.Vars))
+	c.lo = append(c.lo[:0], base...)
+	c.hi, c.next = c.hi[:0], c.next[:0]
+	c.calls, c.rows = 0, 0
+}
+
+// in reports whether the packed member x satisfies rows [a, b) of h.
+func (c *cells) in(x []uint64, a, b int) bool {
+	for _, r := range c.h.Rows[a:b] {
+		if gf2.ParityAnd(r.Bits, x) != r.RHS {
+			return false
+		}
+	}
+	return true
+}
+
+// probe returns the size of cell m, capped at thresh, where
+// lo < m < hi and cell lo is big, cell hi small (hi past the last row:
+// no small cell known). The cells are nested, so every member of cell
+// hi lies in cell m, and so does each member of cell lo that satisfies
+// rows lo+1..m; those also in cell hi are already in hi's list. When
+// that makes thresh known members the cell is big with no BSAT call.
+// Otherwise Count blocks the known members and enumerates only the
+// rest, so a small count is still exact. The probe's list then
+// replaces lo's (big) or hi's (small).
+func (c *cells) probe(m, lo, hi int) (int, error) {
+	top := len(c.h.Rows)
+	known := append(c.next[:0], c.hi...)
+	for k := 0; k < len(c.lo); k += c.w {
+		if x := c.lo[k : k+c.w]; c.in(x, lo, m) && (hi > top || !c.in(x, m, hi)) {
+			known = append(known, x...)
+		}
+	}
+	mem := bsat.Members{Vars: c.h.Vars, List: known}
+	n := mem.Len()
+	if n < c.thresh {
+		var res bsat.Result
+		n, res = c.sess.Count(c.thresh, &hashfam.Hash{Vars: c.h.Vars, Rows: c.h.Rows[:m]}, &mem)
+		c.calls++
+		c.rows += m
+		if res.BudgetExceeded {
+			return 0, fmt.Errorf("%w at %d hash bits", ErrBudget, m)
+		}
+	}
+	if n >= c.thresh {
+		c.lo, c.next = mem.List, c.lo
+	} else {
+		c.hi, c.next = mem.List, c.hi
 	}
 	return n, nil
 }
@@ -309,7 +375,7 @@ func (c *cells) search(start int) (int, int, error) {
 	s := min(max(start, 1), top)
 	m := s
 	for step := 1; hi-lo > 1; step *= 2 {
-		n, err := c.count(m)
+		n, err := c.probe(m, lo, hi)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -13,21 +13,30 @@ import (
 	"unigen/internal/sat"
 )
 
-// linearScan is the reference for cells.search: probe i = 1, 2, … in
-// turn and stop at the first cell holding fewer than thresh witnesses.
-// It returns i = 0 when no cell qualifies.
-func linearScan(t *testing.T, c *cells) (int, int) {
+// linearScan is the reference for cells.search: count cell i = 1, 2,
+// … in turn, each from nothing, and stop at the first cell holding
+// fewer than thresh witnesses. It returns i = 0 when no cell
+// qualifies, and the BSAT calls made.
+func linearScan(t *testing.T, sess *bsat.Session, h *hashfam.Hash, thresh int) (i, n, calls int) {
 	t.Helper()
-	for i := 1; i <= len(c.h.Rows); i++ {
-		n, err := c.count(i)
-		if err != nil {
-			t.Fatal(err)
+	for i := 1; i <= len(h.Rows); i++ {
+		n, res := sess.Count(thresh, &hashfam.Hash{Vars: h.Vars, Rows: h.Rows[:i]}, nil)
+		if res.BudgetExceeded {
+			t.Fatalf("budget exhausted at %d hash bits", i)
 		}
-		if n < c.thresh {
-			return i, n
+		if n < thresh {
+			return i, n, i
 		}
 	}
-	return 0, 0
+	return 0, 0, len(h.Rows)
+}
+
+// baseMembers makes ApproxMC's base call on sess and returns the
+// members it found, packed over vars.
+func baseMembers(sess *bsat.Session, vars []cnf.Var, thresh int) []uint64 {
+	m := bsat.Members{Vars: vars}
+	sess.Count(thresh, nil, &m)
+	return m.List
 }
 
 // linearApproxMC is ApproxMCSession at its defaults with the linear
@@ -37,15 +46,14 @@ func linearApproxMC(t *testing.T, sess *bsat.Session, rng *randx.RNG, rounds int
 	t.Helper()
 	vars := sess.SamplingSet()
 	thresh := threshAMC(0.8)
-	if n, _ := sess.Count(thresh, nil); n < thresh {
+	if n, _ := sess.Count(thresh, nil, nil); n < thresh {
 		t.Fatalf("base call counted %d, want at least %d", n, thresh)
 	}
 	calls := 1
 	var ests []*big.Int
 	for r := 0; r < rounds; r++ {
-		c := &cells{sess: sess, h: hashfam.Draw(rng, vars, len(vars)-1), thresh: thresh}
-		i, n := linearScan(t, c)
-		calls += c.calls
+		i, n, c := linearScan(t, sess, hashfam.Draw(rng, vars, len(vars)-1), thresh)
+		calls += c
 		if i > 0 && n > 0 {
 			ests = append(ests, new(big.Int).Lsh(big.NewInt(int64(n)), uint(i)))
 		}
@@ -83,13 +91,19 @@ func randomCNFXOR(rng *randx.RNG, nh int) *cnf.Formula {
 // TestSearchMatchesLinearScan: over random CNF+XOR formulas with
 // |H| = 8–16, the galloping search returns exactly the (i, count) of a
 // linear scan over the same nested hash from every start in
-// [1, |H|−1]. Some hashes get an empty row — 0 = 1 empties every cell
-// from that row on, 0 = 0 repeats the previous cell — so the search
-// also meets empty boundary cells and cells that never get small.
+// [1, |H|−1], both as a fresh run's round, which knows the base call's
+// members of cell 0, and as a resumed run's, which knows none. Some
+// hashes get an empty row — 0 = 1 empties every cell from that row on,
+// 0 = 0 repeats the previous cell — so the search also meets empty
+// boundary cells and cells that never get small. The scan counts every
+// cell from nothing, so the members a search carries between its
+// probes must change no outcome.
 func TestSearchMatchesLinearScan(t *testing.T) {
 	rng := randx.New(31)
 	thresh := threshAMC(0.8)
 	found, empty, none := 0, 0, 0
+	var c cells
+	calls := [2]int{} // BSAT calls with and without the base call's members
 	for iter := 0; iter < 40; iter++ {
 		nh := 8 + rng.Intn(9)
 		f := randomCNFXOR(rng, nh)
@@ -100,7 +114,7 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 			r.RHS = rng.Bool()
 			h.Rows[rng.Intn(nh-1)] = r
 		}
-		wantI, wantN := linearScan(t, &cells{sess: sess, h: h, thresh: thresh})
+		wantI, wantN, _ := linearScan(t, sess, h, thresh)
 		switch {
 		case wantI == 0:
 			none++
@@ -109,25 +123,76 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 		default:
 			found++
 		}
+		base := baseMembers(sess, f.SamplingSet, thresh)
 		for start := 1; start < nh; start++ {
-			c := &cells{sess: sess, h: h, thresh: thresh}
-			i, n, err := c.search(start)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i != wantI || n != wantN {
-				t.Fatalf("iter %d (|H|=%d) start %d: search (%d, %d), linear scan (%d, %d)\n%s",
-					iter, nh, start, i, n, wantI, wantN, cnf.DIMACSString(f))
-			}
-			if c.rows < c.calls {
-				t.Fatalf("iter %d start %d: %d rows over %d probes", iter, start, c.rows, c.calls)
+			for k, known := range [][]uint64{base, nil} {
+				c.reset(sess, h, thresh, known)
+				i, n, err := c.search(start)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i != wantI || n != wantN {
+					t.Fatalf("iter %d (|H|=%d) start %d, %d base members: search (%d, %d), linear scan (%d, %d)\n%s",
+						iter, nh, start, len(known), i, n, wantI, wantN, cnf.DIMACSString(f))
+				}
+				if c.rows < c.calls {
+					t.Fatalf("iter %d start %d: %d rows over %d probes", iter, start, c.rows, c.calls)
+				}
+				calls[k] += c.calls
 			}
 		}
 	}
 	if found == 0 {
 		t.Fatalf("no formula had a non-empty boundary cell (%d empty, %d none)", empty, none)
 	}
-	t.Logf("boundaries: %d found, %d empty cells, %d never small", found, empty, none)
+	t.Logf("boundaries: %d found, %d empty cells, %d never small; BSAT calls %d with the base call's members, %d without",
+		found, empty, none, calls[0], calls[1])
+}
+
+// TestDeltaShapedRunMatchesCold: ApproxMC on a session that blocks over
+// one set H₁ and carries standing assumptions A, with the run hashing
+// over another set H₂, returns the estimate and rounds of a cold run
+// over F ∧ A hashed and blocked over H₂, over several seeds. This is
+// the shape of a delta setup (a pooled session keeps the base's hash
+// set): within F both sets determine the declared set, so carried
+// members must be recorded and blocked over the run's set, never the
+// session's.
+func TestDeltaShapedRunMatchesCold(t *testing.T) {
+	// S = 1..12 with x12 = x10 ⊕ x11, so H₁ = 1..11 and H₂ = 1..10, 12
+	// each determine S; 13 and 14 lie outside S.
+	f := cnf.New(14)
+	f.AddXOR([]cnf.Var{10, 11, 12}, false)
+	f.AddClause(3, 4, 13)
+	f.AddClause(-5, 6, -14)
+	f.AddClause(7, -8, 9)
+	f.AddClause(13, 14)
+	h1 := []cnf.Var{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	h2 := []cnf.Var{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12}
+	assumps := []cnf.Lit{cnf.FromDIMACS(1), cnf.FromDIMACS(-2)}
+	conj := f.Clone()
+	for _, l := range assumps {
+		conj.AddClause(l.DIMACS())
+	}
+	opts := ApproxMCOptions{Epsilon: 0.8, Delta: 0.2, SamplingSet: h2}
+	for seed := uint64(1); seed <= 5; seed++ {
+		cold, err := ApproxMC(conj, randx.New(seed), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.Exact {
+			t.Fatalf("seed %d: the conjoined formula counts exactly (%v); the test needs it to hash", seed, cold.Count)
+		}
+		sess := bsat.NewSession(f, bsat.Options{SamplingSet: h1})
+		sess.SetAssumptions(assumps)
+		delta, err := ApproxMCSession(sess, randx.New(seed), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if delta.Count.Cmp(cold.Count) != 0 || delta.Rounds != cold.Rounds {
+			t.Fatalf("seed %d: delta-shaped run %v over %d rounds, cold run %v over %d",
+				seed, delta.Count, delta.Rounds, cold.Count, cold.Rounds)
+		}
+	}
 }
 
 // TestSearchDegenerateHashes: a hash of 0 = 0 rows never makes the
@@ -148,7 +213,9 @@ func TestSearchDegenerateHashes(t *testing.T) {
 			want = 1
 		}
 		for start := 1; start <= 9; start++ {
-			i, n, err := (&cells{sess: sess, h: h, thresh: thresh}).search(start)
+			var c cells
+			c.reset(sess, h, thresh, nil)
+			i, n, err := c.search(start)
 			if err != nil {
 				t.Fatal(err)
 			}

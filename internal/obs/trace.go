@@ -5,6 +5,9 @@ import (
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,6 +172,40 @@ type SpanView struct {
 	DurUS    int64            `json:"dur_us"`   // 0 while the span is still open
 	Counters map[string]int64 `json:"counters,omitempty"`
 	Children []*SpanView      `json:"children,omitempty"`
+}
+
+// String renders the span tree on one line for text logs: each span as
+// its name, its duration (0s while open) and its counters in key
+// order, with its children in brackets after it. The JSON encoding is
+// the nested object the struct tags give.
+func (v *SpanView) String() string {
+	var b strings.Builder
+	v.writeTo(&b)
+	return b.String()
+}
+
+func (v *SpanView) writeTo(b *strings.Builder) {
+	if v == nil {
+		b.WriteString("<nil>")
+		return
+	}
+	b.WriteString(v.Name)
+	b.WriteByte(' ')
+	b.WriteString((time.Duration(v.DurUS) * time.Microsecond).String())
+	for _, k := range slices.Sorted(maps.Keys(v.Counters)) {
+		fmt.Fprintf(b, " %s=%d", k, v.Counters[k])
+	}
+	if len(v.Children) == 0 {
+		return
+	}
+	b.WriteString(" [")
+	for i, c := range v.Children {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		c.writeTo(b)
+	}
+	b.WriteByte(']')
 }
 
 // Snapshot returns a deep copy of the span tree, safe to serialize

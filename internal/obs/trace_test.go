@@ -173,3 +173,21 @@ func BenchmarkObsArmedSpan(b *testing.B) {
 		sp.End()
 	}
 }
+
+// TestSpanViewString: the one-line text form names every span with its
+// duration and its counters in key order, nests children in brackets,
+// and prints no pointer.
+func TestSpanViewString(t *testing.T) {
+	v := &SpanView{Name: "request", DurUS: 2500, Children: []*SpanView{
+		{Name: "prepare", DurUS: 1200, Counters: map[string]int64{"cache_hit": 0, "bsat_calls": 7},
+			Children: []*SpanView{{Name: "store", DurUS: 31, Counters: map[string]int64{"hit": 1}}}},
+		{Name: "rounds", DurUS: 900},
+	}}
+	want := "request 2.5ms [prepare 1.2ms bsat_calls=7 cache_hit=0 [store 31µs hit=1], rounds 900µs]"
+	if got := v.String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	if got := (*SpanView)(nil).String(); got != "<nil>" {
+		t.Fatalf("nil String() = %q", got)
+	}
+}

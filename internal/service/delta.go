@@ -181,6 +181,19 @@ func (s *Service) prepareDelta(ctx context.Context, baseHex string, assumpInts [
 	prep, hit, err := s.cache.get(ctx, ckey, func(intr *atomic.Bool) func() (*prepared, error) {
 		pool := s.poolFor(base)
 		return func() (*prepared, error) {
+			// Disk tier first, as in a formula flight: after a restart
+			// the conjoined entry this flight persisted answers with no
+			// solver work, and serves as the delta it was.
+			if s.store != nil {
+				ssp := dsp.StartSpan("store")
+				p, ok := s.rehydrate(ckey, cfp)
+				ssp.SetInt("hit", boolInt(ok))
+				ssp.End()
+				if ok {
+					s.markDelta(p, base, assumps)
+					return p, nil
+				}
+			}
 			g := conj
 			if g == nil {
 				// A memo hit whose entry is gone: conjoin again, which
@@ -229,23 +242,12 @@ func (s *Service) prepareDelta(ctx context.Context, baseHex string, assumpInts [
 				prepStats:   cond.SetupStats(),
 				key:         ckey,
 				fingerprint: hex.EncodeToString(cfp[:]),
-				delta:       true,
-				baseFP:      base.fingerprint,
 			}
-			if cond.DivergedFrom(base.setup, s.deltaQWindow()) {
-				// Conditioned count moved too far from the base: promote
-				// to a first-class entry (own sessions, no base-pool
-				// affinity). The setup is full-fidelity either way; this
-				// is a pool-hygiene policy, not a correctness fallback.
-				p.diverged = true
-				s.delta.diverged.Add(1)
-			} else {
-				p.base = base
-				p.assumps = assumps
-			}
+			s.markDelta(p, base, assumps)
 			// Write-behind like any prepared formula: after a restart the
-			// conjoined entry rehydrates as a plain formula entry and
-			// still serves both delta and full-formula requests for it.
+			// conjoined entry rehydrates, for a delta request as the delta
+			// it was and for a full-formula request as a plain formula
+			// entry.
 			s.persist(p)
 			return p, nil
 		}
@@ -255,4 +257,22 @@ func (s *Service) prepareDelta(ctx context.Context, baseHex string, assumpInts [
 	}
 	dsp.SetInt("diverged", boolInt(prep.diverged))
 	return prep, hit, nil
+}
+
+// markDelta makes p, the conditioned entry for base ∧ assumps, a delta
+// entry of base: one that samples through base's session pool, unless
+// its count diverged from the base's. Then it is promoted to a
+// first-class entry (own sessions, no base-pool affinity). The setup is
+// full-fidelity either way; this is a pool-hygiene policy, not a
+// correctness fallback.
+func (s *Service) markDelta(p, base *prepared, assumps []cnf.Lit) {
+	p.delta = true
+	p.baseFP = base.fingerprint
+	if p.setup.DivergedFrom(base.setup, s.deltaQWindow()) {
+		p.diverged = true
+		s.delta.diverged.Add(1)
+	} else {
+		p.base = base
+		p.assumps = assumps
+	}
 }

@@ -380,6 +380,38 @@ func TestHealthzUptimeVersion(t *testing.T) {
 	}
 }
 
+// TestSlowRequestLogText: under the text handler (unigend's default)
+// the slow-request record prints its span tree readably: the names of
+// the child spans, and no pointer.
+func TestSlowRequestLogText(t *testing.T) {
+	var buf bytes.Buffer
+	var mu sync.Mutex
+	svc, err := service.New(service.Config{
+		SlowRequest: time.Nanosecond,
+		Logger:      slog.New(slog.NewTextHandler(&lockedWriter{w: &buf, mu: &mu}, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Sample(context.Background(), service.SampleRequest{Formula: hardFormula(), N: 1, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	line := strings.SplitN(buf.String(), "\n", 2)[0]
+	mu.Unlock()
+	if !strings.Contains(line, `msg="slow request"`) || !strings.Contains(line, "trace=") {
+		t.Fatalf("first record is not a slow request with a trace: %s", line)
+	}
+	for _, name := range []string{"request ", "admission ", "prepare ", "rounds "} {
+		if !strings.Contains(line, name) {
+			t.Fatalf("trace does not name span %q: %s", strings.TrimSpace(name), line)
+		}
+	}
+	if strings.Contains(line, "0x") {
+		t.Fatalf("trace prints a pointer: %s", line)
+	}
+}
+
 // TestSlowRequestLog checks the structured log contract: a request
 // over the threshold logs at Warn as "slow request" with request id,
 // outcome, duration, and the span breakdown; a fast request logs at

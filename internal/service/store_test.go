@@ -198,6 +198,45 @@ func TestStoreFinishedCountSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestStoreDeltaEntryRehydrates: after a restart, a delta request finds
+// the conjoined entry an earlier delta persisted instead of re-running
+// the conditioned setup, and serves it as the delta it was: the same
+// witnesses, one store hit for the base and one for the conditioned
+// entry, no preparation in the new lifetime, and /stats naming the
+// base.
+func TestStoreDeltaEntryRehydrates(t *testing.T) {
+	dir := t.TempDir()
+	h1, svc1 := memoHandler(t, service.Config{StoreDir: dir})
+	baseFP := prepareBase(t, svc1, hardFormula())
+	req := service.SampleHTTPRequest{Base: baseFP, Assumptions: []int{1, -2}, N: 6, Seed: 31}
+	first := sampleOK(t, h1, req)
+	if !first.Delta {
+		t.Fatal("first lifetime's delta request not served as a delta")
+	}
+	closeSvc(t, svc1)
+
+	h2, svc2 := memoHandler(t, service.Config{StoreDir: dir})
+	t.Cleanup(func() { closeSvc(t, svc2) })
+	again := sampleOK(t, h2, req)
+	if !again.Delta || again.CacheHit || again.Fingerprint != first.Fingerprint {
+		t.Fatalf("after the restart: delta %v, cache hit %v, fingerprint %s; want a delta RAM miss for %s",
+			again.Delta, again.CacheHit, again.Fingerprint, first.Fingerprint)
+	}
+	if !reflect.DeepEqual(again.Witnesses, first.Witnesses) {
+		t.Fatalf("witnesses after the restart %v, before %v", again.Witnesses, first.Witnesses)
+	}
+	st := svc2.Stats()
+	if st.Store.Hits != 2 || st.Store.Misses != 0 {
+		t.Fatalf("restarted store stats %+v, want 2 hits", st.Store)
+	}
+	if st.Prepare.Requests != 0 || st.Prepare.BSATCalls != 0 {
+		t.Fatalf("the restarted service prepared: %+v", st.Prepare)
+	}
+	if fs := formulaStats(t, svc2, again.Fingerprint); !fs.Delta || fs.Base != baseFP {
+		t.Fatalf("rehydrated conditioned entry %+v, want a delta of %s", fs, baseFP)
+	}
+}
+
 // TestStoreCorruptEntryDegradesToCold flips one byte of the on-disk
 // entry between lifetimes: the next request must succeed by cold
 // preparation (identical samples), with the rotted entry quarantined

@@ -23,8 +23,7 @@
 // sessions over the base — no DIMACS re-parse, no solver rebuild —
 // with witnesses bit-identical to posting the conjoined formula at the
 // same seed. An unknown base returns 404; -pool caps idle sessions per
-// base and -delta-window tunes when a diverged delta is promoted to a
-// first-class cache entry.
+// base.
 //
 //	GET  /healthz         → {"ok": true, "state": "ok"|"overloaded"|"draining",
 //	                         "uptime_seconds": 12.3, "version": "…"}
@@ -86,7 +85,6 @@ func main() {
 	storeDir := flag.String("store-dir", "", "directory for the persistent prepared-formula store (empty = off)")
 	storeMax := flag.Int64("store-max-bytes", 0, "max bytes the persistent store may hold before evicting least-recently-accessed entries (0 = unlimited)")
 	pool := flag.Int("pool", 0, "max idle delta sessions pooled per base formula (0 = 8)")
-	deltaWindow := flag.Int("delta-window", 0, "hash-width divergence beyond which a delta entry is promoted to first-class (0 = 3, negative = always)")
 	jobs := flag.Int("j", 0, "default per-request sampling workers (0 = all CPUs)")
 	budget := flag.Int64("budget", 0, "conflict budget per SAT call (0 = unlimited)")
 	gauss := flag.Bool("gauss", false, "enable Gauss-Jordan XOR preprocessing")
@@ -136,7 +134,6 @@ func main() {
 		StoreDir:       *storeDir,
 		StoreMaxBytes:  *storeMax,
 		SessionPool:    *pool,
-		DeltaQWindow:   *deltaWindow,
 		MaxInFlight:    *maxInFlight,
 		MaxQueue:       *maxQueue,
 		QueueWait:      *queueWait,

@@ -66,9 +66,6 @@ func (su *Setup) Conjoin(assumps []cnf.Lit) (*cnf.Formula, error) {
 	return g, nil
 }
 
-// NumVars returns the variable count of the setup's formula.
-func (su *Setup) NumVars() int { return su.f.NumVars }
-
 // Easy reports whether the setup holds the exact witness list (lines
 // 5–7 of Algorithm 1) instead of an estimate.
 func (su *Setup) Easy() bool { return su.easySet }
@@ -116,23 +113,4 @@ func (su *Setup) SetupWith(sess *bsat.Session, conj *cnf.Formula, rng *randx.RNG
 		return nil, err
 	}
 	return cond, nil
-}
-
-// DivergedFrom reports whether the conditioned setup's count moved so
-// far from the base's that serving it through the base's session pool
-// stops paying: both in the hashing regime with hash widths more than
-// window apart. This is purely an affinity policy — the conditioned
-// setup is full-fidelity either way — so diverged deltas get promoted
-// to first-class prepared entries with their own sessions. Transitions
-// into the easy case never diverge: easy serving does no solver work at
-// all.
-func (cond *Setup) DivergedFrom(base *Setup, window int) bool {
-	if cond.easySet || base.easySet {
-		return false
-	}
-	d := cond.q - base.q
-	if d < 0 {
-		d = -d
-	}
-	return d > window
 }

@@ -294,10 +294,6 @@ func bigLog2(x *big.Int) float64 {
 // reports SetupStats().Merge(round deltas…).
 func (su *Setup) SetupStats() Stats { return su.base }
 
-// KappaPivot exposes the derived parameters (used by benchmarks and the
-// experiment harness).
-func (su *Setup) KappaPivot() KappaPivot { return su.kp }
-
 // SamplingSet returns the declared sampling variables, the set
 // witnesses are projected on.
 func (su *Setup) SamplingSet() []cnf.Var {

@@ -14,9 +14,9 @@
 //
 // # Point catalog
 //
-//   - PrepareSlow: start of a preparation flight (service cache miss),
-//     before core.NewSetup. A Delay here models a slow ApproxMC setup;
-//     the stall honors the flight's abandonment interrupt.
+//   - PrepareSlow: start of a formula flight's build (service cache
+//     and disk-tier miss), before core.NewSetup. A Delay here models a
+//     slow ApproxMC setup; the stall honors the flight's interrupt.
 //   - PreparePanic: same site, after PrepareSlow. A Panic here models a
 //     crash inside preparation; the flight recover must convert it to an
 //     error, fail every co-waiter, and leave the cache unpoisoned.

@@ -24,16 +24,11 @@ type prepared struct {
 	fromDisk    bool   // rehydrated from the persistent store (DESIGN §12)
 
 	// Delta entries (DESIGN §13): a conditioned setup prepared from a
-	// cached base under assumption literals. Non-diverged deltas keep a
-	// reference to their base entry and serve sampling rounds through
-	// the base's session pool with `assumps` installed as standing
-	// assumptions; diverged deltas (base and nil assumps) are
-	// first-class entries served like any cold-prepared formula.
-	delta    bool
-	diverged bool
-	base     *prepared // nil unless a non-diverged delta
-	assumps  []cnf.Lit // normalized assumption literals (non-diverged delta)
-	baseFP   string    // base fingerprint, lowercase hex (delta entries)
+	// cached base under assumption literals keeps a reference to its
+	// base entry and serves sampling rounds through the base's session
+	// pool with assumps installed as standing assumptions.
+	base    *prepared // nil unless a delta entry
+	assumps []cnf.Lit // normalized assumption literals (delta entries)
 
 	// pool lends per-worker sessions over this entry's setup to delta
 	// requests that name it as their base. Built lazily on the first
@@ -216,14 +211,14 @@ func (c *prepCache) evictOverflowLocked() {
 }
 
 // CacheStats is a point-in-time snapshot of the prepared-formula cache,
-// the backing of the daemon's /stats endpoint.
+// the top-level keys of the daemon's /stats body.
 type CacheStats struct {
-	Hits      int64 // requests that found an entry (including in-flight ones)
-	Misses    int64 // requests that started a preparation
-	Evictions int64 // prepared formulas dropped by the LRU policy
-	Size      int   // entries currently cached
-	Capacity  int
-	Formulas  []FormulaStats // most recently used first
+	Hits      int64          `json:"hits"`      // requests that found an entry (including in-flight ones)
+	Misses    int64          `json:"misses"`    // requests that started a preparation
+	Evictions int64          `json:"evictions"` // prepared formulas dropped by the LRU policy
+	Size      int            `json:"size"`      // entries currently cached
+	Capacity  int            `json:"capacity"`
+	Formulas  []FormulaStats `json:"formulas,omitempty"` // most recently used first
 }
 
 // FormulaStats are the per-formula counters of one cache entry.
@@ -234,8 +229,7 @@ type FormulaStats struct {
 	Samples     int64  `json:"samples"`
 	Counts      int64  `json:"counts"`
 	// Delta marks entries prepared from a base formula under assumption
-	// literals; Base names the base entry's fingerprint (empty for
-	// diverged deltas promoted to first-class entries).
+	// literals; Base names the base entry's fingerprint.
 	Delta bool   `json:"delta,omitempty"`
 	Base  string `json:"base,omitempty"`
 	// SamplingVars is the size of the declared sampling set, HashVars
@@ -275,14 +269,13 @@ func (c *prepCache) stats() CacheStats {
 			Requests:    e.prep.requests.Load(),
 			Samples:     e.prep.samples.Load(),
 			Counts:      e.prep.counts.Load(),
-			Delta:       e.prep.delta,
 
 			SamplingVars: len(e.prep.setup.SamplingSet()),
 			HashVars:     len(e.prep.setup.HashSet()),
 			Q:            e.prep.setup.Q(),
 		}
-		if e.prep.base != nil {
-			fs.Base = e.prep.baseFP
+		if b := e.prep.base; b != nil {
+			fs.Delta, fs.Base = true, b.fingerprint
 		}
 		st.Formulas = append(st.Formulas, fs)
 	}

@@ -203,7 +203,8 @@ func TestChaosClientTimeout(t *testing.T) {
 
 // TestChaosPrepareTimeout: PrepareTimeout caps a stalled preparation —
 // the flight's solver interrupt fires at the deadline, the flight fails
-// with ErrDeadline, and nothing is cached.
+// with ErrDeadline, and nothing is cached. The same holds for a
+// conditioned delta flight, whose pooled session goes back to its pool.
 func TestChaosPrepareTimeout(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	svc := newService(t, service.Config{PrepareTimeout: 100 * time.Millisecond})
@@ -225,6 +226,30 @@ func TestChaosPrepareTimeout(t *testing.T) {
 	res, err := svc.Sample(context.Background(), service.SampleRequest{Formula: easyFormula(5), N: 1, Seed: 1})
 	if err != nil || res.CacheHit {
 		t.Fatalf("preparation after timeout strike: err=%v hit=%v", err, res != nil && res.CacheHit)
+	}
+
+	// Delta: the base prepares well within the budget (about 0.2 s
+	// under -race on a 2-vCPU VM) before the solver stalls, so only the
+	// conditioned flight runs into it.
+	svc = newService(t, service.Config{PrepareTimeout: 2 * time.Second})
+	baseFP := prepareBase(t, svc, hardFormula())
+	req := service.SampleRequest{Base: baseFP, Assumptions: []int{1, -2}, N: 2, Seed: 5}
+	faultpoint.Arm(faultpoint.SolverStall, faultpoint.Fault{Delay: time.Minute})
+	if _, err := svc.Sample(context.Background(), req); !errors.Is(err, service.ErrDeadline) {
+		t.Fatalf("stalled conditioned flight: err = %v, want ErrDeadline", err)
+	}
+	if st := svc.Stats(); st.Size != 1 || st.Formulas[0].Fingerprint != baseFP {
+		t.Fatalf("timed-out conditioned flight was cached: %+v", st.CacheStats)
+	}
+	faultpoint.Reset()
+	res, err = svc.Sample(context.Background(), req)
+	if err != nil || res.CacheHit || !res.Delta {
+		t.Fatalf("delta after timeout strike: err=%v, want a served delta miss", err)
+	}
+	// One session, built by the timed-out flight, serves both the next
+	// flight and the sampling rounds.
+	if st := svc.Stats().Delta; st.PoolHits < 1 || st.PoolMisses != 1 {
+		t.Fatalf("pool %+v: the timed-out flight's session was not reused", st)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -280,30 +281,31 @@ func TestDeltaPoolReuse(t *testing.T) {
 	}
 }
 
-// TestDeltaDivergedPromotion: with a negative window every non-easy
-// conditioned setup is promoted to a first-class entry — no base pool
-// affinity, no base attribution — and stays bit-identical regardless.
-func TestDeltaDivergedPromotion(t *testing.T) {
-	svc := newService(t, service.Config{DeltaQWindow: -1})
+// TestDeltaSingleFlight: concurrent delta requests for one cold (base,
+// assumptions) pair share one conditioned flight, as concurrent formula
+// requests share one preparation: every request gets the witnesses a
+// cold prepare of the conjoined formula gives, and exactly one flight
+// runs.
+func TestDeltaSingleFlight(t *testing.T) {
+	ts, svc := newHTTPServer(t)
 	base := hardFormula()
 	baseFP := prepareBase(t, svc, base)
 
-	const seed, n = 55, 4
-	res, err := svc.Sample(context.Background(), service.SampleRequest{
-		Base: baseFP, Assumptions: []int{1, -2}, N: n, Seed: seed,
-	})
-	if err != nil {
-		t.Fatal(err)
+	const clients, seed, n = 16, 808, 3
+	results := make([]*service.SampleResult, clients)
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = svc.Sample(context.Background(), service.SampleRequest{
+				Base: baseFP, Assumptions: []int{1, -2}, N: n, Seed: seed,
+			})
+		}(i)
 	}
-	st := svc.Stats()
-	if st.Delta.Diverged != 1 {
-		t.Fatalf("diverged count %d, want 1", st.Delta.Diverged)
-	}
-	for _, fs := range st.Formulas {
-		if fs.Delta && fs.Base != "" {
-			t.Fatalf("promoted delta entry still attributed to base: %+v", fs)
-		}
-	}
+	wg.Wait()
+
 	cold := newService(t, service.Config{})
 	conj, err := cold.Sample(context.Background(), service.SampleRequest{
 		Formula: conjoined(base, 1, -2), N: n, Seed: seed,
@@ -311,8 +313,18 @@ func TestDeltaDivergedPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(projectAll(t, res), projectAll(t, conj)) {
-		t.Fatal("promoted delta witnesses diverged from cold conjoined prepare")
+	want := projectAll(t, conj)
+	for i := range results {
+		if errs[i] != nil {
+			t.Fatalf("client %d: %v", i, errs[i])
+		}
+		if got := projectAll(t, results[i]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("client %d: witnesses %v, cold conjoined prepare %v", i, got, want)
+		}
+	}
+	fams := scrape(t, ts.URL)
+	if got := mustValue(t, fams, "unigen_prepare_flights_total", "unigen_prepare_flights_total", "result", "delta"); got != 1 {
+		t.Fatalf("%v conditioned flights ran, want 1", got)
 	}
 }
 

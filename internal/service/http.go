@@ -122,22 +122,9 @@ type HealthzHTTPResponse struct {
 	Version       string      `json:"version"`
 }
 
-// StatsHTTPResponse is the JSON body of GET /stats.
-type StatsHTTPResponse struct {
-	Hits      int64          `json:"hits"`
-	Misses    int64          `json:"misses"`
-	Evictions int64          `json:"evictions"`
-	Size      int            `json:"size"`
-	Capacity  int            `json:"capacity"`
-	Formulas  []FormulaStats `json:"formulas,omitempty"`
-	Store     StoreStats     `json:"store"` // persistent disk tier (DESIGN §12)
-	Admission AdmissionStats `json:"admission"`
-	Outcomes  OutcomeStats   `json:"outcomes"`
-	Solver    SolverTotals   `json:"solver"`  // sampling work across finished requests
-	Prepare   SolverTotals   `json:"prepare"` // preparation-flight work
-	Delta     DeltaStats     `json:"delta"`   // delta requests and the session-pool fleet
-	State     HealthState    `json:"state"`
-}
+// StatsHTTPResponse is the JSON body of GET /stats: the Stats snapshot
+// as encoded.
+type StatsHTTPResponse = Stats
 
 type errorHTTPResponse struct {
 	Error string `json:"error"`
@@ -267,22 +254,7 @@ func NewHandler(s *Service) http.Handler {
 			writeJSON(w, http.StatusMethodNotAllowed, errorHTTPResponse{Error: "use GET"})
 			return
 		}
-		st := s.Stats()
-		writeJSON(w, http.StatusOK, StatsHTTPResponse{
-			Hits:      st.Hits,
-			Misses:    st.Misses,
-			Evictions: st.Evictions,
-			Size:      st.Size,
-			Capacity:  st.Capacity,
-			Formulas:  st.Formulas,
-			Store:     st.Store,
-			Admission: st.Admission,
-			Outcomes:  st.Outcomes,
-			Solver:    st.Solver,
-			Prepare:   st.Prepare,
-			Delta:     st.Delta,
-			State:     st.State,
-		})
+		writeJSON(w, http.StatusOK, s.Stats())
 	})
 	mux.Handle("/metrics", MetricsHandler(s))
 	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {

@@ -91,9 +91,10 @@ func TestHTTPSampleRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHTTPStatsJSONKeys pins the JSON surface of the solver counters:
-// the exact key sets of the /stats "solver" and "prepare" blocks and of
-// the /sample "stats" block.
+// TestHTTPStatsJSONKeys pins the JSON surface of /stats and of the
+// solver counters: the exact key sets of the /stats body, of its
+// "delta", "solver" and "prepare" blocks, and of the /sample "stats"
+// block.
 func TestHTTPStatsJSONKeys(t *testing.T) {
 	ts, _ := newHTTPServer(t)
 	resp := postJSON(t, ts.URL+"/sample", service.SampleHTTPRequest{Formula: hardDIMACS, N: 2, Seed: 3})
@@ -115,6 +116,10 @@ func TestHTTPStatsJSONKeys(t *testing.T) {
 		block any
 		want  []string
 	}{
+		{"/stats", stats, []string{"hits", "misses", "evictions", "size", "capacity", "formulas",
+			"store", "admission", "outcomes", "solver", "prepare", "delta", "state"}},
+		{"/stats delta", stats["delta"], []string{"requests", "served", "unknown_base",
+			"pool_hits", "pool_misses", "pool_retired", "pool_idle"}},
 		{"/stats solver", stats["solver"], totals},
 		{"/stats prepare", stats["prepare"], totals},
 		{"/sample stats", sample["stats"], []string{"rounds", "samples", "failures", "bsat_calls",

@@ -196,7 +196,6 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 		return []obs.Sample{
 			{LabelValues: []string{"served"}, Value: float64(s.delta.served.Load())},
 			{LabelValues: []string{"unknown_base"}, Value: float64(s.delta.unknownBase.Load())},
-			{LabelValues: []string{"diverged"}, Value: float64(s.delta.diverged.Load())},
 		}
 	})
 	r.CollectCounters("unigen_session_pool_events_total", "Session-pool check-out/check-in events by kind across all per-base pools.", []string{"event"}, func() []obs.Sample {

@@ -75,9 +75,9 @@ func (p *sessionPool) checkout(n int) []*pooledSession {
 }
 
 // checkin returns sessions to the pool after scrubbing request state.
-// doomed (nil-safe, indexed like ps) marks sessions a sampling round
-// panicked on; those are retired. Overflow beyond the idle cap is
-// retired too — the solver is just garbage then.
+// doomed (nil-safe, indexed like ps) marks sessions a sampling round or
+// a conditioned build panicked on; those are retired. Overflow beyond
+// the idle cap is retired too — the solver is just garbage then.
 func (p *sessionPool) checkin(ps []*pooledSession, doomed []bool) {
 	for i, s := range ps {
 		if doomed != nil && i < len(doomed) && doomed[i] {
@@ -98,13 +98,6 @@ func (p *sessionPool) checkin(ps []*pooledSession, doomed []bool) {
 		p.mu.Unlock()
 		p.tot.retired.Add(1)
 	}
-}
-
-// retire drops one checked-out session without re-pooling it — the
-// path for sessions whose state is unknown (e.g. a preparation flight
-// unwound past them by panic).
-func (p *sessionPool) retire(ps *pooledSession) {
-	p.tot.retired.Add(1)
 }
 
 // poolFor returns prep's session pool, building it on first use.

@@ -97,11 +97,6 @@ type Config struct {
 	// SessionPool caps idle pooled sessions kept per base formula
 	// (default 8). Check-ins beyond the cap retire the session.
 	SessionPool int
-	// DeltaQWindow is the divergence window: a conditioned hash width
-	// further than this from the base's q promotes the delta entry to a
-	// first-class formula with its own sessions (default 3; negative
-	// promotes every non-easy delta).
-	DeltaQWindow int
 
 	// Persistent store (DESIGN §12). When StoreDir is set the RAM LRU
 	// grows a disk tier: preparation flights first try to rehydrate an
@@ -267,10 +262,7 @@ func New(cfg Config) (*Service, error) {
 			s.met.prepares.With("error").Inc()
 		case p.fromDisk:
 			s.met.prepares.With("disk_hit").Inc()
-		case p.delta && p.diverged:
-			s.met.prepares.With("delta_diverged").Inc()
-			s.prep.add(p.prepStats)
-		case p.delta:
+		case p.base != nil:
 			s.met.prepares.With("delta").Inc()
 			s.prep.add(p.prepStats)
 		default:
@@ -457,14 +449,10 @@ type formulaSrc struct {
 // present reports whether the request named a formula at all.
 func (src formulaSrc) present() bool { return src.f != nil || src.hit }
 
-// prepare fetches the prepared formula through the two-tier lookup
-// (DESIGN §12): RAM LRU hit → disk hit + rehydrate → cold prepare,
-// with single-flight preserved across both lower tiers — concurrent
-// misses for one key share a single flight, and that flight probes the
-// disk exactly once before paying for a cold NewSetup. psp (nil-safe)
-// is the request's prepare span; the flight hangs its store phase
-// under it. A memo hit brings its fingerprint along, so a cache hit
-// neither parses nor fingerprints.
+// prepare fetches the prepared formula through the flight (DESIGN
+// §12). psp (nil-safe) is the request's prepare span. A memo hit
+// brings its fingerprint along, so a cache hit neither parses nor
+// fingerprints.
 func (s *Service) prepare(ctx context.Context, src formulaSrc, psp *obs.Span) (*prepared, bool, error) {
 	if !src.present() {
 		return nil, false, fmt.Errorf("%w: nil formula", ErrInvalidRequest)
@@ -476,30 +464,15 @@ func (s *Service) prepare(ctx context.Context, src formulaSrc, psp *obs.Span) (*
 			s.memo.put(src.key, fp)
 		}
 	}
-	key := s.cacheKey(fp)
-	return s.cache.get(ctx, key, func(intr *atomic.Bool) func() (*prepared, error) {
-		// Synchronous part, on the missing requester: clone the formula
-		// so the flight (which may outlive this request) never shares
-		// memory the caller could mutate. Hits never reach this; a memo
-		// hit has no formula, and the flight parses its text only if
-		// the disk tier misses too.
+	return s.flight(ctx, fp, psp, nil, nil, func() build {
+		// Clone the formula so the flight (which may outlive this
+		// request) never shares memory the caller could mutate. A memo
+		// hit has no formula; the build parses its text.
 		var g *cnf.Formula
 		if src.f != nil {
 			g = src.f.Clone()
 		}
-		return func() (*prepared, error) {
-			// Preparation wall-clock budget: the timer raises the same
-			// interrupt flag abandonment uses, so a runaway ApproxMC
-			// setup stops consuming CPU at the deadline; timedOut
-			// distinguishes the two for the error mapping.
-			var timedOut atomic.Bool
-			if pt := s.cfg.PrepareTimeout; pt > 0 {
-				t := time.AfterFunc(pt, func() {
-					timedOut.Store(true)
-					intr.Store(true)
-				})
-				defer t.Stop()
-			}
+		return func(intr *atomic.Bool) (*core.Setup, error) {
 			// Chaos injection: a slow preparation (stall honors the
 			// flight interrupt) and a preparation crash (recovered at
 			// the flight boundary in prepCache.get).
@@ -507,23 +480,6 @@ func (s *Service) prepare(ctx context.Context, src formulaSrc, psp *obs.Span) (*
 				return nil, err
 			}
 			_ = faultpoint.Fire(faultpoint.PreparePanic)
-
-			// Disk tier: a valid entry rehydrates in microseconds with
-			// zero solver work. Any defect — bad frame, decode failure,
-			// wrong fingerprint — quarantines the entry and falls
-			// through to a cold prepare; the store path can degrade but
-			// never fail a request.
-			if s.store != nil {
-				ssp := psp.StartSpan("store")
-				if p, ok := s.rehydrate(key, fp); ok {
-					ssp.SetInt("hit", 1)
-					ssp.End()
-					return p, nil
-				}
-				ssp.SetInt("hit", 0)
-				ssp.End()
-			}
-
 			if g == nil {
 				// The same bytes parsed before the memo entry was
 				// written, so this parse succeeds.
@@ -540,27 +496,93 @@ func (s *Service) prepare(ctx context.Context, src formulaSrc, psp *obs.Span) (*
 					GaussJordan:     s.cfg.GaussJordan,
 					// The cache raises intr when every requester has
 					// abandoned the flight; an unbudgeted preparation
-					// must not outlive all interest in it. The
-					// PrepareTimeout timer above raises the same flag.
+					// must not outlive all interest in it.
 					Interrupt: intr,
 				},
 			})
 			if err != nil {
-				if timedOut.Load() {
-					return nil, fmt.Errorf("%w: preparation exceeded %v: %v", ErrDeadline, s.cfg.PrepareTimeout, err)
-				}
 				return nil, err
 			}
 			// The service builds sessions exclusively through
 			// NewSessionWith; drop the setup-phase spare solver instead
 			// of pinning one dead solver per cached formula.
 			su.ReleaseSpare()
+			return su, nil
+		}
+	})
+}
+
+// build is a flight's cold path: it derives the setup under intr, the
+// flight's interrupt, which the PrepareTimeout timer and the last
+// waiter's abandonment raise.
+type build func(intr *atomic.Bool) (*core.Setup, error)
+
+// flight fetches fp's prepared entry through the two-tier lookup
+// (DESIGN §12) that formula, delta-base and conditioned-delta requests
+// share: a RAM hit serves; concurrent misses for one key share one
+// flight, which probes the disk tier under a store child of sp (nil-
+// safe) and, when that misses, runs the build begin returns under the
+// PrepareTimeout budget and persists its setup write-behind. begin
+// runs synchronously on the missing requester, so the hit path pays
+// nothing for it; a nil begin makes a disk miss ErrUnknownBase. A
+// non-nil base makes the entry, rehydrated or built, a delta of base
+// under assumps before the cache publishes it (DESIGN §13).
+func (s *Service) flight(ctx context.Context, fp [32]byte, sp *obs.Span, base *prepared, assumps []cnf.Lit, begin func() build) (*prepared, bool, error) {
+	key := s.cacheKey(fp)
+	return s.cache.get(ctx, key, func(intr *atomic.Bool) func() (*prepared, error) {
+		var run build
+		if begin != nil {
+			run = begin()
+		}
+		return func() (*prepared, error) {
+			// Disk tier: a valid entry rehydrates in microseconds with
+			// zero solver work. Any defect — bad frame, decode failure,
+			// wrong fingerprint — quarantines the entry and falls
+			// through to the build; the store path can degrade but
+			// never fail a request.
+			if s.store != nil {
+				ssp := sp.StartSpan("store")
+				p, ok := s.rehydrate(key, fp)
+				ssp.SetInt("hit", boolInt(ok))
+				ssp.End()
+				if ok {
+					p.base, p.assumps = base, assumps
+					return p, nil
+				}
+			}
+			if run == nil {
+				return nil, fmt.Errorf("%w: %x", ErrUnknownBase, fp)
+			}
+			// Preparation wall-clock budget: the timer raises the same
+			// interrupt flag abandonment uses, so a runaway setup stops
+			// consuming CPU at the deadline; timedOut distinguishes the
+			// two for the error mapping.
+			var timedOut atomic.Bool
+			if pt := s.cfg.PrepareTimeout; pt > 0 {
+				t := time.AfterFunc(pt, func() {
+					timedOut.Store(true)
+					intr.Store(true)
+				})
+				defer t.Stop()
+			}
+			su, err := run(intr)
+			if err != nil {
+				if timedOut.Load() {
+					return nil, fmt.Errorf("%w: preparation exceeded %v: %v", ErrDeadline, s.cfg.PrepareTimeout, err)
+				}
+				return nil, err
+			}
 			p := &prepared{
 				setup:       su,
 				prepStats:   su.SetupStats(),
 				key:         key,
 				fingerprint: hex.EncodeToString(fp[:]),
+				base:        base,
+				assumps:     assumps,
 			}
+			// After a restart the entry rehydrates; a conditioned one
+			// serves a delta request as the delta it was and a
+			// full-formula request as a plain formula entry.
 			s.persist(p)
 			return p, nil
 		}
@@ -695,12 +717,12 @@ func (s *Service) sample(ctx context.Context, req SampleRequest, src formulaSrc)
 	if workers > maxRequestWorkers {
 		workers = maxRequestWorkers
 	}
-	// Non-diverged delta entries sample through their base's session
-	// pool: warm solvers with the assumptions installed as standing
-	// Solve literals, no session build at all. Easy conditioned setups
-	// never touch a solver (index picks over the stored witness list),
-	// so they skip the checkout. Everything else — plain formulas,
-	// diverged deltas — builds per-request sessions as before.
+	// Delta entries sample through their base's session pool: warm
+	// solvers with the assumptions installed as standing Solve
+	// literals, no session build at all. Easy conditioned setups never
+	// touch a solver (index picks over the stored witness list), so
+	// they skip the checkout. Plain formulas build per-request
+	// sessions.
 	var eng *parallel.Engine
 	var leased []*pooledSession
 	var pool *sessionPool

@@ -202,8 +202,8 @@ func TestStoreFinishedCountSurvivesRestart(t *testing.T) {
 // the conjoined entry an earlier delta persisted instead of re-running
 // the conditioned setup, and serves it as the delta it was: the same
 // witnesses, one store hit for the base and one for the conditioned
-// entry, no preparation in the new lifetime, and /stats naming the
-// base.
+// entry, each a store span under the request's delta span, no
+// preparation in the new lifetime, and /stats naming the base.
 func TestStoreDeltaEntryRehydrates(t *testing.T) {
 	dir := t.TempDir()
 	h1, svc1 := memoHandler(t, service.Config{StoreDir: dir})
@@ -217,6 +217,7 @@ func TestStoreDeltaEntryRehydrates(t *testing.T) {
 
 	h2, svc2 := memoHandler(t, service.Config{StoreDir: dir})
 	t.Cleanup(func() { closeSvc(t, svc2) })
+	req.Trace = true
 	again := sampleOK(t, h2, req)
 	if !again.Delta || again.CacheHit || again.Fingerprint != first.Fingerprint {
 		t.Fatalf("after the restart: delta %v, cache hit %v, fingerprint %s; want a delta RAM miss for %s",
@@ -234,6 +235,20 @@ func TestStoreDeltaEntryRehydrates(t *testing.T) {
 	}
 	if fs := formulaStats(t, svc2, again.Fingerprint); !fs.Delta || fs.Base != baseFP {
 		t.Fatalf("rehydrated conditioned entry %+v, want a delta of %s", fs, baseFP)
+	}
+	var stores []map[string]int64
+	for _, c := range again.Trace.Children {
+		if c.Name != "delta" {
+			continue
+		}
+		for _, d := range c.Children {
+			if d.Name == "store" {
+				stores = append(stores, d.Counters)
+			}
+		}
+	}
+	if len(stores) != 2 || stores[0]["hit"] != 1 || stores[1]["hit"] != 1 {
+		t.Fatalf("store spans under delta %v, want two hits (base, conditioned entry); trace %v", stores, again.Trace)
 	}
 }
 

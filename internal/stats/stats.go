@@ -1,23 +1,13 @@
 // Package stats provides the statistical machinery behind the paper's
-// uniformity evaluation: occurrence histograms (the Figure 1 series),
-// total-variation distance, and a chi-square uniformity test.
+// uniformity evaluation: occurrence histograms (the Figure 1 series)
+// and the total-variation distance between two empirical
+// distributions.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// CountOccurrences tallies how many times each witness key appears in a
-// sample stream.
-func CountOccurrences(keys []string) map[string]int {
-	out := make(map[string]int, len(keys))
-	for _, k := range keys {
-		out[k]++
-	}
-	return out
-}
 
 // Point is one (x, y) pair of a histogram series.
 type Point struct {
@@ -27,8 +17,8 @@ type Point struct {
 
 // OccurrenceHistogram converts per-witness counts into the Figure 1
 // series: for each occurrence count x, the number of distinct witnesses
-// generated exactly x times. Witnesses never generated are NOT included
-// (pass totalWitnesses to AddZeroClass to account for them).
+// generated exactly x times. Witnesses never generated are not
+// included.
 func OccurrenceHistogram(counts map[string]int) []Point {
 	freq := map[int]int{}
 	for _, c := range counts {
@@ -44,33 +34,6 @@ func OccurrenceHistogram(counts map[string]int) []Point {
 		out[i] = Point{X: x, Y: freq[x]}
 	}
 	return out
-}
-
-// AddZeroClass prepends the x=0 point for witnesses that were never
-// generated, given the total size of the witness space.
-func AddZeroClass(hist []Point, counts map[string]int, totalWitnesses int) []Point {
-	missing := totalWitnesses - len(counts)
-	if missing <= 0 {
-		return hist
-	}
-	return append([]Point{{X: 0, Y: missing}}, hist...)
-}
-
-// TVDFromUniform computes the total-variation distance between the
-// empirical distribution (counts over n samples) and the uniform
-// distribution over numCells cells. Cells never observed contribute
-// their full uniform mass.
-func TVDFromUniform(counts map[string]int, n, numCells int) float64 {
-	if n == 0 || numCells == 0 {
-		return 0
-	}
-	u := 1.0 / float64(numCells)
-	tvd := 0.0
-	for _, c := range counts {
-		tvd += math.Abs(float64(c)/float64(n) - u)
-	}
-	tvd += float64(numCells-len(counts)) * u // unobserved cells
-	return tvd / 2
 }
 
 // TVDBetween computes the total-variation distance between two
@@ -91,57 +54,4 @@ func TVDBetween(a, b map[string]int, na, nb int) float64 {
 		tvd += math.Abs(float64(a[k])/float64(na) - float64(b[k])/float64(nb))
 	}
 	return tvd / 2
-}
-
-// ChiSquareUniform returns the chi-square statistic and degrees of
-// freedom for the hypothesis that counts (over n samples) are drawn
-// uniformly from numCells cells.
-func ChiSquareUniform(counts map[string]int, n, numCells int) (stat float64, df int, err error) {
-	if numCells <= 1 {
-		return 0, 0, fmt.Errorf("stats: need at least 2 cells, got %d", numCells)
-	}
-	expected := float64(n) / float64(numCells)
-	if expected < 5 {
-		return 0, 0, fmt.Errorf("stats: expected cell count %.2f < 5; increase samples", expected)
-	}
-	observed := 0
-	for _, c := range counts {
-		d := float64(c) - expected
-		stat += d * d / expected
-		observed++
-	}
-	// Unobserved cells each contribute expected.
-	stat += float64(numCells-observed) * expected
-	return stat, numCells - 1, nil
-}
-
-// ChiSquareCritical999 approximates the 99.9th percentile of the
-// chi-square distribution with df degrees of freedom via the
-// Wilson–Hilferty transform; adequate for the df ≫ 1 regime the
-// uniformity tests run in.
-func ChiSquareCritical999(df int) float64 {
-	const z = 3.0902 // 99.9th percentile of N(0,1)
-	k := float64(df)
-	t := 1 - 2/(9*k) + z*math.Sqrt(2/(9*k))
-	return k * t * t * t
-}
-
-// MeanStd returns the sample mean and standard deviation.
-func MeanStd(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	for _, x := range xs {
-		d := x - mean
-		std += d * d
-	}
-	std = math.Sqrt(std / float64(len(xs)-1))
-	return mean, std
 }

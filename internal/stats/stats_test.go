@@ -3,16 +3,7 @@ package stats
 import (
 	"math"
 	"testing"
-
-	"unigen/internal/randx"
 )
-
-func TestCountOccurrences(t *testing.T) {
-	c := CountOccurrences([]string{"a", "b", "a", "a"})
-	if c["a"] != 3 || c["b"] != 1 {
-		t.Fatalf("counts = %v", c)
-	}
-}
 
 func TestOccurrenceHistogram(t *testing.T) {
 	counts := map[string]int{"a": 3, "b": 1, "c": 1, "d": 3}
@@ -22,34 +13,6 @@ func TestOccurrenceHistogram(t *testing.T) {
 	}
 	if h[0] != (Point{1, 2}) || h[1] != (Point{3, 2}) {
 		t.Fatalf("histogram = %v", h)
-	}
-}
-
-func TestAddZeroClass(t *testing.T) {
-	counts := map[string]int{"a": 2}
-	h := AddZeroClass(OccurrenceHistogram(counts), counts, 5)
-	if h[0] != (Point{0, 4}) {
-		t.Fatalf("histogram = %v", h)
-	}
-	// No zero class when all witnesses observed.
-	h2 := AddZeroClass(OccurrenceHistogram(counts), counts, 1)
-	if len(h2) != 1 {
-		t.Fatalf("histogram = %v", h2)
-	}
-}
-
-func TestTVDUniformPerfect(t *testing.T) {
-	counts := map[string]int{"a": 25, "b": 25, "c": 25, "d": 25}
-	if tvd := TVDFromUniform(counts, 100, 4); tvd != 0 {
-		t.Fatalf("tvd = %v, want 0", tvd)
-	}
-}
-
-func TestTVDUniformSkewed(t *testing.T) {
-	counts := map[string]int{"a": 100}
-	tvd := TVDFromUniform(counts, 100, 4)
-	if math.Abs(tvd-0.75) > 1e-12 {
-		t.Fatalf("tvd = %v, want 0.75", tvd)
 	}
 }
 
@@ -65,69 +28,5 @@ func TestTVDBetweenDisjoint(t *testing.T) {
 	b := map[string]int{"y": 10}
 	if tvd := TVDBetween(a, b, 10, 10); math.Abs(tvd-1) > 1e-12 {
 		t.Fatalf("tvd = %v, want 1", tvd)
-	}
-}
-
-func TestChiSquareUniformSamples(t *testing.T) {
-	rng := randx.New(3)
-	const cells = 64
-	const n = 64 * 100
-	counts := map[string]int{}
-	for i := 0; i < n; i++ {
-		counts[string(rune('A'+rng.Intn(cells)))]++
-	}
-	stat, df, err := ChiSquareUniform(counts, n, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if df != cells-1 {
-		t.Fatalf("df = %d", df)
-	}
-	if crit := ChiSquareCritical999(df); stat > crit {
-		t.Fatalf("uniform sample rejected: stat %.1f > crit %.1f", stat, crit)
-	}
-}
-
-func TestChiSquareDetectsSkew(t *testing.T) {
-	const cells = 16
-	const n = 1600
-	counts := map[string]int{}
-	// Half the mass on one cell.
-	counts["hot"] = n / 2
-	per := n / 2 / (cells - 1)
-	for i := 1; i < cells; i++ {
-		counts[string(rune('A'+i))] = per
-	}
-	stat, df, err := ChiSquareUniform(counts, n, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crit := ChiSquareCritical999(df); stat <= crit {
-		t.Fatalf("skewed sample accepted: stat %.1f <= crit %.1f", stat, crit)
-	}
-}
-
-func TestChiSquareErrors(t *testing.T) {
-	if _, _, err := ChiSquareUniform(nil, 10, 1); err == nil {
-		t.Fatal("1 cell accepted")
-	}
-	if _, _, err := ChiSquareUniform(nil, 10, 100); err == nil {
-		t.Fatal("tiny expected count accepted")
-	}
-}
-
-func TestMeanStd(t *testing.T) {
-	m, s := MeanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(m-5) > 1e-12 {
-		t.Fatalf("mean = %v", m)
-	}
-	if math.Abs(s-2.138) > 0.01 {
-		t.Fatalf("std = %v", s)
-	}
-	if m, s := MeanStd(nil); m != 0 || s != 0 {
-		t.Fatal("empty input")
-	}
-	if _, s := MeanStd([]float64{3}); s != 0 {
-		t.Fatal("single input std")
 	}
 }

@@ -130,76 +130,16 @@ func (s *Service) Close(ctx context.Context) error { return s.inner.Close(ctx) }
 // routing new work here if you can), or "draining" (shutting down).
 func (s *Service) Health() string { return string(s.inner.Health()) }
 
-// ServiceStats is a snapshot of the prepared-formula cache, the
-// admission gate, and per-outcome request counters.
-type ServiceStats struct {
-	Hits      int64 // requests that found a cached (or in-flight) preparation
-	Misses    int64 // requests that started a preparation
-	Evictions int64
-	Size      int // formulas currently cached
-	Capacity  int
-	Formulas  []ServiceFormulaStats // most recently used first
+// ServiceStats is the snapshot GET /stats encodes: the prepared-formula
+// cache with its per-formula counters, the persistent store, the
+// admission gate, per-outcome request totals, cumulative solver work,
+// the delta-session block and the health state.
+type ServiceStats = service.Stats
 
-	Store     service.StoreStats     // persistent disk tier (zero when disabled)
-	Admission service.AdmissionStats // concurrency gate snapshot
-	Outcomes  service.OutcomeStats   // finished requests by outcome
-	Solver    service.SolverTotals   // cumulative solver work of finished sampling
-	Prepare   service.SolverTotals   // cumulative solver work of preparation flights
-	Delta     service.DeltaStats     // delta requests and the session-pool fleet
-	State     string                 // "ok" | "overloaded" | "draining"
-}
-
-// ServiceFormulaStats are per-formula request counters.
-type ServiceFormulaStats struct {
-	Fingerprint string
-	EasyCase    bool // prepared by exact enumeration, no ApproxMC
-	Requests    int64
-	Samples     int64
-	Counts      int64
-	// Delta marks entries prepared from a base under assumptions; Base
-	// is the base's fingerprint (empty for promoted diverged deltas).
-	Delta bool
-	Base  string
-	// SamplingVars is the size of the declared sampling set, HashVars
-	// the size of the hash set sampling hashes over (the sampling
-	// variables the others do not define), and Q the hash width (0 in
-	// the easy case).
-	SamplingVars int
-	HashVars     int
-	Q            int
-}
+// ServiceFormulaStats are one cached formula's request counters, its
+// delta base (if any), and the sizes of its sampling and hash sets with
+// its hash width.
+type ServiceFormulaStats = service.FormulaStats
 
 // Stats snapshots the cache and per-formula counters.
-func (s *Service) Stats() ServiceStats {
-	st := s.inner.Stats()
-	out := ServiceStats{
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Evictions: st.Evictions,
-		Size:      st.Size,
-		Capacity:  st.Capacity,
-		Store:     st.Store,
-		Admission: st.Admission,
-		Outcomes:  st.Outcomes,
-		Solver:    st.Solver,
-		Prepare:   st.Prepare,
-		Delta:     st.Delta,
-		State:     string(st.State),
-	}
-	for _, f := range st.Formulas {
-		out.Formulas = append(out.Formulas, ServiceFormulaStats{
-			Fingerprint: f.Fingerprint,
-			EasyCase:    f.EasyCase,
-			Requests:    f.Requests,
-			Samples:     f.Samples,
-			Counts:      f.Counts,
-			Delta:       f.Delta,
-			Base:        f.Base,
-
-			SamplingVars: f.SamplingVars,
-			HashVars:     f.HashVars,
-			Q:            f.Q,
-		})
-	}
-	return out
-}
+func (s *Service) Stats() ServiceStats { return s.inner.Stats() }

@@ -6,7 +6,8 @@
 //	                                     sample, but compile time/size
 //	                                     blows up with circuit depth
 //	BenchmarkBaselineMCMC              – §3's MCMC sampler
-//	BenchmarkSimplify                  – preprocessing throughput
+//	BenchmarkSubstrateGauss            – the solver's Gauss–Jordan pass
+//	                                     over a dense XOR system
 package unigen
 
 import (
@@ -20,7 +21,6 @@ import (
 	"unigen/internal/bsat"
 	"unigen/internal/randx"
 	"unigen/internal/sat"
-	"unigen/internal/simplify"
 )
 
 // BenchmarkAblationPriorityBranching measures witness enumeration with
@@ -113,23 +113,6 @@ func BenchmarkBaselineMCMC(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(ok)/float64(b.N), "convergence")
-}
-
-// BenchmarkSimplify measures preprocessing on a parity-rich instance.
-func BenchmarkSimplify(b *testing.B) {
-	inst, err := benchgen.Generate("s526_15_7", benchgen.ScaleSmall, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Expand the instance's XORs to CNF first so recovery has work to do.
-	plain := inst.F.Clone()
-	// (Instances carry native XORs already; simplification still
-	// exercises subsumption and unit propagation.)
-	for i := 0; i < b.N; i++ {
-		if _, err := simplify.Simplify(plain, simplify.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkSubstrateGauss measures the Gauss-Jordan preprocessing pass

@@ -15,7 +15,7 @@ import (
 
 // Setup codec: the versioned, checksummed binary encoding behind the
 // persistent prepared-formula store (DESIGN §12). Encode serializes
-// everything lines 1–11 of Algorithm 1 derive — the simplified formula,
+// the formula and everything lines 1–11 of Algorithm 1 derive from it —
 // sampling set, hash set, κ/pivot, the easy-case witness list, the
 // ApproxMC estimate C or the state of the run that will finish it, the
 // candidate endpoint q, and the setup-phase stats — so a later process

@@ -328,6 +328,59 @@ func TestDeltaSingleFlight(t *testing.T) {
 	}
 }
 
+// TestFormulaJoinsLookupOnlyFlight: a formula request that joins the
+// lookup-only flight a delta request started for the same fingerprint
+// (the base was not prepared, so that flight has no build) must not
+// inherit its ErrUnknownBase: it carried the formula, so it prepares
+// it, and gets the witnesses a cold prepare gives.
+func TestFormulaJoinsLookupOnlyFlight(t *testing.T) {
+	ts, svc := newHTTPServer(t)
+	release, lookup := service.HoldLookupFlight(svc, hardFormula())
+
+	const seed, n = 515, 3
+	type result struct {
+		res *service.SampleResult
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		res, err := svc.Sample(context.Background(), service.SampleRequest{Formula: hardFormula(), N: n, Seed: seed})
+		got <- result{res, err}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.Stats().Hits != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the formula request never joined the lookup flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	if err := <-lookup; !errors.Is(err, service.ErrUnknownBase) {
+		t.Fatalf("lookup flight: %v, want ErrUnknownBase", err)
+	}
+	r := <-got
+	if r.err != nil {
+		t.Fatalf("formula request: %v", r.err)
+	}
+
+	cold, err := newService(t, service.Config{}).Sample(context.Background(), service.SampleRequest{Formula: hardFormula(), N: n, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := projectAll(t, r.res), projectAll(t, cold); !reflect.DeepEqual(got, want) {
+		t.Fatalf("witnesses %v, cold prepare %v", got, want)
+	}
+	if st := svc.Stats(); st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("hits/misses %d/%d, want 1/2 (the join, then the lookup and the build)", st.Hits, st.Misses)
+	}
+	fams := scrape(t, ts.URL)
+	for _, res := range []string{"unknown_base", "ok"} {
+		if got := mustValue(t, fams, "unigen_prepare_flights_total", "unigen_prepare_flights_total", "result", res); got != 1 {
+			t.Fatalf("flights{result=%q} = %v, want 1", res, got)
+		}
+	}
+}
+
 // TestChaosDeltaPooledSessionHygiene is the pooled-session bugfix
 // regression: a delta request whose conditioned preparation is stalled
 // (SolverStall) and abandoned at its client deadline leaves behind a

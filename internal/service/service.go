@@ -1,8 +1,8 @@
 // Package service is the sampling-as-a-service layer over the UniGen
 // core: a canonical formula fingerprint (normalized DIMACS → SHA-256,
 // see cnf.Fingerprint), an LRU cache of prepared formulas — the
-// once-per-formula core.Setup holding the simplified easy-case witness
-// list or the ApproxMC estimate with κ/pivot — with single-flight
+// once-per-formula core.Setup holding the easy-case witness list or
+// the ApproxMC estimate with κ/pivot — with single-flight
 // preparation, and a request scheduler that multiplexes sample and
 // count jobs over the parallel engine with per-request seeds, budgets,
 // and context cancellation.
@@ -527,9 +527,15 @@ type build func(intr *atomic.Bool) (*core.Setup, error)
 // nothing for it; a nil begin makes a disk miss ErrUnknownBase. A
 // non-nil base makes the entry, rehydrated or built, a delta of base
 // under assumps before the cache publishes it (DESIGN §13).
+//
+// A requester with a build may join a lookup-only flight for the same
+// key (a delta request naming this formula's fingerprint before it is
+// prepared). That flight's ErrUnknownBase is not this requester's
+// answer: the cache has unlinked the failed flight, so the requester
+// looks again and starts a flight that can build, or joins one.
 func (s *Service) flight(ctx context.Context, fp [32]byte, sp *obs.Span, base *prepared, assumps []cnf.Lit, begin func() build) (*prepared, bool, error) {
 	key := s.cacheKey(fp)
-	return s.cache.get(ctx, key, func(intr *atomic.Bool) func() (*prepared, error) {
+	body := func(intr *atomic.Bool) func() (*prepared, error) {
 		var run build
 		if begin != nil {
 			run = begin()
@@ -586,7 +592,13 @@ func (s *Service) flight(ctx context.Context, fp [32]byte, sp *obs.Span, base *p
 			s.persist(p)
 			return p, nil
 		}
-	})
+	}
+	for {
+		p, hit, err := s.cache.get(ctx, key, body)
+		if begin == nil || !hit || !errors.Is(err, ErrUnknownBase) {
+			return p, hit, err
+		}
+	}
 }
 
 // persist queues p's encoded setup for the disk tier under its key

@@ -1,51 +1,6 @@
 package unigen
 
-import (
-	"unigen/internal/indsupport"
-	"unigen/internal/simplify"
-)
-
-// SimplifyOptions configures CNF preprocessing.
-type SimplifyOptions struct {
-	// BVE enables bounded variable elimination of variables outside the
-	// sampling set (satisfiability- and projection-preserving).
-	BVE bool
-	// NoXORRecovery disables the detection of CNF-encoded parity
-	// constraints and their conversion to native XOR clauses.
-	NoXORRecovery bool
-}
-
-// SimplifyStats reports what the preprocessor did.
-type SimplifyStats struct {
-	UnitsFixed     int
-	Subsumed       int
-	SelfSubsumed   int
-	VarsEliminated int
-	XORsRecovered  int
-}
-
-// Simplify preprocesses a formula (top-level unit propagation,
-// subsumption, self-subsuming resolution, XOR recovery, and optionally
-// bounded variable elimination) and returns the simplified copy. The
-// input formula is not modified. Sampling over the simplified formula
-// is equivalent to sampling over the original, projected on the
-// sampling set.
-func Simplify(f *Formula, opts SimplifyOptions) (*Formula, SimplifyStats, error) {
-	res, err := simplify.Simplify(f, simplify.Options{
-		BVE:           opts.BVE,
-		NoXORRecovery: opts.NoXORRecovery,
-	})
-	if err != nil {
-		return nil, SimplifyStats{}, err
-	}
-	return res.F, SimplifyStats{
-		UnitsFixed:     res.UnitsFixed,
-		Subsumed:       res.Subsumed,
-		SelfSubsumed:   res.SelfSubsumed,
-		VarsEliminated: res.VarsEliminated,
-		XORsRecovered:  res.XORsRecovered,
-	}, nil
-}
+import "unigen/internal/indsupport"
 
 // IsIndependentSupport reports whether s is an independent support of
 // f: whether the values of s determine the values of every other

@@ -2,38 +2,12 @@ package unigen
 
 import (
 	"errors"
+	"math/big"
 	"testing"
 
 	"unigen/internal/benchgen"
 	"unigen/internal/indsupport"
 )
-
-func TestSimplifyPublicAPI(t *testing.T) {
-	f := NewFormula(3)
-	f.AddClause(1, 2, 3)
-	f.AddClause(1, -2, -3)
-	f.AddClause(-1, 2, -3)
-	f.AddClause(-1, -2, 3)
-	g, st, err := Simplify(f, SimplifyOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.XORsRecovered != 1 || len(g.XORs) != 1 {
-		t.Fatalf("stats = %+v, xors = %d", st, len(g.XORs))
-	}
-	// Sampling still works on the simplified formula.
-	s, err := NewSampler(g, Options{Epsilon: 6, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := s.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !w.Satisfies(g) || !w.Satisfies(f) {
-		t.Fatal("witness invalid after simplification")
-	}
-}
 
 func TestIndependentSupportPublicAPI(t *testing.T) {
 	f := NewFormula(3)
@@ -62,8 +36,7 @@ func TestIndependentSupportPublicAPI(t *testing.T) {
 }
 
 func TestEndToEndPipeline(t *testing.T) {
-	// The full downstream workflow: parse → simplify → verify support →
-	// sample → count.
+	// The full downstream workflow: parse → sample → count.
 	src := `c ind 1 2 3 4 0
 p cnf 6 6
 1 2 5 0
@@ -77,11 +50,7 @@ x1 2 6 0
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := Simplify(f, SimplifyOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSampler(g, Options{Epsilon: 6, Seed: 9})
+	s, err := NewSampler(f, Options{Epsilon: 6, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +59,18 @@ x1 2 6 0
 		t.Fatal(err)
 	}
 	for _, w := range ws {
-		if !w.Satisfies(g) {
+		if !w.Satisfies(f) {
 			t.Fatal("invalid witness")
 		}
+	}
+	// x4 is forced, x3 is free, and each of the four (x1, x2) pairs
+	// extends to a model.
+	n, err := ExactProjectedCount(f, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Cmp(big.NewInt(8)) != 0 {
+		t.Fatalf("projected count = %v, want 8", n)
 	}
 }
 

@@ -9,14 +9,20 @@
 // sampling purposes, and short blocking clauses keep the solver fast.
 //
 // Two entry points are provided. Enumerate is the stateless call: it
-// builds a solver, enumerates, and throws the solver away. Session is
-// the incremental engine behind a whole sampling or counting run: the
-// base formula is loaded once, hash XOR rows and per-cell blocking
-// clauses are installed as removable constraints (activation literals
-// passed to Solve as assumptions), and learned clauses survive from one
-// BSAT call to the next. UniGen issues thousands of BSAT calls per
-// session, so not re-ingesting the formula and not discarding the
-// learned-clause database on every call is the dominant hot-path win.
+// builds a solver, enumerates with one Solve per witness, and throws
+// the solver away; it is the reference that baselines and tests compare
+// against. Session is the incremental engine behind a whole sampling or
+// counting run: the base formula is loaded once, hash XOR rows and
+// per-cell blocking clauses are installed as removable constraints
+// (activation literals passed as assumptions), and learned clauses
+// survive from one BSAT call to the next. UniGen issues thousands of
+// BSAT calls per session, so not re-ingesting the formula and not
+// discarding the learned-clause database on every call is the dominant
+// hot-path win. Within one call a session enumerates the cell in one
+// search (sat.Solver.Enumerate): after each witness the solver keeps
+// its trail, adds the blocking clause and backjumps only as far as the
+// clause requires, instead of re-propagating the hash rows, the
+// standing assumptions and every decision from level 0.
 package bsat
 
 import (
@@ -125,8 +131,8 @@ func (se *Session) SamplingSet() []cnf.Var { return se.vars }
 
 // SetAssumptions installs standing assumption literals: every subsequent
 // Enumerate solves F ∧ lits ∧ h, i.e. the session temporarily behaves as
-// a session over the conjoined formula. The literals ride each Solve
-// call as plain assumptions — never installed as constraints — so they
+// a session over the conjoined formula. The literals ride each cell's
+// search as plain assumptions — never installed as constraints — so they
 // cost nothing to set or clear, survive rebuilds, and cannot taint the
 // solver. Pass nil to clear. The slice is copied.
 func (se *Session) SetAssumptions(lits []cnf.Lit) {
@@ -145,9 +151,9 @@ func (se *Session) SetInterrupt(intr *atomic.Bool) {
 	se.s.SetInterrupt(intr)
 }
 
-// SetBudgets replaces the per-Solve conflict/propagation budgets on the
-// live solver and on the config used for future rebuilds. Zero means
-// unlimited.
+// SetBudgets replaces the conflict/propagation budgets, which bound the
+// search for each witness, on the live solver and on the config used
+// for future rebuilds. Zero means unlimited.
 func (se *Session) SetBudgets(maxConflicts, maxPropagations int64) {
 	se.cfg.MaxConflicts = maxConflicts
 	se.cfg.MaxPropagations = maxPropagations
@@ -232,7 +238,7 @@ func (m *Members) Len() int {
 //
 // When m is non-nil its list holds known distinct members of the cell.
 // Count counts them and blocks each under the cell's blocking selector
-// before its first Solve, so it enumerates only the rest, and appends
+// before its search, so it enumerates only the rest, and appends
 // the projection of every witness it finds to the list. With n or more
 // known members it returns n without touching the solver. With none,
 // its search is the one Count makes with m nil.
@@ -302,8 +308,8 @@ func (se *Session) enumerate(n int, h *hashfam.Hash, keep bool, m *Members) (int
 			acts = append(acts, sel.Lit())
 		}
 	}
-	// Standing assumptions (delta requests) ride every Solve of the cell
-	// after the hash activation literals; order within a call is fixed,
+	// Standing assumptions (delta requests) ride the cell's search after
+	// the hash activation literals; order within a call is fixed,
 	// so enumeration under a given (hash, assumptions) pair is
 	// deterministic.
 	acts = append(acts, se.base...)
@@ -316,28 +322,26 @@ func (se *Session) enumerate(n int, h *hashfam.Hash, keep bool, m *Members) (int
 		res.Stats = se.s.Stats().Sub(before)
 		return 0, res
 	}
-	var blockSel *sat.Selector // one selector guards every blocking clause of this cell
-	if known > 0 {
-		// Known members are blocked over m.Vars, which determines the
-		// sampling set, so each clause excludes exactly the witnesses
-		// a blocking clause over the sampling set would.
-		blockSel = se.s.NewClauseSelector()
-		sels = append(sels, blockSel)
-		acts = append(acts, blockSel.Lit())
-		for k := 0; k < known*w; k += w {
-			x := m.List[k : k+w]
-			se.blockBuf = se.blockBuf[:0]
-			for c, v := range m.Vars {
-				se.blockBuf = append(se.blockBuf, cnf.MkLit(v, x[c>>6]>>uint(c&63)&1 == 1))
-			}
-			se.s.AddClauseToSelector(blockSel, se.blockBuf)
+	// One selector guards every blocking clause of this cell. It is an
+	// assumption from the first search on, so the assumption prefix
+	// stays fixed while the solver keeps its trail between witnesses.
+	blockSel := se.s.NewClauseSelector()
+	sels = append(sels, blockSel)
+	acts = append(acts, blockSel.Lit())
+	// Known members are blocked over m.Vars, which determines the
+	// sampling set, so each clause excludes exactly the witnesses a
+	// blocking clause over the sampling set would.
+	for k := 0; k < known*w; k += w {
+		x := m.List[k : k+w]
+		se.blockBuf = se.blockBuf[:0]
+		for c, v := range m.Vars {
+			se.blockBuf = append(se.blockBuf, cnf.MkLit(v, x[c>>6]>>uint(c&63)&1 == 1))
 		}
+		se.s.AddClauseToSelector(blockSel, se.blockBuf)
 	}
 	found := known
-loop:
-	for found < n {
-		switch se.s.Solve(acts...) {
-		case sat.Sat:
+	if found < n {
+		st := se.s.Enumerate(blockSel, se.vars, acts, func() bool {
 			found++
 			if keep {
 				// Model length is capped at nv+1 by SetModelBound, so
@@ -354,23 +358,10 @@ loop:
 					}
 				}
 			}
-			se.blockBuf = se.blockBuf[:0]
-			for _, v := range se.vars {
-				se.blockBuf = append(se.blockBuf, cnf.MkLit(v, se.s.ModelValue(v)))
-			}
-			if blockSel == nil {
-				blockSel = se.s.NewClauseSelector()
-				sels = append(sels, blockSel)
-				acts = append(acts, blockSel.Lit())
-			}
-			se.s.AddClauseToSelector(blockSel, se.blockBuf)
-		case sat.Unsat:
-			res.Exhausted = true
-			break loop
-		default:
-			res.BudgetExceeded = true
-			break loop
-		}
+			return found < n
+		})
+		res.Exhausted = st == sat.Unsat
+		res.BudgetExceeded = st == sat.Unknown
 	}
 	se.selCount += len(sels)
 	se.retired = sels
@@ -382,9 +373,10 @@ loop:
 // Enumerate returns up to n witnesses of f (conjoined with opts.Hash if
 // set), pairwise distinct on the sampling set. It is the stateless
 // variant: a throwaway solver with the hash and blocking clauses
-// installed permanently — no guard literals, no assumptions — so its
-// search trajectory (and therefore every seeded baseline and test)
-// matches the pre-session behaviour exactly.
+// installed permanently — no guard literals, no assumptions — and one
+// Solve from level 0 per witness. Its search trajectory depends only
+// on f, n and opts, so seeded baselines and tests repeat exactly; it
+// is not the trajectory of a Session call.
 func Enumerate(f *cnf.Formula, n int, opts Options) Result {
 	vars := opts.SamplingSet
 	if len(vars) == 0 {

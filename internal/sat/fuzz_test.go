@@ -151,13 +151,14 @@ type fuzzSel struct {
 //	2 mask neg       set the standing assumption literals (mask 0 clears them)
 //	3 pick           Release a live selector
 //	4 b              CollectGarbage (b even) or CompactArena (b odd)
-//	5 lo hi          Solve under the live selectors a 16-bit mask picks
+//	5 lo hi          enumerate the cell under the live selectors a 16-bit mask picks
 //
-// Every Solve is checked against BruteForceModels of the base formula
-// ∧ the active constraints ∧ the standing assumptions: the verdict must
-// match, every model must satisfy that formula, and enumerating the
-// rest of the cell under a fresh blocking selector, as bsat.Session
-// does, must yield the oracle's model set projected on S. After every
+// Opcode 5 enumerates the cell as bsat.Session does, in one Enumerate
+// search under a fresh blocking selector, and is checked against
+// BruteForceModels of the base formula ∧ the active constraints ∧ the
+// standing assumptions: every model must satisfy that formula, the
+// projections on S must not repeat and must make up the oracle's set,
+// and the search must end Unsat at decision level 0. After every
 // operation the level-0 trail may hold only base consequences and the
 // free-variable counter must equal a recount. A tainted solver is
 // rebuilt from the base formula, dropping every selector, as bsat does.
@@ -260,10 +261,11 @@ func FuzzSession(f *testing.F) {
 	})
 }
 
-// checkFuzzCell solves under the live selectors mask picks plus the
-// standing assumptions and enumerates the cell to exhaustion under a
-// fresh blocking selector over S, checking the first verdict, every
-// model and the projected model set against brute force.
+// checkFuzzCell enumerates the cell under the live selectors mask picks
+// plus the standing assumptions as bsat.Session does: one Enumerate
+// search under a fresh blocking selector over S. It checks the verdict,
+// every model and the projected model set against brute force, and
+// that Enumerate returns Unsat at decision level 0.
 func checkFuzzCell(t *testing.T, s *Solver, base *cnf.Formula, live []fuzzSel, mask uint16, assumps []cnf.Lit, S []cnf.Var) {
 	t.Helper()
 	conj := base.Clone()
@@ -285,38 +287,23 @@ func checkFuzzCell(t *testing.T, s *Solver, base *cnf.Formula, live []fuzzSel, m
 		want[m.Project(S)] = true
 	}
 	got := map[string]bool{}
-	var blk *Selector
-	for {
-		st := s.Solve(acts...)
-		if st == Unknown {
-			t.Fatalf("Solve returned %v without a budget", st)
-		}
-		if blk == nil && (st == Sat) != (len(want) > 0) {
-			t.Fatalf("verdict %v, brute force finds %d models\n%s", st, len(want), cnf.DIMACSString(conj))
-		}
-		if st == Unsat {
-			break
-		}
+	blk := s.NewClauseSelector()
+	st := s.Enumerate(blk, S, append(acts, blk.Lit()), func() bool {
 		m := s.Model()
 		key := m.Project(S)
 		if !m.Satisfies(conj) || got[key] {
 			t.Fatalf("model %v is a non-model or a repeat\n%s", m, cnf.DIMACSString(conj))
 		}
 		got[key] = true
-		if blk == nil {
-			blk = s.NewClauseSelector()
-			acts = append(acts, blk.Lit())
-		}
-		block := make(cnf.Clause, len(S))
-		for i, v := range S {
-			block[i] = cnf.MkLit(v, m.Get(v))
-		}
-		s.AddClauseToSelector(blk, block)
+		return true
+	})
+	if st != Unsat || s.decisionLevel() != 0 {
+		t.Fatalf("Enumerate returned %v at decision level %d without a budget", st, s.decisionLevel())
 	}
 	if len(got) != len(want) {
 		t.Fatalf("enumerated %d projected models, brute force %d\n%s", len(got), len(want), cnf.DIMACSString(conj))
 	}
-	if blk != nil && !s.Tainted() {
+	if !s.Tainted() {
 		s.Release(blk) // a tainted solver is rebuilt instead
 	}
 }

@@ -323,14 +323,19 @@ func (s *Solver) AddClauseToSelector(sel *Selector, c cnf.Clause) {
 		s.addUnit(sel.act.Not())
 		return
 	}
-	out = append(out, sel.act.Not())
-	// Removable clauses always get arena blocks, even binary ones:
-	// Release needs an address to delete. The generic watch path
-	// handles size-2 arena clauses correctly (the replacement scan is
-	// simply empty).
-	cr := s.ca.alloc(out, false, 0, 0)
+	s.attachSelectorClause(sel, append(out, sel.act.Not()))
+}
+
+// attachSelectorClause stores c, which holds sel's guard literal, as
+// one of sel's clauses, watched on its first two literals. Removable
+// clauses always get arena blocks, even binary ones: Release needs an
+// address to delete. The generic watch path handles size-2 arena
+// clauses correctly (the replacement scan is simply empty).
+func (s *Solver) attachSelectorClause(sel *Selector, c []cnf.Lit) CRef {
+	cr := s.ca.alloc(c, false, 0, 0)
 	sel.cls = append(sel.cls, cr)
 	s.attach(cr)
+	return cr
 }
 
 // AddPackedXORRemovable installs a drawn GF(2) row as a removable

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"slices"
 	"testing"
 
 	"unigen/internal/cnf"
@@ -174,8 +175,8 @@ func TestPhaseSavingRestoresModel(t *testing.T) {
 // Tseitin-style formula whose gate inputs are PriorityVars, a
 // satisfying descent decides the inputs and propagation assigns every
 // gate; the descent must then stop without popping the gates, so they
-// are all still in the order heap when search returns Sat. The first
-// Solve warms the heaps up: it moves the inputs into priOrder.
+// are all still in the order heap when search returns Sat. The
+// descent under test follows a warm-up Solve.
 func TestSatisfyingDescentKeepsHeap(t *testing.T) {
 	// g_i ↔ x_i ∧ x_{i+1} over inputs x1..x4; the gates are 5..7.
 	f := cnf.New(7)
@@ -201,6 +202,28 @@ func TestSatisfyingDescentKeepsHeap(t *testing.T) {
 		}
 	}
 	s.cancelUntil(0)
+}
+
+// TestPriorityVarsStartInPriorityHeap checks that New puts every
+// priority variable in priOrder and none in order, so a fresh solver's
+// first descent already branches on Config.PriorityVars first. The
+// daemon builds a fresh session per request, so that descent is a
+// real share of its search.
+func TestPriorityVarsStartInPriorityHeap(t *testing.T) {
+	f := cnf.New(8)
+	f.AddClause(1, -2, 3)
+	f.AddClause(-5, 8)
+	pri := []cnf.Var{2, 5, 7}
+	s := New(f, Config{PriorityVars: pri})
+	got := slices.Sorted(slices.Values(s.priOrder.heap))
+	if !slices.Equal(got, pri) {
+		t.Fatalf("priOrder holds %v, want the priority variables %v", got, pri)
+	}
+	for v := cnf.Var(1); v <= 8; v++ {
+		if isPri := slices.Contains(pri, v); s.order.contains(v) == isPri {
+			t.Fatalf("x%d: in order = %v, priority = %v", v, s.order.contains(v), isPri)
+		}
+	}
 }
 
 func TestGrowToIdempotent(t *testing.T) {

@@ -86,6 +86,7 @@ type Solver struct {
 	reasonBuf    []cnf.Lit
 	sortScratch  []CRef     // reduceDB's sort buffer, reused across reductions
 	selClauseBuf cnf.Clause // AddClauseToSelector's normalize/filter buffer
+	blockBuf     cnf.Clause // Enumerate's blocking-clause buffer
 
 	// Incremental-session state (see incremental.go).
 	isSelector   []byte      // per var: selNone/selClause/selXORGuard
@@ -113,11 +114,15 @@ func New(f *cnf.Formula, cfg Config) *Solver {
 	s.rng = randx.New(cfg.Seed ^ 0x5eed5a17)
 	s.order = newVarHeap(&s.activity)
 	s.priOrder = newVarHeap(&s.activity)
+	// Flag the priority variables before growTo inserts them, so each
+	// enters priOrder and the first descent already branches on them.
 	for _, v := range cfg.PriorityVars {
-		s.growTo(int(v))
+		if int(v) >= len(s.priority) {
+			s.priority = append(s.priority, make([]bool, int(v)+1-len(s.priority))...)
+		}
 		s.priority[v] = true
 	}
-	s.growTo(f.NumVars)
+	s.growTo(max(f.NumVars, len(s.priority)-1))
 	for _, c := range f.Clauses {
 		if !s.AddClause(c) {
 			return s
@@ -667,6 +672,16 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 	for _, a := range assumptions {
 		s.growTo(int(a.Var()))
 	}
+	st := s.solve(assumptions)
+	s.cancelUntil(0)
+	return st
+}
+
+// solve runs restarts of search from the current trail until a verdict
+// or a budget. The budgets count from the call. On Sat it records the
+// model and leaves the trail in place, so Enumerate can go on from it;
+// every other exit is at decision level 0.
+func (s *Solver) solve(assumptions []cnf.Lit) Status {
 	confLimit := int64(-1)
 	if s.cfg.MaxConflicts > 0 {
 		confLimit = s.stats[tally.Conflicts] + s.cfg.MaxConflicts
@@ -679,23 +694,23 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 	for {
 		n := luby(2.0, restartN) * 100
 		restartN++
-		st := s.search(int64(n), confLimit, propLimit, assumptions)
-		if st != Unknown {
-			if st == Sat {
-				nv := s.numVars
-				if s.modelBound > 0 && s.modelBound < nv {
-					// Incremental sessions accumulate selector variables
-					// well past the formula's own; keep model extraction
-					// O(|formula|), not O(lifetime selectors).
-					nv = s.modelBound
-				}
-				s.model = slices.Grow(s.model[:0], nv+1)[:nv+1] // Model copies it out
-				for v := 1; v <= nv; v++ {
-					s.model[v] = s.assigns[v] == lTrue
-				}
+		switch s.search(int64(n), confLimit, propLimit, assumptions) {
+		case Sat:
+			nv := s.numVars
+			if s.modelBound > 0 && s.modelBound < nv {
+				// Incremental sessions accumulate selector variables
+				// well past the formula's own; keep model extraction
+				// O(|formula|), not O(lifetime selectors).
+				nv = s.modelBound
 			}
+			s.model = slices.Grow(s.model[:0], nv+1)[:nv+1] // Model copies it out
+			for v := 1; v <= nv; v++ {
+				s.model[v] = s.assigns[v] == lTrue
+			}
+			return Sat
+		case Unsat:
 			s.cancelUntil(0)
-			return st
+			return Unsat
 		}
 		if (confLimit >= 0 && s.stats[tally.Conflicts] >= confLimit) ||
 			(propLimit >= 0 && s.stats[tally.Propagations] >= propLimit) ||

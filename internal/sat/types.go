@@ -65,10 +65,11 @@ type Config struct {
 	// Diversifies enumeration order in BSAT. 0 disables.
 	RandomPolarityFreq float64
 	// PriorityVars are branched on before all other variables (VSIDS
-	// order within each class). BSAT sets this to the sampling set:
-	// for Tseitin-encoded formulas every non-sampling variable is
-	// functionally determined by the sampling set, so deciding the
-	// sampling set first makes witness enumeration nearly conflict-free.
+	// order within each class), from a new solver's first descent on.
+	// BSAT sets this to the sampling set: for Tseitin-encoded formulas
+	// every non-sampling variable is functionally determined by the
+	// sampling set, so deciding the sampling set first makes witness
+	// enumeration nearly conflict-free.
 	PriorityVars []cnf.Var
 	// Interrupt, when non-nil, is polled during search (alongside the
 	// conflict-budget check and periodically between decisions). Once it

@@ -5,17 +5,14 @@
 //	BenchmarkBaselineBDD               – §3's BDD sampler: fast per
 //	                                     sample, but compile time/size
 //	                                     blows up with circuit depth
-//	BenchmarkBaselineMCMC              – §3's MCMC sampler
 //	BenchmarkSubstrateGauss            – the solver's Gauss–Jordan pass
 //	                                     over a dense XOR system
 package unigen
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
-	"unigen/internal/baseline"
 	"unigen/internal/bdd"
 	"unigen/internal/benchgen"
 	"unigen/internal/bsat"
@@ -93,26 +90,6 @@ func BenchmarkBaselineBDD(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkBaselineMCMC measures the Markov-chain sampler per (possibly
-// failing) chain.
-func BenchmarkBaselineMCMC(b *testing.B) {
-	inst, err := benchgen.Generate("s526_3_2", benchgen.ScaleSmall, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := baseline.NewMCMC(inst.F, baseline.MCMCOptions{Steps: 5 * inst.F.NumVars})
-	rng := randx.New(benchSeed)
-	ok := 0
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Sample(rng); err == nil {
-			ok++
-		} else if !errors.Is(err, baseline.ErrFailed) {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(ok)/float64(b.N), "convergence")
 }
 
 // BenchmarkSubstrateGauss measures the Gauss-Jordan preprocessing pass

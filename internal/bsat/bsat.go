@@ -77,10 +77,12 @@ const rebuildEvery = 1 << 15
 
 // Session is an incremental BSAT engine: one solver reused across every
 // Enumerate call of a sampling/counting run. Not safe for concurrent
-// use. Proof recording (sat.Config.RecordProof) is not supported on
+// use. Proof recording (sat.Config.RecordProof) is turned off on
 // sessions — guarded constraints and release units are not part of the
-// axiom stream a checker expects; use the stateless Enumerate for
-// proof-carrying calls.
+// axiom stream a checker expects. No BSAT call carries a proof: Result
+// holds none, and the stateless Enumerate discards its solver. A
+// checked UNSAT verdict is recorded on a plain sat.Solver instead (the
+// facade's ProveUnsat).
 type Session struct {
 	f    *cnf.Formula
 	nv   int // f.NumVars at session start; models are truncated to it

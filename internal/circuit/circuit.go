@@ -153,16 +153,9 @@ func (b *Builder) Output(s Sig) {
 	b.c.Outputs = append(b.c.Outputs, s)
 }
 
-// Latch declares a sequential element with next-state d and returns its
-// output Q (reset value 0).
-func (b *Builder) Latch(d Sig) Sig {
-	q := b.add(Gate{Kind: KindInput}) // pseudo-input; not in Inputs list
-	b.c.Latches = append(b.c.Latches, Latch{Q: q, D: d})
-	return q
-}
-
-// LatchLoop declares a latch whose next-state function is provided
-// after the fact (for feedback loops): it returns Q plus a setter.
+// LatchLoop declares a sequential element (reset value 0) whose
+// next-state function is provided after the fact, so that it can feed
+// back through the logic it drives: it returns Q plus a setter.
 func (b *Builder) LatchLoop() (q Sig, setD func(Sig)) {
 	q = b.add(Gate{Kind: KindInput})
 	b.c.Latches = append(b.c.Latches, Latch{Q: q, D: -1})
@@ -210,24 +203,6 @@ func (c *Circuit) Eval(inputs []bool, latchState []bool) ([]bool, error) {
 		}
 	}
 	return vals, nil
-}
-
-// Step simulates one clock cycle: evaluate with the given latch state,
-// return output values and the next latch state.
-func (c *Circuit) Step(inputs, latchState []bool) (outputs, next []bool, err error) {
-	vals, err := c.Eval(inputs, latchState)
-	if err != nil {
-		return nil, nil, err
-	}
-	outputs = make([]bool, len(c.Outputs))
-	for i, o := range c.Outputs {
-		outputs[i] = vals[o]
-	}
-	next = make([]bool, len(c.Latches))
-	for i, l := range c.Latches {
-		next[i] = vals[l.D]
-	}
-	return outputs, next, nil
 }
 
 // Unroll converts a sequential circuit into a combinational one over k

@@ -206,59 +206,6 @@ func TestRotlShl(t *testing.T) {
 	}
 }
 
-func TestParityWord(t *testing.T) {
-	const n = 6
-	b := NewBuilder()
-	a := b.InputWord(n)
-	p := b.ParityWord(a)
-	cir := b.Build()
-	for x := uint64(0); x < 1<<n; x++ {
-		vals, _ := cir.Eval(packWord(x, n), nil)
-		want := popcount(x)%2 == 1
-		if vals[p] != want {
-			t.Fatalf("parity(%06b) = %v, want %v", x, vals[p], want)
-		}
-	}
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
-}
-
-func TestLatchCounter(t *testing.T) {
-	// A 2-bit counter built from latches; verify it counts 0,1,2,3,0...
-	b := NewBuilder()
-	q0, setD0 := b.LatchLoop()
-	q1, setD1 := b.LatchLoop()
-	setD0(b.Not(q0))
-	setD1(b.Xor(q1, q0))
-	b.Output(q0)
-	b.Output(q1)
-	c := b.Build()
-	state := []bool{false, false}
-	for cycle := 0; cycle < 8; cycle++ {
-		out, next, err := c.Step(nil, state)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := 0
-		if out[0] {
-			got |= 1
-		}
-		if out[1] {
-			got |= 2
-		}
-		if got != cycle%4 {
-			t.Fatalf("cycle %d: counter = %d", cycle, got)
-		}
-		state = next
-	}
-}
-
 func TestUnrollCounter(t *testing.T) {
 	// Unrolled counter: final next-state outputs after k frames must
 	// equal k mod 4 (no primary inputs).
@@ -299,26 +246,63 @@ func TestUnrollCounter(t *testing.T) {
 // signal variables equal the simulation values. This is precisely the
 // "independent support" property UniGen exploits.
 func TestTseitinConsistency(t *testing.T) {
+	b := NewBuilder()
+	x := b.InputWord(4)
+	y := b.InputWord(4)
+	sum := b.AddWord(x, y)
+	b.Output(sum[3])
+	checkTseitin(t, b.Build(), 8)
+}
+
+// TestBenchUnrollAndEncode runs the paper's ISCAS89 pipeline end to end:
+// a sequential netlist (three inputs and two latches fed back through
+// NAND and XOR gates) is unrolled over three frames, bounded-model-
+// checking style, and Tseitin-encoded; the sampling set must be the
+// unrolled primary inputs, and the encoding must satisfy the same
+// consistency property as a combinational circuit.
+func TestBenchUnrollAndEncode(t *testing.T) {
+	b := NewBuilder()
+	in := b.InputWord(3)
+	q0, setD0 := b.LatchLoop()
+	q1, setD1 := b.LatchLoop()
+	d0 := b.Nand(in[0], q0)
+	d1 := b.Xor(in[1], q1)
+	setD0(d0)
+	setD1(d1)
+	b.Output(b.And(b.Or(b.Not(in[2]), d0), d1))
+	u, err := b.Build().Unroll(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTseitin(t, u, 9) // 3 inputs × 3 frames
+}
+
+// checkTseitin encodes the combinational circuit cir, with and without
+// native XOR clauses, and checks that its inputs are the sampling set,
+// that it has exactly 2^inputs projected witnesses, and that the witness
+// extending a random input vector agrees with simulation on every signal.
+func checkTseitin(t *testing.T, cir *Circuit, inputs int) {
+	t.Helper()
 	for _, plain := range []bool{false, true} {
-		b := NewBuilder()
-		x := b.InputWord(4)
-		y := b.InputWord(4)
-		sum := b.AddWord(x, y)
-		b.Output(sum[3])
-		cir := b.Build()
 		enc, err := Encode(cir, EncodeOptions{PlainXOR: plain})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Count projected witnesses: must be 2^8 (inputs free).
-		n, res := bsat.Count(enc.Formula, 1<<9, bsat.Options{})
-		if !res.Exhausted || n != 256 {
-			t.Fatalf("plain=%v: projected count = %d (exhausted=%v), want 256", plain, n, res.Exhausted)
+		if len(enc.InputVars) != inputs || len(enc.Formula.SamplingSet) != inputs {
+			t.Fatalf("plain=%v: %d input vars, sampling set of %d; want %d",
+				plain, len(enc.InputVars), len(enc.Formula.SamplingSet), inputs)
+		}
+		// Count projected witnesses: must be 2^inputs (inputs free).
+		want := 1 << inputs
+		n, res := bsat.Count(enc.Formula, 2*want, bsat.Options{})
+		if !res.Exhausted || n != want {
+			t.Fatalf("plain=%v: projected count = %d (exhausted=%v), want %d",
+				plain, n, res.Exhausted, want)
 		}
 		// Check witness extension correctness on random inputs.
 		rng := randx.New(55)
 		for iter := 0; iter < 20; iter++ {
-			in := make([]bool, 8)
+			in := make([]bool, inputs)
 			for i := range in {
 				in[i] = rng.Bool()
 			}

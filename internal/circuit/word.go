@@ -198,15 +198,6 @@ func (b *Builder) LessThan(a, c Word) Sig {
 	return lt
 }
 
-// ParityWord returns the XOR of all bits of a.
-func (b *Builder) ParityWord(a Word) Sig {
-	acc := b.Const(false)
-	for _, s := range a {
-		acc = b.Xor(acc, s)
-	}
-	return acc
-}
-
 // CompareAndSwap returns (min, max) of two words — the comparator
 // element of sorting networks.
 func (b *Builder) CompareAndSwap(a, c Word) (lo, hi Word) {

@@ -282,50 +282,3 @@ func WriteFigure1(w io.Writer, r *Figure1Result) error {
 	}
 	return tw.Flush()
 }
-
-// EpsilonSweepPoint records the E5 experiment: hiThresh and observed
-// per-sample cost as ε varies (§4 "Trading scalability with
-// uniformity").
-type EpsilonSweepPoint struct {
-	Epsilon   float64
-	HiThresh  int
-	AvgSample time.Duration
-	SuccProb  float64
-}
-
-// RunEpsilonSweep measures UniGen on one benchmark across tolerances.
-func RunEpsilonSweep(bench string, epsilons []float64, samples int, cfg Config) ([]EpsilonSweepPoint, error) {
-	inst, err := benchgen.Generate(bench, cfg.Scale, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	solverCfg := sat.Config{MaxConflicts: cfg.MaxConflicts, MaxPropagations: cfg.MaxPropagations, GaussJordan: cfg.GaussJordan, Seed: cfg.Seed}
-	var out []EpsilonSweepPoint
-	for _, eps := range epsilons {
-		kp, err := core.ComputeKappaPivot(eps)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := parallel.NewEngine(inst.F, parallel.Options{
-			Workers:    1,
-			MasterSeed: cfg.Seed ^ uint64(eps*1000),
-			Core:       core.Options{Epsilon: eps, Solver: solverCfg},
-		})
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if _, err := eng.SampleN(context.Background(), samples); err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		st := eng.Stats()
-		out = append(out, EpsilonSweepPoint{
-			Epsilon:   eps,
-			HiThresh:  kp.HiThresh,
-			AvgSample: elapsed / time.Duration(st.Rounds()),
-			SuccProb:  st.SuccessProb(),
-		})
-	}
-	return out, nil
-}

@@ -103,23 +103,6 @@ func TestRunFigure1Small(t *testing.T) {
 	}
 }
 
-func TestRunEpsilonSweep(t *testing.T) {
-	cfg := fastCfg()
-	// ε near the 1.71 floor makes pivot (and hence BSAT work) explode —
-	// the §4 trade-off itself — so the unit test sweeps moderate values.
-	pts, err := RunEpsilonSweep("case110", []float64{3, 6, 12}, 3, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	// hiThresh must shrink as epsilon grows (E5).
-	if !(pts[0].HiThresh > pts[1].HiThresh && pts[1].HiThresh > pts[2].HiThresh) {
-		t.Fatalf("hiThresh not monotone: %v", pts)
-	}
-}
-
 func TestRunTableSmallSubset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several benchmarks")

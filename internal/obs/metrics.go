@@ -3,9 +3,10 @@
 // Prometheus text exposition format, a context-carried span API for
 // per-request phase tracing, and a bounded ring of recent slow
 // requests. It deliberately implements only the slice of the
-// Prometheus data model the daemon needs — atomic counters, gauges,
+// Prometheus data model the daemon needs — atomic counters,
 // fixed-bucket cumulative histograms, and scrape-time collected
-// families — so nothing outside the standard library is imported.
+// families (every gauge is one) — so nothing outside the standard
+// library is imported.
 //
 // The paper's operational claim (Chakraborty–Meel–Vardi, DAC'14) is
 // that after a one-time ApproxMC setup every sample is predictably
@@ -51,8 +52,8 @@ type Sample struct {
 
 // family is one metric family: a name, HELP/TYPE metadata, the label
 // names shared by every series, and either owned series (registered
-// counters/gauges/histograms, keyed by joined label values) or a
-// scrape-time collector.
+// counters/histograms, keyed by joined label values) or a scrape-time
+// collector.
 type family struct {
 	name    string
 	help    string
@@ -61,7 +62,7 @@ type family struct {
 	buckets []float64 // histograms only
 
 	mu      sync.Mutex
-	series  map[string]any // *Counter | *Gauge | *Histogram
+	series  map[string]any // *Counter | *Histogram
 	order   []string       // insertion order of series keys
 	collect func() []Sample
 }
@@ -132,29 +133,6 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an int64 metric that may go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// SetMax raises the gauge to n if n is larger (high-water gauges such
-// as the arena footprint).
-func (g *Gauge) SetMax(n int64) {
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram is a fixed-bucket cumulative histogram. Observations are
 // lock-free: each bucket is an atomic count and the sum is an atomic
 // float64 (CAS on its bits).
@@ -206,28 +184,6 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 	f.series[""] = c
 	f.order = []string{""}
 	return c
-}
-
-// NewGauge registers and returns an unlabeled gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	f := r.register(&family{name: name, help: help, kind: KindGauge})
-	g := &Gauge{}
-	f.series[""] = g
-	f.order = []string{""}
-	return g
-}
-
-// NewHistogram registers and returns an unlabeled histogram over the
-// given bucket upper bounds (nil = DefSecondsBuckets).
-func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	if buckets == nil {
-		buckets = DefSecondsBuckets
-	}
-	f := r.register(&family{name: name, help: help, kind: KindHistogram, buckets: buckets})
-	h := newHistogram(buckets)
-	f.series[""] = h
-	f.order = []string{""}
-	return h
 }
 
 // CounterVec is a counter family partitioned by label values.
@@ -348,8 +304,6 @@ func (f *family) render(sb *strings.Builder) {
 		}
 		switch m := series[i].(type) {
 		case *Counter:
-			writeSample(sb, f.name, f.labels, values, "", float64(m.Value()))
-		case *Gauge:
 			writeSample(sb, f.name, f.labels, values, "", float64(m.Value()))
 		case *Histogram:
 			// Snapshot bucket counts first, then count/sum: the sums may

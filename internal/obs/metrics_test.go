@@ -20,10 +20,15 @@ func TestExpositionRoundtrip(t *testing.T) {
 	cv.With("sample", "ok").Add(3)
 	cv.With("sample", "shed").Inc()
 	cv.With("count", "ok").Add(2)
-	g := r.NewGauge("test_inflight", "In-flight requests.")
-	g.Set(5)
-	g.Add(-2)
-	h := r.NewHistogram("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1})
+	// Gauges are collected families: the value is read at scrape time.
+	inflight := 5
+	r.CollectGauges("test_inflight", "In-flight requests.", nil, func() []Sample {
+		return []Sample{{Value: float64(inflight)}}
+	})
+	inflight -= 2
+	// An unlabeled histogram is the single series of a vector without
+	// label names.
+	h := r.NewHistogramVec("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1}).With()
 	for _, v := range []float64{0.005, 0.05, 0.5, 5} {
 		h.Observe(v)
 	}
@@ -55,7 +60,11 @@ func TestExpositionRoundtrip(t *testing.T) {
 	if v, ok := SeriesValue(rf, "test_requests_total", "endpoint", "count", "outcome", "ok"); !ok || v != 2 {
 		t.Fatalf("count/ok = %v, %v; want 2", v, ok)
 	}
-	if v, ok := SeriesValue(Find(fams, "test_inflight"), "test_inflight"); !ok || v != 3 {
+	gf := Find(fams, "test_inflight")
+	if gf == nil || gf.Type != KindGauge {
+		t.Fatalf("gauge family missing or mistyped: %+v", gf)
+	}
+	if v, ok := SeriesValue(gf, "test_inflight"); !ok || v != 3 {
 		t.Fatalf("test_inflight = %v, %v; want 3", v, ok)
 	}
 
@@ -124,24 +133,14 @@ func TestCollectedFamilies(t *testing.T) {
 	}
 }
 
-// TestCounterGaugeSemantics pins the instrument contracts: counters
-// ignore negative deltas, SetMax only raises.
-func TestCounterGaugeSemantics(t *testing.T) {
+// TestCounterIgnoresNegativeDeltas pins the counter contract:
+// counters are monotone, so a negative delta is dropped.
+func TestCounterIgnoresNegativeDeltas(t *testing.T) {
 	var c Counter
 	c.Add(5)
 	c.Add(-3)
 	if c.Value() != 5 {
 		t.Fatalf("counter accepted negative delta: %d", c.Value())
-	}
-	var g Gauge
-	g.SetMax(10)
-	g.SetMax(4)
-	if g.Value() != 10 {
-		t.Fatalf("SetMax lowered the gauge: %d", g.Value())
-	}
-	g.SetMax(11)
-	if g.Value() != 11 {
-		t.Fatalf("SetMax did not raise: %d", g.Value())
 	}
 }
 
@@ -174,7 +173,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r.NewGauge("test_dup_total", "y")
+	r.CollectGauges("test_dup_total", "y", nil, func() []Sample { return nil })
 }
 
 // TestInvalidNamePanics pins name validation at registration time.
@@ -188,14 +187,13 @@ func TestInvalidNamePanics(t *testing.T) {
 	r.NewCounter("0bad name", "x")
 }
 
-// TestConcurrentScrape hammers every instrument kind from many
-// goroutines while scraping concurrently; every scrape must parse and
-// satisfy the histogram invariants mid-flight (run under -race).
+// TestConcurrentScrape hammers the counter and histogram vectors from
+// many goroutines while scraping concurrently; every scrape must parse
+// and satisfy the histogram invariants mid-flight (run under -race).
 func TestConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
 	cv := r.NewCounterVec("test_conc_total", "x", "w")
 	hv := r.NewHistogramVec("test_conc_seconds", "x", []float64{0.001, 0.01, 0.1}, "w")
-	g := r.NewGauge("test_conc_gauge", "x")
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -211,7 +209,6 @@ func TestConcurrentScrape(t *testing.T) {
 				}
 				cv.With(lbl).Inc()
 				hv.With(lbl).Observe(float64(i%100) / 250)
-				g.Set(int64(i))
 			}
 		}(w)
 	}

@@ -60,7 +60,7 @@ func benchSamples(b *testing.B, eng *parallel.Engine) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Sample(ctx); err != nil {
+		if _, err := eng.SampleN(ctx, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -219,32 +219,11 @@ func BenchmarkAblationAmortization(b *testing.B) {
 	b.Run("Amortized", func(b *testing.B) { benchUniGen(b, inst) })
 	b.Run("SetupPerSample", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := benchEngine(b, inst.F, 6, nil).Sample(context.Background()); err != nil {
+			if _, err := benchEngine(b, inst.F, 6, nil).SampleN(context.Background(), 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-}
-
-// BenchmarkAblationGaussJordan measures the solver's XOR preprocessing
-// on a parity-heavy instance (E7).
-func BenchmarkAblationGaussJordan(b *testing.B) {
-	inst, err := benchgen.Generate("s526_15_7", benchgen.ScaleSmall, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, gauss := range []bool{false, true} {
-		b.Run(fmt.Sprintf("gauss=%v", gauss), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := benchSolverCfg()
-				cfg.GaussJordan = gauss
-				s := sat.New(inst.F, cfg)
-				if s.Solve() != sat.Sat {
-					b.Fatal("instance must be SAT")
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkSubstrateSolver measures raw CDCL throughput on a random

@@ -26,7 +26,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	budget := flag.Int64("budget", 200000, "conflict budget per SAT call")
 	propBudget := flag.Int64("prop-budget", 30_000_000, "propagation budget per SAT call")
-	gauss := flag.Bool("gauss", false, "enable Gauss-Jordan XOR preprocessing")
 	flag.Parse()
 
 	scale, err := benchgen.ParseScale(*scaleStr)
@@ -42,7 +41,6 @@ func main() {
 		MaxConflicts:    *budget,
 		MaxPropagations: *propBudget,
 		UniWitSampleCap: *uwCap,
-		GaussJordan:     *gauss,
 	}
 	rows := experiments.RunTable(*table, cfg)
 	if err := experiments.WriteTable(os.Stdout, *table, rows); err != nil {

@@ -25,7 +25,6 @@ func main() {
 	epsilon := flag.Float64("epsilon", 6, "uniformity tolerance (> 1.71)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	budget := flag.Int64("budget", 0, "conflict budget per SAT call (0 = unlimited)")
-	gauss := flag.Bool("gauss", false, "enable Gauss-Jordan XOR preprocessing")
 	jobs := flag.Int("j", 1, "parallel sampling workers (0 = all CPUs)")
 	stats := flag.Bool("stats", false, "print merged run statistics (hash set, rounds, BSAT calls, XOR rows, propagations) to stderr")
 	flag.Parse()
@@ -53,7 +52,6 @@ func main() {
 		Epsilon:      *epsilon,
 		Seed:         *seed,
 		MaxConflicts: *budget,
-		GaussJordan:  *gauss,
 		Workers:      workers,
 	})
 	if err != nil {

@@ -87,7 +87,6 @@ func main() {
 	pool := flag.Int("pool", 0, "max idle delta sessions pooled per base formula (0 = 8)")
 	jobs := flag.Int("j", 0, "default per-request sampling workers (0 = all CPUs)")
 	budget := flag.Int64("budget", 0, "conflict budget per SAT call (0 = unlimited)")
-	gauss := flag.Bool("gauss", false, "enable Gauss-Jordan XOR preprocessing")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently admitted requests (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "max requests waiting for admission before shedding")
 	queueWait := flag.Duration("queue-wait", 0, "max time a queued request waits for a slot (0 = 2s when gated)")
@@ -128,7 +127,6 @@ func main() {
 	opts := unigen.ServiceOptions{
 		Epsilon:        *epsilon,
 		MaxConflicts:   *budget,
-		GaussJordan:    *gauss,
 		Workers:        workers,
 		CacheSize:      *cache,
 		StoreDir:       *storeDir,
@@ -169,7 +167,6 @@ func main() {
 			"timeout", timeout.String(),
 			"prepare_timeout", prepTimeout.String(),
 			"slow_request", slowReq.String(),
-			"gauss_jordan", *gauss,
 			"store_dir", *storeDir,
 			"store_max_bytes", *storeMax,
 		))

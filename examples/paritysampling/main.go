@@ -2,9 +2,8 @@
 // instance of the kind the DAC'14 evaluation builds from ISCAS89
 // circuits: a block of free variables with several XOR (parity)
 // conditions layered on top. It shows (a) native XOR clauses end to
-// end, (b) the Gauss–Jordan solver option, and (c) that the sampled
-// distribution is statistically flat across the surviving solution
-// space.
+// end and (b) that the sampled distribution is statistically flat
+// across the surviving solution space.
 package main
 
 import (
@@ -29,11 +28,7 @@ func main() {
 	}
 	fmt.Printf("solution space: %v witnesses (expected 2^9 = 512)\n", count)
 
-	s, err := unigen.NewSampler(f, unigen.Options{
-		Epsilon:     6,
-		Seed:        11,
-		GaussJordan: true, // XOR-system preprocessing in the CDCL solver
-	})
+	s, err := unigen.NewSampler(f, unigen.Options{Epsilon: 6, Seed: 11})
 	if err != nil {
 		log.Fatalf("sampler: %v", err)
 	}

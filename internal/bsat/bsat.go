@@ -65,7 +65,7 @@ type Options struct {
 	// h(samplingVars) = α to the formula for this call only. Only read
 	// by the stateless Enumerate; sessions take the hash per call.
 	Hash *hashfam.Hash
-	// Solver configuration (conflict budget, Gauss-Jordan, seed).
+	// Solver configuration (budgets, priority variables, interrupt).
 	Solver sat.Config
 }
 

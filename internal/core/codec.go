@@ -383,9 +383,9 @@ func (r *setupReader) take(n int) ([]byte, error) {
 }
 
 // DecodeSetup rehydrates a Setup from an Encode frame. opts supplies
-// the runtime configuration the encoding deliberately omits — solver
-// budgets and Gauss–Jordan — exactly as NewSetup would have received
-// it; opts.Epsilon must match the encoded epsilon (zero adopts it). The
+// the runtime configuration the encoding deliberately omits — the
+// solver budgets — exactly as NewSetup would have received it;
+// opts.Epsilon must match the encoded epsilon (zero adopts it). The
 // returned Setup has no spare session: the first NewSession or
 // NewSessionWith call builds a solver lazily, so rehydration itself
 // performs no solver work at all.

@@ -69,9 +69,9 @@ func PrepSeedFromFingerprint(fp [32]byte) uint64 {
 }
 
 // SolverConfig returns the solver configuration the setup's sessions
-// are built with (budgets, Gauss–Jordan flag, interrupt). Callers that
-// share a Setup across concurrent requests start from this and swap in
-// a private Interrupt before building sessions with NewSessionWith.
+// are built with (budgets, interrupt). Callers that share a Setup
+// across concurrent requests start from this and swap in a private
+// Interrupt before building sessions with NewSessionWith.
 func (su *Setup) SolverConfig() sat.Config { return su.opts.Solver }
 
 // ReleaseSpare drops the setup-phase spare session (the solver the

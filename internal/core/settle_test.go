@@ -105,7 +105,7 @@ func settleFormula(rng *randx.RNG, family string, nh int) *cnf.Formula {
 
 // TestSettledStopMatchesFullRun: over random CNF+XOR formulas with
 // |H| = 8–16, each prepared from its own seed, the setup's stop is
-// exact. Its q equals line 10 for a full ApproxMCSession run on a fresh
+// exact. Its q equals line 10 for a full ApproxMC run on a fresh
 // session with the same seed; it stops after the first round at which
 // bruteSettled holds; and WitnessCount finishes to the full run's
 // estimate. The draw includes formulas with failing rounds and
@@ -141,7 +141,12 @@ func TestSettledStopMatchesFullRun(t *testing.T) {
 			}
 			hashing++
 			opts := su.amcOptions()
-			full, err := counter.ApproxMCSession(bsat.NewSession(f, bsat.Options{SamplingSet: su.h}), randx.New(seed), opts)
+			fullSess := bsat.NewSession(f, bsat.Options{SamplingSet: su.h})
+			fullRun, err := counter.StartApproxMC(fullSess, randx.New(seed), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := fullRun.Finish(fullSess)
 			if err != nil {
 				t.Fatal(err)
 			}

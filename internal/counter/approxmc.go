@@ -79,28 +79,6 @@ func iterAMC(delta float64) int {
 // hashes, finds the fewest rows that make a random cell small,
 // and scales that cell's size by the number of cells; the result is
 // the median across rounds.
-func ApproxMC(f *cnf.Formula, rng *randx.RNG, opts ApproxMCOptions) (ApproxMCResult, error) {
-	vars := opts.SamplingSet
-	if len(vars) == 0 {
-		vars = f.SamplingVars()
-	}
-	opts.SamplingSet = vars
-
-	// One incremental BSAT session serves the base call and every cell
-	// probe of every round: the formula is ingested once and learned
-	// clauses amortize across the whole search.
-	sess := bsat.NewSession(f, bsat.Options{SamplingSet: vars, Solver: opts.Solver})
-	return ApproxMCSession(sess, rng, opts)
-}
-
-// ApproxMCSession runs ApproxMC2 on a caller-supplied session instead
-// of building one. This is the conditioned-counting entry used by
-// delta requests: a pooled session carrying standing assumption
-// literals (bsat.Session.SetAssumptions) makes this count |R_{F∧A}↓S| —
-// and because every cell probe is an exact bounded enumeration, the
-// estimates (and hence the derived hash width q) are identical to a
-// cold ApproxMC run over the conjoined formula at the same RNG,
-// regardless of the session's accumulated solver state.
 //
 // The algorithm is ApproxMC2's Algorithms 1–2 with a galloping search
 // in place of LogSATSearch. Every count, the base call's included, is
@@ -113,9 +91,19 @@ func ApproxMC(f *cnf.Formula, rng *randx.RNG, opts ApproxMCOptions) (ApproxMCRes
 // previous successful round's i. Each probe starts from the members
 // of its cell that the round's earlier probes, and the base call,
 // already found (see cells.probe). It is StartApproxMC followed by
-// Finish: the run is the loop, and its state between two rounds is
-// all a later round depends on.
-func ApproxMCSession(sess *bsat.Session, rng *randx.RNG, opts ApproxMCOptions) (ApproxMCResult, error) {
+// Finish on one fresh session: the run is the loop, and its state
+// between two rounds is all a later round depends on.
+func ApproxMC(f *cnf.Formula, rng *randx.RNG, opts ApproxMCOptions) (ApproxMCResult, error) {
+	vars := opts.SamplingSet
+	if len(vars) == 0 {
+		vars = f.SamplingVars()
+	}
+	opts.SamplingSet = vars
+
+	// One incremental BSAT session serves the base call and every cell
+	// probe of every round: the formula is ingested once and learned
+	// clauses amortize across the whole search.
+	sess := bsat.NewSession(f, bsat.Options{SamplingSet: vars, Solver: opts.Solver})
 	run, err := StartApproxMC(sess, rng, opts)
 	if err != nil {
 		return ApproxMCResult{}, err
@@ -143,7 +131,7 @@ type ApproxMCState struct {
 }
 
 // ApproxMCRun is one ApproxMC2 run that its caller drives round by
-// round: ApproxMCSession runs every round, core's setup stops as soon
+// round: ApproxMC runs every round, core's setup stops as soon
 // as no remaining round can change what it needs from the estimate.
 // After an error the run is spent. Not safe for concurrent use.
 type ApproxMCRun struct {

@@ -39,7 +39,7 @@ func baseMembers(sess *bsat.Session, vars []cnf.Var, thresh int) []uint64 {
 	return m.List
 }
 
-// linearApproxMC is ApproxMCSession at its defaults with the linear
+// linearApproxMC is ApproxMC's run at its defaults with the linear
 // scan in place of the galloping search. It returns the median
 // estimate and the BSAT calls made, the base call included.
 func linearApproxMC(t *testing.T, sess *bsat.Session, rng *randx.RNG, rounds int) (*big.Int, int) {
@@ -184,7 +184,11 @@ func TestDeltaShapedRunMatchesCold(t *testing.T) {
 		}
 		sess := bsat.NewSession(f, bsat.Options{SamplingSet: h1})
 		sess.SetAssumptions(assumps)
-		delta, err := ApproxMCSession(sess, randx.New(seed), opts)
+		run, err := StartApproxMC(sess, randx.New(seed), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta, err := run.Finish(sess)
 		if err != nil {
 			t.Fatal(err)
 		}

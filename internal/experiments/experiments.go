@@ -43,8 +43,6 @@ type Config struct {
 	// benchmark (UniWit can be orders of magnitude slower; the paper ran
 	// it for 20 h, we bound work instead).
 	UniWitSampleCap int
-	// GaussJordan enables the solver's XOR preprocessing.
-	GaussJordan bool
 }
 
 // DefaultConfig mirrors the paper's parameters where affordable.
@@ -110,7 +108,7 @@ func RunTableRow(sp benchgen.Spec, cfg Config, seed uint64) TableRow {
 	}
 	row.NumVars = inst.NumVars
 	row.SupportSize = inst.SupportSize
-	solverCfg := sat.Config{MaxConflicts: cfg.MaxConflicts, MaxPropagations: cfg.MaxPropagations, GaussJordan: cfg.GaussJordan, Seed: seed}
+	solverCfg := sat.Config{MaxConflicts: cfg.MaxConflicts, MaxPropagations: cfg.MaxPropagations}
 
 	// --- UniGen: setup once, then sample (the amortization the paper
 	// contrasts against UniWit in §5).
@@ -225,7 +223,7 @@ func RunFigure1(samples int, cfg Config) (*Figure1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	solverCfg := sat.Config{MaxConflicts: cfg.MaxConflicts, MaxPropagations: cfg.MaxPropagations, GaussJordan: cfg.GaussJordan, Seed: cfg.Seed}
+	solverCfg := sat.Config{MaxConflicts: cfg.MaxConflicts, MaxPropagations: cfg.MaxPropagations}
 	vars := inst.F.SamplingSet
 
 	// US reference (also yields |R_F| exactly).

@@ -1,11 +1,10 @@
 // Package gf2 provides the dense bit-packed GF(2) row representation
 // shared by every layer that touches parity constraints: hashfam packs
-// drawn hash rows into it, the SAT solver stores and propagates XOR
-// clauses in it, and Gauss–Jordan elimination reduces systems of it
-// with word-wide XORs. One row is 64 coefficient bits per machine word
-// over a dense column space, plus a right-hand-side bit — the layout
-// that makes hash drawing, watch selection, parity folding, and row
-// elimination word-parallel instead of per-variable.
+// drawn hash rows into it, and the SAT solver stores and propagates XOR
+// clauses in it. One row is 64 coefficient bits per machine word over a
+// dense column space, plus a right-hand-side bit — the layout that
+// makes hash drawing, watch selection and parity folding word-parallel
+// instead of per-variable.
 package gf2
 
 import "math/bits"
@@ -48,29 +47,6 @@ func (r Row) Get(c int) bool {
 // Set sets column c's coefficient.
 func (r Row) Set(c int) { r.Bits[c>>6] |= 1 << uint(c&63) }
 
-// Flip toggles column c's coefficient (x ⊕ x = 0, so adding a repeated
-// variable cancels).
-func (r Row) Flip(c int) { r.Bits[c>>6] ^= 1 << uint(c&63) }
-
-// Xor adds row o into r (word-wide row elimination step). o must not be
-// wider than r. The loop runs 4 words per iteration: row elimination over
-// wide sampling sets is the Gauss–Jordan hot path and the unroll keeps it
-// bound on memory bandwidth rather than loop overhead.
-func (r *Row) Xor(o Row) {
-	a, b := r.Bits[:len(o.Bits)], o.Bits
-	w := 0
-	for ; w+4 <= len(b); w += 4 {
-		a[w] ^= b[w]
-		a[w+1] ^= b[w+1]
-		a[w+2] ^= b[w+2]
-		a[w+3] ^= b[w+3]
-	}
-	for ; w < len(b); w++ {
-		a[w] ^= b[w]
-	}
-	r.RHS = r.RHS != o.RHS
-}
-
 // Len returns the number of set coefficients (the row's variable count).
 func (r Row) Len() int {
 	b := r.Bits
@@ -94,16 +70,6 @@ func (r Row) Empty() bool {
 		}
 	}
 	return true
-}
-
-// FirstSet returns the lowest set column, or -1 for an empty row.
-func (r Row) FirstSet() int {
-	for w, b := range r.Bits {
-		if b != 0 {
-			return w<<6 | bits.TrailingZeros64(b)
-		}
-	}
-	return -1
 }
 
 // ForEachSet calls fn for every set column in ascending order.
@@ -131,39 +97,4 @@ func ParityAnd(a, b []uint64) bool {
 		acc ^= a[w] & b[w]
 	}
 	return bits.OnesCount64(acc)&1 == 1
-}
-
-// GaussJordan reduces the system in place to reduced row-echelon form
-// over GF(2) — full Jordan elimination, clearing each pivot column from
-// every other row, which shortens rows whenever the system has
-// redundancy. All rows must share the same width, covering ncols
-// columns. It reports whether an inconsistent 0 = 1 row arose.
-func GaussJordan(rows []Row, ncols int) (conflict bool) {
-	rank := 0
-	for col := 0; col < ncols && rank < len(rows); col++ {
-		w, b := col>>6, uint64(1)<<uint(col&63)
-		pivot := -1
-		for i := rank; i < len(rows); i++ {
-			if rows[i].Bits[w]&b != 0 {
-				pivot = i
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		rows[rank], rows[pivot] = rows[pivot], rows[rank]
-		for i := range rows {
-			if i != rank && rows[i].Bits[w]&b != 0 {
-				rows[i].Xor(rows[rank])
-			}
-		}
-		rank++
-	}
-	for i := range rows {
-		if rows[i].RHS && rows[i].Empty() {
-			return true
-		}
-	}
-	return false
 }

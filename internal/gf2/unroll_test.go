@@ -7,17 +7,11 @@ import (
 	"unigen/internal/randx"
 )
 
-// Property tests pinning the 4-wide unrolled word loops (Xor, Len,
+// Property tests pinning the 4-wide unrolled word loops (Len,
 // ParityAnd) to straightforward scalar references, across every ragged
 // tail length from 1 to 256 columns. The unrolled bodies process
 // len(bits)/4*4 words and the tails the rest; any off-by-one in the
 // unroll boundary shows up as a mismatch on some width here.
-
-func scalarXor(dst, src []uint64) {
-	for i := range src {
-		dst[i] ^= src[i]
-	}
-}
 
 func scalarLen(b []uint64) int {
 	n := 0
@@ -55,28 +49,12 @@ func TestUnrolledMatchesScalarAllWidths(t *testing.T) {
 	for ncols := 1; ncols <= 256; ncols++ {
 		for rep := 0; rep < reps; rep++ {
 			a := randomRow(rng, ncols)
-			b := randomRow(rng, ncols)
 			mask := randomRow(rng, ncols)
-
 			if got, want := a.Len(), scalarLen(a.Bits); got != want {
 				t.Fatalf("ncols=%d: Len = %d, want %d", ncols, got, want)
 			}
 			if got, want := ParityAnd(a.Bits, mask.Bits), scalarParityAnd(a.Bits, mask.Bits); got != want {
 				t.Fatalf("ncols=%d: ParityAnd = %v, want %v", ncols, got, want)
-			}
-
-			ref := make([]uint64, len(a.Bits))
-			copy(ref, a.Bits)
-			scalarXor(ref, b.Bits)
-			wantRHS := a.RHS != b.RHS
-			a.Xor(b)
-			if a.RHS != wantRHS {
-				t.Fatalf("ncols=%d: Xor RHS = %v, want %v", ncols, a.RHS, wantRHS)
-			}
-			for w := range ref {
-				if a.Bits[w] != ref[w] {
-					t.Fatalf("ncols=%d: Xor word %d = %#x, want %#x", ncols, w, a.Bits[w], ref[w])
-				}
 			}
 		}
 	}
@@ -89,28 +67,6 @@ func benchRows(nwords int) (a, b Row) {
 	a = randomRow(rng, nwords*64)
 	b = randomRow(rng, nwords*64)
 	return a, b
-}
-
-func BenchmarkXorUnrolled(bench *testing.B) {
-	for _, nw := range []int{8, 32} {
-		a, b := benchRows(nw)
-		bench.Run(sizeName(nw), func(bench *testing.B) {
-			for i := 0; i < bench.N; i++ {
-				a.Xor(b)
-			}
-		})
-	}
-}
-
-func BenchmarkXorScalar(bench *testing.B) {
-	for _, nw := range []int{8, 32} {
-		a, b := benchRows(nw)
-		bench.Run(sizeName(nw), func(bench *testing.B) {
-			for i := 0; i < bench.N; i++ {
-				scalarXor(a.Bits, b.Bits)
-			}
-		})
-	}
 }
 
 func BenchmarkParityAndUnrolled(bench *testing.B) {
@@ -144,28 +100,4 @@ func sizeName(nwords int) string {
 		return "8words"
 	}
 	return "32words"
-}
-
-// Xor may legally be fed a shorter operand (windowed rows in the packed
-// solver engine xor a suffix window into a full-width row); the words
-// beyond the operand must stay untouched.
-func TestXorShorterOperand(t *testing.T) {
-	rng := randx.New(0x4f3)
-	for trial := 0; trial < 200; trial++ {
-		ncols := 64 + rng.Intn(512)
-		a := randomRow(rng, ncols)
-		bcols := 1 + rng.Intn(ncols)
-		b := randomRow(rng, bcols)
-
-		ref := make([]uint64, len(a.Bits))
-		copy(ref, a.Bits)
-		scalarXor(ref[:len(b.Bits)], b.Bits)
-		a.Xor(b)
-		for w := range ref {
-			if a.Bits[w] != ref[w] {
-				t.Fatalf("trial %d ncols=%d bcols=%d: word %d = %#x, want %#x",
-					trial, ncols, bcols, w, a.Bits[w], ref[w])
-			}
-		}
-	}
 }

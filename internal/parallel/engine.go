@@ -239,47 +239,12 @@ func NewEngineWithSessions(su *core.Setup, leases []Lease, masterSeed uint64) *E
 }
 
 // Doomed reports, per worker session, whether a sampling round panicked
-// on it during this engine's lifetime. Valid after Sample/SampleN
-// return; session pools consult it at check-in.
+// on it during this engine's lifetime. Valid after SampleN returns;
+// session pools consult it at check-in.
 func (e *Engine) Doomed() []bool { return e.doomed }
 
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return len(e.sessions) }
-
-// Sample draws one witness synchronously on the first worker session,
-// retrying ⊥ rounds. It consumes exactly the rounds SampleN(ctx, 1)
-// would and merges the same stats, so mixing Sample and SampleN keeps
-// the run reproducible — but it spins up no goroutines, making it the
-// right call for one-at-a-time draws. Cancellation is checked between
-// rounds only; use SampleN to interrupt mid-round SAT search.
-func (e *Engine) Sample(ctx context.Context) (cnf.Assignment, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rng := randx.Stream(e.seed, e.next)
-		var st core.Stats
-		sp, endRound := traceRound(obs.SpanFrom(ctx), e.next)
-		w, err := runRound(e.setup, e.sessions[0], rng, &st, sp)
-		endRound(&st, err)
-		e.next++
-		e.stats = e.stats.Merge(st)
-		switch {
-		case err == nil:
-			return w, nil
-		case errors.Is(err, core.ErrFailed):
-			// ⊥ round: try the next round in the stream.
-		default:
-			if errors.Is(err, ErrRoundPanic) {
-				e.doomed[0] = true
-			}
-			return nil, err
-		}
-	}
-}
 
 // Setup returns the shared once-per-formula state.
 func (e *Engine) Setup() *core.Setup { return e.setup }

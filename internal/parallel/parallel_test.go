@@ -138,8 +138,9 @@ func TestSampleNContinuesRoundStream(t *testing.T) {
 	}
 }
 
-// TestSampleMatchesSampleN: one-at-a-time Sample draws must consume the
-// same round stream as a batch SampleN, witnesses and stats alike.
+// TestSampleMatchesSampleN: one-at-a-time SampleN(ctx, 1) draws must
+// consume the same round stream as one batch SampleN, witnesses and
+// stats alike.
 func TestSampleMatchesSampleN(t *testing.T) {
 	f := hardFormula()
 	opts := Options{Workers: 2, MasterSeed: 13, Core: core.Options{Epsilon: 6}}
@@ -157,14 +158,14 @@ func TestSampleMatchesSampleN(t *testing.T) {
 	}
 	var got []cnf.Assignment
 	for i := 0; i < 10; i++ {
-		w, err := single.Sample(context.Background())
+		w, err := single.SampleN(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, w)
+		got = append(got, w...)
 	}
 	if !reflect.DeepEqual(projections(t, f, got), projections(t, f, ws)) {
-		t.Fatal("Sample sequence diverged from SampleN")
+		t.Fatal("one-at-a-time SampleN draws diverged from one batch SampleN")
 	}
 	if !reflect.DeepEqual(canonStats(single.Stats()), canonStats(batch.Stats())) {
 		t.Fatalf("stats diverged: %+v vs %+v", single.Stats(), batch.Stats())

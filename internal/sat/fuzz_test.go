@@ -2,7 +2,6 @@ package sat
 
 import (
 	"encoding/binary"
-	"fmt"
 	"testing"
 
 	"unigen/internal/cnf"
@@ -10,14 +9,13 @@ import (
 
 // FuzzSolver is the solver's brute-force fuzz oracle. The input bytes
 // decode into a CNF+XOR formula over at most 10 variables (see
-// fuzzFormula). With GaussJordan off and on, the solver enumerates the
-// full model set with blocking clauses, and both the first verdict and
-// the model set must match BruteForceModels. The Gauss-off run also
-// records a proof: the enumeration ends in UNSAT (of the formula when it
-// has no models, else of the formula plus its blocking clauses, which
-// the trace carries as axioms), and CheckRUPProof must accept the trace
-// as a refutation: it derives the empty clause. RecordProof only logs;
-// it does not change the search.
+// fuzzFormula). One solver, recording a proof, enumerates the full
+// model set with blocking clauses, and both the first verdict and the
+// model set must match BruteForceModels. The enumeration ends in UNSAT
+// (of the formula when it has no models, else of the formula plus its
+// blocking clauses, which the trace carries as axioms), and
+// CheckRUPProof must accept the trace as a refutation: it derives the
+// empty clause. RecordProof only logs; it does not change the search.
 func FuzzSolver(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fm := fuzzFormula(data)
@@ -29,41 +27,36 @@ func FuzzSolver(f *testing.F) {
 		for _, m := range BruteForceModels(fm) {
 			want[m.Project(all)] = true
 		}
-		for _, gauss := range []bool{false, true} {
-			name := fmt.Sprintf("gauss=%v", gauss)
-			s := New(fm, Config{GaussJordan: gauss, RecordProof: !gauss})
-			got := map[string]bool{}
-			for {
-				st := s.Solve()
-				if st == Unknown {
-					t.Fatalf("%s: Solve returned %v without a budget", name, st)
-				}
-				if len(got) == 0 && (st == Sat) != (len(want) > 0) {
-					t.Fatalf("%s: verdict %v, brute force finds %d models\n%s", name, st, len(want), cnf.DIMACSString(fm))
-				}
-				if st == Unsat {
-					break
-				}
-				m := s.Model()
-				key := m.Project(all)
-				if !want[key] || got[key] {
-					t.Fatalf("%s: model %v is a non-model or a repeat\n%s", name, m, cnf.DIMACSString(fm))
-				}
-				got[key] = true
-				block := make(cnf.Clause, len(all))
-				for i, v := range all {
-					block[i] = cnf.MkLit(v, m.Get(v))
-				}
-				s.AddClause(block)
+		s := New(fm, Config{RecordProof: true})
+		got := map[string]bool{}
+		for {
+			st := s.Solve()
+			if st == Unknown {
+				t.Fatalf("Solve returned %v without a budget", st)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: enumerated %d models, brute force %d\n%s", name, len(got), len(want), cnf.DIMACSString(fm))
+			if len(got) == 0 && (st == Sat) != (len(want) > 0) {
+				t.Fatalf("verdict %v, brute force finds %d models\n%s", st, len(want), cnf.DIMACSString(fm))
 			}
-			if !gauss {
-				if err := CheckRUPProof(fm, s.Proof()); err != nil {
-					t.Fatalf("%s: %v\n%s", name, err, cnf.DIMACSString(fm))
-				}
+			if st == Unsat {
+				break
 			}
+			m := s.Model()
+			key := m.Project(all)
+			if !want[key] || got[key] {
+				t.Fatalf("model %v is a non-model or a repeat\n%s", m, cnf.DIMACSString(fm))
+			}
+			got[key] = true
+			block := make(cnf.Clause, len(all))
+			for i, v := range all {
+				block[i] = cnf.MkLit(v, m.Get(v))
+			}
+			s.AddClause(block)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("enumerated %d models, brute force %d\n%s", len(got), len(want), cnf.DIMACSString(fm))
+		}
+		if err := CheckRUPProof(fm, s.Proof()); err != nil {
+			t.Fatalf("%v\n%s", err, cnf.DIMACSString(fm))
 		}
 	})
 }
@@ -140,8 +133,9 @@ type fuzzSel struct {
 
 // FuzzSession is the oracle for incremental solvers as bsat.Session
 // drives them. Byte 0 of the input picks the variable count n = 1..8
-// (bits 0-2), GaussJordan (bit 3) and the number of base constraints
-// (bits 4-7), which follow byte 1 in addFuzzConstraint's encoding; byte
+// (bits 0-2) and the number of base constraints (bits 4-7), which
+// follow byte 1 in addFuzzConstraint's encoding; bit 3 is unused, and
+// stays in the layout so the checked-in corpus keeps its meaning. Byte
 // 1 selects the sampling set S (bit i is variable i+1; none means all).
 // The remaining bytes are operations on one packed-engine solver, each
 // an opcode byte mod 6 and its argument bytes:
@@ -179,7 +173,7 @@ func FuzzSession(f *testing.F) {
 		if len(S) == 0 {
 			S = all
 		}
-		cfg := Config{GaussJordan: data[0]&8 != 0}
+		var cfg Config
 		if len(S) < n {
 			cfg.PriorityVars = S // as bsat.NewSession does
 		}

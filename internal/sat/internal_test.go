@@ -62,9 +62,9 @@ func TestWatchInvariant(t *testing.T) {
 
 // TestXOROccInvariant verifies the XOR watch invariants (see
 // checkXORWatches) on a small random CNF+XOR formula after a full Solve,
-// and on wide-row formulas, with Gauss–Jordan off and on, after each
-// conflict-free propagate of a run of random core decisions. The wide
-// rows span several words and some windows start past word 0.
+// and on wide-row formulas after each conflict-free propagate of a run
+// of random core decisions. The wide rows span several words and some
+// windows start past word 0.
 func TestXOROccInvariant(t *testing.T) {
 	rng := randx.New(72)
 	f := randomXORCNF(rng, 12, 10, 3, 6)
@@ -75,22 +75,20 @@ func TestXOROccInvariant(t *testing.T) {
 	rng = randx.New(0x0cc)
 	for iter := 0; iter < 120; iter++ {
 		f, core, _ := wideRowFormula(rng, wideRowShares[iter%len(wideRowShares)])
-		for _, gauss := range []bool{false, true} {
-			s := New(f, Config{GaussJordan: gauss})
-			checkXORWatches(t, s)
-			for _, i := range rng.Perm(len(core)) {
-				if s.assigns[core[i]] != lUndef {
-					continue
-				}
-				s.trailLim = append(s.trailLim, len(s.trail))
-				s.uncheckedEnqueue(cnf.MkLit(core[i], rng.Bool()), reason{})
-				if !s.propagate().none() {
-					break
-				}
-				checkXORWatches(t, s)
+		s := New(f, Config{})
+		checkXORWatches(t, s)
+		for _, i := range rng.Perm(len(core)) {
+			if s.assigns[core[i]] != lUndef {
+				continue
 			}
-			s.cancelUntil(0)
+			s.trailLim = append(s.trailLim, len(s.trail))
+			s.uncheckedEnqueue(cnf.MkLit(core[i], rng.Bool()), reason{})
+			if !s.propagate().none() {
+				break
+			}
+			checkXORWatches(t, s)
 		}
+		s.cancelUntil(0)
 	}
 }
 

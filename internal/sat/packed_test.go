@@ -73,10 +73,9 @@ func buildRandomXORCNF(rng *randx.RNG, n int) *cnf.Formula {
 }
 
 // TestPackedAgainstBruteForce checks the solver on randomized XOR-heavy
-// systems, with and without Gauss–Jordan preprocessing: construction
-// may fail only on an unsatisfiable formula, every level-0 literal must
-// hold in every model, and blocking-clause enumeration must find
-// exactly the brute-force model set.
+// systems: construction may fail only on an unsatisfiable formula,
+// every level-0 literal must hold in every model, and blocking-clause
+// enumeration must find exactly the brute-force model set.
 func TestPackedAgainstBruteForce(t *testing.T) {
 	rng := randx.New(0x9acced)
 	iters := 150
@@ -92,23 +91,19 @@ func TestPackedAgainstBruteForce(t *testing.T) {
 		for _, m := range models {
 			want[m.Project(all)] = true
 		}
-		for _, gauss := range []bool{false, true} {
-			s := New(f, Config{Seed: uint64(iter), GaussJordan: gauss})
-			if !s.Okay() && len(models) > 0 {
-				t.Fatalf("iter %d gauss=%v: construction failed on a formula with %d models",
-					iter, gauss, len(models))
-			}
-			for _, l := range s.trail { // New returns at level 0
-				for _, m := range models {
-					if m.Get(l.Var()) == l.Neg() {
-						t.Fatalf("iter %d gauss=%v: level-0 literal %v fails model %v", iter, gauss, l, m)
-					}
+		s := New(f, Config{})
+		if !s.Okay() && len(models) > 0 {
+			t.Fatalf("iter %d: construction failed on a formula with %d models", iter, len(models))
+		}
+		for _, l := range s.trail { // New returns at level 0
+			for _, m := range models {
+				if m.Get(l.Var()) == l.Neg() {
+					t.Fatalf("iter %d: level-0 literal %v fails model %v", iter, l, m)
 				}
 			}
-			if got := enumerateAll(t, s, f, all); !maps.Equal(got, want) {
-				t.Fatalf("iter %d gauss=%v: enumerated %d models, brute force %d",
-					iter, gauss, len(got), len(want))
-			}
+		}
+		if got := enumerateAll(t, s, f, all); !maps.Equal(got, want) {
+			t.Fatalf("iter %d: enumerated %d models, brute force %d", iter, len(got), len(want))
 		}
 	}
 }
@@ -266,33 +261,28 @@ func wideRowFormula(rng *randx.RNG, eqShare float64) (*cnf.Formula, []cnf.Var, m
 }
 
 // TestWideRowsAgainstBruteForce enumerates wide-row formulas over their
-// core variables, with Gauss–Jordan off and on, and compares the result
-// with the expected model set. Their rows take the multi-word branch of
-// propagateXORs (block skip, parity fold tail, windows past word 0),
-// which the small formulas above never reach.
+// core variables and compares the result with the expected model set.
+// Their rows take the multi-word branch of propagateXORs (block skip,
+// parity fold tail, windows past word 0), which the small formulas
+// above never reach.
 func TestWideRowsAgainstBruteForce(t *testing.T) {
 	rng := randx.New(0x31de)
 	for iter := 0; iter < 120; iter++ {
 		f, core, want := wideRowFormula(rng, wideRowShares[iter%len(wideRowShares)])
-		for _, gauss := range []bool{false, true} {
-			s := New(f, Config{Seed: uint64(iter), GaussJordan: gauss})
-			if got := enumerateAll(t, s, f, core); !maps.Equal(got, want) {
-				t.Fatalf("iter %d gauss=%v: enumerated %d core assignments, expected %d",
-					iter, gauss, len(got), len(want))
-			}
+		if got := enumerateAll(t, New(f, Config{}), f, core); !maps.Equal(got, want) {
+			t.Fatalf("iter %d: enumerated %d core assignments, expected %d", iter, len(got), len(want))
 		}
 	}
 }
 
-// TestGaussPackedColumnDedup: variables shared across base XOR clauses
-// must get exactly one column each under Gauss preprocessing (the
-// pending-marker dedup regression: overlapping rows used to re-append
-// a variable per occurrence, inflating the column space).
-func TestGaussPackedColumnDedup(t *testing.T) {
+// TestPackedColumnDedup: variables shared across base XOR clauses must
+// get exactly one column each; a variable re-appended per occurrence
+// would inflate the column space.
+func TestPackedColumnDedup(t *testing.T) {
 	f := cnf.New(3)
 	f.AddXOR([]cnf.Var{1, 2, 3}, true)
 	f.AddXOR([]cnf.Var{2, 3}, false)
-	s := New(f, Config{GaussJordan: true})
+	s := New(f, Config{})
 	if got := len(s.xvarOf); got != 3 {
 		t.Fatalf("column space has %d entries for 3 distinct XOR variables: %v", got, s.xvarOf)
 	}

@@ -19,9 +19,7 @@ import (
 // XOR clauses are handled by observing that every reason clause the
 // XOR propagator materializes is one of the 2^(k-1) CNF expansion
 // clauses of its XOR, so RUP over the expanded CNF covers XOR-derived
-// lemmas. Gauss–Jordan preprocessing is incompatible with proof
-// recording (its derived units are linear-algebra consequences, not
-// RUP steps); New rejects the combination.
+// lemmas.
 
 // ProofStepKind distinguishes trace entries.
 type ProofStepKind int8

@@ -60,12 +60,13 @@ func TestProofRandomUnsat(t *testing.T) {
 }
 
 func TestProofWithXORs(t *testing.T) {
-	// UNSAT XOR system solved without Gauss (proof mode disables it).
+	// An UNSAT XOR system: its refutation resolves through the CNF
+	// expansions of the XOR reasons.
 	f := cnf.New(3)
 	f.AddXOR([]cnf.Var{1, 2}, true)
 	f.AddXOR([]cnf.Var{2, 3}, true)
-	f.AddXOR([]cnf.Var{3, 1}, true)                           // sums to 0 = 1: UNSAT
-	s := New(f, Config{RecordProof: true, GaussJordan: true}) // gauss auto-disabled
+	f.AddXOR([]cnf.Var{3, 1}, true) // sums to 0 = 1: UNSAT
+	s := New(f, Config{RecordProof: true})
 	if s.Solve() != Unsat {
 		t.Fatal("odd XOR cycle must be UNSAT")
 	}

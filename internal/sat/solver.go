@@ -3,11 +3,9 @@ package sat
 import (
 	mbits "math/bits"
 	"slices"
-	"sort"
 
 	"unigen/internal/cnf"
 	"unigen/internal/gf2"
-	"unigen/internal/randx"
 	"unigen/internal/tally"
 )
 
@@ -67,7 +65,6 @@ type Solver struct {
 	nFree int
 
 	maxLearnts float64
-	rng        *randx.RNG
 	stats      tally.Vec
 
 	model cnf.Assignment
@@ -105,13 +102,9 @@ type Solver struct {
 // New builds a solver for formula f. XOR clauses of length 1 become unit
 // assignments; an empty clause makes the solver permanently UNSAT.
 func New(f *cnf.Formula, cfg Config) *Solver {
-	if cfg.RecordProof {
-		cfg.GaussJordan = false // Gauss units are not RUP-derivable
-	}
 	s := &Solver{cfg: cfg, ok: true, varInc: 1, claInc: 1, maxLearnts: 4000}
 	s.constructing = true
 	defer func() { s.constructing = false }()
-	s.rng = randx.New(cfg.Seed ^ 0x5eed5a17)
 	s.order = newVarHeap(&s.activity)
 	s.priOrder = newVarHeap(&s.activity)
 	// Flag the priority variables before growTo inserts them, so each
@@ -128,75 +121,12 @@ func New(f *cnf.Formula, cfg Config) *Solver {
 			return s
 		}
 	}
-	if cfg.GaussJordan && len(f.XORs) > 0 {
-		// Eliminate and install directly on rows over the solver's own
-		// column space: no intermediate []cnf.Var materialization, cheap
-		// enough to re-run at session rebuilds.
-		s.gaussInstallPacked(f.XORs)
-		return s
-	}
 	for _, x := range f.XORs {
 		if !s.AddXOR(x.Vars, x.RHS) {
 			return s
 		}
 	}
 	return s
-}
-
-// gaussInstallPacked packs the base XOR system over the solver's column
-// space, runs word-parallel Gauss–Jordan elimination in place, and
-// installs the reduced rows without leaving the packed representation.
-func (s *Solver) gaussInstallPacked(xs []cnf.XORClause) {
-	// Assign columns in sorted variable order, so the eliminated matrix,
-	// and with it the reduced rows and derived units, does not depend on
-	// the order in which variables appear in the XORs.
-	var vars []cnf.Var
-	for _, x := range xs {
-		for _, v := range x.Vars {
-			s.growTo(int(v))
-			if s.xcolOf[v] == -1 { // not columned and not already pending
-				s.xcolOf[v] = -2
-				vars = append(vars, v)
-			}
-		}
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-	for _, v := range vars {
-		s.xcolOf[v] = -1
-		s.xorColumn(v)
-	}
-	ncols := len(s.xvarOf)
-	words := gf2.Words(ncols)
-	rows := make([]gf2.Row, len(xs))
-	for i, x := range xs {
-		r := gf2.Row{Bits: make([]uint64, words), RHS: x.RHS}
-		for _, v := range x.Vars {
-			r.Flip(int(s.xcolOf[v]))
-		}
-		rows[i] = r
-	}
-	if gf2.GaussJordan(rows, ncols) {
-		s.ok = false
-		return
-	}
-	// Units first (their pivot variables occur in no other row after
-	// Jordan reduction), then the surviving rows; installPackedXOR folds
-	// any propagation-assigned variables via the masks.
-	for i := range rows {
-		if rows[i].Len() == 1 {
-			v := s.xvarOf[rows[i].FirstSet()]
-			if !s.addUnit(cnf.MkLit(v, !rows[i].RHS)) {
-				return
-			}
-		}
-	}
-	for i := range rows {
-		if rows[i].Len() >= 2 {
-			if !s.installPackedXOR(rows[i].Bits, rows[i].RHS, nil, 0) {
-				return
-			}
-		}
-	}
 }
 
 // growTo extends all per-variable and per-literal arrays to cover n vars.
@@ -812,11 +742,7 @@ func (s *Solver) pickBranchLit() cnf.Lit {
 			if s.assigns[v] != lUndef {
 				continue
 			}
-			pol := s.phase[v]
-			if s.cfg.RandomPolarityFreq > 0 && s.rng.Float64() < s.cfg.RandomPolarityFreq {
-				pol = s.rng.Bool()
-			}
-			return cnf.MkLit(v, !pol)
+			return cnf.MkLit(v, !s.phase[v])
 		}
 	}
 	return 0

@@ -2,7 +2,6 @@ package sat
 
 import (
 	"testing"
-	"testing/quick"
 
 	"unigen/internal/cnf"
 	"unigen/internal/randx"
@@ -82,11 +81,8 @@ func TestXORUnsat(t *testing.T) {
 	f := cnf.New(2)
 	f.AddXOR([]cnf.Var{1, 2}, true)
 	f.AddXOR([]cnf.Var{1, 2}, false)
-	for _, gj := range []bool{false, true} {
-		s := New(f, Config{GaussJordan: gj})
-		if got := s.Solve(); got != Unsat {
-			t.Errorf("GaussJordan=%v: Solve = %v, want UNSAT", gj, got)
-		}
+	if got := New(f, Config{}).Solve(); got != Unsat {
+		t.Errorf("Solve = %v, want UNSAT", got)
 	}
 }
 
@@ -96,14 +92,12 @@ func TestXORChainSat(t *testing.T) {
 	f.AddXOR([]cnf.Var{1, 2}, true)
 	f.AddXOR([]cnf.Var{2, 3}, true)
 	f.AddXOR([]cnf.Var{3, 1}, false)
-	for _, gj := range []bool{false, true} {
-		s := New(f, Config{GaussJordan: gj})
-		if got := s.Solve(); got != Sat {
-			t.Fatalf("GaussJordan=%v: Solve = %v, want SAT", gj, got)
-		}
-		if m := s.Model(); !m.Satisfies(f) {
-			t.Fatalf("GaussJordan=%v: bad model %v", gj, m)
-		}
+	s := New(f, Config{})
+	if got := s.Solve(); got != Sat {
+		t.Fatalf("Solve = %v, want SAT", got)
+	}
+	if m := s.Model(); !m.Satisfies(f) {
+		t.Fatalf("bad model %v", m)
 	}
 }
 
@@ -113,11 +107,8 @@ func TestXORChainUnsatOddCycle(t *testing.T) {
 	f.AddXOR([]cnf.Var{1, 2}, true)
 	f.AddXOR([]cnf.Var{2, 3}, true)
 	f.AddXOR([]cnf.Var{3, 1}, true)
-	for _, gj := range []bool{false, true} {
-		s := New(f, Config{GaussJordan: gj})
-		if got := s.Solve(); got != Unsat {
-			t.Errorf("GaussJordan=%v: Solve = %v, want UNSAT", gj, got)
-		}
+	if got := New(f, Config{}).Solve(); got != Unsat {
+		t.Errorf("Solve = %v, want UNSAT", got)
 	}
 }
 
@@ -265,17 +256,15 @@ func TestRandomXORCNFAgainstBruteForce(t *testing.T) {
 		nx := 1 + rng.Intn(n)
 		f := randomXORCNF(rng, n, m, 3, nx)
 		want := BruteForceCount(f) > 0
-		for _, gj := range []bool{false, true} {
-			s := New(f, Config{Seed: uint64(iter), GaussJordan: gj})
-			st := s.Solve()
-			if (st == Sat) != want {
-				t.Fatalf("iter %d gj=%v: Solve=%v, brute force sat=%v\n%s",
-					iter, gj, st, want, cnf.DIMACSString(f))
-			}
-			if st == Sat {
-				if m := s.Model(); !m.Satisfies(f) {
-					t.Fatalf("iter %d gj=%v: invalid model", iter, gj)
-				}
+		s := New(f, Config{})
+		st := s.Solve()
+		if (st == Sat) != want {
+			t.Fatalf("iter %d: Solve=%v, brute force sat=%v\n%s",
+				iter, st, want, cnf.DIMACSString(f))
+		}
+		if st == Sat {
+			if m := s.Model(); !m.Satisfies(f) {
+				t.Fatalf("iter %d: invalid model", iter)
 			}
 		}
 	}
@@ -322,37 +311,6 @@ func TestEnumerationMatchesBruteForce(t *testing.T) {
 				t.Fatalf("iter %d: enumerated a non-model", iter)
 			}
 		}
-	}
-}
-
-// TestGaussJordanProperties: Gauss–Jordan preprocessing preserves the
-// solution set of an XOR system. The solver eliminates at construction
-// (gaussInstallPacked), so the property enumerates New with GaussJordan
-// and compares with brute force.
-func TestGaussJordanProperties(t *testing.T) {
-	check := func(seed uint64) bool {
-		rng := randx.New(seed)
-		n := 2 + rng.Intn(8)
-		nx := 1 + rng.Intn(6)
-		f := cnf.New(n)
-		for i := 0; i < nx; i++ {
-			var vs []cnf.Var
-			for v := 1; v <= n; v++ {
-				if rng.Bool() {
-					vs = append(vs, cnf.Var(v))
-				}
-			}
-			if len(vs) == 0 {
-				continue
-			}
-			f.AddXOR(vs, rng.Bool())
-		}
-		s := New(f, Config{GaussJordan: true})
-		return len(enumerateAll(t, s, f, varsUpTo(n))) == BruteForceCount(f)
-	}
-	cfg := &quick.Config{MaxCount: 200}
-	if err := quick.Check(check, cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 

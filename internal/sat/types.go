@@ -8,8 +8,7 @@
 // two-watched-literal propagation, VSIDS branching with phase saving,
 // first-UIP clause learning with recursive minimization, Luby restarts,
 // and activity-based learned-clause deletion. XOR clauses are propagated
-// natively with a two-watched-variable scheme (as in CryptoMiniSAT),
-// with an optional Gauss–Jordan preprocessing pass over the XOR system.
+// natively with a two-watched-variable scheme (as in CryptoMiniSAT).
 package sat
 
 import (
@@ -50,20 +49,11 @@ type Config struct {
 	// the dominant cost on UniWit-style full-support instances; this is
 	// the budget that makes those calls "time out" deterministically.
 	MaxPropagations int64
-	// GaussJordan enables Gauss–Jordan elimination over the XOR system
-	// before search (conflict detection, implied units, and XOR
-	// shortening). An ablation knob: CryptoMiniSAT's corresponding
-	// feature is one reason the paper's BSAT is fast on parity-heavy
-	// instances.
-	GaussJordan bool
-	// Seed seeds the solver's RNG. Its only draws pick random decision
-	// polarities for RandomPolarityFreq, so with that frequency at 0
-	// search does not depend on Seed at all.
+	// Seed is read by nothing: the solver draws no random numbers, so
+	// search depends only on the formula and the call sequence. It
+	// stays because unibench/batch.go sets it (ROADMAP, benchmark
+	// upkeep).
 	Seed uint64
-	// RandomPolarityFreq in [0,1] is the fraction of decisions whose
-	// polarity is randomized rather than taken from the saved phase.
-	// Diversifies enumeration order in BSAT. 0 disables.
-	RandomPolarityFreq float64
 	// PriorityVars are branched on before all other variables (VSIDS
 	// order within each class), from a new solver's first descent on.
 	// BSAT sets this to the sampling set: for Tseitin-encoded formulas
@@ -80,9 +70,7 @@ type Config struct {
 	// sampling pool.
 	Interrupt *atomic.Bool
 	// RecordProof keeps a DRUP-style trace of learned clauses and
-	// mid-search axioms, verifiable with CheckRUPProof. Incompatible
-	// with GaussJordan (which is silently disabled when both are set):
-	// Gauss-derived units are not RUP steps.
+	// mid-search axioms, verifiable with CheckRUPProof.
 	RecordProof bool
 }
 

@@ -69,8 +69,8 @@ func (s *Service) deltaStats() DeltaStats {
 // service's preparation parameters (shared by the formula and delta
 // paths so the two can never alias differently-parameterized state).
 func (s *Service) cacheKey(fp [32]byte) string {
-	return fmt.Sprintf("%x|eps=%g|gj=%t|mc=%d|mp=%d",
-		fp, s.cfg.Epsilon, s.cfg.GaussJordan, s.cfg.MaxConflicts, s.cfg.MaxPropagations)
+	return fmt.Sprintf("%x|eps=%g|mc=%d|mp=%d",
+		fp, s.cfg.Epsilon, s.cfg.MaxConflicts, s.cfg.MaxPropagations)
 }
 
 // parseAssumptions validates and converts signed DIMACS literals,

@@ -81,8 +81,6 @@ type Config struct {
 	// default per-request solver call (0 = unlimited).
 	MaxConflicts    int64
 	MaxPropagations int64
-	// GaussJordan enables Gauss–Jordan XOR preprocessing in the solver.
-	GaussJordan bool
 	// Workers is the default per-request worker-pool size (default 1).
 	Workers int
 	// CacheSize bounds the number of prepared formulas kept (LRU;
@@ -493,7 +491,6 @@ func (s *Service) prepare(ctx context.Context, src formulaSrc, psp *obs.Span) (*
 				Solver: sat.Config{
 					MaxConflicts:    s.cfg.MaxConflicts,
 					MaxPropagations: s.cfg.MaxPropagations,
-					GaussJordan:     s.cfg.GaussJordan,
 					// The cache raises intr when every requester has
 					// abandoned the flight; an unbudgeted preparation
 					// must not outlive all interest in it.
@@ -638,7 +635,6 @@ func (s *Service) rehydrate(key string, fp [32]byte) (*prepared, bool) {
 			Solver: sat.Config{
 				MaxConflicts:    s.cfg.MaxConflicts,
 				MaxPropagations: s.cfg.MaxPropagations,
-				GaussJordan:     s.cfg.GaussJordan,
 			},
 		})
 	}

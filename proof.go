@@ -19,12 +19,8 @@ import (
 // ApproxMC); this entry point gives end-users an independently checked
 // version of that verdict.
 func ProveUnsat(f *Formula, opts Options) (bool, error) {
-	cfg := sat.Config{
-		MaxConflicts:    opts.MaxConflicts,
-		MaxPropagations: opts.MaxPropagations,
-		Seed:            opts.Seed,
-		RecordProof:     true,
-	}
+	cfg := opts.solverConfig()
+	cfg.RecordProof = true
 	s := sat.New(f, cfg)
 	switch s.Solve() {
 	case sat.Sat:

@@ -15,7 +15,7 @@
 //	fmt.Println(w.Bits(f.SamplingVars()))
 //
 // (Options fields beyond Epsilon and Seed — SamplingSet, MaxConflicts,
-// MaxPropagations, GaussJordan, Workers — are optional;
+// MaxPropagations, Workers — are optional;
 // f.SamplingVars() returns the declared sampling set, sorted, falling
 // back to all variables.)
 //
@@ -124,8 +124,6 @@ type Options struct {
 	// MaxPropagations additionally bounds per-call propagation work
 	// (0 = unlimited); useful on instances with very long XOR rows.
 	MaxPropagations int64
-	// GaussJordan enables Gauss–Jordan XOR preprocessing in the solver.
-	GaussJordan bool
 	// Workers is the number of solver sessions sampling rounds are
 	// fanned out over (0 means 1). Rounds draw from per-round seed
 	// streams (see the package comment on determinism), so the sample
@@ -139,8 +137,6 @@ func (o Options) solverConfig() sat.Config {
 	return sat.Config{
 		MaxConflicts:    o.MaxConflicts,
 		MaxPropagations: o.MaxPropagations,
-		GaussJordan:     o.GaussJordan,
-		Seed:            o.Seed,
 	}
 }
 
@@ -172,11 +168,11 @@ func NewSampler(f *Formula, opts Options) (*Sampler, error) {
 // Sample returns one almost-uniform witness, retrying ⊥ rounds, or an
 // error for unsatisfiable formulas (ErrUnsat) and budget exhaustion.
 func (s *Sampler) Sample() (Witness, error) {
-	w, err := s.eng.Sample(context.Background())
+	ws, err := s.eng.SampleN(context.Background(), 1)
 	if err != nil {
 		return Witness{}, err
 	}
-	return Witness{a: w}, nil
+	return Witness{a: ws[0]}, nil
 }
 
 // SampleN returns n witnesses, transparently retrying ⊥ rounds. With

@@ -203,7 +203,7 @@ func TestSolveUnsat(t *testing.T) {
 	f := NewFormula(2)
 	f.AddXOR([]Var{1, 2}, true)
 	f.AddXOR([]Var{1, 2}, false)
-	_, sat, err := Solve(f, Options{GaussJordan: true})
+	_, sat, err := Solve(f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,10 @@
 // same seed. An unknown base returns 404; -pool caps idle sessions per
 // base.
 //
+// Besides the fields shown, a body may carry "tenant", "timeout_ms" and,
+// on /sample, "trace"; any other field gets 400. The worker count (-j)
+// and the conflict budget (-budget) are the daemon's, not the request's.
+//
 //	GET  /healthz         → {"ok": true, "state": "ok"|"overloaded"|"draining",
 //	                         "uptime_seconds": 12.3, "version": "…"}
 //	GET  /stats           → cache, admission, outcome, delta/session-pool,
@@ -42,7 +46,7 @@
 // /metrics mirror, kept off the public port.
 //
 // Overload behavior: beyond -max-inflight admitted requests and a
-// -max-queue wait queue, work is shed with 429 and a Retry-After hint;
+// -max-queue wait queue, work is shed with 429 and "Retry-After: 1";
 // requests exceeding the -timeout server deadline stop consuming solver
 // CPU and fail with 503; bodies over -max-body get 413. SIGINT/SIGTERM
 // starts a graceful drain: the listener closes, in-flight requests get
@@ -85,7 +89,7 @@ func main() {
 	storeDir := flag.String("store-dir", "", "directory for the persistent prepared-formula store (empty = off)")
 	storeMax := flag.Int64("store-max-bytes", 0, "max bytes the persistent store may hold before evicting least-recently-accessed entries (0 = unlimited)")
 	pool := flag.Int("pool", 0, "max idle delta sessions pooled per base formula (0 = 8)")
-	jobs := flag.Int("j", 0, "default per-request sampling workers (0 = all CPUs)")
+	jobs := flag.Int("j", 0, "sampling workers per request (0 = all CPUs, at most 64)")
 	budget := flag.Int64("budget", 0, "conflict budget per SAT call (0 = unlimited)")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently admitted requests (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "max requests waiting for admission before shedding")

@@ -23,10 +23,6 @@ var ErrFailed = errors.New("baseline: sampling round failed (⊥)")
 
 // UniWitOptions configures the UniWit baseline.
 type UniWitOptions struct {
-	// Pivot is the cell-size bound. The CAV'13 constant for the
-	// near-uniformity guarantee; the default 20 keeps the generator's
-	// documented ≥ 0.125 success-probability regime.
-	Pivot int
 	// Solver configures BSAT calls.
 	Solver sat.Config
 }
@@ -46,7 +42,7 @@ type UniWitOptions struct {
 //     than UniGen's ≥ 0.62.
 //
 // Exact CAV'13 constants not pinned by the DAC'14 text are documented
-// here rather than guessed: pivot defaults to 20.
+// here rather than guessed: pivot is 20.
 type UniWit struct {
 	f     *cnf.Formula
 	opts  UniWitOptions
@@ -56,9 +52,6 @@ type UniWit struct {
 // NewUniWit builds the baseline sampler. Unlike UniGen there is no
 // setup phase to amortize — that asymmetry is the point of Table 1.
 func NewUniWit(f *cnf.Formula, opts UniWitOptions) *UniWit {
-	if opts.Pivot <= 0 {
-		opts.Pivot = 20
-	}
 	return &UniWit{f: f, opts: opts}
 }
 
@@ -68,7 +61,9 @@ func (u *UniWit) Stats() core.Stats { return u.stats }
 
 // Sample draws one witness or fails with ErrFailed.
 func (u *UniWit) Sample(rng *randx.RNG) (cnf.Assignment, error) {
-	pivot := u.opts.Pivot
+	// The cell-size bound, the CAV'13 constant for the near-uniformity
+	// guarantee: 20 keeps the documented ≥ 0.125 success probability.
+	const pivot = 20
 	fullSupport := make([]cnf.Var, u.f.NumVars)
 	for i := range fullSupport {
 		fullSupport[i] = cnf.Var(i + 1)

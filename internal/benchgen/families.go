@@ -44,7 +44,7 @@ func buildCase(inputs, gates int) func(Scale, uint64) (*Instance, error) {
 			b.Output(sigs[len(sigs)-1-i])
 		}
 		c := b.Build()
-		enc, err := circuit.Encode(c, circuit.EncodeOptions{})
+		enc, err := circuit.Encode(c)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +113,7 @@ func buildSeqParity(p map[Scale]seqParams) func(Scale, uint64) (*Instance, error
 		if err != nil {
 			return nil, err
 		}
-		enc, err := circuit.Encode(u, circuit.EncodeOptions{})
+		enc, err := circuit.Encode(u)
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +156,7 @@ func buildSquaring(width dims, parity int) func(Scale, uint64) (*Instance, error
 			b.Output(s)
 		}
 		cir := b.Build()
-		enc, err := circuit.Encode(cir, circuit.EncodeOptions{})
+		enc, err := circuit.Encode(cir)
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +194,7 @@ func buildKaratsuba(width dims) func(Scale, uint64) (*Instance, error) {
 			b.Output(s)
 		}
 		cir := b.Build()
-		enc, err := circuit.Encode(cir, circuit.EncodeOptions{})
+		enc, err := circuit.Encode(cir)
 		if err != nil {
 			return nil, err
 		}
@@ -326,7 +326,7 @@ func buildSketch(p map[Scale]sketchParams, kind string) func(Scale, uint64) (*In
 		}
 		b.Output(invariant)
 		cir := b.Build()
-		enc, err := circuit.Encode(cir, circuit.EncodeOptions{})
+		enc, err := circuit.Encode(cir)
 		if err != nil {
 			return nil, err
 		}
@@ -342,18 +342,4 @@ func buildSketch(p map[Scale]sketchParams, kind string) func(Scale, uint64) (*In
 		anchorParity(enc, vals, cir.Outputs[:len(cir.Outputs)-1], pr.parity, rng)
 		return &Instance{F: enc.Formula}, nil
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -321,7 +321,7 @@ func (c *Context) Blast() (*Blasted, error) {
 		b.Output(bools[a])
 	}
 	cir := b.Build()
-	enc, err := circuit.Encode(cir, circuit.EncodeOptions{})
+	enc, err := circuit.Encode(cir)
 	if err != nil {
 		return nil, err
 	}

@@ -146,20 +146,12 @@ func (se *Session) SetAssumptions(lits []cnf.Lit) {
 func (se *Session) Assumptions() []cnf.Lit { return se.base }
 
 // SetInterrupt repoints the cooperative-interrupt flag for both the
-// session's stall-polling and the underlying solver. Pooled sessions use
-// this at check-out/check-in so each request owns its own flag.
+// session's stall-polling and the underlying solver (nil: none). An
+// engine points each of its sessions at its own flag; a session pool
+// sets nil at check-in.
 func (se *Session) SetInterrupt(intr *atomic.Bool) {
 	se.cfg.Interrupt = intr
 	se.s.SetInterrupt(intr)
-}
-
-// SetBudgets replaces the conflict/propagation budgets, which bound the
-// search for each witness, on the live solver and on the config used
-// for future rebuilds. Zero means unlimited.
-func (se *Session) SetBudgets(maxConflicts, maxPropagations int64) {
-	se.cfg.MaxConflicts = maxConflicts
-	se.cfg.MaxPropagations = maxPropagations
-	se.s.SetBudgets(maxConflicts, maxPropagations)
 }
 
 // rebuild replaces the solver with a fresh one loaded from the base

@@ -277,55 +277,51 @@ func TestBenchUnrollAndEncode(t *testing.T) {
 	checkTseitin(t, u, 9) // 3 inputs × 3 frames
 }
 
-// checkTseitin encodes the combinational circuit cir, with and without
-// native XOR clauses, and checks that its inputs are the sampling set,
-// that it has exactly 2^inputs projected witnesses, and that the witness
-// extending a random input vector agrees with simulation on every signal.
+// checkTseitin encodes the combinational circuit cir and checks that
+// its inputs are the sampling set, that it has exactly 2^inputs
+// projected witnesses, and that the witness extending a random input
+// vector agrees with simulation on every signal.
 func checkTseitin(t *testing.T, cir *Circuit, inputs int) {
 	t.Helper()
-	for _, plain := range []bool{false, true} {
-		enc, err := Encode(cir, EncodeOptions{PlainXOR: plain})
-		if err != nil {
-			t.Fatal(err)
+	enc, err := Encode(cir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(enc.InputVars) != inputs || len(enc.Formula.SamplingSet) != inputs {
+		t.Fatalf("%d input vars, sampling set of %d; want %d",
+			len(enc.InputVars), len(enc.Formula.SamplingSet), inputs)
+	}
+	// Count projected witnesses: must be 2^inputs (inputs free).
+	want := 1 << inputs
+	n, res := bsat.Count(enc.Formula, 2*want, bsat.Options{})
+	if !res.Exhausted || n != want {
+		t.Fatalf("projected count = %d (exhausted=%v), want %d", n, res.Exhausted, want)
+	}
+	// Check witness extension correctness on random inputs.
+	rng := randx.New(55)
+	for iter := 0; iter < 20; iter++ {
+		in := make([]bool, inputs)
+		for i := range in {
+			in[i] = rng.Bool()
 		}
-		if len(enc.InputVars) != inputs || len(enc.Formula.SamplingSet) != inputs {
-			t.Fatalf("plain=%v: %d input vars, sampling set of %d; want %d",
-				plain, len(enc.InputVars), len(enc.Formula.SamplingSet), inputs)
+		vals, _ := cir.Eval(in, nil)
+		// Force inputs via unit clauses and solve.
+		g := enc.Formula.Clone()
+		for i, v := range enc.InputVars {
+			if in[i] {
+				g.AddClause(int(v))
+			} else {
+				g.AddClause(-int(v))
+			}
 		}
-		// Count projected witnesses: must be 2^inputs (inputs free).
-		want := 1 << inputs
-		n, res := bsat.Count(enc.Formula, 2*want, bsat.Options{})
-		if !res.Exhausted || n != want {
-			t.Fatalf("plain=%v: projected count = %d (exhausted=%v), want %d",
-				plain, n, res.Exhausted, want)
+		s := sat.New(g, sat.Config{})
+		if s.Solve() != sat.Sat {
+			t.Fatalf("no witness for input %v", in)
 		}
-		// Check witness extension correctness on random inputs.
-		rng := randx.New(55)
-		for iter := 0; iter < 20; iter++ {
-			in := make([]bool, inputs)
-			for i := range in {
-				in[i] = rng.Bool()
-			}
-			vals, _ := cir.Eval(in, nil)
-			// Force inputs via unit clauses and solve.
-			g := enc.Formula.Clone()
-			for i, v := range enc.InputVars {
-				if in[i] {
-					g.AddClause(int(v))
-				} else {
-					g.AddClause(-int(v))
-				}
-			}
-			s := sat.New(g, sat.Config{})
-			if s.Solve() != sat.Sat {
-				t.Fatalf("plain=%v: no witness for input %v", plain, in)
-			}
-			m := s.Model()
-			for sig, v := range enc.SigVar {
-				if m.Get(v) != vals[sig] {
-					t.Fatalf("plain=%v: sig %d (%v) = %v, sim %v",
-						plain, sig, cir.Gates[sig].Kind, m.Get(v), vals[sig])
-				}
+		m := s.Model()
+		for sig, v := range enc.SigVar {
+			if m.Get(v) != vals[sig] {
+				t.Fatalf("sig %d (%v) = %v, sim %v", sig, cir.Gates[sig].Kind, m.Get(v), vals[sig])
 			}
 		}
 	}
@@ -335,7 +331,7 @@ func TestEncodeRejectsSequential(t *testing.T) {
 	b := NewBuilder()
 	q, setD := b.LatchLoop()
 	setD(b.Not(q))
-	if _, err := Encode(b.Build(), EncodeOptions{}); err == nil {
+	if _, err := Encode(b.Build()); err == nil {
 		t.Fatal("Encode accepted a sequential circuit")
 	}
 }
@@ -345,7 +341,7 @@ func TestAssertParityRestrictsWitnesses(t *testing.T) {
 	x := b.InputWord(6)
 	b.Output(x[0])
 	cir := b.Build()
-	enc, err := Encode(cir, EncodeOptions{})
+	enc, err := Encode(cir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,15 +6,6 @@ import (
 	"unigen/internal/cnf"
 )
 
-// EncodeOptions controls CNF generation.
-type EncodeOptions struct {
-	// PlainXOR expands XOR gates into four CNF clauses instead of a
-	// native XOR clause. Native XOR clauses (the default) match how
-	// CryptoMiniSAT-era encodings keep parity structure visible to the
-	// solver; plain CNF is the ablation.
-	PlainXOR bool
-}
-
 // Encoded is the result of Tseitin-encoding a circuit.
 type Encoded struct {
 	Formula *cnf.Formula
@@ -28,9 +19,11 @@ type Encoded struct {
 }
 
 // Encode Tseitin-encodes a combinational circuit. Every signal receives
-// a variable; gate semantics become clauses; the sampling set is the
-// primary inputs. Sequential circuits must be unrolled first.
-func Encode(c *Circuit, opts EncodeOptions) (*Encoded, error) {
+// a variable; gate semantics become clauses, XOR gates native XOR
+// clauses (as CryptoMiniSAT-era encodings keep parity structure visible
+// to the solver); the sampling set is the primary inputs. Sequential
+// circuits must be unrolled first.
+func Encode(c *Circuit) (*Encoded, error) {
 	if len(c.Latches) > 0 {
 		return nil, fmt.Errorf("circuit: Encode requires a combinational circuit; call Unroll first")
 	}
@@ -69,16 +62,8 @@ func Encode(c *Circuit, opts EncodeOptions) (*Encoded, error) {
 			f.AddClause(int(z), -int(b))
 			f.AddClause(-int(z), int(a), int(b))
 		case KindXor:
-			a, b := sigVar[g.In[0]], sigVar[g.In[1]]
-			if opts.PlainXOR {
-				f.AddClause(-int(z), int(a), int(b))
-				f.AddClause(-int(z), -int(a), -int(b))
-				f.AddClause(int(z), -int(a), int(b))
-				f.AddClause(int(z), int(a), -int(b))
-			} else {
-				// z ⊕ a ⊕ b = 0
-				f.AddXOR([]cnf.Var{z, a, b}, false)
-			}
+			// z ⊕ a ⊕ b = 0
+			f.AddXOR([]cnf.Var{z, sigVar[g.In[0]], sigVar[g.In[1]]}, false)
 		default:
 			return nil, fmt.Errorf("circuit: cannot encode gate kind %v", g.Kind)
 		}

@@ -8,7 +8,7 @@ import (
 
 // Binary formula codec: the fixed-width little-endian encoding the
 // persistent prepared-formula store (internal/store, DESIGN §12)
-// serializes simplified formulas with. Unlike DIMACS text it is
+// serializes each prepared setup's formula with. Unlike DIMACS text it is
 // presentation-preserving — clause order, literal order, and the
 // nil-vs-empty sampling-set distinction all survive a round trip —
 // because the setup it is embedded in must rehydrate bit-identically

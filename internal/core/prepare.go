@@ -70,8 +70,8 @@ func PrepSeedFromFingerprint(fp [32]byte) uint64 {
 
 // SolverConfig returns the solver configuration the setup's sessions
 // are built with (budgets, interrupt). Callers that share a Setup
-// across concurrent requests start from this and swap in a private
-// Interrupt before building sessions with NewSessionWith.
+// across concurrent requests build sessions from it with
+// NewSessionWith and point each at a private interrupt flag.
 func (su *Setup) SolverConfig() sat.Config { return su.opts.Solver }
 
 // ReleaseSpare drops the setup-phase spare session (the solver the
@@ -85,11 +85,11 @@ func (su *Setup) ReleaseSpare() { su.spare = nil }
 
 // NewSessionWith builds a fresh BSAT session over the setup's formula
 // and hash set with the given solver configuration — typically
-// SolverConfig() with a per-request Interrupt flag and budget
-// overrides. Unlike NewSession it never adopts the setup-phase spare
-// session, so it is safe to call concurrently from request handlers
-// sharing one cached Setup (the Setup itself is immutable; only
-// sessions carry mutable solver state).
+// SolverConfig(), or that without its interrupt. Unlike NewSession it
+// never adopts the setup-phase spare session, so it is safe to call
+// concurrently from request handlers sharing one cached Setup (the
+// Setup itself is immutable; only sessions carry mutable solver
+// state).
 func (su *Setup) NewSessionWith(cfg sat.Config) *bsat.Session {
 	return bsat.NewSession(su.f, bsat.Options{SamplingSet: su.h, Solver: cfg})
 }

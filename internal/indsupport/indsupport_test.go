@@ -56,7 +56,7 @@ func TestTseitinInputsAreIndependent(t *testing.T) {
 	y := b.InputWord(4)
 	sum := b.AddWord(x, y)
 	b.Output(sum[3])
-	enc, err := circuit.Encode(b.Build(), circuit.EncodeOptions{})
+	enc, err := circuit.Encode(b.Build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestAuxVarsAloneNotIndependent(t *testing.T) {
 	q := b.Input()
 	z := b.And(p, q)
 	b.Output(z)
-	enc, err := circuit.Encode(b.Build(), circuit.EncodeOptions{})
+	enc, err := circuit.Encode(b.Build())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,11 +98,10 @@ type Options struct {
 	// prepared state is a function of the formula alone and a cached
 	// Setup can serve any master seed (see NewEngineFromSetup).
 	MasterSeed uint64
-	// Core is forwarded to the shared core.Setup. Core.Solver.Interrupt
-	// is overwritten: the engine installs its own flag so SampleN can
-	// abort in-flight BSAT calls on context cancellation.
-	// NewEngineFromSetup ignores every Core field except the
-	// Solver.MaxConflicts / Solver.MaxPropagations budget overrides.
+	// Core is forwarded to the shared core.Setup by NewEngine, which
+	// prepares under it; NewEngineFromSetup ignores it. The sessions
+	// never poll Core.Solver.Interrupt: they poll the engine's own flag,
+	// which SampleN raises on context cancellation.
 	Core core.Options
 }
 
@@ -123,27 +122,10 @@ type Engine struct {
 	setup    *core.Setup
 	sessions []*bsat.Session // one per worker, owned exclusively during SampleN
 	seed     uint64
-	next     uint64         // absolute index of the first round of the next SampleN
-	stats    core.Stats     // setup stats merged with all consumed round deltas
-	intr     *atomic.Bool   // shared by every session's solver config
-	flags    []*atomic.Bool // every interrupt flag raised/cleared together
-	doomed   []bool         // per-session: a round panicked on this session
-}
-
-// raiseIntr and clearIntr flip every interrupt flag the engine's
-// sessions listen on. Engines built by NewEngine/NewEngineFromSetup
-// have a single shared flag; leased (pooled) sessions each carry their
-// own, so cancellation must fan out.
-func (e *Engine) raiseIntr() {
-	for _, f := range e.flags {
-		f.Store(true)
-	}
-}
-
-func (e *Engine) clearIntr() {
-	for _, f := range e.flags {
-		f.Store(false)
-	}
+	next     uint64       // absolute index of the first round of the next SampleN
+	stats    core.Stats   // setup stats merged with all consumed round deltas
+	intr     *atomic.Bool // the interrupt flag every session polls
+	doomed   []bool       // per-session: a round panicked on this session
 }
 
 // NewEngine runs the ApproxMC setup once and builds one solver session
@@ -153,88 +135,56 @@ func (e *Engine) clearIntr() {
 // what lets the service layer hand a cached Setup to requests with
 // arbitrary seeds and still return bit-identical samples (DESIGN §8).
 func NewEngine(f *cnf.Formula, opts Options) (*Engine, error) {
-	w := opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	e := &Engine{seed: opts.MasterSeed, intr: new(atomic.Bool)}
-	e.flags = []*atomic.Bool{e.intr}
-	co := opts.Core
-	co.Solver.Interrupt = e.intr
-	su, err := core.NewSetup(f, randx.New(core.PrepSeed(f, co.SamplingSet)), co)
+	su, err := core.NewSetup(f, randx.New(core.PrepSeed(f, opts.Core.SamplingSet)), opts.Core)
 	if err != nil {
 		return nil, err
 	}
-	e.setup = su
-	e.stats = su.SetupStats()
-	e.sessions = make([]*bsat.Session, w)
-	for i := range e.sessions {
-		e.sessions[i] = su.NewSession()
+	sessions := make([]*bsat.Session, workers(opts))
+	for i := range sessions {
+		sessions[i] = su.NewSession()
 	}
-	e.doomed = make([]bool, w)
+	e := NewEngineWithSessions(su, sessions, opts.MasterSeed)
+	e.stats = su.SetupStats()
 	return e, nil
 }
 
 // NewEngineFromSetup builds an engine around an existing prepared Setup
 // — the service layer's cache-hit path, where the expensive ApproxMC
 // setup already ran (under the fingerprint-derived RNG NewEngine uses)
-// and only per-request sessions need constructing. The engine gets a
-// private interrupt flag, so cancelling its calls never disturbs other
-// engines sharing the Setup; sessions are built with the setup's solver
-// configuration, with opts.Core.Solver.MaxConflicts/MaxPropagations
-// overriding the budgets when non-zero (per-request budgets). Unlike
-// NewEngine the returned engine's Stats start at zero: the shared setup
-// phase is accounted once by the cache owner, not per request.
+// and only per-request sessions need constructing, with the setup's
+// solver configuration. Unlike NewEngine the returned engine's Stats
+// start at zero: the shared setup phase is accounted once by the cache
+// owner, not per request.
 func NewEngineFromSetup(su *core.Setup, opts Options) *Engine {
-	w := opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	sessions := make([]*bsat.Session, workers(opts))
+	for i := range sessions {
+		sessions[i] = su.NewSessionWith(su.SolverConfig())
 	}
-	e := &Engine{setup: su, seed: opts.MasterSeed, intr: new(atomic.Bool)}
-	e.flags = []*atomic.Bool{e.intr}
-	cfg := su.SolverConfig()
-	if mc := opts.Core.Solver.MaxConflicts; mc != 0 {
-		cfg.MaxConflicts = mc
-	}
-	if mp := opts.Core.Solver.MaxPropagations; mp != 0 {
-		cfg.MaxPropagations = mp
-	}
-	cfg.Interrupt = e.intr
-	e.sessions = make([]*bsat.Session, w)
-	for i := range e.sessions {
-		e.sessions[i] = su.NewSessionWith(cfg)
-	}
-	e.doomed = make([]bool, w)
-	return e
+	return NewEngineWithSessions(su, sessions, opts.MasterSeed)
 }
 
-// Lease is a checked-out pooled session handed to NewEngineWithSessions:
-// the session (typically carrying standing assumption literals for a
-// delta request) plus the private interrupt flag its solver polls.
-type Lease struct {
-	Sess *bsat.Session
-	Intr *atomic.Bool
+// workers is the pool size opts asks for.
+func workers(opts Options) int {
+	if opts.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return opts.Workers
 }
 
-// NewEngineWithSessions builds an engine over caller-owned sessions —
-// the delta-request path, where a session pool lends per-worker sessions
-// that already carry the request's assumptions and budgets. The pool
-// size is len(leases). The engine raises and clears every lease's
-// interrupt flag together for cancellation, but never touches budgets or
+// NewEngineWithSessions builds an engine over the given sessions, one
+// per worker, and points each at the engine's own interrupt flag, so
+// cancelling this engine never disturbs another engine's sessions over
+// the same Setup. It is the delta-request path, where a session pool
+// lends sessions that already carry the request's assumptions, and the
+// constructor the other two end in. The engine never touches
 // assumptions: check-out/check-in hygiene is the pool's job. After
-// SampleN returns, Doomed reports which leased sessions a round panicked
-// on, so the pool can retire them instead of re-pooling corrupted state.
-func NewEngineWithSessions(su *core.Setup, leases []Lease, masterSeed uint64) *Engine {
-	e := &Engine{setup: su, seed: masterSeed, intr: new(atomic.Bool)}
-	e.flags = []*atomic.Bool{e.intr}
-	e.sessions = make([]*bsat.Session, len(leases))
-	for i, l := range leases {
-		e.sessions[i] = l.Sess
-		if l.Intr != nil {
-			e.flags = append(e.flags, l.Intr)
-		}
+// SampleN returns, Doomed reports which sessions a round panicked on,
+// so the pool can retire them instead of re-pooling corrupted state.
+func NewEngineWithSessions(su *core.Setup, sessions []*bsat.Session, masterSeed uint64) *Engine {
+	e := &Engine{setup: su, sessions: sessions, seed: masterSeed, intr: new(atomic.Bool), doomed: make([]bool, len(sessions))}
+	for _, sess := range sessions {
+		sess.SetInterrupt(e.intr)
 	}
-	e.doomed = make([]bool, len(leases))
 	return e
 }
 
@@ -267,10 +217,10 @@ func (e *Engine) Stats() core.Stats { return e.stats }
 // round-index order, so the returned multiset is deterministic for a
 // fixed master seed (see the package comment).
 //
-// On ctx cancellation the engine raises the shared solver interrupt
-// flag — in-flight BSAT calls return promptly, as if their conflict
-// budget had been exhausted — and SampleN returns the witnesses
-// completed so far together with ctx.Err(). Other hard errors
+// On ctx cancellation the engine raises its interrupt flag — in-flight
+// BSAT calls return promptly, as if their conflict budget had been
+// exhausted — and SampleN returns the witnesses completed so far
+// together with ctx.Err(). Other hard errors
 // (ErrBudget, unsatisfiable formula) abort the same way.
 func (e *Engine) SampleN(ctx context.Context, n int) ([]cnf.Assignment, error) {
 	if n <= 0 {
@@ -282,7 +232,7 @@ func (e *Engine) SampleN(ctx context.Context, n int) ([]cnf.Assignment, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	e.clearIntr()
+	e.intr.Store(false)
 
 	// Forward ctx cancellation to every in-flight solver call.
 	watchDone := make(chan struct{})
@@ -291,7 +241,7 @@ func (e *Engine) SampleN(ctx context.Context, n int) ([]cnf.Assignment, error) {
 		defer close(watcherGone)
 		select {
 		case <-ctx.Done():
-			e.raiseIntr()
+			e.intr.Store(true)
 		case <-watchDone:
 		}
 	}()
@@ -404,7 +354,7 @@ collect:
 	mu.Unlock()
 	gate.Broadcast()
 	if firstErr != nil {
-		e.raiseIntr() // hasten rounds past the failed one; discarded anyway
+		e.intr.Store(true) // hasten rounds past the failed one; discarded anyway
 	}
 	go func() {
 		for range results {
@@ -414,7 +364,7 @@ collect:
 	close(results)
 	close(watchDone)
 	<-watcherGone
-	e.clearIntr()
+	e.intr.Store(false)
 
 	// Later SampleN calls continue the round stream where this call's
 	// consumed prefix ended, preserving end-to-end reproducibility of

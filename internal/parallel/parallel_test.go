@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"unigen/internal/bsat"
 	"unigen/internal/cnf"
 	"unigen/internal/core"
 	"unigen/internal/faultpoint"
@@ -367,5 +368,53 @@ func TestSampleNCancelAtGate(t *testing.T) {
 	}
 	if got := roundSpans(tr); got != 1 {
 		t.Fatalf("%d rounds started, want 1: the waiting worker left the gate", got)
+	}
+}
+
+// TestEngineOwnsItsInterrupt: NewEngineWithSessions points every
+// session at the engine's own flag, so cancelling one engine interrupts
+// its rounds only. Both engines' first BSAT calls stall; cancelling A
+// must end A's stall and leave B's to run out, or B's round would
+// report an exhausted budget.
+func TestEngineOwnsItsInterrupt(t *testing.T) {
+	su := hardSetup(t)
+	newEngine := func(seed uint64) *Engine {
+		ss := []*bsat.Session{su.NewSessionWith(su.SolverConfig())}
+		e := NewEngineWithSessions(su, ss, seed)
+		if ss[0].Interrupt() != e.intr {
+			t.Fatal("session does not poll its engine's flag")
+		}
+		return e
+	}
+	a, b := newEngine(1), newEngine(2)
+	if a.intr == b.intr {
+		t.Fatal("two engines share one interrupt flag")
+	}
+	faultpoint.Arm(faultpoint.SolverStall, faultpoint.Fault{Delay: 500 * time.Millisecond, Count: 2})
+	defer faultpoint.Reset()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type result struct {
+		n   int
+		err error
+	}
+	run := func(ctx context.Context, e *Engine) <-chan result {
+		c := make(chan result, 1)
+		go func() {
+			ws, err := e.SampleN(ctx, 1)
+			c <- result{len(ws), err}
+		}()
+		return c
+	}
+	ra, rb := run(ctx, a), run(context.Background(), b)
+	for faultpoint.Fired(faultpoint.SolverStall) < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if r := <-ra; !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("cancelled engine: %d witnesses, err = %v; want context.Canceled", r.n, r.err)
+	}
+	if r := <-rb; r.err != nil || r.n != 1 {
+		t.Fatalf("the other engine: %d witnesses, err = %v; want 1 and no error", r.n, r.err)
 	}
 }

@@ -3,9 +3,9 @@ package sat
 import "sync/atomic"
 
 // SetBudgets replaces the per-Solve conflict and propagation budgets.
-// Solve reads the limits fresh at every call (relative to the solver's
-// cumulative stats), so pooled sessions can retune budgets between
-// requests without rebuilding the solver. Zero means unlimited.
+// Solve and Enumerate read the limits fresh at every call (relative to
+// the solver's cumulative stats), so they can change between calls
+// without rebuilding the solver. Zero means unlimited.
 func (s *Solver) SetBudgets(maxConflicts, maxPropagations int64) {
 	s.cfg.MaxConflicts = maxConflicts
 	s.cfg.MaxPropagations = maxPropagations

@@ -69,8 +69,7 @@ func (s *Service) deltaStats() DeltaStats {
 // service's preparation parameters (shared by the formula and delta
 // paths so the two can never alias differently-parameterized state).
 func (s *Service) cacheKey(fp [32]byte) string {
-	return fmt.Sprintf("%x|eps=%g|mc=%d|mp=%d",
-		fp, s.cfg.Epsilon, s.cfg.MaxConflicts, s.cfg.MaxPropagations)
+	return fmt.Sprintf("%x|eps=%g|mc=%d", fp, s.cfg.Epsilon, s.cfg.MaxConflicts)
 }
 
 // parseAssumptions validates and converts signed DIMACS literals,
@@ -156,7 +155,7 @@ func (s *Service) prepareDelta(ctx context.Context, baseHex string, assumpInts [
 			// A panic that unwinds past the estimate leaves the session
 			// in an unknown state: retire it instead of re-pooling it.
 			defer func() { pool.checkin(leased, []bool{!done}) }()
-			sess := leased[0].sess
+			sess := leased[0]
 			sess.SetAssumptions(assumps)
 			// The flight interrupt, which the PrepareTimeout timer and
 			// abandonment raise, stops a runaway conditioned estimate.

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -47,10 +46,6 @@ type SampleHTTPRequest struct {
 	// Assumptions are signed DIMACS literals conjoined to the base as
 	// unit clauses; valid only with Base.
 	Assumptions []int `json:"assumptions,omitempty"`
-	// Workers overrides the service's per-request pool size when > 0.
-	Workers int `json:"workers,omitempty"`
-	// MaxConflicts overrides the per-call conflict budget when > 0.
-	MaxConflicts int64 `json:"max_conflicts,omitempty"`
 	// Tenant attributes the request for per-tenant quotas (overrides
 	// the X-Unigen-Tenant header).
 	Tenant string `json:"tenant,omitempty"`
@@ -143,9 +138,10 @@ type errorHTTPResponse struct {
 //
 // Request contexts propagate into the solver: a client that disconnects
 // mid-request interrupts its in-flight SAT search. Overload maps to
-// 429 (shed) and 503 (draining / server deadline) with Retry-After;
-// oversized bodies to 413; recovered panics to 500. Every /sample and
-// /count response carries an X-Unigen-Trace ID.
+// 429 (shed) and 503 (draining, server deadline or conflict budget);
+// shed and draining responses carry Retry-After: 1. Bodies naming an
+// unknown field get 400, oversized bodies 413; recovered panics are
+// 500. Every /sample and /count response carries an X-Unigen-Trace ID.
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/sample", func(w http.ResponseWriter, r *http.Request) {
@@ -160,17 +156,15 @@ func NewHandler(s *Service) http.Handler {
 		tr := obs.NewTrace()
 		w.Header().Set(TraceHeader, tr.ID())
 		res, err := s.sample(obs.WithTrace(r.Context(), tr), SampleRequest{
-			N:            req.N,
-			Seed:         req.Seed,
-			Base:         req.Base,
-			Assumptions:  req.Assumptions,
-			Workers:      req.Workers,
-			MaxConflicts: req.MaxConflicts,
-			Tenant:       tenantOf(r, req.Tenant),
-			Timeout:      time.Duration(req.TimeoutMS) * time.Millisecond,
+			N:           req.N,
+			Seed:        req.Seed,
+			Base:        req.Base,
+			Assumptions: req.Assumptions,
+			Tenant:      tenantOf(r, req.Tenant),
+			Timeout:     time.Duration(req.TimeoutMS) * time.Millisecond,
 		}, src)
 		if err != nil {
-			s.writeServiceError(w, err, req.MaxConflicts > 0)
+			writeServiceError(w, err)
 			return
 		}
 		resp := SampleHTTPResponse{
@@ -219,7 +213,7 @@ func NewHandler(s *Service) http.Handler {
 			Timeout:     time.Duration(req.TimeoutMS) * time.Millisecond,
 		}, src)
 		if err != nil {
-			s.writeServiceError(w, err, false)
+			writeServiceError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, CountHTTPResponse{
@@ -239,7 +233,7 @@ func NewHandler(s *Service) http.Handler {
 		status := http.StatusOK
 		if state == HealthDraining {
 			status = http.StatusServiceUnavailable
-			s.setRetryAfter(w)
+			w.Header().Set("Retry-After", "1")
 		}
 		version, _ := obs.BuildVersion()
 		writeJSON(w, status, HealthzHTTPResponse{
@@ -366,30 +360,20 @@ func (s *Service) requestFormula(w http.ResponseWriter, text, base string) (form
 	return src, true
 }
 
-// setRetryAfter attaches the configured Retry-After hint (whole
-// seconds, minimum 1) to a shed or draining response.
-func (s *Service) setRetryAfter(w http.ResponseWriter) {
-	secs := int64((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-}
-
 // writeServiceError maps service errors onto HTTP statuses: request
-// mistakes (invalid n, unsatisfiable formula, exhaustion of a budget
-// the request itself supplied — conflicts or timeout) are the client's
-// 422; shed load is 429 with Retry-After; draining and exhaustion of a
+// mistakes (invalid n, unsatisfiable formula, exhaustion of the
+// request's own timeout) are the client's 422; shed load is 429 with
+// Retry-After: 1; draining (with Retry-After: 1) and exhaustion of a
 // server-configured budget (deadline or conflicts) are capacity
 // policy, 503, as is a cancelled or timed-out request context;
 // recovered panics and everything else are 500.
-func (s *Service) writeServiceError(w http.ResponseWriter, err error, clientBudget bool) {
+func writeServiceError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
-		s.setRetryAfter(w)
+		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, errorHTTPResponse{Error: err.Error()})
 	case errors.Is(err, ErrDraining):
-		s.setRetryAfter(w)
+		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, errorHTTPResponse{Error: err.Error()})
 	case errors.Is(err, ErrDeadline):
 		writeJSON(w, http.StatusServiceUnavailable, errorHTTPResponse{Error: err.Error()})
@@ -402,11 +386,7 @@ func (s *Service) writeServiceError(w http.ResponseWriter, err error, clientBudg
 		// status keeps middleware logs sane.
 		writeJSON(w, http.StatusServiceUnavailable, errorHTTPResponse{Error: err.Error()})
 	case errors.Is(err, core.ErrBudget):
-		status := http.StatusServiceUnavailable
-		if clientBudget {
-			status = http.StatusUnprocessableEntity
-		}
-		writeJSON(w, status, errorHTTPResponse{Error: err.Error()})
+		writeJSON(w, http.StatusServiceUnavailable, errorHTTPResponse{Error: err.Error()})
 	case errors.Is(err, ErrUnknownBase):
 		// The delta base is not prepared on this node (anymore): the
 		// client must post the full formula once, then retry the delta.

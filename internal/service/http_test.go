@@ -8,12 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"unigen/internal/cnf"
+	"unigen/internal/faultpoint"
 	"unigen/internal/service"
 )
 
@@ -207,22 +207,40 @@ func TestHTTPHealthz(t *testing.T) {
 	}
 }
 
-// TestHTTPRetryAfterSubSecondClamp: a sub-second RetryAfter config must
-// not truncate to "Retry-After: 0" (which clients read as "retry
-// immediately" — exactly wrong for backpressure). The header is whole
-// seconds, clamped to at least 1.
-func TestHTTPRetryAfterSubSecondClamp(t *testing.T) {
-	svc, err := service.New(service.Config{RetryAfter: 200 * time.Millisecond})
+// TestHTTPRetryAfterOneSecond: shed and draining responses ask the
+// client to retry after one second, the header's smallest non-zero
+// value ("Retry-After: 0" reads as "retry immediately", exactly wrong
+// for backpressure).
+func TestHTTPRetryAfterOneSecond(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	// A shed 429: a stalled request holds the only admission slot.
+	ts, svc := newRobustServer(t, service.Config{MaxInFlight: 1})
+	warmHTTP(t, ts)
+	f, err := cnf.ParseDIMACSString(hardDIMACS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(service.NewHandler(svc))
-	t.Cleanup(ts.Close)
-
-	// Drain so /healthz answers 503 with the Retry-After hint attached.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	faultpoint.Arm(faultpoint.SolverStall, faultpoint.Fault{Delay: time.Minute})
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := svc.Close(ctx); err != nil {
+	stalled := make(chan struct{})
+	go func() {
+		defer close(stalled)
+		_, _ = svc.Sample(ctx, service.SampleRequest{Formula: f, N: 1, Seed: 2})
+	}()
+	waitInFlight(t, svc, 1)
+	shed := postJSON(t, ts.URL+"/sample", map[string]any{"formula": hardDIMACS, "n": 1, "seed": 3})
+	if shed.StatusCode != http.StatusTooManyRequests || shed.Header.Get("Retry-After") != "1" {
+		t.Fatalf("shed request: status %d, Retry-After %q; want 429 and 1", shed.StatusCode, shed.Header.Get("Retry-After"))
+	}
+	cancel()
+	<-stalled
+
+	// A draining /healthz on the zero Config.
+	ts, svc = newHTTPServer(t)
+	dctx, dcancel := context.WithTimeout(context.Background(), time.Second)
+	defer dcancel()
+	if err := svc.Close(dctx); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -230,16 +248,21 @@ func TestHTTPRetryAfterSubSecondClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining healthz status %d, want 503", resp.StatusCode)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("draining /healthz: status %d, Retry-After %q; want 503 and 1", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
-	ra := resp.Header.Get("Retry-After")
-	secs, err := strconv.Atoi(ra)
-	if err != nil {
-		t.Fatalf("Retry-After %q is not an integer", ra)
-	}
-	if secs < 1 {
-		t.Fatalf("Retry-After %d: sub-second config truncated below 1s", secs)
+}
+
+// TestHTTPSampleRejectsServiceKnobs: the worker count and the conflict
+// budget belong to the service, not to a request; a /sample body that
+// names either is a bad request, like any other unknown field.
+func TestHTTPSampleRejectsServiceKnobs(t *testing.T) {
+	ts, _ := newHTTPServer(t)
+	for _, field := range []string{"workers", "max_conflicts"} {
+		resp := postJSON(t, ts.URL+"/sample", map[string]any{"formula": hardDIMACS, "n": 1, "seed": 1, field: 1})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("body with %q: status %d, want 400", field, resp.StatusCode)
+		}
 	}
 }
 

@@ -4,8 +4,8 @@
 // once-per-formula core.Setup holding the easy-case witness list or
 // the ApproxMC estimate with κ/pivot — with single-flight
 // preparation, and a request scheduler that multiplexes sample and
-// count jobs over the parallel engine with per-request seeds, budgets,
-// and context cancellation.
+// count jobs over the parallel engine with per-request seeds,
+// deadlines, and context cancellation.
 //
 // The whole point of UniGen's architecture (DAC'14) is amortization:
 // one expensive estimation pass per formula, then thousands of cheap
@@ -57,6 +57,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"unigen/internal/bsat"
 	"unigen/internal/cnf"
 	"unigen/internal/core"
 	"unigen/internal/faultpoint"
@@ -77,11 +78,11 @@ type Config struct {
 	// Epsilon is the uniformity tolerance used for every prepared
 	// formula (> 1.71; default 6, the paper's experimental setting).
 	Epsilon float64
-	// MaxConflicts / MaxPropagations bound each preparation-time and
-	// default per-request solver call (0 = unlimited).
-	MaxConflicts    int64
-	MaxPropagations int64
-	// Workers is the default per-request worker-pool size (default 1).
+	// MaxConflicts bounds each preparation-time and sampling solver
+	// call (0 = unlimited).
+	MaxConflicts int64
+	// Workers is the per-request worker-pool size (default 1, at most
+	// 64: sessions are full solver instances).
 	Workers int
 	// CacheSize bounds the number of prepared formulas kept (LRU;
 	// default 64).
@@ -139,9 +140,6 @@ type Config struct {
 	// flight fails every waiter with ErrDeadline, and nothing is cached.
 	PrepareTimeout time.Duration
 
-	// RetryAfter is the Retry-After hint transports attach to shed and
-	// draining responses (default 1s).
-	RetryAfter time.Duration
 	// MaxBodyBytes caps HTTP request bodies (default 64 MiB); larger
 	// payloads are rejected with 413 before any DIMACS parsing.
 	MaxBodyBytes int64
@@ -203,14 +201,11 @@ func New(cfg Config) (*Service, error) {
 	if _, err := core.ComputeKappaPivot(cfg.Epsilon); err != nil {
 		return nil, err
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
+	// A request must not be able to allocate an unbounded number of
+	// solver instances.
+	cfg.Workers = min(max(cfg.Workers, 1), 64)
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 64
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = defaultMaxBodyBytes
@@ -287,12 +282,6 @@ type SampleRequest struct {
 	// unit clauses. Valid only with Base; empty means "sample the base
 	// itself by fingerprint".
 	Assumptions []int
-	// Workers overrides the service's per-request pool size when > 0.
-	Workers int
-	// MaxConflicts overrides the per-call conflict budget for this
-	// request's sampling rounds when > 0 (preparation always runs under
-	// the service-wide budgets, whoever triggers it).
-	MaxConflicts int64
 	// Tenant attributes the request for per-tenant admission quotas
 	// ("" is a valid tenant: the anonymous one).
 	Tenant string
@@ -341,11 +330,6 @@ type CountResult struct {
 // ErrInvalidRequest tags request-validation failures (non-positive or
 // oversized n, nil formula); transports map it to a client error.
 var ErrInvalidRequest = errors.New("service: invalid request")
-
-// maxRequestWorkers caps the per-request pool size: sessions are full
-// solver instances, and a request must not be able to allocate an
-// unbounded number of them.
-const maxRequestWorkers = 64
 
 // maxRequestSamples caps n per request (a request beyond it should be
 // split; each round is individually cancellable either way).
@@ -489,8 +473,7 @@ func (s *Service) prepare(ctx context.Context, src formulaSrc, psp *obs.Span) (*
 			su, err := core.NewSetup(g, randx.New(core.PrepSeedFromFingerprint(fp)), core.Options{
 				Epsilon: s.cfg.Epsilon,
 				Solver: sat.Config{
-					MaxConflicts:    s.cfg.MaxConflicts,
-					MaxPropagations: s.cfg.MaxPropagations,
+					MaxConflicts: s.cfg.MaxConflicts,
 					// The cache raises intr when every requester has
 					// abandoned the flight; an unbudgeted preparation
 					// must not outlive all interest in it.
@@ -632,10 +615,7 @@ func (s *Service) rehydrate(key string, fp [32]byte) (*prepared, bool) {
 	if err == nil {
 		su, err = core.DecodeSetup(blob, core.Options{
 			Epsilon: s.cfg.Epsilon,
-			Solver: sat.Config{
-				MaxConflicts:    s.cfg.MaxConflicts,
-				MaxPropagations: s.cfg.MaxPropagations,
-			},
+			Solver:  sat.Config{MaxConflicts: s.cfg.MaxConflicts},
 		})
 	}
 	if err != nil {
@@ -718,13 +698,6 @@ func (s *Service) sample(ctx context.Context, req SampleRequest, src formulaSrc)
 	}
 	ro.fingerprint, ro.cacheHit = prep.fingerprint, hit
 	prep.requests.Add(1)
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
-	if workers > maxRequestWorkers {
-		workers = maxRequestWorkers
-	}
 	// Delta entries sample through their base's session pool: warm
 	// solvers with the assumptions installed as standing Solve
 	// literals, no session build at all. Easy conditioned setups never
@@ -732,29 +705,17 @@ func (s *Service) sample(ctx context.Context, req SampleRequest, src formulaSrc)
 	// they skip the checkout. Plain formulas build per-request
 	// sessions.
 	var eng *parallel.Engine
-	var leased []*pooledSession
+	var leased []*bsat.Session
 	var pool *sessionPool
 	if prep.base != nil && !prep.setup.Easy() {
 		pool = s.poolFor(prep.base)
-		leased = pool.checkout(workers)
-		mc := req.MaxConflicts
-		if mc <= 0 {
-			mc = s.cfg.MaxConflicts
+		leased = pool.checkout(s.cfg.Workers)
+		for _, sess := range leased {
+			sess.SetAssumptions(prep.assumps)
 		}
-		leases := make([]parallel.Lease, len(leased))
-		for i, ps := range leased {
-			ps.sess.SetAssumptions(prep.assumps)
-			ps.sess.SetBudgets(mc, s.cfg.MaxPropagations)
-			ps.intr.Store(false)
-			leases[i] = parallel.Lease{Sess: ps.sess, Intr: ps.intr}
-		}
-		eng = parallel.NewEngineWithSessions(prep.setup, leases, req.Seed)
+		eng = parallel.NewEngineWithSessions(prep.setup, leased, req.Seed)
 	} else {
-		eng = parallel.NewEngineFromSetup(prep.setup, parallel.Options{
-			Workers:    workers,
-			MasterSeed: req.Seed,
-			Core:       core.Options{Solver: sat.Config{MaxConflicts: req.MaxConflicts}},
-		})
+		eng = parallel.NewEngineFromSetup(prep.setup, parallel.Options{Workers: s.cfg.Workers, MasterSeed: req.Seed})
 	}
 	// The rounds span parents the engine's per-round (and per-cell)
 	// spans via the context; the solver-work delta of exactly this

@@ -11,21 +11,22 @@
 //     never an error: it is quarantined (renamed to *.corrupt, so the
 //     bytes survive for post-mortem but the path never matches again),
 //     counted, and reported as a miss — the caller falls back to a cold
-//     prepare. A hit refreshes the entry's timestamps, which is what
-//     the eviction scan orders by (relatime/noatime mounts don't
-//     maintain atime on reads, so the store maintains its own clock).
+//     prepare. A hit refreshes the entry's modification time, which is
+//     what the eviction scan orders by: writes set it too, so it is the
+//     time of the last read or write (atime is ignored, since
+//     relatime/noatime mounts don't maintain it on reads).
 //
 //   - Put enqueues to a background write-behind goroutine and returns
 //     immediately: prepare latency never blocks on fsync. A full queue
-//     drops the write (counted in WriteErrors) — the entry is simply
-//     prepared cold again after the next restart. Writes are atomic:
-//     the blob is written to a tmp- file, fsynced, then renamed into
-//     place, so a crash mid-write can leave only tmp- litter (removed
-//     by the next Open), never a torn entry.
+//     (64 writes) drops the write (counted in WriteErrors) — the entry
+//     is simply prepared cold again after the next restart. Writes are
+//     atomic: the blob is written to a tmp- file, fsynced, then renamed
+//     into place, so a crash mid-write can leave only tmp- litter
+//     (removed by the next Open), never a torn entry.
 //
 //   - After each completed write the writer enforces MaxBytes by
-//     scanning entries in ascending access-time order and deleting the
-//     least recently used until the total fits.
+//     scanning entries in ascending modification-time order and
+//     deleting the least recently used until the total fits.
 //
 // The ordering contract of the write-behind queue: writes for the same
 // key apply in Put order (one writer goroutine, FIFO channel), and
@@ -49,6 +50,7 @@ const (
 	entrySuffix   = ".setup"
 	corruptSuffix = ".corrupt"
 	tmpPrefix     = "tmp-"
+	queueLen      = 64 // write-behind queue bound
 )
 
 // Options configures Open.
@@ -58,9 +60,6 @@ type Options struct {
 	// MaxBytes caps the total size of live entries; 0 means unlimited.
 	// Enforced by the write-behind goroutine after each write.
 	MaxBytes int64
-	// QueueLen bounds the write-behind queue (default 64). A full queue
-	// drops writes rather than blocking the preparing request.
-	QueueLen int
 	// Verify, when non-nil, validates every blob Get reads; a non-nil
 	// error quarantines the entry and reports a miss.
 	Verify func([]byte) error
@@ -113,9 +112,6 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	if opts.QueueLen <= 0 {
-		opts.QueueLen = 64
-	}
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.DiscardHandler)
 	}
@@ -125,7 +121,7 @@ func Open(opts Options) (*Store, error) {
 		verify:   opts.Verify,
 		logger:   opts.Logger,
 		index:    make(map[string]int64),
-		queue:    make(chan job, opts.QueueLen),
+		queue:    make(chan job, queueLen),
 		done:     make(chan struct{}),
 	}
 	ents, err := os.ReadDir(opts.Dir)
@@ -163,7 +159,7 @@ func entryName(key string) string {
 
 // Get returns the stored blob for key, or reports a miss. A blob that
 // fails the Verify hook is quarantined and reported as a miss; a hit
-// refreshes the entry's access time for the eviction scan.
+// refreshes the entry's modification time for the eviction scan.
 func (st *Store) Get(key string) ([]byte, bool) {
 	name := entryName(key)
 	path := filepath.Join(st.dir, name)
@@ -323,15 +319,10 @@ func (st *Store) writeEntry(name string, blob []byte) {
 	st.mu.Unlock()
 }
 
-// atimeFn is the access-time reader the eviction scan orders by. A
-// package variable so tests can force the ModTime fallback that
-// non-Linux platforms use (atime_other.go) — the recency ordering must
-// hold there too, because Get refreshes mtime alongside atime.
-var atimeFn = atimeOf
-
-// evictLocked removes least-recently-accessed entries until the live
-// set fits MaxBytes. Called with st.mu held, from the writer goroutine
-// only. Ties break lexicographically so the scan is deterministic.
+// evictLocked removes the entries read or written least recently until
+// the live set fits MaxBytes. Called with st.mu held, from the writer
+// goroutine only. Ties break lexicographically so the scan is
+// deterministic.
 func (st *Store) evictLocked() {
 	if st.maxBytes <= 0 || st.bytes <= st.maxBytes {
 		return
@@ -345,7 +336,7 @@ func (st *Store) evictLocked() {
 	for name, size := range st.index {
 		c := cand{name: name, size: size}
 		if fi, err := os.Stat(filepath.Join(st.dir, name)); err == nil {
-			c.at = atimeFn(fi)
+			c.at = fi.ModTime()
 		}
 		cands = append(cands, c)
 	}

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"errors"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -171,17 +170,11 @@ func TestStoreEvictionByAccessTime(t *testing.T) {
 	}
 }
 
-// TestStoreEvictionModTimeFallback forces the non-Linux access-time
-// fallback (atime_other.go reads ModTime) through the atimeFn seam —
-// this container is Linux, so the real build tag can't exercise it —
-// and checks the recency ordering still holds: Get refreshes mtime
-// alongside atime with Chtimes, so a ModTime-ordered scan must evict
-// the same least-recently-read entry an atime scan would.
-func TestStoreEvictionModTimeFallback(t *testing.T) {
-	prev := atimeFn
-	atimeFn = func(fi fs.FileInfo) time.Time { return fi.ModTime() }
-	t.Cleanup(func() { atimeFn = prev })
-
+// TestStoreEvictionIgnoresAtime: the eviction scan orders entries by
+// modification time, the time of the last write or Get (which refreshes
+// it with Chtimes), and ignores atime, which relatime/noatime mounts
+// leave stale on reads and a stray reader can refresh.
+func TestStoreEvictionIgnoresAtime(t *testing.T) {
 	dir := t.TempDir()
 	blob := func(tag string) []byte { return append([]byte("OK "), []byte(tag+strings.Repeat("x", 96))...) } // 100 bytes
 	st := openTest(t, dir, 250)
@@ -190,32 +183,24 @@ func TestStoreEvictionModTimeFallback(t *testing.T) {
 	st.Put("mid", blob("b"))
 	st.Flush()
 
-	// Age the entries. Crucially, give "old" a FRESH atime but a stale
-	// mtime: a scan still reading real atimes would keep it, while the
-	// ModTime fallback must consider it stale until a Get refreshes it.
+	// Give "old" a fresh atime but the stalest mtime: a scan reading
+	// atimes would evict "mid" for the third entry; this one must evict
+	// "old".
 	now := time.Now()
-	oldPath := filepath.Join(dir, entryName("old"))
-	if err := os.Chtimes(oldPath, now, now.Add(-2*time.Hour)); err != nil {
+	if err := os.Chtimes(filepath.Join(dir, entryName("old")), now, now.Add(-2*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	midPath := filepath.Join(dir, entryName("mid"))
-	if err := os.Chtimes(midPath, now.Add(-time.Hour), now.Add(-time.Hour)); err != nil {
+	if err := os.Chtimes(filepath.Join(dir, entryName("mid")), now.Add(-time.Hour), now.Add(-time.Hour)); err != nil {
 		t.Fatal(err)
-	}
-
-	// Get("old") refreshes both stamps, so even under the fallback it is
-	// now the most recent and the third entry must evict "mid".
-	if _, ok := st.Get("old"); !ok {
-		t.Fatal("miss on old")
 	}
 	st.Put("new", blob("c"))
 	st.Flush()
 
-	if _, ok := st.Get("mid"); ok {
-		t.Fatal("mid survived eviction under the ModTime fallback")
+	if _, ok := st.Get("old"); ok {
+		t.Fatal("old survived eviction: the scan went by its fresh atime")
 	}
-	if _, ok := st.Get("old"); !ok {
-		t.Fatal("old was evicted despite its Get-refreshed mtime")
+	if _, ok := st.Get("mid"); !ok {
+		t.Fatal("mid was evicted despite its newer mtime")
 	}
 	if _, ok := st.Get("new"); !ok {
 		t.Fatal("new was evicted")
@@ -247,7 +232,7 @@ func TestStoreCloseDrainsQueue(t *testing.T) {
 
 func TestStoreQueueOverflowDrops(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, QueueLen: 1, Verify: testVerify})
+	st, err := Open(Options{Dir: dir, Verify: testVerify})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func fullSupportCircuit() string {
 	x := b.InputWord(7)
 	b.Output(b.And(b.Or(b.And(x[0], x[1]), b.Or(x[2], x[3])), x[6]))
 	b.Output(b.And(x[4], x[5]))
-	enc, err := circuit.Encode(b.Build(), circuit.EncodeOptions{})
+	enc, err := circuit.Encode(b.Build())
 	if err != nil {
 		panic(err)
 	}

@@ -25,7 +25,7 @@ func main() {
 	epsilon := flag.Float64("epsilon", 6, "uniformity tolerance (> 1.71)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	budget := flag.Int64("budget", 0, "conflict budget per SAT call (0 = unlimited)")
-	jobs := flag.Int("j", 1, "parallel sampling workers (0 = all CPUs)")
+	jobs := flag.Int("j", 1, "parallel sampling workers (0 = all CPUs); sampling only: setup's ApproxMC rounds use up to GOMAXPROCS sessions")
 	stats := flag.Bool("stats", false, "print merged run statistics (hash set, rounds, BSAT calls, XOR rows, propagations) to stderr")
 	flag.Parse()
 	if flag.NArg() != 1 {

@@ -89,7 +89,7 @@ func main() {
 	storeDir := flag.String("store-dir", "", "directory for the persistent prepared-formula store (empty = off)")
 	storeMax := flag.Int64("store-max-bytes", 0, "max bytes the persistent store may hold before evicting least-recently-accessed entries (0 = unlimited)")
 	pool := flag.Int("pool", 0, "max idle delta sessions pooled per base formula (0 = 8)")
-	jobs := flag.Int("j", 0, "sampling workers per request (0 = all CPUs, at most 64)")
+	jobs := flag.Int("j", 0, "sampling workers per request (0 = all CPUs, at most 64); sampling only: a preparation's ApproxMC rounds use up to GOMAXPROCS sessions, shared by all preparations")
 	budget := flag.Int64("budget", 0, "conflict budget per SAT call (0 = unlimited)")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently admitted requests (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "max requests waiting for admission before shedding")

@@ -226,6 +226,18 @@ func (m *Members) Len() int {
 	return 0
 }
 
+// Add appends a's projection onto Vars to the list.
+func (m *Members) Add(a cnf.Assignment) {
+	k := len(m.List)
+	m.List = append(m.List, make([]uint64, gf2.Words(len(m.Vars)))...)
+	x := m.List[k:]
+	for c, v := range m.Vars {
+		if a.Get(v) {
+			x[c>>6] |= 1 << uint(c&63)
+		}
+	}
+}
+
 // Count returns min(|R_{F∧h}↓S|, n) via the session, plus the call's
 // result without its witnesses: the search is Enumerate's, but no
 // model is copied, since only the count is wanted.

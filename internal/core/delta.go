@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"unigen/internal/bsat"
 	"unigen/internal/cnf"
@@ -13,7 +14,7 @@ import (
 // requests (DESIGN §13): given a prepared base Setup for F and a small
 // set of assumption literals A, derive a full-fidelity Setup for F ∧ A
 // without re-ingesting the formula — the enumeration and ApproxMC
-// estimate run on a pooled session carrying A as standing assumptions.
+// estimate run on pooled sessions carrying A as standing assumptions.
 //
 // Soundness rule: the conditioned setup runs the *same* algorithm, with
 // the same parameters (ε' = 0.8, δ' = 0.2) and an RNG seeded from the
@@ -74,20 +75,33 @@ func (su *Setup) Easy() bool { return su.easySet }
 // case, where no hashing happens.
 func (su *Setup) Q() int { return su.q }
 
-// SetupWith runs the once-per-formula phase of UniGen for F ∧ A on an
-// existing session that already carries A as standing assumptions
-// (bsat.Session.SetAssumptions), returning a Setup over the conjoined
-// formula conj (as built by Conjoin). The caller owns the session's
-// lifecycle — assumptions are neither installed nor cleared here — and
-// supplies the RNG, which must be seeded from the conjoined formula's
-// fingerprint for the cold-path identity to hold.
+// SessionLender lends sessions over a base setup's formula, each for
+// exclusive use between Checkout and Checkin. Checkin retires every
+// session doomed (nil-safe, indexed like ss) marks instead of keeping
+// it.
+type SessionLender interface {
+	Checkout(n int) []*bsat.Session
+	Checkin(ss []*bsat.Session, doomed []bool)
+}
+
+// SetupWith runs the once-per-formula phase of UniGen for F ∧ A on
+// sessions over the base formula that pool lends, returning a Setup
+// over the conjoined formula conj (as built by Conjoin from assumps).
+// It checks out one session for the enumeration and, once the
+// ApproxMC rounds start, one more for each helper token it takes (at
+// most GOMAXPROCS−1, as NewSetup builds them); it installs assumps as
+// standing assumptions and intr as the interrupt on each, and checks
+// them all back in when it returns, marked doomed when a panic unwinds
+// past it. The caller supplies the RNG, which must be
+// seeded from the conjoined formula's fingerprint for the cold-path
+// identity to hold.
 //
 // The base setup contributes κ/pivot (functions of ε only) and its
 // options; the enumeration and, when the conditioned space is still
 // above hiThresh, the ApproxMC estimate are recomputed under the
 // assumptions by the body a cold NewSetup runs. A base in the easy
 // case always yields an easy conditioned setup (R_{F∧A} ⊆ R_F).
-func (su *Setup) SetupWith(sess *bsat.Session, conj *cnf.Formula, rng *randx.RNG) (*Setup, error) {
+func (su *Setup) SetupWith(pool SessionLender, conj *cnf.Formula, assumps []cnf.Lit, intr *atomic.Bool, rng *randx.RNG) (*Setup, error) {
 	opts := su.opts
 	// The base options may carry the base prepare-flight's interrupt
 	// flag; sessions built later over the conditioned setup must not
@@ -95,21 +109,44 @@ func (su *Setup) SetupWith(sess *bsat.Session, conj *cnf.Formula, rng *randx.RNG
 	opts.Solver.Interrupt = nil
 	// The same hash-set pass a cold prepare of conj runs, from the
 	// declared set, so both paths hash over the same set. The pooled
-	// session keeps blocking over the base's hash set; within F ∧ A
+	// sessions keep blocking over the base's hash set; within F ∧ A
 	// both sets determine the declared set, so cell sizes agree.
-	h, err := hashSet(conj, su.s, sess.Interrupt())
+	h, err := hashSet(conj, su.s, intr)
 	if err != nil {
 		return nil, err
 	}
 	cond := &Setup{f: conj, s: su.s, h: h, kp: su.kp, opts: opts}
-	// Lines 4–10 under assumptions, both counts on the pooled session.
-	// The stored base easy list cannot be filtered instead: its
-	// representatives are arbitrary on non-sampling variables, so a
-	// representative violating A does not mean the projected witness
-	// does. ApproxMC runs with the same parameters and RNG consumption
-	// as a cold run, and its cell probes are exact, so the estimate is
-	// the cold path's.
-	if err := cond.measure(sess, sess, rng); err != nil {
+
+	var leased []*bsat.Session
+	lease := func(n int) []*bsat.Session {
+		ss := pool.Checkout(n)
+		for _, sess := range ss {
+			sess.SetAssumptions(assumps)
+			sess.SetInterrupt(intr)
+		}
+		leased = append(leased, ss...)
+		return ss
+	}
+	done := false
+	// A panic that unwinds past the estimate leaves the sessions in an
+	// unknown state: retire them instead of re-pooling them.
+	defer func() {
+		doomed := make([]bool, len(leased))
+		for i := range doomed {
+			doomed[i] = !done
+		}
+		pool.Checkin(leased, doomed)
+	}()
+	// Lines 4–10 under assumptions, on pooled sessions. The stored base
+	// easy list cannot be filtered instead: its representatives are
+	// arbitrary on non-sampling variables, so a representative
+	// violating A does not mean the projected witness does. ApproxMC
+	// runs with the same parameters and RNG consumption as a cold run,
+	// and its cell probes are exact, so the estimate is the cold path's.
+	sess := lease(1)[0]
+	err = cond.measure(sess, sess, lease, rng)
+	done = true
+	if err != nil {
 		return nil, err
 	}
 	return cond, nil

@@ -136,12 +136,13 @@ func TestHashSetDeltaMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess := base.NewSessionWith(base.SolverConfig())
-		sess.SetAssumptions(assumps)
-		cond, err := base.SetupWith(sess, conj, randx.New(PrepSeed(conj, nil)))
+		pool := &lender{su: base}
+		cond, err := base.SetupWith(pool, conj, assumps, nil, randx.New(PrepSeed(conj, nil)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		sess := pool.Checkout(1)[0]
+		sess.SetAssumptions(assumps)
 		cold := buildSetup(t, conj)
 		if got := cond.HashSet(); !reflect.DeepEqual(got, tc.wantHash) || !reflect.DeepEqual(got, cold.HashSet()) {
 			t.Fatalf("%v: delta hash set %v, cold %v, want %v", tc.lits, got, cold.HashSet(), tc.wantHash)

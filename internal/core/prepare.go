@@ -101,17 +101,19 @@ func (su *Setup) NewSessionWith(cfg sat.Config) *bsat.Session {
 // its rounds — within a factor 1.8 of |R_F↓S| with confidence 0.8.
 //
 // The setup stopped ApproxMC once q was settled, so the first call in
-// the hashing case runs the rounds left, on a session of its own built
-// with cfg: the caller's interrupt and budgets. It records them as an
-// "approxmc" child span of sp (nil-safe) with rounds and bsat_calls
-// counters; bsat_calls counts only the probes that called the solver
-// (counter.ApproxMCResult.BSATCalls). Every probe is exact and the run
-// resumes from the state the setup stopped at, so the estimate is the
-// one an uninterrupted run returns. Only a successful run is kept:
-// later calls return its estimate with no solver work, and after a
-// failure the next call runs the rounds again. Concurrent calls run
-// them once; the others wait. ran reports whether this call ran them,
-// and so changed what Encode writes.
+// the hashing case runs the rounds left, on a session of its own and
+// up to GOMAXPROCS−1 helper sessions, all built with cfg: the caller's
+// interrupt and budgets. It records them as an "approxmc" child span
+// of sp (nil-safe) with rounds, sessions and bsat_calls counters;
+// bsat_calls counts only the probes that called the solver
+// (counter.ApproxMCResult.BSATCalls), and depends on the number of
+// sessions. Every probe is exact, the run resumes from the state the
+// setup stopped at, and its rounds fold in round order, so the
+// estimate is the one an uninterrupted run returns. Only a successful
+// run is kept: later calls return its estimate with no solver work,
+// and after a failure the next call runs the rounds again. Concurrent
+// calls run them once; the others wait. ran reports whether this call
+// ran them, and so changed what Encode writes.
 func (su *Setup) WitnessCount(cfg sat.Config, sp *obs.Span) (c *big.Int, exact, ran bool, err error) {
 	if su.easySet {
 		return big.NewInt(int64(len(su.easy))), true, false, nil
@@ -121,8 +123,12 @@ func (su *Setup) WitnessCount(cfg sat.Config, sp *obs.Span) (c *big.Int, exact, 
 	if su.est == nil {
 		csp := sp.StartSpan("approxmc")
 		run := counter.ResumeApproxMC(su.amc, su.amcOptions())
-		res, err := run.Finish(su.NewSessionWith(cfg))
+		n, release := sessionTokens(run.Left() - 1)
+		defer release()
+		ss := su.newSessions(cfg)(1 + n)
+		res, err := run.Finish(ss...)
 		csp.SetInt("rounds", int64(su.amc.Left-run.Left()))
+		csp.SetInt("sessions", int64(len(ss)))
 		csp.SetInt("bsat_calls", int64(res.BSATCalls))
 		csp.End()
 		if err != nil {

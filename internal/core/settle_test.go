@@ -10,6 +10,7 @@ import (
 	"unigen/internal/counter"
 	"unigen/internal/randx"
 	"unigen/internal/sat"
+	"unigen/internal/testformula"
 )
 
 // bruteSettled decides whether q is settled from the rule's definition
@@ -41,68 +42,6 @@ func bruteSettled(su *Setup, ests []*big.Int, left int) (int, bool) {
 	return q, true
 }
 
-// settleFormula draws one formula of a family over nh sampling
-// variables (plus up to three others for "random"):
-//   - "random": a few short clauses and XORs, many witnesses;
-//   - "affine": XORs over the sampling set alone, so its projections
-//     form an affine space of dimension 7–9. A hash row constant on a
-//     cell empties it half the time, so some rounds fail;
-//   - "clamp": 12 variables under clauses of widths 2, 3 and 3 over
-//     disjoint variables, 4096·¾·⅞·⅞ = 2352 witnesses. At ε = 1.9
-//     (pivot 2181, hiThresh 2291) that is the hashing case with line 10
-//     at its lower clamp, q = 1, for estimates up to 2423.
-func settleFormula(rng *randx.RNG, family string, nh int) *cnf.Formula {
-	n := nh
-	if family == "random" {
-		n += rng.Intn(4)
-	}
-	f := cnf.New(n)
-	for v := 1; v <= nh; v++ {
-		f.SamplingSet = append(f.SamplingSet, cnf.Var(v))
-	}
-	lit := func(v int) int {
-		if rng.Bool() {
-			return -v
-		}
-		return v
-	}
-	switch family {
-	case "random":
-		for k := rng.Intn(n/2 + 1); k > 0; k-- {
-			f.AddClause(lit(1+rng.Intn(n)), lit(1+rng.Intn(n)), lit(1+rng.Intn(n)))
-		}
-		for k := rng.Intn(3); k > 0; k-- {
-			var vs []cnf.Var
-			for v := 1; v <= n; v++ {
-				if rng.Intn(3) == 0 {
-					vs = append(vs, cnf.Var(v))
-				}
-			}
-			if len(vs) > 0 {
-				f.AddXOR(vs, rng.Bool())
-			}
-		}
-	case "affine":
-		for k := nh - 7 - rng.Intn(3); k > 0; k-- {
-			var vs []cnf.Var
-			for v := 1; v <= nh; v++ {
-				if rng.Bool() {
-					vs = append(vs, cnf.Var(v))
-				}
-			}
-			if len(vs) > 0 {
-				f.AddXOR(vs, rng.Bool())
-			}
-		}
-	case "clamp":
-		p := rng.Perm(nh)
-		f.AddClause(lit(p[0]+1), lit(p[1]+1))
-		f.AddClause(lit(p[2]+1), lit(p[3]+1), lit(p[4]+1))
-		f.AddClause(lit(p[5]+1), lit(p[6]+1), lit(p[7]+1))
-	}
-	return f
-}
-
 // TestSettledStopMatchesFullRun: over random CNF+XOR formulas with
 // |H| = 8–16, each prepared from its own seed, the setup's stop is
 // exact. Its q equals line 10 for a full ApproxMC run on a fresh
@@ -130,7 +69,7 @@ func TestSettledStopMatchesFullRun(t *testing.T) {
 			if family == "clamp" {
 				nh = 12
 			}
-			f := settleFormula(rng, family, nh)
+			f := testformula.Draw(rng, family, nh)
 			seed := rng.Uint64()
 			su, err := NewSetup(f, randx.New(seed), Options{Epsilon: eps})
 			if err != nil {
@@ -142,7 +81,7 @@ func TestSettledStopMatchesFullRun(t *testing.T) {
 			hashing++
 			opts := su.amcOptions()
 			fullSess := bsat.NewSession(f, bsat.Options{SamplingSet: su.h})
-			fullRun, err := counter.StartApproxMC(fullSess, randx.New(seed), opts)
+			fullRun, err := counter.StartApproxMC(fullSess, randx.New(seed), opts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,20 +96,21 @@ func TestSettledStopMatchesFullRun(t *testing.T) {
 			// Replay the run round by round and find the first round
 			// after which q is settled.
 			sess := su.NewSessionWith(sat.Config{})
-			run, err := counter.StartApproxMC(sess, randx.New(seed), opts)
+			run, err := counter.StartApproxMC(sess, randx.New(seed), opts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			stop := -1
-			for k := 0; ; k++ {
-				if _, ok := bruteSettled(su, run.State().Estimates, run.Left()); ok {
+			k, stop := 0, -1
+			settled := func() bool {
+				_, ok := bruteSettled(su, run.State().Estimates, run.Left())
+				if ok {
 					stop = k
-					break
 				}
-				if run.Left() == 0 {
-					break
-				}
-				if err := run.Round(sess); err != nil {
+				k++
+				return ok
+			}
+			if !settled() {
+				if err := run.Rounds([]*bsat.Session{sess}, settled); err != nil {
 					t.Fatal(err)
 				}
 			}

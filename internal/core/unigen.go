@@ -154,9 +154,11 @@ type Setup struct {
 // pivot (line 1), thresholds (lines 2–3), the hash set (DESIGN §14),
 // the easy-case enumeration (lines 4–7), and otherwise the ApproxMC
 // estimate and the candidate range endpoint q (lines 9–10). ApproxMC
-// runs only until q is settled; WitnessCount runs the rest. rng seeds
-// ApproxMC and is not advanced. An interrupt raised during the
-// hash-set pass fails the setup.
+// runs only until q is settled; WitnessCount runs the rest. Its rounds
+// run on up to GOMAXPROCS sessions at once, built with opts.Solver;
+// the setup is the same at any number. rng seeds ApproxMC and is not
+// advanced. An interrupt raised during the hash-set pass fails the
+// setup.
 func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 	kp, err := ComputeKappaPivot(opts.Epsilon)
 	if err != nil {
@@ -172,7 +174,7 @@ func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 	}
 	su := &Setup{f: f, s: s, h: h, kp: kp, opts: opts}
 	su.spare = su.NewSessionWith(opts.Solver)
-	if err := su.measure(su.spare, nil, rng); err != nil {
+	if err := su.measure(su.spare, nil, su.newSessions(opts.Solver), rng); err != nil {
 		return nil, err
 	}
 	return su, nil
@@ -182,9 +184,11 @@ func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 // set, κ/pivot and options are already set: enumerate up to hiThresh+1
 // witnesses on enum and, when there are more than hiThresh, estimate
 // the count with ApproxMC2 on count and derive q. A nil count counts on
-// a session of its own, built only when the easy case fails, so enum
-// carries nothing but the enumeration's solver state.
-func (su *Setup) measure(enum, count *bsat.Session, rng *randx.RNG) error {
+// a session of more(1), taken only when the easy case fails, so enum
+// carries nothing but the enumeration's solver state. The rounds run
+// on count and on up to GOMAXPROCS−1 helper sessions more returns, one
+// for each token sessionTokens grants.
+func (su *Setup) measure(enum, count *bsat.Session, more func(n int) []*bsat.Session, rng *randx.RNG) error {
 	kp := su.kp
 	// Lines 4–7: if F has at most hiThresh witnesses, enumerate them
 	// once and sample by index forever after.
@@ -204,26 +208,33 @@ func (su *Setup) measure(enum, count *bsat.Session, rng *randx.RNG) error {
 
 	// Line 9: C ← ApproxMC(F, 0.8, 0.8-confidence), run only until line
 	// 10's q is settled; WitnessCount runs the rest. The run draws from
-	// a generator of its own, whose state it persists.
+	// a generator of its own, whose state it persists. The probe's
+	// witnesses are distinct on the enumeration session's set, which
+	// determines the hash set, so they seed the base call.
 	if count == nil {
-		count = su.NewSessionWith(su.opts.Solver)
+		count = more(1)[0]
 	}
-	run, err := counter.StartApproxMC(count, randx.New(rng.State()), su.amcOptions())
+	run, err := counter.StartApproxMC(count, randx.New(rng.State()), su.amcOptions(), res.Witnesses)
 	if err != nil {
 		return amcErr(err)
 	}
 	q, settled := su.settled(run)
-	for !settled && run.Left() > 0 {
-		if err := run.Round(count); err != nil {
+	if !settled && run.Left() > 0 {
+		n, release := sessionTokens(run.Left() - 1)
+		defer release()
+		err := run.Rounds(append([]*bsat.Session{count}, more(n)...), func() bool {
+			su.base[tally.SetupRounds]++
+			q, settled = su.settled(run)
+			return settled
+		})
+		if err != nil {
 			return amcErr(err)
 		}
-		su.base[tally.SetupRounds]++
-		q, settled = su.settled(run)
 	}
 	if run.Left() > 0 {
 		su.amc = run.State()
 	} else {
-		res, err := run.Finish(count) // no round left: the median
+		res, err := run.Finish() // no round left: the median
 		if err != nil {
 			return amcErr(err)
 		}

@@ -92,7 +92,8 @@ func iterAMC(delta float64) int {
 // of its cell that the round's earlier probes, and the base call,
 // already found (see cells.probe). It is StartApproxMC followed by
 // Finish on one fresh session: the run is the loop, and its state
-// between two rounds is all a later round depends on.
+// between two rounds is all a later round depends on. It keeps to one
+// session, so its time is one core's.
 func ApproxMC(f *cnf.Formula, rng *randx.RNG, opts ApproxMCOptions) (ApproxMCResult, error) {
 	vars := opts.SamplingSet
 	if len(vars) == 0 {
@@ -104,7 +105,7 @@ func ApproxMC(f *cnf.Formula, rng *randx.RNG, opts ApproxMCOptions) (ApproxMCRes
 	// probe of every round: the formula is ingested once and learned
 	// clauses amortize across the whole search.
 	sess := bsat.NewSession(f, bsat.Options{SamplingSet: vars, Solver: opts.Solver})
-	run, err := StartApproxMC(sess, rng, opts)
+	run, err := StartApproxMC(sess, rng, opts, nil)
 	if err != nil {
 		return ApproxMCResult{}, err
 	}
@@ -130,10 +131,11 @@ type ApproxMCState struct {
 	Estimates []*big.Int
 }
 
-// ApproxMCRun is one ApproxMC2 run that its caller drives round by
-// round: ApproxMC runs every round, core's setup stops as soon
-// as no remaining round can change what it needs from the estimate.
-// After an error the run is spent. Not safe for concurrent use.
+// ApproxMCRun is one ApproxMC2 run that its caller drives through
+// Rounds, with a stop check after each round: ApproxMC runs every
+// round, core's setup stops as soon as no remaining round can change
+// what it needs from the estimate. After an error the run is spent.
+// Not safe for concurrent use.
 type ApproxMCRun struct {
 	rng         *randx.RNG
 	vars        []cnf.Var
@@ -143,14 +145,49 @@ type ApproxMCRun struct {
 	exact       bool
 	calls, rows int      // BSAT calls and XOR rows this run made
 	base        []uint64 // the base call's members, packed over vars; none on a resumed run
-	c           cells    // the round's probes; its member buffers outlive the round
+	fl          []flight // one per session of the last Rounds call; their member buffers outlive the rounds
+}
+
+// flight is one round on one session: the generator state before its
+// hash draw, where its search starts, and what the search returned.
+type flight struct {
+	c        cells
+	rng      uint64
+	start    int
+	i, n     int
+	err      error
+	panicked any           // what the round's goroutine recovered; nil when its search returned
+	done     chan struct{} // closed when the round's goroutine ends; nil for a round run inline
+}
+
+// search runs the round's search. On a goroutine of its own (done
+// set) it recovers a panic into f.panicked and closes done.
+func (f *flight) search() {
+	if f.done != nil {
+		defer close(f.done)
+		defer func() { f.panicked = recover() }()
+	}
+	f.i, f.n, f.err = f.c.search(f.start)
+}
+
+// wait returns once the round has ended.
+func (f *flight) wait() {
+	if f.done != nil {
+		<-f.done
+	}
 }
 
 // StartApproxMC validates opts and makes ApproxMC2's base call on
 // sess, returning the run before its first round. A base count below
 // thresh is exact and leaves no round to run. The run draws its hashes
 // from rng, which it advances.
-func StartApproxMC(sess *bsat.Session, rng *randx.RNG, opts ApproxMCOptions) (*ApproxMCRun, error) {
+//
+// known (nil: none) holds witnesses of the formula already found,
+// pairwise distinct on opts.SamplingSet: the base call counts them
+// without a BSAT call and enumerates only the rest, up to thresh. Its
+// count is the one it makes from nothing, so only the base call's
+// member list, which no outcome reads, depends on known.
+func StartApproxMC(sess *bsat.Session, rng *randx.RNG, opts ApproxMCOptions, known []cnf.Assignment) (*ApproxMCRun, error) {
 	if opts.Epsilon <= 0 {
 		return nil, fmt.Errorf("counter: epsilon must be positive, got %v", opts.Epsilon)
 	}
@@ -164,10 +201,16 @@ func StartApproxMC(sess *bsat.Session, rng *randx.RNG, opts ApproxMCOptions) (*A
 	if opts.MaxHashRounds > 0 && opts.MaxHashRounds < t {
 		t = opts.MaxHashRounds
 	}
-	r := &ApproxMCRun{rng: rng, vars: opts.SamplingSet, thresh: threshAMC(opts.Epsilon), start: 1, left: t, calls: 1}
+	r := &ApproxMCRun{rng: rng, vars: opts.SamplingSet, thresh: threshAMC(opts.Epsilon), start: 1, left: t}
 	// Quick exit: if |R_F↓S| < thresh the count is exact. Otherwise the
 	// members found are known members of every round's cell 0.
 	base := bsat.Members{Vars: r.vars}
+	for _, a := range known {
+		base.Add(a)
+	}
+	if len(known) < r.thresh {
+		r.calls = 1
+	}
 	n, res := sess.Count(r.thresh, nil, &base)
 	if res.BudgetExceeded {
 		return nil, fmt.Errorf("%w in ApproxMC base call", ErrBudget)
@@ -204,22 +247,90 @@ func (r *ApproxMCRun) State() ApproxMCState {
 // Left returns the number of rounds still to run.
 func (r *ApproxMCRun) Left() int { return r.left }
 
-// Round runs the next round on sess. It must not be called once Left
-// is 0.
-func (r *ApproxMCRun) Round(sess *bsat.Session) error {
-	r.c.reset(sess, hashfam.Draw(r.rng, r.vars, max(len(r.vars)-1, 0)), r.thresh, r.base)
-	i, cnt, err := r.c.search(r.start)
-	r.calls += r.c.calls
-	r.rows += r.c.rows
-	if err != nil {
+// Rounds runs the rounds left on the distinct sessions ss, up to W =
+// min(len(ss), Left()) of them at once, until stop (nil: never),
+// called after each round, returns true. The hashes are drawn on the
+// caller's goroutine in round order. Round j of the call runs on
+// ss[j mod W] and its search starts from the last successful i among
+// the rounds up to j−W, the previous round's at W = 1. Results fold
+// into the run strictly in round order, each before stop sees it, and
+// every search returns the same (i, count) from any start, so the
+// run's state after each fold, and so what stop decides, is the
+// one-session run's at any W; only the BSAT calls move with the
+// starts. At a stop the rounds still in flight, at most W−1, are
+// awaited and dropped: their hash draws are undone, and only their
+// BSAT calls and XOR rows count.
+//
+// At W = 1 the rounds run on the caller's goroutine and Rounds starts
+// no goroutine; otherwise each round runs on a goroutine of its own.
+// Rounds returns only when every round it started has ended. An error
+// ends the run with the first round's error in round order; a panic in
+// a round is raised again on the caller's goroutine, the first in
+// round order.
+func (r *ApproxMCRun) Rounds(ss []*bsat.Session, stop func() bool) error {
+	if r.left > 0 && len(ss) == 0 {
+		return errors.New("counter: no session to run the ApproxMC rounds on")
+	}
+	w := min(len(ss), r.left)
+	for len(r.fl) < w {
+		r.fl = append(r.fl, flight{})
+	}
+	fl, total, next := r.fl[:w], r.left, 0
+	launch := func() {
+		f := &fl[next%w]
+		f.rng, f.start, f.err, f.panicked, f.done = r.rng.State(), r.start, nil, nil, nil
+		f.c.reset(ss[next%w], hashfam.Draw(r.rng, r.vars, max(len(r.vars)-1, 0)), r.thresh, r.base)
+		next++
+		if w == 1 {
+			f.search()
+			return
+		}
+		f.done = make(chan struct{})
+		go f.search()
+	}
+	// end awaits the rounds after round j, drops them, and raises the
+	// first panic from round j on.
+	end := func(j int, err error) error {
+		for k := j + 1; k < next; k++ {
+			f := &fl[k%w]
+			f.wait()
+			r.calls += f.c.calls
+			r.rows += f.c.rows
+		}
+		if j+1 < next {
+			*r.rng = *randx.New(fl[(j+1)%w].rng)
+		}
+		for k := j; k < next; k++ {
+			if p := fl[k%w].panicked; p != nil {
+				panic(p)
+			}
+		}
 		return err
 	}
-	r.left--
-	if i > 0 && cnt > 0 {
-		e := new(big.Int).Lsh(big.NewInt(int64(cnt)), uint(i))
-		k, _ := slices.BinarySearchFunc(r.ests, e, (*big.Int).Cmp)
-		r.ests = slices.Insert(r.ests, k, e)
-		r.start = i
+	for next < w {
+		launch()
+	}
+	for j := 0; j < next; j++ {
+		f := &fl[j%w]
+		f.wait()
+		r.calls += f.c.calls
+		r.rows += f.c.rows
+		if f.err != nil || f.panicked != nil {
+			return end(j, f.err)
+		}
+		r.left--
+		if f.i > 0 && f.n > 0 {
+			e := new(big.Int).Lsh(big.NewInt(int64(f.n)), uint(f.i))
+			k, _ := slices.BinarySearchFunc(r.ests, e, (*big.Int).Cmp)
+			r.ests = slices.Insert(r.ests, k, e)
+			r.start = f.i
+		}
+		if stop != nil && stop() {
+			return end(j, nil)
+		}
+		if next < total {
+			launch()
+		}
 	}
 	return nil
 }
@@ -251,17 +362,14 @@ func (r *ApproxMCRun) estimate(k int) *big.Int {
 	return r.ests[k]
 }
 
-// Finish runs the rounds left on sess and returns the median estimate.
-// On an error the result holds no count, only the BSAT calls and XOR
-// rows spent before it.
-func (r *ApproxMCRun) Finish(sess *bsat.Session) (ApproxMCResult, error) {
+// Finish runs the rounds left on the sessions ss (Rounds with no stop)
+// and returns the median estimate. On an error the result holds no
+// count, only the BSAT calls and XOR rows spent before it.
+func (r *ApproxMCRun) Finish(ss ...*bsat.Session) (ApproxMCResult, error) {
+	err := r.Rounds(ss, nil)
 	out := ApproxMCResult{Exact: r.exact, TotalXORRows: r.rows, BSATCalls: r.calls}
-	for r.left > 0 {
-		err := r.Round(sess)
-		out.TotalXORRows, out.BSATCalls = r.rows, r.calls
-		if err != nil {
-			return out, err
-		}
+	if err != nil {
+		return out, err
 	}
 	if len(r.ests) == 0 {
 		return out, fmt.Errorf("counter: every ApproxMC round failed")

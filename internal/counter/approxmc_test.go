@@ -184,7 +184,7 @@ func TestDeltaShapedRunMatchesCold(t *testing.T) {
 		}
 		sess := bsat.NewSession(f, bsat.Options{SamplingSet: h1})
 		sess.SetAssumptions(assumps)
-		run, err := StartApproxMC(sess, randx.New(seed), opts)
+		run, err := StartApproxMC(sess, randx.New(seed), opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,17 +337,20 @@ func TestApproxMCRunsEveryRound(t *testing.T) {
 			t.Fatalf("cap %d: generator is not %d hash draws on", tc.cap, tc.rounds)
 		}
 		sess := bsat.NewSession(f, bsat.Options{SamplingSet: f.SamplingSet})
-		run, err := StartApproxMC(sess, randx.New(7), ApproxMCOptions{Epsilon: 0.8, Delta: 0.2, MaxHashRounds: tc.cap})
+		run, err := StartApproxMC(sess, randx.New(7), ApproxMCOptions{Epsilon: 0.8, Delta: 0.2, MaxHashRounds: tc.cap}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := 0; k < tc.rounds; k++ {
+		k := 0
+		err = run.Rounds([]*bsat.Session{sess}, func() bool {
+			k++
 			if run.Left() != tc.rounds-k {
 				t.Fatalf("cap %d: %d rounds left after %d, want %d", tc.cap, run.Left(), k, tc.rounds-k)
 			}
-			if err := run.Round(sess); err != nil {
-				t.Fatal(err)
-			}
+			return false
+		})
+		if err != nil || k != tc.rounds {
+			t.Fatalf("cap %d: %d rounds by hand (%v), want %d", tc.cap, k, err, tc.rounds)
 		}
 		ests := run.State().Estimates
 		if res.Rounds != len(ests) || res.Count.Cmp(ests[len(ests)/2]) != 0 {
@@ -372,16 +375,16 @@ func TestApproxMCResumeMatchesFullRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		sess := bsat.NewSession(f, bsat.Options{})
-		run, err := StartApproxMC(sess, randx.New(seed), opts)
+		run, err := StartApproxMC(sess, randx.New(seed), opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := 0; ; k++ {
+		k := 0
+		check := func() bool {
 			if lo, hi, ok := run.MedianRange(); ok && (lo.Cmp(full.Count) > 0 || hi.Cmp(full.Count) < 0) {
 				t.Fatalf("iter %d round %d: median range [%v, %v] misses the full run's %v", iter, k, lo, hi, full.Count)
 			}
-			st := run.State()
-			res, err := ResumeApproxMC(st, opts).Finish(bsat.NewSession(f, bsat.Options{}))
+			res, err := ResumeApproxMC(run.State(), opts).Finish(bsat.NewSession(f, bsat.Options{}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -389,12 +392,12 @@ func TestApproxMCResumeMatchesFullRun(t *testing.T) {
 				t.Fatalf("iter %d: resumed after %d rounds to %v over %d rounds, full run %v over %d",
 					iter, k, res.Count, res.Rounds, full.Count, full.Rounds)
 			}
-			if run.Left() == 0 {
-				break
-			}
-			if err := run.Round(sess); err != nil {
-				t.Fatal(err)
-			}
+			k++
+			return false
+		}
+		check()
+		if err := run.Rounds([]*bsat.Session{sess}, check); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

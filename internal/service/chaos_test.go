@@ -204,7 +204,10 @@ func TestChaosClientTimeout(t *testing.T) {
 // TestChaosPrepareTimeout: PrepareTimeout caps a stalled preparation —
 // the flight's solver interrupt fires at the deadline, the flight fails
 // with ErrDeadline, and nothing is cached. The same holds for a
-// conditioned delta flight, whose pooled session goes back to its pool.
+// conditioned delta flight, whose pooled sessions go back to its pool,
+// and for a cold setup whose ApproxMC rounds stall on several sessions
+// at once: every helper session polls the flight's interrupt, and the
+// rounds' goroutines end with the flight.
 func TestChaosPrepareTimeout(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	svc := newService(t, service.Config{PrepareTimeout: 100 * time.Millisecond})
@@ -246,11 +249,30 @@ func TestChaosPrepareTimeout(t *testing.T) {
 	if err != nil || res.CacheHit || !res.Delta {
 		t.Fatalf("delta after timeout strike: err=%v, want a served delta miss", err)
 	}
-	// One session, built by the timed-out flight, serves both the next
-	// flight and the sampling rounds.
-	if st := svc.Stats().Delta; st.PoolHits < 1 || st.PoolMisses != 1 {
+	// The session the timed-out flight built serves the next flight,
+	// which checks out one more for each helper token it takes (at most
+	// GOMAXPROCS−1), and the sampling rounds reuse one of them.
+	if st := svc.Stats().Delta; st.PoolHits < 2 || st.PoolMisses > int64(runtime.GOMAXPROCS(0)) {
 		t.Fatalf("pool %+v: the timed-out flight's session was not reused", st)
 	}
+
+	// A cold setup whose rounds stall after the easy-case probe and the
+	// base call (the first two BSAT calls), on at least two sessions.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	leak := checkGoroutines(t)
+	svc = newService(t, service.Config{PrepareTimeout: 500 * time.Millisecond})
+	faultpoint.Arm(faultpoint.SolverStall, faultpoint.Fault{Delay: time.Minute, Skip: 2})
+	if _, err := svc.Sample(context.Background(), service.SampleRequest{Formula: hardFormula(), N: 1, Seed: 1}); !errors.Is(err, service.ErrDeadline) {
+		t.Fatalf("stalled setup rounds: err = %v, want ErrDeadline", err)
+	}
+	if n := faultpoint.Fired(faultpoint.SolverStall); n < 2 {
+		t.Fatalf("the stall fired %d times: the setup's rounds did not run on several sessions", n)
+	}
+	if st := svc.Stats(); st.Size != 0 {
+		t.Fatalf("timed-out setup was cached: %+v", st.CacheStats)
+	}
+	faultpoint.Reset()
+	leak()
 }
 
 // TestChaosPreparePanicIsolated: a preparation crash must fail the

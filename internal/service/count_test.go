@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/big"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -38,43 +39,49 @@ func fullCount(t *testing.T, f *cnf.Formula) *big.Int {
 
 // deferredRounds returns the "rounds" counter of tr's approxmc span —
 // the rounds a count ran for its setup — or -1 when it has none.
-func deferredRounds(tr *obs.Trace) int64 {
+func deferredRounds(tr *obs.Trace) int64 { return approxmcCounter(tr, "rounds") }
+
+// approxmcCounter returns the named counter of tr's approxmc span, -1
+// when there is no such span.
+func approxmcCounter(tr *obs.Trace, name string) int64 {
 	for _, c := range tr.Snapshot().Children {
 		if c.Name == "approxmc" {
-			return c.Counters["rounds"]
+			return c.Counters[name]
 		}
 	}
 	return -1
 }
 
 // countTraced runs req on svc under a trace of its own and returns the
-// result with the rounds its approxmc span reports (-1: none).
-func countTraced(t *testing.T, svc *service.Service, req service.CountRequest) (*service.CountResult, int64) {
+// result with the rounds its approxmc span reports and the sessions
+// they ran on (-1 each: no span).
+func countTraced(t *testing.T, svc *service.Service, req service.CountRequest) (*service.CountResult, int64, int64) {
 	t.Helper()
 	tr := obs.NewTrace()
 	res, err := svc.Count(obs.WithTrace(context.Background(), tr), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, deferredRounds(tr)
+	return res, deferredRounds(tr), approxmcCounter(tr, "sessions")
 }
 
 // TestCountFinishesDeferredRounds: after a settled setup, /count
 // equals counter.ApproxMC with the preparation seed — cold, through a
 // delta whose setup ran on a pooled session, and after a warm restart
 // from a frame written before any count. The first count of each runs
-// the deferred rounds, under one span; the second runs none.
+// the deferred rounds, under one span that also reports the sessions
+// they ran on, at most GOMAXPROCS; the second runs none.
 func TestCountFinishesDeferredRounds(t *testing.T) {
 	check := func(name string, svc *service.Service, req service.CountRequest, want *big.Int) {
 		t.Helper()
-		res, rounds := countTraced(t, svc, req)
+		res, rounds, sessions := countTraced(t, svc, req)
 		if res.Count.Cmp(want) != 0 || res.Exact {
 			t.Fatalf("%s: count %v exact=%v, want the full run's %v", name, res.Count, res.Exact, want)
 		}
-		if rounds <= 0 {
-			t.Fatalf("%s: first count ran %d deferred rounds, want some", name, rounds)
+		if rounds <= 0 || sessions < 1 || sessions > int64(runtime.GOMAXPROCS(0)) {
+			t.Fatalf("%s: first count ran %d deferred rounds on %d sessions, want some on 1..%d", name, rounds, sessions, runtime.GOMAXPROCS(0))
 		}
-		res, rounds = countTraced(t, svc, req)
+		res, rounds, _ = countTraced(t, svc, req)
 		if res.Count.Cmp(want) != 0 || rounds != -1 {
 			t.Fatalf("%s: second count %v with approxmc rounds %d, want %v with no span", name, res.Count, rounds, want)
 		}
@@ -157,7 +164,8 @@ func TestCountConcurrentFirst(t *testing.T) {
 }
 
 // TestCountCancelledFirst: a first count whose deadline fires while the
-// deferred rounds run (a solver stall after their first probe) fails
+// deferred rounds run (a solver stall after their first probe, on every
+// session the rounds run on) fails
 // through the HTTP error mapping — 503 for the server's deadline, 422
 // for the client's — and caches nothing: the next count runs every
 // deferred round again and returns the full estimate.
@@ -181,12 +189,13 @@ func TestCountCancelledFirst(t *testing.T) {
 		if code, body := serve(h, "/count", tc.req); code != tc.status {
 			t.Fatalf("%s: first count status %d (%s), want %d", tc.name, code, body, tc.status)
 		}
-		if faultpoint.Fired(faultpoint.SolverStall) != 1 {
-			t.Fatalf("%s: the stall fired %d times, want once", tc.name, faultpoint.Fired(faultpoint.SolverStall))
+		// Each round in flight stalls at its next probe: one per session.
+		if n := faultpoint.Fired(faultpoint.SolverStall); n < 1 || n > int64(runtime.GOMAXPROCS(0)) {
+			t.Fatalf("%s: the stall fired %d times, want once per session, at most %d", tc.name, n, runtime.GOMAXPROCS(0))
 		}
 		faultpoint.Reset()
 
-		res, rounds := countTraced(t, svc, service.CountRequest{Formula: hardFormula()})
+		res, rounds, _ := countTraced(t, svc, service.CountRequest{Formula: hardFormula()})
 		if res.Count.Cmp(want) != 0 || rounds <= 0 {
 			t.Fatalf("%s: next count %v after %d deferred rounds, want %v after some", tc.name, res.Count, rounds, want)
 		}

@@ -16,8 +16,8 @@ import (
 // Delta requests (DESIGN §13): instead of re-posting a whole formula, a
 // client names a prepared base by fingerprint plus a short list of
 // assumption literals. The service derives a conditioned setup for
-// base ∧ assumptions on a pooled session — no formula parse, no solver
-// build — and caches it under the conjoined formula's own fingerprint,
+// base ∧ assumptions on pooled sessions — no formula parse, no solver
+// build once the pool is warm — and caches it under the conjoined formula's own fingerprint,
 // so a client posting the conjoined DIMACS wholesale hits the same
 // entry and gets bit-identical witnesses.
 
@@ -97,8 +97,9 @@ func parseAssumptions(lits []int) ([]cnf.Lit, error) {
 // memo maps (base, assumptions) to the conjoined fingerprint, so a
 // repeated delta skips Conjoin and the fingerprint; the base lookup
 // still runs, keeping the base's hit count and LRU position what they
-// were. The conditioned build runs on a pooled base session (warm
-// solver, no build) and follows the exact cold-setup algorithm, so the
+// were. The conditioned build runs on pooled base sessions (warm
+// solvers, no build), its ApproxMC rounds on up to GOMAXPROCS of them,
+// and follows the exact cold-setup algorithm, so the
 // resulting entry is interchangeable with one prepared from the
 // conjoined DIMACS text. dsp (nil-safe) is the request's delta span.
 func (s *Service) prepareDelta(ctx context.Context, baseHex string, assumpInts []int, dsp *obs.Span) (*prepared, bool, error) {
@@ -149,20 +150,10 @@ func (s *Service) prepareDelta(ctx context.Context, baseHex string, assumpInts [
 					return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 				}
 			}
-			pool := s.poolFor(base)
-			leased := pool.checkout(1)
-			done := false
-			// A panic that unwinds past the estimate leaves the session
-			// in an unknown state: retire it instead of re-pooling it.
-			defer func() { pool.checkin(leased, []bool{!done}) }()
-			sess := leased[0]
-			sess.SetAssumptions(assumps)
 			// The flight interrupt, which the PrepareTimeout timer and
-			// abandonment raise, stops a runaway conditioned estimate.
-			sess.SetInterrupt(intr)
-			cond, err := base.setup.SetupWith(sess, g, randx.New(core.PrepSeedFromFingerprint(cfp)))
-			done = true
-			return cond, err
+			// abandonment raise, stops a runaway conditioned estimate
+			// on every pooled session the build checks out.
+			return base.setup.SetupWith(s.poolFor(base), g, assumps, intr, randx.New(core.PrepSeedFromFingerprint(cfp)))
 		}
 	})
 	if err != nil {

@@ -45,10 +45,10 @@ func newSessionPool(su *core.Setup, max int, tot *poolTotals) *sessionPool {
 	return &sessionPool{su: su, cfg: cfg, max: max, tot: tot}
 }
 
-// checkout returns n sessions for exclusive use, reusing idle ones
+// Checkout returns n sessions for exclusive use, reusing idle ones
 // (warm solver state: the base formula ingested, learned clauses
 // accumulated) and building the rest fresh.
-func (p *sessionPool) checkout(n int) []*bsat.Session {
+func (p *sessionPool) Checkout(n int) []*bsat.Session {
 	out := make([]*bsat.Session, 0, n)
 	p.mu.Lock()
 	for len(out) < n && len(p.idle) > 0 {
@@ -65,11 +65,11 @@ func (p *sessionPool) checkout(n int) []*bsat.Session {
 	return out
 }
 
-// checkin returns sessions to the pool after scrubbing request state.
+// Checkin returns sessions to the pool after scrubbing request state.
 // doomed (nil-safe, indexed like ss) marks sessions a sampling round or
 // a conditioned build panicked on; those are retired. Overflow beyond
 // the idle cap is retired too — the solver is just garbage then.
-func (p *sessionPool) checkin(ss []*bsat.Session, doomed []bool) {
+func (p *sessionPool) Checkin(ss []*bsat.Session, doomed []bool) {
 	for i, sess := range ss {
 		if doomed != nil && i < len(doomed) && doomed[i] {
 			p.tot.retired.Add(1)

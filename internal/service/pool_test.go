@@ -22,7 +22,7 @@ func TestPoolCheckinScrubsSession(t *testing.T) {
 	}
 	var tot poolTotals
 	p := newSessionPool(su, 8, &tot)
-	ss := p.checkout(2)
+	ss := p.Checkout(2)
 	var raised atomic.Bool
 	raised.Store(true)
 	for _, sess := range ss {
@@ -32,7 +32,7 @@ func TestPoolCheckinScrubsSession(t *testing.T) {
 		sess.SetAssumptions([]cnf.Lit{cnf.FromDIMACS(1), cnf.FromDIMACS(-2)})
 		sess.SetInterrupt(&raised)
 	}
-	p.checkin(ss, []bool{false, true})
+	p.Checkin(ss, []bool{false, true})
 	if len(p.idle) != 1 || p.idle[0] != ss[0] || tot.retired.Load() != 1 {
 		t.Fatalf("%d idle, %d retired; want the first session parked and the doomed one retired", len(p.idle), tot.retired.Load())
 	}

@@ -709,7 +709,7 @@ func (s *Service) sample(ctx context.Context, req SampleRequest, src formulaSrc)
 	var pool *sessionPool
 	if prep.base != nil && !prep.setup.Easy() {
 		pool = s.poolFor(prep.base)
-		leased = pool.checkout(s.cfg.Workers)
+		leased = pool.Checkout(s.cfg.Workers)
 		for _, sess := range leased {
 			sess.SetAssumptions(prep.assumps)
 		}
@@ -729,7 +729,7 @@ func (s *Service) sample(ctx context.Context, req SampleRequest, src formulaSrc)
 	// request-boundary recover turns it into ErrPanic and the leased
 	// sessions are simply dropped.
 	if leased != nil {
-		pool.checkin(leased, eng.Doomed())
+		pool.Checkin(leased, eng.Doomed())
 	}
 	s.work.add(st)
 	rsp.SetInt("rounds", st.Rounds())

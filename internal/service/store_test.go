@@ -165,7 +165,7 @@ func TestStoreFinishedCountSurvivesRestart(t *testing.T) {
 	}
 	want := make([]*big.Int, len(first))
 	for i, req := range first {
-		res, rounds := countTraced(t, svc1, req)
+		res, rounds, _ := countTraced(t, svc1, req)
 		if rounds <= 0 {
 			t.Fatalf("count %d ran %d deferred rounds, want some", i, rounds)
 		}
@@ -188,7 +188,7 @@ func TestStoreFinishedCountSurvivesRestart(t *testing.T) {
 		{Formula: conjoined(hardFormula(), 1, -2)},
 	}
 	for i, req := range again {
-		res, rounds := countTraced(t, svc2, req)
+		res, rounds, _ := countTraced(t, svc2, req)
 		if res.Count.Cmp(want[i]) != 0 || rounds != -1 {
 			t.Fatalf("count %d after restart: %v with approxmc rounds %d, want %v with no span", i, res.Count, rounds, want[i])
 		}

@@ -1,0 +1,72 @@
+// Package testformula draws the random CNF+XOR formulas that the
+// tests of internal/counter and internal/core share: formulas that
+// hash at |H| = 8–16, some with failing ApproxMC rounds and some with
+// line 10's q at its lower clamp. Only tests import it.
+package testformula
+
+import (
+	"unigen/internal/cnf"
+	"unigen/internal/randx"
+)
+
+// Draw draws one formula of a family over nh sampling variables 1..nh
+// (plus up to three others for "random"):
+//   - "random": a few short clauses and XORs, many witnesses;
+//   - "affine": XORs over the sampling set alone, so its projections
+//     form an affine space of dimension 7–9. A hash row constant on a
+//     cell empties it half the time, so some rounds fail;
+//   - "clamp": 12 variables under clauses of widths 2, 3 and 3 over
+//     disjoint variables, 4096·¾·⅞·⅞ = 2352 witnesses. At ε = 1.9
+//     (pivot 2181, hiThresh 2291) that is the hashing case with line 10
+//     at its lower clamp, q = 1, for estimates up to 2423.
+func Draw(rng *randx.RNG, family string, nh int) *cnf.Formula {
+	n := nh
+	if family == "random" {
+		n += rng.Intn(4)
+	}
+	f := cnf.New(n)
+	for v := 1; v <= nh; v++ {
+		f.SamplingSet = append(f.SamplingSet, cnf.Var(v))
+	}
+	lit := func(v int) int {
+		if rng.Bool() {
+			return -v
+		}
+		return v
+	}
+	switch family {
+	case "random":
+		for k := rng.Intn(n/2 + 1); k > 0; k-- {
+			f.AddClause(lit(1+rng.Intn(n)), lit(1+rng.Intn(n)), lit(1+rng.Intn(n)))
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			var vs []cnf.Var
+			for v := 1; v <= n; v++ {
+				if rng.Intn(3) == 0 {
+					vs = append(vs, cnf.Var(v))
+				}
+			}
+			if len(vs) > 0 {
+				f.AddXOR(vs, rng.Bool())
+			}
+		}
+	case "affine":
+		for k := nh - 7 - rng.Intn(3); k > 0; k-- {
+			var vs []cnf.Var
+			for v := 1; v <= nh; v++ {
+				if rng.Bool() {
+					vs = append(vs, cnf.Var(v))
+				}
+			}
+			if len(vs) > 0 {
+				f.AddXOR(vs, rng.Bool())
+			}
+		}
+	case "clamp":
+		p := rng.Perm(nh)
+		f.AddClause(lit(p[0]+1), lit(p[1]+1))
+		f.AddClause(lit(p[2]+1), lit(p[3]+1), lit(p[4]+1))
+		f.AddClause(lit(p[5]+1), lit(p[6]+1), lit(p[7]+1))
+	}
+	return f
+}

@@ -34,7 +34,10 @@
 // of a SplitMix64 generator seeded with Seed, finalized into a fresh
 // generator state), and rounds are consumed in index order. The
 // multiset of samples for a given Seed is therefore identical for any
-// worker count; only wall-clock time changes.
+// worker count; only wall-clock time changes. The one-time setup runs
+// its ApproxMC rounds on up to GOMAXPROCS sessions at once, and folds
+// their results in round order, so it too is the same for any CPU
+// count.
 //
 // # Sampling as a service
 //
@@ -128,7 +131,9 @@ type Options struct {
 	// fanned out over (0 means 1). Rounds draw from per-round seed
 	// streams (see the package comment on determinism), so the sample
 	// multiset depends only on Seed, not on Workers: Workers: 1 and
-	// Workers: 8 return the same samples.
+	// Workers: 8 return the same samples. It bounds sampling only: the
+	// setup's ApproxMC rounds run on up to GOMAXPROCS sessions whatever
+	// Workers is, and the setup is the same at any number.
 	Workers int
 }
 

@@ -59,8 +59,8 @@ func TestSupportIsIndependent(t *testing.T) {
 			}
 			full := g.SamplingVars() // all vars
 			g.SamplingSet = nil
-			n, r2 := bsat.Count(g, 3, bsat.Options{SamplingSet: full})
-			if !r2.Exhausted || n != 1 {
+			r2 := bsat.Enumerate(g, 3, bsat.Options{SamplingSet: full})
+			if n := len(r2.Witnesses); !r2.Exhausted || n != 1 {
 				t.Fatalf("%s: fixing sampling set left %d extensions (exhausted=%v)", name, n, r2.Exhausted)
 			}
 		}
@@ -77,8 +77,8 @@ func TestCase110WitnessCount(t *testing.T) {
 	if inst.SupportSize != 14 {
 		t.Fatalf("support = %d, want 14", inst.SupportSize)
 	}
-	n, res := bsat.Count(inst.F, 20000, bsat.Options{})
-	if !res.Exhausted || n != 16384 {
+	res := bsat.Enumerate(inst.F, 20000, bsat.Options{})
+	if n := len(res.Witnesses); !res.Exhausted || n != 16384 {
 		t.Fatalf("witnesses = %d (exhausted=%v), want 16384", n, res.Exhausted)
 	}
 }

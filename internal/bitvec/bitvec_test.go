@@ -79,8 +79,8 @@ func TestSubNegShift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, res := bsat.Count(bl.Formula, 300, bsat.Options{})
-	if !res.Exhausted || n != 256 {
+	res := bsat.Enumerate(bl.Formula, 300, bsat.Options{})
+	if n := len(res.Witnesses); !res.Exhausted || n != 256 {
 		t.Fatalf("count = %d (exhausted=%v), want 256", n, res.Exhausted)
 	}
 }
@@ -149,8 +149,8 @@ func TestSamplingSetIsVariables(t *testing.T) {
 		t.Fatalf("sampling set = %d bits, want 12", len(bl.Formula.SamplingSet))
 	}
 	// Witness count: #{(x,y): x ≤ y} = 64*65/2 = 2080.
-	n, res := bsat.Count(bl.Formula, 3000, bsat.Options{})
-	if !res.Exhausted || n != 2080 {
+	res := bsat.Enumerate(bl.Formula, 3000, bsat.Options{})
+	if n := len(res.Witnesses); !res.Exhausted || n != 2080 {
 		t.Fatalf("count = %d (exhausted=%v), want 2080", n, res.Exhausted)
 	}
 }

@@ -23,6 +23,12 @@
 // its trail, adds the blocking clause and backjumps only as far as the
 // clause requires, instead of re-propagating the hash rows, the
 // standing assumptions and every decision from level 0.
+//
+// A session call can also take known members of its cell (Members):
+// witnesses earlier calls already found, which it blocks before its
+// search so that it enumerates only the rest. Count takes them for
+// ApproxMC's nested cells, and EnumerateKnown for a sampling round's
+// later cells (DESIGN §15, "Known members").
 package bsat
 
 import (
@@ -40,11 +46,13 @@ import (
 
 // Result is the outcome of a bounded enumeration call.
 type Result struct {
-	// Witnesses holds up to N witnesses, distinct on the sampling set.
+	// Witnesses holds the witnesses the call found, distinct on the
+	// sampling set: up to N, and for Session.EnumerateKnown only those
+	// beyond the known members, so at most N minus their number.
 	Witnesses []cnf.Assignment
 	// Exhausted is true when the enumeration proved there are no further
-	// witnesses (the final solver call returned UNSAT), i.e.
-	// len(Witnesses) = |R_F↓S| when len(Witnesses) < N.
+	// witnesses (the final solver call returned UNSAT), i.e. the
+	// witnesses found, with any known members, are all of R_F↓S.
 	Exhausted bool
 	// BudgetExceeded is true when a solver call ran out of conflict
 	// budget; the reproduction's analogue of the paper's 2500-second
@@ -201,10 +209,23 @@ func (se *Session) interruptRaised() bool {
 // sampling set. The hash rows are installed as removable XOR
 // constraints and the previous call's hash and blocking clauses are
 // released first, so consecutive calls reuse all accumulated solver
-// state. h may be nil (enumeration of f itself).
+// state. h may be nil (enumeration of f itself). It is EnumerateKnown
+// with no known members.
 func (se *Session) Enumerate(n int, h *hashfam.Hash) Result {
-	_, res := se.enumerate(n, h, true, nil)
+	_, res := se.EnumerateKnown(n, h, nil)
 	return res
+}
+
+// EnumerateKnown is Enumerate for a cell some of whose members are
+// already known: m's list holds known distinct members of the cell.
+// It blocks each under the cell's blocking selector before its search,
+// so it enumerates only the rest, and returns how many members it
+// found, the known ones included, capped at n. The result's Witnesses
+// hold only the witnesses it found, and m's list gains the projection
+// of each, after the known ones. With n or more known members it
+// returns n without touching the solver. A nil m is Enumerate.
+func (se *Session) EnumerateKnown(n int, h *hashfam.Hash, m *Members) (int, Result) {
+	return se.enumerate(n, h, true, m)
 }
 
 // Members is a list of witnesses of one cell, each projected onto Vars
@@ -239,22 +260,17 @@ func (m *Members) Add(a cnf.Assignment) {
 }
 
 // Count returns min(|R_{F∧h}↓S|, n) via the session, plus the call's
-// result without its witnesses: the search is Enumerate's, but no
-// model is copied, since only the count is wanted.
-//
-// When m is non-nil its list holds known distinct members of the cell.
-// Count counts them and blocks each under the cell's blocking selector
-// before its search, so it enumerates only the rest, and appends
-// the projection of every witness it finds to the list. With n or more
-// known members it returns n without touching the solver. With none,
-// its search is the one Count makes with m nil.
+// result without its witnesses: the search is EnumerateKnown's, with
+// the same known members m, but no model is copied, since only the
+// count is wanted. With no known members, its search is the one Count
+// makes with m nil.
 func (se *Session) Count(n int, h *hashfam.Hash, m *Members) (int, Result) {
 	return se.enumerate(n, h, false, m)
 }
 
-// enumerate is Enumerate and Count: it finds up to n witnesses, keeps
-// them in the result only when keep is set, records them in m when m
-// is non-nil, and returns how many it found, m's known members
+// enumerate is EnumerateKnown and Count: it finds up to n witnesses,
+// keeps them in the result only when keep is set, records them in m
+// when m is non-nil, and returns how many it found, m's known members
 // included.
 func (se *Session) enumerate(n int, h *hashfam.Hash, keep bool, m *Members) (int, Result) {
 	known, w := 0, 0 // m's members and words per member
@@ -433,12 +449,4 @@ func Enumerate(f *cnf.Formula, n int, opts Options) Result {
 	}
 	res.Stats = s.Stats()
 	return res
-}
-
-// Count returns min(|R_F↓S|, n): the number of sampling-set-distinct
-// witnesses up to the bound n. It is the |Y| quantity tested against
-// hiThresh/loThresh in Algorithm 1.
-func Count(f *cnf.Formula, n int, opts Options) (int, Result) {
-	res := Enumerate(f, n, opts)
-	return len(res.Witnesses), res
 }

@@ -69,12 +69,13 @@ func TestCountMatchesBruteForce(t *testing.T) {
 			f.AddClauseLits(c)
 		}
 		want := sat.BruteForceCount(f)
-		got, res := Count(f, 1<<uint(n), Options{})
+		res := Enumerate(f, 1<<uint(n), Options{})
+		got := len(res.Witnesses)
 		if !res.Exhausted && got < 1<<uint(n) {
 			t.Fatalf("iter %d: not exhausted", iter)
 		}
 		if got != want {
-			t.Fatalf("iter %d: Count = %d, brute force %d", iter, got, want)
+			t.Fatalf("iter %d: %d witnesses, brute force %d", iter, got, want)
 		}
 	}
 }
@@ -103,9 +104,9 @@ func TestProjectedCountMatchesBruteForce(t *testing.T) {
 			proj = []cnf.Var{1}
 		}
 		want := sat.BruteForceProjectedCount(f, proj)
-		got, _ := Count(f, 1<<uint(n), Options{SamplingSet: proj})
+		got := len(Enumerate(f, 1<<uint(n), Options{SamplingSet: proj}).Witnesses)
 		if got != want {
-			t.Fatalf("iter %d: projected Count = %d, brute force %d (proj=%v)\n%s",
+			t.Fatalf("iter %d: %d projected witnesses, brute force %d (proj=%v)\n%s",
 				iter, got, want, proj, cnf.DIMACSString(f))
 		}
 	}

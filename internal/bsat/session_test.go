@@ -335,3 +335,82 @@ func TestCountKnownMembers(t *testing.T) {
 		t.Fatal("no capped count started from known members")
 	}
 }
+
+// TestEnumerateKnownMatchesStateless: EnumerateKnown started from a
+// random subset of a cell's members, as the stateless Enumerate finds
+// the cell, finds only the rest. Exhausted, the witnesses it found and
+// the known members make up the stateless set, with no found witness a
+// known one; capped at n, it returns n and finds n minus the known
+// members; every witness it finds satisfies F ∧ h; and with at least
+// n known members it returns n, finds nothing and moves no solver stat.
+func TestEnumerateKnownMatchesStateless(t *testing.T) {
+	rng := randx.New(0x4b0e)
+	capped := 0
+	for iter := 0; iter < 60; iter++ {
+		f := randomFormula(rng, 4+rng.Intn(6))
+		vars := f.SamplingVars()
+		all := 1<<len(vars) + 1 // enough to exhaust any cell
+		sess := NewSession(f, Options{Solver: sat.Config{Seed: uint64(iter)}})
+		for call := 0; call < 4; call++ {
+			var h *hashfam.Hash
+			if rng.Intn(3) != 0 {
+				h = hashfam.Draw(rng, vars, 1+rng.Intn(len(vars)))
+			}
+			cell := Enumerate(f, all, Options{Hash: h}).Witnesses
+			inCell := map[string]bool{}
+			for _, key := range witnessKeys(t, cell, vars) {
+				inCell[key] = true
+			}
+			known := Members{Vars: vars}
+			isKnown := map[string]bool{}
+			for _, w := range cell {
+				if rng.Bool() {
+					known.Add(w)
+					isKnown[w.Project(vars)] = true
+				}
+			}
+			k := known.Len()
+			// enumerate runs EnumerateKnown capped at n from the known
+			// members and checks what every such call must hold.
+			enumerate := func(n int) (int, Result) {
+				m := Members{Vars: vars, List: slices.Clone(known.List)}
+				got, res := sess.EnumerateKnown(n, h, &m)
+				if got != min(n, len(cell)) || (n > k && got != k+len(res.Witnesses)) {
+					t.Fatalf("iter %d call %d: capped at %d from %d known: %d, %d found, cell of %d",
+						iter, call, n, k, got, len(res.Witnesses), len(cell))
+				}
+				if n > k && m.Len() != got {
+					t.Fatalf("iter %d call %d: %d members listed for %d", iter, call, m.Len(), got)
+				}
+				for _, key := range witnessKeys(t, res.Witnesses, vars) {
+					if isKnown[key] || !inCell[key] {
+						t.Fatalf("iter %d call %d: found %x, known %v, in the cell %v", iter, call, key, isKnown[key], inCell[key])
+					}
+				}
+				for _, w := range res.Witnesses {
+					if !w.Satisfies(f) || (h != nil && !h.Evaluate(w)) {
+						t.Fatalf("iter %d call %d: found a witness outside F ∧ h", iter, call)
+					}
+				}
+				return got, res
+			}
+			if _, res := enumerate(all); !res.Exhausted {
+				t.Fatalf("iter %d call %d: not exhausted", iter, call)
+			}
+			if len(cell) > k+1 {
+				enumerate(k + 1 + rng.Intn(len(cell)-k-1))
+				capped++
+			}
+			if k > 0 {
+				before := sess.s.Stats()
+				n := 1 + rng.Intn(k) // at most k: enough members are known
+				if _, res := enumerate(n); len(res.Witnesses) != 0 || res.Stats != (tally.Vec{}) || sess.s.Stats() != before {
+					t.Fatalf("iter %d call %d: a call with enough known members found %d or moved the solver", iter, call, len(res.Witnesses))
+				}
+			}
+		}
+	}
+	if capped == 0 {
+		t.Fatal("no capped call started from known members")
+	}
+}

@@ -293,8 +293,8 @@ func checkTseitin(t *testing.T, cir *Circuit, inputs int) {
 	}
 	// Count projected witnesses: must be 2^inputs (inputs free).
 	want := 1 << inputs
-	n, res := bsat.Count(enc.Formula, 2*want, bsat.Options{})
-	if !res.Exhausted || n != want {
+	res := bsat.Enumerate(enc.Formula, 2*want, bsat.Options{})
+	if n := len(res.Witnesses); !res.Exhausted || n != want {
 		t.Fatalf("projected count = %d (exhausted=%v), want %d", n, res.Exhausted, want)
 	}
 	// Check witness extension correctness on random inputs.
@@ -346,8 +346,7 @@ func TestAssertParityRestrictsWitnesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc.AssertParity([]Sig{Sig(x[0]), Sig(x[1]), Sig(x[2])}, true)
-	n, _ := bsat.Count(enc.Formula, 1<<7, bsat.Options{})
-	if n != 32 { // half of 64
+	if n := len(bsat.Enumerate(enc.Formula, 1<<7, bsat.Options{}).Witnesses); n != 32 { // half of 64
 		t.Fatalf("count = %d, want 32", n)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"unigen/internal/cnf"
 	"unigen/internal/counter"
 	"unigen/internal/faultpoint"
+	"unigen/internal/gf2"
 	"unigen/internal/hashfam"
 	"unigen/internal/obs"
 	"unigen/internal/randx"
@@ -361,17 +362,25 @@ func sortWitnesses(ws []cnf.Assignment, s []cnf.Var) {
 // witness of the first cell whose size lands within [loThresh,
 // hiThresh]. It returns ErrFailed for the ⊥ outcome.
 //
-// Given the same RNG state, the outcome is independent of the session's
-// history as long as no conflict-budget exhaustion occurs: accepted
-// cells are always exhaustively enumerated, their witness lists are
-// canonically ordered before the index pick, and budget retries redraw
-// only from this round's RNG. This is the determinism contract the
-// parallel engine builds on.
+// Each cell starts from the witnesses the round's earlier cells found:
+// those the cell's hash holds on are its known members, which the
+// session blocks before its search, so it enumerates only the rest
+// (DESIGN §15, "Known members of sampling cells"). The list is dropped
+// when the round returns.
 //
-// Each cell-search attempt (one Enumerate against a drawn hash at cell
-// count 2^i) is recorded as a child span of sp, carrying the solver-
-// work delta of that enumeration. A nil sp disarms the tracing: every
-// span call degrades to a nil check.
+// Given the same RNG state, the outcome is independent of the session's
+// history as long as no conflict-budget exhaustion occurs: each cell's
+// size up to hiThresh+1 is a function of the formula and its hash, an
+// accepted cell's list holds every member, the known ones put back
+// beside the ones its search found, and is canonically ordered before
+// the index pick, and budget retries redraw only from this round's
+// RNG. So the chosen witness's projection onto the sampling set is too.
+// This is the determinism contract the parallel engine builds on.
+//
+// Each cell-search attempt (one EnumerateKnown against a drawn hash at
+// cell count 2^i) is recorded as a child span of sp, carrying the
+// solver-work delta of that enumeration and its known members. A nil
+// sp disarms the tracing: every span call degrades to a nil check.
 func (su *Setup) SampleRound(sess *bsat.Session, rng *randx.RNG, st *Stats, sp *obs.Span) (cnf.Assignment, error) {
 	_ = faultpoint.Fire(faultpoint.RoundPanic) // chaos: panics when armed
 	if su.easySet {
@@ -383,11 +392,20 @@ func (su *Setup) SampleRound(sess *bsat.Session, rng *randx.RNG, st *Stats, sp *
 		return su.easy[rng.Intn(len(su.easy))], nil
 	}
 	kp := su.kp
+	// The round's witnesses so far, cell by cell: found[j] holds the
+	// models cell search j found, and packed[j] their projections onto
+	// H, w words each (as bsat.Members packs them). carried holds the
+	// current cell's known members.
+	var found [][]cnf.Assignment
+	var packed [][]uint64
+	var carried []cnf.Assignment
+	w := gf2.Words(len(su.h))
 	for i := su.q - 3; i <= su.q; i++ {
 		m := i
 		if m < 1 {
 			m = 1
 		}
+		var n int
 		var res bsat.Result
 		ok := false
 		for retry := 0; retry < maxRetries; retry++ {
@@ -396,17 +414,32 @@ func (su *Setup) SampleRound(sess *bsat.Session, rng *randx.RNG, st *Stats, sp *
 			h := hashfam.Draw(rng, su.h, m)
 			st[tally.XORRows] += int64(h.M())
 			st[tally.XORLenSum] += int64(h.TotalLen())
+			known := bsat.Members{Vars: su.h, List: make([]uint64, 0, (kp.HiThresh+1)*w)}
+			carried = carried[:0]
+			for j, ms := range found {
+				for k, a := range ms {
+					if x := packed[j][k*w : (k+1)*w]; h.Holds(x) {
+						known.List = append(known.List, x...)
+						carried = append(carried, a)
+					}
+				}
+			}
 			// Line 16, on the caller's incremental session.
 			cell := sp.StartSpan("cell")
-			res = sess.Enumerate(kp.HiThresh+1, h)
+			n, res = sess.EnumerateKnown(kp.HiThresh+1, h, &known)
 			cell.SetInt("i", int64(i))
 			cell.SetInt("xor_rows", int64(h.M()))
-			cell.SetInt("witnesses", int64(len(res.Witnesses)))
+			cell.SetInt("witnesses", int64(n))
+			cell.SetInt("known", int64(len(carried)))
 			cell.SetInt("conflicts", res.Stats[tally.Conflicts])
 			cell.SetInt("propagations", res.Stats[tally.Propagations])
 			cell.End()
 			st[tally.BSATCalls]++
 			*st = st.Merge(Stats(res.Stats))
+			// The found witnesses' projections follow the known ones in
+			// the member list.
+			found = append(found, res.Witnesses)
+			packed = append(packed, known.List[len(carried)*w:])
 			if !res.BudgetExceeded {
 				ok = true
 				break
@@ -421,12 +454,13 @@ func (su *Setup) SampleRound(sess *bsat.Session, rng *randx.RNG, st *Stats, sp *
 		if !ok {
 			return nil, ErrBudget
 		}
-		n := len(res.Witnesses)
 		if float64(n) >= kp.LoThresh && n <= kp.HiThresh {
-			// Lines 21–22, on the canonical order (see sortWitnesses).
-			sortWitnesses(res.Witnesses, su.h)
+			// Lines 21–22, on the canonical order (see sortWitnesses) of
+			// the whole cell: its known members and the ones it found.
+			ws := append(carried, res.Witnesses...)
+			sortWitnesses(ws, su.h)
 			st[tally.Samples]++
-			return res.Witnesses[rng.Intn(n)], nil
+			return ws[rng.Intn(n)], nil
 		}
 	}
 	// Lines 18–19.

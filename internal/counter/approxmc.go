@@ -412,12 +412,8 @@ func (c *cells) reset(sess *bsat.Session, h *hashfam.Hash, thresh int, base []ui
 
 // in reports whether the packed member x satisfies rows [a, b) of h.
 func (c *cells) in(x []uint64, a, b int) bool {
-	for _, r := range c.h.Rows[a:b] {
-		if gf2.ParityAnd(r.Bits, x) != r.RHS {
-			return false
-		}
-	}
-	return true
+	rows := hashfam.Hash{Rows: c.h.Rows[a:b]}
+	return rows.Holds(x)
 }
 
 // probe returns the size of cell m, capped at thresh, where

@@ -113,8 +113,15 @@ func (h *Hash) Evaluate(a cnf.Assignment) bool {
 			mask[c>>6] |= 1 << uint(c&63)
 		}
 	}
+	return h.Holds(mask)
+}
+
+// Holds reports whether x, a projection onto Vars packed as row bits
+// (bit c stands for Vars[c], as bsat.Members packs members), satisfies
+// every row of h.
+func (h *Hash) Holds(x []uint64) bool {
 	for _, r := range h.Rows {
-		if gf2.ParityAnd(r.Bits, mask) != r.RHS {
+		if gf2.ParityAnd(r.Bits, x) != r.RHS {
 			return false
 		}
 	}

@@ -1,12 +1,14 @@
-// Package testformula draws the random CNF+XOR formulas that the
-// tests of internal/counter and internal/core share: formulas that
-// hash at |H| = 8–16, some with failing ApproxMC rounds and some with
-// line 10's q at its lower clamp. Only tests import it.
+// Package testformula holds what the tests of internal/counter and
+// internal/core share: random CNF+XOR formulas that hash at
+// |H| = 8–16, some with failing ApproxMC rounds and some with line 10's
+// q at its lower clamp, and projected model tables that serve as a
+// lookup oracle for cells. Only tests import it.
 package testformula
 
 import (
 	"unigen/internal/cnf"
 	"unigen/internal/randx"
+	"unigen/internal/sat"
 )
 
 // Draw draws one formula of a family over nh sampling variables 1..nh
@@ -69,4 +71,37 @@ func Draw(rng *randx.RNG, family string, nh int) *cnf.Formula {
 		f.AddClause(lit(p[5]+1), lit(p[6]+1), lit(p[7]+1))
 	}
 	return f
+}
+
+// MaxTableVars bounds the projection sets Table accepts: one solve per
+// assignment, so at most 4096 solves.
+const MaxTableVars = 12
+
+// Table returns R↓h, the projection onto h of the models of f ∧
+// assumps, found with one assumption solve per assignment of h on a
+// plain sat.Solver: no blocking clause, selector or enumeration loop,
+// so it shares no enumeration code with bsat. Each entry is an
+// assignment over f's variables that sets h's and leaves the rest
+// false. Entries come in the canonical witness order (h[0] most
+// significant, false before true), so the entries of a cell, kept in
+// table order, are already sorted. It panics when |h| > MaxTableVars.
+func Table(f *cnf.Formula, h []cnf.Var, assumps []cnf.Lit) []cnf.Assignment {
+	if len(h) > MaxTableVars {
+		panic("testformula: projection set too large for a table")
+	}
+	s := sat.New(f, sat.Config{})
+	lits := make([]cnf.Lit, len(h), len(h)+len(assumps))
+	var out []cnf.Assignment
+	for x := 0; x < 1<<len(h); x++ {
+		a := cnf.NewAssignment(f.NumVars)
+		for c, v := range h {
+			val := x>>(len(h)-1-c)&1 == 1
+			a.Set(v, val)
+			lits[c] = cnf.MkLit(v, !val)
+		}
+		if s.Solve(append(lits, assumps...)...) == sat.Sat {
+			out = append(out, a)
+		}
+	}
+	return out
 }

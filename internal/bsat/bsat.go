@@ -154,9 +154,9 @@ func (se *Session) SetAssumptions(lits []cnf.Lit) {
 func (se *Session) Assumptions() []cnf.Lit { return se.base }
 
 // SetInterrupt repoints the cooperative-interrupt flag for both the
-// session's stall-polling and the underlying solver (nil: none). An
-// engine points each of its sessions at its own flag; a session pool
-// sets nil at check-in.
+// session's stall-polling and the underlying solver (nil: none). Each
+// owner points the sessions it leases at its own flag (a SampleN call,
+// a setup flight, a count); a session pool sets nil at check-in.
 func (se *Session) SetInterrupt(intr *atomic.Bool) {
 	se.cfg.Interrupt = intr
 	se.s.SetInterrupt(intr)

@@ -20,9 +20,9 @@ import (
 // ApproxMC estimate C or the state of the run that will finish it, the
 // candidate endpoint q, and the setup-phase stats — so a later process
 // can rehydrate the Setup and serve bit-identical samples and counts
-// without re-running the setup. The spare session is the one field that
-// cannot be persisted: a decoded Setup carries spare=nil, so NewSession
-// and NewSessionWith build solvers lazily on first use.
+// without re-running the setup. A Setup holds no session and no
+// interrupt, so nothing of it is left out: a decoded Setup builds
+// solvers only when its owner calls NewSession.
 //
 // Frame layout (all integers little-endian):
 //
@@ -384,11 +384,11 @@ func (r *setupReader) take(n int) ([]byte, error) {
 
 // DecodeSetup rehydrates a Setup from an Encode frame. opts supplies
 // the runtime configuration the encoding deliberately omits — the
-// solver budgets — exactly as NewSetup would have received it;
-// opts.Epsilon must match the encoded epsilon (zero adopts it). The
-// returned Setup has no spare session: the first NewSession or
-// NewSessionWith call builds a solver lazily, so rehydration itself
-// performs no solver work at all.
+// solver budgets — exactly as NewSetup would have received it, and the
+// Setup keeps it without its interrupt, as NewSetup does;
+// opts.Epsilon must match the encoded epsilon (zero adopts it).
+// Rehydration performs no solver work at all: sessions are built only
+// when the owner calls NewSession.
 func DecodeSetup(data []byte, opts Options) (*Setup, error) {
 	if err := VerifySetupFrame(data); err != nil {
 		return nil, err
@@ -493,6 +493,7 @@ func DecodeSetup(data []byte, opts Options) (*Setup, error) {
 	if err != nil {
 		return nil, err
 	}
+	opts.Solver.Interrupt = nil
 	su := &Setup{f: f, s: s, h: h, kp: kp, opts: opts, easy: easy, easySet: easySet, q: int(qv)}
 	if err := r.count(su); err != nil {
 		return nil, err

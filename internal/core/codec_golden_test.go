@@ -10,7 +10,6 @@ import (
 
 	"unigen/internal/cnf"
 	"unigen/internal/counter"
-	"unigen/internal/sat"
 	"unigen/internal/tally"
 )
 
@@ -131,8 +130,8 @@ func TestSetupCodecGoldenFrame(t *testing.T) {
 			!slices.EqualFunc(ga.Estimates, wa.Estimates, func(a, b *big.Int) bool { return a.Cmp(b) == 0 }) {
 			t.Fatalf("%s: golden frame decoded to run state %+v, want %+v", tc.name, ga, wa)
 		}
-		wc, _, _, werr := tc.su.WitnessCount(sat.Config{}, nil)
-		gc, _, _, gerr := got.WitnessCount(sat.Config{}, nil)
+		wc, _, _, werr := tc.su.WitnessCount(nil, nil)
+		gc, _, _, gerr := got.WitnessCount(nil, nil)
 		if werr != nil || gerr != nil || wc.Cmp(gc) != 0 {
 			t.Fatalf("%s: count %v (%v), decoded %v (%v)", tc.name, wc, werr, gc, gerr)
 		}

@@ -10,7 +10,6 @@ import (
 
 	"unigen/internal/cnf"
 	"unigen/internal/randx"
-	"unigen/internal/sat"
 )
 
 // hashingFormula has 2^10 witnesses projected on its sampling set —
@@ -83,9 +82,6 @@ func TestSetupCodecRoundTripHashing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeSetup: %v", err)
 	}
-	if got.spare != nil {
-		t.Fatal("decoded setup must not carry a spare session")
-	}
 	if got.easySet != su.easySet || got.q != su.q {
 		t.Fatalf("decoded easySet=%v q=%d, want %v %d", got.easySet, got.q, su.easySet, su.q)
 	}
@@ -109,8 +105,8 @@ func TestSetupCodecRoundTripHashing(t *testing.T) {
 
 	// Both finish to the same count: the decoded run state resumes
 	// where the original stopped.
-	wc, _, _, werr := su.WitnessCount(sat.Config{}, nil)
-	gc, _, _, gerr := got.WitnessCount(sat.Config{}, nil)
+	wc, _, _, werr := su.WitnessCount(nil, nil)
+	gc, _, _, gerr := got.WitnessCount(nil, nil)
 	if werr != nil || gerr != nil || wc.Cmp(gc) != 0 {
 		t.Fatalf("count %v (%v) → %v (%v)", wc, werr, gc, gerr)
 	}
@@ -146,7 +142,7 @@ func TestSetupCodecRoundTripEasy(t *testing.T) {
 			t.Fatalf("easy witness %d differs", i)
 		}
 	}
-	if c, exact, _, err := got.WitnessCount(sat.Config{}, nil); err != nil || !exact || c.Int64() != int64(len(su.easy)) {
+	if c, exact, _, err := got.WitnessCount(nil, nil); err != nil || !exact || c.Int64() != int64(len(su.easy)) {
 		t.Fatalf("WitnessCount = %v exact=%v (%v), want %d exact", c, exact, err, len(su.easy))
 	}
 	want := sampleStream(t, su, 7, 5)

@@ -102,11 +102,6 @@ type SessionLender interface {
 // assumptions by the body a cold NewSetup runs. A base in the easy
 // case always yields an easy conditioned setup (R_{F∧A} ⊆ R_F).
 func (su *Setup) SetupWith(pool SessionLender, conj *cnf.Formula, assumps []cnf.Lit, intr *atomic.Bool, rng *randx.RNG) (*Setup, error) {
-	opts := su.opts
-	// The base options may carry the base prepare-flight's interrupt
-	// flag; sessions built later over the conditioned setup must not
-	// share it.
-	opts.Solver.Interrupt = nil
 	// The same hash-set pass a cold prepare of conj runs, from the
 	// declared set, so both paths hash over the same set. The pooled
 	// sessions keep blocking over the base's hash set; within F ∧ A
@@ -115,7 +110,7 @@ func (su *Setup) SetupWith(pool SessionLender, conj *cnf.Formula, assumps []cnf.
 	if err != nil {
 		return nil, err
 	}
-	cond := &Setup{f: conj, s: su.s, h: h, kp: su.kp, opts: opts}
+	cond := &Setup{f: conj, s: su.s, h: h, kp: su.kp, opts: su.opts}
 
 	var leased []*bsat.Session
 	lease := func(n int) []*bsat.Session {
@@ -143,8 +138,7 @@ func (su *Setup) SetupWith(pool SessionLender, conj *cnf.Formula, assumps []cnf.
 	// violating A does not mean the projected witness does. ApproxMC
 	// runs with the same parameters and RNG consumption as a cold run,
 	// and its cell probes are exact, so the estimate is the cold path's.
-	sess := lease(1)[0]
-	err = cond.measure(sess, sess, lease, rng)
+	err = cond.measure(lease, rng)
 	done = true
 	if err != nil {
 		return nil, err

@@ -151,8 +151,8 @@ func TestHashSetDeltaMatchesCold(t *testing.T) {
 			t.Fatalf("%v: delta easy=%v q=%d, cold easy=%v q=%d", tc.lits, cond.easySet, cond.q, cold.easySet, cold.q)
 		}
 		if !cond.easySet {
-			dc, _, _, derr := cond.WitnessCount(sat.Config{}, nil)
-			cc, _, _, cerr := cold.WitnessCount(sat.Config{}, nil)
+			dc, _, _, derr := cond.WitnessCount(nil, nil)
+			cc, _, _, cerr := cold.WitnessCount(nil, nil)
 			if derr != nil || cerr != nil || dc.Cmp(cc) != 0 {
 				t.Fatalf("%v: delta count %v (%v), cold %v (%v)", tc.lits, dc, derr, cc, cerr)
 			}

@@ -6,12 +6,10 @@ import (
 	"math/big"
 	"sync/atomic"
 
-	"unigen/internal/bsat"
 	"unigen/internal/cnf"
 	"unigen/internal/counter"
 	"unigen/internal/indsupport"
 	"unigen/internal/obs"
-	"unigen/internal/sat"
 )
 
 // hashSet computes the hash set of f over the declared set s (DESIGN
@@ -68,32 +66,6 @@ func PrepSeedFromFingerprint(fp [32]byte) uint64 {
 	return binary.LittleEndian.Uint64(fp[:8])
 }
 
-// SolverConfig returns the solver configuration the setup's sessions
-// are built with (budgets, interrupt). Callers that share a Setup
-// across concurrent requests build sessions from it with
-// NewSessionWith and point each at a private interrupt flag.
-func (su *Setup) SolverConfig() sat.Config { return su.opts.Solver }
-
-// ReleaseSpare drops the setup-phase spare session (the solver the
-// easy-case enumeration ran on, normally adopted by the first
-// NewSession call). Owners that build sessions exclusively through
-// NewSessionWith — the service cache holds Setups for their whole LRU
-// lifetime — call this once after NewSetup so each cached formula does
-// not pin a dead solver instance. Call before sharing the Setup;
-// afterwards the Setup is immutable again.
-func (su *Setup) ReleaseSpare() { su.spare = nil }
-
-// NewSessionWith builds a fresh BSAT session over the setup's formula
-// and hash set with the given solver configuration — typically
-// SolverConfig(), or that without its interrupt. Unlike NewSession it
-// never adopts the setup-phase spare session, so it is safe to call
-// concurrently from request handlers sharing one cached Setup (the
-// Setup itself is immutable; only sessions carry mutable solver
-// state).
-func (su *Setup) NewSessionWith(cfg sat.Config) *bsat.Session {
-	return bsat.NewSession(su.f, bsat.Options{SamplingSet: su.h, Solver: cfg})
-}
-
 // WitnessCount returns the prepared count of witnesses projected onto
 // the sampling set: the exact count when the setup took the easy-case
 // path (lines 5–7 enumerated R_F completely; exact=true, and 0 for an
@@ -102,19 +74,19 @@ func (su *Setup) NewSessionWith(cfg sat.Config) *bsat.Session {
 //
 // The setup stopped ApproxMC once q was settled, so the first call in
 // the hashing case runs the rounds left, on a session of its own and
-// up to GOMAXPROCS−1 helper sessions, all built with cfg: the caller's
-// interrupt and budgets. It records them as an "approxmc" child span
-// of sp (nil-safe) with rounds, sessions and bsat_calls counters;
-// bsat_calls counts only the probes that called the solver
-// (counter.ApproxMCResult.BSATCalls), and depends on the number of
-// sessions. Every probe is exact, the run resumes from the state the
+// up to GOMAXPROCS−1 helper sessions, all built with the setup's
+// budgets and pointed at intr (nil: none). It records them as an
+// "approxmc" child span of sp (nil-safe) with rounds, sessions and
+// bsat_calls counters; bsat_calls counts only the probes that called
+// the solver (counter.ApproxMCResult.BSATCalls), and depends on the
+// number of sessions. Every probe is exact, the run resumes from the state the
 // setup stopped at, and its rounds fold in round order, so the
 // estimate is the one an uninterrupted run returns. Only a successful
 // run is kept: later calls return its estimate with no solver work,
 // and after a failure the next call runs the rounds again. Concurrent
 // calls run them once; the others wait. ran reports whether this call
 // ran them, and so changed what Encode writes.
-func (su *Setup) WitnessCount(cfg sat.Config, sp *obs.Span) (c *big.Int, exact, ran bool, err error) {
+func (su *Setup) WitnessCount(intr *atomic.Bool, sp *obs.Span) (c *big.Int, exact, ran bool, err error) {
 	if su.easySet {
 		return big.NewInt(int64(len(su.easy))), true, false, nil
 	}
@@ -125,7 +97,7 @@ func (su *Setup) WitnessCount(cfg sat.Config, sp *obs.Span) (c *big.Int, exact, 
 		run := counter.ResumeApproxMC(su.amc, su.amcOptions())
 		n, release := sessionTokens(run.Left() - 1)
 		defer release()
-		ss := su.newSessions(cfg)(1 + n)
+		ss := su.newSessions(intr)(1 + n)
 		res, err := run.Finish(ss...)
 		csp.SetInt("rounds", int64(su.amc.Left-run.Left()))
 		csp.SetInt("sessions", int64(len(ss)))

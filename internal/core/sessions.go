@@ -3,9 +3,9 @@ package core
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"unigen/internal/bsat"
-	"unigen/internal/sat"
 )
 
 // The ApproxMC rounds of a setup run on its caller's session and on one
@@ -38,13 +38,14 @@ func takeTokens(n int) (int, func()) {
 // fixed number of sessions.
 var sessionTokens = takeTokens
 
-// newSessions returns a function that builds n fresh sessions over the
-// setup's formula and hash set with cfg.
-func (su *Setup) newSessions(cfg sat.Config) func(n int) []*bsat.Session {
+// newSessions returns a function that builds n fresh sessions with
+// NewSession and points each at intr.
+func (su *Setup) newSessions(intr *atomic.Bool) func(n int) []*bsat.Session {
 	return func(n int) []*bsat.Session {
 		ss := make([]*bsat.Session, n)
 		for i := range ss {
-			ss[i] = su.NewSessionWith(cfg)
+			ss[i] = su.NewSession()
+			ss[i].SetInterrupt(intr)
 		}
 		return ss
 	}

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/big"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"unigen/internal/bsat"
@@ -28,7 +31,7 @@ func (l *lender) Checkout(n int) []*bsat.Session {
 		if k := len(l.idle); k > 0 {
 			ss[i], l.idle = l.idle[k-1], l.idle[:k-1]
 		} else {
-			ss[i] = l.su.NewSessionWith(l.su.SolverConfig())
+			ss[i] = l.su.NewSession()
 		}
 	}
 	l.out += n
@@ -108,7 +111,7 @@ func TestSetupFanOutEncodeIdentical(t *testing.T) {
 				break
 			}
 			blob := encode(t, su)
-			c, _, _, err := su.WitnessCount(sat.Config{}, nil)
+			c, _, _, err := su.WitnessCount(nil, nil)
 			if err != nil {
 				t.Fatalf("fixture %d W=%d: WitnessCount: %v", k, w, err)
 			}
@@ -153,10 +156,63 @@ func TestSetupFanOutEncodeIdentical(t *testing.T) {
 			t.Fatalf("W=%d: delta q=%d rounds=%d state %+v, cold q=%d rounds=%d state %+v", w,
 				cond.q, cond.base.SetupRounds(), cond.amc, cold.q, cold.base.SetupRounds(), cold.amc)
 		}
-		dc, _, _, derr := cond.WitnessCount(sat.Config{}, nil)
-		cc, _, _, cerr := cold.WitnessCount(sat.Config{}, nil)
+		dc, _, _, derr := cond.WitnessCount(nil, nil)
+		cc, _, _, cerr := cold.WitnessCount(nil, nil)
 		if derr != nil || cerr != nil || dc.Cmp(cc) != 0 {
 			t.Fatalf("W=%d: delta count %v (%v), cold %v (%v)", w, dc, derr, cc, cerr)
 		}
+	}
+}
+
+// TestSetupHoldsNoInterrupt: a Setup keeps neither the interrupt it was
+// prepared under nor a session. After NewSetup returns, raising the
+// flag it was given reaches no session NewSession builds, whichever
+// goroutine builds it; the same holds for a Setup DecodeSetup rehydrates
+// under a raised flag, and WitnessCount with no flag finishes the count.
+func TestSetupHoldsNoInterrupt(t *testing.T) {
+	var flag atomic.Bool
+	su, err := NewSetup(hardFormula(), randx.New(4), Options{Epsilon: 6, Solver: sat.Config{Interrupt: &flag}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if su.Easy() {
+		t.Fatal("expected hashing path")
+	}
+	flag.Store(true)
+	rounds := func(name string, su *Setup) {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make(chan error, 4*3)
+		for g := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sess := su.NewSession()
+				for r := range 3 {
+					var st Stats
+					if _, err := su.SampleRound(sess, randx.New(uint64(10*g+r)), &st, nil); err != nil && !errors.Is(err, ErrFailed) {
+						errs <- err
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("%s: round on a fresh session: %v", name, err)
+		}
+	}
+	rounds("NewSetup", su)
+	blob, err := su.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSetup(blob, Options{Epsilon: 6, Solver: sat.Config{Interrupt: &flag}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds("DecodeSetup", got)
+	if _, _, _, err := su.WitnessCount(nil, nil); err != nil {
+		t.Fatalf("WitnessCount: %v", err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"unigen/internal/cnf"
 	"unigen/internal/counter"
 	"unigen/internal/randx"
-	"unigen/internal/sat"
 	"unigen/internal/testformula"
 )
 
@@ -95,7 +94,7 @@ func TestSettledStopMatchesFullRun(t *testing.T) {
 
 			// Replay the run round by round and find the first round
 			// after which q is settled.
-			sess := su.NewSessionWith(sat.Config{})
+			sess := su.NewSession()
 			run, err := counter.StartApproxMC(sess, randx.New(seed), opts, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -121,11 +120,11 @@ func TestSettledStopMatchesFullRun(t *testing.T) {
 				t.Fatalf("%s seed %d: pending=%v with %d rounds left", family, seed, su.est == nil, run.Left())
 			}
 
-			c, exact, ran, err := su.WitnessCount(sat.Config{}, nil)
+			c, exact, ran, err := su.WitnessCount(nil, nil)
 			if err != nil || exact || c.Cmp(full.Count) != 0 {
 				t.Fatalf("%s seed %d: WitnessCount %v exact=%v (%v), full run %v", family, seed, c, exact, err, full.Count)
 			}
-			if _, _, again, _ := su.WitnessCount(sat.Config{}, nil); ran != (run.Left() > 0) || again {
+			if _, _, again, _ := su.WitnessCount(nil, nil); ran != (run.Left() > 0) || again {
 				t.Fatalf("%s seed %d: WitnessCount ran=%v then %v with %d rounds left", family, seed, ran, again, run.Left())
 			}
 			if run.Left() > 0 {

@@ -54,7 +54,9 @@ type Options struct {
 	// independent support.
 	SamplingSet []cnf.Var
 	// Solver configures every BSAT call (conflict budgets stand in for
-	// the paper's 2500 s per-call timeout).
+	// the paper's 2500 s per-call timeout). Its Interrupt reaches the
+	// setup's own solver work only: the Setup keeps the rest, and the
+	// sessions NewSession builds poll no flag until their owner sets one.
 	Solver sat.Config
 	// ApproxMCRounds caps the δ-derived round count t = 67 of the
 	// setup-time ApproxMC call when > 0. A cap voids line 9's
@@ -121,9 +123,11 @@ func (st Stats) SuccessProb() float64 {
 // range endpoint q. A Setup is safe to share: a parallel engine runs
 // NewSetup once and hands the same Setup to every worker, each of which
 // pairs it with its own bsat.Session and randx.RNG (solver sessions are
-// not thread-safe; the Setup is). Everything sampling reads is
-// immutable after construction; the one field that changes later, the
-// estimate WitnessCount finishes, sits behind a lock.
+// not thread-safe; the Setup is). A Setup holds no session and no
+// interrupt: whoever takes a session from NewSession points it at a
+// flag of its own. Everything sampling reads is immutable after
+// construction; the one field that changes later, the estimate
+// WitnessCount finishes, sits behind a lock.
 type Setup struct {
 	f    *cnf.Formula
 	s    []cnf.Var // declared sampling set: what witnesses are projected on
@@ -144,11 +148,6 @@ type Setup struct {
 	amc     counter.ApproxMCState
 
 	base Stats // setup-phase stats (SetupRounds, EasyCase, Q, setup BSAT call)
-
-	// spare is the session the easy-case enumeration ran on; the first
-	// NewSession call adopts it instead of rebuilding a solver. Handed
-	// out before any worker starts, never shared after.
-	spare *bsat.Session
 }
 
 // NewSetup runs the once-per-formula phase of UniGen: compute κ and
@@ -156,10 +155,10 @@ type Setup struct {
 // the easy-case enumeration (lines 4–7), and otherwise the ApproxMC
 // estimate and the candidate range endpoint q (lines 9–10). ApproxMC
 // runs only until q is settled; WitnessCount runs the rest. Its rounds
-// run on up to GOMAXPROCS sessions at once, built with opts.Solver;
-// the setup is the same at any number. rng seeds ApproxMC and is not
-// advanced. An interrupt raised during the hash-set pass fails the
-// setup.
+// run on up to GOMAXPROCS sessions at once, each pointed at
+// opts.Solver.Interrupt; the setup is the same at any number. rng seeds
+// ApproxMC and is not advanced. A raised interrupt fails the setup, and
+// the Setup does not keep it.
 func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 	kp, err := ComputeKappaPivot(opts.Epsilon)
 	if err != nil {
@@ -169,13 +168,14 @@ func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 	if len(s) == 0 {
 		s = f.SamplingVars()
 	}
-	h, err := hashSet(f, s, opts.Solver.Interrupt)
+	intr := opts.Solver.Interrupt
+	opts.Solver.Interrupt = nil
+	h, err := hashSet(f, s, intr)
 	if err != nil {
 		return nil, err
 	}
 	su := &Setup{f: f, s: s, h: h, kp: kp, opts: opts}
-	su.spare = su.NewSessionWith(opts.Solver)
-	if err := su.measure(su.spare, nil, su.newSessions(opts.Solver), rng); err != nil {
+	if err := su.measure(su.newSessions(intr), rng); err != nil {
 		return nil, err
 	}
 	return su, nil
@@ -183,17 +183,17 @@ func NewSetup(f *cnf.Formula, rng *randx.RNG, opts Options) (*Setup, error) {
 
 // measure runs lines 4–10 of Algorithm 1 on su, whose formula, hash
 // set, κ/pivot and options are already set: enumerate up to hiThresh+1
-// witnesses on enum and, when there are more than hiThresh, estimate
-// the count with ApproxMC2 on count and derive q. A nil count counts on
-// a session of more(1), taken only when the easy case fails, so enum
-// carries nothing but the enumeration's solver state. The rounds run
-// on count and on up to GOMAXPROCS−1 helper sessions more returns, one
-// for each token sessionTokens grants.
-func (su *Setup) measure(enum, count *bsat.Session, more func(n int) []*bsat.Session, rng *randx.RNG) error {
+// witnesses on the first session lease returns and, when there are
+// more than hiThresh, estimate the count with ApproxMC2 on the same
+// session and derive q. The rounds run on it and on up to
+// GOMAXPROCS−1 helper sessions leased later, one for each token
+// sessionTokens grants.
+func (su *Setup) measure(lease func(n int) []*bsat.Session, rng *randx.RNG) error {
 	kp := su.kp
 	// Lines 4–7: if F has at most hiThresh witnesses, enumerate them
 	// once and sample by index forever after.
-	res := enum.Enumerate(kp.HiThresh+1, nil)
+	sess := lease(1)[0]
+	res := sess.Enumerate(kp.HiThresh+1, nil)
 	if res.BudgetExceeded {
 		return fmt.Errorf("%w (easy-case enumeration)", ErrBudget)
 	}
@@ -212,10 +212,7 @@ func (su *Setup) measure(enum, count *bsat.Session, more func(n int) []*bsat.Ses
 	// a generator of its own, whose state it persists. The probe's
 	// witnesses are distinct on the enumeration session's set, which
 	// determines the hash set, so they seed the base call.
-	if count == nil {
-		count = more(1)[0]
-	}
-	run, err := counter.StartApproxMC(count, randx.New(rng.State()), su.amcOptions(), res.Witnesses)
+	run, err := counter.StartApproxMC(sess, randx.New(rng.State()), su.amcOptions(), res.Witnesses)
 	if err != nil {
 		return amcErr(err)
 	}
@@ -223,7 +220,7 @@ func (su *Setup) measure(enum, count *bsat.Session, more func(n int) []*bsat.Ses
 	if !settled && run.Left() > 0 {
 		n, release := sessionTokens(run.Left() - 1)
 		defer release()
-		err := run.Rounds(append([]*bsat.Session{count}, more(n)...), func() bool {
+		err := run.Rounds(append([]*bsat.Session{sess}, lease(n)...), func() bool {
 			su.base[tally.SetupRounds]++
 			q, settled = su.settled(run)
 			return settled
@@ -319,17 +316,12 @@ func (su *Setup) HashSet() []cnf.Var {
 	return append([]cnf.Var(nil), su.h...)
 }
 
-// NewSession returns a BSAT session over the setup's formula, suitable
-// for exclusive use by one worker. The first call adopts the session
-// the setup phase already built; later calls construct fresh solvers.
-// Call it from one goroutine (e.g. while building a worker pool), then
-// hand each session to its worker.
+// NewSession builds a fresh BSAT session over the setup's formula and
+// hash set, with the setup's budgets and no interrupt, for exclusive
+// use by one owner, which points it at its own flag
+// (bsat.Session.SetInterrupt). It is safe for concurrent use.
 func (su *Setup) NewSession() *bsat.Session {
-	if se := su.spare; se != nil {
-		su.spare = nil
-		return se
-	}
-	return su.NewSessionWith(su.opts.Solver)
+	return bsat.NewSession(su.f, bsat.Options{SamplingSet: su.h, Solver: su.opts.Solver})
 }
 
 // sortWitnesses orders witnesses canonically by their projection onto

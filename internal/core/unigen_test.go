@@ -434,10 +434,10 @@ func TestInterruptedRoundDoesNotRetry(t *testing.T) {
 	}
 	var intr atomic.Bool
 	intr.Store(true)
-	cfg := su.SolverConfig()
-	cfg.Interrupt = &intr
+	sess := su.NewSession()
+	sess.SetInterrupt(&intr)
 	var st Stats
-	if _, err := su.SampleRound(su.NewSessionWith(cfg), randx.New(5), &st, nil); !errors.Is(err, ErrBudget) {
+	if _, err := su.SampleRound(sess, randx.New(5), &st, nil); !errors.Is(err, ErrBudget) {
 		t.Fatalf("interrupted round: err = %v, want ErrBudget", err)
 	}
 	if got := st[tally.BSATCalls]; got != 1 {

@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"sort"
 	"text/tabwriter"
 	"time"
 
@@ -19,7 +21,6 @@ import (
 	"unigen/internal/parallel"
 	"unigen/internal/randx"
 	"unigen/internal/sat"
-	"unigen/internal/stats"
 )
 
 // Config tunes an experiment run.
@@ -209,8 +210,8 @@ func WriteTable(w io.Writer, table int, rows []TableRow) error {
 type Figure1Result struct {
 	Witnesses   int // |R_F| (16384 for case110)
 	Samples     int // N
-	UniGen      []stats.Point
-	US          []stats.Point
+	UniGen      []Point
+	US          []Point
 	TVD         float64 // distance between the two empirical distributions
 	UniGenFails int
 }
@@ -258,11 +259,58 @@ func RunFigure1(samples int, cfg Config) (*Figure1Result, error) {
 	return &Figure1Result{
 		Witnesses:   us.Count(),
 		Samples:     samples,
-		UniGen:      stats.OccurrenceHistogram(ugCounts),
-		US:          stats.OccurrenceHistogram(usCounts),
-		TVD:         stats.TVDBetween(ugCounts, usCounts, samples, samples),
+		UniGen:      OccurrenceHistogram(ugCounts),
+		US:          OccurrenceHistogram(usCounts),
+		TVD:         TVDBetween(ugCounts, usCounts, samples, samples),
 		UniGenFails: int(eng.Stats().Failures()),
 	}, nil
+}
+
+// Point is one (x, y) pair of a histogram series.
+type Point struct {
+	X int // occurrence count
+	Y int // number of distinct witnesses generated exactly X times
+}
+
+// OccurrenceHistogram converts per-witness counts into the Figure 1
+// series: for each occurrence count x, the number of distinct witnesses
+// generated exactly x times. Witnesses never generated are not
+// included.
+func OccurrenceHistogram(counts map[string]int) []Point {
+	freq := map[int]int{}
+	for _, c := range counts {
+		freq[c]++
+	}
+	xs := make([]int, 0, len(freq))
+	for x := range freq {
+		xs = append(xs, x)
+	}
+	sort.Ints(xs)
+	out := make([]Point, len(xs))
+	for i, x := range xs {
+		out[i] = Point{X: x, Y: freq[x]}
+	}
+	return out
+}
+
+// TVDBetween computes the total-variation distance between two
+// empirical distributions with sample sizes na and nb.
+func TVDBetween(a, b map[string]int, na, nb int) float64 {
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	keys := map[string]struct{}{}
+	for k := range a {
+		keys[k] = struct{}{}
+	}
+	for k := range b {
+		keys[k] = struct{}{}
+	}
+	tvd := 0.0
+	for k := range keys {
+		tvd += math.Abs(float64(a[k])/float64(na) - float64(b[k])/float64(nb))
+	}
+	return tvd / 2
 }
 
 // WriteFigure1 renders the two series as aligned columns (count,

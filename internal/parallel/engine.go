@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -88,9 +87,10 @@ func traceRound(parent *obs.Span, absIdx uint64) (*obs.Span, func(st *core.Stats
 // Options configures an Engine.
 type Options struct {
 	// Workers is the pool size: the number of private solver sessions
-	// sampling rounds are fanned out over. 0 defaults to
-	// runtime.GOMAXPROCS(0). 1 is a valid degenerate pool (useful for
-	// determinism tests and as the ctx-aware single-threaded path).
+	// sampling rounds are fanned out over. Values below 1 mean 1, the
+	// degenerate pool (useful for determinism tests and as the
+	// ctx-aware single-threaded path); callers that want one session
+	// per CPU resolve that themselves.
 	Workers int
 	// MasterSeed roots the per-round RNG streams (see the package
 	// comment). The setup-phase RNG is NOT derived from it: NewEngine
@@ -99,9 +99,9 @@ type Options struct {
 	// Setup can serve any master seed (see NewEngineFromSetup).
 	MasterSeed uint64
 	// Core is forwarded to the shared core.Setup by NewEngine, which
-	// prepares under it; NewEngineFromSetup ignores it. The sessions
-	// never poll Core.Solver.Interrupt: they poll the engine's own flag,
-	// which SampleN raises on context cancellation.
+	// prepares under it; NewEngineFromSetup ignores it. Only the
+	// preparation polls Core.Solver.Interrupt: the sampling sessions
+	// poll the flag each SampleN call sets up for itself.
 	Core core.Options
 }
 
@@ -122,28 +122,24 @@ type Engine struct {
 	setup    *core.Setup
 	sessions []*bsat.Session // one per worker, owned exclusively during SampleN
 	seed     uint64
-	next     uint64       // absolute index of the first round of the next SampleN
-	stats    core.Stats   // setup stats merged with all consumed round deltas
-	intr     *atomic.Bool // the interrupt flag every session polls
-	doomed   []bool       // per-session: a round panicked on this session
+	next     uint64     // absolute index of the first round of the next SampleN
+	stats    core.Stats // setup stats merged with all consumed round deltas
+	doomed   []bool     // per-session: a round panicked on this session
 }
 
 // NewEngine runs the ApproxMC setup once and builds one solver session
-// per worker. The setup RNG is seeded from the formula fingerprint
-// (core.PrepSeed), not from MasterSeed: the prepared state for a
-// formula is identical whatever seed the caller samples with, which is
-// what lets the service layer hand a cached Setup to requests with
-// arbitrary seeds and still return bit-identical samples (DESIGN §8).
+// per worker (NewEngineFromSetup), starting its Stats at the setup's.
+// The setup RNG is seeded from the formula fingerprint (core.PrepSeed),
+// not from MasterSeed: the prepared state for a formula is identical
+// whatever seed the caller samples with, which is what lets the service
+// layer hand a cached Setup to requests with arbitrary seeds and still
+// return bit-identical samples (DESIGN §8).
 func NewEngine(f *cnf.Formula, opts Options) (*Engine, error) {
 	su, err := core.NewSetup(f, randx.New(core.PrepSeed(f, opts.Core.SamplingSet)), opts.Core)
 	if err != nil {
 		return nil, err
 	}
-	sessions := make([]*bsat.Session, workers(opts))
-	for i := range sessions {
-		sessions[i] = su.NewSession()
-	}
-	e := NewEngineWithSessions(su, sessions, opts.MasterSeed)
+	e := NewEngineFromSetup(su, opts)
 	e.stats = su.SetupStats()
 	return e, nil
 }
@@ -152,40 +148,26 @@ func NewEngine(f *cnf.Formula, opts Options) (*Engine, error) {
 // — the service layer's cache-hit path, where the expensive ApproxMC
 // setup already ran (under the fingerprint-derived RNG NewEngine uses)
 // and only per-request sessions need constructing, with the setup's
-// solver configuration. Unlike NewEngine the returned engine's Stats
-// start at zero: the shared setup phase is accounted once by the cache
-// owner, not per request.
+// budgets. Unlike NewEngine the returned engine's Stats start at zero:
+// the shared setup phase is accounted once by the cache owner, not per
+// request.
 func NewEngineFromSetup(su *core.Setup, opts Options) *Engine {
-	sessions := make([]*bsat.Session, workers(opts))
+	sessions := make([]*bsat.Session, max(opts.Workers, 1))
 	for i := range sessions {
-		sessions[i] = su.NewSessionWith(su.SolverConfig())
+		sessions[i] = su.NewSession()
 	}
 	return NewEngineWithSessions(su, sessions, opts.MasterSeed)
 }
 
-// workers is the pool size opts asks for.
-func workers(opts Options) int {
-	if opts.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return opts.Workers
-}
-
 // NewEngineWithSessions builds an engine over the given sessions, one
-// per worker, and points each at the engine's own interrupt flag, so
-// cancelling this engine never disturbs another engine's sessions over
-// the same Setup. It is the delta-request path, where a session pool
-// lends sessions that already carry the request's assumptions, and the
+// per worker. It is the delta-request path, where a session pool lends
+// sessions that already carry the request's assumptions, and the
 // constructor the other two end in. The engine never touches
 // assumptions: check-out/check-in hygiene is the pool's job. After
 // SampleN returns, Doomed reports which sessions a round panicked on,
 // so the pool can retire them instead of re-pooling corrupted state.
 func NewEngineWithSessions(su *core.Setup, sessions []*bsat.Session, masterSeed uint64) *Engine {
-	e := &Engine{setup: su, sessions: sessions, seed: masterSeed, intr: new(atomic.Bool), doomed: make([]bool, len(sessions))}
-	for _, sess := range sessions {
-		sess.SetInterrupt(e.intr)
-	}
-	return e
+	return &Engine{setup: su, sessions: sessions, seed: masterSeed, doomed: make([]bool, len(sessions))}
 }
 
 // Doomed reports, per worker session, whether a sampling round panicked
@@ -217,10 +199,13 @@ func (e *Engine) Stats() core.Stats { return e.stats }
 // round-index order, so the returned multiset is deterministic for a
 // fixed master seed (see the package comment).
 //
-// On ctx cancellation the engine raises its interrupt flag — in-flight
-// BSAT calls return promptly, as if their conflict budget had been
-// exhausted — and SampleN returns the witnesses completed so far
-// together with ctx.Err(). Other hard errors
+// At entry SampleN points every session at a fresh interrupt flag of
+// this call's own, so cancelling it never disturbs another engine's
+// sessions over the same Setup, and a raise that lands after it
+// returns reaches no later call. On ctx cancellation the flag is
+// raised — in-flight BSAT calls return promptly, as if their conflict
+// budget had been exhausted — and SampleN returns the witnesses
+// completed so far together with ctx.Err(). Other hard errors
 // (ErrBudget, unsatisfiable formula) abort the same way.
 func (e *Engine) SampleN(ctx context.Context, n int) ([]cnf.Assignment, error) {
 	if n <= 0 {
@@ -232,19 +217,13 @@ func (e *Engine) SampleN(ctx context.Context, n int) ([]cnf.Assignment, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	e.intr.Store(false)
-
 	// Forward ctx cancellation to every in-flight solver call.
-	watchDone := make(chan struct{})
-	watcherGone := make(chan struct{})
-	go func() {
-		defer close(watcherGone)
-		select {
-		case <-ctx.Done():
-			e.intr.Store(true)
-		case <-watchDone:
-		}
-	}()
+	intr := new(atomic.Bool)
+	for _, sess := range e.sessions {
+		sess.SetInterrupt(intr)
+	}
+	stop := context.AfterFunc(ctx, func() { intr.Store(true) })
+	defer stop()
 
 	var (
 		results = make(chan roundResult, 2*len(e.sessions))
@@ -354,7 +333,7 @@ collect:
 	mu.Unlock()
 	gate.Broadcast()
 	if firstErr != nil {
-		e.intr.Store(true) // hasten rounds past the failed one; discarded anyway
+		intr.Store(true) // hasten rounds past the failed one; discarded anyway
 	}
 	go func() {
 		for range results {
@@ -362,9 +341,6 @@ collect:
 	}()
 	wg.Wait()
 	close(results)
-	close(watchDone)
-	<-watcherGone
-	e.intr.Store(false)
 
 	// Later SampleN calls continue the round stream where this call's
 	// consumed prefix ended, preserving end-to-end reproducibility of

@@ -209,19 +209,20 @@ type AdmissionStats struct {
 // OutcomeStats counts finished requests by how they ended. Sample and
 // Count both feed it; validation rejections count too (as Invalid).
 type OutcomeStats struct {
-	OK       int64 `json:"ok"`
-	Shed     int64 `json:"shed"`     // ErrOverloaded (429)
-	Drained  int64 `json:"drained"`  // ErrDraining (503)
-	Timeout  int64 `json:"timeout"`  // server/client deadlines, conflict budgets
-	Panic    int64 `json:"panic"`    // recovered panics (500)
-	Invalid  int64 `json:"invalid"`  // bad requests, unsatisfiable formulas (422)
-	Canceled int64 `json:"canceled"` // client gone (context cancellation)
-	Error    int64 `json:"error"`    // anything else (500)
+	OK          int64 `json:"ok"`
+	Shed        int64 `json:"shed"`         // ErrOverloaded (429)
+	Drained     int64 `json:"drained"`      // ErrDraining (503)
+	Timeout     int64 `json:"timeout"`      // server/client deadlines, conflict budgets
+	Panic       int64 `json:"panic"`        // recovered panics (500)
+	UnknownBase int64 `json:"unknown_base"` // delta base not prepared here (404)
+	Invalid     int64 `json:"invalid"`      // bad requests, unsatisfiable formulas (422)
+	Canceled    int64 `json:"canceled"`     // client gone (context cancellation)
+	Error       int64 `json:"error"`        // anything else (500)
 }
 
 // outcomes is the atomic backing of OutcomeStats.
 type outcomes struct {
-	ok, shed, drained, timeout, panics, invalid, canceled, errs atomic.Int64
+	ok, shed, drained, timeout, panics, unknownBase, invalid, canceled, errs atomic.Int64
 }
 
 // add records one finished request under the shared outcome vocabulary
@@ -239,6 +240,8 @@ func (o *outcomes) add(name string) {
 		o.timeout.Add(1)
 	case "panic":
 		o.panics.Add(1)
+	case "unknown_base":
+		o.unknownBase.Add(1)
 	case "invalid":
 		o.invalid.Add(1)
 	case "canceled":
@@ -250,13 +253,14 @@ func (o *outcomes) add(name string) {
 
 func (o *outcomes) snapshot() OutcomeStats {
 	return OutcomeStats{
-		OK:       o.ok.Load(),
-		Shed:     o.shed.Load(),
-		Drained:  o.drained.Load(),
-		Timeout:  o.timeout.Load(),
-		Panic:    o.panics.Load(),
-		Invalid:  o.invalid.Load(),
-		Canceled: o.canceled.Load(),
-		Error:    o.errs.Load(),
+		OK:          o.ok.Load(),
+		Shed:        o.shed.Load(),
+		Drained:     o.drained.Load(),
+		Timeout:     o.timeout.Load(),
+		Panic:       o.panics.Load(),
+		UnknownBase: o.unknownBase.Load(),
+		Invalid:     o.invalid.Load(),
+		Canceled:    o.canceled.Load(),
+		Error:       o.errs.Load(),
 	}
 }

@@ -47,8 +47,9 @@ type prepared struct {
 // ready mirrors "done is closed" under the cache mutex (a channel's
 // closedness cannot be polled), gating eviction: only finished entries
 // are evictable. waiters counts requests currently blocked on the
-// flight; when the last one abandons an unfinished flight, intr is
-// raised and the preparation solver aborts (see get).
+// flight; when the last one abandons an unfinished flight, abort, the
+// interrupt the flight's sessions poll, is raised and the preparation
+// solver stops (see get).
 type cacheEntry struct {
 	key     string
 	done    chan struct{}
@@ -57,7 +58,7 @@ type cacheEntry struct {
 	elem    *list.Element
 	ready   bool
 	waiters int
-	intr    atomic.Bool
+	abort   atomic.Bool
 }
 
 // prepCache is an LRU cache of prepared formulas with single-flight
@@ -118,7 +119,7 @@ func (c *prepCache) get(ctx context.Context, key string, begin func(intr *atomic
 	c.mu.Unlock()
 
 	if !hit {
-		run := begin(&e.intr)
+		run := begin(&e.abort)
 		go func() {
 			flightStart := time.Now()
 			prep, err := runFlight(run)
@@ -152,7 +153,7 @@ func (c *prepCache) get(ctx context.Context, key string, begin func(intr *atomic
 			// right away, so a request arriving during the abort starts
 			// a fresh preparation instead of inheriting the doomed
 			// flight's interrupt-induced error.
-			e.intr.Store(true)
+			e.abort.Store(true)
 			c.removeLocked(e)
 		}
 		c.mu.Unlock()

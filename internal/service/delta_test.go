@@ -195,7 +195,8 @@ func TestDeltaEmptyAssumptions(t *testing.T) {
 }
 
 // TestDeltaUnknownBase: naming a fingerprint this service never
-// prepared fails with ErrUnknownBase and is counted as such.
+// prepared fails with ErrUnknownBase and is counted as such, in the
+// delta block and in the outcomes, not as a server error.
 func TestDeltaUnknownBase(t *testing.T) {
 	svc := newService(t, service.Config{})
 	bogus := strings.Repeat("ab", 32)
@@ -203,8 +204,12 @@ func TestDeltaUnknownBase(t *testing.T) {
 	if !errors.Is(err, service.ErrUnknownBase) {
 		t.Fatalf("err = %v, want ErrUnknownBase", err)
 	}
-	if st := svc.Stats(); st.Delta.UnknownBase != 1 || st.Delta.Requests != 1 {
+	st := svc.Stats()
+	if st.Delta.UnknownBase != 1 || st.Delta.Requests != 1 {
 		t.Fatalf("delta stats %+v", st.Delta)
+	}
+	if st.Outcomes.UnknownBase != 1 || st.Outcomes.Error != 0 {
+		t.Fatalf("outcomes %+v, want unknown_base 1 and error 0", st.Outcomes)
 	}
 }
 

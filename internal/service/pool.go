@@ -6,7 +6,6 @@ import (
 
 	"unigen/internal/bsat"
 	"unigen/internal/core"
-	"unigen/internal/sat"
 )
 
 // poolTotals are the service-wide session-pool counters, shared by
@@ -22,17 +21,16 @@ type poolTotals struct {
 // setup to delta requests (DESIGN §13 state machine: idle → checked-out
 // → returned | retired). Sessions are never shared: between check-out
 // and check-in exactly one borrower owns it, and points it at its own
-// interrupt flag (an engine's, or a conditioned build's flight flag).
-// Check-in is where hygiene lives: standing assumptions cleared and the
-// interrupt detached, so no request can observe the previous request's
-// raised interrupt or assumption set. Every session runs at the base
-// setup's budgets, so there are none to reset. Solver-level taint is
-// the session's own concern (bsat rebuilds internally); sessions a
-// round panicked on are retired instead of re-pooled.
+// interrupt flag (a SampleN call's, or a conditioned build's flight
+// flag). Check-in is where hygiene lives: standing assumptions cleared
+// and the interrupt detached, so no request can observe the previous
+// request's raised interrupt or assumption set. Every session runs at
+// the base setup's budgets, so there are none to reset. Solver-level
+// taint is the session's own concern (bsat rebuilds internally);
+// sessions a round panicked on are retired instead of re-pooled.
 type sessionPool struct {
 	su  *core.Setup
-	cfg sat.Config // the base setup's solver configuration, without its interrupt
-	max int        // idle-list cap; overflow check-ins retire the session
+	max int // idle-list cap; overflow check-ins retire the session
 	tot *poolTotals
 
 	mu   sync.Mutex
@@ -40,9 +38,7 @@ type sessionPool struct {
 }
 
 func newSessionPool(su *core.Setup, max int, tot *poolTotals) *sessionPool {
-	cfg := su.SolverConfig()
-	cfg.Interrupt = nil // each borrower installs its own
-	return &sessionPool{su: su, cfg: cfg, max: max, tot: tot}
+	return &sessionPool{su: su, max: max, tot: tot}
 }
 
 // Checkout returns n sessions for exclusive use, reusing idle ones
@@ -60,7 +56,7 @@ func (p *sessionPool) Checkout(n int) []*bsat.Session {
 	p.tot.idle.Add(-int64(len(out)))
 	for len(out) < n {
 		p.tot.misses.Add(1)
-		out = append(out, p.su.NewSessionWith(p.cfg))
+		out = append(out, p.su.NewSession())
 	}
 	return out
 }

@@ -470,7 +470,7 @@ func (s *Service) prepare(ctx context.Context, src formulaSrc, psp *obs.Span) (*
 					return nil, fmt.Errorf("%w: bad formula: %v", ErrInvalidRequest, err)
 				}
 			}
-			su, err := core.NewSetup(g, randx.New(core.PrepSeedFromFingerprint(fp)), core.Options{
+			return core.NewSetup(g, randx.New(core.PrepSeedFromFingerprint(fp)), core.Options{
 				Epsilon: s.cfg.Epsilon,
 				Solver: sat.Config{
 					MaxConflicts: s.cfg.MaxConflicts,
@@ -480,14 +480,6 @@ func (s *Service) prepare(ctx context.Context, src formulaSrc, psp *obs.Span) (*
 					Interrupt: intr,
 				},
 			})
-			if err != nil {
-				return nil, err
-			}
-			// The service builds sessions exclusively through
-			// NewSessionWith; drop the setup-phase spare solver instead
-			// of pinning one dead solver per cached formula.
-			su.ReleaseSpare()
-			return su, nil
 		}
 	})
 }
@@ -819,16 +811,14 @@ func (s *Service) count(ctx context.Context, req CountRequest, src formulaSrc) (
 	return &CountResult{Count: c, Exact: exact, CacheHit: hit, Fingerprint: prep.fingerprint, TraceID: ro.tr.ID(), Delta: isDelta}, nil
 }
 
-// witnessCount is su.WitnessCount with the setup's budgets and an
-// interrupt that ctx's end raises. A call the interrupt cut short
-// reports ctx's error, not the budget error it surfaces as.
+// witnessCount is su.WitnessCount with an interrupt that ctx's end
+// raises. A call the interrupt cut short reports ctx's error, not the
+// budget error it surfaces as.
 func witnessCount(ctx context.Context, sp *obs.Span, su *core.Setup) (*big.Int, bool, bool, error) {
-	cfg := su.SolverConfig()
 	intr := new(atomic.Bool)
-	cfg.Interrupt = intr
 	stop := context.AfterFunc(ctx, func() { intr.Store(true) })
 	defer stop()
-	c, exact, ran, err := su.WitnessCount(cfg, sp)
+	c, exact, ran, err := su.WitnessCount(intr, sp)
 	if err != nil && ctx.Err() != nil {
 		err = ctx.Err()
 	}
@@ -894,10 +884,10 @@ func (s *Service) Close(ctx context.Context) error {
 	case <-ctx.Done():
 	}
 
-	// Deadline passed: interrupt every straggler. Cancellation reaches
-	// each request's engine watcher (solver interrupts) and, through
-	// the last-waiter contract, aborts any preparation flight whose
-	// requesters are all gone.
+	// Deadline passed: interrupt every straggler. Cancellation raises
+	// the solver interrupt of each request's SampleN or count call and,
+	// through the last-waiter contract, aborts any preparation flight
+	// whose requesters are all gone.
 	s.mu.Lock()
 	for _, cancel := range s.active {
 		cancel(ErrDraining)

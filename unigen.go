@@ -156,7 +156,7 @@ type Sampler struct {
 // NewSampler validates options and runs UniGen's setup phase.
 func NewSampler(f *Formula, opts Options) (*Sampler, error) {
 	eng, err := parallel.NewEngine(f, parallel.Options{
-		Workers:    max(opts.Workers, 1),
+		Workers:    opts.Workers,
 		MasterSeed: opts.Seed,
 		Core: core.Options{
 			Epsilon:     opts.Epsilon,

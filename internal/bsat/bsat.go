@@ -7,6 +7,12 @@
 // variables: because the sampling set is an independent support, two
 // witnesses agreeing on it are the same witness for counting and
 // sampling purposes, and short blocking clauses keep the solver fast.
+// A session goes one step further. Its solver branches on the sampling
+// set first, and a witness's blocking clause negates only the search's
+// decisions up to the first one outside the sampling set. Under the
+// cell's assumptions those decisions fix the whole sampling set, so the
+// clause excludes exactly the witnesses agreeing with it there
+// (sat.Solver.Enumerate).
 //
 // Two entry points are provided. Enumerate is the stateless call: it
 // builds a solver, enumerates with one Solve per witness, and throws
@@ -73,7 +79,8 @@ type Options struct {
 	// h(samplingVars) = α to the formula for this call only. Only read
 	// by the stateless Enumerate; sessions take the hash per call.
 	Hash *hashfam.Hash
-	// Solver configuration (budgets, priority variables, interrupt).
+	// Solver configuration (budgets, priority variables, interrupt). A
+	// Session's priority variables are always the sampling set.
 	Solver sat.Config
 }
 
@@ -114,12 +121,12 @@ func NewSession(f *cnf.Formula, opts Options) *Session {
 		vars = f.SamplingVars()
 	}
 	cfg := opts.Solver
-	if len(cfg.PriorityVars) == 0 && len(vars) < f.NumVars {
-		// Branch on the sampling set first: for Tseitin-style formulas
-		// the rest of the assignment then follows by propagation, which
-		// makes enumeration nearly conflict-free.
-		cfg.PriorityVars = vars
-	}
+	// Branch on the sampling set first: for Tseitin-style formulas the
+	// rest of the assignment then follows by propagation, which makes
+	// enumeration nearly conflict-free. The solver's Enumerate keeps its
+	// models distinct on the priority variables, so they are the
+	// sampling set whatever opts.Solver says.
+	cfg.PriorityVars = vars
 	cfg.RecordProof = false
 	se := &Session{f: f, nv: f.NumVars, vars: vars, cfg: cfg}
 	se.s = sat.New(f, cfg)
@@ -363,7 +370,7 @@ func (se *Session) enumerate(n int, h *hashfam.Hash, keep bool, m *Members) (int
 	}
 	found := known
 	if found < n {
-		st := se.s.Enumerate(blockSel, se.vars, acts, func() bool {
+		st := se.s.Enumerate(blockSel, acts, func() bool {
 			found++
 			if keep {
 				// Model length is capped at nv+1 by SetModelBound, so

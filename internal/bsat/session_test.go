@@ -124,6 +124,30 @@ func TestSessionMatchesEnumerate(t *testing.T) {
 	}
 }
 
+// TestSessionOddSamplingSets: a sampling set that names a variable
+// twice, and one that names none ("project onto nothing"), still give
+// witnesses distinct on the set, in a session as in the stateless
+// engine. The session's priority variables must be the set itself:
+// the first is as long as the variable count, and the second is empty.
+func TestSessionOddSamplingSets(t *testing.T) {
+	for _, ss := range [][]cnf.Var{{1, 1, 2}, {}} {
+		f := cnf.New(3)
+		f.AddClause(1, 2, 3)
+		f.SamplingSet = ss
+		want := bruteKeys(f, ss)
+		sess := NewSession(f, Options{})
+		for call := 0; call < 2; call++ {
+			got := sess.Enumerate(16, nil)
+			if gk := witnessKeys(t, got.Witnesses, ss); !got.Exhausted || !equalKeys(gk, want) {
+				t.Fatalf("sampling set %v, call %d: session found %q (exhausted %v), want %q", ss, call, gk, got.Exhausted, want)
+			}
+		}
+		if gk := witnessKeys(t, Enumerate(f, 16, Options{}).Witnesses, ss); !equalKeys(gk, want) {
+			t.Fatalf("sampling set %v: stateless Enumerate found %q, want %q", ss, gk, want)
+		}
+	}
+}
+
 // TestSessionBoundedEnumeration: when the bound cuts enumeration short,
 // both engines return exactly n valid, distinct witnesses (the sets may
 // legitimately differ).

@@ -50,8 +50,9 @@ func lookupRound(su *Setup, table []cnf.Assignment, rng *randx.RNG, st *Stats) (
 // XORLenSum; each chosen witness must be a model of f ∧ assumps; and
 // each round must record one cell span per BSAT call. It returns how
 // many cells their known members alone showed too big: those must
-// report hiThresh+1 witnesses and no solver work.
-func checkRoundsMatchLookup(t *testing.T, name string, su *Setup, sess *bsat.Session, f *cnf.Formula, assumps []cnf.Lit, seed uint64, rounds int) (alone int) {
+// report hiThresh+1 witnesses and no solver work. It also returns the
+// rounds' stats merged.
+func checkRoundsMatchLookup(t *testing.T, name string, su *Setup, sess *bsat.Session, f *cnf.Formula, assumps []cnf.Lit, seed uint64, rounds int) (alone int, merged Stats) {
 	t.Helper()
 	if su.easySet {
 		t.Fatalf("%s: the easy case, which hashes nothing", name)
@@ -101,8 +102,9 @@ func checkRoundsMatchLookup(t *testing.T, name string, su *Setup, sess *bsat.Ses
 				name, k, err, got.Samples(), got.Failures(), got.BSATCalls(), got.XORRows(), got.XORLenSum(),
 				lerr, want.Samples(), want.Failures(), want.BSATCalls(), want.XORRows(), want.XORLenSum())
 		}
+		merged = merged.Merge(got)
 	}
-	return alone
+	return alone, merged
 }
 
 // TestSampleRoundMatchesLookup checks Algorithm 1's cells at workload
@@ -113,7 +115,9 @@ func checkRoundsMatchLookup(t *testing.T, name string, su *Setup, sess *bsat.Ses
 // sessions that carry each other's history. Every round must pick the
 // lookup's witness with the lookup's counts, which holds only if every
 // cell the session enumerates has exactly the table's members up to
-// the cap.
+// the cap. Each formula's rounds must cross at least one arena
+// compaction, so the oracle covers the relocation of a live session's
+// clauses too.
 func TestSampleRoundMatchesLookup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload-scale oracle: a few seconds")
@@ -132,7 +136,8 @@ func TestSampleRoundMatchesLookup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkRoundsMatchLookup(t, name, su, su.NewSession(), f, nil, 1, rounds)
+		_, st := checkRoundsMatchLookup(t, name, su, su.NewSession(), f, nil, 1, rounds)
+		checkCompacted(t, name, st)
 	}
 
 	// serve-delta: each set fixes two sampling bits of the base, given
@@ -162,8 +167,20 @@ func TestSampleRoundMatchesLookup(t *testing.T) {
 		}
 		sess := pool.Checkout(1)[0]
 		sess.SetAssumptions(assumps)
-		checkRoundsMatchLookup(t, fmt.Sprint("Karatsuba", dimacs), cond, sess, f, assumps, 2, rounds)
+		name := fmt.Sprint("Karatsuba", dimacs)
+		_, st := checkRoundsMatchLookup(t, name, cond, sess, f, assumps, 2, rounds)
+		checkCompacted(t, name, st)
 		pool.Checkin([]*bsat.Session{sess}, []bool{false})
+	}
+}
+
+// checkCompacted fails the test when st, the merged stats of a
+// formula's rounds, counts no arena compaction.
+func checkCompacted(t *testing.T, name string, st Stats) {
+	t.Helper()
+	t.Logf("%s: %d compactions", name, st[tally.Compactions])
+	if st[tally.Compactions] == 0 {
+		t.Errorf("%s: the rounds crossed no arena compaction", name)
 	}
 }
 
@@ -187,7 +204,7 @@ func TestSampleRoundKnownMembersAlone(t *testing.T) {
 	if su.q != 3 {
 		t.Fatalf("q = %d, want 3", su.q)
 	}
-	alone := checkRoundsMatchLookup(t, "free7", su, su.NewSession(), f, nil, 3, 2000)
+	alone, _ := checkRoundsMatchLookup(t, "free7", su, su.NewSession(), f, nil, 3, 2000)
 	if alone == 0 {
 		t.Fatal("no cell decided by its known members alone")
 	}

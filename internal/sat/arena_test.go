@@ -327,3 +327,41 @@ func TestPropagateLearnSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state Solve allocates %.1f times per call", avg)
 	}
 }
+
+// TestCompactionChargesWatchTable: a compaction walks the arena and
+// every watch list, so the waste threshold weighs the waste against
+// both. The same waste, three released five-literal clauses, compacts
+// on a solver with a small watch table. After a thousand released
+// selectors have grown the table, it does not: CollectGarbage sweeps
+// the dirty watch lists instead.
+func TestCompactionChargesWatchTable(t *testing.T) {
+	for _, selectors := range []int{0, 1000} {
+		f := cnf.New(10)
+		f.AddClause(1, 2, 3)
+		s := New(f, Config{})
+		for i := 0; i < selectors; i++ {
+			s.Release(s.NewClauseSelector())
+		}
+		for i := 0; i < 3; i++ {
+			s.Release(s.AddClauseRemovable(cnf.Clause{
+				cnf.MkLit(1, false), cnf.MkLit(2, false), cnf.MkLit(3, false), cnf.MkLit(4, false), cnf.MkLit(5, false),
+			}))
+		}
+		wasted := s.ca.wasted
+		s.CollectGarbage()
+		if compacted := s.stats[tally.Compactions] > 0; compacted != (selectors == 0) {
+			t.Fatalf("%d released selectors, %d wasted words, %d arena words, %d watch lists: compacted = %v",
+				selectors, wasted, len(s.ca.store), len(s.watches), compacted)
+		}
+		for li, ws := range s.watches {
+			for _, wt := range ws {
+				if wt.cr != crefBin && s.ca.deleted(wt.cr) {
+					t.Fatalf("%d released selectors: watch list %d keeps a deleted clause", selectors, li)
+				}
+			}
+		}
+		if s.Solve() != Sat {
+			t.Fatalf("%d released selectors: base formula unsat after GC", selectors)
+		}
+	}
+}

@@ -3,12 +3,13 @@ package sat
 import "unigen/internal/cnf"
 
 // Enumerate finds the models of the clauses under assumptions that are
-// distinct on vars, in one search. After each model it calls model,
-// which may read it with Model and ModelValue and must call no other
-// method of the solver. While model returns true, Enumerate blocks the
-// model with a clause over vars guarded by block and goes on from the
-// current trail, instead of re-propagating the assumptions and every
-// decision from level 0 as a Solve per model would.
+// distinct on the solver's Config.PriorityVars, in one search. After
+// each model it calls model, which may read it with Model and
+// ModelValue and must call no other method of the solver. While model
+// returns true, Enumerate blocks the model with a clause guarded by
+// block (see blockModel) and goes on from the current trail, instead of
+// re-propagating the assumptions and every decision from level 0 as a
+// Solve per model would.
 //
 // block must be an unreleased clause selector whose literal is one of
 // the assumptions, so the assumption prefix stays fixed for the whole
@@ -18,7 +19,7 @@ import "unigen/internal/cnf"
 // runs out of budget or the interrupt flag is raised, and Sat when
 // model returned false. Every return is at decision level 0, so the
 // other methods keep their level-0 precondition.
-func (s *Solver) Enumerate(block *Selector, vars []cnf.Var, assumptions []cnf.Lit, model func() bool) Status {
+func (s *Solver) Enumerate(block *Selector, assumptions []cnf.Lit, model func() bool) Status {
 	if !s.ok || s.brokenL0 {
 		return Unsat
 	}
@@ -38,27 +39,38 @@ func (s *Solver) Enumerate(block *Selector, vars []cnf.Var, assumptions []cnf.Li
 			s.cancelUntil(0)
 			return Sat
 		}
-		s.blockModel(block, vars)
+		s.blockModel(block, len(assumptions))
 	}
 }
 
-// blockModel adds the current model's blocking clause over vars, with
-// block's guard, and backjumps so that the search can go on: every
-// literal of the clause is false on the trail. Literals false at level
-// 0 are dropped. A clause reduced to its guard goes to block at level
-// 0, which fixes ¬a for block's literal a, so the next search fails on
-// that assumption and returns Unsat. A clause with one literal at its
-// highest level asserts that literal after a backjump to the
-// second-highest level; one with several is analysed as a conflict at
-// its highest level. The analysis learns a clause and bumps and decays
-// activities as a conflict does, but it is not counted in Conflicts,
-// the budgets or the restart schedule.
-func (s *Solver) blockModel(block *Selector, vars []cnf.Var) {
+// blockModel adds the current model's blocking clause, with block's
+// guard ¬a, and backjumps so that the search can go on: every literal
+// of the clause is false on the trail.
+//
+// The clause is ¬a ∨ ¬d₁ ∨ … ∨ ¬dₖ over the decisions dᵢ above the
+// assumption levels 1..prefix, up to the first decision that is not a
+// priority variable, as AllSAT solvers block a model (Toda and Soh, ACM
+// JEA 2016). The search branches on every unassigned priority variable
+// before any other, so by then the assumptions and d₁..dₖ imply every
+// priority variable's value. A model of the cell therefore agrees with
+// every dᵢ exactly when its projection on the priority variables is the
+// current one: the clause excludes those models and no other.
+//
+// A clause reduced to its guard goes to block at level 0, which fixes
+// ¬a for block's literal a, so the next search fails on that
+// assumption and returns Unsat. Otherwise each dᵢ is alone at its
+// level, so the solver backjumps to the level of the clause's
+// next-highest literal, ¬dₖ₋₁ or the guard, and asserts ¬dₖ with the
+// clause as its reason: no conflict is analysed and no clause is
+// learnt.
+func (s *Solver) blockModel(block *Selector, prefix int) {
 	c := append(s.blockBuf[:0], block.act.Not())
-	for _, v := range vars {
-		if s.level[v] > 0 {
-			c = append(c, cnf.MkLit(v, s.assigns[v] == lTrue))
+	for lvl := prefix; lvl < s.decisionLevel(); lvl++ {
+		d := s.trail[s.trailLim[lvl]]
+		if !s.priority[d.Var()] {
+			break
 		}
+		c = append(c, d.Not())
 	}
 	s.blockBuf = c
 	if len(c) == 1 {
@@ -76,17 +88,7 @@ func (s *Solver) blockModel(block *Selector, vars []cnf.Var) {
 		}
 		c[i], c[top] = c[top], c[i]
 	}
-	hi, second := s.level[c[0].Var()], s.level[c[1].Var()]
-	if hi > second {
-		s.cancelUntil(second)
-		cr := s.attachSelectorClause(block, c)
-		s.uncheckedEnqueue(c[0], reason{tag: reasonClause, ref: cr})
-		return
-	}
-	s.cancelUntil(hi)
+	s.cancelUntil(s.level[c[1].Var()])
 	cr := s.attachSelectorClause(block, c)
-	learnt, btLevel, lbd := s.analyze(conflict{cr: cr})
-	s.cancelUntil(btLevel)
-	s.recordLearnt(learnt, lbd)
-	s.decayActivities()
+	s.uncheckedEnqueue(c[0], reason{tag: reasonClause, ref: cr})
 }

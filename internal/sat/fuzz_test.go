@@ -136,7 +136,8 @@ type fuzzSel struct {
 // (bits 0-2) and the number of base constraints (bits 4-7), which
 // follow byte 1 in addFuzzConstraint's encoding; bit 3 is unused, and
 // stays in the layout so the checked-in corpus keeps its meaning. Byte
-// 1 selects the sampling set S (bit i is variable i+1; none means all).
+// 1 selects the sampling set S (bit i is variable i+1; none means all),
+// which is also the solver's PriorityVars, as in bsat.NewSession.
 // The remaining bytes are operations on one packed-engine solver, each
 // an opcode byte mod 6 and its argument bytes:
 //
@@ -173,10 +174,7 @@ func FuzzSession(f *testing.F) {
 		if len(S) == 0 {
 			S = all
 		}
-		var cfg Config
-		if len(S) < n {
-			cfg.PriorityVars = S // as bsat.NewSession does
-		}
+		cfg := Config{PriorityVars: S} // as bsat.NewSession does
 		baseModels := BruteForceModels(base)
 		next := func() byte {
 			if len(ops) == 0 {
@@ -282,7 +280,7 @@ func checkFuzzCell(t *testing.T, s *Solver, base *cnf.Formula, live []fuzzSel, m
 	}
 	got := map[string]bool{}
 	blk := s.NewClauseSelector()
-	st := s.Enumerate(blk, S, append(acts, blk.Lit()), func() bool {
+	st := s.Enumerate(blk, append(acts, blk.Lit()), func() bool {
 		m := s.Model()
 		key := m.Project(S)
 		if !m.Satisfies(conj) || got[key] {

@@ -75,7 +75,9 @@ func (s *Solver) Tainted() bool { return s.taintL0 }
 func (s *Solver) SetModelBound(n int) { s.modelBound = n }
 
 // gcWasteDenom triggers a compaction when deleted blocks hold more
-// than 1/gcWasteDenom of the arena.
+// than 1/gcWasteDenom of what a compaction walks: the arena's words
+// plus the watch table's lists, two per variable of the selector-grown
+// variable space.
 const gcWasteDenom = 5
 
 // CollectGarbage removes learned clauses that are permanently
@@ -133,7 +135,7 @@ func (s *Solver) CollectGarbage() {
 // maybeCompact compacts the arena if the waste threshold is exceeded.
 // Must be called at decision level 0.
 func (s *Solver) maybeCompact() bool {
-	if s.ca.wasted == 0 || s.ca.wasted*gcWasteDenom < len(s.ca.store) {
+	if s.ca.wasted == 0 || s.ca.wasted*gcWasteDenom < len(s.ca.store)+len(s.watches) {
 		return false
 	}
 	s.compactArena()

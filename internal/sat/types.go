@@ -59,7 +59,8 @@ type Config struct {
 	// BSAT sets this to the sampling set: for Tseitin-encoded formulas
 	// every non-sampling variable is functionally determined by the
 	// sampling set, so deciding the sampling set first makes witness
-	// enumeration nearly conflict-free.
+	// enumeration nearly conflict-free. Enumerate's models are distinct
+	// on these variables.
 	PriorityVars []cnf.Var
 	// Interrupt, when non-nil, is polled during search (alongside the
 	// conflict-budget check and periodically between decisions). Once it

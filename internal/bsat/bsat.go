@@ -110,7 +110,6 @@ type Session struct {
 	assumps  []cnf.Lit       // scratch: activation literals for the current call
 	base     []cnf.Lit       // standing assumption literals (delta requests)
 	blockBuf cnf.Clause      // scratch: blocking clause, reused across witnesses
-	selCount int             // selectors allocated since the last (re)build
 }
 
 // NewSession builds the solver for f once. opts.Hash is ignored; pass
@@ -176,16 +175,17 @@ func (se *Session) rebuild() {
 	se.s.SetModelBound(se.nv)
 	se.registerColumns()
 	se.retired = se.retired[:0]
-	se.selCount = 0
 }
 
 // retire releases the previous call's removable constraints — or
 // rebuilds the solver outright when its level-0 state may depend on a
 // removable XOR (see sat.Solver.Tainted) or when selector variables
-// have accumulated past the rebuild threshold. Reports whether the
-// solver was rebuilt (its stats restart from zero).
+// have accumulated past the rebuild threshold. Every selector is a
+// fresh variable and nothing else grows the solver past the formula's
+// variables, so their number is the solver's variables beyond nv.
+// Reports whether the solver was rebuilt (its stats restart from zero).
 func (se *Session) retire() bool {
-	if se.s.Tainted() || se.selCount >= rebuildEvery {
+	if se.s.Tainted() || se.s.NumVars()-se.nv >= rebuildEvery {
 		se.rebuild()
 		return true
 	}
@@ -345,7 +345,6 @@ func (se *Session) enumerate(n int, h *hashfam.Hash, keep bool, m *Members) (int
 	var res Result
 	if emptyCell {
 		res.Exhausted = true
-		se.selCount += len(sels)
 		se.retired = sels
 		se.assumps = acts
 		res.Stats = se.s.Stats().Sub(before)
@@ -392,7 +391,6 @@ func (se *Session) enumerate(n int, h *hashfam.Hash, keep bool, m *Members) (int
 		res.Exhausted = st == sat.Unsat
 		res.BudgetExceeded = st == sat.Unknown
 	}
-	se.selCount += len(sels)
 	se.retired = sels
 	se.assumps = acts
 	res.Stats = se.s.Stats().Sub(before)

@@ -246,6 +246,57 @@ func TestSessionRebuildKeepsContract(t *testing.T) {
 	}
 }
 
+// TestSessionRebuildsPastSelectorBound runs one session past
+// rebuildEvery selectors. The rebuild fires at the first call after
+// the solver holds that many variables beyond the formula's, and the
+// cells of the 20 or so calls on each side of it match the stateless
+// Enumerate.
+func TestSessionRebuildsPastSelectorBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2^15 selectors: a few seconds")
+	}
+	// Sixteen variables under twelve hash rows leave a few witnesses in
+	// most cells, so no cell taints the solver and forces an earlier
+	// rebuild; each call adds 13 selectors.
+	f := cnf.New(16)
+	f.AddClause(1, 2, -3)
+	f.AddClause(-1, 4, 5)
+	f.AddXOR([]cnf.Var{2, 5, 6}, true)
+	vars := f.SamplingVars()
+	rng := randx.New(0x5e1)
+	sess := NewSession(f, Options{})
+	rebuilt := -1
+	for call := 0; rebuilt < 0 || call < rebuilt+20; call++ {
+		if call == 1<<16 {
+			t.Fatalf("no rebuild in %d calls", call)
+		}
+		prev, sels := sess.s, sess.s.NumVars()-f.NumVars
+		tainted := prev.Tainted()
+		h := hashfam.Draw(rng, vars, 12)
+		got := sess.Enumerate(1<<len(vars), h)
+		switch due := sels >= rebuildEvery; {
+		case sess.s != prev && !due && !tainted:
+			t.Fatalf("call %d: rebuilt at %d selectors", call, sels)
+		case sess.s == prev && due:
+			t.Fatalf("call %d: no rebuild at %d selectors", call, sels)
+		case due:
+			rebuilt = call
+		}
+		if rebuilt < 0 && sels < rebuildEvery-20*13 {
+			continue
+		}
+		want := Enumerate(f, 1<<len(vars), Options{Hash: h})
+		if got.Exhausted != want.Exhausted ||
+			!equalKeys(witnessKeys(t, got.Witnesses, vars), witnessKeys(t, want.Witnesses, vars)) {
+			t.Fatalf("call %d (rebuild at %d): session found %d witnesses, stateless %d",
+				call, rebuilt, len(got.Witnesses), len(want.Witnesses))
+		}
+	}
+	if n := sess.s.NumVars() - f.NumVars; n >= rebuildEvery/2 {
+		t.Fatalf("%d selectors 20 calls after the rebuild", n)
+	}
+}
+
 // TestSessionStatsDelta: per-call stats are deltas, not cumulative.
 func TestSessionStatsDelta(t *testing.T) {
 	f := cnf.New(6)

@@ -6,6 +6,7 @@ package cnf
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -180,6 +181,27 @@ func NormalizeXOR(vars []Var, rhs bool) ([]Var, bool) {
 		i = j
 	}
 	return out, rhs
+}
+
+// ExpandXOR returns the CNF expansion of x: the 2^(k−1) clauses over
+// its k variables that each rule out one assignment whose parity
+// differs from x.RHS. The size is exponential in k, so each caller
+// bounds it.
+func ExpandXOR(x XORClause) [][]Lit {
+	k := len(x.Vars)
+	var out [][]Lit
+	for mask := 0; mask < 1<<uint(k); mask++ {
+		// Bit i of mask is the value of x.Vars[i] in the assignment.
+		if odd := bits.OnesCount(uint(mask))%2 == 1; odd == x.RHS {
+			continue // the assignment satisfies x
+		}
+		c := make([]Lit, k)
+		for i, v := range x.Vars {
+			c[i] = MkLit(v, mask&(1<<uint(i)) != 0) // false under the assignment
+		}
+		out = append(out, c)
+	}
+	return out
 }
 
 // Clone returns a deep copy of the formula.

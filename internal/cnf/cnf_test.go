@@ -2,6 +2,7 @@ package cnf
 
 import (
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -249,5 +250,73 @@ func TestWriteDIMACSIndChunking(t *testing.T) {
 	}
 	if indLines != 3 {
 		t.Fatalf("ind lines = %d, want 3", indLines)
+	}
+}
+
+func TestExpandXOR(t *testing.T) {
+	x := XORClause{Vars: []Var{1, 2, 3}, RHS: true}
+	cls := ExpandXOR(x)
+	if len(cls) != 4 {
+		t.Fatalf("expanded to %d clauses, want 4", len(cls))
+	}
+	// Check against brute force: assignments satisfying all clauses are
+	// exactly those with odd parity.
+	for mask := 0; mask < 8; mask++ {
+		a := NewAssignment(3)
+		for v := 1; v <= 3; v++ {
+			a[Var(v)] = mask&(1<<(v-1)) != 0
+		}
+		par := a[1] != a[2] != a[3]
+		satAll := true
+		for _, c := range cls {
+			cs := false
+			for _, l := range c {
+				if a[l.Var()] != l.Neg() {
+					cs = true
+					break
+				}
+			}
+			if !cs {
+				satAll = false
+				break
+			}
+		}
+		if satAll != par {
+			t.Fatalf("mask %03b: clauses=%v parity=%v", mask, satAll, par)
+		}
+	}
+}
+
+// TestParseDIMACSBoundsNumbers: a variable count, clause or XOR literal
+// or sampling variable above MaxVars is a parse error, not a panic or a
+// formula over a huge or negative variable; MaxVars itself parses.
+func TestParseDIMACSBoundsNumbers(t *testing.T) {
+	over := strconv.Itoa(MaxVars + 1)
+	for _, text := range []string{
+		"-9223372036854775808 0\n",
+		"4611686018427387904 0\n",
+		over + " 0\n",
+		"-" + over + " 0\n",
+		"x1 " + over + " 0\n",
+		"x-" + over + " 0\n",
+		"p cnf 100000000000 0\n",
+		"p cnf " + over + " 0\n",
+		"c ind 9223372036854775807 0\n",
+		"c ind " + over + " 0\n",
+	} {
+		if f, err := ParseDIMACSString(text); err == nil {
+			t.Errorf("%q parsed, to %d variables", text, f.NumVars)
+		}
+	}
+	max := strconv.Itoa(MaxVars)
+	for _, text := range []string{
+		"p cnf " + max + " 0\n",
+		"-" + max + " 0\n",
+		"x-" + max + " 0\n",
+		"c ind " + max + " 0\n",
+	} {
+		if f, err := ParseDIMACSString(text); err != nil || f.NumVars != MaxVars {
+			t.Errorf("%q: %v, want a formula over %d variables", text, err, MaxVars)
+		}
 	}
 }

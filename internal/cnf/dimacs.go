@@ -8,6 +8,15 @@ import (
 	"strings"
 )
 
+// MaxVars bounds every variable a parsed formula names: the "p cnf"
+// variable count, each clause and XOR literal, and each "c ind"
+// variable. Setup allocates per declared variable, so without it a
+// short text could size an allocation no process survives. It is four
+// times the largest instance internal/benchgen generates (tutorial3 at
+// full scale, 1,047,176 variables). The persistent store's setup
+// frames hold DIMACS text, so every formula they decode meets it too.
+const MaxVars = 1 << 22
+
 // ParseDIMACS reads a formula in DIMACS CNF format. Two extensions used
 // by the UniGen/ApproxMC tool family are supported:
 //
@@ -16,9 +25,12 @@ import (
 //   - clause lines beginning with "x" declare XOR clauses in the
 //     CryptoMiniSAT convention: "x1 2 -3 0" means v1 ⊕ v2 ⊕ v3 = 0
 //     (a leading negative literal flips the right-hand side).
+//
+// A variable count, literal or sampling variable above MaxVars is an
+// error, as is a line longer than 16 MiB.
 func ParseDIMACS(r io.Reader) (*Formula, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24) // grows from the scanner's default size
 	f := &Formula{}
 	declared := 0
 	lineNo := 0
@@ -32,8 +44,8 @@ func ParseDIMACS(r io.Reader) (*Formula, error) {
 		case strings.HasPrefix(line, "c ind "):
 			fields := strings.Fields(line[len("c ind"):])
 			for _, tok := range fields {
-				v, err := strconv.Atoi(tok)
-				if err != nil {
+				v, ok := parseLit(tok)
+				if !ok {
 					return nil, fmt.Errorf("dimacs line %d: bad ind var %q", lineNo, tok)
 				}
 				if v == 0 {
@@ -54,8 +66,8 @@ func ParseDIMACS(r io.Reader) (*Formula, error) {
 			if len(fields) != 4 || fields[1] != "cnf" {
 				return nil, fmt.Errorf("dimacs line %d: malformed problem line %q", lineNo, line)
 			}
-			n, err := strconv.Atoi(fields[2])
-			if err != nil || n < 0 {
+			n, ok := parseLit(fields[2])
+			if !ok || n < 0 {
 				return nil, fmt.Errorf("dimacs line %d: bad var count %q", lineNo, fields[2])
 			}
 			if _, err := strconv.Atoi(fields[3]); err != nil {
@@ -72,8 +84,8 @@ func ParseDIMACS(r io.Reader) (*Formula, error) {
 			rhs := true
 			done := false
 			for _, tok := range toks {
-				x, err := strconv.Atoi(tok)
-				if err != nil {
+				x, ok := parseLit(tok)
+				if !ok {
 					return nil, fmt.Errorf("dimacs line %d: bad xor literal %q", lineNo, tok)
 				}
 				if x == 0 {
@@ -95,8 +107,8 @@ func ParseDIMACS(r io.Reader) (*Formula, error) {
 			var lits []int
 			done := false
 			for _, tok := range toks {
-				x, err := strconv.Atoi(tok)
-				if err != nil {
+				x, ok := parseLit(tok)
+				if !ok {
 					return nil, fmt.Errorf("dimacs line %d: bad literal %q", lineNo, tok)
 				}
 				if x == 0 {
@@ -118,6 +130,12 @@ func ParseDIMACS(r io.Reader) (*Formula, error) {
 		f.NumVars = declared
 	}
 	return f, nil
+}
+
+// parseLit parses a signed DIMACS integer of magnitude at most MaxVars.
+func parseLit(tok string) (int, bool) {
+	x, err := strconv.Atoi(tok)
+	return x, err == nil && -MaxVars <= x && x <= MaxVars
 }
 
 // ParseDIMACSString is a convenience wrapper over ParseDIMACS.

@@ -3,36 +3,46 @@ package cnf
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"sort"
 )
 
 // Fingerprint returns the canonical fingerprint of f: the SHA-256
-// digest of its normalized DIMACS serialization. Formulas that differ
-// only in clause order, literal order within a clause, duplicate
-// literals/clauses, tautological clauses, XOR normalization, or
-// sampling-set order and duplication fingerprint identically; formulas
+// digest of its normalized DIMACS serialization, the bytes
+// WriteCanonical writes. Formulas that differ only in clause order,
+// literal order within a clause, duplicate literals/clauses,
+// tautological clauses, XOR normalization, or sampling-set order and
+// duplication fingerprint identically; formulas
 // with different variable counts, clause sets, XOR constraints, or
 // sampling sets do not. The fingerprint is the identity under which the
 // service layer caches prepared formulas and the seed root of the
 // preparation RNG (see core.PrepSeed), so it must be stable across
 // processes and releases — it hashes DIMACS text, not Go memory.
 func Fingerprint(f *Formula) [32]byte {
-	g := Canonical(f)
 	h := sha256.New()
-	// A non-nil empty sampling set ("project onto nothing") serializes
-	// identically to an unspecified one ("project onto all variables");
-	// disambiguate with a leading tag byte.
-	if f.SamplingSet == nil {
-		h.Write([]byte{0})
-	} else {
-		h.Write([]byte{1})
-	}
-	if err := WriteDIMACS(h, g); err != nil {
+	if err := WriteCanonical(h, f); err != nil {
 		panic(err) // sha256 writers never error
 	}
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
+}
+
+// WriteCanonical writes the bytes Fingerprint hashes: a tag byte, 0 for
+// an unspecified (nil) sampling set and 1 for a declared one, then the
+// WriteDIMACS text of Canonical(f). The tag tells a declared empty set
+// ("project onto nothing") from an unspecified one ("project onto all
+// variables"), which write the same text. The persistent store's setup
+// frame (core.Setup.Encode) holds these bytes as its formula.
+func WriteCanonical(w io.Writer, f *Formula) error {
+	tag := []byte{0}
+	if f.SamplingSet != nil {
+		tag[0] = 1
+	}
+	if _, err := w.Write(tag); err != nil {
+		return err
+	}
+	return WriteDIMACS(w, Canonical(f))
 }
 
 // FingerprintString returns the fingerprint in lowercase hex, the form
@@ -97,18 +107,7 @@ func Canonical(f *Formula) *Formula {
 			}
 		}
 	}
-	sort.Slice(g.XORs, func(i, j int) bool {
-		a, b := g.XORs[i], g.XORs[j]
-		for k := 0; k < len(a.Vars) && k < len(b.Vars); k++ {
-			if a.Vars[k] != b.Vars[k] {
-				return a.Vars[k] < b.Vars[k]
-			}
-		}
-		if len(a.Vars) != len(b.Vars) {
-			return len(a.Vars) < len(b.Vars)
-		}
-		return !a.RHS && b.RHS
-	})
+	sort.Slice(g.XORs, func(i, j int) bool { return xorLess(g.XORs[i], g.XORs[j]) })
 
 	if f.SamplingSet != nil {
 		set := append([]Var(nil), f.SamplingSet...)
@@ -128,6 +127,43 @@ func Canonical(f *Formula) *Formula {
 	return g
 }
 
+// IsCanonical reports whether f is its own canonical form: whether
+// Canonical(f) has f's variable count, clauses, XOR clauses and
+// sampling set, in f's order. It is one linear pass under Canonical's
+// comparators, so a reader of canonical text checks it without
+// canonicalizing again.
+func IsCanonical(f *Formula) bool {
+	in := func(v Var) bool { return v >= 1 && int(v) <= f.NumVars }
+	for i, c := range f.Clauses {
+		if i > 0 && !clauseLess(f.Clauses[i-1], c) {
+			return false
+		}
+		// A normalized clause names each variable once, in order.
+		for j, l := range c {
+			if !in(l.Var()) || j > 0 && c[j-1].Var() >= l.Var() {
+				return false
+			}
+		}
+	}
+	for i, x := range f.XORs {
+		if len(x.Vars) == 0 || i > 0 && !xorLess(f.XORs[i-1], x) || !increasing(x.Vars, in) {
+			return false
+		}
+	}
+	return increasing(f.SamplingSet, in)
+}
+
+// increasing reports whether vs is strictly increasing and in holds on
+// each of its variables.
+func increasing(vs []Var, in func(Var) bool) bool {
+	for i, v := range vs {
+		if !in(v) || i > 0 && vs[i-1] >= v {
+			return false
+		}
+	}
+	return true
+}
+
 func clauseLess(a, b Clause) bool {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if a[i] != b[i] {
@@ -135,6 +171,18 @@ func clauseLess(a, b Clause) bool {
 		}
 	}
 	return len(a) < len(b)
+}
+
+func xorLess(a, b XORClause) bool {
+	for k := 0; k < len(a.Vars) && k < len(b.Vars); k++ {
+		if a.Vars[k] != b.Vars[k] {
+			return a.Vars[k] < b.Vars[k]
+		}
+	}
+	if len(a.Vars) != len(b.Vars) {
+		return len(a.Vars) < len(b.Vars)
+	}
+	return !a.RHS && b.RHS
 }
 
 func litKey(c Clause) string {

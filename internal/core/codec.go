@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,28 +12,30 @@ import (
 
 	"unigen/internal/cnf"
 	"unigen/internal/counter"
-	"unigen/internal/tally"
 )
 
 // Setup codec: the versioned, checksummed binary encoding behind the
 // persistent prepared-formula store (DESIGN §12). Encode serializes
 // the formula and everything lines 1–11 of Algorithm 1 derive from it —
 // sampling set, hash set, κ/pivot, the easy-case witness list, the
-// ApproxMC estimate C or the state of the run that will finish it, the
-// candidate endpoint q, and the setup-phase stats — so a later process
-// can rehydrate the Setup and serve bit-identical samples and counts
-// without re-running the setup. A Setup holds no session and no
-// interrupt, so nothing of it is left out: a decoded Setup builds
-// solvers only when its owner calls NewSession.
+// ApproxMC estimate C or the state of the run that will finish it, and
+// the candidate endpoint q — so a later process can rehydrate the Setup
+// and serve bit-identical samples and counts without re-running the
+// setup. A Setup holds no session and no interrupt, so nothing of it is
+// left out: a decoded Setup builds solvers only when its owner calls
+// NewSession. The setup's solver-work stats stay with the process that
+// spent them: a decoded Setup's SetupStats hold its easy-case flag and
+// q alone.
 //
 // Frame layout (all integers little-endian):
 //
 //	[0:4]   magic "UGSU"
-//	[4:6]   u16 version (currently 5; version 1 had no hash set,
+//	[4:6]   u16 version (currently 6; version 1 had no hash set,
 //	        version 2 persisted 17 base-stats counters, version 3
 //	        held an estimate from CP'13's ApproxMC, which draws a
-//	        different estimate from the same RNG, and version 4 always
-//	        held a finished estimate)
+//	        different estimate from the same RNG, version 4 always
+//	        held a finished estimate, and version 5 held the formula
+//	        in a binary encoding and a copy of the base stats)
 //	[6:10]  u32 payload length
 //	[10:N]  payload (see below)
 //	[N:N+4] u32 CRC-32C (Castagnoli) over bytes [0:N]
@@ -44,7 +48,9 @@ import (
 //
 //	[32]byte fingerprint of the encoded formula (cnf.Fingerprint)
 //	f64      epsilon (IEEE-754 bits; preserved exactly, NaN included)
-//	formula  (cnf.AppendBinary)
+//	u32 len + formula text: the bytes the fingerprint hashes
+//	    (cnf.WriteCanonical: a sampling-set tag byte, then the
+//	    DIMACS text of the canonical formula)
 //	u32 count + u32 per variable   sampling set s
 //	u32 count + u32 per variable   hash set h (an ordered subset of s)
 //	f64 kappa, u32 pivot, u32 hiThresh, f64 loThresh
@@ -59,26 +65,26 @@ import (
 //	    2 (settled run, DESIGN §15): u64 RNG state, u32 search start,
 //	      u32 rounds left, u32 m, m × estimate in ascending order
 //	  where an estimate is u32 len + big-endian magnitude (big.Int.Bytes)
-//	base stats: the statsBlock counters in order — 11 × u64
-//	    (two's-complement int64), u32 SetupRounds, u8 EasyCase, u32 Q
 //
 // Decode validates structure, never panics on arbitrary input, and
 // bounds every allocation by the bytes actually present. Semantic
-// checks reject blobs no Encode could have produced: the embedded
-// fingerprint must match the decoded formula, κ/pivot must equal
+// checks reject blobs no Encode could have produced: the formula text
+// must hash to the embedded fingerprint and be exactly WriteDIMACS's
+// rendering of a formula in canonical order (cnf.IsCanonical), so the
+// decoded formula fingerprints as the frame says and writes back the
+// same bytes; κ/pivot must equal
 // ComputeKappaPivot(epsilon) exactly (both sides run the same
 // deterministic bisection), the hash set must be an ordered subset of
 // the sampling set, the count tag must be 0 exactly in the easy case,
 // q must be line 10's q for the estimate — for a settled run, for both
-// extremes of the median its rounds left can produce — and the stats'
-// EasyCase and Q must equal the setup's. A settled run must have a
-// round left, an estimate, a search start within the hash rows and
-// ascending estimates. Decode never recomputes the hash set: the
-// persisted one is what the setup sampled with.
+// extremes of the median its rounds left can produce. A settled run
+// must have a round left, an estimate, a search start within the hash
+// rows and ascending estimates. Decode never recomputes the hash set:
+// the persisted one is what the setup sampled with.
 
 const (
 	setupMagic   = "UGSU"
-	setupVersion = 5
+	setupVersion = 6
 	setupHdrLen  = 4 + 2 + 4 // magic + version + payload length
 )
 
@@ -102,17 +108,17 @@ const MaxEncodedWitnesses = 1 << 20
 // sessions, not the prepared state).
 func (su *Setup) Encode() ([]byte, error) {
 	le := binary.LittleEndian
-	payload := make([]byte, 0, 256)
+	var text bytes.Buffer
+	if err := cnf.WriteCanonical(&text, su.f); err != nil {
+		return nil, err
+	}
+	payload := make([]byte, 0, 256+text.Len())
 
-	fp := cnf.Fingerprint(su.f)
+	fp := sha256.Sum256(text.Bytes())
 	payload = append(payload, fp[:]...)
 	payload = le.AppendUint64(payload, math.Float64bits(su.opts.Epsilon))
-
-	var err error
-	payload, err = cnf.AppendBinary(payload, su.f)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCodec, err)
-	}
+	payload = le.AppendUint32(payload, uint32(text.Len()))
+	payload = append(payload, text.Bytes()...)
 
 	payload = le.AppendUint32(payload, uint32(len(su.s)))
 	for _, v := range su.s {
@@ -152,6 +158,7 @@ func (su *Setup) Encode() ([]byte, error) {
 	su.countMu.Lock()
 	est, amc := su.est, su.amc
 	su.countMu.Unlock()
+	var err error
 	switch {
 	case su.easySet:
 		payload = append(payload, countNone)
@@ -171,12 +178,6 @@ func (su *Setup) Encode() ([]byte, error) {
 				return nil, err
 			}
 		}
-	}
-
-	for _, c := range statsBlock {
-		// Little-endian: a field's width bytes are the value's low bytes.
-		n := len(payload) + c.width
-		payload = le.AppendUint64(payload, uint64(su.base[c.id]))[:n]
 	}
 
 	out := make([]byte, 0, setupHdrLen+len(payload)+4)
@@ -222,21 +223,6 @@ func appendBool(dst []byte, b bool) []byte {
 		return append(dst, 1)
 	}
 	return append(dst, 0)
-}
-
-// statsBlock is the frame's base-stats block: the persisted counters in
-// codec order, each with its little-endian width in bytes (8: int64,
-// 4: u32, 1: a 0|1 flag). Encode and decode both walk it, so the two
-// cannot skew; changing it means bumping setupVersion. Counters outside
-// it (Decisions) are not persisted and decode as zero.
-var statsBlock = [...]struct {
-	id    tally.ID
-	width int
-}{
-	{tally.Samples, 8}, {tally.Failures, 8}, {tally.BSATCalls, 8}, {tally.XORRows, 8},
-	{tally.XORLenSum, 8}, {tally.Conflicts, 8}, {tally.Propagations, 8}, {tally.Learned, 8},
-	{tally.Removed, 8}, {tally.Compactions, 8}, {tally.ArenaBytes, 8},
-	{tally.SetupRounds, 4}, {tally.EasyCase, 1}, {tally.Q, 4},
 }
 
 // VerifySetupFrame checks the frame envelope — magic, version, exact
@@ -413,13 +399,17 @@ func DecodeSetup(data []byte, opts Options) (*Setup, error) {
 		return nil, fmt.Errorf("%w: encoded for epsilon %v, requested %v", ErrCodec, eps, opts.Epsilon)
 	}
 
-	f, n, err := cnf.DecodeBinary(r.data[r.off:])
+	tn, err := r.u32()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCodec, err)
+		return nil, err
 	}
-	r.off += n
-	if cnf.Fingerprint(f) != fp {
-		return nil, fmt.Errorf("%w: fingerprint does not match encoded formula", ErrCodec)
+	text, err := r.take(int(tn))
+	if err != nil {
+		return nil, err
+	}
+	f, err := decodeFormula(text, fp)
+	if err != nil {
+		return nil, err
 	}
 
 	s, err := r.vars("sampling", f.NumVars)
@@ -498,28 +488,54 @@ func DecodeSetup(data []byte, opts Options) (*Setup, error) {
 	if err := r.count(su); err != nil {
 		return nil, err
 	}
-
-	var base Stats
-	for _, c := range statsBlock {
-		b, err := r.take(c.width)
-		if err != nil {
-			return nil, err
-		}
-		var v [8]byte
-		copy(v[:], b)
-		base[c.id] = int64(binary.LittleEndian.Uint64(v[:]))
-	}
-	if base[tally.EasyCase] > 1 || base.EasyCase() != easySet {
-		return nil, fmt.Errorf("%w: stats easy-case flag disagrees with setup", ErrCodec)
-	}
-	if base.Q() != su.q {
-		return nil, fmt.Errorf("%w: stats q=%d disagrees with setup q=%d", ErrCodec, base.Q(), su.q)
-	}
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCodec, r.remaining())
 	}
-	su.base = base
 	return su, nil
+}
+
+// decodeFormula returns the formula of a frame's formula text after
+// checking that the text hashes to the frame's fingerprint fp and is
+// exactly cnf.WriteCanonical's output for that formula: a tag byte
+// that matches its sampling set, then the WriteDIMACS text of a
+// formula in canonical order. Then the formula fingerprints as fp and
+// Encode writes the same text back.
+func decodeFormula(text []byte, fp [32]byte) (*cnf.Formula, error) {
+	if sha256.Sum256(text) != fp {
+		return nil, fmt.Errorf("%w: fingerprint does not match encoded formula", ErrCodec)
+	}
+	if len(text) == 0 || text[0] > 1 {
+		return nil, fmt.Errorf("%w: no sampling-set tag", ErrCodec)
+	}
+	dimacs := text[1:]
+	f, err := cnf.ParseDIMACS(bytes.NewReader(dimacs))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCodec, err)
+	}
+	if text[0] == 1 && f.SamplingSet == nil {
+		f.SamplingSet = []cnf.Var{} // declared empty: no "c ind" line
+	}
+	m := &matchWriter{rest: dimacs}
+	if (text[0] == 1) != (f.SamplingSet != nil) || !cnf.IsCanonical(f) ||
+		cnf.WriteDIMACS(m, f) != nil || len(m.rest) != 0 {
+		return nil, fmt.Errorf("%w: formula text is not a canonical rendering", ErrCodec)
+	}
+	return f, nil
+}
+
+// matchWriter accepts what is written to it only while it matches the
+// front of rest, which it consumes, so a rendering is compared with
+// stored text as it streams, without a second copy.
+type matchWriter struct{ rest []byte }
+
+var errMismatch = errors.New("core: rendering differs from the stored text")
+
+func (m *matchWriter) Write(p []byte) (int, error) {
+	if !bytes.HasPrefix(m.rest, p) {
+		return 0, errMismatch
+	}
+	m.rest = m.rest[len(p):]
+	return len(p), nil
 }
 
 // count reads the count tag and what follows it into su, whose hash

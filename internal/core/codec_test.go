@@ -2,14 +2,17 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"slices"
+	"strings"
 	"testing"
 
 	"unigen/internal/cnf"
 	"unigen/internal/randx"
+	"unigen/internal/tally"
 )
 
 // hashingFormula has 2^10 witnesses projected on its sampling set —
@@ -85,13 +88,10 @@ func TestSetupCodecRoundTripHashing(t *testing.T) {
 	if got.easySet != su.easySet || got.q != su.q {
 		t.Fatalf("decoded easySet=%v q=%d, want %v %d", got.easySet, got.q, su.easySet, su.q)
 	}
-	// Every persisted counter survives; the rest (Decisions) decode as 0.
-	var persisted Stats
-	for _, c := range statsBlock {
-		persisted[c.id] = su.base[c.id]
-	}
-	if got.base != persisted {
-		t.Fatalf("base stats %+v → %+v, want %+v", su.base, got.base, persisted)
+	// The solver work stays with the process that spent it: the
+	// decoded stats are the easy-case flag and q alone.
+	if want := (Stats{tally.Q: int64(su.q)}); got.SetupStats() != want {
+		t.Fatalf("decoded setup stats %+v, want %+v", got.SetupStats(), want)
 	}
 	if got.kp != su.kp {
 		t.Fatalf("kappa/pivot %+v → %+v", su.kp, got.kp)
@@ -247,18 +247,17 @@ func patchCRC(data []byte, body int) {
 	binary.LittleEndian.PutUint32(data[body:], crc)
 }
 
+// textOffset is the frame offset of the formula text's length.
+const textOffset = setupHdrLen + 32 + 8
+
 // hashSetOffset returns the frame offset of the hash-set count: after
-// the fingerprint, epsilon, formula and sampling set.
-func hashSetOffset(t *testing.T, su *Setup) int {
-	t.Helper()
-	fb, err := cnf.AppendBinary(nil, su.f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return setupHdrLen + 32 + 8 + len(fb) + 4 + 4*len(su.s)
+// the fingerprint, epsilon, formula text and sampling set.
+func hashSetOffset(blob []byte, su *Setup) int {
+	n := int(binary.LittleEndian.Uint32(blob[textOffset:]))
+	return textOffset + 4 + n + 4 + 4*len(su.s)
 }
 
-// TestSetupCodecRoundTripHashSet: a version-5 frame carries the hash set,
+// TestSetupCodecRoundTripHashSet: a version-6 frame carries the hash set,
 // so a rehydrated setup hashes over exactly what the cold one did.
 func TestSetupCodecRoundTripHashSet(t *testing.T) {
 	su := buildSetup(t, prunedFormula())
@@ -266,8 +265,8 @@ func TestSetupCodecRoundTripHashSet(t *testing.T) {
 		t.Fatalf("fixture should prune: hash set %v, sampling set %v", su.h, su.s)
 	}
 	blob := encode(t, su)
-	if v := binary.LittleEndian.Uint16(blob[4:]); v != 5 {
-		t.Fatalf("frame version %d, want 5", v)
+	if v := binary.LittleEndian.Uint16(blob[4:]); v != 6 {
+		t.Fatalf("frame version %d, want 6", v)
 	}
 	got, err := DecodeSetup(blob, Options{Epsilon: 6})
 	if err != nil {
@@ -289,7 +288,7 @@ func TestSetupCodecRoundTripHashSet(t *testing.T) {
 func TestSetupCodecRejectsBadHashSet(t *testing.T) {
 	su := buildSetup(t, hashingFormula()) // s = h = 1..10, NumVars 12
 	blob := encode(t, su)
-	off := hashSetOffset(t, su)
+	off := hashSetOffset(blob, su)
 	if n := binary.LittleEndian.Uint32(blob[off:]); int(n) != len(su.h) {
 		t.Fatalf("hash-set count %d at offset %d, want %d", n, off, len(su.h))
 	}
@@ -311,39 +310,15 @@ func TestSetupCodecRejectsBadHashSet(t *testing.T) {
 	}
 }
 
-// TestSetupCodecRejectsStatsMismatch: the base-stats block repeats the
-// setup's easy-case flag and q, which NewSetup and SetupWith write from
-// one value; decode rejects a frame whose two copies disagree, even
-// under a valid CRC.
-func TestSetupCodecRejectsStatsMismatch(t *testing.T) {
-	su := buildSetup(t, hashingFormula())
-	blob := encode(t, su)
-	qOff := len(blob) - 4 - 4 // stats Q: the payload's last u32
-	easyOff := qOff - 1       // stats EasyCase flag, just before it
-	if got := binary.LittleEndian.Uint32(blob[qOff:]); int(got) != su.q || blob[easyOff] != 0 {
-		t.Fatalf("stats tail q=%d easy=%d, want q=%d easy=0", got, blob[easyOff], su.q)
-	}
-	for name, patch := range map[string]func(b []byte){
-		"q":         func(b []byte) { binary.LittleEndian.PutUint32(b[qOff:], uint32(su.q-1)) },
-		"easy case": func(b []byte) { b[easyOff] = 1 },
-	} {
-		mut := bytes.Clone(blob)
-		patch(mut)
-		patchCRC(mut, len(mut)-4)
-		if _, err := DecodeSetup(mut, Options{}); !errors.Is(err, ErrCodec) {
-			t.Fatalf("stats %s disagreeing with the setup: %v, want ErrCodec", name, err)
-		}
-	}
-}
-
 // TestSetupCodecRejectsOlderVersions: frames from before the hash set
 // was persisted (version 1), from before the base-stats block shrank
-// to 11 counters (version 2), from before ApproxMC2 (version 3) or
-// from before setup stopped ApproxMC once q was settled (version 4)
+// to 11 counters (version 2), from before ApproxMC2 (version 3), from
+// before setup stopped ApproxMC once q was settled (version 4) or from
+// before the formula was stored as its fingerprint's text (version 5)
 // are a version-skew ErrCodec, never decoded as the current version.
 func TestSetupCodecRejectsOlderVersions(t *testing.T) {
 	blob := encode(t, buildSetup(t, hashingFormula()))
-	for _, v := range []uint16{1, 2, 3, 4} {
+	for _, v := range []uint16{1, 2, 3, 4, 5} {
 		old := bytes.Clone(blob)
 		binary.LittleEndian.PutUint16(old[4:], v)
 		patchCRC(old, len(old)-4)
@@ -353,5 +328,115 @@ func TestSetupCodecRejectsOlderVersions(t *testing.T) {
 		if _, err := DecodeSetup(old, Options{}); !errors.Is(err, ErrCodec) {
 			t.Fatalf("DecodeSetup(v%d): %v, want ErrCodec", v, err)
 		}
+	}
+}
+
+// withFormulaText returns blob with its formula text replaced by text,
+// and the fingerprint, payload length and checksum recomputed to match.
+func withFormulaText(blob, text []byte) []byte {
+	n := int(binary.LittleEndian.Uint32(blob[textOffset:]))
+	fp := sha256.Sum256(text)
+	out := append([]byte(nil), blob[:setupHdrLen]...)
+	out = append(out, fp[:]...)
+	out = append(out, blob[setupHdrLen+32:textOffset]...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(text)))
+	out = append(out, text...)
+	out = append(out, blob[textOffset+4+n:len(blob)-4]...)
+	binary.LittleEndian.PutUint32(out[6:], uint32(len(out)-setupHdrLen))
+	out = append(out, 0, 0, 0, 0)
+	patchCRC(out, len(out)-4)
+	return out
+}
+
+// TestSetupCodecFormulaText: the frame's formula is the text its
+// fingerprint hashes, and decode accepts only the text Encode writes:
+// a tag byte matching the sampling set, then WriteDIMACS's rendering
+// of a formula in canonical order. Every other text is an ErrCodec
+// even under a matching fingerprint and a valid CRC. Formulas with
+// XORs, with no variable, with an empty clause, and with a nil and an
+// empty sampling set round-trip to their canonical form, the last two
+// apart.
+func TestSetupCodecFormulaText(t *testing.T) {
+	f := hashingFormula()
+	f.AddClause(-11, -12)
+	f.AddXOR([]cnf.Var{2, 1}, false)
+	blob := encode(t, buildSetup(t, f))
+	n := int(binary.LittleEndian.Uint32(blob[textOffset:]))
+	text := string(blob[textOffset+4 : textOffset+4+n])
+	const want = "\x01c ind 1 2 3 4 5 6 7 8 9 10 0\np cnf 12 2\n11 12 0\n-11 -12 0\nx-1 2 0\n"
+	if text != want {
+		t.Fatalf("formula text %q, want %q", text, want)
+	}
+	if fp := cnf.Fingerprint(f); fp != sha256.Sum256([]byte(text)) {
+		t.Fatal("the formula text does not hash to the formula's fingerprint")
+	}
+	if !bytes.Equal(withFormulaText(blob, []byte(text)), blob) {
+		t.Fatal("splicing the formula text back does not rebuild the frame")
+	}
+	for name, bad := range map[string]string{
+		"clauses out of order": strings.Replace(want, "11 12 0\n-11 -12 0\n", "-11 -12 0\n11 12 0\n", 1),
+		"duplicate clause":     strings.Replace(want, "p cnf 12 2\n11 12 0\n", "p cnf 12 3\n11 12 0\n11 12 0\n", 1),
+		"unsorted literals":    strings.Replace(want, "\n11 12 0", "\n12 11 0", 1),
+		"unsorted sampling":    strings.Replace(want, "c ind 1 2 ", "c ind 2 1 ", 1),
+		"xor sign moved":       strings.Replace(want, "x-1 2 0", "x1 -2 0", 1),
+		"extra space":          strings.Replace(want, "11 12 0", "11  12 0", 1),
+		"trailing space":       strings.Replace(want, "11 12 0\n", "11 12 0 \n", 1),
+		"comment":              strings.Replace(want, "p cnf", "c note\np cnf", 1),
+		"blank line":           want + "\n",
+		"crlf":                 strings.ReplaceAll(want, "\n", "\r\n"),
+		"count above MaxVars":  strings.Replace(want, "p cnf 12 2", "p cnf 4194305 2", 1),
+		"nil tag with a set":   "\x00" + want[1:],
+		"unknown tag":          "\x02" + want[1:],
+		"no tag":               "",
+	} {
+		if _, err := DecodeSetup(withFormulaText(blob, []byte(bad)), Options{}); !errors.Is(err, ErrCodec) {
+			t.Errorf("%s: %v, want ErrCodec", name, err)
+		}
+	}
+
+	// Formulas of every shape round-trip through the frame to their
+	// canonical form, which fingerprints as they do. A nil sampling set
+	// and a declared empty one write the same DIMACS text; the tag byte
+	// keeps them apart.
+	fps := map[string][32]byte{}
+	for _, tc := range []struct {
+		name string
+		f    *cnf.Formula
+	}{
+		{"full", func() *cnf.Formula {
+			g := cnf.New(6)
+			g.AddClause(3, -2, 1)
+			g.AddClause(-4, 5)
+			g.AddClause(6)
+			g.AddXOR([]cnf.Var{5, 1, 3}, true)
+			g.AddXOR([]cnf.Var{2, 4}, false)
+			g.SamplingSet = []cnf.Var{3, 1, 2, 1}
+			return g
+		}()},
+		{"empty", cnf.New(0)},
+		{"no-sampling", easyFormula()},
+		{"empty-set", func() *cnf.Formula { g := easyFormula(); g.SamplingSet = []cnf.Var{}; return g }()},
+		{"empty-clause", func() *cnf.Formula { g := cnf.New(1); g.Clauses = append(g.Clauses, cnf.Clause{}); return g }()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blob := encode(t, buildSetup(t, tc.f))
+			got, err := DecodeSetup(blob, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp := cnf.Fingerprint(tc.f)
+			if cnf.Fingerprint(got.f) != fp || !cnf.IsCanonical(got.f) ||
+				(got.f.SamplingSet == nil) != (tc.f.SamplingSet == nil) {
+				t.Fatalf("decoded %q, want the canonical form of %q",
+					cnf.DIMACSString(got.f), cnf.DIMACSString(tc.f))
+			}
+			if !bytes.Equal(encode(t, got), blob) {
+				t.Fatal("re-encoded frame differs")
+			}
+			fps[tc.name] = fp
+		})
+	}
+	if fps["no-sampling"] == fps["empty-set"] {
+		t.Fatal("a nil and an empty sampling set fingerprint alike")
 	}
 }

@@ -147,7 +147,7 @@ type Setup struct {
 	est     *big.Int
 	amc     counter.ApproxMCState
 
-	base Stats // setup-phase stats (SetupRounds, EasyCase, Q, setup BSAT call)
+	base Stats // setup-phase solver work and SetupRounds; zero when decoded
 }
 
 // NewSetup runs the once-per-formula phase of UniGen: compute κ and
@@ -203,7 +203,6 @@ func (su *Setup) measure(lease func(n int) []*bsat.Session, rng *randx.RNG) erro
 		su.easy = res.Witnesses
 		sortWitnesses(su.easy, su.h)
 		su.easySet = true
-		su.base[tally.EasyCase] = 1
 		return nil
 	}
 
@@ -239,7 +238,6 @@ func (su *Setup) measure(lease func(n int) []*bsat.Session, rng *randx.RNG) erro
 		su.est = res.Count
 	}
 	su.q = q
-	su.base[tally.Q] = int64(q)
 	return nil
 }
 
@@ -299,9 +297,18 @@ func bigLog2(x *big.Int) float64 {
 	return math.Log2(float64(mant.Int64())) + float64(bits-53)
 }
 
-// SetupStats returns the stats of the setup phase alone. An engine
-// reports SetupStats().Merge(round deltas…).
-func (su *Setup) SetupStats() Stats { return su.base }
+// SetupStats returns the stats of the setup phase alone: the solver
+// work of the setup this process ran (none for a decoded one), its
+// easy-case flag and q. An engine reports SetupStats().Merge(round
+// deltas…).
+func (su *Setup) SetupStats() Stats {
+	st := su.base
+	if su.easySet {
+		st[tally.EasyCase] = 1
+	}
+	st[tally.Q] = int64(su.q)
+	return st
+}
 
 // SamplingSet returns the declared sampling variables, the set
 // witnesses are projected on.

@@ -33,7 +33,7 @@ func newSampler(f *cnf.Formula, rng *randx.RNG, opts Options) (*sampler, error) 
 }
 
 // Stats returns the counters of the setup phase and every round.
-func (smp *sampler) Stats() Stats { return smp.setup.base.Merge(smp.stats) }
+func (smp *sampler) Stats() Stats { return smp.setup.SetupStats().Merge(smp.stats) }
 
 // Sample runs one round (lines 12–22) on rng; ErrFailed is ⊥.
 func (smp *sampler) Sample(rng *randx.RNG) (cnf.Assignment, error) {

@@ -23,40 +23,6 @@ func randomCNF(rng *randx.RNG, n, m, k int) *cnf.Formula {
 	return f
 }
 
-func TestExpandXOR(t *testing.T) {
-	x := cnf.XORClause{Vars: []cnf.Var{1, 2, 3}, RHS: true}
-	cls := expandXOR(x)
-	if len(cls) != 4 {
-		t.Fatalf("expanded to %d clauses, want 4", len(cls))
-	}
-	// Check against brute force: assignments satisfying all clauses are
-	// exactly those with odd parity.
-	for mask := 0; mask < 8; mask++ {
-		a := cnf.NewAssignment(3)
-		for v := 1; v <= 3; v++ {
-			a[cnf.Var(v)] = mask&(1<<(v-1)) != 0
-		}
-		par := a[1] != a[2] != a[3]
-		satAll := true
-		for _, c := range cls {
-			cs := false
-			for _, l := range c {
-				if a[l.Var()] != l.Neg() {
-					cs = true
-					break
-				}
-			}
-			if !cs {
-				satAll = false
-				break
-			}
-		}
-		if satAll != par {
-			t.Fatalf("mask %03b: clauses=%v parity=%v", mask, satAll, par)
-		}
-	}
-}
-
 func TestSharpSATSimple(t *testing.T) {
 	f := cnf.New(3)
 	f.AddClause(1, 2)

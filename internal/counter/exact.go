@@ -33,40 +33,11 @@ func ExactSharpSAT(f *cnf.Formula) (*big.Int, error) {
 			return nil, fmt.Errorf("counter: XOR clause with %d vars exceeds expansion limit %d",
 				len(x.Vars), maxXORExpand)
 		}
-		cls = append(cls, expandXOR(x)...)
+		cls = append(cls, cnf.ExpandXOR(x)...)
 	}
 	e := &sharpEngine{cache: map[string]*big.Int{}}
 	cnt := e.countOver(cls, f.NumVars)
 	return cnt, nil
-}
-
-// expandXOR converts an XOR clause into the 2^(k-1) CNF clauses that
-// forbid every odd/even-parity-violating assignment.
-func expandXOR(x cnf.XORClause) [][]cnf.Lit {
-	k := len(x.Vars)
-	var out [][]cnf.Lit
-	for mask := 0; mask < 1<<uint(k); mask++ {
-		// mask bit = 1 means the literal is negated in the clause.
-		// A clause ¬(l1 ∧ ... ∧ lk) rules out one assignment; we rule out
-		// assignments whose parity differs from RHS.
-		par := false
-		for i := 0; i < k; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				par = !par
-			}
-		}
-		if par == x.RHS {
-			continue // this assignment satisfies the XOR; keep it
-		}
-		c := make([]cnf.Lit, k)
-		for i, v := range x.Vars {
-			// Assignment: v = (mask bit i). Clause literal must be false
-			// under it, i.e. the opposite literal.
-			c[i] = cnf.MkLit(v, mask&(1<<uint(i)) != 0)
-		}
-		out = append(out, c)
-	}
-	return out
 }
 
 type sharpEngine struct {

@@ -200,6 +200,20 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(values, func() any { return &Counter{} }).(*Counter)
 }
 
+// SumBy returns, for each value of the named label, the total of the
+// series that carry it. It reads the series that exist and creates
+// none. The label must be one of the family's.
+func (v *CounterVec) SumBy(label string) map[string]int64 {
+	i := slices.Index(v.f.labels, label)
+	out := map[string]int64{}
+	v.f.mu.Lock()
+	defer v.f.mu.Unlock()
+	for key, m := range v.f.series {
+		out[strings.Split(key, "\x00")[i]] += m.(*Counter).Value()
+	}
+	return out
+}
+
 // HistogramVec is a histogram family partitioned by label values.
 type HistogramVec struct{ f *family }
 

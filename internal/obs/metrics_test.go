@@ -144,6 +144,34 @@ func TestCounterIgnoresNegativeDeltas(t *testing.T) {
 	}
 }
 
+// TestCounterVecSumBy: SumBy totals the series by one label's value
+// and creates no series, so a read leaves the scrape unchanged.
+func TestCounterVecSumBy(t *testing.T) {
+	r := NewRegistry()
+	v := r.NewCounterVec("requests_total", "h", "endpoint", "outcome")
+	v.With("sample", "ok").Add(3)
+	v.With("count", "ok").Add(2)
+	v.With("sample", "invalid").Inc()
+	var before strings.Builder
+	if err := r.WritePrometheus(&before); err != nil {
+		t.Fatal(err)
+	}
+	got := v.SumBy("outcome")
+	if len(got) != 2 || got["ok"] != 5 || got["invalid"] != 1 {
+		t.Fatalf("SumBy(outcome) = %v, want ok:5 invalid:1", got)
+	}
+	if got := v.SumBy("endpoint"); got["sample"] != 4 || got["count"] != 2 {
+		t.Fatalf("SumBy(endpoint) = %v, want sample:4 count:2", got)
+	}
+	var after strings.Builder
+	if err := r.WritePrometheus(&after); err != nil {
+		t.Fatal(err)
+	}
+	if before.String() != after.String() {
+		t.Fatalf("SumBy changed the scrape:\n%s\nthen\n%s", before.String(), after.String())
+	}
+}
+
 // TestHistogramObserveDuration checks the seconds conversion and
 // bucket placement of duration observations.
 func TestHistogramObserveDuration(t *testing.T) {

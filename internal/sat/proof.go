@@ -73,7 +73,7 @@ func CheckRUPProof(f *cnf.Formula, steps []ProofStep) error {
 		if len(x.Vars) > 20 {
 			return fmt.Errorf("sat: XOR clause with %d vars too wide to expand for checking", len(x.Vars))
 		}
-		db = append(db, expandXORForCheck(x)...)
+		db = append(db, cnf.ExpandXOR(x)...)
 	}
 	n := f.NumVars
 	for i, st := range steps {
@@ -151,27 +151,4 @@ func rupDerivable(db [][]cnf.Lit, numVars int, lemma []cnf.Lit) bool {
 			return false
 		}
 	}
-}
-
-// expandXORForCheck converts an XOR clause into its CNF expansion.
-func expandXORForCheck(x cnf.XORClause) [][]cnf.Lit {
-	k := len(x.Vars)
-	var out [][]cnf.Lit
-	for m := 0; m < 1<<uint(k); m++ {
-		par := false
-		for i := 0; i < k; i++ {
-			if m&(1<<uint(i)) != 0 {
-				par = !par
-			}
-		}
-		if par == x.RHS {
-			continue
-		}
-		c := make([]cnf.Lit, k)
-		for i, v := range x.Vars {
-			c[i] = cnf.MkLit(v, m&(1<<uint(i)) != 0)
-		}
-		out = append(out, c)
-	}
-	return out
 }

@@ -313,7 +313,7 @@ func (s *Solver) AddXOR(vars []cnf.Var, rhs bool) bool {
 		if len(norm) > 12 {
 			panic("sat: proof recording cannot expand XOR axioms wider than 12 vars")
 		}
-		for _, c := range expandXORForCheck(cnf.XORClause{Vars: norm, RHS: nrhs}) {
+		for _, c := range cnf.ExpandXOR(cnf.XORClause{Vars: norm, RHS: nrhs}) {
 			s.logAxiom(c)
 		}
 	}

@@ -208,6 +208,7 @@ type AdmissionStats struct {
 
 // OutcomeStats counts finished requests by how they ended. Sample and
 // Count both feed it; validation rejections count too (as Invalid).
+// Each field is unigen_requests_total summed over its endpoints.
 type OutcomeStats struct {
 	OK          int64 `json:"ok"`
 	Shed        int64 `json:"shed"`         // ErrOverloaded (429)
@@ -218,49 +219,4 @@ type OutcomeStats struct {
 	Invalid     int64 `json:"invalid"`      // bad requests, unsatisfiable formulas (422)
 	Canceled    int64 `json:"canceled"`     // client gone (context cancellation)
 	Error       int64 `json:"error"`        // anything else (500)
-}
-
-// outcomes is the atomic backing of OutcomeStats.
-type outcomes struct {
-	ok, shed, drained, timeout, panics, unknownBase, invalid, canceled, errs atomic.Int64
-}
-
-// add records one finished request under the shared outcome vocabulary
-// (see outcomeName in obs.go): the same names label
-// unigen_requests_total, structured logs, and the debug ring.
-func (o *outcomes) add(name string) {
-	switch name {
-	case "ok":
-		o.ok.Add(1)
-	case "shed":
-		o.shed.Add(1)
-	case "drained":
-		o.drained.Add(1)
-	case "timeout":
-		o.timeout.Add(1)
-	case "panic":
-		o.panics.Add(1)
-	case "unknown_base":
-		o.unknownBase.Add(1)
-	case "invalid":
-		o.invalid.Add(1)
-	case "canceled":
-		o.canceled.Add(1)
-	default:
-		o.errs.Add(1)
-	}
-}
-
-func (o *outcomes) snapshot() OutcomeStats {
-	return OutcomeStats{
-		OK:          o.ok.Load(),
-		Shed:        o.shed.Load(),
-		Drained:     o.drained.Load(),
-		Timeout:     o.timeout.Load(),
-		Panic:       o.panics.Load(),
-		UnknownBase: o.unknownBase.Load(),
-		Invalid:     o.invalid.Load(),
-		Canceled:    o.canceled.Load(),
-		Error:       o.errs.Load(),
-	}
 }

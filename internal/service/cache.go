@@ -14,11 +14,9 @@ import (
 
 // prepared is one cache entry's payload: an immutable core.Setup (safe
 // to share across concurrent requests — only sessions carry mutable
-// solver state), the stats of the preparation that built it, and
-// per-formula request counters.
+// solver state) and per-formula request counters.
 type prepared struct {
 	setup       *core.Setup
-	prepStats   core.Stats
 	key         string // cache and store key (Service.cacheKey)
 	fingerprint string // lowercase hex
 	fromDisk    bool   // rehydrated from the persistent store (DESIGN §12)
@@ -266,7 +264,7 @@ func (c *prepCache) stats() CacheStats {
 		}
 		fs := FormulaStats{
 			Fingerprint: e.prep.fingerprint,
-			EasyCase:    e.prep.prepStats.EasyCase(),
+			EasyCase:    e.prep.setup.Easy(),
 			Requests:    e.prep.requests.Load(),
 			Samples:     e.prep.samples.Load(),
 			Counts:      e.prep.counts.Load(),

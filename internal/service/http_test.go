@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -263,6 +264,36 @@ func TestHTTPSampleRejectsServiceKnobs(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body with %q: status %d, want 400", field, resp.StatusCode)
 		}
+	}
+}
+
+// TestHTTPRejectsOversizedNumbers: a literal, variable count or
+// sampling variable above cnf.MaxVars makes a bad formula on /sample
+// and /count, before any preparation sizes an allocation from it. The
+// MinInt64 literal once panicked the parser, and the middleware
+// answered 500.
+func TestHTTPRejectsOversizedNumbers(t *testing.T) {
+	ts, svc := newHTTPServer(t)
+	over := strconv.Itoa(cnf.MaxVars + 1)
+	for _, text := range []string{
+		"p cnf 1 1\n-9223372036854775808 0\n",
+		"p cnf 1 1\n4611686018427387904 0\n",
+		"p cnf 1 1\n" + over + " 0\n",
+		"p cnf 2 1\nx1 -" + over + " 0\n",
+		"p cnf " + over + " 0\n",
+		"c ind " + over + " 0\np cnf 1 0\n",
+	} {
+		for path, body := range map[string]any{
+			"/sample": service.SampleHTTPRequest{Formula: text, N: 1, Seed: 1},
+			"/count":  service.CountHTTPRequest{Formula: text},
+		} {
+			if resp := postJSON(t, ts.URL+path, body); resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s %q: status %d, want 400", path, text, resp.StatusCode)
+			}
+		}
+	}
+	if st := svc.Stats(); st.Misses != 0 {
+		t.Fatalf("a rejected formula reached the cache: %d misses", st.Misses)
 	}
 }
 

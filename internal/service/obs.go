@@ -223,6 +223,22 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	return m
 }
 
+// outcomeStats sums unigen_requests_total over its endpoints.
+func (s *Service) outcomeStats() OutcomeStats {
+	n := s.met.requests.SumBy("outcome")
+	return OutcomeStats{
+		OK:          n["ok"],
+		Shed:        n["shed"],
+		Drained:     n["drained"],
+		Timeout:     n["timeout"],
+		Panic:       n["panic"],
+		UnknownBase: n["unknown_base"],
+		Invalid:     n["invalid"],
+		Canceled:    n["canceled"],
+		Error:       n["error"],
+	}
+}
+
 // outcomeName classifies a finished request's error into the outcome
 // vocabulary shared by OutcomeStats, the unigen_requests_total metric,
 // structured logs, and the debug ring.
@@ -288,10 +304,9 @@ func (s *Service) startRequest(ctx context.Context, endpoint, tenant string) (co
 func (ro *reqObs) finish(err error) {
 	s := ro.s
 	out := outcomeName(err)
-	s.out.add(out)
+	s.met.requests.With(ro.endpoint, out).Inc()
 	ro.tr.Root().End()
 	dur := time.Since(ro.start)
-	s.met.requests.With(ro.endpoint, out).Inc()
 	s.met.reqSeconds.With(ro.endpoint).ObserveDuration(dur)
 
 	slow := s.slowThreshold() > 0 && dur >= s.slowThreshold()

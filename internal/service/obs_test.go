@@ -88,6 +88,31 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := mustValue(t, fams, "unigen_witnesses_total", "unigen_witnesses_total"); got != 4 {
 		t.Fatalf("witnesses = %v, want 4", got)
 	}
+	// Every /stats outcome is its unigen_requests_total series summed
+	// over the endpoints.
+	sresp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		Outcomes map[string]float64 `json:"outcomes"`
+	}
+	err = json.NewDecoder(sresp.Body).Decode(&st)
+	sresp.Body.Close()
+	if err != nil || len(st.Outcomes) != 9 {
+		t.Fatalf("/stats outcomes %v (%v), want 9 outcomes", st.Outcomes, err)
+	}
+	for name, v := range st.Outcomes {
+		var sum float64
+		for _, s := range obs.Find(fams, "unigen_requests_total").Series {
+			if s.Labels["outcome"] == name {
+				sum += s.Value
+			}
+		}
+		if sum != v {
+			t.Fatalf("/stats outcome %s = %v, unigen_requests_total sums to %v", name, v, sum)
+		}
+	}
 
 	// Cache: one miss (first sample prepared), two hits (second sample,
 	// count).

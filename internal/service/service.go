@@ -167,7 +167,6 @@ type Service struct {
 	memo  *memo        // request text and delta keys → fingerprint
 	store *store.Store // disk tier; nil when Config.StoreDir is empty
 	adm   *admission
-	out   outcomes
 
 	// Observability spine (DESIGN §10): the metrics registry behind
 	// GET /metrics, the per-request instruments, cumulative solver-work
@@ -257,10 +256,10 @@ func New(cfg Config) (*Service, error) {
 			s.met.prepares.With("disk_hit").Inc()
 		case p.base != nil:
 			s.met.prepares.With("delta").Inc()
-			s.prep.add(p.prepStats)
+			s.prep.add(p.setup.SetupStats())
 		default:
 			s.met.prepares.With("ok").Inc()
-			s.prep.add(p.prepStats)
+			s.prep.add(p.setup.SetupStats())
 		}
 	}
 	return s, nil
@@ -552,7 +551,6 @@ func (s *Service) flight(ctx context.Context, fp [32]byte, sp *obs.Span, base *p
 			}
 			p := &prepared{
 				setup:       su,
-				prepStats:   su.SetupStats(),
 				key:         key,
 				fingerprint: hex.EncodeToString(fp[:]),
 				base:        base,
@@ -616,7 +614,6 @@ func (s *Service) rehydrate(key string, fp [32]byte) (*prepared, bool) {
 	}
 	return &prepared{
 		setup:       su,
-		prepStats:   su.SetupStats(),
 		key:         key,
 		fingerprint: hex.EncodeToString(fp[:]),
 		fromDisk:    true,
@@ -969,7 +966,7 @@ func (s *Service) Stats() Stats {
 		CacheStats: s.cache.stats(),
 		Store:      s.storeStats(),
 		Admission:  s.adm.snapshot(),
-		Outcomes:   s.out.snapshot(),
+		Outcomes:   s.outcomeStats(),
 		Solver:     s.work.snapshot(),
 		Prepare:    s.prep.snapshot(),
 		Delta:      s.deltaStats(),

@@ -149,8 +149,8 @@ func (se *Session) SamplingSet() []cnf.Var { return se.vars }
 // Enumerate solves F ∧ lits ∧ h, i.e. the session temporarily behaves as
 // a session over the conjoined formula. The literals ride each cell's
 // search as plain assumptions — never installed as constraints — so they
-// cost nothing to set or clear, survive rebuilds, and cannot taint the
-// solver. Pass nil to clear. The slice is copied.
+// cost nothing to set or clear, survive rebuilds, and leave nothing on
+// the solver's level-0 trail. Pass nil to clear. The slice is copied.
 func (se *Session) SetAssumptions(lits []cnf.Lit) {
 	se.base = append(se.base[:0], lits...)
 }
@@ -178,14 +178,16 @@ func (se *Session) rebuild() {
 }
 
 // retire releases the previous call's removable constraints — or
-// rebuilds the solver outright when its level-0 state may depend on a
-// removable XOR (see sat.Solver.Tainted) or when selector variables
-// have accumulated past the rebuild threshold. Every selector is a
-// fresh variable and nothing else grows the solver past the formula's
-// variables, so their number is the solver's variables beyond nv.
-// Reports whether the solver was rebuilt (its stats restart from zero).
+// rebuilds the solver outright once selector variables have
+// accumulated past the rebuild threshold, the only reason a session
+// replaces its solver: a released guard leaves only base consequences
+// on the level-0 trail (sat/incremental.go explains why). Every
+// selector is a fresh variable and nothing else grows the solver past
+// the formula's variables, so their number is the solver's variables
+// beyond nv. Reports whether the solver was rebuilt (its stats restart
+// from zero).
 func (se *Session) retire() bool {
-	if se.s.Tainted() || se.s.NumVars()-se.nv >= rebuildEvery {
+	if se.s.NumVars()-se.nv >= rebuildEvery {
 		se.rebuild()
 		return true
 	}

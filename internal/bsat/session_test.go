@@ -129,20 +129,23 @@ func TestSessionMatchesEnumerate(t *testing.T) {
 // witnesses distinct on the set, in a session as in the stateless
 // engine. The session's priority variables must be the set itself:
 // the first is as long as the variable count, and the second is empty.
+// The repeat reaches the engines through Options.SamplingSet, since
+// Formula.SamplingVars drops it.
 func TestSessionOddSamplingSets(t *testing.T) {
 	for _, ss := range [][]cnf.Var{{1, 1, 2}, {}} {
 		f := cnf.New(3)
 		f.AddClause(1, 2, 3)
 		f.SamplingSet = ss
+		opts := Options{SamplingSet: ss}
 		want := bruteKeys(f, ss)
-		sess := NewSession(f, Options{})
+		sess := NewSession(f, opts)
 		for call := 0; call < 2; call++ {
 			got := sess.Enumerate(16, nil)
 			if gk := witnessKeys(t, got.Witnesses, ss); !got.Exhausted || !equalKeys(gk, want) {
 				t.Fatalf("sampling set %v, call %d: session found %q (exhausted %v), want %q", ss, call, gk, got.Exhausted, want)
 			}
 		}
-		if gk := witnessKeys(t, Enumerate(f, 16, Options{}).Witnesses, ss); !equalKeys(gk, want) {
+		if gk := witnessKeys(t, Enumerate(f, 16, opts).Witnesses, ss); !equalKeys(gk, want) {
 			t.Fatalf("sampling set %v: stateless Enumerate found %q, want %q", ss, gk, want)
 		}
 	}
@@ -220,9 +223,9 @@ func TestSessionUnsatFormula(t *testing.T) {
 	}
 }
 
-// TestSessionRebuildKeepsContract: after a solver rebuild (the
-// taint/threshold escape hatch) the session must keep truncating
-// witnesses to the base formula's variables and enumerating correctly.
+// TestSessionRebuildKeepsContract: after a solver rebuild (at the
+// selector bound) the session must keep truncating witnesses to the
+// base formula's variables and enumerating correctly.
 func TestSessionRebuildKeepsContract(t *testing.T) {
 	rng := randx.New(0x4eb1)
 	f := cnf.New(6)
@@ -255,9 +258,8 @@ func TestSessionRebuildsPastSelectorBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2^15 selectors: a few seconds")
 	}
-	// Sixteen variables under twelve hash rows leave a few witnesses in
-	// most cells, so no cell taints the solver and forces an earlier
-	// rebuild; each call adds 13 selectors.
+	// Each call adds 13 selectors: twelve hash rows and a blocking
+	// selector.
 	f := cnf.New(16)
 	f.AddClause(1, 2, -3)
 	f.AddClause(-1, 4, 5)
@@ -271,11 +273,10 @@ func TestSessionRebuildsPastSelectorBound(t *testing.T) {
 			t.Fatalf("no rebuild in %d calls", call)
 		}
 		prev, sels := sess.s, sess.s.NumVars()-f.NumVars
-		tainted := prev.Tainted()
 		h := hashfam.Draw(rng, vars, 12)
 		got := sess.Enumerate(1<<len(vars), h)
 		switch due := sels >= rebuildEvery; {
-		case sess.s != prev && !due && !tainted:
+		case sess.s != prev && !due:
 			t.Fatalf("call %d: rebuilt at %d selectors", call, sels)
 		case sess.s == prev && due:
 			t.Fatalf("call %d: no rebuild at %d selectors", call, sels)
@@ -294,6 +295,45 @@ func TestSessionRebuildsPastSelectorBound(t *testing.T) {
 	}
 	if n := sess.s.NumVars() - f.NumVars; n >= rebuildEvery/2 {
 		t.Fatalf("%d selectors 20 calls after the rebuild", n)
+	}
+}
+
+// TestSessionKeepsSolverOnSmallFormulas runs sessions over small
+// random formulas, where hash rows often empty a cell, so that learned
+// clauses switch guards off and released guards pile up on the level-0
+// trail: 8 variables under 6-row hashes (2,500 calls) and 10 under
+// 3-row hashes (20,000 calls). No session may replace its solver, and
+// every cell must match the stateless Enumerate.
+func TestSessionKeepsSolverOnSmallFormulas(t *testing.T) {
+	if testing.Short() {
+		t.Skip("22,500 calls, each checked against the stateless Enumerate: a few seconds")
+	}
+	for _, tc := range []struct{ n, rows, sessions, calls int }{
+		{8, 6, 25, 100},
+		{10, 3, 100, 200},
+	} {
+		rng := randx.New(uint64(0x5a11<<8 | tc.n))
+		for k := 0; k < tc.sessions; k++ {
+			f := randomFormula(rng, tc.n)
+			vars := f.SamplingVars()
+			sess := NewSession(f, Options{})
+			s := sess.s
+			for call := 0; call < tc.calls; call++ {
+				h := hashfam.Draw(rng, vars, tc.rows)
+				// One more than the cell can hold, so both engines run
+				// to exhaustion.
+				got := sess.Enumerate(1<<len(vars)+1, h)
+				if sess.s != s {
+					t.Fatalf("%d vars, %d rows, session %d: solver replaced at call %d", tc.n, tc.rows, k, call)
+				}
+				want := Enumerate(f, 1<<len(vars)+1, Options{Hash: h})
+				if !got.Exhausted || !want.Exhausted ||
+					!equalKeys(witnessKeys(t, got.Witnesses, vars), witnessKeys(t, want.Witnesses, vars)) {
+					t.Fatalf("%d vars, %d rows, session %d call %d: session found %d witnesses, stateless %d\n%s",
+						tc.n, tc.rows, k, call, len(got.Witnesses), len(want.Witnesses), cnf.DIMACSString(f))
+				}
+			}
+		}
 	}
 }
 

@@ -221,12 +221,11 @@ func (f *Formula) Clone() *Formula {
 	return g
 }
 
-// SamplingVars returns the sampling set if specified, else all variables.
+// SamplingVars returns the sampling set if specified, sorted and
+// without repeats (the set Fingerprint hashes), else all variables.
 func (f *Formula) SamplingVars() []Var {
 	if f.SamplingSet != nil {
-		out := append([]Var(nil), f.SamplingSet...)
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
+		return slices.Compact(slices.Sorted(slices.Values(f.SamplingSet)))
 	}
 	out := make([]Var, f.NumVars)
 	for i := range out {

@@ -232,6 +232,31 @@ func TestSamplingVarsDefault(t *testing.T) {
 	}
 }
 
+// TestSamplingVarsDropsRepeats: "c ind 1 1 2 0" and "c ind 1 2 0"
+// fingerprint alike, so they must name the same sampling variables.
+func TestSamplingVarsDropsRepeats(t *testing.T) {
+	a, err := ParseDIMACSString("c ind 2 1 1 2 0\np cnf 3 1\n1 2 3 0\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ParseDIMACSString("c ind 1 2 0\np cnf 3 1\n1 2 3 0\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Fingerprint(a) != Fingerprint(b) {
+		t.Fatal("the two spellings fingerprint differently")
+	}
+	want := []Var{1, 2}
+	for _, f := range []*Formula{a, b} {
+		if got := f.SamplingVars(); !slices.Equal(got, want) {
+			t.Fatalf("SamplingVars of %v = %v, want %v", f.SamplingSet, got, want)
+		}
+	}
+	if len(a.SamplingSet) != 4 {
+		t.Fatalf("SamplingVars changed the declared set to %v", a.SamplingSet)
+	}
+}
+
 func TestWriteDIMACSIndChunking(t *testing.T) {
 	f := New(25)
 	for v := 1; v <= 25; v++ {

@@ -144,40 +144,37 @@ func ParseDIMACSString(s string) (*Formula, error) {
 }
 
 // WriteDIMACS serializes the formula, emitting "c ind" lines for the
-// sampling set and "x" lines for XOR clauses.
+// sampling set and "x" lines for XOR clauses. Each line is appended to
+// the writer's free buffer with strconv, not formatted literal by
+// literal: this text is what every fingerprint hashes.
 func WriteDIMACS(w io.Writer, f *Formula) error {
 	bw := bufio.NewWriter(w)
-	if f.SamplingSet != nil {
-		const perLine = 10
-		for i := 0; i < len(f.SamplingSet); i += perLine {
-			end := i + perLine
-			if end > len(f.SamplingSet) {
-				end = len(f.SamplingSet)
-			}
-			fmt.Fprint(bw, "c ind")
-			for _, v := range f.SamplingSet[i:end] {
-				fmt.Fprintf(bw, " %d", v)
-			}
-			fmt.Fprintln(bw, " 0")
+	for vs := f.SamplingSet; len(vs) > 0; {
+		k := min(len(vs), 10)
+		b := append(bw.AvailableBuffer(), "c ind"...)
+		for _, v := range vs[:k] {
+			b = strconv.AppendInt(append(b, ' '), int64(v), 10)
 		}
+		bw.Write(append(b, " 0\n"...))
+		vs = vs[k:]
 	}
 	fmt.Fprintf(bw, "p cnf %d %d\n", f.NumVars, len(f.Clauses))
 	for _, c := range f.Clauses {
+		b := bw.AvailableBuffer()
 		for _, l := range c {
-			fmt.Fprintf(bw, "%d ", l.DIMACS())
+			b = append(strconv.AppendInt(b, int64(l.DIMACS()), 10), ' ')
 		}
-		fmt.Fprintln(bw, "0")
+		bw.Write(append(b, "0\n"...))
 	}
 	for _, x := range f.XORs {
-		fmt.Fprint(bw, "x")
+		b := append(bw.AvailableBuffer(), 'x')
 		for i, v := range x.Vars {
 			if i == 0 && !x.RHS {
-				fmt.Fprintf(bw, "-%d ", v)
-				continue
+				b = append(b, '-')
 			}
-			fmt.Fprintf(bw, "%d ", v)
+			b = append(strconv.AppendInt(b, int64(v), 10), ' ')
 		}
-		fmt.Fprintln(bw, "0")
+		bw.Write(append(b, "0\n"...))
 	}
 	return bw.Flush()
 }

@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
-	"sort"
+	"slices"
 )
 
 // Fingerprint returns the canonical fingerprint of f: the SHA-256
@@ -61,68 +61,36 @@ func FingerprintString(f *Formula) string {
 // this form (see core.NewSetup's hash-set pass).
 func Canonical(f *Formula) *Formula {
 	g := &Formula{NumVars: f.NumVars}
-
-	seen := map[string]bool{}
+	grow := func(v Var) { g.NumVars = max(g.NumVars, int(v)) }
 	for _, c := range f.Clauses {
-		norm, taut := NormalizeClause(c)
-		if taut {
-			continue
-		}
-		key := litKey(norm)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		g.Clauses = append(g.Clauses, norm)
-		for _, l := range norm {
-			if int(l.Var()) > g.NumVars {
-				g.NumVars = int(l.Var())
+		if norm, taut := NormalizeClause(c); !taut {
+			g.Clauses = append(g.Clauses, norm)
+			for _, l := range norm {
+				grow(l.Var())
 			}
 		}
 	}
-	sort.Slice(g.Clauses, func(i, j int) bool { return clauseLess(g.Clauses[i], g.Clauses[j]) })
-
-	seenX := map[string]bool{}
 	for _, x := range f.XORs {
 		vars, rhs := NormalizeXOR(x.Vars, x.RHS)
-		if len(vars) == 0 {
-			if rhs {
-				// 0 = 1: record as the empty clause, matching AddXOR.
-				if !seen[""] {
-					seen[""] = true
-					g.Clauses = append([]Clause{{}}, g.Clauses...)
-				}
+		switch {
+		case len(vars) > 0:
+			g.XORs = append(g.XORs, XORClause{Vars: vars, RHS: rhs})
+			for _, v := range vars {
+				grow(v)
 			}
-			continue
-		}
-		key := xorKey(vars, rhs)
-		if seenX[key] {
-			continue
-		}
-		seenX[key] = true
-		g.XORs = append(g.XORs, XORClause{Vars: vars, RHS: rhs})
-		for _, v := range vars {
-			if int(v) > g.NumVars {
-				g.NumVars = int(v)
-			}
+		case rhs:
+			g.Clauses = append(g.Clauses, Clause{}) // 0 = 1, as AddXOR records it
 		}
 	}
-	sort.Slice(g.XORs, func(i, j int) bool { return xorLess(g.XORs[i], g.XORs[j]) })
-
+	slices.SortFunc(g.Clauses, slices.Compare[Clause])
+	g.Clauses = slices.CompactFunc(g.Clauses, slices.Equal[Clause])
+	slices.SortFunc(g.XORs, xorCmp)
+	g.XORs = slices.CompactFunc(g.XORs, func(a, b XORClause) bool { return xorCmp(a, b) == 0 })
 	if f.SamplingSet != nil {
-		set := append([]Var(nil), f.SamplingSet...)
-		sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-		out := set[:0]
-		for i, v := range set {
-			if i > 0 && v == set[i-1] {
-				continue
-			}
-			out = append(out, v)
-			if int(v) > g.NumVars {
-				g.NumVars = int(v)
-			}
+		g.SamplingSet = slices.Compact(slices.Sorted(slices.Values(f.SamplingSet)))
+		for _, v := range g.SamplingSet {
+			grow(v)
 		}
-		g.SamplingSet = out
 	}
 	return g
 }
@@ -135,7 +103,7 @@ func Canonical(f *Formula) *Formula {
 func IsCanonical(f *Formula) bool {
 	in := func(v Var) bool { return v >= 1 && int(v) <= f.NumVars }
 	for i, c := range f.Clauses {
-		if i > 0 && !clauseLess(f.Clauses[i-1], c) {
+		if i > 0 && slices.Compare(f.Clauses[i-1], c) >= 0 {
 			return false
 		}
 		// A normalized clause names each variable once, in order.
@@ -146,7 +114,7 @@ func IsCanonical(f *Formula) bool {
 		}
 	}
 	for i, x := range f.XORs {
-		if len(x.Vars) == 0 || i > 0 && !xorLess(f.XORs[i-1], x) || !increasing(x.Vars, in) {
+		if len(x.Vars) == 0 || i > 0 && xorCmp(f.XORs[i-1], x) >= 0 || !increasing(x.Vars, in) {
 			return false
 		}
 	}
@@ -164,42 +132,14 @@ func increasing(vs []Var, in func(Var) bool) bool {
 	return true
 }
 
-func clauseLess(a, b Clause) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
+// xorCmp orders XOR clauses by their variable lists, as slices.Compare
+// does, then a false RHS before a true one.
+func xorCmp(a, b XORClause) int {
+	if c := slices.Compare(a.Vars, b.Vars); c != 0 || a.RHS == b.RHS {
+		return c
 	}
-	return len(a) < len(b)
-}
-
-func xorLess(a, b XORClause) bool {
-	for k := 0; k < len(a.Vars) && k < len(b.Vars); k++ {
-		if a.Vars[k] != b.Vars[k] {
-			return a.Vars[k] < b.Vars[k]
-		}
+	if a.RHS {
+		return 1
 	}
-	if len(a.Vars) != len(b.Vars) {
-		return len(a.Vars) < len(b.Vars)
-	}
-	return !a.RHS && b.RHS
-}
-
-func litKey(c Clause) string {
-	b := make([]byte, 0, len(c)*4)
-	for _, l := range c {
-		b = append(b, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
-	}
-	return string(b)
-}
-
-func xorKey(vars []Var, rhs bool) string {
-	b := make([]byte, 0, len(vars)*4+1)
-	for _, v := range vars {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	if rhs {
-		b = append(b, 1)
-	}
-	return string(b)
+	return -1
 }

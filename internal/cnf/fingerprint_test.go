@@ -1,6 +1,7 @@
 package cnf_test
 
 import (
+	"strings"
 	"testing"
 
 	"unigen/internal/cnf"
@@ -66,5 +67,55 @@ func TestFingerprintDoesNotMutate(t *testing.T) {
 	cnf.Fingerprint(f)
 	if cnf.DIMACSString(f) != before {
 		t.Fatal("Fingerprint mutated its input")
+	}
+}
+
+// pinnedFormula has every feature Canonical normalizes: a sampling set
+// of more than ten variables, unsorted and with a repeat; duplicate,
+// permuted and tautological clauses; XOR clauses of both parities, one
+// of them twice and one written with a repeated variable; and a 0 = 1
+// XOR, which canonicalizes to the empty clause.
+func pinnedFormula() *cnf.Formula {
+	f := cnf.New(14)
+	f.SamplingSet = []cnf.Var{12, 3, 1, 14, 2, 9, 3, 5, 11, 7, 10, 4}
+	lit := cnf.FromDIMACS
+	f.Clauses = []cnf.Clause{
+		{lit(3), lit(-1), lit(2)},
+		{lit(-4), lit(13)},
+		{lit(2), lit(-1), lit(3), lit(3)},
+		{lit(5), lit(-5), lit(6)},
+		{lit(-13), lit(-4)},
+		{lit(-4), lit(13)},
+		{lit(8)},
+	}
+	f.XORs = []cnf.XORClause{
+		{Vars: []cnf.Var{7, 2, 11}, RHS: false},
+		{Vars: []cnf.Var{6, 6}, RHS: true},
+		{Vars: []cnf.Var{1, 4}, RHS: true},
+		{Vars: []cnf.Var{11, 7, 2}, RHS: false},
+		{Vars: []cnf.Var{4, 1, 9, 9}, RHS: false},
+		{Vars: []cnf.Var{2, 7, 11}, RHS: true},
+	}
+	return f
+}
+
+// TestWriteCanonicalPinnedText pins the exact bytes WriteCanonical
+// writes, and so every fingerprint and every setup frame's formula
+// text: a change to Canonical or WriteDIMACS must leave them as they
+// are.
+func TestWriteCanonicalPinnedText(t *testing.T) {
+	var sb strings.Builder
+	if err := cnf.WriteCanonical(&sb, pinnedFormula()); err != nil {
+		t.Fatal(err)
+	}
+	const want = "\x01c ind 1 2 3 4 5 7 9 10 11 12 0\nc ind 14 0\n" +
+		"p cnf 14 5\n0\n-1 2 3 0\n-4 13 0\n-4 -13 0\n8 0\n" +
+		"x-1 4 0\nx1 4 0\nx-2 7 11 0\nx2 7 11 0\n"
+	if got := sb.String(); got != want {
+		t.Fatalf("WriteCanonical wrote\n%q\nwant\n%q", got, want)
+	}
+	const fp = "269955cb5fb0377d3c5948de221f753980306454cdd0be6ee67bbc576552edd4"
+	if got := cnf.FingerprintString(pinnedFormula()); got != fp {
+		t.Fatalf("fingerprint %s, want %s", got, fp)
 	}
 }

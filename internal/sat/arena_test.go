@@ -127,9 +127,6 @@ func TestArenaRemovableCompactionDifferential(t *testing.T) {
 					t.Fatalf("iter %d epoch %d: model violates constraints", iter, epoch)
 				}
 			}
-			if inc.Tainted() {
-				break // session contract: rebuild; nothing left to check here
-			}
 			for _, sel := range sels {
 				if rng.Bool() {
 					inc.Release(sel)

@@ -20,7 +20,7 @@ import "unigen/internal/cnf"
 // model returned false. Every return is at decision level 0, so the
 // other methods keep their level-0 precondition.
 func (s *Solver) Enumerate(block *Selector, assumptions []cnf.Lit, model func() bool) Status {
-	if !s.ok || s.brokenL0 {
+	if !s.ok {
 		return Unsat
 	}
 	s.cancelUntil(0)

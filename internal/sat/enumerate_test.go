@@ -139,7 +139,7 @@ func TestEnumerateDecisionBlocking(t *testing.T) {
 				s := New(f, Config{PriorityVars: vars})
 				s.SetModelBound(n)
 				cols := s.XORColumns(vars)
-				for cell := 0; cell < 2 && !s.Tainted(); cell++ {
+				for cell := 0; cell < 2; cell++ {
 					mask := uint16(1 + rng.Intn(1<<len(vars)-1))
 					rhs := rng.Bool()
 					row := s.AddPackedXORRemovable([]uint64{uint64(mask)}, rhs, cols)
@@ -173,7 +173,7 @@ func TestEnumerateDecisionBlocking(t *testing.T) {
 					}
 					d := s.Stats().Sub(before)
 					conflicts += d[tally.Conflicts]
-					if s.Okay() && !s.Tainted() && d[tally.Learned] != d[tally.Conflicts] {
+					if s.Okay() && d[tally.Learned] != d[tally.Conflicts] {
 						t.Fatalf("iter %d cell %d: %d learned clauses for %d conflicts", iter, cell, d[tally.Learned], d[tally.Conflicts])
 					}
 					s.Release(row)

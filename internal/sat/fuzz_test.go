@@ -153,10 +153,12 @@ type fuzzSel struct {
 // BruteForceModels of the base formula ∧ the active constraints ∧ the
 // standing assumptions: every model must satisfy that formula, the
 // projections on S must not repeat and must make up the oracle's set,
-// and the search must end Unsat at decision level 0. After every
-// operation the level-0 trail may hold only base consequences and the
-// free-variable counter must equal a recount. A tainted solver is
-// rebuilt from the base formula, dropping every selector, as bsat does.
+// and the search must end Unsat at decision level 0, after which the
+// cell's blocking selector is released. After every operation the
+// level-0 trail may hold only base consequences and the free-variable
+// counter must equal a recount. One solver serves the whole run: no
+// operation rebuilds it, so the level-0 check sees every release the
+// run has made.
 func FuzzSession(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -185,19 +187,13 @@ func FuzzSession(f *testing.F) {
 			return b
 		}
 
+		s := New(base, cfg)
+		s.SetModelBound(n)
+		cols := s.XORColumns(S)
 		var (
-			s       *Solver
-			cols    []int32
 			live    []fuzzSel
 			assumps []cnf.Lit
 		)
-		build := func() {
-			s = New(base, cfg)
-			s.SetModelBound(n)
-			cols = s.XORColumns(S)
-			live = nil
-		}
-		build()
 		for step := 0; len(ops) > 0 && step < 64; step++ {
 			switch op := next() % 6; op {
 			case 0:
@@ -245,9 +241,6 @@ func FuzzSession(f *testing.F) {
 				mask := uint16(next()) | uint16(next())<<8
 				checkFuzzCell(t, s, base, live, mask, assumps, S)
 			}
-			if s.Tainted() {
-				build()
-			}
 			checkFuzzLevel0(t, s, baseModels, n)
 		}
 	})
@@ -255,9 +248,10 @@ func FuzzSession(f *testing.F) {
 
 // checkFuzzCell enumerates the cell under the live selectors mask picks
 // plus the standing assumptions as bsat.Session does: one Enumerate
-// search under a fresh blocking selector over S. It checks the verdict,
-// every model and the projected model set against brute force, and
-// that Enumerate returns Unsat at decision level 0.
+// search under a fresh blocking selector over S, and releases that
+// selector. It checks the verdict, every model and the projected model
+// set against brute force, and that Enumerate returns Unsat at decision
+// level 0.
 func checkFuzzCell(t *testing.T, s *Solver, base *cnf.Formula, live []fuzzSel, mask uint16, assumps []cnf.Lit, S []cnf.Var) {
 	t.Helper()
 	conj := base.Clone()
@@ -295,9 +289,7 @@ func checkFuzzCell(t *testing.T, s *Solver, base *cnf.Formula, live []fuzzSel, m
 	if len(got) != len(want) {
 		t.Fatalf("enumerated %d projected models, brute force %d\n%s", len(got), len(want), cnf.DIMACSString(conj))
 	}
-	if !s.Tainted() {
-		s.Release(blk) // a tainted solver is rebuilt instead
-	}
+	s.Release(blk)
 }
 
 // checkFuzzLevel0 checks the between-calls state of a session solver:
@@ -321,7 +313,7 @@ func checkFuzzLevel0(t *testing.T, s *Solver, baseModels []cnf.Assignment, n int
 	}
 	free := 0
 	for v := 1; v <= s.numVars; v++ {
-		if s.isSelector[v] == selNone && s.assigns[v] == lUndef {
+		if !s.isSelector[v] && s.assigns[v] == lUndef {
 			free++
 		}
 	}

@@ -21,27 +21,29 @@ import (
 //
 //   - a CNF clause C is stored as (C ∨ ¬a). Assuming a reduces it to C;
 //     leaving a unconstrained lets the solver satisfy the guard for free.
-//   - an XOR row ⊕vars = rhs is stored as ⊕vars ⊕ a = rhs. Assuming ¬a
-//     enforces the row; otherwise a absorbs the parity.
+//   - an XOR row ⊕vars = rhs is stored with its guard a as an extra
+//     watched column, and means (⊕vars = rhs) ∨ a. Assuming ¬a enforces
+//     the row. Once a is true the row constrains nothing: propagation
+//     skips it. A row that its variables violate forces a true; a row
+//     they satisfy leaves a free.
 //
-// Every learned clause whose derivation used a guarded constraint
-// contains the negation of that constraint's activation literal (the
-// assumption is a decision, so conflict analysis cannot resolve it
-// away). Release therefore (1) hard-deletes the guarded constraints and
-// (2) fixes the activation variable at level 0 to the polarity that
-// permanently satisfies those learned clauses, which keeps the clause
-// database sound without scanning it; reduceDB reclaims the dead
-// clauses on its normal schedule.
+// Either way a guard is an activation literal (Eén and Sörensson,
+// "Temporal induction by incremental SAT solving", 2003): its off
+// polarity switches its constraints off, so no constraint ever forces
+// a guard on. Every learned clause whose derivation used a guarded
+// constraint contains the guard's off literal (the assumption is a
+// decision, so conflict analysis cannot resolve it away), and no clause
+// contains its on literal. Release therefore (1) hard-deletes the
+// guarded constraints and (2) fixes the guard off at level 0, which
+// satisfies those learned clauses forever and shortens none, so the
+// clause database stays sound without a scan; reduceDB reclaims the
+// dead clauses on its normal schedule.
 //
-// Level-0 escape hatch: if a removable XOR ever propagates or conflicts
-// at decision level 0 (possible only when its selector got fixed at
-// level 0 first, e.g. by a learned unit meaning "this cell is empty"),
-// the top-level trail would outlive the constraint's deletion. The
-// solver flags this with taintL0; results of the call in which the
-// taint arose are still valid (all tainting constraints are attached
-// and active until the call returns), but the solver must be rebuilt
-// before the next call. Sessions poll Tainted and rebuild — in practice
-// this is vanishingly rare.
+// The same rule keeps level 0 clean between calls: every level-0
+// selector holds its off polarity, so no guarded constraint writes a
+// formula literal onto the level-0 trail, and every level-0 formula
+// literal is a consequence of the base formula. A level-0 conflict
+// therefore proves the base formula (with its permanent clauses) UNSAT.
 
 // Selector identifies a removable group of constraints. Clause
 // selectors are registered with the solver until released: arena
@@ -62,11 +64,6 @@ func (sel *Selector) Lit() cnf.Lit { return sel.act }
 
 // Released reports whether the selector has been released.
 func (sel *Selector) Released() bool { return sel.released }
-
-// Tainted reports whether the level-0 state may depend on a removable
-// XOR constraint. Once set, results of future Solve calls may be wrong
-// after a Release; the owner must discard this solver and rebuild.
-func (s *Solver) Tainted() bool { return s.taintL0 }
 
 // SetModelBound restricts Model (and Solve's model extraction) to
 // variables 1..n. Sessions set it to the base formula's variable count
@@ -256,14 +253,14 @@ func (s *Solver) deleteClause(cr CRef) {
 	s.ca.del(cr)
 }
 
-// newSelectorVar allocates a fresh variable of the given selector kind,
-// excluded from the branching heaps (growTo consults allocSelKind so
-// the variable is marked before any heap insertion could happen).
-func (s *Solver) newSelectorVar(kind byte) cnf.Var {
+// newSelectorVar allocates a fresh selector variable, excluded from
+// the branching heaps (growTo consults allocSel so the variable is
+// marked before any heap insertion could happen).
+func (s *Solver) newSelectorVar() cnf.Var {
 	v := cnf.Var(s.numVars + 1)
-	s.allocSelKind = kind
+	s.allocSel = true
 	s.growTo(int(v))
-	s.allocSelKind = selNone
+	s.allocSel = false
 	return v
 }
 
@@ -275,7 +272,7 @@ func (s *Solver) NewClauseSelector() *Selector {
 	if s.decisionLevel() != 0 {
 		panic("sat: NewClauseSelector above level 0")
 	}
-	sel := &Selector{act: cnf.MkLit(s.newSelectorVar(selClause), false), regIdx: len(s.sels)}
+	sel := &Selector{act: cnf.MkLit(s.newSelectorVar(), false), regIdx: len(s.sels)}
 	s.sels = append(s.sels, sel)
 	return sel
 }
@@ -353,7 +350,7 @@ func (s *Solver) AddPackedXORRemovable(bits []uint64, rhs bool, cols []int32) *S
 	if s.decisionLevel() != 0 {
 		panic("sat: AddPackedXORRemovable above level 0")
 	}
-	v := s.newSelectorVar(selXORGuard)
+	v := s.newSelectorVar()
 	sel := &Selector{act: cnf.MkLit(v, true), regIdx: -1} // active when a = false
 	if !s.ok {
 		return sel
@@ -420,8 +417,8 @@ func (s *Solver) Release(sel *Selector) {
 	// Learned clauses that depended on this selector contain act.Not();
 	// assert it so they are satisfied forever. The selector variable
 	// occurs in no other constraint, so nothing else propagates. Skip if
-	// the variable was already fixed at level 0 (either polarity is
-	// sound at that point: see the package comment in this file).
+	// the variable was already fixed at level 0: it then holds act.Not()
+	// already (see the package comment in this file).
 	if s.value(sel.act) == lUndef {
 		s.addUnit(sel.act.Not())
 	}

@@ -214,7 +214,7 @@ func TestSelectorVarsStayOffHeaps(t *testing.T) {
 		if s.order.contains(v) || s.priOrder.contains(v) {
 			t.Fatalf("selector var %d present in a decision heap", v)
 		}
-		if s.isSelector[v] == selNone {
+		if !s.isSelector[v] {
 			t.Fatalf("selector var %d not marked", v)
 		}
 	}
@@ -223,66 +223,146 @@ func TestSelectorVarsStayOffHeaps(t *testing.T) {
 	}
 }
 
-// TestLevel0TaintFromRemovableXOR forces the taint escape hatch
-// deterministically: fixing every formula variable of a removable XOR
-// at level 0 makes the row propagate its own selector onto the
-// permanent trail, which must raise Tainted. The call's own verdicts
-// stay valid; the owner is expected to rebuild afterwards.
-func TestLevel0TaintFromRemovableXOR(t *testing.T) {
+// TestRowContradictedAtLevel0SwitchesGuardOff: a removable row whose
+// variables the level-0 facts fix so that they violate it forces its
+// guard to the off polarity at level 0, and the solver stays Okay;
+// assuming the row then fails on the guard, and releasing it leaves
+// the base formula as it was. A row the same facts satisfy leaves its
+// guard free.
+func TestRowContradictedAtLevel0SwitchesGuardOff(t *testing.T) {
 	f := cnf.New(3)
 	f.AddClause(1, 2, 3)
 	s := New(f, Config{})
-	sel := s.AddXORRemovable([]cnf.Var{1, 2}, true)
-	if s.Tainted() {
-		t.Fatal("tainted before any level-0 propagation")
-	}
-	// Fix x1 = true, x2 = false at level 0: the guarded row x1⊕x2⊕a = 1
-	// now implies a at level 0.
+	bad := s.AddXORRemovable([]cnf.Var{1, 2}, false)
+	good := s.AddXORRemovable([]cnf.Var{1, 2}, true)
+	// Fix x1 = true, x2 = false at level 0: x1⊕x2 = 1 violates bad and
+	// satisfies good.
 	if !s.AddClause(cnf.Clause{cnf.MkLit(1, false)}) || !s.AddClause(cnf.Clause{cnf.MkLit(2, true)}) {
 		t.Fatal("units made the solver UNSAT")
 	}
-	if !s.Tainted() {
-		t.Fatal("level-0 propagation through a removable XOR did not taint the solver")
+	if !s.Okay() {
+		t.Fatal("a contradicted removable row made the solver inconsistent")
 	}
-	// The current attached system is still answered correctly: the row
-	// is satisfied by x1=1, x2=0, so activation is consistent.
-	if got := s.Solve(sel.Lit()); got != Sat {
-		t.Fatalf("Solve = %v, want SAT", got)
+	if s.value(bad.Lit()) != lFalse {
+		t.Fatalf("guard of the violated row is %v at level 0, want off", s.value(bad.Lit()))
 	}
-	m := s.Model()
-	if !m.Get(1) || m.Get(2) {
-		t.Fatalf("model %v contradicts level-0 units", m)
+	if s.value(good.Lit()) != lUndef {
+		t.Fatal("guard of the satisfied row was fixed at level 0")
+	}
+	if got := s.Solve(bad.Lit()); got != Unsat {
+		t.Fatalf("Solve under the violated row = %v, want UNSAT", got)
+	}
+	if got := s.Solve(good.Lit()); got != Sat {
+		t.Fatalf("Solve under the satisfied row = %v, want SAT", got)
+	}
+	s.Release(bad)
+	s.Release(good)
+	if got := s.Solve(); got != Sat || !s.Okay() {
+		t.Fatalf("after release: Solve = %v, Okay = %v", got, s.Okay())
+	}
+	if m := s.Model(); !m.Get(1) || m.Get(2) {
+		t.Fatalf("model %v contradicts the level-0 units", m)
 	}
 }
 
-// TestTaintOnGuardAbsorbedAboveLevel0: propagation assigning a
-// removable XOR's own guard to the deactivating polarity above level 0
-// must taint the solver (learned clauses formed past that point can
-// hold the guard polarity Release would falsify); the activating
-// polarity must not.
-func TestTaintOnGuardAbsorbedAboveLevel0(t *testing.T) {
+// TestGuardOnSwitchesRowOff: a guard set true above level 0 switches
+// its row off. With x1 decided, the row x1⊕x2 = 1 would force x2; with
+// its guard on first, propagation assigns nothing, and either value of
+// x2 solves.
+func TestGuardOnSwitchesRowOff(t *testing.T) {
 	f := cnf.New(3)
 	f.AddClause(1, 2, 3)
 	s := New(f, Config{})
-	u1 := s.AddClauseRemovable(cnf.Clause{cnf.MkLit(1, false)}) // x1
-	u2 := s.AddClauseRemovable(cnf.Clause{cnf.MkLit(2, false)}) // x2
-	// With x1 = x2 = true forced at assumption levels, this row fixes
-	// its guard to the ACTIVATING polarity (row already satisfied).
-	s.AddXORRemovable([]cnf.Var{1, 2}, false)
-	if got := s.Solve(u1.Lit(), u2.Lit()); got != Sat {
-		t.Fatalf("Solve = %v, want SAT", got)
+	row := s.AddXORRemovable([]cnf.Var{1, 2}, true)
+	off, x1 := row.Lit().Not(), cnf.MkLit(1, false)
+	for _, order := range [][2]cnf.Lit{{off, x1}, {x1, off}} {
+		for _, l := range order {
+			s.trailLim = append(s.trailLim, len(s.trail))
+			s.uncheckedEnqueue(l, reason{})
+		}
+		if confl := s.propagate(); !confl.none() || len(s.trail) != 2 {
+			t.Fatalf("decisions %v: propagation assigned %v", order, s.trail)
+		}
+		s.cancelUntil(0)
 	}
-	if s.Tainted() {
-		t.Fatal("activating-polarity guard propagation must not taint")
+	for _, x2 := range []bool{false, true} {
+		if got := s.Solve(off, x1, cnf.MkLit(2, !x2)); got != Sat {
+			t.Fatalf("guard on, x1, x2=%v: Solve = %v, want SAT", x2, got)
+		}
 	}
-	// Same shape, opposite parity: the guard is absorbed (deactivating
-	// polarity) above level 0 — must taint.
-	s.AddXORRemovable([]cnf.Var{1, 2}, true)
-	if got := s.Solve(u1.Lit(), u2.Lit()); got != Sat {
-		t.Fatalf("Solve = %v, want SAT", got)
+	if got := s.Solve(row.Lit(), x1, cnf.MkLit(2, false)); got != Unsat {
+		t.Fatalf("row on, x1, x2: Solve = %v, want UNSAT", got)
 	}
-	if !s.Tainted() {
-		t.Fatal("guard absorbed above level 0 did not taint the solver")
+}
+
+// TestReleaseLeavesBaseConsequencesAtLevel0 runs sessions of random
+// removable rows and clauses, each cell enumerated under a random
+// subset of them and then released, over random CNF+XOR formulas.
+// Between cells, every formula literal on the level-0 trail must hold
+// in every model of the base formula, and every selector fixed at
+// level 0 must hold its off polarity.
+func TestReleaseLeavesBaseConsequencesAtLevel0(t *testing.T) {
+	rng := randx.New(0x1e0)
+	fixed := 0
+	for iter := 0; iter < 200; iter++ {
+		n := 3 + rng.Intn(5)
+		f := buildRandomXORCNF(rng, n)
+		models := BruteForceModels(f)
+		vars := varsUpTo(n)
+		s := New(f, Config{PriorityVars: vars})
+		s.SetModelBound(n)
+		var sels []*Selector
+		off := map[cnf.Var]cnf.Lit{} // every selector's off literal
+		for cell := 0; cell < 8; cell++ {
+			for k := rng.Intn(3); k >= 0; k-- {
+				var sel *Selector
+				if rng.Bool() {
+					sel = s.AddXORRemovable(fuzzVars(uint16(rng.Intn(1<<n)), vars), rng.Bool())
+				} else {
+					c := cnf.Clause{cnf.MkLit(cnf.Var(1+rng.Intn(n)), rng.Bool()), cnf.MkLit(cnf.Var(1+rng.Intn(n)), rng.Bool())}
+					sel = s.AddClauseRemovable(c)
+				}
+				sels = append(sels, sel)
+				off[sel.Lit().Var()] = sel.Lit().Not()
+			}
+			var acts []cnf.Lit
+			for _, sel := range sels {
+				if rng.Bool() {
+					acts = append(acts, sel.Lit())
+				}
+			}
+			blk := s.NewClauseSelector()
+			off[blk.Lit().Var()] = blk.Lit().Not()
+			if st := s.Enumerate(blk, append(acts, blk.Lit()), func() bool { return true }); st != Unsat {
+				t.Fatalf("iter %d cell %d: Enumerate = %v", iter, cell, st)
+			}
+			s.Release(blk)
+			for i := len(sels) - 1; i >= 0; i-- {
+				if rng.Intn(3) == 0 {
+					s.Release(sels[i])
+					sels = append(sels[:i], sels[i+1:]...)
+				}
+			}
+			s.CollectGarbage()
+			for _, l := range s.trail {
+				v := l.Var()
+				if s.isSelector[v] {
+					if l != off[v] {
+						t.Fatalf("iter %d cell %d: selector %d holds its on polarity at level 0", iter, cell, v)
+					}
+					continue
+				}
+				fixed++
+				for _, m := range models {
+					if m[v] == l.Neg() {
+						t.Fatalf("iter %d cell %d: level-0 literal %v is false in base model %v", iter, cell, l, m)
+					}
+				}
+			}
+		}
+	}
+	if fixed == 0 {
+		t.Fatal("no formula literal was ever fixed at level 0")
 	}
 }
 

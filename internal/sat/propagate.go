@@ -209,25 +209,16 @@ func (s *Solver) propagateXORs(v cnf.Var) conflict {
 		occ[j] = xi
 		j++
 		i++
+		if x.sel != 0 && s.valueVar(x.sel) == lTrue {
+			continue // a true guard switches its row off
+		}
 		other := s.xvarOf[otherCol]
 		if s.valueVar(other) == lUndef {
 			need := x.rhs != par
-			if x.sel != 0 {
-				if s.decisionLevel() == 0 {
-					// A removable XOR is writing to the permanent trail;
-					// the level-0 state no longer follows from the base
-					// formula alone. Sound until the row is released.
-					s.taintL0 = true
-				} else if other == x.sel && need {
-					// The row is absorbing its own guard (guard = true,
-					// the deactivating polarity). Learned clauses that
-					// later resolve through this row while the guard
-					// holds that value contain the guard's NEGATED
-					// activation-complement, which Release's polarity
-					// fix would strengthen rather than satisfy. Sound
-					// for this call; rebuild before the next.
-					s.taintL0 = true
-				}
+			if other == x.sel && !need {
+				// The row's variables satisfy it: its guard stays free,
+				// since a guard is only ever forced to its off polarity.
+				continue
 			}
 			s.uncheckedEnqueue(cnf.MkLit(other, !need), reason{tag: reasonXOR, ref: uint32(xi)})
 		} else if par != x.rhs {

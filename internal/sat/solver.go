@@ -86,14 +86,12 @@ type Solver struct {
 	blockBuf     cnf.Clause // Enumerate's blocking-clause buffer
 
 	// Incremental-session state (see incremental.go).
-	isSelector   []byte      // per var: selNone/selClause/selXORGuard
-	freeXors     []int32     // tombstoned xor slots available for reuse
-	taintL0      bool        // level-0 state may depend on a removable XOR
-	brokenL0     bool        // level-0 conflict under taint: Unsat until rebuilt
-	modelBound   int         // if >0, Model covers vars 1..modelBound only
-	sels         []*Selector // unreleased clause selectors (compaction rewrites their CRefs)
-	dirtyWatch   []cnf.Lit   // watch lists holding deleted entries (see deleteClause)
-	allocSelKind byte        // nonzero while newSelectorVar grows the arrays
+	isSelector []bool      // per var: a selector's activation variable
+	freeXors   []int32     // tombstoned xor slots available for reuse
+	modelBound int         // if >0, Model covers vars 1..modelBound only
+	sels       []*Selector // unreleased clause selectors (compaction rewrites their CRefs)
+	dirtyWatch []cnf.Lit   // watch lists holding deleted entries (see deleteClause)
+	allocSel   bool        // true while newSelectorVar grows the arrays
 
 	proof        []ProofStep
 	constructing bool // true while New loads the base formula
@@ -167,15 +165,15 @@ func (s *Solver) growTo(n int) {
 		s.priority = append(s.priority, false)
 	}
 	for len(s.isSelector) <= n {
-		s.isSelector = append(s.isSelector, selNone)
+		s.isSelector = append(s.isSelector, false)
 	}
 	s.order.growTo(n)
 	s.priOrder.growTo(n)
 	for v := old + 1; v <= n; v++ {
-		if s.allocSelKind != selNone {
+		if s.allocSel {
 			// Selector variable being allocated: mark it before the heap
 			// insertion would happen, so it never enters a decision heap.
-			s.isSelector[v] = s.allocSelKind
+			s.isSelector[v] = true
 			continue
 		}
 		s.nFree++
@@ -530,7 +528,7 @@ func (s *Solver) uncheckedEnqueue(l cnf.Lit, from reason) {
 	s.assigns[v] = boolToLbool(!l.Neg())
 	s.level[v] = s.decisionLevel()
 	s.reasons[v] = from
-	if s.isSelector[v] == selNone {
+	if !s.isSelector[v] {
 		s.nFree--
 	}
 	if c := s.xcolOf[v]; c >= 0 {
@@ -562,7 +560,7 @@ func (s *Solver) cancelUntil(lvl int) {
 			s.xAssigned[c>>6] &^= 1 << uint(c&63)
 			s.xTrue[c>>6] &^= 1 << uint(c&63)
 		}
-		if s.isSelector[v] == selNone {
+		if !s.isSelector[v] {
 			s.nFree++
 			s.insertOrder(v)
 		}
@@ -592,7 +590,7 @@ func (s *Solver) interrupted() bool {
 
 // Solve searches for a model of the clauses under the given assumptions.
 func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
-	if !s.ok || s.brokenL0 {
+	if !s.ok {
 		return Unsat
 	}
 	if s.interrupted() {
@@ -670,15 +668,6 @@ func (s *Solver) search(nConflicts, confLimit, propLimit int64, assumptions []cn
 			s.stats[tally.Conflicts]++
 			localConf++
 			if s.decisionLevel() == 0 {
-				if s.taintL0 {
-					// The level-0 state may include consequences of a
-					// removable XOR, so this conflict does not prove the
-					// base formula UNSAT. The conflict is also not
-					// re-discoverable (propagation is incremental), so
-					// latch Unsat until the owner rebuilds the solver.
-					s.brokenL0 = true
-					return Unsat
-				}
 				s.ok = false
 				s.logLemma(nil)
 				return Unsat
@@ -751,25 +740,8 @@ func (s *Solver) pickBranchLit() cnf.Lit {
 func (s *Solver) recordLearnt(learnt []cnf.Lit, lbd int) {
 	s.stats[tally.Learned]++
 	s.logLemma(learnt)
-	for _, l := range learnt {
-		if l.Neg() && s.isSelector[l.Var()] == selXORGuard {
-			// The clause resolved through a row whose guard was true
-			// (its deactivating polarity, set by a learned clause or by
-			// the row itself). Release fixes the guard true, which would
-			// shorten this clause into one the base formula need not
-			// imply; the solver must be rebuilt instead.
-			s.taintL0 = true
-		}
-	}
 	switch len(learnt) {
 	case 1:
-		if s.isSelector[learnt[0].Var()] == selXORGuard {
-			// Fixing an XOR-guard selector at level 0 flips the guarded
-			// parity for the rest of the solver's lifetime; level-0
-			// propagation through it would no longer follow from the base
-			// formula alone. Sound for the current call, poison afterwards.
-			s.taintL0 = true
-		}
 		s.uncheckedEnqueue(learnt[0], reason{})
 		return
 	case 2:

@@ -135,8 +135,10 @@ func (c conflict) none() bool { return c.cr == crefUndef && c.lits == nil }
 
 // xorClause is a parity constraint stored as dense GF(2) coefficient
 // words over the solver's XOR column space; w holds the two watched
-// columns. sel is nonzero for removable XOR rows: the selector variable
-// folded into the parity by AddPackedXORRemovable. Variables assigned at
+// columns. sel is nonzero for removable XOR rows: the guard variable.
+// The row holds while sel is false and constrains nothing once sel is
+// true; AddPackedXORRemovable adds sel's column to bits only so that
+// the row is watched on it. Variables assigned at
 // level 0 before install stay in the row (the assignment masks fold
 // them into the parity). bits covers only the row's span: word k of
 // bits is global mask word off+k, so a short row over a wide column
@@ -149,10 +151,3 @@ type xorClause struct {
 	w    [2]int // watched columns
 	sel  cnf.Var
 }
-
-// Selector kinds recorded in Solver.isSelector.
-const (
-	selNone     byte = iota
-	selClause        // guards CNF clauses (activation literal = positive var)
-	selXORGuard      // guards an XOR row (activation literal = negated var)
-)

@@ -163,6 +163,41 @@ func TestSeedReuseAcrossCache(t *testing.T) {
 	}
 }
 
+// TestSamplingSetSpellingsShareVars: "c ind 1 1 2 0" and "c ind 1 2 0"
+// share one fingerprint, so one cache entry serves both. Whichever
+// spelling is prepared first, both responses name the same variables
+// and carry the same witnesses.
+func TestSamplingSetSpellingsShareVars(t *testing.T) {
+	spell := func(set ...cnf.Var) *cnf.Formula {
+		f := cnf.New(3)
+		f.AddClause(1, 2, 3)
+		f.SamplingSet = set
+		return f
+	}
+	want := []cnf.Var{1, 2}
+	for _, order := range [][]*cnf.Formula{
+		{spell(1, 1, 2), spell(1, 2)},
+		{spell(1, 2), spell(1, 1, 2)},
+	} {
+		svc := newService(t, service.Config{})
+		var first []string
+		for i, f := range order {
+			res, err := svc.Sample(context.Background(), service.SampleRequest{Formula: f, N: 4, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Vars, want) {
+				t.Fatalf("sampling set %v: Vars = %v, want %v", f.SamplingSet, res.Vars, want)
+			}
+			if got := projectAll(t, res); i == 0 {
+				first = got
+			} else if !res.CacheHit || !reflect.DeepEqual(got, first) {
+				t.Fatalf("sampling set %v: cache hit %v, witnesses %v, want a hit with %v", f.SamplingSet, res.CacheHit, got, first)
+			}
+		}
+	}
+}
+
 // TestLRUEviction: with capacity 2, a third formula evicts the least
 // recently used one, and re-requesting it re-prepares.
 func TestLRUEviction(t *testing.T) {

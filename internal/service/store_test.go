@@ -33,8 +33,29 @@ func closeSvc(t *testing.T, svc *service.Service) {
 	}
 }
 
-// setupEntries lists the store's live entry files (quarantined ones
-// excluded).
+// checkStoreDir fails unless dir holds exactly the live entries st
+// counts: *.setup files only, as many as Entries, whose sizes sum to
+// Bytes.
+func checkStoreDir(t *testing.T, dir string, st service.StoreStats) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	for _, e := range ents {
+		fi, err := e.Info()
+		if err != nil || filepath.Ext(e.Name()) != ".setup" {
+			t.Fatalf("unexpected file %q in the store directory (%v)", e.Name(), err)
+		}
+		size += fi.Size()
+	}
+	if len(ents) != st.Entries || size != st.Bytes {
+		t.Fatalf("directory holds %d entries of %d bytes, stats %+v", len(ents), size, st)
+	}
+}
+
+// setupEntries lists the store's live entry files.
 func setupEntries(t *testing.T, dir string) []string {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(dir, "*.setup"))
@@ -254,8 +275,8 @@ func TestStoreDeltaEntryRehydrates(t *testing.T) {
 
 // TestStoreCorruptEntryDegradesToCold flips one byte of the on-disk
 // entry between lifetimes: the next request must succeed by cold
-// preparation (identical samples), with the rotted entry quarantined
-// and counted — never an error surfaced to the caller.
+// preparation (identical samples), with the rotted entry removed and
+// counted — never an error surfaced to the caller.
 func TestStoreCorruptEntryDegradesToCold(t *testing.T) {
 	dir := t.TempDir()
 	svc1 := newStoreService(t, dir)
@@ -293,9 +314,6 @@ func TestStoreCorruptEntryDegradesToCold(t *testing.T) {
 	if st2.Store.CorruptEntries != 1 || st2.Store.Hits != 0 {
 		t.Fatalf("store stats %+v, want 1 corrupt entry and 0 hits", st2.Store)
 	}
-	if quarantined, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(quarantined) != 1 {
-		t.Fatalf("%d quarantine files, want 1", len(quarantined))
-	}
 	// The corruption is visible on /metrics too.
 	fams := scrape(t, ts.URL)
 	if got := mustValue(t, fams, "unigen_store_corrupt_entries_total", "unigen_store_corrupt_entries_total"); got != 1 {
@@ -305,9 +323,12 @@ func TestStoreCorruptEntryDegradesToCold(t *testing.T) {
 		t.Fatalf("unigen_store_hits_total = %v, want 0", got)
 	}
 	closeSvc(t, svc2)
+	// Quarantine removed the rotted file, and the cold fallback
+	// re-persisted the formula: once the write-behind queue has drained,
+	// the directory holds exactly the entries Stats counts.
+	checkStoreDir(t, dir, svc2.Stats().Store)
 
-	// The cold fallback re-persisted the formula: a truncated entry in
-	// the next lifetime must degrade the same way.
+	// A truncated entry in the next lifetime must degrade the same way.
 	entries = setupEntries(t, dir)
 	if len(entries) != 1 {
 		t.Fatalf("%d entries after fallback, want 1 (re-persisted)", len(entries))

@@ -94,7 +94,7 @@ func FuzzDecodeSetup(f *testing.F) {
 // CP'13 ApproxMC estimate, version 4 always held a finished estimate —
 // fails frame
 // verification, so the store reports a miss (the service then prepares
-// cold) and quarantines the file instead of retrying it.
+// cold) and removes the file instead of retrying it.
 func TestStoreQuarantinesOlderVersions(t *testing.T) {
 	g := cnf.New(12)
 	g.AddClause(11, 12)
@@ -129,8 +129,9 @@ func TestStoreQuarantinesOlderVersions(t *testing.T) {
 		if s := st.Stats(); s.CorruptEntries != 1 || s.Misses != 1 || s.Entries != 0 {
 			t.Fatalf("version %d: stats %+v", v, s)
 		}
-		if _, err := os.Stat(filepath.Join(dir, entryName("k1")) + corruptSuffix); err != nil {
-			t.Fatalf("version %d: quarantine file missing: %v", v, err)
+		if _, err := os.Stat(filepath.Join(dir, entryName("k1"))); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("version %d: quarantined entry still on disk: %v", v, err)
 		}
+		checkDirMatchesStats(t, dir, st)
 	}
 }

@@ -8,10 +8,9 @@
 //   - Get reads the entry synchronously and runs the caller-supplied
 //     Verify hook (the service passes core.VerifySetupFrame) before
 //     returning bytes. A corrupt, truncated, or version-skewed entry is
-//     never an error: it is quarantined (renamed to *.corrupt, so the
-//     bytes survive for post-mortem but the path never matches again),
-//     counted, and reported as a miss — the caller falls back to a cold
-//     prepare. A hit refreshes the entry's modification time, which is
+//     never an error: it is quarantined (removed, with the reason in a
+//     warning log, so no copy outlives the MaxBytes cap), counted, and
+//     reported as a miss — the caller falls back to a cold prepare. A hit refreshes the entry's modification time, which is
 //     what the eviction scan orders by: writes set it too, so it is the
 //     time of the last read or write (atime is ignored, since
 //     relatime/noatime mounts don't maintain it on reads).
@@ -22,7 +21,8 @@
 //     is simply prepared cold again after the next restart. Writes are
 //     atomic: the blob is written to a tmp- file, fsynced, then renamed
 //     into place, so a crash mid-write can leave only tmp- litter
-//     (removed by the next Open), never a torn entry.
+//     (removed by the next Open, with the *.corrupt files older
+//     releases renamed quarantined entries to), never a torn entry.
 //
 //   - After each completed write the writer enforces MaxBytes by
 //     scanning entries in ascending modification-time order and
@@ -48,7 +48,7 @@ import (
 
 const (
 	entrySuffix   = ".setup"
-	corruptSuffix = ".corrupt"
+	corruptSuffix = ".corrupt" // quarantined by older releases; Open removes them
 	tmpPrefix     = "tmp-"
 	queueLen      = 64 // write-behind queue bound
 )
@@ -106,8 +106,9 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the store at opts.Dir, removes any
-// tmp- litter from a previous crash, warm-scans the surviving entries,
-// and starts the write-behind goroutine.
+// tmp- litter from a previous crash and any *.corrupt file an older
+// release quarantined, warm-scans the surviving entries, and starts the
+// write-behind goroutine.
 func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
@@ -131,7 +132,7 @@ func Open(opts Options) (*Store, error) {
 	for _, e := range ents {
 		name := e.Name()
 		switch {
-		case strings.HasPrefix(name, tmpPrefix):
+		case strings.HasPrefix(name, tmpPrefix), strings.HasSuffix(name, corruptSuffix):
 			_ = os.Remove(filepath.Join(opts.Dir, name))
 		case strings.HasSuffix(name, entrySuffix):
 			if fi, err := e.Info(); err == nil {
@@ -207,7 +208,7 @@ func (st *Store) Put(key string, blob []byte) {
 }
 
 // Quarantine reports an entry whose bytes passed the frame Verify but
-// failed a deeper decode in the caller. The file is renamed aside and
+// failed a deeper decode in the caller. The file is removed and
 // counted exactly like a Verify failure.
 func (st *Store) Quarantine(key string, reason error) {
 	st.quarantine(entryName(key), reason)
@@ -222,9 +223,9 @@ func (st *Store) quarantine(name string, reason error) {
 	}
 	st.corrupt++
 	st.mu.Unlock()
-	if err := os.Rename(path, path+corruptSuffix); err != nil {
-		_ = os.Remove(path)
-	}
+	// The entry is out of the index either way; a file a failed removal
+	// leaves behind is verified, and quarantined, again on its next read.
+	_ = os.Remove(path)
 	st.logger.Warn("store entry quarantined", "entry", name, "reason", reason)
 }
 

@@ -28,6 +28,30 @@ func openTest(t *testing.T, dir string, maxBytes int64) *Store {
 	return st
 }
 
+// checkDirMatchesStats fails unless dir holds exactly the live
+// entries st's Stats count: *.setup files only, as many as Entries,
+// whose sizes sum to Bytes.
+func checkDirMatchesStats(t *testing.T, dir string, st *Store) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	var size int64
+	for _, e := range ents {
+		fi, err := e.Info()
+		if err != nil || !strings.HasSuffix(e.Name(), entrySuffix) {
+			t.Fatalf("unexpected file %q in the store directory (%v)", e.Name(), err)
+		}
+		n++
+		size += fi.Size()
+	}
+	if s := st.Stats(); s.Entries != n || s.Bytes != size {
+		t.Fatalf("directory holds %d entries of %d bytes, stats %+v", n, size, s)
+	}
+}
+
 func TestStorePutGetRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st := openTest(t, dir, 0)
@@ -65,18 +89,26 @@ func TestStoreWarmScanAndTmpCleanup(t *testing.T) {
 	st.Close()
 
 	// Crash litter: a torn tmp file must be removed, not surface as an
-	// entry; the live entries must be counted by the warm scan.
+	// entry, and so must a file an older release quarantined; the live
+	// entries must be counted by the warm scan.
 	tornPath := filepath.Join(dir, tmpPrefix+"torn")
 	if err := os.WriteFile(tornPath, []byte("OK half-writ"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	oldQuarantine := filepath.Join(dir, entryName("k3")+corruptSuffix)
+	if err := os.WriteFile(oldQuarantine, []byte("XX rotten"), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	st2 := openTest(t, dir, 0)
 	if s := st2.Stats(); s.Entries != 2 || s.Bytes != int64(len("OK one")+len("OK two!")) {
 		t.Fatalf("warm scan: %+v", s)
 	}
-	if _, err := os.Stat(tornPath); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("tmp litter survived Open: %v", err)
+	for _, p := range []string{tornPath, oldQuarantine} {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("litter %s survived Open: %v", filepath.Base(p), err)
+		}
 	}
+	checkDirMatchesStats(t, dir, st2)
 	if got, ok := st2.Get("k2"); !ok || string(got) != "OK two!" {
 		t.Fatalf("Get after restart = %q ok=%v", got, ok)
 	}
@@ -101,9 +133,11 @@ func TestStoreQuarantineOnVerifyFailure(t *testing.T) {
 	if s.CorruptEntries != 1 || s.Misses != 1 || s.Entries != 0 {
 		t.Fatalf("stats %+v", s)
 	}
-	if _, err := os.Stat(path + corruptSuffix); err != nil {
-		t.Fatalf("quarantine file missing: %v", err)
+	// Quarantine removes the entry: no copy is left outside the cap.
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("quarantined entry still on disk: %v", err)
 	}
+	checkDirMatchesStats(t, dir, st)
 	// The quarantined path never matches again: subsequent Gets miss
 	// without re-counting corruption.
 	if _, ok := st.Get("k1"); ok {
@@ -123,6 +157,7 @@ func TestStoreCallerQuarantine(t *testing.T) {
 	if s := st.Stats(); s.CorruptEntries != 1 || s.Entries != 0 {
 		t.Fatalf("stats %+v", s)
 	}
+	checkDirMatchesStats(t, dir, st)
 	if _, ok := st.Get("k1"); ok {
 		t.Fatal("hit after caller quarantine")
 	}

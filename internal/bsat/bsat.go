@@ -18,9 +18,9 @@
 // builds a solver, enumerates with one Solve per witness, and throws
 // the solver away; it is the reference that baselines and tests compare
 // against. Session is the incremental engine behind a whole sampling or
-// counting run: the base formula is loaded once, hash XOR rows and
-// per-cell blocking clauses are installed as removable constraints
-// (activation literals passed as assumptions), and learned clauses
+// counting run: the base formula is loaded once, each call's hash XOR
+// rows and blocking clauses are installed under one removable selector
+// (its activation literal passed as an assumption), and learned clauses
 // survive from one BSAT call to the next. UniGen issues thousands of
 // BSAT calls per session, so not re-ingesting the formula and not
 // discarding the learned-clause database on every call is the dominant
@@ -84,12 +84,6 @@ type Options struct {
 	Solver sat.Config
 }
 
-// rebuildEvery bounds selector-variable accumulation: after this many
-// removable constraints the session rebuilds its solver from the base
-// formula, reclaiming the per-variable arrays (and, incidentally,
-// retiring any stale learned clauses reduceDB has not reclaimed yet).
-const rebuildEvery = 1 << 15
-
 // Session is an incremental BSAT engine: one solver reused across every
 // Enumerate call of a sampling/counting run. Not safe for concurrent
 // use. Proof recording (sat.Config.RecordProof) is turned off on
@@ -99,17 +93,16 @@ const rebuildEvery = 1 << 15
 // checked UNSAT verdict is recorded on a plain sat.Solver instead (the
 // facade's ProveUnsat).
 type Session struct {
-	f    *cnf.Formula
 	nv   int // f.NumVars at session start; models are truncated to it
 	vars []cnf.Var
-	cfg  sat.Config
+	intr *atomic.Bool // the solver's interrupt flag
 
 	s        *sat.Solver
-	colMap   []int32         // hash column → solver XOR column (nil: identity)
-	retired  []*sat.Selector // constraints of the previous call, released lazily
-	assumps  []cnf.Lit       // scratch: activation literals for the current call
-	base     []cnf.Lit       // standing assumption literals (delta requests)
-	blockBuf cnf.Clause      // scratch: blocking clause, reused across witnesses
+	colMap   []int32       // hash column → solver XOR column for vars
+	sel      *sat.Selector // the previous call's guard, released lazily
+	assumps  []cnf.Lit     // scratch: the current call's assumption literals
+	base     []cnf.Lit     // standing assumption literals (delta requests)
+	blockBuf cnf.Clause    // scratch: blocking clause, reused across witnesses
 }
 
 // NewSession builds the solver for f once. opts.Hash is ignored; pass
@@ -127,19 +120,13 @@ func NewSession(f *cnf.Formula, opts Options) *Session {
 	// sampling set whatever opts.Solver says.
 	cfg.PriorityVars = vars
 	cfg.RecordProof = false
-	se := &Session{f: f, nv: f.NumVars, vars: vars, cfg: cfg}
+	se := &Session{nv: f.NumVars, vars: vars, intr: cfg.Interrupt}
 	se.s = sat.New(f, cfg)
 	se.s.SetModelBound(se.nv)
-	se.registerColumns()
+	// Pin the sampling set into the packed XOR column space, in hash
+	// column order, once: drawn rows over it install through this map.
+	se.colMap = se.s.XORColumns(vars)
 	return se
-}
-
-// registerColumns pins the sampling set into the solver's packed XOR
-// column space, in hash-column order, so that drawn rows install by
-// word copy (colMap == nil) unless base-formula XOR clauses claimed
-// early columns first. Called after every (re)build.
-func (se *Session) registerColumns() {
-	se.colMap = se.s.XORColumns(se.vars)
 }
 
 // SamplingSet returns the variables blocking clauses range over.
@@ -149,8 +136,8 @@ func (se *Session) SamplingSet() []cnf.Var { return se.vars }
 // Enumerate solves F ∧ lits ∧ h, i.e. the session temporarily behaves as
 // a session over the conjoined formula. The literals ride each cell's
 // search as plain assumptions — never installed as constraints — so they
-// cost nothing to set or clear, survive rebuilds, and leave nothing on
-// the solver's level-0 trail. Pass nil to clear. The slice is copied.
+// cost nothing to set or clear and leave nothing on the solver's
+// level-0 trail. Pass nil to clear. The slice is copied.
 func (se *Session) SetAssumptions(lits []cnf.Lit) {
 	se.base = append(se.base[:0], lits...)
 }
@@ -164,61 +151,37 @@ func (se *Session) Assumptions() []cnf.Lit { return se.base }
 // owner points the sessions it leases at its own flag (a SampleN call,
 // a setup flight, a count); a session pool sets nil at check-in.
 func (se *Session) SetInterrupt(intr *atomic.Bool) {
-	se.cfg.Interrupt = intr
+	se.intr = intr
 	se.s.SetInterrupt(intr)
 }
 
-// rebuild replaces the solver with a fresh one loaded from the base
-// formula, dropping all removable constraints and learned clauses.
-func (se *Session) rebuild() {
-	se.s = sat.New(se.f, se.cfg)
-	se.s.SetModelBound(se.nv)
-	se.registerColumns()
-	se.retired = se.retired[:0]
-}
-
-// retire releases the previous call's removable constraints — or
-// rebuilds the solver outright once selector variables have
-// accumulated past the rebuild threshold, the only reason a session
-// replaces its solver: a released guard leaves only base consequences
-// on the level-0 trail (sat/incremental.go explains why). Every
-// selector is a fresh variable and nothing else grows the solver past
-// the formula's variables, so their number is the solver's variables
-// beyond nv. Reports whether the solver was rebuilt (its stats restart
-// from zero).
-func (se *Session) retire() bool {
-	if se.s.NumVars()-se.nv >= rebuildEvery {
-		se.rebuild()
-		return true
-	}
-	for _, sel := range se.retired {
-		se.s.Release(sel)
-	}
-	se.retired = se.retired[:0]
-	// Learned clauses guarded by the released selectors are now
-	// permanently satisfied; reclaim them (and compact the arena when
-	// waste has built up) so propagation does not keep visiting dead
-	// weight for the rest of the session.
+// retire releases the previous call's selector and collects garbage,
+// which deletes the learned clauses that depended on it and recycles
+// its guard variable for the next call's selector (sat/incremental.go
+// explains why that is sound). So the solver holds the formula's
+// variables plus one guard for the session's whole life, and the
+// session never replaces it.
+func (se *Session) retire() {
+	se.s.Release(se.sel)
+	se.sel = nil
 	se.s.CollectGarbage()
-	return false
 }
 
 // Interrupt returns the cooperative-interrupt flag the session's solver
 // polls (nil when none is set).
-func (se *Session) Interrupt() *atomic.Bool { return se.cfg.Interrupt }
+func (se *Session) Interrupt() *atomic.Bool { return se.intr }
 
 // interruptRaised reports whether the session's solver interrupt flag
 // is set — the predicate injected stalls poll so that chaos-test
 // "hung solver" faults still honor deadlines, cancellation, and drain.
 func (se *Session) interruptRaised() bool {
-	return se.cfg.Interrupt != nil && se.cfg.Interrupt.Load()
+	return se.intr != nil && se.intr.Load()
 }
 
 // Enumerate returns up to n witnesses of f ∧ h, pairwise distinct on the
-// sampling set. The hash rows are installed as removable XOR
-// constraints and the previous call's hash and blocking clauses are
-// released first, so consecutive calls reuse all accumulated solver
-// state. h may be nil (enumeration of f itself). It is EnumerateKnown
+// sampling set. The hash rows are installed under the call's selector
+// and the previous call's selector is released first, so consecutive
+// calls reuse all accumulated solver state. h may be nil (enumeration of f itself). It is EnumerateKnown
 // with no known members.
 func (se *Session) Enumerate(n int, h *hashfam.Hash) Result {
 	_, res := se.EnumerateKnown(n, h, nil)
@@ -227,7 +190,7 @@ func (se *Session) Enumerate(n int, h *hashfam.Hash) Result {
 
 // EnumerateKnown is Enumerate for a cell some of whose members are
 // already known: m's list holds known distinct members of the cell.
-// It blocks each under the cell's blocking selector before its search,
+// It blocks each under the call's selector before its search,
 // so it enumerates only the rest, and returns how many members it
 // found, the known ones included, capped at n. The result's Witnesses
 // hold only the witnesses it found, and m's list gains the projection
@@ -304,12 +267,20 @@ func (se *Session) enumerate(n int, h *hashfam.Hash, keep bool, m *Members) (int
 		return 0, Result{Exhausted: true}
 	}
 	before := se.s.Stats()
-	if se.retire() {
-		before = se.s.Stats() // rebuilt solver: stats restarted from zero
-	}
-	sels := se.retired[:0]
-	acts := se.assumps[:0]
-	emptyCell := false
+	se.retire()
+	// One selector guards the call's hash rows, its known members and
+	// its blocking clauses. Its literal is an assumption from the first
+	// search on, so the assumption prefix stays fixed while the solver
+	// keeps its trail between witnesses. It follows the standing
+	// assumptions (delta requests), which a blocking clause's backjump
+	// to its level then keeps; order within a call is fixed, so
+	// enumeration under a given (hash, assumptions) pair is
+	// deterministic.
+	sel := se.s.NewSelector()
+	se.sel = sel
+	acts := append(append(se.assumps[:0], se.base...), sel.Lit())
+	se.assumps = acts
+	var res Result
 	if h != nil {
 		cols := se.colMap
 		if !slices.Equal(h.Vars, se.vars) {
@@ -327,37 +298,17 @@ func (se *Session) enumerate(n int, h *hashfam.Hash, keep bool, m *Members) (int
 				// 0 = 0 constrains nothing and is skipped. The row still
 				// counts in the caller's XOR stats — it was issued.
 				if r.RHS {
-					emptyCell = true
-					break
+					res.Exhausted = true
+					res.Stats = se.s.Stats().Sub(before)
+					return 0, res
 				}
 				continue
 			}
 			// The drawn bits flow into the solver through the column
 			// map; no []cnf.Var is ever materialized.
-			sel := se.s.AddPackedXORRemovable(r.Bits, r.RHS, cols)
-			sels = append(sels, sel)
-			acts = append(acts, sel.Lit())
+			se.s.AddPackedXORToSelector(sel, r.Bits, r.RHS, cols)
 		}
 	}
-	// Standing assumptions (delta requests) ride the cell's search after
-	// the hash activation literals; order within a call is fixed,
-	// so enumeration under a given (hash, assumptions) pair is
-	// deterministic.
-	acts = append(acts, se.base...)
-	var res Result
-	if emptyCell {
-		res.Exhausted = true
-		se.retired = sels
-		se.assumps = acts
-		res.Stats = se.s.Stats().Sub(before)
-		return 0, res
-	}
-	// One selector guards every blocking clause of this cell. It is an
-	// assumption from the first search on, so the assumption prefix
-	// stays fixed while the solver keeps its trail between witnesses.
-	blockSel := se.s.NewClauseSelector()
-	sels = append(sels, blockSel)
-	acts = append(acts, blockSel.Lit())
 	// Known members are blocked over m.Vars, which determines the
 	// sampling set, so each clause excludes exactly the witnesses a
 	// blocking clause over the sampling set would.
@@ -367,15 +318,15 @@ func (se *Session) enumerate(n int, h *hashfam.Hash, keep bool, m *Members) (int
 		for c, v := range m.Vars {
 			se.blockBuf = append(se.blockBuf, cnf.MkLit(v, x[c>>6]>>uint(c&63)&1 == 1))
 		}
-		se.s.AddClauseToSelector(blockSel, se.blockBuf)
+		se.s.AddClauseToSelector(sel, se.blockBuf)
 	}
 	found := known
 	if found < n {
-		st := se.s.Enumerate(blockSel, acts, func() bool {
+		st := se.s.Enumerate(sel, acts, func() bool {
 			found++
 			if keep {
 				// Model length is capped at nv+1 by SetModelBound, so
-				// selector variables never leak into witnesses.
+				// the guard never leaks into witnesses.
 				res.Witnesses = append(res.Witnesses, se.s.Model())
 			}
 			if m != nil {
@@ -393,8 +344,6 @@ func (se *Session) enumerate(n int, h *hashfam.Hash, keep bool, m *Members) (int
 		res.Exhausted = st == sat.Unsat
 		res.BudgetExceeded = st == sat.Unknown
 	}
-	se.retired = sels
-	se.assumps = acts
 	res.Stats = se.s.Stats().Sub(before)
 	return found, res
 }
@@ -435,6 +384,11 @@ func Enumerate(f *cnf.Formula, n int, opts Options) Result {
 		case sat.Sat:
 			m := s.Model()
 			res.Witnesses = append(res.Witnesses, m)
+			if len(res.Witnesses) == n {
+				// The n-th witness ends the call unblocked, as in a
+				// session: Exhausted says nothing about a full cell.
+				break
+			}
 			block = block[:0]
 			for _, v := range vars {
 				block = append(block, cnf.MkLit(v, m.Get(v)))

@@ -223,43 +223,16 @@ func TestSessionUnsatFormula(t *testing.T) {
 	}
 }
 
-// TestSessionRebuildKeepsContract: after a solver rebuild (at the
-// selector bound) the session must keep truncating witnesses to the
-// base formula's variables and enumerating correctly.
-func TestSessionRebuildKeepsContract(t *testing.T) {
-	rng := randx.New(0x4eb1)
-	f := cnf.New(6)
-	f.AddClause(1, 2)
-	vars := f.SamplingVars()
-	sess := NewSession(f, Options{})
-	h := hashfam.Draw(rng, vars, 2)
-	before := sess.Enumerate(1<<7, h)
-	sess.rebuild()
-	after := sess.Enumerate(1<<7, h)
-	if !equalKeys(witnessKeys(t, before.Witnesses, vars), witnessKeys(t, after.Witnesses, vars)) {
-		t.Fatal("witness set changed across a rebuild with the same hash")
-	}
-	for _, w := range after.Witnesses {
-		if len(w) != f.NumVars+1 {
-			t.Fatalf("witness length %d after rebuild, want %d", len(w), f.NumVars+1)
-		}
-	}
-	if !after.Exhausted {
-		t.Fatal("post-rebuild enumeration not exhausted")
-	}
-}
-
-// TestSessionRebuildsPastSelectorBound runs one session past
-// rebuildEvery selectors. The rebuild fires at the first call after
-// the solver holds that many variables beyond the formula's, and the
-// cells of the 20 or so calls on each side of it match the stateless
-// Enumerate.
-func TestSessionRebuildsPastSelectorBound(t *testing.T) {
+// TestSessionRecyclesItsGuard runs one session for 3,000 calls of 10
+// to 12 hash rows each. Every call makes one selector and the next call
+// recycles its guard, so after every call the session must hold the
+// same solver with at most one variable past the formula's, witnesses
+// must cover exactly the formula's variables, and the cell must match
+// the stateless Enumerate.
+func TestSessionRecyclesItsGuard(t *testing.T) {
 	if testing.Short() {
-		t.Skip("2^15 selectors: a few seconds")
+		t.Skip("3,000 calls, each checked against the stateless Enumerate: a few seconds")
 	}
-	// Each call adds 13 selectors: twelve hash rows and a blocking
-	// selector.
 	f := cnf.New(16)
 	f.AddClause(1, 2, -3)
 	f.AddClause(-1, 4, 5)
@@ -267,34 +240,63 @@ func TestSessionRebuildsPastSelectorBound(t *testing.T) {
 	vars := f.SamplingVars()
 	rng := randx.New(0x5e1)
 	sess := NewSession(f, Options{})
-	rebuilt := -1
-	for call := 0; rebuilt < 0 || call < rebuilt+20; call++ {
-		if call == 1<<16 {
-			t.Fatalf("no rebuild in %d calls", call)
-		}
-		prev, sels := sess.s, sess.s.NumVars()-f.NumVars
-		h := hashfam.Draw(rng, vars, 12)
+	s := sess.s
+	for call := 0; call < 3000; call++ {
+		h := hashfam.Draw(rng, vars, 10+rng.Intn(3))
 		got := sess.Enumerate(1<<len(vars), h)
-		switch due := sels >= rebuildEvery; {
-		case sess.s != prev && !due:
-			t.Fatalf("call %d: rebuilt at %d selectors", call, sels)
-		case sess.s == prev && due:
-			t.Fatalf("call %d: no rebuild at %d selectors", call, sels)
-		case due:
-			rebuilt = call
+		if sess.s != s || s.NumVars()-f.NumVars > 1 {
+			t.Fatalf("call %d: solver replaced (%v) or grown to %d variables", call, sess.s != s, sess.s.NumVars())
 		}
-		if rebuilt < 0 && sels < rebuildEvery-20*13 {
-			continue
+		for _, w := range got.Witnesses {
+			if len(w) != f.NumVars+1 {
+				t.Fatalf("call %d: witness of length %d, want %d", call, len(w), f.NumVars+1)
+			}
 		}
 		want := Enumerate(f, 1<<len(vars), Options{Hash: h})
 		if got.Exhausted != want.Exhausted ||
 			!equalKeys(witnessKeys(t, got.Witnesses, vars), witnessKeys(t, want.Witnesses, vars)) {
-			t.Fatalf("call %d (rebuild at %d): session found %d witnesses, stateless %d",
-				call, rebuilt, len(got.Witnesses), len(want.Witnesses))
+			t.Fatalf("call %d: session found %d witnesses (exhausted %v), stateless %d (%v)",
+				call, len(got.Witnesses), got.Exhausted, len(want.Witnesses), want.Exhausted)
 		}
 	}
-	if n := sess.s.NumVars() - f.NumVars; n >= rebuildEvery/2 {
-		t.Fatalf("%d selectors 20 calls after the rebuild", n)
+}
+
+// TestExhaustedAtExactBound: a call whose bound equals its cell's size
+// stops at the cell's last witness in both engines, so both find the
+// whole cell and neither reports it exhausted. The first formula has a
+// one-variable sampling set, whose cell without a hash holds its two
+// values; the rest are random, under random hashes.
+func TestExhaustedAtExactBound(t *testing.T) {
+	rng := randx.New(0xe4ac)
+	f := cnf.New(3)
+	f.AddClause(1, 2, 3)
+	f.SamplingSet = []cnf.Var{1}
+	cells := 0
+	for iter := 0; iter < 40; iter++ {
+		vars := f.SamplingVars()
+		sess := NewSession(f, Options{})
+		for call := 0; call < 4; call++ {
+			var h *hashfam.Hash
+			if iter > 0 && call > 0 {
+				h = hashfam.Draw(rng, vars, 1+rng.Intn(len(vars)))
+			}
+			cell := witnessKeys(t, Enumerate(f, 1<<len(vars)+1, Options{Hash: h}).Witnesses, vars)
+			if len(cell) == 0 {
+				continue
+			}
+			got := sess.Enumerate(len(cell), h)
+			want := Enumerate(f, len(cell), Options{Hash: h})
+			if got.Exhausted || want.Exhausted ||
+				!equalKeys(witnessKeys(t, got.Witnesses, vars), cell) || !equalKeys(witnessKeys(t, want.Witnesses, vars), cell) {
+				t.Fatalf("iter %d call %d: bound %d: session found %d (exhausted %v), stateless %d (%v)\n%s",
+					iter, call, len(cell), len(got.Witnesses), got.Exhausted, len(want.Witnesses), want.Exhausted, cnf.DIMACSString(f))
+			}
+			cells++
+		}
+		f = randomFormula(rng, 4+rng.Intn(6))
+	}
+	if cells < 100 {
+		t.Fatalf("only %d nonempty cells", cells)
 	}
 }
 

@@ -15,8 +15,9 @@
 //
 // Rows are bit-packed (gf2.Row): column c of a row is variable Vars[c],
 // so Draw fills 64 coefficients per RNG word and row lengths are
-// popcounts. The packed layout flows unchanged into the solver — see
-// sat.Solver.AddPackedXORRemovable for the column-map contract.
+// popcounts. The packed bits flow unchanged into the solver, which maps
+// column c to its own XOR column for Vars[c] (sat.Solver.XORColumns and
+// AddPackedXORToSelector).
 package hashfam
 
 import (

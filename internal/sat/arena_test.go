@@ -337,7 +337,7 @@ func TestCompactionChargesWatchTable(t *testing.T) {
 		f.AddClause(1, 2, 3)
 		s := New(f, Config{})
 		for i := 0; i < selectors; i++ {
-			s.Release(s.NewClauseSelector())
+			s.Release(s.NewSelector())
 		}
 		for i := 0; i < 3; i++ {
 			s.Release(s.AddClauseRemovable(cnf.Clause{

@@ -11,14 +11,16 @@ import "unigen/internal/cnf"
 // re-propagating the assumptions and every decision from level 0 as a
 // Solve per model would.
 //
-// block must be an unreleased clause selector whose literal is one of
-// the assumptions, so the assumption prefix stays fixed for the whole
-// enumeration. Each model's search has the per-Solve conflict and
-// propagation budgets, counted from the previous model. Enumerate
-// returns Unsat once no further model exists, Unknown when a search
-// runs out of budget or the interrupt flag is raised, and Sat when
-// model returned false. Every return is at decision level 0, so the
-// other methods keep their level-0 precondition.
+// block must be an unreleased selector whose literal is one of the
+// assumptions, so the assumption prefix stays fixed for the whole
+// enumeration. It may guard the cell's other constraints too, as a
+// session's one selector per call guards its hash rows. Each model's
+// search has the per-Solve conflict and propagation budgets, counted
+// from the previous model. Enumerate returns Unsat once no further
+// model exists, Unknown when a search runs out of budget or the
+// interrupt flag is raised, and Sat when model returned false. Every
+// return is at decision level 0, so the other methods keep their
+// level-0 precondition.
 func (s *Solver) Enumerate(block *Selector, assumptions []cnf.Lit, model func() bool) Status {
 	if !s.ok {
 		return Unsat
@@ -44,10 +46,10 @@ func (s *Solver) Enumerate(block *Selector, assumptions []cnf.Lit, model func() 
 }
 
 // blockModel adds the current model's blocking clause, with block's
-// guard ¬a, and backjumps so that the search can go on: every literal
+// guard a, and backjumps so that the search can go on: every literal
 // of the clause is false on the trail.
 //
-// The clause is ¬a ∨ ¬d₁ ∨ … ∨ ¬dₖ over the decisions dᵢ above the
+// The clause is a ∨ ¬d₁ ∨ … ∨ ¬dₖ over the decisions dᵢ above the
 // assumption levels 1..prefix, up to the first decision that is not a
 // priority variable, as AllSAT solvers block a model (Toda and Soh, ACM
 // JEA 2016). The search branches on every unassigned priority variable
@@ -57,8 +59,8 @@ func (s *Solver) Enumerate(block *Selector, assumptions []cnf.Lit, model func() 
 // current one: the clause excludes those models and no other.
 //
 // A clause reduced to its guard goes to block at level 0, which fixes
-// ¬a for block's literal a, so the next search fails on that
-// assumption and returns Unsat. Otherwise each dᵢ is alone at its
+// a true, so the next search fails on the assumption ¬a (block's
+// literal) and returns Unsat. Otherwise each dᵢ is alone at its
 // level, so the solver backjumps to the level of the clause's
 // next-highest literal, ¬dₖ₋₁ or the guard, and asserts ¬dₖ with the
 // clause as its reason: no conflict is analysed and no clause is

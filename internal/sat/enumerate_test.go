@@ -34,9 +34,10 @@ func gatedPigeonhole() (*cnf.Formula, []cnf.Var) {
 // the interrupt flag and once with a conflict budget. Enumerate must
 // return Unknown at decision level 0 with the models found so far, and
 // the solver must then serve the next cell as bsat.Session would:
-// Release the stopped cell's blocking selector, CollectGarbage, install
-// a hash row with AddPackedXORRemovable, and enumerate the new cell to
-// its brute-force model set.
+// Release the stopped cell's selector, CollectGarbage, install a hash
+// row under a new selector with AddPackedXORToSelector, and enumerate
+// the new cell, blocking under that selector, to its brute-force model
+// set.
 func TestEnumerateStopsMidCell(t *testing.T) {
 	for _, mode := range []string{"interrupt", "budget"} {
 		t.Run(mode, func(t *testing.T) {
@@ -48,7 +49,7 @@ func TestEnumerateStopsMidCell(t *testing.T) {
 			if mode == "budget" {
 				s.SetBudgets(1, 0)
 			}
-			blk := s.NewClauseSelector()
+			blk := s.NewSelector()
 			k := 0
 			st := s.Enumerate(blk, []cnf.Lit{blk.Lit()}, func() bool {
 				if s.ModelValue(4) {
@@ -72,10 +73,10 @@ func TestEnumerateStopsMidCell(t *testing.T) {
 			s.CollectGarbage()
 
 			// Next cell: x1 ⊕ x2 = 1.
-			row := s.AddPackedXORRemovable([]uint64{0b0011}, true, cols)
-			blk = s.NewClauseSelector()
+			blk = s.NewSelector()
+			s.AddPackedXORToSelector(blk, []uint64{0b0011}, true, cols)
 			got := map[string]bool{}
-			st = s.Enumerate(blk, []cnf.Lit{row.Lit(), blk.Lit()}, func() bool {
+			st = s.Enumerate(blk, []cnf.Lit{blk.Lit()}, func() bool {
 				key := s.Model().Project(S)
 				if got[key] {
 					t.Fatalf("model %s repeated", key)
@@ -107,10 +108,10 @@ func TestEnumerateStopsMidCell(t *testing.T) {
 }
 
 // TestEnumerateDecisionBlocking enumerates two cells per solver on
-// random CNF+XOR formulas, as a session does: each cell under a
-// removable XOR row over vars, the solver's priority variables, and a
-// fresh blocking selector, the first released and collected before the
-// second. Each cell's projections on vars must be the brute-force set,
+// random CNF+XOR formulas, as a session does: each cell under one fresh
+// selector that guards an XOR row over vars, the solver's priority
+// variables, and the cell's blocking clauses, the first released and
+// collected before the second. Each cell's projections on vars must be the brute-force set,
 // with no repeat. Every blocking clause asserts, so no blocking clause
 // is analysed and a cell learns exactly one clause per conflict. When
 // vars is every variable, every decision lies in vars. When vars is a
@@ -142,15 +143,15 @@ func TestEnumerateDecisionBlocking(t *testing.T) {
 				for cell := 0; cell < 2; cell++ {
 					mask := uint16(1 + rng.Intn(1<<len(vars)-1))
 					rhs := rng.Bool()
-					row := s.AddPackedXORRemovable([]uint64{uint64(mask)}, rhs, cols)
+					blk := s.NewSelector()
+					s.AddPackedXORToSelector(blk, []uint64{uint64(mask)}, rhs, cols)
 					conj := f.Clone()
 					conj.AddXOR(fuzzVars(mask, vars), rhs)
 					want := map[string]bool{}
 					for _, m := range BruteForceModels(conj) {
 						want[m.Project(vars)] = true
 					}
-					blk := s.NewClauseSelector()
-					assumps := []cnf.Lit{row.Lit(), blk.Lit()}
+					assumps := []cnf.Lit{blk.Lit()}
 					before := s.Stats()
 					got := map[string]bool{}
 					st := s.Enumerate(blk, assumps, func() bool {
@@ -176,7 +177,6 @@ func TestEnumerateDecisionBlocking(t *testing.T) {
 					if s.Okay() && d[tally.Learned] != d[tally.Conflicts] {
 						t.Fatalf("iter %d cell %d: %d learned clauses for %d conflicts", iter, cell, d[tally.Learned], d[tally.Conflicts])
 					}
-					s.Release(row)
 					s.Release(blk)
 					s.CollectGarbage()
 				}

@@ -123,12 +123,12 @@ func fuzzLits(vars []cnf.Var, neg uint16) cnf.Clause {
 	return c
 }
 
-// fuzzSel is a live selector of a FuzzSession run with the constraints
-// it guards, kept in the form the brute-force oracle conjoins.
+// fuzzSel is a selector of a FuzzSession run with the constraints it
+// guards, kept in the form the brute-force oracle conjoins.
 type fuzzSel struct {
 	sel     *Selector
 	clauses []cnf.Clause    // clause selector
-	xor     []cnf.XORClause // XOR selector: its one row
+	xor     []cnf.XORClause // XOR selector: its rows
 }
 
 // FuzzSession is the oracle for incremental solvers as bsat.Session
@@ -141,7 +141,8 @@ type fuzzSel struct {
 // The remaining bytes are operations on one packed-engine solver, each
 // an opcode byte mod 6 and its argument bytes:
 //
-//	0 mask rhs       AddPackedXORRemovable of ⊕{S[i] : bit i of mask} = rhs&1
+//	0 mask arg       ⊕{S[i] : bit i of mask} = arg&1 under a new live selector,
+//	                 or with bit 7 of arg set under the next cell's selector
 //	1 pick mask neg  AddClauseToSelector on a live clause selector or a new one
 //	2 mask neg       set the standing assumption literals (mask 0 clears them)
 //	3 pick           Release a live selector
@@ -149,16 +150,22 @@ type fuzzSel struct {
 //	5 lo hi          enumerate the cell under the live selectors a 16-bit mask picks
 //
 // Opcode 5 enumerates the cell as bsat.Session does, in one Enumerate
-// search under a fresh blocking selector, and is checked against
-// BruteForceModels of the base formula ∧ the active constraints ∧ the
-// standing assumptions: every model must satisfy that formula, the
-// projections on S must not repeat and must make up the oracle's set,
-// and the search must end Unsat at decision level 0, after which the
-// cell's blocking selector is released. After every operation the
-// level-0 trail may hold only base consequences and the free-variable
-// counter must equal a recount. One solver serves the whole run: no
-// operation rebuilds it, so the level-0 check sees every release the
-// run has made.
+// search, and is checked against BruteForceModels of the base formula ∧
+// the active constraints ∧ the standing assumptions: every model must
+// satisfy that formula, the projections on S must not repeat and must
+// make up the oracle's set, and the search must end Unsat at decision
+// level 0. The cell blocks its models under the selector that opcode 0
+// put its rows under, as one selector guards a session call's rows and
+// blocking clauses, or under a fresh one when no row is pending; either
+// way that selector's literal is the last assumption, and the selector
+// is released after the cell. After every operation
+// the level-0 trail may hold only base consequences and the
+// free-variable counter must equal a recount, and after every
+// CollectGarbage the solver may hold no more selector variables than
+// the run ever held selectors at once, live, pending or released since
+// the collection before. One solver serves the whole run: no operation
+// rebuilds it, so the level-0 check sees every release the run has
+// made, and every recycled guard.
 func FuzzSession(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -191,18 +198,34 @@ func FuzzSession(f *testing.F) {
 		s.SetModelBound(n)
 		cols := s.XORColumns(S)
 		var (
-			live    []fuzzSel
-			assumps []cnf.Lit
+			live       []fuzzSel
+			cell       fuzzSel // the next cell's selector, once a row is under it
+			assumps    []cnf.Lit
+			held, peak int // selectors not yet collected, and their most at once
 		)
+		newSel := func() *Selector {
+			held++
+			peak = max(peak, held)
+			return s.NewSelector()
+		}
 		for step := 0; len(ops) > 0 && step < 64; step++ {
 			switch op := next() % 6; op {
 			case 0:
-				mask, rhs := next(), next()&1 == 1
-				if len(live) < 16 {
-					sel := s.AddPackedXORRemovable([]uint64{uint64(mask) & (1<<len(S) - 1)}, rhs, cols)
-					x := cnf.XORClause{Vars: fuzzVars(uint16(mask), S), RHS: rhs}
-					live = append(live, fuzzSel{sel: sel, xor: []cnf.XORClause{x}})
+				mask, arg := next(), next()
+				fs := &cell
+				if arg&0x80 == 0 {
+					if len(live) == 16 {
+						break
+					}
+					live = append(live, fuzzSel{})
+					fs = &live[len(live)-1]
 				}
+				if fs.sel == nil {
+					fs.sel = newSel()
+				}
+				x := cnf.XORClause{Vars: fuzzVars(uint16(mask), S), RHS: arg&1 == 1}
+				s.AddPackedXORToSelector(fs.sel, []uint64{uint64(mask) & (1<<len(S) - 1)}, x.RHS, cols)
+				fs.xor = append(fs.xor, x)
 			case 1:
 				pick, c := next(), fuzzLits(fuzzVars(uint16(next()), all), uint16(next()))
 				var idx []int
@@ -215,7 +238,7 @@ func FuzzSession(f *testing.F) {
 				if k := int(pick) % (len(idx) + 1); k < len(idx) {
 					i = idx[k]
 				} else if len(live) < 16 {
-					live = append(live, fuzzSel{sel: s.NewClauseSelector()})
+					live = append(live, fuzzSel{sel: newSel()})
 					i = len(live) - 1
 				}
 				if i >= 0 {
@@ -232,29 +255,41 @@ func FuzzSession(f *testing.F) {
 					live = append(live[:i], live[i+1:]...)
 				}
 			case 4:
-				if next()&1 == 0 {
-					s.CollectGarbage()
-				} else {
+				if next()&1 == 1 {
 					s.CompactArena()
+					break
+				}
+				s.CollectGarbage()
+				held = len(live)
+				if cell.sel != nil {
+					held++
+				}
+				if k := s.numVars - n; k > peak {
+					t.Fatalf("%d selector variables after CollectGarbage, at most %d selectors held at once", k, peak)
 				}
 			case 5:
 				mask := uint16(next()) | uint16(next())<<8
-				checkFuzzCell(t, s, base, live, mask, assumps, S)
+				if cell.sel == nil {
+					cell.sel = newSel()
+				}
+				checkFuzzCell(t, s, base, live, mask, assumps, S, cell)
+				cell = fuzzSel{}
 			}
 			checkFuzzLevel0(t, s, baseModels, n)
 		}
 	})
 }
 
-// checkFuzzCell enumerates the cell under the live selectors mask picks
-// plus the standing assumptions as bsat.Session does: one Enumerate
-// search under a fresh blocking selector over S, and releases that
-// selector. It checks the verdict, every model and the projected model
-// set against brute force, and that Enumerate returns Unsat at decision
-// level 0.
-func checkFuzzCell(t *testing.T, s *Solver, base *cnf.Formula, live []fuzzSel, mask uint16, assumps []cnf.Lit, S []cnf.Var) {
+// checkFuzzCell enumerates the cell under the live selectors mask picks,
+// the standing assumptions and blk, whose rows the cell is under too,
+// as bsat.Session does: one Enumerate search that blocks under blk, and
+// releases blk. It checks the verdict, every model and the projected
+// model set against brute force, and that Enumerate returns Unsat at
+// decision level 0.
+func checkFuzzCell(t *testing.T, s *Solver, base *cnf.Formula, live []fuzzSel, mask uint16, assumps []cnf.Lit, S []cnf.Var, blk fuzzSel) {
 	t.Helper()
 	conj := base.Clone()
+	conj.XORs = append(conj.XORs, blk.xor...)
 	var acts []cnf.Lit
 	for i, fs := range live {
 		if mask&(1<<i) == 0 {
@@ -268,13 +303,13 @@ func checkFuzzCell(t *testing.T, s *Solver, base *cnf.Formula, live []fuzzSel, m
 	for _, l := range assumps {
 		conj.Clauses = append(conj.Clauses, cnf.Clause{l})
 	}
+	acts = append(acts, blk.sel.Lit())
 	want := map[string]bool{}
 	for _, m := range BruteForceModels(conj) {
 		want[m.Project(S)] = true
 	}
 	got := map[string]bool{}
-	blk := s.NewClauseSelector()
-	st := s.Enumerate(blk, append(acts, blk.Lit()), func() bool {
+	st := s.Enumerate(blk.sel, acts, func() bool {
 		m := s.Model()
 		key := m.Project(S)
 		if !m.Satisfies(conj) || got[key] {
@@ -289,7 +324,7 @@ func checkFuzzCell(t *testing.T, s *Solver, base *cnf.Formula, live []fuzzSel, m
 	if len(got) != len(want) {
 		t.Fatalf("enumerated %d projected models, brute force %d\n%s", len(got), len(want), cnf.DIMACSString(conj))
 	}
-	s.Release(blk)
+	s.Release(blk.sel)
 }
 
 // checkFuzzLevel0 checks the between-calls state of a session solver:

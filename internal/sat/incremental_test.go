@@ -1,22 +1,28 @@
 package sat
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"unigen/internal/cnf"
+	"unigen/internal/gf2"
 	"unigen/internal/randx"
 )
 
 // AddXORRemovable adds the parity constraint ⊕vars = rhs guarded by a
-// fresh selector: it packs the row onto the solver's own column space
-// and installs it through AddPackedXORRemovable with the identity
-// column mapping. Must be called at decision level 0.
+// fresh selector: it packs the row over the normalized variables and
+// installs it through AddPackedXORToSelector with their column map.
+// Must be called at decision level 0.
 func (s *Solver) AddXORRemovable(vars []cnf.Var, rhs bool) *Selector {
-	if s.decisionLevel() != 0 {
-		panic("sat: AddXORRemovable above level 0")
-	}
 	norm, nrhs := cnf.NormalizeXOR(vars, rhs)
-	return s.AddPackedXORRemovable(s.packXORRow(norm), nrhs, nil)
+	bits := make([]uint64, gf2.Words(len(norm)))
+	for i := range norm {
+		bits[i>>6] |= 1 << uint(i&63)
+	}
+	sel := s.NewSelector()
+	s.AddPackedXORToSelector(sel, bits, nrhs, s.XORColumns(norm))
+	return sel
 }
 
 // TestRemovableClauseActivation: a guarded clause constrains the search
@@ -178,7 +184,7 @@ func TestGroupedSelector(t *testing.T) {
 	f := cnf.New(3)
 	f.AddClause(1, 2, 3)
 	s := New(f, Config{})
-	sel := s.NewClauseSelector()
+	sel := s.NewSelector()
 	s.AddClauseToSelector(sel, cnf.Clause{cnf.MkLit(1, true)}) // ¬x1
 	s.AddClauseToSelector(sel, cnf.Clause{cnf.MkLit(2, true)}) // ¬x2
 	if got := s.Solve(sel.Lit()); got != Sat {
@@ -207,7 +213,7 @@ func TestSelectorVarsStayOffHeaps(t *testing.T) {
 	sels := []*Selector{
 		s.AddClauseRemovable(cnf.Clause{cnf.MkLit(1, true)}),
 		s.AddXORRemovable([]cnf.Var{1, 2}, true),
-		s.NewClauseSelector(),
+		s.NewSelector(),
 	}
 	for _, sel := range sels {
 		v := sel.Lit().Var()
@@ -331,7 +337,7 @@ func TestReleaseLeavesBaseConsequencesAtLevel0(t *testing.T) {
 					acts = append(acts, sel.Lit())
 				}
 			}
-			blk := s.NewClauseSelector()
+			blk := s.NewSelector()
 			off[blk.Lit().Var()] = blk.Lit().Not()
 			if st := s.Enumerate(blk, append(acts, blk.Lit()), func() bool { return true }); st != Unsat {
 				t.Fatalf("iter %d cell %d: Enumerate = %v", iter, cell, st)
@@ -363,6 +369,64 @@ func TestReleaseLeavesBaseConsequencesAtLevel0(t *testing.T) {
 	}
 	if fixed == 0 {
 		t.Fatal("no formula literal was ever fixed at level 0")
+	}
+}
+
+// TestRecycledGuardCarriesNothing empties a cell whose selector forces
+// both x1 and ¬x1, with x1 decided first. Deciding ¬x1 learns the
+// binary {x1, a} on the guard a, and its x1 then learns the unit a, so
+// the guard holds a learned binary and sits on the level-0 trail with
+// x1 free. Released and collected, the guard comes back from
+// NewSelector as the same variable, twice, and each new group's cell
+// must match BruteForceModels: a leftover watcher of the binary would
+// force x1 whenever the new guard is assumed, or switch it off with
+// ¬x1.
+func TestRecycledGuardCarriesNothing(t *testing.T) {
+	f := cnf.New(4)
+	f.AddClause(2, 3, 4)
+	S := []cnf.Var{1, 2}
+	s := New(f, Config{PriorityVars: S})
+	s.SetModelBound(f.NumVars)
+	sel := s.NewSelector()
+	for _, c := range [][]int{{1, 2}, {1, -2}, {-1, 3}, {-1, -3}} {
+		s.AddClauseToSelector(sel, cnf.Clause{cnf.FromDIMACS(c[0]), cnf.FromDIMACS(c[1])})
+	}
+	if st := s.Enumerate(sel, []cnf.Lit{sel.Lit()}, func() bool { return true }); st != Unsat {
+		t.Fatalf("cell forcing x1 and ¬x1: Enumerate = %v", st)
+	}
+	a := sel.Lit().Var()
+	on := cnf.MkLit(a, false)
+	binary := slices.ContainsFunc(s.watches[on.Not()], func(w watcher) bool {
+		return w.cr == crefBin && w.blocker() == cnf.MkLit(1, false)
+	})
+	if !binary || s.value(on) != lTrue || !s.reasons[a].isNone() || s.value(cnf.MkLit(1, false)) != lUndef {
+		t.Fatalf("learned binary {x1, a} %v, guard %v with reason %v, x1 %v", binary, s.value(on), s.reasons[a], s.value(cnf.MkLit(1, false)))
+	}
+	for _, group := range []cnf.XORClause{{Vars: []cnf.Var{1, 2}, RHS: true}, {Vars: []cnf.Var{1, 3}, RHS: false}} {
+		s.Release(sel)
+		s.CollectGarbage()
+		if sel = s.NewSelector(); sel.Lit().Var() != a || s.NumVars() != f.NumVars+1 {
+			t.Fatalf("NewSelector took variable %d of %d, want the recycled %d", sel.Lit().Var(), s.NumVars(), a)
+		}
+		bits := []uint64{0}
+		for i := range group.Vars {
+			bits[0] |= 1 << uint(i)
+		}
+		s.AddPackedXORToSelector(sel, bits, group.RHS, s.XORColumns(group.Vars))
+		conj := f.Clone()
+		conj.XORs = append(conj.XORs, group)
+		want := map[string]bool{}
+		for _, m := range BruteForceModels(conj) {
+			want[m.Project(S)] = true
+		}
+		got := map[string]bool{}
+		st := s.Enumerate(sel, []cnf.Lit{sel.Lit()}, func() bool {
+			got[s.Model().Project(S)] = true
+			return true
+		})
+		if st != Unsat || !maps.Equal(got, want) {
+			t.Fatalf("group %v: Enumerate = %v with projections %v, brute force %v", group, st, got, want)
+		}
 	}
 }
 

@@ -295,16 +295,17 @@ func TestPackedColumnDedup(t *testing.T) {
 	}
 }
 
-// TestPackedColumnRecycling: releasing hash rows must recycle their
-// selector columns, keeping the packed column space at O(|S| + m)
+// TestPackedColumnRecycling: the first registration maps the set onto
+// columns 0..7, and a recycled guard keeps its column, so releasing
+// hash rows keeps the packed column space at O(|S| + live selectors)
 // instead of growing with the lifetime selector count.
 func TestPackedColumnRecycling(t *testing.T) {
 	f := cnf.New(8)
 	f.AddClause(1, 2)
 	s := New(f, Config{})
 	vars := []cnf.Var{1, 2, 3, 4, 5, 6, 7, 8}
-	if cols := s.XORColumns(vars); cols != nil {
-		t.Fatalf("first registration not identity: %v", cols)
+	if cols := s.XORColumns(vars); !slices.Equal(cols, []int32{0, 1, 2, 3, 4, 5, 6, 7}) {
+		t.Fatalf("first registration maps onto columns %v, want 0..7", cols)
 	}
 	width := func() int { return len(s.xvarOf) }
 	base := width()

@@ -28,15 +28,14 @@ type Solver struct {
 
 	// Packed XOR engine state: a dense GF(2) column space owned by the
 	// solver. Columns are assigned to variables on first appearance in
-	// an XOR row (sampling-set variables first in a session, selector
-	// columns appended) and selector columns are recycled on Release so
-	// the space stays O(|S| + m). The two masks mirror the trail
-	// restricted to columned variables, maintained by uncheckedEnqueue
-	// and cancelUntil, and make parity folding and watch selection
-	// word-parallel.
+	// an XOR row (sampling-set variables first in a session, then its
+	// guard) and a recycled guard variable keeps its column, so the
+	// space stays O(|S| + live selectors). The two masks mirror the
+	// trail restricted to columned variables, maintained by
+	// uncheckedEnqueue and cancelUntil, and make parity folding and
+	// watch selection word-parallel.
 	xcolOf      []int32   // per var: XOR column, or -1
 	xvarOf      []cnf.Var // per column: the variable
-	xfreeCols   []int32   // recycled selector columns
 	xAssigned   []uint64  // per column bit: variable currently assigned
 	xTrue       []uint64  // per column bit: variable assigned true
 	xAssignedL0 []uint64  // per column bit: assigned at level 0 (masked out of XOR reasons in analyze)
@@ -86,10 +85,12 @@ type Solver struct {
 	blockBuf     cnf.Clause // Enumerate's blocking-clause buffer
 
 	// Incremental-session state (see incremental.go).
-	isSelector []bool      // per var: a selector's activation variable
+	isSelector []bool      // per var: a selector's guard variable
 	freeXors   []int32     // tombstoned xor slots available for reuse
 	modelBound int         // if >0, Model covers vars 1..modelBound only
-	sels       []*Selector // unreleased clause selectors (compaction rewrites their CRefs)
+	sels       []*Selector // unreleased selectors (compaction rewrites their CRefs)
+	released   []cnf.Var   // guards released since the last CollectGarbage
+	freeSels   []cnf.Var   // recycled guards, reused by newSelectorVar
 	dirtyWatch []cnf.Lit   // watch lists holding deleted entries (see deleteClause)
 	allocSel   bool        // true while newSelectorVar grows the arrays
 
@@ -351,7 +352,7 @@ func (s *Solver) packXORRow(norm []cnf.Var) []uint64 {
 }
 
 // xorColumn returns variable v's column in the packed GF(2) space,
-// assigning the next free one on first use. A variable that already
+// assigning the next one on first use. A variable that already
 // carries an assignment when it gets its column is entered into the
 // masks immediately (rows keep level-0-assigned variables; the masks
 // fold them into parities).
@@ -359,19 +360,12 @@ func (s *Solver) xorColumn(v cnf.Var) int {
 	if c := s.xcolOf[v]; c >= 0 {
 		return int(c)
 	}
-	var c int32
-	if n := len(s.xfreeCols); n > 0 {
-		c = s.xfreeCols[n-1]
-		s.xfreeCols = s.xfreeCols[:n-1]
-		s.xvarOf[c] = v
-	} else {
-		c = int32(len(s.xvarOf))
-		s.xvarOf = append(s.xvarOf, v)
-		for len(s.xAssigned)*64 < len(s.xvarOf) {
-			s.xAssigned = append(s.xAssigned, 0)
-			s.xTrue = append(s.xTrue, 0)
-			s.xAssignedL0 = append(s.xAssignedL0, 0)
-		}
+	c := int32(len(s.xvarOf))
+	s.xvarOf = append(s.xvarOf, v)
+	for len(s.xAssigned)*64 < len(s.xvarOf) {
+		s.xAssigned = append(s.xAssigned, 0)
+		s.xTrue = append(s.xTrue, 0)
+		s.xAssignedL0 = append(s.xAssignedL0, 0)
 	}
 	s.xcolOf[v] = c
 	if s.assigns[v] != lUndef {
@@ -386,40 +380,14 @@ func (s *Solver) xorColumn(v cnf.Var) int {
 	return int(c)
 }
 
-// freeXorColumn recycles a released selector's column. Formula-variable
-// columns are never freed: the sampling set is stable for a session's
-// lifetime, so the column space stays O(|S| + live selectors).
-func (s *Solver) freeXorColumn(v cnf.Var) {
-	c := s.xcolOf[v]
-	if c < 0 {
-		return
-	}
-	s.xcolOf[v] = -1
-	s.xvarOf[c] = 0
-	s.xAssigned[c>>6] &^= 1 << uint(c&63)
-	s.xTrue[c>>6] &^= 1 << uint(c&63)
-	s.xAssignedL0[c>>6] &^= 1 << uint(c&63)
-	s.xfreeCols = append(s.xfreeCols, c)
-}
-
 // XORColumns assigns (or looks up) XOR columns for vars in order and
-// returns the mapping vars-index → solver column. A nil return means
-// the mapping is the identity — the common case when the sampling set
-// is registered before any selector, which lets callers install drawn
-// hash rows by word copy (see AddPackedXORRemovable).
+// returns the mapping vars-index → solver column, the cols argument of
+// AddPackedXORToSelector for rows packed over vars.
 func (s *Solver) XORColumns(vars []cnf.Var) []int32 {
 	out := make([]int32, len(vars))
-	ident := true
 	for i, v := range vars {
 		s.growTo(int(v))
-		c := s.xorColumn(v)
-		out[i] = int32(c)
-		if c != i {
-			ident = false
-		}
-	}
-	if ident {
-		return nil
+		out[i] = int32(s.xorColumn(v))
 	}
 	return out
 }
@@ -626,10 +594,7 @@ func (s *Solver) solve(assumptions []cnf.Lit) Status {
 		case Sat:
 			nv := s.numVars
 			if s.modelBound > 0 && s.modelBound < nv {
-				// Incremental sessions accumulate selector variables
-				// well past the formula's own; keep model extraction
-				// O(|formula|), not O(lifetime selectors).
-				nv = s.modelBound
+				nv = s.modelBound // a session's guard stays out of models
 			}
 			s.model = slices.Grow(s.model[:0], nv+1)[:nv+1] // Model copies it out
 			for v := 1; v <= nv; v++ {

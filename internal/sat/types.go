@@ -137,7 +137,7 @@ func (c conflict) none() bool { return c.cr == crefUndef && c.lits == nil }
 // words over the solver's XOR column space; w holds the two watched
 // columns. sel is nonzero for removable XOR rows: the guard variable.
 // The row holds while sel is false and constrains nothing once sel is
-// true; AddPackedXORRemovable adds sel's column to bits only so that
+// true; AddPackedXORToSelector adds sel's column to bits only so that
 // the row is watched on it. Variables assigned at
 // level 0 before install stay in the row (the assignment masks fold
 // them into the parity). bits covers only the row's span: word k of

@@ -25,10 +25,9 @@ type poolTotals struct {
 // flag). Check-in is where hygiene lives: standing assumptions cleared
 // and the interrupt detached, so no request can observe the previous
 // request's raised interrupt or assumption set. Every session runs at
-// the base setup's budgets, so there are none to reset. Solver
-// replacement at the selector bound is the session's own concern (bsat
-// rebuilds internally); sessions a round panicked on are retired
-// instead of re-pooled.
+// the base setup's budgets, so there are none to reset. A session keeps
+// its one solver for life (bsat recycles its guard variable per call);
+// sessions a round panicked on are retired instead of re-pooled.
 type sessionPool struct {
 	su  *core.Setup
 	max int // idle-list cap; overflow check-ins retire the session

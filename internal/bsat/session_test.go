@@ -223,13 +223,47 @@ func TestSessionUnsatFormula(t *testing.T) {
 	}
 }
 
-// TestSessionRecyclesItsGuard runs one session for 3,000 calls of 10
-// to 12 hash rows each. Every call makes one selector and the next call
-// recycles its guard, so after every call the session must hold the
-// same solver with at most one variable past the formula's, witnesses
-// must cover exactly the formula's variables, and the cell must match
-// the stateless Enumerate.
-func TestSessionRecyclesItsGuard(t *testing.T) {
+// TestSessionRebuildKeepsContract: a session keeps its contract across
+// the step that stands where a solver rebuild once did, the recycle of
+// the previous call's guard. The same hash before and after it must
+// give the same cell, exhausted, with witnesses truncated to the base
+// formula's variables, on the same solver holding one guard.
+func TestSessionRebuildKeepsContract(t *testing.T) {
+	rng := randx.New(0x4eb1)
+	f := cnf.New(6)
+	f.AddClause(1, 2)
+	vars := f.SamplingVars()
+	sess := NewSession(f, Options{})
+	s := sess.s
+	h := hashfam.Draw(rng, vars, 2)
+	before := sess.Enumerate(1<<7, h)
+	sess.retire()
+	after := sess.Enumerate(1<<7, h)
+	if sess.s != s || s.NumVars() != f.NumVars+1 {
+		t.Fatalf("solver replaced (%v) or holding %d variables, want %d", sess.s != s, sess.s.NumVars(), f.NumVars+1)
+	}
+	if !equalKeys(witnessKeys(t, before.Witnesses, vars), witnessKeys(t, after.Witnesses, vars)) {
+		t.Fatal("witness set changed across a guard recycle with the same hash")
+	}
+	for _, w := range after.Witnesses {
+		if len(w) != f.NumVars+1 {
+			t.Fatalf("witness length %d after the recycle, want %d", len(w), f.NumVars+1)
+		}
+	}
+	if !after.Exhausted {
+		t.Fatal("enumeration after the recycle not exhausted")
+	}
+}
+
+// TestSessionRebuildsPastSelectorBound runs one session for 3,000 calls
+// of 10 to 12 hash rows each, past the 2^15 selectors at which a
+// session that took a selector per row once had to rebuild its solver.
+// Every call makes one selector and the next call recycles its guard,
+// so after every call the session must hold the same solver with at
+// most one variable past the formula's, witnesses must cover exactly
+// the formula's variables, and the cell must match the stateless
+// Enumerate.
+func TestSessionRebuildsPastSelectorBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3,000 calls, each checked against the stateless Enumerate: a few seconds")
 	}

@@ -20,11 +20,12 @@
 // against. Session is the incremental engine behind a whole sampling or
 // counting run: the base formula is loaded once, each call's hash XOR
 // rows and blocking clauses are installed under one removable selector
-// (its activation literal passed as an assumption), and learned clauses
-// survive from one BSAT call to the next. UniGen issues thousands of
-// BSAT calls per session, so not re-ingesting the formula and not
-// discarding the learned-clause database on every call is the dominant
-// hot-path win. Within one call a session enumerates the cell in one
+// (its activation literal passed as an assumption), which the next call
+// releases in one step with the learned clauses that depend on it, and
+// the other learned clauses survive from one BSAT call to the next.
+// UniGen issues thousands of BSAT calls per session, so not
+// re-ingesting the formula and not discarding the learned-clause
+// database on every call is the dominant hot-path win. Within one call a session enumerates the cell in one
 // search (sat.Solver.Enumerate): after each witness the solver keeps
 // its trail, adds the blocking clause and backjumps only as far as the
 // clause requires, instead of re-propagating the hash rows, the
@@ -99,7 +100,7 @@ type Session struct {
 
 	s        *sat.Solver
 	colMap   []int32       // hash column → solver XOR column for vars
-	sel      *sat.Selector // the previous call's guard, released lazily
+	sel      *sat.Selector // the previous call's guard, released by the next call
 	assumps  []cnf.Lit     // scratch: the current call's assumption literals
 	base     []cnf.Lit     // standing assumption literals (delta requests)
 	blockBuf cnf.Clause    // scratch: blocking clause, reused across witnesses
@@ -155,16 +156,15 @@ func (se *Session) SetInterrupt(intr *atomic.Bool) {
 	se.s.SetInterrupt(intr)
 }
 
-// retire releases the previous call's selector and collects garbage,
-// which deletes the learned clauses that depended on it and recycles
-// its guard variable for the next call's selector (sat/incremental.go
-// explains why that is sound). So the solver holds the formula's
-// variables plus one guard for the session's whole life, and the
-// session never replaces it.
+// retire releases the previous call's selector, which deletes its
+// rows and clauses with the learned clauses that depended on them and
+// recycles its guard variable for the next call's selector
+// (sat/incremental.go explains why that is sound). So the solver holds
+// the formula's variables plus one guard for the session's whole life,
+// and the session never replaces it.
 func (se *Session) retire() {
 	se.s.Release(se.sel)
 	se.sel = nil
-	se.s.CollectGarbage()
 }
 
 // Interrupt returns the cooperative-interrupt flag the session's solver

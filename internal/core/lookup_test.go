@@ -174,6 +174,77 @@ func TestSampleRoundMatchesLookup(t *testing.T) {
 	}
 }
 
+// TestSessionCellsMatchStateless checks every cell of Algorithm 1's
+// lines 13–20 at ε = 6, from i = q−3 to the first accepted cell, on one
+// long-lived session over s953a_3_2 (benchgen small scale, seed 0xbe7c)
+// hashed over all its variables, batch-fullsup's formula. Its hash set
+// of 22 variables is too wide for testformula.Table, so each cell is
+// compared with a stateless bsat.Enumerate of F ∧ h over the hash set:
+// the count, Exhausted and BudgetExceeded, and the projected set when
+// the cell is exhausted. The rounds must release hundreds of guards
+// and cross at least one arena compaction, so a recycled guard that
+// brought back an earlier cell's clauses, or a relocation that lost a
+// live one, would show as a cell with a wrong member set.
+func TestSessionCellsMatchStateless(t *testing.T) {
+	if testing.Short() {
+		t.Skip("workload-scale differential: about a second")
+	}
+	const rounds = 150
+	inst, err := benchgen.Generate("s953a_3_2", benchgen.ScaleSmall, 0xbe7c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := inst.F
+	all := make([]cnf.Var, f.NumVars)
+	for i := range all {
+		all[i] = cnf.Var(i + 1)
+	}
+	su, err := NewSetup(f, randx.New(PrepSeed(f, all)), Options{Epsilon: 6, SamplingSet: all})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if su.easySet {
+		t.Fatal("the easy case, which hashes nothing")
+	}
+	kp, sess, rng := su.kp, su.NewSession(), randx.New(1)
+	var cells, exhausted int
+	var compactions int64
+	for round := range rounds {
+		for i := su.q - 3; i <= su.q; i++ {
+			h := hashfam.Draw(rng, su.h, max(i, 1))
+			got := sess.Enumerate(kp.HiThresh+1, h)
+			want := bsat.Enumerate(f, kp.HiThresh+1, bsat.Options{SamplingSet: su.h, Hash: h})
+			cells++
+			compactions += got.Stats[tally.Compactions]
+			n := len(got.Witnesses)
+			if n != len(want.Witnesses) || got.Exhausted != want.Exhausted || got.BudgetExceeded || want.BudgetExceeded {
+				t.Fatalf("round %d cell i=%d: session %d witnesses (exhausted %v, budget %v), stateless %d (%v, %v)",
+					round, i, n, got.Exhausted, got.BudgetExceeded, len(want.Witnesses), want.Exhausted, want.BudgetExceeded)
+			}
+			if got.Exhausted {
+				exhausted++
+				seen := map[string]bool{}
+				for _, w := range want.Witnesses {
+					seen[w.Project(su.h)] = true
+				}
+				for _, w := range got.Witnesses {
+					if !w.Satisfies(f) || !seen[w.Project(su.h)] {
+						t.Fatalf("round %d cell i=%d: session witness outside the stateless cell", round, i)
+					}
+					delete(seen, w.Project(su.h))
+				}
+			}
+			if float64(n) >= kp.LoThresh && n <= kp.HiThresh {
+				break
+			}
+		}
+	}
+	t.Logf("|H| = %d, q = %d: %d cells, %d exhausted, %d compactions", len(su.h), su.q, cells, exhausted, compactions)
+	if len(su.h) <= testformula.MaxTableVars || cells < 2*rounds || compactions == 0 {
+		t.Fatalf("|H| = %d, %d cells, %d compactions: the differential covers too little", len(su.h), cells, compactions)
+	}
+}
+
 // checkCompacted fails the test when st, the merged stats of a
 // formula's rounds, counts no arena compaction.
 func checkCompacted(t *testing.T, name string, st Stats) {

@@ -20,9 +20,10 @@ import "unigen/internal/cnf"
 // The LBD field saturates at 255 and the size field holds up to 2^21-1
 // literals; both are fixed for the clause's lifetime. The mark bit is
 // transient scratch, used for two disjoint jobs: locked-reason marking
-// during reduceDB/CollectGarbage (set from the trail, cleared from the
-// trail) and the relocated flag during compaction (when set there, the
-// word at c+1 holds the forwarding CRef instead of its normal content).
+// during reduceDB and Release's sweep (set from the trail, cleared from
+// the trail) and the relocated flag during compaction (when set there,
+// the word at c+1 holds the forwarding CRef instead of its normal
+// content).
 //
 // Clause activities live in a side slice indexed by a learnt ordinal
 // rather than inline: they are touched only by bumping and reduceDB
@@ -33,16 +34,16 @@ import "unigen/internal/cnf"
 // Binary clauses added by AddClause and recordLearnt never enter the
 // arena: the watcher itself carries the whole clause (the blocker IS
 // the other literal, tagged crefBin), so binary propagation touches no
-// clause memory at all. Removable binary clauses (a guarded unit) do
-// get arena blocks — Release needs an address to delete.
+// clause memory at all. Binary clauses that hold a guard do get arena
+// blocks, guarded units and learned binaries alike: Release's sweep
+// finds what to delete through the guarded and learnt indices.
 
 // CRef addresses a clause in the solver's arena. CRefs are dense
-// indices, not pointers: a compaction (Solver.CollectGarbage or a
-// restart-time sweep) relocates live clauses and rewrites every CRef
-// the solver itself holds — watch lists, trail reasons, the problem/
-// learnt indices, and the clause lists of unreleased selectors. No
-// other holder survives relocation; callers must not keep a CRef
-// across Solve or CollectGarbage.
+// indices, not pointers: a compaction (in Release or at a restart)
+// relocates live clauses and rewrites every CRef the solver itself
+// holds — watch lists, trail reasons, and the problem, learnt and
+// guarded indices. No other holder survives relocation; callers must
+// not keep a CRef across Solve or Release.
 type CRef = uint32
 
 const (
@@ -152,8 +153,7 @@ func (ca *arena) blockLen(c CRef) int {
 // del tombstones the block: the header's deleted bit is set, the space
 // is accounted as wasted, and a learnt's activity ordinal returns to
 // the free list. The block itself stays readable (propagation may
-// still visit stale watchers; a deleted clause can even remain a trail
-// reason) until a compaction reclaims it.
+// still visit stale watchers) until a compaction reclaims it.
 func (ca *arena) del(c CRef) {
 	h := ca.store[c]
 	if h&hdrDeleted != 0 {

@@ -77,7 +77,7 @@ func TestArenaEnumerationAcrossCompaction(t *testing.T) {
 
 // TestArenaRemovableCompactionDifferential drives a whole incremental
 // lifetime — install removable clauses/XORs, solve under assumptions,
-// release a random subset, CollectGarbage, force a compaction — and
+// release a random subset, force a compaction — and
 // checks every verdict and model against a fresh solver on the
 // equivalent formula. Level-0 assignments must be identical before and
 // after each compaction (relocation must not touch the trail's
@@ -132,7 +132,6 @@ func TestArenaRemovableCompactionDifferential(t *testing.T) {
 					inc.Release(sel)
 				}
 			}
-			inc.CollectGarbage()
 			l0Before := levelZeroValues(inc)
 			inc.CompactArena()
 			if l0After := levelZeroValues(inc); l0Before != l0After {
@@ -251,8 +250,9 @@ func TestLockedReasonSurvivesReduceDB(t *testing.T) {
 	s.cancelUntil(0)
 }
 
-// TestArenaWasteReclaimed: after Releases and a compaction the arena
-// footprint shrinks back and the waste counter resets.
+// TestArenaWasteReclaimed: Releases compact the arena once their waste
+// crosses the threshold, so after the last one the arena footprint has
+// shrunk back and the waste counter is reset.
 func TestArenaWasteReclaimed(t *testing.T) {
 	f := cnf.New(10)
 	f.AddClause(1, 2, 3)
@@ -267,9 +267,8 @@ func TestArenaWasteReclaimed(t *testing.T) {
 	for _, sel := range sels {
 		s.Release(sel)
 	}
-	s.CollectGarbage() // waste is ~100% of the arena: must compact
 	if s.stats[tally.Compactions] == 0 {
-		t.Fatal("CollectGarbage did not compact despite overwhelming waste")
+		t.Fatal("Release did not compact despite overwhelming waste")
 	}
 	if s.ca.wasted != 0 {
 		t.Fatalf("wasted = %d after compaction", s.ca.wasted)
@@ -328,37 +327,32 @@ func TestPropagateLearnSteadyStateAllocs(t *testing.T) {
 // TestCompactionChargesWatchTable: a compaction walks the arena and
 // every watch list, so the waste threshold weighs the waste against
 // both. The same waste, three released five-literal clauses, compacts
-// on a solver with a small watch table. After a thousand released
-// selectors have grown the table, it does not: CollectGarbage sweeps
-// the dirty watch lists instead.
+// on a solver with a small watch table. On a formula with a thousand
+// more variables, whose watch table is that much larger, it does not:
+// Release sweeps the dirty watch lists instead.
 func TestCompactionChargesWatchTable(t *testing.T) {
-	for _, selectors := range []int{0, 1000} {
-		f := cnf.New(10)
+	for _, extra := range []int{0, 1000} {
+		f := cnf.New(10 + extra)
 		f.AddClause(1, 2, 3)
 		s := New(f, Config{})
-		for i := 0; i < selectors; i++ {
-			s.Release(s.NewSelector())
-		}
 		for i := 0; i < 3; i++ {
 			s.Release(s.AddClauseRemovable(cnf.Clause{
 				cnf.MkLit(1, false), cnf.MkLit(2, false), cnf.MkLit(3, false), cnf.MkLit(4, false), cnf.MkLit(5, false),
 			}))
 		}
-		wasted := s.ca.wasted
-		s.CollectGarbage()
-		if compacted := s.stats[tally.Compactions] > 0; compacted != (selectors == 0) {
-			t.Fatalf("%d released selectors, %d wasted words, %d arena words, %d watch lists: compacted = %v",
-				selectors, wasted, len(s.ca.store), len(s.watches), compacted)
+		if compacted := s.stats[tally.Compactions] > 0; compacted != (extra == 0) {
+			t.Fatalf("%d extra variables, %d wasted words, %d arena words, %d watch lists: compacted = %v",
+				extra, s.ca.wasted, len(s.ca.store), len(s.watches), compacted)
 		}
 		for li, ws := range s.watches {
 			for _, wt := range ws {
 				if wt.cr != crefBin && s.ca.deleted(wt.cr) {
-					t.Fatalf("%d released selectors: watch list %d keeps a deleted clause", selectors, li)
+					t.Fatalf("%d extra variables: watch list %d keeps a deleted clause", extra, li)
 				}
 			}
 		}
 		if s.Solve() != Sat {
-			t.Fatalf("%d released selectors: base formula unsat after GC", selectors)
+			t.Fatalf("%d extra variables: base formula unsat after GC", extra)
 		}
 	}
 }

@@ -14,7 +14,8 @@ import "unigen/internal/cnf"
 // block must be an unreleased selector whose literal is one of the
 // assumptions, so the assumption prefix stays fixed for the whole
 // enumeration. It may guard the cell's other constraints too, as a
-// session's one selector per call guards its hash rows. Each model's
+// session's one selector per call guards its hash rows. block may be
+// nil when model never returns true, as in Solve. Each model's
 // search has the per-Solve conflict and propagation budgets, counted
 // from the previous model. Enumerate returns Unsat once no further
 // model exists, Unknown when a search runs out of budget or the
@@ -91,6 +92,6 @@ func (s *Solver) blockModel(block *Selector, prefix int) {
 		c[i], c[top] = c[top], c[i]
 	}
 	s.cancelUntil(s.level[c[1].Var()])
-	cr := s.attachSelectorClause(block, c)
+	cr := s.attachGuarded(c)
 	s.uncheckedEnqueue(c[0], reason{tag: reasonClause, ref: cr})
 }

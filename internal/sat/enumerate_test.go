@@ -34,7 +34,7 @@ func gatedPigeonhole() (*cnf.Formula, []cnf.Var) {
 // the interrupt flag and once with a conflict budget. Enumerate must
 // return Unknown at decision level 0 with the models found so far, and
 // the solver must then serve the next cell as bsat.Session would:
-// Release the stopped cell's selector, CollectGarbage, install a hash
+// Release the stopped cell's selector, install a hash
 // row under a new selector with AddPackedXORToSelector, and enumerate
 // the new cell, blocking under that selector, to its brute-force model
 // set.
@@ -70,7 +70,6 @@ func TestEnumerateStopsMidCell(t *testing.T) {
 			intr.Store(false)
 			s.SetBudgets(0, 0)
 			s.Release(blk)
-			s.CollectGarbage()
 
 			// Next cell: x1 ⊕ x2 = 1.
 			blk = s.NewSelector()
@@ -178,7 +177,6 @@ func TestEnumerateDecisionBlocking(t *testing.T) {
 						t.Fatalf("iter %d cell %d: %d learned clauses for %d conflicts", iter, cell, d[tally.Learned], d[tally.Conflicts])
 					}
 					s.Release(blk)
-					s.CollectGarbage()
 				}
 			}
 			if conflicts == 0 || subset == (cut == 0) {

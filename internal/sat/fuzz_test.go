@@ -146,7 +146,8 @@ type fuzzSel struct {
 //	1 pick mask neg  AddClauseToSelector on a live clause selector or a new one
 //	2 mask neg       set the standing assumption literals (mask 0 clears them)
 //	3 pick           Release a live selector
-//	4 b              CollectGarbage (b even) or CompactArena (b odd)
+//	4 b              CompactArena when b is odd; an even b does nothing, and
+//	                 stays in the layout so the checked-in corpus keeps its meaning
 //	5 lo hi          enumerate the cell under the live selectors a 16-bit mask picks
 //
 // Opcode 5 enumerates the cell as bsat.Session does, in one Enumerate
@@ -159,13 +160,12 @@ type fuzzSel struct {
 // blocking clauses, or under a fresh one when no row is pending; either
 // way that selector's literal is the last assumption, and the selector
 // is released after the cell. After every operation
-// the level-0 trail may hold only base consequences and the
-// free-variable counter must equal a recount, and after every
-// CollectGarbage the solver may hold no more selector variables than
-// the run ever held selectors at once, live, pending or released since
-// the collection before. One solver serves the whole run: no operation
-// rebuilds it, so the level-0 check sees every release the run has
-// made, and every recycled guard.
+// the level-0 trail may hold only base consequences, the free-variable
+// counter must equal a recount, and the solver may hold no more
+// selector variables than the run ever held live selectors at once:
+// Release recycles a guard at once. One solver serves the whole run:
+// no operation rebuilds it, so the level-0 check sees every release
+// the run has made, and every recycled guard.
 func FuzzSession(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -201,7 +201,7 @@ func FuzzSession(f *testing.F) {
 			live       []fuzzSel
 			cell       fuzzSel // the next cell's selector, once a row is under it
 			assumps    []cnf.Lit
-			held, peak int // selectors not yet collected, and their most at once
+			held, peak int // live selectors, and their most at once
 		)
 		newSel := func() *Selector {
 			held++
@@ -253,19 +253,11 @@ func FuzzSession(f *testing.F) {
 					i := int(pick) % len(live)
 					s.Release(live[i].sel)
 					live = append(live[:i], live[i+1:]...)
+					held--
 				}
 			case 4:
 				if next()&1 == 1 {
 					s.CompactArena()
-					break
-				}
-				s.CollectGarbage()
-				held = len(live)
-				if cell.sel != nil {
-					held++
-				}
-				if k := s.numVars - n; k > peak {
-					t.Fatalf("%d selector variables after CollectGarbage, at most %d selectors held at once", k, peak)
 				}
 			case 5:
 				mask := uint16(next()) | uint16(next())<<8
@@ -274,8 +266,12 @@ func FuzzSession(f *testing.F) {
 				}
 				checkFuzzCell(t, s, base, live, mask, assumps, S, cell)
 				cell = fuzzSel{}
+				held--
 			}
 			checkFuzzLevel0(t, s, baseModels, n)
+			if k := s.numVars - n; k > peak {
+				t.Fatalf("%d selector variables, at most %d selectors live at once", k, peak)
+			}
 		}
 	})
 }

@@ -30,9 +30,7 @@ import (
 // group off, and no constraint ever forces a false. Every learned
 // clause whose derivation used a guarded constraint contains a (the
 // assumption ¬a is a decision, so conflict analysis cannot resolve it
-// away), and no clause contains ¬a. Release therefore (1) hard-deletes
-// the guarded constraints and (2) fixes a true at level 0, which
-// satisfies those learned clauses and shortens none.
+// away), and no clause contains ¬a.
 //
 // The same rule keeps level 0 clean between calls: every level-0 guard
 // is true, so no guarded constraint writes a formula literal onto the
@@ -40,31 +38,25 @@ import (
 // the base formula. A level-0 conflict therefore proves the base
 // formula (with its permanent clauses) UNSAT.
 //
-// CollectGarbage then recycles the released guard, as MiniSat 2.2's
-// releaseVar does, so a session that makes one selector per call holds
-// one guard variable for its whole life. When the variable is reused no
-// clause may mention it. The learned-clause sweep deletes every learned
-// clause holding a, all satisfied by a at level 0, including one that
-// fixed a there: a leaves the trail first, so that clause is no longer
-// locked as a reason. Learned binaries live only in watchers, so they
-// are purged from both of their watch lists. Then a leaves the level-0
-// assignment. Nothing else on the trail rests on it: a true falsifies
+// Release reclaims a guard in one step, as MiniSat 2.2's releaseVar
+// with simplify does, so a session that makes one selector per call
+// holds one guard variable for its whole life. It fixes a true at
+// level 0 and takes it off the trail, so the clause that fixed it
+// there, if any, is no longer locked as a reason. a keeps its value
+// while one sweep deletes every learned and guarded clause and every
+// XOR row that the level-0 assignment satisfies. Every constraint that
+// mentions a holds a itself, so all of them go: a learned binary that
+// holds a guard gets an arena block for this reason, instead of living
+// only in its watchers. Then a is unassigned and handed to the next
+// NewSelector. Nothing else on the trail rests on it: a true falsifies
 // no literal of any clause, and a row whose guard is true propagates
 // nothing.
 
 // Selector identifies a removable group of clauses and XOR rows under
-// one guard variable. Every selector is registered with the solver
-// until released: arena compaction must be able to rewrite the CRefs
-// of every guarded clause still alive, so an unreleased selector is a
-// GC root (and a selector that is never Released pins its constraints
-// for the solver's lifetime). Once CollectGarbage has run, a released
-// selector's variable may guard a later selector, so its literal must
-// not be assumed again.
+// one guard variable. Once released, its variable may guard a later
+// selector, so its literal must not be assumed again.
 type Selector struct {
 	act      cnf.Lit // ¬a for the guard variable a
-	cls      []CRef
-	xors     []int32
-	regIdx   int // index in Solver.sels
 	released bool
 }
 
@@ -86,101 +78,35 @@ func (s *Solver) SetModelBound(n int) { s.modelBound = n }
 // plus the watch table's lists, two per variable.
 const gcWasteDenom = 5
 
-// CollectGarbage removes learned clauses that are permanently
-// satisfied by the top-level assignment — after a batch of Releases
-// these are the clauses guarded by the released selectors — recycles
-// the released selectors' guard variables (see the comment at the top
-// of this file) and reclaims the clauses' space. When tombstones have
-// accumulated past the waste threshold this is a compacting copy: live
-// clauses are relocated to the front of a fresh store and every CRef
-// holder (watch lists, trail reasons, the clause indices, unreleased
-// selectors) is rewritten in the same pass. Below the threshold only
-// the dirty watch lists are swept; the sweep matters because
-// propagation drops deleted watchers only when it inspects them, and a
-// watcher whose blocker literal happens to be true is kept without
-// inspection, so released blocking clauses would otherwise pile up in
-// the watch lists of a small sampling set forever. Must be called
-// between Solve calls.
-func (s *Solver) CollectGarbage() {
-	if s.decisionLevel() != 0 {
-		return
-	}
-	// Released guards leave the trail before the reasons are marked, so
-	// the clause that fixed one at level 0 is swept with the rest; they
-	// keep their value until the sweep is done.
-	kept, qhead := 0, s.qhead
-	for i, l := range s.trail {
-		if s.isSelector[l.Var()] && slices.Contains(s.released, l.Var()) {
-			if i < s.qhead {
-				qhead--
-			}
-			continue
-		}
-		s.trail[kept] = l
-		kept++
-	}
-	s.trail, s.qhead = s.trail[:kept], qhead
-	// Learned clauses still acting as level-0 reasons must survive even
-	// when satisfied at level 0; mark them through the trail (which at
-	// this point holds exactly the level-0 assignments).
+// sweepSatisfied deletes every learned and guarded clause that the
+// level-0 assignment satisfies, except the trail's reasons, and
+// detaches every XOR row whose guard is true at level 0, freeing its
+// slot. Must be called at decision level 0.
+func (s *Solver) sweepSatisfied() {
 	s.markTrailReasons(true)
-	w := 0
-	for _, cr := range s.learnts {
-		if !s.ca.marked(cr) && s.satisfiedAtLevel0(cr) {
-			s.deleteClause(cr)
-			s.stats[tally.Removed]++
-			continue
+	del := func(cr CRef) bool {
+		if s.ca.marked(cr) || !s.satisfiedAtLevel0(cr) {
+			return false
 		}
-		s.learnts[w] = cr
-		w++
+		s.deleteClause(cr)
+		return true
 	}
-	s.learnts = s.learnts[:w]
+	n := len(s.learnts)
+	s.learnts = slices.DeleteFunc(s.learnts, del)
+	s.stats[tally.Removed] += int64(n - len(s.learnts))
+	s.guarded = slices.DeleteFunc(s.guarded, del)
 	s.markTrailReasons(false)
-	for _, v := range s.released {
-		s.recycleGuard(v)
-	}
-	s.released = s.released[:0]
-	if s.maybeCompact() {
-		return // compaction rewrote every watch list; nothing left to sweep
-	}
-	for _, li := range s.dirtyWatch {
-		ws := s.watches[li]
-		n := 0
-		for _, wt := range ws {
-			if wt.cr == crefBin || !s.ca.deleted(wt.cr) {
-				ws[n] = wt
-				n++
+	for xi := range s.xors {
+		x := &s.xors[xi]
+		if x.sel != 0 && s.assigns[x.sel] == lTrue {
+			for _, c := range x.w {
+				v := s.xvarOf[c]
+				s.occXor[v] = slices.DeleteFunc(s.occXor[v], func(o int32) bool { return o == int32(xi) })
 			}
-		}
-		s.watches[li] = ws[:n]
-	}
-	s.dirtyWatch = s.dirtyWatch[:0]
-}
-
-// recycleGuard hands released guard variable v to newSelectorVar once
-// CollectGarbage has deleted the learned clauses holding it. It purges
-// the learned binaries {v, l}: the watcher in v's list carries l, and
-// its mirror in ¬l's list carries v. The rest of v's list watches
-// deleted clauses. Then v leaves the level-0 assignment.
-func (s *Solver) recycleGuard(v cnf.Var) {
-	a := cnf.MkLit(v, false) // true: the guard's constraints off
-	for _, wt := range s.watches[a.Not()] {
-		if wt.cr == crefBin {
-			ml := wt.blocker().Not()
-			s.watches[ml] = slices.DeleteFunc(s.watches[ml], func(m watcher) bool {
-				return m.cr == crefBin && m.blocker() == a
-			})
+			*x = xorClause{}
+			s.freeXors = append(s.freeXors, int32(xi))
 		}
 	}
-	s.watches[a.Not()] = s.watches[a.Not()][:0]
-	s.assigns[v] = lUndef
-	s.reasons[v] = reason{}
-	if c := s.xcolOf[v]; c >= 0 {
-		s.xAssigned[c>>6] &^= 1 << uint(c&63)
-		s.xTrue[c>>6] &^= 1 << uint(c&63)
-		s.xAssignedL0[c>>6] &^= 1 << uint(c&63)
-	}
-	s.freeSels = append(s.freeSels, v)
 }
 
 // maybeCompact compacts the arena if the waste threshold is exceeded.
@@ -195,8 +121,8 @@ func (s *Solver) maybeCompact() bool {
 
 // CompactArena forces an arena compaction immediately, regardless of
 // the waste threshold. Exposed for tests and diagnostics; sessions
-// rely on CollectGarbage's automatic trigger. Must be called at
-// decision level 0, between Solve calls.
+// rely on Release's automatic trigger. Must be called at decision
+// level 0, between Solve calls.
 func (s *Solver) CompactArena() {
 	if s.decisionLevel() != 0 {
 		panic("sat: CompactArena above level 0")
@@ -204,14 +130,14 @@ func (s *Solver) CompactArena() {
 	s.compactArena()
 }
 
-// compactArena is the relocation pass: every live clause (and every
-// deleted block still referenced as a trail reason) is copied to the
-// front of a fresh store, a forwarding CRef is left in the old block
-// (mark bit + the word after the header), and all CRef holders are
-// rewritten — the problem and learnt indices, unreleased selectors'
-// clause lists, trail reasons, and every watch list. Watchers of
-// deleted clauses and inlined-binary watchers whose blocker is
-// permanently true are dropped along the way. The old store is kept
+// compactArena is the relocation pass: every live clause is copied to
+// the front of a fresh store, a forwarding CRef is left in the old
+// block (mark bit + the word after the header), and all CRef holders
+// are rewritten — the problem, learnt and guarded indices, trail
+// reasons, and every watch list. No root holds a deleted block:
+// reduceDB and Release's sweep keep the clauses the trail rests on, so
+// reloc panics on one. Watchers of deleted clauses and inlined-binary watchers whose blocker
+// is permanently true are dropped along the way. The old store is kept
 // as the allocation target of the next compaction, so a session in
 // steady state compacts with no allocation at all.
 func (s *Solver) compactArena() {
@@ -220,31 +146,24 @@ func (s *Solver) compactArena() {
 	if need := len(from) - s.ca.wasted; cap(to) < need {
 		to = make([]uint32, 0, need)
 	}
-	wasted := 0
 	reloc := func(cr CRef) CRef {
 		h := from[cr]
 		if h&hdrMark != 0 {
 			return from[cr+1] // already forwarded
 		}
+		if h&hdrDeleted != 0 {
+			panic("sat: deleted clause held by a GC root")
+		}
 		nc := CRef(len(to))
 		n := s.ca.blockLen(cr) // ca.store is still `from` until the swap below
 		to = append(to, from[cr:int(cr)+n]...)
-		if h&hdrDeleted != 0 {
-			wasted += n // deleted trail-reason blocks ride along
-		}
 		from[cr] = h | hdrMark
 		from[cr+1] = nc
 		return nc
 	}
-	for i, cr := range s.clauses {
-		s.clauses[i] = reloc(cr)
-	}
-	for i, cr := range s.learnts {
-		s.learnts[i] = reloc(cr)
-	}
-	for _, sel := range s.sels {
-		for i, cr := range sel.cls {
-			sel.cls[i] = reloc(cr)
+	for _, idx := range [][]CRef{s.clauses, s.learnts, s.guarded} {
+		for i, cr := range idx {
+			idx[i] = reloc(cr)
 		}
 	}
 	for _, l := range s.trail {
@@ -256,10 +175,9 @@ func (s *Solver) compactArena() {
 		ws := s.watches[li]
 		// A list whose own literal is permanently false can never be
 		// traversed again (the literal would have to become true); its
-		// inlined-binary entries are dead weight. The mirror entry of a
-		// released guard's learned binary {l, a} lands exactly here
-		// until CollectGarbage recycles a: a is fixed true, so
-		// watches[¬a] is such a list.
+		// inlined-binary entries are dead weight. Only formula literals
+		// qualify: no inlined binary holds a guard, whose level-0 value
+		// Release takes back.
 		wl := cnf.Lit(li)
 		deadList := wl != 0 && s.value(wl) == lFalse && s.level[wl.Var()] == 0
 		w := 0
@@ -290,14 +208,14 @@ func (s *Solver) compactArena() {
 	}
 	s.ca.spare = from[:0]
 	s.ca.store = to
-	s.ca.wasted = wasted
+	s.ca.wasted = 0
 	s.dirtyWatch = s.dirtyWatch[:0]
 	s.stats[tally.Compactions]++
 }
 
 // deleteClause tombstones an arena clause and records its two watch
-// lists as dirty so CollectGarbage can purge the stale watchers
-// without sweeping the entire watch table.
+// lists as dirty so Release can purge the stale watchers without
+// sweeping the entire watch table.
 // Propagation keeps skipping and dropping deleted watchers it happens
 // to visit in the meantime; the block's space is reclaimed by the next
 // compaction.
@@ -308,9 +226,9 @@ func (s *Solver) deleteClause(cr CRef) {
 	s.ca.del(cr)
 }
 
-// newSelectorVar returns a guard variable that CollectGarbage has
-// recycled, or else a fresh one, excluded from the branching heaps
-// (growTo consults allocSel so the variable is marked before any heap
+// newSelectorVar returns a guard variable that Release has recycled,
+// or else a fresh one, excluded from the branching heaps (growTo
+// consults allocSel so the variable is marked before any heap
 // insertion could happen).
 func (s *Solver) newSelectorVar() cnf.Var {
 	if n := len(s.freeSels); n > 0 {
@@ -334,9 +252,7 @@ func (s *Solver) NewSelector() *Selector {
 	if s.decisionLevel() != 0 {
 		panic("sat: NewSelector above level 0")
 	}
-	sel := &Selector{act: cnf.MkLit(s.newSelectorVar(), true), regIdx: len(s.sels)}
-	s.sels = append(s.sels, sel)
-	return sel
+	return &Selector{act: cnf.MkLit(s.newSelectorVar(), true)}
 }
 
 // AddClauseRemovable adds clause c guarded by a fresh selector. The
@@ -384,17 +300,17 @@ func (s *Solver) AddClauseToSelector(sel *Selector, c cnf.Clause) {
 		s.addUnit(sel.act.Not())
 		return
 	}
-	s.attachSelectorClause(sel, append(out, sel.act.Not()))
+	s.attachGuarded(append(out, sel.act.Not()))
 }
 
-// attachSelectorClause stores c, which holds sel's guard literal, as
-// one of sel's clauses, watched on its first two literals. Removable
-// clauses always get arena blocks, even binary ones: Release needs an
-// address to delete. The generic watch path handles size-2 arena
-// clauses correctly (the replacement scan is simply empty).
-func (s *Solver) attachSelectorClause(sel *Selector, c []cnf.Lit) CRef {
+// attachGuarded stores c, which holds a guard literal, in the guarded
+// index, watched on its first two literals. Guarded clauses always get
+// arena blocks, even binary ones: Release's sweep deletes them through
+// the index. The generic watch path handles size-2 arena clauses
+// correctly (the replacement scan is simply empty).
+func (s *Solver) attachGuarded(c []cnf.Lit) CRef {
 	cr := s.ca.alloc(c, false, 0, 0)
-	sel.cls = append(sel.cls, cr)
+	s.guarded = append(s.guarded, cr)
 	s.attach(cr)
 	return cr
 }
@@ -413,7 +329,8 @@ func (s *Solver) AddPackedXORToSelector(sel *Selector, bits []uint64, rhs bool, 
 	if !s.ok {
 		return
 	}
-	selCol := s.xorColumn(sel.act.Var())
+	guard := sel.act.Var()
+	selCol := s.xorColumn(guard)
 	row := make([]uint64, gf2.Words(len(s.xvarOf)))
 	for w, b := range bits {
 		for b != 0 {
@@ -423,59 +340,48 @@ func (s *Solver) AddPackedXORToSelector(sel *Selector, bits []uint64, rhs bool, 
 			row[sc>>6] |= 1 << uint(sc&63)
 		}
 	}
-	s.installPackedXOR(row, rhs, sel, selCol)
+	s.installPackedXOR(row, rhs, guard, selCol)
 }
 
-// Release permanently deletes the selector's constraints: its clauses
-// are detached and its XOR rows removed from the watch structures and
-// their slots recycled. The guard is fixed true at level 0, so that
-// stale learned clauses become permanently satisfied, and queued for
-// CollectGarbage to recycle. Idempotent; must be called between Solve
-// calls.
+// Release deletes the selector's constraints, with every learned
+// clause that depends on them, and recycles its guard variable a for
+// the next NewSelector (see the comment at the top of this file). It
+// fixes a true at level 0, takes a off the trail, sweeps what a true
+// satisfies and unassigns a. When the sweep's waste crosses the
+// threshold it compacts the arena; otherwise it purges the deleted
+// clauses' watchers from their dirty lists, since propagation drops a
+// deleted watcher only when it inspects it, and a watcher whose
+// blocker is true is kept without inspection. Idempotent; must be
+// called between Solve calls.
 func (s *Solver) Release(sel *Selector) {
 	if sel == nil || sel.released {
 		return
 	}
 	sel.released = true
 	s.cancelUntil(0)
-	for _, cr := range sel.cls {
-		s.deleteClause(cr)
+	a := sel.act.Not() // true: the guard's constraints off
+	v := a.Var()
+	s.addUnit(a) // no-op when a is fixed at level 0 already
+	i := slices.Index(s.trail, a)
+	s.trail = slices.Delete(s.trail, i, i+1)
+	if i < s.qhead {
+		s.qhead--
 	}
-	sel.cls = nil
-	// Unregister from the compaction roots (swap-delete).
-	last := len(s.sels) - 1
-	s.sels[sel.regIdx] = s.sels[last]
-	s.sels[sel.regIdx].regIdx = sel.regIdx
-	s.sels[last] = nil
-	s.sels = s.sels[:last]
-	for _, xi := range sel.xors {
-		x := &s.xors[xi]
-		s.detachXORWatch(s.xvarOf[x.w[0]], xi)
-		s.detachXORWatch(s.xvarOf[x.w[1]], xi)
-		s.xors[xi] = xorClause{}
-		s.freeXors = append(s.freeXors, xi)
+	s.sweepSatisfied()
+	s.assigns[v], s.reasons[v] = lUndef, reason{}
+	if c := s.xcolOf[v]; c >= 0 {
+		s.xAssigned[c>>6] &^= 1 << uint(c&63)
+		s.xTrue[c>>6] &^= 1 << uint(c&63)
+		s.xAssignedL0[c>>6] &^= 1 << uint(c&63)
 	}
-	sel.xors = nil
-	s.released = append(s.released, sel.act.Var())
-	// Learned clauses that depended on this selector contain its guard
-	// a; fix a true so they are satisfied until CollectGarbage deletes
-	// them. Nothing else propagates: no constraint holds ¬a. Skip if a
-	// learned clause fixed a at level 0 already (see the comment at the
-	// top of this file).
-	if s.ok && s.value(sel.act) == lUndef {
-		s.addUnit(sel.act.Not())
+	s.freeSels = append(s.freeSels, v)
+	if s.maybeCompact() {
+		return // compaction rewrote every watch list; nothing left to sweep
 	}
-}
-
-// detachXORWatch removes xor index xi from v's occurrence list.
-func (s *Solver) detachXORWatch(v cnf.Var, xi int32) {
-	occ := s.occXor[v]
-	w := 0
-	for _, o := range occ {
-		if o != xi {
-			occ[w] = o
-			w++
-		}
+	for _, li := range s.dirtyWatch {
+		s.watches[li] = slices.DeleteFunc(s.watches[li], func(wt watcher) bool {
+			return wt.cr != crefBin && s.ca.deleted(wt.cr)
+		})
 	}
-	s.occXor[v] = occ[:w]
+	s.dirtyWatch = s.dirtyWatch[:0]
 }

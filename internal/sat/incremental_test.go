@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"fmt"
 	"maps"
 	"slices"
 	"testing"
@@ -349,7 +350,6 @@ func TestReleaseLeavesBaseConsequencesAtLevel0(t *testing.T) {
 					sels = append(sels[:i], sels[i+1:]...)
 				}
 			}
-			s.CollectGarbage()
 			for _, l := range s.trail {
 				v := l.Var()
 				if s.isSelector[v] {
@@ -374,13 +374,13 @@ func TestReleaseLeavesBaseConsequencesAtLevel0(t *testing.T) {
 
 // TestRecycledGuardCarriesNothing empties a cell whose selector forces
 // both x1 and ¬x1, with x1 decided first. Deciding ¬x1 learns the
-// binary {x1, a} on the guard a, and its x1 then learns the unit a, so
-// the guard holds a learned binary and sits on the level-0 trail with
-// x1 free. Released and collected, the guard comes back from
-// NewSelector as the same variable, twice, and each new group's cell
-// must match BruteForceModels: a leftover watcher of the binary would
-// force x1 whenever the new guard is assumed, or switch it off with
-// ¬x1.
+// binary {x1, a} on the guard a, which gets an arena block among the
+// learnts, and its x1 then learns the unit a, so the guard holds a
+// learned binary and sits on the level-0 trail with x1 free. Released,
+// the guard comes back from NewSelector as the same variable, twice,
+// and each new group's cell must match BruteForceModels: a leftover of
+// the binary would force x1 whenever the new guard is assumed, or
+// switch it off with ¬x1.
 func TestRecycledGuardCarriesNothing(t *testing.T) {
 	f := cnf.New(4)
 	f.AddClause(2, 3, 4)
@@ -396,15 +396,15 @@ func TestRecycledGuardCarriesNothing(t *testing.T) {
 	}
 	a := sel.Lit().Var()
 	on := cnf.MkLit(a, false)
-	binary := slices.ContainsFunc(s.watches[on.Not()], func(w watcher) bool {
-		return w.cr == crefBin && w.blocker() == cnf.MkLit(1, false)
+	binary := slices.ContainsFunc(s.learnts, func(cr CRef) bool {
+		lits := s.ca.appendLits(nil, cr)
+		return len(lits) == 2 && slices.Contains(lits, on) && slices.Contains(lits, cnf.MkLit(1, false))
 	})
 	if !binary || s.value(on) != lTrue || !s.reasons[a].isNone() || s.value(cnf.MkLit(1, false)) != lUndef {
 		t.Fatalf("learned binary {x1, a} %v, guard %v with reason %v, x1 %v", binary, s.value(on), s.reasons[a], s.value(cnf.MkLit(1, false)))
 	}
 	for _, group := range []cnf.XORClause{{Vars: []cnf.Var{1, 2}, RHS: true}, {Vars: []cnf.Var{1, 3}, RHS: false}} {
 		s.Release(sel)
-		s.CollectGarbage()
 		if sel = s.NewSelector(); sel.Lit().Var() != a || s.NumVars() != f.NumVars+1 {
 			t.Fatalf("NewSelector took variable %d of %d, want the recycled %d", sel.Lit().Var(), s.NumVars(), a)
 		}
@@ -428,6 +428,93 @@ func TestRecycledGuardCarriesNothing(t *testing.T) {
 			t.Fatalf("group %v: Enumerate = %v with projections %v, brute force %v", group, st, got, want)
 		}
 	}
+}
+
+// TestReleaseLeavesNothingOfItsGuard runs cells over random CNF+XOR
+// formulas, each under one selector that guards random rows and
+// clauses and blocks the cell's models, as a session call does. Once
+// Release returns, nothing may mention the guard (guardTrace), and the
+// next NewSelector must return the same variable. Over the run the
+// released guards must have held learned clauses, binary and longer,
+// and some must have been fixed at level 0 by a clause of their own.
+func TestReleaseLeavesNothingOfItsGuard(t *testing.T) {
+	rng := randx.New(0x9e1ea5e)
+	var binaries, longer, fixed int
+	for iter := 0; iter < 150; iter++ {
+		n := 4 + rng.Intn(7)
+		vars := varsUpTo(n)
+		s := New(buildRandomXORCNF(rng, n), Config{PriorityVars: vars})
+		sel := s.NewSelector()
+		a := sel.Lit().Var()
+		for cell := 0; cell < 6; cell++ {
+			for k := rng.Intn(5); k >= 0; k-- {
+				if rng.Bool() {
+					row := fuzzVars(uint16(rng.Intn(1<<n)), vars)
+					s.AddPackedXORToSelector(sel, []uint64{1<<len(row) - 1}, rng.Bool(), s.XORColumns(row))
+					continue
+				}
+				c := cnf.Clause{cnf.MkLit(cnf.Var(1+rng.Intn(n)), rng.Bool()), cnf.MkLit(cnf.Var(1+rng.Intn(n)), rng.Bool())}
+				s.AddClauseToSelector(sel, c)
+			}
+			s.Enumerate(sel, []cnf.Lit{sel.Lit()}, func() bool { return true })
+			for _, cr := range s.learnts {
+				if lits := s.ca.appendLits(nil, cr); slices.Contains(lits, cnf.MkLit(a, false)) {
+					if len(lits) == 2 {
+						binaries++
+					} else {
+						longer++
+					}
+				}
+			}
+			if s.value(cnf.MkLit(a, false)) == lTrue && s.reasons[a].tag == reasonClause {
+				fixed++
+			}
+			s.Release(sel)
+			if tr := guardTrace(s, a); tr != "" {
+				t.Fatalf("iter %d cell %d: after Release, %s mentions guard %d", iter, cell, tr, a)
+			}
+			if sel = s.NewSelector(); sel.Lit().Var() != a {
+				t.Fatalf("iter %d cell %d: NewSelector took variable %d, want the released %d", iter, cell, sel.Lit().Var(), a)
+			}
+		}
+	}
+	t.Logf("learned clauses on released guards: %d binary, %d longer; %d guards fixed by a clause", binaries, longer, fixed)
+	if binaries == 0 || longer == 0 || fixed == 0 {
+		t.Fatal("the run did not reach every case")
+	}
+}
+
+// guardTrace describes the first thing in s that still mentions
+// variable v, or returns "" when nothing does: a clause in an index
+// (or a deleted one), a watcher on v's literals, of a clause holding v
+// or of a deleted clause, an inlined binary holding v, an XOR row under
+// v or an occurrence of v, or an assignment of v.
+func guardTrace(s *Solver, v cnf.Var) string {
+	holds := func(cr CRef) bool {
+		return slices.ContainsFunc(s.ca.appendLits(nil, cr), func(l cnf.Lit) bool { return l.Var() == v })
+	}
+	for _, idx := range [][]CRef{s.clauses, s.learnts, s.guarded} {
+		for _, cr := range idx {
+			if s.ca.deleted(cr) || holds(cr) {
+				return fmt.Sprintf("clause %v (deleted %v)", s.ca.appendLits(nil, cr), s.ca.deleted(cr))
+			}
+		}
+	}
+	for li, ws := range s.watches {
+		for _, wt := range ws {
+			if cnf.Lit(li).Var() == v || wt.cr == crefBin && wt.blocker().Var() == v ||
+				wt.cr != crefBin && (s.ca.deleted(wt.cr) || holds(wt.cr)) {
+				return fmt.Sprintf("watcher %+v in list %d", wt, li)
+			}
+		}
+	}
+	if slices.ContainsFunc(s.xors, func(x xorClause) bool { return x.sel == v }) || len(s.occXor[v]) > 0 {
+		return "an XOR row"
+	}
+	if s.assigns[v] != lUndef || slices.ContainsFunc(s.trail, func(l cnf.Lit) bool { return l.Var() == v }) {
+		return "an assignment"
+	}
+	return ""
 }
 
 // TestIncrementalDifferentialStatus cross-checks removable constraints

@@ -156,7 +156,6 @@ func TestPackedRemovableAgainstBruteForce(t *testing.T) {
 			for _, sel := range sels {
 				s.Release(sel)
 			}
-			s.CollectGarbage()
 		}
 	}
 }
@@ -322,7 +321,6 @@ func TestPackedColumnRecycling(t *testing.T) {
 		for _, sel := range sels {
 			s.Release(sel)
 		}
-		s.CollectGarbage()
 	}
 	if got := width(); got > base+3 {
 		t.Fatalf("column space grew to %d (base %d): selector columns not recycled", got, base)

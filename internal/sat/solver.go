@@ -20,7 +20,8 @@ type Solver struct {
 
 	ca      arena  // flat clause store; see arena.go
 	clauses []CRef // problem clauses (binary ones live only in watchers)
-	learnts []CRef // learned clauses of size ≥ 3
+	learnts []CRef // learned clauses of size ≥ 3, or 2 with a guard
+	guarded []CRef // clauses added under a selector, blocking clauses included
 	watches [][]watcher
 
 	xors   []xorClause
@@ -85,14 +86,12 @@ type Solver struct {
 	blockBuf     cnf.Clause // Enumerate's blocking-clause buffer
 
 	// Incremental-session state (see incremental.go).
-	isSelector []bool      // per var: a selector's guard variable
-	freeXors   []int32     // tombstoned xor slots available for reuse
-	modelBound int         // if >0, Model covers vars 1..modelBound only
-	sels       []*Selector // unreleased selectors (compaction rewrites their CRefs)
-	released   []cnf.Var   // guards released since the last CollectGarbage
-	freeSels   []cnf.Var   // recycled guards, reused by newSelectorVar
-	dirtyWatch []cnf.Lit   // watch lists holding deleted entries (see deleteClause)
-	allocSel   bool        // true while newSelectorVar grows the arrays
+	isSelector []bool    // per var: a selector's guard variable
+	freeXors   []int32   // tombstoned xor slots available for reuse
+	modelBound int       // if >0, Model covers vars 1..modelBound only
+	freeSels   []cnf.Var // recycled guards, reused by newSelectorVar
+	dirtyWatch []cnf.Lit // watch lists holding deleted entries (see deleteClause)
+	allocSel   bool      // true while newSelectorVar grows the arrays
 
 	proof        []ProofStep
 	constructing bool // true while New loads the base formula
@@ -316,12 +315,12 @@ func (s *Solver) AddXOR(vars []cnf.Var, rhs bool) bool {
 			s.logAxiom(c)
 		}
 	}
-	return s.installPackedXOR(s.packXORRow(norm), nrhs, nil, 0)
+	return s.installPackedXOR(s.packXORRow(norm), nrhs, 0, 0)
 }
 
 // pushXorClause appends (or slot-reuses) an XOR clause and registers it
 // in the occurrence lists of its two watched variables.
-func (s *Solver) pushXorClause(x xorClause, w0, w1 cnf.Var) int32 {
+func (s *Solver) pushXorClause(x xorClause, w0, w1 cnf.Var) {
 	var idx int32
 	if n := len(s.freeXors); n > 0 {
 		idx = s.freeXors[n-1]
@@ -333,7 +332,6 @@ func (s *Solver) pushXorClause(x xorClause, w0, w1 cnf.Var) int32 {
 	}
 	s.occXor[w0] = append(s.occXor[w0], idx)
 	s.occXor[w1] = append(s.occXor[w1], idx)
-	return idx
 }
 
 // packXORRow assigns XOR columns to the (normalized) variable list and
@@ -396,11 +394,12 @@ func (s *Solver) XORColumns(vars []cnf.Var) []int32 {
 // level 0. bits spans the solver's column space at call time and is
 // owned by the solver afterwards. Variables already assigned (at level
 // 0) stay in the row — the masks account for them — so no filtering
-// pass or re-normalization happens. selp/selCol describe the guard of a
-// removable row (nil for permanent rows; the selector bit is added here
-// only if a row is actually installed). Returns false when the solver
-// became UNSAT, which only permanent rows can cause.
-func (s *Solver) installPackedXOR(bits []uint64, rhs bool, selp *Selector, selCol int) bool {
+// pass or re-normalization happens. guard/selCol describe the guard
+// variable of a removable row and its column (guard 0 for permanent
+// rows; the guard's bit is added here only if a row is actually
+// installed). Returns false when the solver became UNSAT, which only
+// permanent rows can cause.
+func (s *Solver) installPackedXOR(bits []uint64, rhs bool, guard cnf.Var, selCol int) bool {
 	unassigned := 0
 	c1, c2 := -1, -1
 	ones := 0
@@ -419,21 +418,20 @@ func (s *Solver) installPackedXOR(bits []uint64, rhs bool, selp *Selector, selCo
 		}
 	}
 	par := ones&1 == 1
-	if selp != nil {
+	if guard != 0 {
 		if unassigned == 0 {
 			if par != rhs {
 				// 0 = 1 under the top-level assignment: activating must
 				// give Unsat, which fixing the guard achieves via the
 				// assumption check in search.
-				s.addUnit(selp.act.Not())
+				s.addUnit(cnf.MkLit(guard, false))
 			}
 			return true
 		}
 		bits[selCol>>6] |= 1 << uint(selCol&63)
 		win, off := windowRow(bits)
-		x := xorClause{bits: win, off: off, rhs: rhs, w: [2]int{selCol, c1}, sel: selp.act.Var()}
-		idx := s.pushXorClause(x, selp.act.Var(), s.xvarOf[c1])
-		selp.xors = append(selp.xors, idx)
+		x := xorClause{bits: win, off: off, rhs: rhs, w: [2]int{selCol, c1}, sel: guard}
+		s.pushXorClause(x, guard, s.xvarOf[c1])
 		return true
 	}
 	switch unassigned {
@@ -556,21 +554,10 @@ func (s *Solver) interrupted() bool {
 	return s.cfg.Interrupt != nil && s.cfg.Interrupt.Load()
 }
 
-// Solve searches for a model of the clauses under the given assumptions.
+// Solve searches for a model of the clauses under the given
+// assumptions: Enumerate stopped at its first model.
 func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
-	if !s.ok {
-		return Unsat
-	}
-	if s.interrupted() {
-		return Unknown
-	}
-	s.cancelUntil(0)
-	for _, a := range assumptions {
-		s.growTo(int(a.Var()))
-	}
-	st := s.solve(assumptions)
-	s.cancelUntil(0)
-	return st
+	return s.Enumerate(nil, assumptions, func() bool { return false })
 }
 
 // solve runs restarts of search from the current trail until a verdict
@@ -615,7 +602,7 @@ func (s *Solver) solve(assumptions []cnf.Lit) Status {
 		// Restart-time housekeeping: when reduceDB tombstones have
 		// accumulated past the waste threshold, compact the arena now —
 		// long single Solve calls must not depend on the session layer's
-		// CollectGarbage to keep the store bounded.
+		// Releases to keep the store bounded.
 		s.maybeCompact()
 	}
 }
@@ -710,12 +697,16 @@ func (s *Solver) recordLearnt(learnt []cnf.Lit, lbd int) {
 		s.uncheckedEnqueue(learnt[0], reason{})
 		return
 	case 2:
-		// Learned binaries are inlined in their watchers, never deleted
-		// (they were exempt from reduceDB before too), and carried as a
-		// literal-payload reason.
-		s.attachBinary(learnt[0], learnt[1])
-		s.uncheckedEnqueue(learnt[0], reason{tag: reasonBinary, ref: uint32(learnt[1])})
-		return
+		// Learned binaries without a guard are inlined in their
+		// watchers, never deleted (they were exempt from reduceDB before
+		// too), and carried as a literal-payload reason. One that holds a
+		// guard gets an arena block below, so that Release's sweep
+		// deletes it.
+		if !s.isSelector[learnt[0].Var()] && !s.isSelector[learnt[1].Var()] {
+			s.attachBinary(learnt[0], learnt[1])
+			s.uncheckedEnqueue(learnt[0], reason{tag: reasonBinary, ref: uint32(learnt[1])})
+			return
+		}
 	}
 	cr := s.ca.alloc(learnt, true, lbd, s.claInc)
 	s.learnts = append(s.learnts, cr)
@@ -752,11 +743,12 @@ func (s *Solver) bumpClause(cr CRef) {
 }
 
 // reduceDB removes the less useful half of the learned clauses,
-// keeping glue clauses (LBD ≤ 2), clauses that are current reasons on
-// the trail, and — implicitly — binaries, which never enter the learnt
-// index. Locked-reason detection marks reason clauses through the
-// trail via the arena's scratch bit instead of building a per-call
-// set, so the whole pass is allocation-free in the steady state.
+// keeping glue clauses (LBD ≤ 2, every learned binary with a guard
+// among them), clauses that are current reasons on the trail, and —
+// implicitly — the other binaries, which never enter the learnt index.
+// Locked-reason detection marks reason clauses through the trail via
+// the arena's scratch bit instead of building a per-call set, so the
+// whole pass is allocation-free in the steady state.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) == 0 {
 		return
@@ -792,8 +784,7 @@ func (s *Solver) reduceDB() {
 	s.sortScratch = ls[:0]
 	s.markTrailReasons(false)
 	// Full watch sweep: up to half the learnts just died, so most lists
-	// are dirty anyway. This also clears any deletions pending from
-	// earlier Releases, so the dirty list can be reset wholesale.
+	// are dirty anyway, and the dirty list can be reset wholesale.
 	for li := range s.watches {
 		ws := s.watches[li]
 		w := 0
@@ -824,10 +815,9 @@ func (s *Solver) markTrailReasons(on bool) {
 	}
 }
 
-// satisfiedAtLevel0 reports whether a clause is permanently satisfied by
-// the top-level assignment. Learned clauses guarded by a released
-// selector end up in this state and are reclaimed by reduceDB or
-// CollectGarbage.
+// satisfiedAtLevel0 reports whether a clause is satisfied by the
+// top-level assignment. Release's sweep deletes such learned and
+// guarded clauses, and reduceDB such learned ones.
 func (s *Solver) satisfiedAtLevel0(cr CRef) bool {
 	b := s.ca.litBase(cr)
 	for _, w := range s.ca.store[b : b+s.ca.size(cr)] {
